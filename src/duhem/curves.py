@@ -10,10 +10,12 @@ intersection abscissa is what the storage construction integrates to.
 
 The crossing search marches the branch ODE with the same fixed-step RK4 as
 the simulator, watches the sign of F along the ride (F vanishes exactly on
-the anhysteresis curve, so no per-step root solve is needed), and refines
-the bracketing step with bisection on the local cubic Hermite model.  The
-march is vectorized so a whole trajectory's worth of phase points rides in
-lockstep; scalar operations use batch size one.
+the anhysteresis curve, so no per-step root solve is needed), and sets aside
+each lane's bracketing step.  Once every lane has crossed, one vector
+bisection on the brackets' cubic Hermite models refines all crossings at
+once (event location on dense output).  The march is vectorized so a whole
+trajectory's worth of phase points rides in lockstep; scalar operations use
+batch size one.
 """
 
 from __future__ import annotations
@@ -296,7 +298,14 @@ def _march_to_crossing(
     refine_iters: int,
 ):
     """March dy/dtau = f from (y0, tau0) with signed step h until the sign
-    of F flips relative to c0; returns per-element crossing data."""
+    of F flips relative to c0; returns per-element crossing data.
+
+    The march only detects crossings: each lane's bracketing step and the
+    integral accumulated before it are set aside, and after the march all
+    brackets are refined together in one vector bisection on their cubic
+    Hermite models.  Every operation is elementwise, so a lane's result does
+    not depend on which other lanes share the batch.
+    """
     n = y0.size
     idx = np.arange(n)
     y = y0.astype(float).copy()
@@ -304,18 +313,16 @@ def _march_to_crossing(
     c_start = c0.astype(float).copy()
     fcur = np.asarray(f(y, tau), dtype=float)
     acc = np.zeros(n)
-
-    lam = np.empty(n)
-    y_at = np.empty(n)
-    integral = np.empty(n)
     steps = np.zeros(n, dtype=int)
+    # per crossing step: lane indices, bracket (tA, tB, yA, yB, fA, fB), acc
+    stash = []
 
     lo, hi = model.domain.sigma_min, model.domain.sigma_max
     guarded = model.domain.bounded
 
     for it in range(1, max_steps + 1):
         if idx.size == 0:
-            return lam, y_at, integral, steps
+            break
         k1 = fcur
         k2 = np.asarray(f(y + 0.5 * h * k1, tau + 0.5 * h), dtype=float)
         k3 = np.asarray(f(y + 0.5 * h * k2, tau + 0.5 * h), dtype=float)
@@ -334,24 +341,19 @@ def _march_to_crossing(
         crossed = c_new * c_start <= 0.0
 
         if crossed.any():
-            tA, tB = tau[crossed], tau_new[crossed]
-            yA, yB = y[crossed], y_new[crossed]
-            fA, fB = fcur[crossed], f_new[crossed]
-
-            def residual(s, tA=tA, tB=tB, yA=yA, yB=yB, fA=fA, fB=fB):
-                return np.asarray(
-                    model.F(hermite_eval(s, tA, tB, yA, yB, fA, fB), s),
-                    dtype=float,
+            steps[idx[crossed]] = it
+            stash.append(
+                (
+                    idx[crossed],
+                    tau[crossed],
+                    tau_new[crossed],
+                    y[crossed],
+                    y_new[crossed],
+                    fcur[crossed],
+                    f_new[crossed],
+                    acc[crossed],
                 )
-
-            lam_c = bisect_on_interval_vec(residual, tA, tB, iters=refine_iters)
-            hit = idx[crossed]
-            lam[hit] = lam_c
-            y_at[hit] = hermite_eval(lam_c, tA, tB, yA, yB, fA, fB)
-            integral[hit] = acc[crossed] + hermite_partial_integral(
-                lam_c, tA, tB, yA, yB, fA, fB
             )
-            steps[hit] = it
 
         keep = ~crossed
         acc = acc[keep] + hermite_integral(
@@ -363,11 +365,28 @@ def _march_to_crossing(
         fcur = f_new[keep]
         c_start = c_start[keep]
 
-    raise CrossingSearchError(
-        f"{idx.size} traversing branch(es) did not meet the anhysteresis "
-        f"curve within {max_steps} steps of size {abs(h):.3g} "
-        "(transversality hypotheses violated or budget too small)"
-    )
+    if idx.size:
+        raise CrossingSearchError(
+            f"{idx.size} traversing branch(es) did not meet the anhysteresis "
+            f"curve within {max_steps} steps of size {abs(h):.3g} "
+            "(transversality hypotheses violated or budget too small)"
+        )
+
+    hit, tA, tB, yA, yB, fA, fB, acc = (np.concatenate(a) for a in zip(*stash))
+
+    def residual(s):
+        return np.asarray(
+            model.F(hermite_eval(s, tA, tB, yA, yB, fA, fB), s), dtype=float
+        )
+
+    lam_c = bisect_on_interval_vec(residual, tA, tB, iters=refine_iters)
+    lam = np.empty(n)
+    y_at = np.empty(n)
+    integral = np.empty(n)
+    lam[hit] = lam_c
+    y_at[hit] = hermite_eval(lam_c, tA, tB, yA, yB, fA, fB)
+    integral[hit] = acc + hermite_partial_integral(lam_c, tA, tB, yA, yB, fA, fB)
+    return lam, y_at, integral, steps
 
 
 def ride_to_crossing(

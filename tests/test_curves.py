@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from duhem import dahl
+from duhem import boucwen, curves, dahl, exp_example
 from duhem.core import Domain, DuhemModel
 from duhem.curves import (
     CrossingSearchError,
@@ -178,6 +178,90 @@ def test_crossing_search_budget_exhaustion_raises():
     )
     with pytest.raises(CrossingSearchError):
         intersect_lambda(m, PhasePoint(0.5, 0.0), step=1e-2, max_doublings=3)
+
+
+def test_crossing_on_the_last_budgeted_step_is_not_a_budget_error():
+    # the Dahl ride from (-0.75(exp(0.995*0.4) - 1), 0) meets the curve at
+    # lambda = 0.995, inside step 100 of a budget of exactly 100 steps
+    m = dahl(rho=0.3)
+    sigma = -0.75 * np.expm1(0.995 * 0.4)
+    res = ride_to_crossing(m, [sigma], [0.0], step=0.01, max_doublings=0)
+    assert res.steps[0] == 100
+    assert res.lam[0] == pytest.approx(0.995, abs=1e-6)
+    # a crossing at lambda = 1.005, one step beyond the budget, is a real
+    # budget error
+    beyond = -0.75 * np.expm1(1.005 * 0.4)
+    with pytest.raises(CrossingSearchError, match="^1 traversing branch.* did not meet"):
+        ride_to_crossing(m, [beyond], [0.0], step=0.01, max_doublings=0)
+
+
+def _mixed_lanes(n, sigma_half, xi_half, seed):
+    """n random phase points, about half on each side of the anhysteresis
+    curve, spread in xi so that they cross at different steps."""
+    rng = np.random.default_rng(seed)
+    xi = xi_half * (2.0 * rng.random(n) - 1.0)
+    sigma = sigma_half * (2.0 * rng.random(n) - 1.0)
+    return sigma, xi
+
+
+@pytest.mark.parametrize(
+    "model, sigma_half, xi_half",
+    [
+        (dahl(), 0.7, 3.0),
+        (boucwen(), 1.2, 3.0),
+        (exp_example(), 2.5, 2.5),
+        (_strip_f_an(exp_example()), 2.5, 2.5),
+    ],
+    ids=["dahl", "boucwen", "exp", "exp-solver"],
+)
+def test_ride_to_crossing_batch_is_bitwise_batch_of_one(model, sigma_half, xi_half):
+    sigma, xi = _mixed_lanes(24, sigma_half, xi_half, seed=5)
+    batch = ride_to_crossing(model, sigma, xi, step=1e-2)
+    # both directions, crossing at many different steps
+    assert (batch.lam < xi).any() and (batch.lam > xi).any()
+    assert np.unique(batch.steps).size >= 10
+    for k in range(sigma.size):
+        one = ride_to_crossing(model, sigma[k : k + 1], xi[k : k + 1], step=1e-2)
+        for name in ("lam", "y_at", "integral", "steps"):
+            got = getattr(batch, name)[k : k + 1].tobytes()
+            assert got == getattr(one, name).tobytes(), (name, k)
+
+
+def test_ride_refines_all_crossings_in_at_most_two_bisections(monkeypatch, exp_model):
+    calls = []
+    real = curves.bisect_on_interval_vec
+
+    def counting(g, a, b, iters=80):
+        calls.append(np.asarray(a).size)
+        return real(g, a, b, iters=iters)
+
+    sigma, xi = _mixed_lanes(60, 2.5, 2.5, seed=11)
+    expected = ride_to_crossing(exp_model, sigma, xi, step=1e-2)
+    monkeypatch.setattr(curves, "bisect_on_interval_vec", counting)
+    res = ride_to_crossing(exp_model, sigma, xi, step=1e-2)
+    assert (res.lam < xi).any() and (res.lam > xi).any()
+    assert np.unique(res.steps).size >= 20
+    assert len(calls) <= 2
+    assert sum(calls) == sigma.size
+    assert res.lam.tobytes() == expected.lam.tobytes()
+
+
+def test_batch_ride_leaving_a_bounded_domain_raises():
+    # F = sigma - xi/10; the rising branch (slope 1) from (0, 15) would meet
+    # the curve at sigma = 5/3, beyond the band (-1, 1), while the other
+    # lanes cross inside it
+    m = DuhemModel(
+        name="band-exit",
+        f1=lambda s, x: 1.0 + 0.0 * s,
+        f2=lambda s, x: 1.0 - 2.0 * (s - x / 10.0),
+        params={},
+        domain=Domain(-1.0, 1.0),
+        f_an=lambda xi: xi / 10.0,
+    )
+    ok = ride_to_crossing(m, [0.0, -0.5], [1.0, 2.0], step=1e-2)
+    assert np.abs(ok.y_at - ok.lam / 10.0).max() < 1e-9
+    with pytest.raises(CrossingSearchError, match="1 traversing branch.* left the domain"):
+        ride_to_crossing(m, [0.0, -0.5, 0.0], [1.0, 2.0, 15.0], step=1e-2)
 
 
 def test_lemma_margin_certificate_dahl(dahl_r1):
