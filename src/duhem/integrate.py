@@ -18,7 +18,6 @@ __all__ = [
     "QuadratureError",
     "BracketError",
     "rk4_step",
-    "integrate_segment",
     "hermite_eval",
     "hermite_integral",
     "hermite_partial_integral",
@@ -48,55 +47,6 @@ def rk4_step(f, y, x, h):
     k3 = f(y + 0.5 * h * k2, x + 0.5 * h)
     k4 = f(y + h * k3, x + h)
     return y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-
-
-def integrate_segment(
-    f: Callable,
-    y0: float,
-    x0: float,
-    x1: float,
-    max_step: float,
-):
-    """March dy/dx = f(y, x) from x0 to x1 with uniform RK4 substeps.
-
-    The substep is |x1 - x0| / n with n = ceil(|x1 - x0| / max_step), so the
-    march lands on x1 exactly.  Works in either direction.
-
-    Returns
-    -------
-    xs, ys, fs : ndarray
-        Node locations (including both endpoints), solution values and the
-        slope f(y, x) at each node.
-    """
-    if max_step <= 0.0:
-        raise ValueError(f"max_step must be positive, got {max_step}")
-    span = x1 - x0
-    if span == 0.0:
-        y0 = float(y0)
-        return (
-            np.array([x0]),
-            np.array([y0]),
-            np.array([float(f(y0, x0))]),
-        )
-    n = max(1, int(math.ceil(abs(span) / max_step)))
-    h = span / n
-    xs = x0 + h * np.arange(n + 1)
-    xs[-1] = x1
-    ys = np.empty(n + 1)
-    fs = np.empty(n + 1)
-    y = float(y0)
-    for i in range(n):
-        x = xs[i]
-        k1 = float(f(y, x))
-        ys[i] = y
-        fs[i] = k1
-        k2 = float(f(y + 0.5 * h * k1, x + 0.5 * h))
-        k3 = float(f(y + 0.5 * h * k2, x + 0.5 * h))
-        k4 = float(f(y + h * k3, x + h))
-        y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    ys[n] = y
-    fs[n] = float(f(y, xs[n]))
-    return xs, ys, fs
 
 
 # -- cubic Hermite pieces ---------------------------------------------------

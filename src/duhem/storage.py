@@ -21,13 +21,12 @@ neither should be rewritten in terms of the other.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .core import DomainExitError, DuhemModel
+from .core import DomainExitError, DuhemModel, _segment_substeps
 from .curves import (
     CrossingSearchError,
     PhasePoint,
@@ -272,58 +271,103 @@ def _supply_running_min(
     signals: Sequence[InputSignal],
     y0: float,
     step: float,
-) -> np.ndarray:
-    """Lockstep simulation of many inputs from output y0; returns the running
-    minimum of the supply integral W(t) = int y du per signal."""
+) -> tuple[np.ndarray, np.ndarray]:
+    """Lockstep simulation of many inputs from output y0.
+
+    Each signal walks its own segments with `simulate`'s substep rule, so
+    `step` is a per-lane maximum substep: a segment with input change du
+    takes n = max(1, ceil(|du| / step)) RK4 substeps of h = du / n starting
+    at u = ua + k h, and segments with du == 0 are skipped.  The lanes
+    advance one substep per iteration; each lane switches segment at its own
+    precomputed iteration, and a lane that has finished marches with h = 0,
+    which leaves its output and supply unchanged.  A lane's (u, y) substeps
+    are therefore those of `simulate` on its signal.
+
+    Returns the running minimum of the supply integral W(t) = int y du and
+    the final output, per signal.
+    """
     m = len(signals)
-    n_seg = max(s.n_breakpoints for s in signals) - 1
-    U = np.empty((m, n_seg + 1))
+    # One switch event per moving segment and one per finished lane:
+    # (start iteration, lane, segment index, start value u, substep h).
+    events = []
     for i, s in enumerate(signals):
-        v = s.values
-        U[i, : v.size] = v
-        U[i, v.size:] = v[-1]
+        v, k = s.values, 0
+        for j in np.flatnonzero(np.diff(v)):
+            du = float(v[j + 1] - v[j])
+            n = _segment_substeps(du, step)
+            events.append((k, i, j, v[j], du / n))
+            k += n
+        events.append((k, i, -1, v[-1], 0.0))
+    ev = np.array(events)
+    ev = ev[np.argsort(ev[:, 0], kind="stable")]
+    ev_k = ev[:, 0].astype(int)
+    ev_lane = ev[:, 1].astype(int)
+    switch_at = np.unique(ev_k)
+    bounds = np.searchsorted(ev_k, np.append(switch_at, ev_k[-1] + 1))
+    n_iter = int(ev_k[-1])
 
     y = np.full(m, float(y0))
     W = np.zeros(m)
     minW = np.zeros(m)
+    ua, h, base = np.zeros(m), np.zeros(m), np.zeros(m)
     lo, hi = model.domain.sigma_min, model.domain.sigma_max
     guarded = model.domain.bounded
     f1, f2 = model.f1, model.f2
 
-    def field(yv, uv, h):
+    def field(yv, uv):
         return np.where(
-            h >= 0.0,
+            up,
             np.asarray(f1(yv, uv), dtype=float),
             np.asarray(f2(yv, uv), dtype=float),
         )
 
-    for j in range(n_seg):
-        du = U[:, j + 1] - U[:, j]
-        biggest = float(np.abs(du).max())
-        if biggest == 0.0:
-            continue
-        n = max(1, int(math.ceil(biggest / step)))
-        h = du / n
-        u = U[:, j].copy()
-        for _ in range(n):
-            k1 = field(y, u, h)
-            k2 = field(y + 0.5 * h * k1, u + 0.5 * h, h)
-            k3 = field(y + 0.5 * h * k2, u + 0.5 * h, h)
-            k4 = field(y + h * k3, u + h, h)
-            y_new = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            if guarded and not ((y_new > lo) & (y_new < hi)).all():
-                bad = int(np.argmax(~((y_new > lo) & (y_new < hi))))
-                raise DomainExitError(
-                    t=math.nan,
-                    u=float(u[bad] + h[bad]),
-                    y=float(y_new[bad]),
-                    message=f"signal {bad} drove the output out of the domain",
-                )
-            W = W + 0.5 * (y + y_new) * h
-            minW = np.minimum(minW, W)
-            y = y_new
-            u = u + h
-    return minW
+    g = 0  # every lane has an event at iteration 0, which sets its ua and h
+    for k in range(n_iter):
+        if k == switch_at[g]:
+            sl = slice(bounds[g], bounds[g + 1])
+            lanes = ev_lane[sl]
+            ua[lanes] = ev[sl, 3]
+            h[lanes] = ev[sl, 4]
+            base[lanes] = k
+            up = h >= 0.0
+            half = 0.5 * h
+            sixth = h / 6.0
+            g += 1
+        u = ua + (k - base) * h
+        um = u + half
+        k1 = field(y, u)
+        k2 = field(y + half * k1, um)
+        k3 = field(y + half * k2, um)
+        k4 = field(y + h * k3, u + h)
+        y_new = y + sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        if guarded and not ((y_new > lo) & (y_new < hi)).all():
+            bad = int(np.argmax(~((y_new > lo) & (y_new < hi))))
+            mine = np.flatnonzero((ev_lane == bad) & (ev_k <= k))[-1]
+            t, u_exit = _substep_sample(
+                signals[bad], int(ev[mine, 2]), k + 1 - int(ev_k[mine]), step
+            )
+            raise DomainExitError(
+                t=t,
+                u=u_exit,
+                y=float(y_new[bad]),
+                message=f"signal {bad} drove the output out of the domain",
+            )
+        W = W + 0.5 * (y + y_new) * h
+        minW = np.minimum(minW, W)
+        y = y_new
+    return minW, y
+
+
+def _substep_sample(sig: InputSignal, j: int, k: int, step: float):
+    """Time and input after substep k of segment j, as `simulate` samples
+    them."""
+    t0, t1 = float(sig.times[j]), float(sig.times[j + 1])
+    ua, ub = float(sig.values[j]), float(sig.values[j + 1])
+    du = ub - ua
+    n = _segment_substeps(du, step)
+    u = ua + k * (du / n) if k < n else ub
+    t = t1 if k == n else t0 + (u - ua) * ((t1 - t0) / du)
+    return t, u
 
 
 def available_storage_bruteforce(
@@ -341,7 +385,9 @@ def available_storage_bruteforce(
     stop) and family.n_random random piecewise-linear inputs starting at
     p.xi, all clipped to the horizon.  Each run tracks the running supply
     integral W(t) = int y du; the extractable energy of a run is
-    max(0, -min_t W(t)) and the result is the best over the family.
+    max(0, -min_t W(t)) and the result is the best over the family.  Every
+    run marches its own segments with `simulate`'s substep rule, so `step`
+    is a per-run maximum u-substep, as in `simulate`.
 
     Only models with an identically zero anhysteresis curve are accepted:
     for those the supply bookkeeping below matches the storage construction
@@ -377,7 +423,7 @@ def available_storage_bruteforce(
         )
         signals.append(_clip_to_horizon(sig, horizon))
 
-    minW = _supply_running_min(model, signals, p.sigma, step)
+    minW, _ = _supply_running_min(model, signals, p.sigma, step)
     per_signal = np.maximum(0.0, -minW)
     best = int(np.argmax(per_signal))
     return AvailableStorageResult(

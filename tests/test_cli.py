@@ -1,9 +1,11 @@
 import json
+import os
 import subprocess
 import sys
 
 import pytest
 
+import duhem
 from duhem.cli import (
     PRESETS,
     ConfigError,
@@ -172,10 +174,16 @@ def test_loops_subcommand_reports_orientation(tmp_path, capsys):
 
 
 def test_module_entry_point_runs():
+    # the child process imports the same duhem package as this test, also
+    # from a checkout that is not installed
+    src = os.path.dirname(os.path.dirname(duhem.__file__))
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
     proc = subprocess.run(
         [sys.executable, "-m", "duhem.cli", "--help"],
         capture_output=True,
         text=True,
+        env=env,
     )
     assert proc.returncode == 0
     assert "simulate" in proc.stdout

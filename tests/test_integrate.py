@@ -15,7 +15,6 @@ from duhem.integrate import (
     hermite_eval,
     hermite_integral,
     hermite_partial_integral,
-    integrate_segment,
     rk4_step,
 )
 
@@ -29,25 +28,6 @@ def test_rk4_step_exponential_accuracy():
 def test_rk4_step_backwards():
     y = rk4_step(lambda y, x: y, math.exp(0.1), 0.1, -0.1)
     assert y == pytest.approx(1.0, abs=2e-7)
-
-
-def test_integrate_segment_lands_on_endpoint():
-    xs, ys, fs = integrate_segment(lambda y, x: -2.0 * y, 1.0, 0.0, 1.0, 1e-3)
-    assert xs[0] == 0.0 and xs[-1] == 1.0
-    assert ys[-1] == pytest.approx(math.exp(-2.0), abs=1e-12)
-    assert fs[-1] == pytest.approx(-2.0 * ys[-1])
-
-
-def test_integrate_segment_descending():
-    xs, ys, _ = integrate_segment(lambda y, x: 1.0, 0.0, 2.0, 1.0, 0.3)
-    assert xs[-1] == 1.0
-    assert ys[-1] == pytest.approx(-1.0, abs=1e-12)
-    assert (np.diff(xs) < 0.0).all()
-
-
-def test_integrate_segment_zero_span():
-    xs, ys, fs = integrate_segment(lambda y, x: 3.0, 0.5, 1.0, 1.0, 0.1)
-    assert xs.tolist() == [1.0] and ys.tolist() == [0.5] and fs.tolist() == [3.0]
 
 
 def test_hermite_reproduces_cubics_exactly():

@@ -1,13 +1,19 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from duhem import dahl
+from duhem import dahl, simulate
+from duhem.core import Domain, DomainExitError, DuhemModel
 from duhem.curves import PhasePoint
+from duhem.dissipativity import cw_supply_integral
+from duhem.signals import InputSignal, random_piecewise_linear
 from duhem.storage import (
     AvailableStorageResult,
     SignalFamily,
+    _supply_running_min,
     available_storage_bruteforce,
     lambda_dahl_closed_form,
     storage_cw,
@@ -153,3 +159,109 @@ def test_available_storage_result_array_is_readonly():
     )
     with pytest.raises(ValueError):
         res.per_signal[0] = 1.0
+
+
+EPS = np.finfo(float).eps
+MARCH_STEP = 5e-3
+
+
+def _march_signals(rng, n=40):
+    """Random inputs with uneven segment lengths, so the lanes switch
+    segments and finish at different iterations, plus one input with a held
+    (du == 0) segment."""
+    sigs = [
+        random_piecewise_linear(rng, u_start=0.5, span=2.0, n_breakpoints=(3, 8))
+        for _ in range(n - 1)
+    ]
+    held = InputSignal(np.array([0.0, 0.7, 1.2, 2.0]), np.array([0.5, 1.2, 1.2, -0.1]))
+    return sigs + [held]
+
+
+def _simulate_substeps(sig, step):
+    """The substep h behind each increment of simulate's samples of sig:
+    du / ceil(|du| / step) per moving segment, 0 for a held segment."""
+    hs = []
+    for du in np.diff(sig.values):
+        n = 1 if du == 0.0 else math.ceil(abs(du) / step)
+        hs += [du / n] * n
+    return np.array(hs)
+
+
+@pytest.mark.parametrize("model_name", ["dahl_r1", "dahl_r3", "bw", "exp_model"])
+def test_supply_march_lanes_are_simulate(model_name, request, rng):
+    # Each lane of the march takes simulate's substeps on its own signal.
+    # On dahl r = 1 the fields are pure arithmetic, so the final outputs
+    # agree bit for bit.  dahl r = 3 and Bouc-Wen call numpy's power, and the
+    # exp example (the one whose fields depend on u) calls exp; their array
+    # and scalar versions may differ in the last bit.  Each of the four field
+    # values of a substep may then be off by 2 ulp, which moves a substep by
+    # at most 2 eps (|y| + |h| max|f|) after rounding.  All three models'
+    # branches are non-expanding in the output (df1/dsigma <= 0 rising,
+    # df2/dsigma >= 0 falling), so over N substeps the outputs differ by at
+    # most N * 4 eps (max|y| + step max|f|).
+    model = request.getfixturevalue(model_name)
+    exact = model_name == "dahl_r1"
+    sigs = _march_signals(rng)
+    y0 = 0.3
+    minW, y_end = _supply_running_min(model, sigs, y0, MARCH_STEP)
+    for i, sig in enumerate(sigs):
+        traj = simulate(model, sig, y0, MARCH_STEP)
+        h = _simulate_substeps(sig, MARCH_STEP)
+        du = np.diff(traj.u)
+        assert du.size == h.size
+        n = h.size
+        Y = float(np.abs(traj.y).max())
+        # Both sides sum 0.5 (y_k + y_k+1) du_k in order; the march takes
+        # du_k = h, cw_supply_integral takes diff(u), which differs from h by
+        # the rounding of u = ua + k h.  Over n increments the running minima
+        # differ by at most n (Y |diff(u) - h| + 2 eps (Y step + max|W|)).
+        supply = cw_supply_integral(traj)
+        W_max = float(np.abs(supply.values).max())
+        tol_W = n * (
+            Y * float(np.abs(du - h).max()) + 2.0 * EPS * (Y * MARCH_STEP + W_max)
+        )
+        if exact:
+            assert y_end[i].tobytes() == traj.y[-1].tobytes(), i
+        else:
+            moving = h != 0.0
+            F = float(np.abs(np.diff(traj.y)[moving] / du[moving]).max())
+            tol_y = n * 4.0 * EPS * (Y + MARCH_STEP * F)
+            assert abs(y_end[i] - traj.y[-1]) <= tol_y, i
+            # W sums y du, so an output gap tol_y moves it by at most
+            # tol_y times the input's total variation
+            tol_W += tol_y * float(np.abs(h).sum())
+        extracted = max(0.0, -minW[i])
+        assert extracted == pytest.approx(
+            -min(float(supply.running_min.min()), 0.0), abs=tol_W
+        ), i
+
+
+def test_supply_march_domain_exit_names_the_lane_and_its_sample():
+    # y follows u one to one inside the band |y| < 1; signal 2 leaves it in
+    # its last segment, long after the short signals 0 and 1 have finished
+    # and are marching with h = 0.
+    model = DuhemModel(
+        name="unit-slope band",
+        f1=lambda s, x: 1.0 + 0.0 * s,
+        f2=lambda s, x: 1.0 + 0.0 * s,
+        domain=Domain(-1.0, 1.0),
+        f_an=lambda xi: 0.0 * xi,
+    )
+    sigs = [
+        InputSignal(np.array([0.0, 0.2]), np.array([0.0, 0.2])),
+        InputSignal(np.array([0.0, 0.3]), np.array([0.0, -0.3])),
+        InputSignal(np.array([0.0, 1.0, 2.0, 6.0]), np.array([0.0, 0.5, 0.1, 1.5])),
+        InputSignal(np.array([0.0, 2.0, 5.0]), np.array([0.0, 0.9, -0.9])),
+    ]
+    step = 0.01
+    with pytest.raises(DomainExitError) as lone:
+        simulate(model, sigs[2], 0.0, step)
+    with pytest.raises(DomainExitError, match="signal 2 drove the output") as err:
+        _supply_running_min(model, sigs, 0.0, step)
+    exc = err.value
+    assert (exc.t, exc.u, exc.y) == (lone.value.t, lone.value.u, lone.value.y)
+    assert 2.0 < exc.t < 6.0
+    assert exc.y >= 1.0
+    # the other signals stay inside the band
+    for other in (0, 1, 3):
+        simulate(model, sigs[other], 0.0, step)
