@@ -161,6 +161,44 @@ def _segment_substeps(du: float, step: float | None) -> int:
     return max(1, int(math.ceil(abs(du) / step)))
 
 
+def _substep_sample(sig: InputSignal, j: int, k: int, step: float | None):
+    """Time and input after substep k of segment j, as `simulate` samples
+    them."""
+    t0, t1 = float(sig.times[j]), float(sig.times[j + 1])
+    ua, ub = float(sig.values[j]), float(sig.values[j + 1])
+    du = ub - ua
+    n = _segment_substeps(du, step)
+    u = ua + k * (du / n) if k < n else ub
+    t = t1 if k == n else t0 + (u - ua) * ((t1 - t0) / du)
+    return t, u
+
+
+def _march_segment(f, y, ua, ub, n, lo, hi):
+    """March dy/du = f from (y, ua) to ub in n RK4 substeps of h = (ub - ua)/n.
+
+    The one scalar loop behind `simulate` and the traversing-curve branches.
+    Node k sits at u_k = ua + k h, except u_n = ub exactly.  Returns the
+    nodes, the outputs and the node slopes f(y_k, u_k) (each is the next
+    substep's k1), all starting with the start node, plus the output of the
+    first substep that leaves the open band lo < y < hi, or None.  The march
+    stops at that substep, and a non-finite output always leaves the band.
+    """
+    h = (ub - ua) / n
+    u = ua
+    k1 = float(f(y, u))
+    us, ys, ks = [u], [y], [k1]
+    for k in range(1, n + 1):
+        y = float(rk4_step(f, y, u, h, k1))
+        if not lo < y < hi:
+            return us, ys, ks, y
+        u = ua + k * h if k < n else ub
+        k1 = float(f(y, u))
+        us.append(u)
+        ys.append(y)
+        ks.append(k1)
+    return us, ys, ks, None
+
+
 def simulate(
     model: DuhemModel,
     signal: InputSignal,
@@ -169,13 +207,13 @@ def simulate(
 ) -> Trajectory:
     """Drive the operator along a piecewise-linear input.
 
-    Each monotone segment is integrated in u with fixed-substep RK4, substep
-    at most `step` (default: segment u-length / 1000, capped at 1e-3).
-    Samples are emitted at every breakpoint and every uniform substep, with
-    sample times linearly interpolated inside segments.  Segments with zero
-    u-change hold y exactly.  If a substep lands outside the model domain,
-    a DomainExitError carrying the first exit point is raised; no clamping
-    is applied.
+    Each monotone segment is integrated in u by `_march_segment` (fixed-
+    substep RK4, substep at most `step`; default: segment u-length / 1000,
+    capped at 1e-3).  Samples are emitted at every breakpoint and every
+    uniform substep, with sample times linearly interpolated inside
+    segments.  Segments with zero u-change hold y exactly.  If a substep
+    lands outside the model domain or is not finite, a DomainExitError
+    carrying the first exit point is raised; no clamping is applied.
 
     Parameters
     ----------
@@ -201,11 +239,9 @@ def simulate(
     us = [u_first]
     ys = [y0]
     y = y0
-    f1, f2 = model.f1, model.f2
-    dom = model.domain
-    guarded = dom.bounded
+    lo, hi = model.domain.sigma_min, model.domain.sigma_max
 
-    for t0, t1, ua, ub in signal.segments():
+    for j, (t0, t1, ua, ub) in enumerate(signal.segments()):
         du = ub - ua
         if du == 0.0:
             ts.append(t1)
@@ -213,28 +249,25 @@ def simulate(
             ys.append(y)
             continue
         n = _segment_substeps(du, step)
-        h = du / n
-        f = f1 if du > 0.0 else f2
+        f = model.f1 if du > 0.0 else model.f2
+        nodes, outs, _, y_exit = _march_segment(f, y, ua, ub, n, lo, hi)
+        if y_exit is not None:
+            t, u = _substep_sample(signal, j, len(nodes), step)
+            raise DomainExitError(t, u, y_exit)
         inv_rate = (t1 - t0) / du
-        u = ua
-        for k in range(1, n + 1):
-            y = float(rk4_step(f, y, u, h))
-            u = ua + k * h if k < n else ub
-            t = t1 if k == n else t0 + (u - ua) * inv_rate
-            if guarded and not (dom.sigma_min < y < dom.sigma_max):
-                raise DomainExitError(t, u, y)
-            ts.append(t)
-            us.append(u)
-            ys.append(y)
+        ts.extend(t0 + (u - ua) * inv_rate for u in nodes[1:-1])
+        ts.append(t1)
+        us.extend(nodes[1:])
+        ys.extend(outs[1:])
+        y = outs[-1]
 
-    eff_step = step if step is not None else math.nan
     return Trajectory(
         np.array(ts),
         np.array(us),
         np.array(ys),
         model_name=model.name,
         y0=y0,
-        step=float(eff_step) if eff_step is not None else math.nan,
+        step=float(step) if step is not None else math.nan,
     )
 
 

@@ -26,7 +26,7 @@ from typing import Callable
 
 import numpy as np
 
-from .core import DuhemModel
+from .core import DuhemModel, _march_segment
 from .integrate import (
     BracketError,
     bisect,
@@ -209,7 +209,13 @@ def _march_branch(
     tau_stop: float,
     step: float,
 ):
-    """Guarded fixed-step march of one branch; stops at domain exit."""
+    """Fixed-step march of one branch from (sigma, xi) to tau_stop.
+
+    Runs `core._march_segment` in n = ceil(|tau_stop - xi| / step) substeps
+    within the model's band and returns (tau, y, dy/dtau) node arrays in
+    marching order plus a flag that the branch left the domain; a truncated
+    branch keeps the nodes before the exit.
+    """
     span = tau_stop - xi
     if span == 0.0:
         return (
@@ -219,25 +225,9 @@ def _march_branch(
             False,
         )
     n = max(1, int(math.ceil(abs(span) / step)))
-    h = span / n
     lo, hi = model.domain.sigma_min, model.domain.sigma_max
-    taus = [xi]
-    ys = [sigma]
-    fs = [float(f(sigma, xi))]
-    y = sigma
-    truncated = False
-    for k in range(1, n + 1):
-        t_prev = xi + (k - 1) * h
-        y_new = float(rk4_step(f, y, t_prev, h))
-        if not (lo < y_new < hi):
-            truncated = True
-            break
-        t_new = tau_stop if k == n else xi + k * h
-        taus.append(t_new)
-        ys.append(y_new)
-        fs.append(float(f(y_new, t_new)))
-        y = y_new
-    return np.array(taus), np.array(ys), np.array(fs), truncated
+    taus, ys, fs, y_exit = _march_segment(f, sigma, xi, tau_stop, n, lo, hi)
+    return np.array(taus), np.array(ys), np.array(fs), y_exit is not None
 
 
 def traversing_curve(
@@ -323,11 +313,7 @@ def _march_to_crossing(
     for it in range(1, max_steps + 1):
         if idx.size == 0:
             break
-        k1 = fcur
-        k2 = np.asarray(f(y + 0.5 * h * k1, tau + 0.5 * h), dtype=float)
-        k3 = np.asarray(f(y + 0.5 * h * k2, tau + 0.5 * h), dtype=float)
-        k4 = np.asarray(f(y + h * k3, tau + h), dtype=float)
-        y_new = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        y_new = rk4_step(f, y, tau, h, fcur)
         tau_new = tau + h
         if guarded and not ((y_new > lo) & (y_new < hi)).all():
             bad = ~((y_new > lo) & (y_new < hi))

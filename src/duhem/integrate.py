@@ -36,15 +36,20 @@ class BracketError(RuntimeError):
     """No sign change found within the bracket expansion budget."""
 
 
-def rk4_step(f, y, x, h):
+def rk4_step(f, y, x, h, k1):
     """One classical 4th-order Runge-Kutta step for dy/dx = f(y, x).
 
-    `h` may be negative (backward march) and, in batch use, an array with
-    zero entries for frozen elements.
+    k1 = f(y, x) is the start slope, which every marcher already holds (the
+    end slope of its previous step), so a step costs three evaluations of f.
+    This is the one RK4 step of every Duhem marcher: the scalar segment
+    march in `core` and the lockstep crossing and supply marches.  `h` may
+    be negative (backward march) and, in batch use, an array with zero
+    entries for frozen elements.
     """
-    k1 = f(y, x)
-    k2 = f(y + 0.5 * h * k1, x + 0.5 * h)
-    k3 = f(y + 0.5 * h * k2, x + 0.5 * h)
+    half = 0.5 * h
+    xm = x + half
+    k2 = f(y + half * k1, xm)
+    k3 = f(y + half * k2, xm)
     k4 = f(y + h * k3, x + h)
     return y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 

@@ -26,7 +26,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import DomainExitError, DuhemModel, _segment_substeps
+from .core import DomainExitError, DuhemModel, _segment_substeps, _substep_sample
 from .curves import (
     CrossingSearchError,
     PhasePoint,
@@ -36,7 +36,7 @@ from .curves import (
     anhysteresis_values,
     ride_to_crossing,
 )
-from .integrate import adaptive_simpson
+from .integrate import adaptive_simpson, rk4_step
 from .signals import InputSignal, random_piecewise_linear
 
 __all__ = [
@@ -315,11 +315,7 @@ def _supply_running_min(
     f1, f2 = model.f1, model.f2
 
     def field(yv, uv):
-        return np.where(
-            up,
-            np.asarray(f1(yv, uv), dtype=float),
-            np.asarray(f2(yv, uv), dtype=float),
-        )
+        return np.where(up, f1(yv, uv), f2(yv, uv))
 
     g = 0  # every lane has an event at iteration 0, which sets its ua and h
     for k in range(n_iter):
@@ -330,16 +326,9 @@ def _supply_running_min(
             h[lanes] = ev[sl, 4]
             base[lanes] = k
             up = h >= 0.0
-            half = 0.5 * h
-            sixth = h / 6.0
             g += 1
         u = ua + (k - base) * h
-        um = u + half
-        k1 = field(y, u)
-        k2 = field(y + half * k1, um)
-        k3 = field(y + half * k2, um)
-        k4 = field(y + h * k3, u + h)
-        y_new = y + sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        y_new = rk4_step(field, y, u, h, field(y, u))
         if guarded and not ((y_new > lo) & (y_new < hi)).all():
             bad = int(np.argmax(~((y_new > lo) & (y_new < hi))))
             mine = np.flatnonzero((ev_lane == bad) & (ev_k <= k))[-1]
@@ -356,18 +345,6 @@ def _supply_running_min(
         minW = np.minimum(minW, W)
         y = y_new
     return minW, y
-
-
-def _substep_sample(sig: InputSignal, j: int, k: int, step: float):
-    """Time and input after substep k of segment j, as `simulate` samples
-    them."""
-    t0, t1 = float(sig.times[j]), float(sig.times[j + 1])
-    ua, ub = float(sig.values[j]), float(sig.values[j + 1])
-    du = ub - ua
-    n = _segment_substeps(du, step)
-    u = ua + k * (du / n) if k < n else ub
-    t = t1 if k == n else t0 + (u - ua) * ((t1 - t0) / du)
-    return t, u
 
 
 def available_storage_bruteforce(

@@ -116,6 +116,18 @@ def test_domain_exit_raises_with_location():
     assert 0.4 < err.value.t < 0.6
 
 
+def test_simulate_raises_when_the_output_blows_up_on_the_whole_plane():
+    # dy/du = y^2 from y = 1 blows up at u = 1: an unbounded domain has no
+    # band edge to cross, but a non-finite output must still be reported
+    sq = lambda s, x: s * s
+    m = DuhemModel(name="blowup", f1=sq, f2=sq)
+    with pytest.raises(DomainExitError) as err:
+        simulate(m, ramp(0.0, 2.0, 1.0), 1.0, step=1e-3)
+    assert not math.isfinite(err.value.y)
+    assert 1.0 < err.value.u < 1.01
+    assert err.value.t == pytest.approx(0.5 * err.value.u, rel=1e-12)
+
+
 def test_initial_state_outside_domain_rejected(dahl_r1):
     with pytest.raises(DomainExitError, match="initial state"):
         simulate(dahl_r1, ramp(0.0, 1.0, 1.0), 0.8)

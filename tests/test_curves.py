@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from duhem import boucwen, curves, dahl, exp_example
+from duhem import boucwen, curves, dahl, exp_example, simulate
 from duhem.core import Domain, DuhemModel
 from duhem.curves import (
     CrossingSearchError,
@@ -15,6 +15,7 @@ from duhem.curves import (
     ride_to_crossing,
     traversing_curve,
 )
+from duhem.signals import ramp
 
 from oracles import (
     central_slope_rounding,
@@ -110,6 +111,32 @@ def test_traversing_curve_truncates_at_domain_boundary():
     assert curve.right_truncated
     assert curve.tau_max < 3.0
     assert curve.y.max() < 1.0
+
+
+@pytest.mark.parametrize("model", [dahl(), boucwen(), exp_example()], ids=lambda m: m.name)
+def test_traversing_branch_is_the_simulated_ramp(model):
+    # both march through core._march_segment: same nodes, same bits
+    p = PhasePoint(0.3, 0.4)
+    curve = traversing_curve(model, p, p.xi, 1.7, step=3e-3)
+    traj = simulate(model, ramp(p.xi, 1.7, 2.0), p.sigma, step=3e-3)
+    assert curve.tau.size == traj.u.size > 400
+    assert curve.tau.tobytes() == traj.u.tobytes()
+    assert curve.y.tobytes() == traj.y.tobytes()
+
+
+def test_march_branch_makes_four_field_calls_per_step(dahl_r1):
+    # the node slope f(y_k, u_k) is the next step's k1, so a step costs three
+    # stage evaluations plus one node slope, and the start node one more
+    calls = []
+
+    def f(s, x):
+        calls.append(x)
+        return dahl_r1.f1(s, x)
+
+    taus, _, fs, truncated = curves._march_branch(dahl_r1, f, 0.1, 0.0, 0.37, 1e-2)
+    n = taus.size - 1
+    assert n == 37 and fs.size == n + 1 and not truncated
+    assert len(calls) == 4 * n + 1
 
 
 def test_traversing_curve_validates_window(dahl_r1):

@@ -21,12 +21,14 @@ from duhem.integrate import (
 
 def test_rk4_step_exponential_accuracy():
     # one step of size h leaves an O(h^5) defect: ~8.5e-8 at h = 0.1
-    y = rk4_step(lambda y, x: y, 1.0, 0.0, 0.1)
+    f = lambda y, x: y
+    y = rk4_step(f, 1.0, 0.0, 0.1, f(1.0, 0.0))
     assert y == pytest.approx(math.exp(0.1), abs=2e-7)
 
 
 def test_rk4_step_backwards():
-    y = rk4_step(lambda y, x: y, math.exp(0.1), 0.1, -0.1)
+    f = lambda y, x: y
+    y = rk4_step(f, math.exp(0.1), 0.1, -0.1, f(math.exp(0.1), 0.1))
     assert y == pytest.approx(1.0, abs=2e-7)
 
 
