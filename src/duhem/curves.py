@@ -8,10 +8,10 @@ the right of xi and dy/dtau = f2 to the left.  Under a transversality margin
 side) each traversing curve meets the anhysteresis curve exactly once; the
 intersection abscissa is what the storage construction integrates to.
 
-The crossing search marches the branch ODE with the same fixed-step RK4 as
-the simulator, watches the sign of F along the ride (F vanishes exactly on
-the anhysteresis curve, so no per-step root solve is needed), and sets aside
-each lane's bracketing step.  Once every lane has crossed, one vector
+The crossing search marches the branch ODE with the simulator's RK4 step
+(`integrate.rk4_step`), watches the sign of the side residual f_an - y (F
+when f_an is not declared) along the ride, so no per-step root solve is
+needed, and sets aside each lane's bracketing step.  Once every lane has crossed, one vector
 bisection on the brackets' cubic Hermite models refines all crossings at
 once (event location on dense output).  The march is vectorized so a whole
 trajectory's worth of phase points rides in lockstep; scalar operations use
@@ -277,6 +277,21 @@ class CrossingResult:
     steps: np.ndarray     # RK4 steps used per point
 
 
+def _side_residual(model: DuhemModel) -> Callable:
+    """Residual whose sign tells on which side of the anhysteresis curve a
+    point (y, tau) lies: f_an(tau) - y when f_an is declared, else F.
+
+    Under assumption A both have the same sign, but F = (f1 - f2)/2 cancels
+    near the curve: for Bouc-Wen (alpha = beta = zeta = 1) f1 = 1 - 2 y^n
+    rounds to 1, so F is exactly 0 for |y| < 2^(-54/n) and a crossing
+    located on F stops anywhere inside that band (3.8e-6 wide at n = 3).
+    """
+    if model.f_an is None:
+        return model.F
+    f_an = model.f_an
+    return lambda y, tau: f_an(tau) - y
+
+
 def _march_to_crossing(
     model: DuhemModel,
     f: Callable,
@@ -288,7 +303,8 @@ def _march_to_crossing(
     refine_iters: int,
 ):
     """March dy/dtau = f from (y0, tau0) with signed step h until the sign
-    of F flips relative to c0; returns per-element crossing data.
+    of the side residual flips relative to c0; returns per-element crossing
+    data.
 
     The march only detects crossings: each lane's bracketing step and the
     integral accumulated before it are set aside, and after the march all
@@ -307,6 +323,7 @@ def _march_to_crossing(
     # per crossing step: lane indices, bracket (tA, tB, yA, yB, fA, fB), acc
     stash = []
 
+    side = _side_residual(model)
     lo, hi = model.domain.sigma_min, model.domain.sigma_max
     guarded = model.domain.bounded
 
@@ -323,7 +340,7 @@ def _march_to_crossing(
                 f"{tau_new[bad][0]:.6g})"
             )
         f_new = np.asarray(f(y_new, tau_new), dtype=float)
-        c_new = np.asarray(model.F(y_new, tau_new), dtype=float)
+        c_new = np.asarray(side(y_new, tau_new), dtype=float)
         crossed = c_new * c_start <= 0.0
 
         if crossed.any():
@@ -362,7 +379,7 @@ def _march_to_crossing(
 
     def residual(s):
         return np.asarray(
-            model.F(hermite_eval(s, tA, tB, yA, yB, fA, fB), s), dtype=float
+            side(hermite_eval(s, tA, tB, yA, yB, fA, fB), s), dtype=float
         )
 
     lam_c = bisect_on_interval_vec(residual, tA, tB, iters=refine_iters)
@@ -413,7 +430,7 @@ def ride_to_crossing(
     steps = np.zeros(n, dtype=int)
 
     fan = anhysteresis_values(model, xi)
-    c0 = np.asarray(model.F(sigma, xi), dtype=float)
+    c0 = np.asarray(_side_residual(model)(sigma, xi), dtype=float)
     on_curve = c0 == 0.0
     above = (sigma >= fan) & ~on_curve
     below = (sigma < fan) & ~on_curve

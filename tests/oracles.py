@@ -12,6 +12,12 @@ Dahl (r = 1): the affine branch fields
 are integrated in closed form (traversing curves, crossing point, storage,
 ramp responses).
 
+Bouc-Wen with beta = zeta: the branch that rides toward the anhysteresis
+curve y = 0 has slope f2 = alpha - beta sigma^n + zeta sigma^n = alpha above
+it and f1 = alpha below it, so the traversing curve is the line
+y = sigma + alpha (tau - xi) up to the crossing (boucwen_lambda_exact,
+boucwen_storage_exact).
+
 Exponential example: with f1(sigma, xi) = exp(0.5*(-1.2*sigma + xi)) + 0.83
 and the anhysteresis curve xi / 1.2 (slope 5/6), the transversality margin
 f1 - 5/6 is minimised over a box in closed form (exp_margin_min), and the
@@ -71,6 +77,16 @@ def simulate_exact(signal, y0, rho=1.5, fc=0.75):
 
 
 BOUCWEN_FIXED_POINT = 0.5 ** (1.0 / 3.0)  # (alpha/(beta+zeta))^(1/n) at 1,1,1,3
+
+
+def boucwen_lambda_exact(sigma, xi, alpha=1.0):
+    # beta = zeta: the line sigma + alpha (tau - xi) meets y = 0 at
+    return xi - sigma / alpha
+
+
+def boucwen_storage_exact(sigma, alpha=1.0):
+    # beta = zeta: minus the integral of that line from xi to lambda
+    return sigma * sigma / (2.0 * alpha)
 
 
 def exp_margin_min(region):

@@ -110,6 +110,17 @@ def test_curves_outputs_lambda_and_csv(tmp_path, capsys):
     assert out.read_text().splitlines()[0] == "tau,omega,dydtau"
 
 
+def test_curves_on_boucwen_meets_the_curve_at_the_closed_form(tmp_path, capsys):
+    # beta = zeta: the decreasing branch from (0.3, 0.4) is a unit-slope line
+    code = run_cli(
+        "curves", "--model", "boucwen", "--sigma", "0.3", "--xi", "0.4",
+        "--tau-min", "-1", "--tau-max", "1", "--out", str(tmp_path / "curve.csv"),
+    )
+    assert code == 0
+    lam = float(capsys.readouterr().out.split("lambda=")[1].split()[0])
+    assert lam == pytest.approx(0.1, abs=1e-9)
+
+
 def test_storage_prints_sorted_json(tmp_path, capsys):
     out = tmp_path / "storage.json"
     code = run_cli(

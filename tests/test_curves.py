@@ -18,6 +18,7 @@ from duhem.curves import (
 from duhem.signals import ramp
 
 from oracles import (
+    boucwen_lambda_exact,
     central_slope_rounding,
     exp_margin_min,
     lambda_exact,
@@ -157,6 +158,20 @@ def test_intersect_lambda_below_curve_moves_right(dahl_r1):
     lam = intersect_lambda(dahl_r1, PhasePoint(-0.4, 0.0))
     assert lam > 0.0
     assert lam == pytest.approx(lambda_exact(-0.4, 0.0), abs=1e-9)
+
+
+@pytest.mark.parametrize("n", [2.0, 3.0])
+def test_intersect_lambda_boucwen_matches_closed_form(n):
+    # At n >= 2, F = (f1 - f2)/2 is exactly 0 for |y| < 2^(-54/n) because
+    # f1 = 1 - 2 y^n rounds to 1, so a crossing located on F stalls up to
+    # 3.8e-6 off the curve (n = 3) against intersect_lambda's 1e-9 residual
+    # check; the ride locates it on f_an - y instead.
+    m = boucwen(n=n)
+    sides = np.array([1.7, 0.9, 0.3, 1e-2, 2e-5, 3e-6, 1e-7, 1e-12])
+    for sigma in np.concatenate([sides, -sides]):
+        for xi in (-1.3, 2.0):
+            lam = intersect_lambda(m, PhasePoint(float(sigma), xi))
+            assert abs(lam - boucwen_lambda_exact(sigma, xi)) < 1e-9
 
 
 @given(

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from duhem import dahl, simulate
+from duhem import boucwen, dahl, simulate
 from duhem.core import Domain, DomainExitError, DuhemModel
 from duhem.curves import PhasePoint
 from duhem.dissipativity import cw_supply_integral
@@ -21,7 +21,7 @@ from duhem.storage import (
     storage_dahl_closed_form,
 )
 
-from oracles import lambda_exact, storage_exact
+from oracles import boucwen_lambda_exact, boucwen_storage_exact, lambda_exact, storage_exact
 
 STORAGE_ORACLE = 0.03545058445943833  # closed form at y = 0.375
 
@@ -118,6 +118,21 @@ def test_batch_storage_closed_form_property(sigma):
     m = dahl()
     batch = storage_cw_batch(m, np.array([sigma]), np.array([0.0]))
     assert abs(batch.value[0] - storage_exact(sigma)) < 1e-8
+
+
+@pytest.mark.parametrize("n", [2.0, 3.0])
+def test_batch_storage_boucwen_matches_closed_form(n):
+    # beta = zeta: H = sigma^2 / 2, exact for the cubic Hermite sum of the
+    # straight branch, so only the rounding of the N <= 750 accumulated steps
+    # is left, bounded by 4 N eps max H.  Points in the band where
+    # F = (f1 - f2)/2 rounds to 0 are included.
+    m = boucwen(n=n)
+    sigma = np.concatenate([np.linspace(-1.5, 1.5, 41), [3e-6, -3e-6, 1e-7]])
+    xi = np.linspace(-1.0, 1.0, sigma.size)
+    batch = storage_cw_batch(m, sigma, xi, step=2e-3)
+    assert np.abs(batch.lam - boucwen_lambda_exact(sigma, xi)).max() < 1e-9
+    bound = 4 * 750 * np.finfo(float).eps * boucwen_storage_exact(1.5)
+    assert np.abs(batch.value - boucwen_storage_exact(sigma)).max() < bound
 
 
 def test_signal_family_validation():
