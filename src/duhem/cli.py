@@ -332,6 +332,18 @@ def _aggregate(name: str, reports: list[VerificationReport]) -> VerificationRepo
     )
 
 
+def _write_loops_csv(path: str, times: np.ndarray, areas: np.ndarray) -> None:
+    """Write closed loops as CSV rows cycle,t_close,area at full precision."""
+    np.savetxt(
+        path,
+        np.column_stack([np.arange(1, areas.size + 1, dtype=float), times, areas]),
+        delimiter=",",
+        header="cycle,t_close,area",
+        comments="",
+        fmt="%.17g",
+    )
+
+
 def cmd_verify(args: argparse.Namespace) -> int:
     cfg = _base_config(args, ("model", "y0", "step", "tol", "seed", "out_dir"))
     if args.preset is not None:
@@ -409,14 +421,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
     os.makedirs(cfg.out_dir, exist_ok=True)
     loops_path = os.path.join(cfg.out_dir, f"loops_{model.name}.csv")
-    np.savetxt(
-        loops_path,
-        np.column_stack([np.arange(1, areas.size + 1, dtype=float), times, areas]),
-        delimiter=",",
-        header="cycle,t_close,area",
-        comments="",
-        fmt="%.17g",
-    )
+    _write_loops_csv(loops_path, times, areas)
     json_path = os.path.join(cfg.out_dir, f"verify_{model.name}.json")
     payload = {
         "model": model.name,
@@ -466,14 +471,7 @@ def cmd_loops(args: argparse.Namespace) -> int:
     cls = loop_orientation(traj)
     times, areas = loop_areas(traj)
     path = _out_path(cfg, f"loops_{model.name}.csv")
-    np.savetxt(
-        path,
-        np.column_stack([np.arange(1, areas.size + 1, dtype=float), times, areas]),
-        delimiter=",",
-        header="cycle,t_close,area",
-        comments="",
-        fmt="%.17g",
-    )
+    _write_loops_csv(path, times, areas)
     log.info("wrote %s", path)
     print(f"orientation={cls.label} final_area={cls.area:.17g} cycles={areas.size}")
     return EXIT_OK

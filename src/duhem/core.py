@@ -174,14 +174,13 @@ def _substep_sample(sig: InputSignal, j: int, k: int, step: float | None):
 
 
 def _march_segment(f, y, ua, ub, n, lo, hi):
-    """March dy/du = f from (y, ua) to ub in n RK4 substeps of h = (ub - ua)/n.
+    """March dy/du = f from (y, ua) to ub in n RK4 substeps of h = (ub - ua)/n
+    to the nodes u_k = ua + k h, with u_n = ub exactly.
 
-    The one scalar loop behind `simulate` and the traversing-curve branches.
-    Node k sits at u_k = ua + k h, except u_n = ub exactly.  Returns the
-    nodes, the outputs and the node slopes f(y_k, u_k) (each is the next
-    substep's k1), all starting with the start node, plus the output of the
-    first substep that leaves the open band lo < y < hi, or None.  The march
-    stops at that substep, and a non-finite output always leaves the band.
+    Returns the nodes, outputs and node slopes f(y_k, u_k) (each the next
+    substep's k1) from the start node on, and the output of the first
+    substep outside lo < y < hi (a non-finite one is), where the march
+    stops, or None.
     """
     h = (ub - ua) / n
     u = ua
@@ -207,13 +206,13 @@ def simulate(
 ) -> Trajectory:
     """Drive the operator along a piecewise-linear input.
 
-    Each monotone segment is integrated in u by `_march_segment` (fixed-
-    substep RK4, substep at most `step`; default: segment u-length / 1000,
-    capped at 1e-3).  Samples are emitted at every breakpoint and every
-    uniform substep, with sample times linearly interpolated inside
-    segments.  Segments with zero u-change hold y exactly.  If a substep
-    lands outside the model domain or is not finite, a DomainExitError
-    carrying the first exit point is raised; no clamping is applied.
+    Each monotone segment is integrated in u by `_march_segment` (RK4,
+    substep at most `step`; default: segment u-length / 1000, capped at
+    1e-3).  Samples are emitted at every breakpoint and every uniform
+    substep, with sample times linearly interpolated inside segments.
+    Segments with zero u-change hold y exactly.  If a substep is not finite
+    or lands outside the model domain, a DomainExitError carrying the first
+    exit point is raised; no clamping is applied.
 
     Parameters
     ----------

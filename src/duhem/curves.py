@@ -8,12 +8,11 @@ the right of xi and dy/dtau = f2 to the left.  Under a transversality margin
 side) each traversing curve meets the anhysteresis curve exactly once; the
 intersection abscissa is what the storage construction integrates to.
 
-The crossing search marches the branch ODE with the simulator's RK4 step
-(`integrate.rk4_step`), watches the sign of the side residual f_an - y (F
-when f_an is not declared) along the ride, so no per-step root solve is
-needed, and sets aside each lane's bracketing step.  Once every lane has crossed, one vector
-bisection on the brackets' cubic Hermite models refines all crossings at
-once (event location on dense output).  The march is vectorized so a whole
+The crossing search marches the branch ODE with the simulator's RK4 step,
+watches the sign of f_an - y (of F when f_an is not declared) along the
+ride, and sets aside each lane's bracketing step.  Once every lane has
+crossed, one vector bisection on the brackets' cubic Hermite models refines
+all crossings at once (event location on dense output).  The march is vectorized so a whole
 trajectory's worth of phase points rides in lockstep; scalar operations use
 batch size one.
 """
@@ -209,13 +208,8 @@ def _march_branch(
     tau_stop: float,
     step: float,
 ):
-    """Fixed-step march of one branch from (sigma, xi) to tau_stop.
-
-    Runs `core._march_segment` in n = ceil(|tau_stop - xi| / step) substeps
-    within the model's band and returns (tau, y, dy/dtau) node arrays in
-    marching order plus a flag that the branch left the domain; a truncated
-    branch keeps the nodes before the exit.
-    """
+    """`_march_segment` of one branch to tau_stop, substeps at most `step`;
+    flags a domain exit, keeping the nodes before it."""
     span = tau_stop - xi
     if span == 0.0:
         return (
@@ -278,18 +272,12 @@ class CrossingResult:
 
 
 def _side_residual(model: DuhemModel) -> Callable:
-    """Residual whose sign tells on which side of the anhysteresis curve a
-    point (y, tau) lies: f_an(tau) - y when f_an is declared, else F.
-
-    Under assumption A both have the same sign, but F = (f1 - f2)/2 cancels
-    near the curve: for Bouc-Wen (alpha = beta = zeta = 1) f1 = 1 - 2 y^n
-    rounds to 1, so F is exactly 0 for |y| < 2^(-54/n) and a crossing
-    located on F stops anywhere inside that band (3.8e-6 wide at n = 3).
-    """
+    """f_an(tau) - y, or F when f_an is not declared.  F has the same sign
+    under assumption A but cancels near the curve: on Bouc-Wen (alpha = beta
+    = zeta = 1) f1 = 1 - 2 y^n rounds to 1, so F = 0 for |y| < 2^(-54/n)."""
     if model.f_an is None:
         return model.F
-    f_an = model.f_an
-    return lambda y, tau: f_an(tau) - y
+    return lambda y, tau: model.f_an(tau) - y
 
 
 def _march_to_crossing(
@@ -303,8 +291,7 @@ def _march_to_crossing(
     refine_iters: int,
 ):
     """March dy/dtau = f from (y0, tau0) with signed step h until the sign
-    of the side residual flips relative to c0; returns per-element crossing
-    data.
+    of `_side_residual` flips from c0's; returns per-element crossing data.
 
     The march only detects crossings: each lane's bracketing step and the
     integral accumulated before it are set aside, and after the march all

@@ -37,14 +37,10 @@ class BracketError(RuntimeError):
 
 
 def rk4_step(f, y, x, h, k1):
-    """One classical 4th-order Runge-Kutta step for dy/dx = f(y, x).
+    """Classical RK4 step for dy/dx = f(y, x) from the start slope f(y, x) = k1.
 
-    k1 = f(y, x) is the start slope, which every marcher already holds (the
-    end slope of its previous step), so a step costs three evaluations of f.
-    This is the one RK4 step of every Duhem marcher: the scalar segment
-    march in `core` and the lockstep crossing and supply marches.  `h` may
-    be negative (backward march) and, in batch use, an array with zero
-    entries for frozen elements.
+    `h` may be negative (backward march) and, in batch use, an array with
+    zero entries for frozen elements.
     """
     half = 0.5 * h
     xm = x + half

@@ -312,10 +312,9 @@ def _supply_running_min(
     ua, h, base = np.zeros(m), np.zeros(m), np.zeros(m)
     lo, hi = model.domain.sigma_min, model.domain.sigma_max
     guarded = model.domain.bounded
-    f1, f2 = model.f1, model.f2
 
     def field(yv, uv):
-        return np.where(up, f1(yv, uv), f2(yv, uv))
+        return np.where(up, model.f1(yv, uv), model.f2(yv, uv))
 
     g = 0  # every lane has an event at iteration 0, which sets its ua and h
     for k in range(n_iter):
