@@ -12,9 +12,9 @@ The crossing search marches the branch ODE with the simulator's RK4 step,
 watches the sign of f_an - y (of F when f_an is not declared) along the
 ride, and sets aside each lane's bracketing step.  Once every lane has
 crossed, one vector bisection on the brackets' cubic Hermite models refines
-all crossings at once (event location on dense output).  The march is vectorized so a whole
-trajectory's worth of phase points rides in lockstep; scalar operations use
-batch size one.
+all crossings at once (event location on dense output).  The march is
+vectorized so a whole trajectory's worth of phase points rides in lockstep;
+scalar operations use batch size one.
 """
 
 from __future__ import annotations
