@@ -88,9 +88,12 @@ class DuhemModel:
 
     f1 and f2 map (sigma, xi) to the output slope dy/du on increasing and
     decreasing input stretches; both must accept floats and numpy arrays
-    elementwise.  f_an, when given, is the explicit anhysteresis function
-    (the sigma solving f1(sigma, xi) = f2(sigma, xi)); models without a
-    closed form leave it None and the curve operations solve for it.
+    elementwise.  For float arguments they should return a Python float:
+    numpy scalars work too, but the scalar marches (`simulate`, traversing
+    curves) then do numpy-scalar arithmetic and run 2-4x slower.  f_an,
+    when given, is the explicit anhysteresis function (the sigma solving
+    f1(sigma, xi) = f2(sigma, xi)); models without a closed form leave it
+    None and the curve operations solve for it.
     """
 
     name: str

@@ -1,14 +1,21 @@
 """Built-in Duhem model catalog: Dahl, Bouc-Wen, and a smooth exponential
 example operator.
 
-All slope fields accept floats or numpy arrays elementwise.  Each factory
-validates its parameters and declares the model's validity domain and, when
-available in closed form, the anhysteresis function.
+All slope fields accept floats or numpy arrays elementwise.  For float
+arguments they return a Python float, bit-identical to what the numpy
+expression gives on numpy scalars, so the scalar marches (`simulate`,
+traversing curves) run in plain float arithmetic; array arguments take the
+numpy expressions.  Where Python's float power raises OverflowError, the
+fields return inf as numpy does, so a blow-up still surfaces as a non-finite
+output and not as an exception.  Each factory validates its parameters and
+declares the model's validity domain and, when available in closed form, the
+anhysteresis function.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from typing import Any, Mapping
 
 import numpy as np
@@ -23,6 +30,30 @@ __all__ = [
     "model_from_config",
     "model_from_json",
 ]
+
+
+def _power(a, n):
+    """a ** n for a >= 0 (float or array), inf where a float power overflows."""
+    try:
+        return a**n
+    except OverflowError:
+        return math.inf
+
+
+def _scaled_signed_power(rho, z, r):
+    """rho * |z|^r * sgn(z); a Python float for a float z."""
+    if isinstance(z, float):
+        # copysign and np.sign disagree only at z = -0.0, which 1 +- sigma/fc
+        # never rounds to
+        return rho * math.copysign(_power(abs(z), r), z)
+    return rho * np.abs(z) ** r * np.sign(z)
+
+
+def _exp(x):
+    """np.exp, as a Python float for a scalar argument.  math.exp differs
+    from np.exp in the last bit on some arguments, so it is not used."""
+    e = np.exp(x)
+    return float(e) if e.ndim == 0 else e
 
 
 def dahl(rho: float = 1.5, fc: float = 0.75, r: float = 1.0) -> DuhemModel:
@@ -54,12 +85,10 @@ def dahl(rho: float = 1.5, fc: float = 0.75, r: float = 1.0) -> DuhemModel:
             return rho * (1.0 + sigma / fc)
     else:
         def f1(sigma, xi):
-            z = 1.0 - sigma / fc
-            return rho * np.abs(z) ** r * np.sign(z)
+            return _scaled_signed_power(rho, 1.0 - sigma / fc, r)
 
         def f2(sigma, xi):
-            z = 1.0 + sigma / fc
-            return rho * np.abs(z) ** r * np.sign(z)
+            return _scaled_signed_power(rho, 1.0 + sigma / fc, r)
 
     return DuhemModel(
         name="dahl",
@@ -93,12 +122,12 @@ def boucwen(
         raise ValueError(f"exponent n must be >= 1, got {n}")
 
     def f1(sigma, xi):
-        a = np.abs(sigma)
-        return alpha - beta * a**n - zeta * sigma * a ** (n - 1.0)
+        a = abs(sigma)
+        return alpha - beta * _power(a, n) - zeta * sigma * _power(a, n - 1.0)
 
     def f2(sigma, xi):
-        a = np.abs(sigma)
-        return alpha - beta * a**n + zeta * sigma * a ** (n - 1.0)
+        a = abs(sigma)
+        return alpha - beta * _power(a, n) + zeta * sigma * _power(a, n - 1.0)
 
     f_an = (lambda xi: 0.0 * xi) if zeta != 0.0 else None
     return DuhemModel(
@@ -123,10 +152,10 @@ def exp_example() -> DuhemModel:
     """
 
     def f1(sigma, xi):
-        return np.exp(0.5 * (-1.2 * sigma + xi)) + 0.83
+        return _exp(0.5 * (-1.2 * sigma + xi)) + 0.83
 
     def f2(sigma, xi):
-        return np.exp(0.5 * (1.2 * sigma - xi)) + 0.83
+        return _exp(0.5 * (1.2 * sigma - xi)) + 0.83
 
     return DuhemModel(
         name="exp_example",

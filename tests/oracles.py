@@ -129,3 +129,40 @@ def central_slope_rounding(xi):
     if not a > 3.0 * h:
         raise ValueError("bound derived for samples of one sign, |xi| > 3h")
     return math.ulp(a + h) / h + 8.0 * math.ulp(1.0)
+
+
+# The built-in slope fields as numpy expressions, exactly as the models
+# first wrote them.  The fields must return these values bit for bit, as
+# Python floats for float arguments and as arrays for array arguments.
+
+def dahl_fields_numpy(rho=1.5, fc=0.75, r=1.0):
+    if r == 1.0:
+        return (lambda sigma, xi: rho * (1.0 - sigma / fc),
+                lambda sigma, xi: rho * (1.0 + sigma / fc))
+
+    def f1(sigma, xi):
+        z = 1.0 - sigma / fc
+        return rho * np.abs(z) ** r * np.sign(z)
+
+    def f2(sigma, xi):
+        z = 1.0 + sigma / fc
+        return rho * np.abs(z) ** r * np.sign(z)
+
+    return f1, f2
+
+
+def boucwen_fields_numpy(alpha=1.0, beta=1.0, zeta=1.0, n=3.0):
+    def f1(sigma, xi):
+        a = np.abs(sigma)
+        return alpha - beta * a**n - zeta * sigma * a ** (n - 1.0)
+
+    def f2(sigma, xi):
+        a = np.abs(sigma)
+        return alpha - beta * a**n + zeta * sigma * a ** (n - 1.0)
+
+    return f1, f2
+
+
+def exp_fields_numpy():
+    return (lambda sigma, xi: np.exp(0.5 * (-1.2 * sigma + xi)) + 0.83,
+            lambda sigma, xi: np.exp(0.5 * (1.2 * sigma - xi)) + 0.83)

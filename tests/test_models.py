@@ -1,10 +1,15 @@
 import json
+import math
 
 import numpy as np
 import pytest
 
-from duhem import boucwen, dahl, exp_example
+from duhem import DomainExitError, boucwen, dahl, exp_example, simulate
+from duhem.cli import main
 from duhem.models import BUILTIN_MODELS, model_from_config, model_from_json
+from duhem.signals import ramp
+
+from oracles import boucwen_fields_numpy, dahl_fields_numpy, exp_fields_numpy
 
 
 def test_dahl_r1_branches_are_affine(dahl_r1):
@@ -101,3 +106,75 @@ def test_model_from_config_rejects_bad_params():
 def test_model_from_json():
     m = model_from_json(json.dumps({"model": "boucwen", "params": {"n": 2.0}}))
     assert m.params["n"] == 2.0
+
+
+# Each built-in model with the numpy expressions of its fields (the oracle)
+# and the sigma values that matter for it: zeros of both signs, the band
+# edges, points outside the band, overflowing powers and nan.
+_EDGES = [0.0, -0.0, 0.3, -0.3, 1.0, -1.0, 2.5, -2.5, 1e120, -1e120, math.nan]
+FIELD_CASES = [
+    ("dahl r=1", dahl(r=1.0), dahl_fields_numpy(r=1.0), _EDGES + [0.75, -0.75]),
+    ("dahl r=1.5", dahl(r=1.5), dahl_fields_numpy(r=1.5), _EDGES + [0.75, -0.75, 0.7499999999999999]),
+    ("dahl r=3", dahl(r=3.0), dahl_fields_numpy(r=3.0), _EDGES + [0.75, -0.75, 1e-110]),
+    ("boucwen n=1", boucwen(n=1.0), boucwen_fields_numpy(n=1.0), _EDGES),
+    ("boucwen n=2", boucwen(n=2.0), boucwen_fields_numpy(n=2.0), _EDGES + [1.2e160, 1e-170]),
+    ("boucwen n=3", boucwen(n=3.0), boucwen_fields_numpy(n=3.0), _EDGES + [0.5 ** (1.0 / 3.0)]),
+    ("boucwen zeta=0", boucwen(zeta=0.0), boucwen_fields_numpy(zeta=0.0), _EDGES),
+    ("exp_example", exp_example(), exp_fields_numpy(), _EDGES + [700.0, -700.0, 1500.0]),
+]
+FIELD_XI = [0.0, -0.0, 0.5, -3.0, 1e120, -1e120, math.nan]
+
+
+def _same(a, b):
+    """Equal as floats, nan equal to nan, and zeros of equal sign."""
+    a, b = float(a), float(b)
+    if math.isnan(a) or math.isnan(b):
+        return math.isnan(a) and math.isnan(b)
+    return a == b and math.copysign(1.0, a) == math.copysign(1.0, b)
+
+
+@pytest.mark.parametrize("label,model,oracle,sigmas", FIELD_CASES, ids=[c[0] for c in FIELD_CASES])
+def test_scalar_fields_return_floats_equal_to_the_numpy_value(label, model, oracle, sigmas):
+    with np.errstate(all="ignore"):
+        for f, ref in zip((model.f1, model.f2), oracle):
+            for s in sigmas:
+                for x in FIELD_XI:
+                    got = f(s, x)
+                    assert type(got) is float, (label, s, x, type(got))
+                    want = ref(np.float64(s), np.float64(x))
+                    assert _same(got, want), (label, s, x, got, want)
+                    assert _same(got, f(np.float64(s), np.float64(x))), (label, s, x)
+
+
+@pytest.mark.parametrize("label,model,oracle,sigmas", FIELD_CASES, ids=[c[0] for c in FIELD_CASES])
+def test_array_fields_return_the_numpy_values(label, model, oracle, sigmas):
+    S, X = np.meshgrid(np.array(sigmas), np.array(FIELD_XI), indexing="ij")
+    with np.errstate(all="ignore"):
+        for f, ref in zip((model.f1, model.f2), oracle):
+            got, want = f(S, X), ref(S, X)
+            assert type(got) is np.ndarray and got.shape == S.shape
+            assert all(_same(a, b) for a, b in zip(got.ravel(), want.ravel())), label
+
+
+def test_scalar_field_overflow_gives_inf_or_nan_as_numpy_does():
+    assert dahl(r=3.0).f1(1e120, 0.0) == -math.inf
+    assert dahl(r=3.0).f2(-1e120, 0.0) == -math.inf
+    assert boucwen(n=20.0).f1(1.2e18, 0.0) == -math.inf
+    assert math.isnan(boucwen(n=20.0).F(1.2e18, 0.0))
+
+
+def test_simulate_blowup_raises_domain_exit_at_the_same_sample():
+    with pytest.raises(DomainExitError) as info:
+        simulate(boucwen(beta=-1.0, zeta=0.0), ramp(0.0, 2.0, 1.0), 1.0, step=1e-3)
+    assert (info.value.t, info.value.u) == (0.188, 0.376)
+    assert math.isnan(info.value.y)
+
+
+def test_cli_simulate_blowup_exits_with_verification_status(tmp_path, capsys):
+    code = main([
+        "simulate", "--model", "boucwen", "--params", '{"beta": -1, "zeta": 0}',
+        "--input", '{"kind": "ramp", "u0": 0, "u1": 2, "duration": 1}',
+        "--y0", "1", "--step", "1e-3", "--out-dir", str(tmp_path),
+    ])
+    assert code == 1
+    assert "state left the model domain at t=0.188 (u=0.376, y=nan)" in capsys.readouterr().err
