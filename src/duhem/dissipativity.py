@@ -224,12 +224,15 @@ def loop_orientation(traj: Trajectory, *, area_tol: float = 1e-9) -> LoopClassif
             label = "degenerate"
         return LoopClassification(label=label, area=float(area), t_close=float(t_star))
 
-    for j in range(n - 3, -1, -1):
-        du_j = u[j + 1] - u[j]
-        if du_j == 0.0 or math.copysign(1.0, du_j) != d_end:
-            continue
-        if (u[j] - ue) * (u[j + 1] - ue) > 0.0:
-            continue
+    # the last j <= n - 3 where the input moves in the final direction and
+    # reaches or crosses the final level
+    du = np.diff(u)[: n - 2]
+    same = (du != 0.0) & (np.copysign(1.0, du) == d_end)
+    same &= ~((u[: n - 2] - ue) * (u[1 : n - 1] - ue) > 0.0)
+    hits = np.flatnonzero(same)
+    if hits.size:
+        j = int(hits[-1])
+        du_j = du[j]
         frac = (ue - u[j]) / du_j
         y_star = y[j] + frac * (y[j + 1] - y[j])
         t_star = t[j] + frac * (t[j + 1] - t[j])
@@ -261,27 +264,28 @@ def loop_areas(traj: Trajectory, *, level: float | None = None):
         return np.zeros(0), np.zeros(0)
     d0 = math.copysign(1.0, du[nz[0]])
 
-    times: list[float] = []
-    areas: list[float] = []
-    acc = 0.0
+    a, b = u[:-1], u[1:]
     # a half-open crossing convention (strictly from the approach side, onto
     # or past the level) counts each return exactly once even when samples
     # land on the level
-    on_level = u[0] == lvl
-    for j in range(u.size - 1):
-        a, b = float(u[j]), float(u[j + 1])
-        if a == b:
-            continue
-        crosses = (a < lvl <= b) if d0 > 0 else (a > lvl >= b)
-        if crosses:
-            frac = (lvl - a) / (b - a)
-            y_star = y[j] + frac * (y[j + 1] - y[j])
-            t_star = t[j] + frac * (t[j + 1] - t[j])
-            if on_level:
-                times.append(float(t_star))
-                areas.append(acc + 0.5 * (y[j] + y_star) * (lvl - a))
-            on_level = True
-            acc = 0.5 * (y_star + y[j + 1]) * (b - lvl)
-        else:
-            acc += 0.5 * (y[j] + y[j + 1]) * (b - a)
-    return np.asarray(times, dtype=float), np.asarray(areas, dtype=float)
+    if d0 > 0:
+        c = np.flatnonzero((a < lvl) & (lvl <= b))
+    else:
+        c = np.flatnonzero((a > lvl) & (lvl >= b))
+    frac = (lvl - a[c]) / du[c]
+    y_star = y[c] + frac * (y[c + 1] - y[c])
+    t_star = t[c] + frac * (t[c + 1] - t[c])
+    closing = 0.5 * (y[c] + y_star) * (lvl - a[c])
+    opening = 0.5 * (y_star + y[c + 1]) * (b[c] - lvl)
+    # trapezoids of y du; held samples add -0.0, the exact identity of +
+    trap = np.where(du == 0.0, -0.0, 0.5 * (y[:-1] + y[1:]) * du)
+
+    # loop k runs from crossing k - 1 (or the start, when it lies on the
+    # level) to crossing k; cumsum adds its terms left to right
+    first = 0 if u[0] == lvl else 1
+    areas = np.empty(max(c.size - first, 0))
+    for k in range(first, c.size):
+        start, partial = (0, 0.0) if k == 0 else (c[k - 1] + 1, opening[k - 1])
+        terms = np.concatenate(([partial], trap[start : c[k]], [closing[k]]))
+        areas[k - first] = np.cumsum(terms)[-1]
+    return t_star[first:], areas

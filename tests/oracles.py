@@ -166,3 +166,33 @@ def boucwen_fields_numpy(alpha=1.0, beta=1.0, zeta=1.0, n=3.0):
 def exp_fields_numpy():
     return (lambda sigma, xi: np.exp(0.5 * (-1.2 * sigma + xi)) + 0.83,
             lambda sigma, xi: np.exp(0.5 * (1.2 * sigma - xi)) + 0.83)
+
+
+def loop_areas_per_sample(u, y, t, lvl):
+    """The loop decomposition of dissipativity.loop_areas as a per-sample
+    loop: a loop closes each time u returns onto or past lvl from its
+    departure side, and its area is the trapezoid sum of y du, added left to
+    right, with the crossing samples interpolated linearly."""
+    du = np.diff(u)
+    nz = np.nonzero(du)[0]
+    if nz.size == 0:
+        return np.zeros(0), np.zeros(0)
+    d0 = math.copysign(1.0, du[nz[0]])
+    times, areas = [], []
+    acc = 0.0
+    on_level = u[0] == lvl
+    for j in range(u.size - 1):
+        a, b = float(u[j]), float(u[j + 1])
+        if a == b:
+            continue
+        if (a < lvl <= b) if d0 > 0 else (a > lvl >= b):
+            frac = (lvl - a) / (b - a)
+            y_star = y[j] + frac * (y[j + 1] - y[j])
+            if on_level:
+                times.append(float(t[j] + frac * (t[j + 1] - t[j])))
+                areas.append(acc + 0.5 * (y[j] + y_star) * (lvl - a))
+            on_level = True
+            acc = 0.5 * (y_star + y[j + 1]) * (b - lvl)
+        else:
+            acc += 0.5 * (y[j] + y[j + 1]) * (b - a)
+    return np.asarray(times, dtype=float), np.asarray(areas, dtype=float)

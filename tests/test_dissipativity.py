@@ -16,7 +16,7 @@ from duhem.dissipativity import (
 )
 from duhem.signals import InputSignal, ramp, random_piecewise_linear
 
-from oracles import storage_exact
+from oracles import loop_areas_per_sample, storage_exact
 
 DAHL_BAND = ((-0.7, 0.7), (-2.0, 2.0))
 
@@ -174,6 +174,25 @@ def test_loop_areas_custom_level(dahl_r3):
     assert areas.size == 5
     # per-cycle increments settle after the third cycle
     assert np.abs(np.diff(areas[2:])).max() < 1e-4
+
+
+@pytest.mark.parametrize("seed", [3, 8])
+def test_loop_areas_equal_the_per_sample_sum_bit_for_bit(dahl_r3, seed):
+    # held segments and breakpoints on the quarter grid, so samples sit on
+    # the levels 0.0 and 0.5 and held samples fall between crossings
+    rng = np.random.default_rng(seed)
+    vals = np.round(4.0 * rng.uniform(-2.0, 2.0, 16)) / 4.0
+    vals[0] = 0.0
+    vals = np.repeat(vals, 2)
+    times = np.cumsum(np.concatenate([[0.0], np.where(np.diff(vals) == 0.0, 0.1, np.abs(np.diff(vals)))]))
+    traj = simulate(dahl_r3, InputSignal(times, vals), 0.1, step=5e-3)
+    for level in (None, 0.5, -0.3):
+        lvl = float(traj.u[0]) if level is None else level
+        got = loop_areas(traj, level=level)
+        want = loop_areas_per_sample(traj.u, traj.y, traj.t, lvl)
+        assert want[0].size > 0
+        assert got[0].tobytes() == want[0].tobytes()
+        assert got[1].tobytes() == want[1].tobytes()
 
 
 def test_loop_classification_is_plain_record():
