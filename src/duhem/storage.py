@@ -148,7 +148,13 @@ _SIMPSON_PANELS = 64
 
 
 def _anhysteresis_integrals(model: DuhemModel, lam: np.ndarray) -> np.ndarray:
-    """Composite-Simpson integral of f_an from 0 to each lam."""
+    """Composite-Simpson integral of f_an from 0 to each lam.
+
+    Each row's weighted terms are summed by numpy's per-row reduction, whose
+    order depends on the row length alone, so a lane's value does not depend
+    on the batch it rides in (a BLAS product `fan @ w` sums in an order that
+    depends on the row count).
+    """
     if lam.size == 0:
         return np.zeros(0)
     lo = min(0.0, float(lam.min()))
@@ -163,7 +169,7 @@ def _anhysteresis_integrals(model: DuhemModel, lam: np.ndarray) -> np.ndarray:
     w[1::2] = 4.0
     w[0] = w[-1] = 1.0
     h = lam / (2.0 * n)
-    return (h / 3.0) * (fan @ w)
+    return (h / 3.0) * (fan * w).sum(axis=1)
 
 
 def storage_cw_batch(

@@ -104,6 +104,20 @@ def test_batch_route_agrees_with_quadrature_route(dahl_r1, exp_model):
             assert batch.lam[k] == pytest.approx(scalar.lambda_star, abs=1e-9)
 
 
+def test_batch_storage_of_a_point_does_not_depend_on_its_batch(exp_model):
+    # every 7th sample of a seeded battery signal: the whole batch and each
+    # point alone must give the same storage bit for bit
+    sig = random_piecewise_linear(
+        np.random.default_rng(6), u_start=0.0, span=2.0, n_breakpoints=(3, 8)
+    )
+    traj = simulate(exp_model, sig, 0.0, step=5e-3)
+    y, u = traj.y[::7], traj.u[::7]
+    whole = storage_cw_batch(exp_model, y, u, step=5e-3).value
+    alone = [storage_cw_batch(exp_model, y[i : i + 1], u[i : i + 1], step=5e-3).value[0]
+             for i in range(y.size)]
+    assert whole.tobytes() == np.array(alone).tobytes()
+
+
 def test_batch_storage_nonnegative_on_grid(dahl_r1, rng):
     sig = 0.7 * (2.0 * rng.random(60) - 1.0)
     xi = 3.0 * (2.0 * rng.random(60) - 1.0)
