@@ -16,7 +16,6 @@ from .core import (
     WHOLE_PLANE,
     check_existence_conditions,
     simulate,
-    smoothness_probe,
 )
 from .curves import (
     CrossingSearchError,
@@ -120,7 +119,6 @@ __all__ = [
     "simulate",
     "simulate_mech",
     "sine_sampled",
-    "smoothness_probe",
     "storage_cw",
     "storage_cw_batch",
     "storage_dahl_closed_form",

@@ -32,7 +32,6 @@ __all__ = [
     "DomainExitError",
     "simulate",
     "check_existence_conditions",
-    "smoothness_probe",
 ]
 
 
@@ -339,25 +338,3 @@ def check_existence_conditions(
         },
     )
 
-
-def smoothness_probe(
-    model: DuhemModel,
-    points: np.ndarray,
-    h: float = 1e-5,
-) -> float:
-    """Finite-difference regularity probe of f1 and f2 in the output variable.
-
-    Compares central-difference slopes at spacings h and h/2 at each probe
-    point; for continuously differentiable fields the two agree to O(h^2).
-    Returns the worst absolute mismatch normalized by 1 + |slope|.
-    """
-    pts = np.asarray(points, dtype=float)
-    if pts.ndim != 2 or pts.shape[1] != 2:
-        raise ValueError("points must have shape (n, 2) of (sigma, xi)")
-    worst = 0.0
-    for f in (model.f1, model.f2):
-        for s, x in pts:
-            d1 = (float(f(s + h, x)) - float(f(s - h, x))) / (2.0 * h)
-            d2 = (float(f(s + 0.5 * h, x)) - float(f(s - 0.5 * h, x))) / h
-            worst = max(worst, abs(d1 - d2) / (1.0 + abs(d2)))
-    return worst

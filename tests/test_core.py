@@ -12,7 +12,6 @@ from duhem.core import (
     DuhemModel,
     Trajectory,
     check_existence_conditions,
-    smoothness_probe,
 )
 from duhem.signals import InputSignal, ramp, random_piecewise_linear, rate_reparameterize, triangle
 
@@ -193,18 +192,3 @@ def test_existence_conditions_rejects_bad_inputs(dahl_r1):
     with pytest.raises(ValueError):
         check_existence_conditions(dahl_r1, (np.linspace(-0.5, 0.5, 10), np.array([0.0])), -1.0)
 
-
-def test_smoothness_probe_small_for_smooth_fields(exp_model):
-    pts = np.array([[0.0, 0.0], [1.0, -1.0], [-2.0, 2.0]])
-    assert smoothness_probe(exp_model, pts) < 1e-6
-
-
-def test_smoothness_probe_detects_jump():
-    m = DuhemModel(
-        name="jump",
-        f1=lambda s, x: np.sign(s),
-        f2=lambda s, x: np.sign(s),
-        params={},
-        domain=Domain(-1.0, 1.0),
-    )
-    assert smoothness_probe(m, np.array([[0.0, 0.0]])) > 0.1
