@@ -43,17 +43,24 @@ def _power(a, n):
 def _scaled_signed_power(rho, z, r):
     """rho * |z|^r * sgn(z); a Python float for a float z."""
     if isinstance(z, float):
+        # the power is guarded inline: a call to _power per field evaluation
+        # costs as much as the arithmetic
+        try:
+            p = abs(z) ** r
+        except OverflowError:
+            p = math.inf
         # copysign and np.sign disagree only at z = -0.0, which 1 +- sigma/fc
         # never rounds to
-        return rho * math.copysign(_power(abs(z), r), z)
+        return rho * math.copysign(p, z)
     return rho * np.abs(z) ** r * np.sign(z)
 
 
 def _exp(x):
-    """np.exp, as a Python float for a scalar argument.  math.exp differs
+    """np.exp, as a Python float for a float argument.  math.exp differs
     from np.exp in the last bit on some arguments, so it is not used."""
-    e = np.exp(x)
-    return float(e) if e.ndim == 0 else e
+    if isinstance(x, float):
+        return float(np.exp(x))
+    return np.exp(x)
 
 
 def dahl(rho: float = 1.5, fc: float = 0.75, r: float = 1.0) -> DuhemModel:
@@ -121,13 +128,24 @@ def boucwen(
     if n < 1.0:
         raise ValueError(f"exponent n must be >= 1, got {n}")
 
+    n1 = n - 1.0
+
+    # both powers are tried inline; _power's guard runs only on overflow
     def f1(sigma, xi):
         a = abs(sigma)
-        return alpha - beta * _power(a, n) - zeta * sigma * _power(a, n - 1.0)
+        try:
+            an, an1 = a**n, a**n1
+        except OverflowError:
+            an, an1 = _power(a, n), _power(a, n1)
+        return alpha - beta * an - zeta * sigma * an1
 
     def f2(sigma, xi):
         a = abs(sigma)
-        return alpha - beta * _power(a, n) + zeta * sigma * _power(a, n - 1.0)
+        try:
+            an, an1 = a**n, a**n1
+        except OverflowError:
+            an, an1 = _power(a, n), _power(a, n1)
+        return alpha - beta * an + zeta * sigma * an1
 
     f_an = (lambda xi: 0.0 * xi) if zeta != 0.0 else None
     return DuhemModel(
