@@ -36,6 +36,7 @@ from .dissipativity import (
     loop_areas,
     loop_orientation,
     verify_dissipation,
+    verify_dissipation_battery,
     verify_dissipation_pair,
 )
 from .integrate import BracketError, QuadratureError
@@ -63,6 +64,7 @@ from .storage import (
     StorageBatch,
     StorageEvaluation,
     available_storage_bruteforce,
+    available_storage_bruteforce_batch,
     lambda_dahl_closed_form,
     storage_cw,
     storage_cw_batch,
@@ -97,6 +99,7 @@ __all__ = [
     "anhysteresis",
     "anhysteresis_values",
     "available_storage_bruteforce",
+    "available_storage_bruteforce_batch",
     "boucwen",
     "check_assumption_A",
     "check_existence_conditions",
@@ -125,5 +128,6 @@ __all__ = [
     "traversing_curve",
     "triangle",
     "verify_dissipation",
+    "verify_dissipation_battery",
     "verify_dissipation_pair",
 ]

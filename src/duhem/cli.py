@@ -39,7 +39,7 @@ from .dissipativity import (
     check_assumption_A,
     loop_areas,
     loop_orientation,
-    verify_dissipation_pair,
+    verify_dissipation_battery,
 )
 from .integrate import BracketError, QuadratureError
 from .mechsim import MechParams, MechState, lyapunov_check, passivity_port_check, simulate_mech
@@ -376,15 +376,13 @@ def cmd_verify(args: argparse.Namespace) -> int:
     reports.append(check_lemma1(model, region, epsilon))
 
     rng = np.random.default_rng(cfg.seed)
-    fwd: list[VerificationReport] = []
-    bwd: list[VerificationReport] = []
-    for _ in range(args.n_signals):
-        sig = random_piecewise_linear(rng, u_start=0.0, span=2.0, n_breakpoints=(3, 8))
-        rf, rb = verify_dissipation_pair(model, sig, cfg.y0, tol=cfg.tol, step=step)
-        fwd.append(rf)
-        bwd.append(rb)
-    reports.append(_aggregate("dissipation-forward-battery", fwd))
-    reports.append(_aggregate("dissipation-backward-battery", bwd))
+    battery = [
+        random_piecewise_linear(rng, u_start=0.0, span=2.0, n_breakpoints=(3, 8))
+        for _ in range(args.n_signals)
+    ]
+    pairs = verify_dissipation_battery(model, battery, cfg.y0, tol=cfg.tol, step=step)
+    reports.append(_aggregate("dissipation-forward-battery", [f for f, _ in pairs]))
+    reports.append(_aggregate("dissipation-backward-battery", [b for _, b in pairs]))
 
     # loop amplitude matches the xi range the battery certifies
     loop_spec = cfg.input if cfg.input is not None else {

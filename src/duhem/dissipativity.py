@@ -10,7 +10,9 @@ inequality
     dH/dt <= y * du/dt
 
 one-sidedly: the forward variant compares forward differences of H with the
-right input rate, the backward variant uses left rates.  `loop_orientation`
+right input rate, the backward variant uses left rates.
+`verify_dissipation_battery` checks many inputs with one storage ride over
+all their samples.  `loop_orientation`
 classifies the final closed input cycle by the sign of its signed loop area
 (positive area means clockwise traversal), and `loop_areas` decomposes a
 trajectory into the successive closed loops at its starting level.
@@ -20,6 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -35,6 +38,7 @@ __all__ = [
     "check_assumption_A",
     "verify_dissipation",
     "verify_dissipation_pair",
+    "verify_dissipation_battery",
     "cw_supply_integral",
     "loop_orientation",
     "loop_areas",
@@ -85,6 +89,70 @@ def check_assumption_A(
     )
 
 
+def verify_dissipation_battery(
+    model: DuhemModel,
+    signals: Sequence[InputSignal],
+    y0: float,
+    *,
+    tol: float | None = None,
+    step: float = 5e-3,
+    ride_step: float | None = None,
+) -> list[tuple[VerificationReport, VerificationReport]]:
+    """Forward and backward dissipation reports of each input of a battery.
+
+    Simulates every signal from y0, evaluates the storage at all samples of
+    all signals in one `storage_cw_batch` ride and splits it back per
+    signal.  A lane's storage does not depend on the batch it rides in, so
+    each signal's pair equals its `verify_dissipation_pair` reports.
+    """
+    if tol is None:
+        tol = 1e-6 + 10.0 * step
+    ride_step = ride_step or step
+    trajs = [simulate(model, sig, y0, step=step) for sig in signals]
+    if not trajs:
+        return []
+    batch = storage_cw_batch(
+        model,
+        np.concatenate([traj.y for traj in trajs]),
+        np.concatenate([traj.u for traj in trajs]),
+        step=ride_step,
+    )
+    ends = np.cumsum([traj.n_samples for traj in trajs])
+    H_all = np.split(batch.value, ends[:-1])
+    out = []
+    for traj, H in zip(trajs, H_all):
+        dt = np.diff(traj.t)
+        du = np.diff(traj.u)
+        dH = np.diff(H)
+        pair = []
+        for direction, supply in (
+            ("forward", traj.y[:-1] * du),
+            ("backward", traj.y[1:] * du),
+        ):
+            viol = (dH - supply) / dt
+            k = int(np.argmax(viol))
+            pair.append(
+                VerificationReport.from_violation(
+                    name=f"dissipation-{direction}",
+                    worst_violation=float(viol[k]),
+                    worst_location=(
+                        float(traj.t[k]), float(traj.u[k]), float(traj.y[k])
+                    ),
+                    tolerance=float(tol),
+                    samples_checked=int(viol.size),
+                    details={
+                        "model": model.name,
+                        "step": float(step),
+                        "ride_step": float(ride_step),
+                        "y0": float(y0),
+                        "max_storage": float(H.max()),
+                    },
+                )
+            )
+        out.append((pair[0], pair[1]))
+    return out
+
+
 def verify_dissipation_pair(
     model: DuhemModel,
     signal: InputSignal,
@@ -94,43 +162,11 @@ def verify_dissipation_pair(
     step: float = 5e-3,
     ride_step: float | None = None,
 ) -> tuple[VerificationReport, VerificationReport]:
-    """Forward and backward dissipation reports sharing one storage pass.
-
-    The storage evaluation dominates the cost, so checking both one-sided
-    variants together is twice as fast as two separate calls.
-    """
-    if tol is None:
-        tol = 1e-6 + 10.0 * step
-    traj = simulate(model, signal, y0, step=step)
-    batch = storage_cw_batch(model, traj.y, traj.u, step=ride_step or step)
-    H = batch.value
-    dt = np.diff(traj.t)
-    du = np.diff(traj.u)
-    dH = np.diff(H)
-    out = []
-    for direction, supply in (
-        ("forward", traj.y[:-1] * du),
-        ("backward", traj.y[1:] * du),
-    ):
-        viol = (dH - supply) / dt
-        k = int(np.argmax(viol))
-        out.append(
-            VerificationReport.from_violation(
-                name=f"dissipation-{direction}",
-                worst_violation=float(viol[k]),
-                worst_location=(float(traj.t[k]), float(traj.u[k]), float(traj.y[k])),
-                tolerance=float(tol),
-                samples_checked=int(viol.size),
-                details={
-                    "model": model.name,
-                    "step": float(step),
-                    "ride_step": float(ride_step or step),
-                    "y0": float(y0),
-                    "max_storage": float(H.max()),
-                },
-            )
-        )
-    return out[0], out[1]
+    """Forward and backward dissipation reports sharing one storage pass:
+    a battery of one signal (`verify_dissipation_battery`)."""
+    return verify_dissipation_battery(
+        model, [signal], y0, tol=tol, step=step, ride_step=ride_step
+    )[0]
 
 
 def verify_dissipation(

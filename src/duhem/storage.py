@@ -22,7 +22,7 @@ neither should be rewritten in terms of the other.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -49,6 +49,7 @@ __all__ = [
     "storage_dahl_closed_form",
     "lambda_dahl_closed_form",
     "available_storage_bruteforce",
+    "available_storage_bruteforce_batch",
 ]
 
 
@@ -145,6 +146,9 @@ def storage_cw(
 
 
 _SIMPSON_PANELS = 64
+# rows of Simpson nodes evaluated at a time, so the node matrix stays at
+# _SIMPSON_BLOCK_ROWS x (2 * _SIMPSON_PANELS + 1) floats at any batch size
+_SIMPSON_BLOCK_ROWS = 512
 
 
 def _anhysteresis_integrals(model: DuhemModel, lam: np.ndarray) -> np.ndarray:
@@ -153,7 +157,7 @@ def _anhysteresis_integrals(model: DuhemModel, lam: np.ndarray) -> np.ndarray:
     Each row's weighted terms are summed by numpy's per-row reduction, whose
     order depends on the row length alone, so a lane's value does not depend
     on the batch it rides in (a BLAS product `fan @ w` sums in an order that
-    depends on the row count).
+    depends on the row count), nor on the block of rows it is summed in.
     """
     if lam.size == 0:
         return np.zeros(0)
@@ -163,13 +167,16 @@ def _anhysteresis_integrals(model: DuhemModel, lam: np.ndarray) -> np.ndarray:
         return np.zeros_like(lam)
     n = _SIMPSON_PANELS
     s = np.linspace(0.0, 1.0, 2 * n + 1)
-    nodes = lam[:, None] * s[None, :]
-    fan = anhysteresis_values(model, nodes.ravel()).reshape(nodes.shape)
     w = np.full(2 * n + 1, 2.0)
     w[1::2] = 4.0
     w[0] = w[-1] = 1.0
+    sums = np.empty(lam.size)
+    for a in range(0, lam.size, _SIMPSON_BLOCK_ROWS):
+        nodes = lam[a : a + _SIMPSON_BLOCK_ROWS, None] * s[None, :]
+        fan = anhysteresis_values(model, nodes.ravel()).reshape(nodes.shape)
+        sums[a : a + _SIMPSON_BLOCK_ROWS] = (fan * w).sum(axis=1)
     h = lam / (2.0 * n)
-    return (h / 3.0) * (fan * w).sum(axis=1)
+    return (h / 3.0) * sums
 
 
 def storage_cw_batch(
@@ -275,10 +282,12 @@ def _clip_to_horizon(sig: InputSignal, horizon: float) -> InputSignal:
 def _supply_running_min(
     model: DuhemModel,
     signals: Sequence[InputSignal],
-    y0: float,
+    y0: float | np.ndarray,
     step: float,
+    lane_name: Callable[[int], str] = "signal {}".format,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Lockstep simulation of many inputs from output y0.
+    """Lockstep simulation of many inputs, lane i from output y0 (a float,
+    or one output per signal).
 
     Each signal walks its own segments with `simulate`'s substep rule, so
     `step` is a per-lane maximum substep: a segment with input change du
@@ -287,7 +296,8 @@ def _supply_running_min(
     advance one substep per iteration; each lane switches segment at its own
     precomputed iteration, and a lane that has finished marches with h = 0,
     which leaves its output and supply unchanged.  A lane's (u, y) substeps
-    are therefore those of `simulate` on its signal.
+    are therefore those of `simulate` on its signal.  A domain exit raises
+    DomainExitError at `simulate`'s sample, naming the lane by lane_name.
 
     Returns the running minimum of the supply integral W(t) = int y du and
     the final output, per signal.
@@ -312,7 +322,8 @@ def _supply_running_min(
     bounds = np.searchsorted(ev_k, np.append(switch_at, ev_k[-1] + 1))
     n_iter = int(ev_k[-1])
 
-    y = np.full(m, float(y0))
+    y = np.empty(m)
+    y[:] = y0
     W = np.zeros(m)
     minW = np.zeros(m)
     ua, h, base = np.zeros(m), np.zeros(m), np.zeros(m)
@@ -344,12 +355,97 @@ def _supply_running_min(
                 t=t,
                 u=u_exit,
                 y=float(y_new[bad]),
-                message=f"signal {bad} drove the output out of the domain",
+                message=f"{lane_name(bad)} drove the output out of the domain",
             )
         W = W + 0.5 * (y + y_new) * h
         minW = np.minimum(minW, W)
         y = y_new
     return minW, y
+
+
+def _search_signals(
+    p: PhasePoint, family: SignalFamily, lam: float, horizon: float
+) -> list[InputSignal]:
+    """The search inputs of one point: the designed ramp from p.xi to lam
+    (a held input when p lies on the curve), then the family's random
+    inputs from p.xi, clipped to the horizon."""
+    if lam != p.xi:
+        signals = [InputSignal(np.array([0.0, abs(lam - p.xi)]), np.array([p.xi, lam]))]
+    else:
+        signals = [InputSignal(np.array([0.0, 1.0]), np.array([p.xi, p.xi]))]
+    rng = np.random.default_rng(family.seed)
+    for _ in range(family.n_random):
+        sig = random_piecewise_linear(
+            rng,
+            u_start=p.xi,
+            span=family.span,
+            n_breakpoints=family.breakpoints,
+        )
+        signals.append(_clip_to_horizon(sig, horizon))
+    return signals
+
+
+def available_storage_bruteforce_batch(
+    model: DuhemModel,
+    points: Sequence[PhasePoint],
+    families: Sequence[SignalFamily],
+    *,
+    horizon: float = 10.0,
+    step: float = 2e-3,
+) -> list[AvailableStorageResult]:
+    """`available_storage_bruteforce` at many phase points, point k searched
+    with families[k], in one crossing ride and one supply march.
+
+    Every lane of both marches is computed elementwise, so each point's
+    result equals its separate `available_storage_bruteforce` call bit for
+    bit.  A domain exit names the point and the index of its signal (0 is
+    the designed ramp).
+    """
+    points, families = list(points), list(families)
+    if len(points) != len(families):
+        raise ValueError("need one signal family per phase point")
+    if not points:
+        return []
+    for p, family in zip(points, families):
+        if not bool(model.domain.contains(p.sigma, p.xi)):
+            raise ValueError(f"phase point {p} outside model domain")
+        lo = min(0.0, p.xi - family.span)
+        hi = max(0.0, p.xi + family.span)
+        if not _anhysteresis_is_zero(model, lo, hi):
+            raise ValueError(
+                "brute-force available storage requires an identically zero "
+                "anhysteresis curve on the search range"
+            )
+
+    sigma = np.array([p.sigma for p in points])
+    ride = ride_to_crossing(model, sigma, np.array([p.xi for p in points]), step=step)
+    signals: list[InputSignal] = []
+    starts = [0]
+    for p, family, lam in zip(points, families, ride.lam):
+        signals += _search_signals(p, family, float(lam), horizon)
+        starts.append(len(signals))
+
+    def lane_name(i: int) -> str:
+        k = int(np.searchsorted(starts, i, side="right")) - 1
+        p = points[k]
+        return f"point {k} (sigma={p.sigma:.6g}, xi={p.xi:.6g}) signal {i - starts[k]}"
+
+    y0 = np.repeat(sigma, np.diff(starts))
+    minW, _ = _supply_running_min(model, signals, y0, step, lane_name)
+    out = []
+    for a, b in zip(starts[:-1], starts[1:]):
+        per_signal = np.maximum(0.0, -minW[a:b])
+        best = int(np.argmax(per_signal))
+        out.append(
+            AvailableStorageResult(
+                value=float(per_signal[best]),
+                designed_value=float(per_signal[0]),
+                best_index=best,
+                per_signal=per_signal,
+                n_signals=b - a,
+            )
+        )
+    return out
 
 
 def available_storage_bruteforce(
@@ -372,46 +468,10 @@ def available_storage_bruteforce(
     is a per-run maximum u-substep, as in `simulate`.
 
     Only models with an identically zero anhysteresis curve are accepted:
-    for those the supply bookkeeping below matches the storage construction
+    for those the supply bookkeeping of the search matches the storage construction
     exactly, so the estimate converges to the storage value from below.
+    This is the one-point call of `available_storage_bruteforce_batch`.
     """
-    if not bool(model.domain.contains(p.sigma, p.xi)):
-        raise ValueError(f"phase point {p} outside model domain")
-    lo = min(0.0, p.xi - family.span)
-    hi = max(0.0, p.xi + family.span)
-    if not _anhysteresis_is_zero(model, lo, hi):
-        raise ValueError(
-            "brute-force available storage requires an identically zero "
-            "anhysteresis curve on the search range"
-        )
-
-    ride = ride_to_crossing(model, np.array([p.sigma]), np.array([p.xi]), step=step)
-    lam = float(ride.lam[0])
-
-    signals: list[InputSignal] = []
-    if lam != p.xi:
-        signals.append(
-            InputSignal(np.array([0.0, abs(lam - p.xi)]), np.array([p.xi, lam]))
-        )
-    else:
-        signals.append(InputSignal(np.array([0.0, 1.0]), np.array([p.xi, p.xi])))
-    rng = np.random.default_rng(family.seed)
-    for _ in range(family.n_random):
-        sig = random_piecewise_linear(
-            rng,
-            u_start=p.xi,
-            span=family.span,
-            n_breakpoints=family.breakpoints,
-        )
-        signals.append(_clip_to_horizon(sig, horizon))
-
-    minW, _ = _supply_running_min(model, signals, p.sigma, step)
-    per_signal = np.maximum(0.0, -minW)
-    best = int(np.argmax(per_signal))
-    return AvailableStorageResult(
-        value=float(per_signal[best]),
-        designed_value=float(per_signal[0]),
-        best_index=best,
-        per_signal=per_signal,
-        n_signals=len(signals),
-    )
+    return available_storage_bruteforce_batch(
+        model, [p], [family], horizon=horizon, step=step
+    )[0]

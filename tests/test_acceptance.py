@@ -16,14 +16,14 @@ from duhem.dissipativity import (
     check_assumption_A,
     loop_areas,
     loop_orientation,
-    verify_dissipation_pair,
+    verify_dissipation_battery,
 )
 from duhem.mechsim import MechParams, MechState, lyapunov_check, simulate_mech
 from duhem.models import boucwen, exp_example, model_from_config
 from duhem.signals import InputSignal, ramp, random_piecewise_linear, rate_reparameterize
 from duhem.storage import (
     SignalFamily,
-    available_storage_bruteforce,
+    available_storage_bruteforce_batch,
     storage_cw,
 )
 
@@ -85,13 +85,13 @@ def test_criterion_1_dahl_closed_form_suite():
 def test_criterion_2_dissipation_battery():
     results = {}
     violations = 0
+    signals = [_battery_signal(k)[1] for k in range(BATTERY_N)]
     for model in (dahl(), boucwen(), exp_example()):
         worst = -math.inf
-        for k in range(BATTERY_N):
-            _, sig = _battery_signal(k)
-            fwd, bwd = verify_dissipation_pair(
-                model, sig, 0.0, step=BATTERY_STEP, ride_step=1e-2
-            )
+        pairs = verify_dissipation_battery(
+            model, signals, 0.0, step=BATTERY_STEP, ride_step=1e-2
+        )
+        for fwd, bwd in pairs:
             worst = max(worst, fwd.worst_violation, bwd.worst_violation)
             violations += (not fwd.passed) + (not bwd.passed)
         results[model.name] = worst
@@ -109,15 +109,16 @@ def test_criterion_2_dissipation_battery():
 def test_criterion_3_available_storage_bruteforce():
     m = dahl()
     rng = np.random.default_rng(7)
-    worst_short = 0.0
-    worst_over = 0.0
-    for k in range(20):
+    points = []
+    for _ in range(20):
         y = 0.675 * (2.0 * rng.random() - 1.0)
         u = 2.0 * (2.0 * rng.random() - 1.0)
-        res = available_storage_bruteforce(
-            m, PhasePoint(y, u), SignalFamily(n_random=200, seed=100 + k)
-        )
-        H = float(storage_exact(y))
+        points.append(PhasePoint(y, u))
+    families = [SignalFamily(n_random=200, seed=100 + k) for k in range(20)]
+    worst_short = 0.0
+    worst_over = 0.0
+    for p, res in zip(points, available_storage_bruteforce_batch(m, points, families)):
+        H = float(storage_exact(p.sigma))
         worst_short = max(worst_short, (H - res.value) / H if H > 0.0 else 0.0)
         worst_over = max(worst_over, res.value - H)
     # approaches from below up to quadrature noise on the random inputs

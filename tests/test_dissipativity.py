@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from duhem import dahl, simulate, triangle
+from duhem import boucwen, dahl, exp_example, simulate, triangle
 from duhem.core import Domain, DuhemModel, Trajectory
 from duhem.dissipativity import (
     LoopClassification,
@@ -12,6 +12,7 @@ from duhem.dissipativity import (
     loop_areas,
     loop_orientation,
     verify_dissipation,
+    verify_dissipation_battery,
     verify_dissipation_pair,
 )
 from duhem.signals import InputSignal, ramp, random_piecewise_linear
@@ -71,6 +72,44 @@ def test_dissipation_pair_matches_single_direction_calls(dahl_r1):
         bwd.worst_violation
         == verify_dissipation(dahl_r1, sig, 0.1, direction="backward").worst_violation
     )
+
+
+def _report_bits(rep):
+    return (
+        rep.name,
+        rep.passed,
+        np.float64(rep.worst_violation).tobytes(),
+        np.array(rep.worst_location).tobytes(),
+        rep.tolerance,
+        rep.samples_checked,
+        dict(rep.details),
+    )
+
+
+@pytest.mark.parametrize("model", [dahl(), boucwen(), exp_example()], ids=lambda m: m.name)
+def test_dissipation_battery_pairs_are_the_per_signal_pairs(model):
+    # inputs of unequal length (a short ramp, random inputs with different
+    # breakpoint counts, a triangle), so a misplaced split of the one storage
+    # ride over all samples hands a signal another signal's storage
+    rng = np.random.default_rng(11)
+    signals = [
+        ramp(0.0, 0.4, 0.4),
+        random_piecewise_linear(rng, span=1.5, n_breakpoints=(3, 3)),
+        triangle(1.0, 2),
+        random_piecewise_linear(rng, span=2.0, n_breakpoints=(8, 8)),
+    ]
+    sizes = {simulate(model, sig, 0.1, step=5e-3).n_samples for sig in signals}
+    assert len(sizes) == len(signals)
+    pairs = verify_dissipation_battery(model, signals, 0.1, ride_step=1e-2)
+    assert len(pairs) == len(signals)
+    for sig, (fwd, bwd) in zip(signals, pairs):
+        lone_fwd, lone_bwd = verify_dissipation_pair(model, sig, 0.1, ride_step=1e-2)
+        assert _report_bits(fwd) == _report_bits(lone_fwd)
+        assert _report_bits(bwd) == _report_bits(lone_bwd)
+
+
+def test_dissipation_battery_of_no_signals_is_empty(dahl_r1):
+    assert verify_dissipation_battery(dahl_r1, [], 0.0) == []
 
 
 def test_dissipation_rejects_unknown_direction(dahl_r1):

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,8 +14,11 @@ from duhem.signals import InputSignal, random_piecewise_linear
 from duhem.storage import (
     AvailableStorageResult,
     SignalFamily,
+    _anhysteresis_integrals,
+    _search_signals,
     _supply_running_min,
     available_storage_bruteforce,
+    available_storage_bruteforce_batch,
     lambda_dahl_closed_form,
     storage_cw,
     storage_cw_batch,
@@ -105,17 +109,47 @@ def test_batch_route_agrees_with_quadrature_route(dahl_r1, exp_model):
 
 
 def test_batch_storage_of_a_point_does_not_depend_on_its_batch(exp_model):
-    # every 7th sample of a seeded battery signal: the whole batch and each
-    # point alone must give the same storage bit for bit
-    sig = random_piecewise_linear(
-        np.random.default_rng(6), u_start=0.0, span=2.0, n_breakpoints=(3, 8)
-    )
-    traj = simulate(exp_model, sig, 0.0, step=5e-3)
-    y, u = traj.y[::7], traj.u[::7]
+    # all samples of two seeded battery signals ride as one batch of more
+    # than two Simpson blocks of rows; every 11th sample alone must give the
+    # same storage bit for bit, in every block
+    rng = np.random.default_rng(6)
+    trajs = [
+        simulate(
+            exp_model,
+            random_piecewise_linear(rng, u_start=0.0, span=2.0, n_breakpoints=(3, 8)),
+            0.0,
+            step=5e-3,
+        )
+        for _ in range(2)
+    ]
+    y = np.concatenate([t.y for t in trajs])
+    u = np.concatenate([t.u for t in trajs])
+    assert y.size > 2 * 512
     whole = storage_cw_batch(exp_model, y, u, step=5e-3).value
+    pick = np.arange(0, y.size, 11)
     alone = [storage_cw_batch(exp_model, y[i : i + 1], u[i : i + 1], step=5e-3).value[0]
-             for i in range(y.size)]
-    assert whole.tobytes() == np.array(alone).tobytes()
+             for i in pick]
+    assert whole[pick].tobytes() == np.array(alone).tobytes()
+
+
+def _anhysteresis_peak(model, lam):
+    tracemalloc.start()
+    try:
+        _anhysteresis_integrals(model, lam)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_anhysteresis_integral_memory_does_not_grow_with_the_batch(exp_model):
+    # the Simpson nodes of 129 per lane are evaluated in blocks of rows, so
+    # 20,000 more lanes may add their O(lanes) inputs and outputs (a few
+    # floats each) but not 129 node values each
+    lam = np.linspace(-3.0, 3.0, 21_000)
+    small = _anhysteresis_peak(exp_model, lam[:1000])
+    large = _anhysteresis_peak(exp_model, lam)
+    assert large - small < 8 * 8 * (lam.size - 1000)
+    assert large < 4_000_000
 
 
 def test_batch_storage_nonnegative_on_grid(dahl_r1, rng):
@@ -169,6 +203,39 @@ def test_available_storage_bruteforce_brackets_closed_form(dahl_r1):
     assert res.n_signals == 31
     assert len(res.per_signal) == 31
     assert res.designed_value == pytest.approx(H, abs=1e-6)
+
+
+def _search_bits(res):
+    return (
+        np.float64(res.value).tobytes(),
+        np.float64(res.designed_value).tobytes(),
+        res.best_index,
+        res.per_signal.tobytes(),
+        res.n_signals,
+    )
+
+
+def test_many_point_search_equals_separate_calls(dahl_r1):
+    # distinct families (sizes, breakpoints, spans, seeds) give the points
+    # different lane counts, so a misplaced split or a wrong per-lane start
+    # output shows; (0, 0.7) lies on the curve and gets a held designed input
+    points = [PhasePoint(0.375, 1.0), PhasePoint(0.0, 0.7), PhasePoint(-0.6, -0.3),
+              PhasePoint(0.2, 2.0)]
+    families = [
+        SignalFamily(n_random=12, seed=3),
+        SignalFamily(n_random=5, breakpoints=(2, 4), seed=4),
+        SignalFamily(n_random=9, span=2.0, seed=5),
+        SignalFamily(n_random=0, seed=6),
+    ]
+    many = available_storage_bruteforce_batch(dahl_r1, points, families, horizon=4.0)
+    assert [r.n_signals for r in many] == [13, 6, 10, 1]
+    for p, fam, res in zip(points, families, many):
+        alone = available_storage_bruteforce(dahl_r1, p, fam, horizon=4.0)
+        assert _search_bits(res) == _search_bits(alone)
+    assert many[1].value == 0.0
+    assert available_storage_bruteforce_batch(dahl_r1, [], []) == []
+    with pytest.raises(ValueError, match="one signal family per phase point"):
+        available_storage_bruteforce_batch(dahl_r1, points, families[:2])
 
 
 def test_available_storage_requires_flat_backbone(exp_model):
@@ -294,3 +361,20 @@ def test_supply_march_domain_exit_names_the_lane_and_its_sample():
     # the other signals stay inside the band
     for other in (0, 1, 3):
         simulate(model, sigs[other], 0.0, step)
+
+    # Across points, the many-point search names the point and the signal
+    # index within it.  Point 0 (span 0.2 around y = 0) never leaves the
+    # band; at point 1 (y = 0.5, span 3) the random inputs do.
+    points = [PhasePoint(0.0, 0.3), PhasePoint(0.5, -0.2)]
+    families = [SignalFamily(n_random=4, span=0.2, seed=1),
+                SignalFamily(n_random=4, span=3.0, seed=2)]
+    with pytest.raises(DomainExitError, match=r"point 1 \(sigma=0.5, xi=-0.2\) signal \d+ drove") as err:
+        available_storage_bruteforce_batch(model, points, families, horizon=6.0, step=step)
+    exc = err.value
+    j = int(str(exc).split(" signal ")[1].split()[0])
+    assert j >= 1  # the designed ramp to the curve stays inside
+    # the random inputs do not depend on the crossing, here at xi - y = -0.7
+    sig = _search_signals(points[1], families[1], -0.7, 6.0)[j]
+    with pytest.raises(DomainExitError) as lone:
+        simulate(model, sig, 0.5, step)
+    assert (exc.t, exc.u, exc.y) == (lone.value.t, lone.value.u, lone.value.y)
