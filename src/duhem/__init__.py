@@ -35,7 +35,6 @@ from .dissipativity import (
     cw_supply_integral,
     loop_areas,
     loop_orientation,
-    verify_dissipation,
     verify_dissipation_battery,
     verify_dissipation_pair,
 )
@@ -48,7 +47,7 @@ from .mechsim import (
     passivity_port_check,
     simulate_mech,
 )
-from .models import BUILTIN_MODELS, boucwen, dahl, exp_example, model_from_config, model_from_json
+from .models import BUILTIN_MODELS, boucwen, dahl, exp_example, model_from_config
 from .report import VerificationReport
 from .signals import (
     InputSignal,
@@ -65,7 +64,6 @@ from .storage import (
     StorageEvaluation,
     available_storage_bruteforce,
     available_storage_bruteforce_batch,
-    lambda_dahl_closed_form,
     storage_cw,
     storage_cw_batch,
     storage_dahl_closed_form,
@@ -108,12 +106,10 @@ __all__ = [
     "dahl",
     "exp_example",
     "intersect_lambda",
-    "lambda_dahl_closed_form",
     "loop_areas",
     "loop_orientation",
     "lyapunov_check",
     "model_from_config",
-    "model_from_json",
     "passivity_port_check",
     "ramp",
     "random_piecewise_linear",
@@ -127,7 +123,6 @@ __all__ = [
     "storage_dahl_closed_form",
     "traversing_curve",
     "triangle",
-    "verify_dissipation",
     "verify_dissipation_battery",
     "verify_dissipation_pair",
 ]

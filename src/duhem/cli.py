@@ -36,6 +36,7 @@ import numpy as np
 from .core import DomainExitError, DuhemModel, check_existence_conditions, simulate
 from .curves import CrossingSearchError, PhasePoint, check_lemma1, intersect_lambda, traversing_curve
 from .dissipativity import (
+    LOOP_AREA_TOL,
     check_assumption_A,
     loop_areas,
     loop_orientation,
@@ -345,6 +346,8 @@ def _write_loops_csv(path: str, times: np.ndarray, areas: np.ndarray) -> None:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
+    if args.n_signals < 1:
+        raise ConfigError(f"--n-signals must be at least 1, got {args.n_signals}")
     cfg = _base_config(args, ("model", "y0", "step", "tol", "seed", "out_dir"))
     if args.preset is not None:
         preset = PRESETS.get(args.preset)
@@ -394,7 +397,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     reports.append(
         VerificationReport.from_violation(
             name="loop-orientation",
-            worst_violation=1e-9 - cls.area,
+            worst_violation=LOOP_AREA_TOL - cls.area,
             worst_location=(cls.t_close,),
             tolerance=0.0,
             samples_checked=1,

@@ -67,8 +67,8 @@ class Domain:
         if not self.sigma_min < self.sigma_max:
             raise ValueError("domain requires sigma_min < sigma_max")
 
-    def contains(self, sigma, xi=None):
-        """Elementwise membership test; xi is accepted for interface symmetry."""
+    def contains(self, sigma):
+        """Elementwise membership test of outputs sigma (any input is in)."""
         return (np.asarray(sigma) > self.sigma_min) & (
             np.asarray(sigma) < self.sigma_max
         )
@@ -111,10 +111,6 @@ class DuhemModel:
         """Half-difference of the slope fields; zero exactly on the
         anhysteresis curve."""
         return 0.5 * (self.f1(sigma, xi) - self.f2(sigma, xi))
-
-    def G(self, sigma, xi):
-        """Half-sum of the slope fields (f1 = G + F and f2 = G - F)."""
-        return 0.5 * (self.f1(sigma, xi) + self.f2(sigma, xi))
 
 
 @dataclass(frozen=True, eq=False)
@@ -233,7 +229,7 @@ def simulate(
     if not np.isfinite(y0):
         raise ValueError(f"y0 must be finite, got {y0}")
     u_first = float(signal.values[0])
-    if not bool(model.domain.contains(y0, u_first)):
+    if not bool(model.domain.contains(y0)):
         raise DomainExitError(0.0, u_first, y0, "initial state outside model domain")
 
     ts = [float(signal.times[0])]

@@ -25,7 +25,7 @@ from typing import Callable
 
 import numpy as np
 
-from .core import DuhemModel, _march_segment
+from .core import DuhemModel, _march_segment, _segment_substeps
 from .integrate import (
     BracketError,
     bisect,
@@ -80,12 +80,13 @@ def _domain_search_limits(model: DuhemModel) -> tuple[float, float]:
     return lo, hi
 
 
-def anhysteresis(model: DuhemModel, xi: float, *, ftol: float = 1e-10) -> float:
+def anhysteresis(model: DuhemModel, xi: float) -> float:
     """Output value sigma* at which f1(sigma*, xi) = f2(sigma*, xi).
 
     Uses the model's declared anhysteresis function when present; otherwise
     brackets the root of F(., xi) by geometric expansion from sigma = 0
-    (clipped to the model domain) and bisects until |F| <= ftol.
+    (clipped to the model domain) and bisects until |F| <= 1e-10.  Raises
+    ValueError when the residual |F(sigma*, xi)| exceeds 1e-9.
     """
     xi = float(xi)
     if model.f_an is not None:
@@ -94,23 +95,22 @@ def anhysteresis(model: DuhemModel, xi: float, *, ftol: float = 1e-10) -> float:
         g = lambda s: float(model.F(s, xi))
         lo, hi = _domain_search_limits(model)
         a, b = expand_bracket(g, 0.0, 1.0 + abs(xi), lo_limit=lo, hi_limit=hi)
-        sigma = a if a == b else bisect(g, a, b, ftol=ftol)
+        sigma = a if a == b else bisect(g, a, b, ftol=1e-10)
     res = abs(float(model.F(sigma, xi)))
-    if res > max(ftol, 1e-9):
+    if res > 1e-9:
         raise ValueError(
             f"anhysteresis residual {res:.3e} exceeds tolerance at xi={xi}"
         )
     return sigma
 
 
-def anhysteresis_values(
-    model: DuhemModel,
-    xi: np.ndarray,
-    *,
-    ftol: float = 1e-10,
-    max_doublings: int = 60,
-) -> np.ndarray:
-    """Vectorized anhysteresis evaluation used by grid checks and rides."""
+def anhysteresis_values(model: DuhemModel, xi: np.ndarray) -> np.ndarray:
+    """Vectorized anhysteresis evaluation used by grid checks and rides.
+
+    Without a declared f_an, each root of F(., xi) is bracketed by doubling
+    a window around sigma = 0 (at most 60 times) and refined by 80 vector
+    bisection halvings.
+    """
     xi = np.asarray(xi, dtype=float)
     if model.f_an is not None:
         return np.broadcast_to(
@@ -123,7 +123,7 @@ def anhysteresis_values(
     gc = g(zero)
     lo = np.maximum(-w, lo_lim)
     hi = np.minimum(w, hi_lim)
-    for _ in range(max_doublings + 1):
+    for _ in range(61):
         glo = g(lo)
         ghi = g(hi)
         ok = (glo * gc <= 0.0) | (ghi * gc <= 0.0) | (gc == 0.0)
@@ -208,8 +208,9 @@ def _march_branch(
     tau_stop: float,
     step: float,
 ):
-    """`_march_segment` of one branch to tau_stop, substeps at most `step`;
-    flags a domain exit, keeping the nodes before it."""
+    """`_march_segment` of one branch to tau_stop with `simulate`'s substep
+    rule (substeps at most `step`, which must be positive); flags a domain
+    exit, keeping the nodes before it."""
     span = tau_stop - xi
     if span == 0.0:
         return (
@@ -218,7 +219,7 @@ def _march_branch(
             np.array([float(f(sigma, xi))]),
             False,
         )
-    n = max(1, int(math.ceil(abs(span) / step)))
+    n = _segment_substeps(span, step)
     lo, hi = model.domain.sigma_min, model.domain.sigma_max
     taus, ys, fs, y_exit = _march_segment(f, sigma, xi, tau_stop, n, lo, hi)
     return np.array(taus), np.array(ys), np.array(fs), y_exit is not None
@@ -241,7 +242,7 @@ def traversing_curve(
     """
     if not (tau_min <= p.xi <= tau_max):
         raise ValueError("need tau_min <= p.xi <= tau_max")
-    if not bool(model.domain.contains(p.sigma, p.xi)):
+    if not bool(model.domain.contains(p.sigma)):
         raise ValueError(f"phase point {p} outside model domain")
     t_r, y_r, f_r, trunc_r = _march_branch(model, model.f1, p.sigma, p.xi, tau_max, step)
     t_l, y_l, f_l, trunc_l = _march_branch(model, model.f2, p.sigma, p.xi, tau_min, step)
@@ -271,6 +272,11 @@ class CrossingResult:
     steps: np.ndarray     # RK4 steps used per point
 
 
+# vector bisection halvings of each crossing bracket, one count for every
+# ride (batch and single-point)
+_REFINE_ITERS = 60
+
+
 def _side_residual(model: DuhemModel) -> Callable:
     """f_an(tau) - y, or F when f_an is not declared.  F has the same sign
     under assumption A but cancels near the curve: on Bouc-Wen (alpha = beta
@@ -288,7 +294,6 @@ def _march_to_crossing(
     c0: np.ndarray,
     h: float,
     max_steps: int,
-    refine_iters: int,
 ):
     """March dy/dtau = f from (y0, tau0) with signed step h until the sign
     of `_side_residual` flips from c0's; returns per-element crossing data.
@@ -369,7 +374,7 @@ def _march_to_crossing(
             side(hermite_eval(s, tA, tB, yA, yB, fA, fB), s), dtype=float
         )
 
-    lam_c = bisect_on_interval_vec(residual, tA, tB, iters=refine_iters)
+    lam_c = bisect_on_interval_vec(residual, tA, tB, iters=_REFINE_ITERS)
     lam = np.empty(n)
     y_at = np.empty(n)
     integral = np.empty(n)
@@ -386,7 +391,6 @@ def ride_to_crossing(
     *,
     step: float = 1e-3,
     max_doublings: int = 60,
-    refine_iters: int = 60,
 ) -> CrossingResult:
     """Ride traversing branches from (sigma_k, xi_k) to the anhysteresis curve.
 
@@ -407,7 +411,7 @@ def ride_to_crossing(
     xi = np.atleast_1d(np.asarray(xi, dtype=float))
     if sigma.shape != xi.shape or sigma.ndim != 1:
         raise ValueError("sigma and xi must be 1-d arrays of equal length")
-    if not np.asarray(model.domain.contains(sigma, xi)).all():
+    if not np.asarray(model.domain.contains(sigma)).all():
         raise ValueError("phase points outside model domain")
 
     n = sigma.size
@@ -436,7 +440,6 @@ def ride_to_crossing(
             c0[mask],
             direction * step,
             max_steps,
-            refine_iters,
         )
         lam[mask], y_at[mask], integral[mask], steps[mask] = res
 
@@ -448,7 +451,6 @@ def intersect_lambda(
     p: PhasePoint,
     *,
     step: float = 1e-3,
-    residual_tol: float = 1e-9,
     max_doublings: int = 60,
 ) -> float:
     """Abscissa where the traversing curve through p meets the anhysteresis
@@ -456,9 +458,10 @@ def intersect_lambda(
 
     The search direction follows the sign of sigma - f_an(xi): at or above
     the curve the intersection lies at u* <= xi, below it at u* > xi.  The
-    returned u* satisfies |omega(u*) - f_an(u*)| <= residual_tol, where
-    omega is the traversing branch; a CrossingSearchError means no crossing
-    was found within the expansion budget.
+    returned u* is the `ride_to_crossing` abscissa, bit for bit, and
+    satisfies |omega(u*) - f_an(u*)| <= 1e-9, where omega is the traversing
+    branch; a CrossingSearchError means no crossing was found within the
+    expansion budget or the residual is larger.
     """
     res = ride_to_crossing(
         model,
@@ -466,57 +469,71 @@ def intersect_lambda(
         np.array([p.xi]),
         step=step,
         max_doublings=max_doublings,
-        refine_iters=80,
     )
     lam = float(res.lam[0])
     fan_at = anhysteresis(model, lam)
     mismatch = abs(float(res.y_at[0]) - fan_at)
-    if mismatch > residual_tol:
+    if mismatch > 1e-9:
         raise CrossingSearchError(
             f"crossing refinement stalled: |omega - f_an| = {mismatch:.3e} "
-            f"> {residual_tol:.1e} at u* = {lam:.6g}"
+            f"> 1.0e-09 at u* = {lam:.6g}"
         )
     return lam
+
+
+# grid (sigma lines, xi lines) of the two sign-structure certificates,
+# check_lemma1 and dissipativity.check_assumption_A
+_CERTIFICATE_GRID = (200, 200)
+
+
+def _certificate_grid(model: DuhemModel, region):
+    """Grid lines sig, xiv of a certificate on region = ((sigma_lo,
+    sigma_hi), (xi_lo, xi_hi)) and f_an on the xi lines.
+
+    Raises ValueError on a degenerate region or a sigma range that leaves
+    the model domain.
+    """
+    (s_lo, s_hi), (x_lo, x_hi) = region
+    if not (s_lo < s_hi and x_lo < x_hi):
+        raise ValueError("degenerate region")
+    n_sig, n_xi = _CERTIFICATE_GRID
+    sig = np.linspace(s_lo, s_hi, n_sig)
+    if not model.domain.contains(sig).all():
+        raise ValueError("sigma range extends outside the model domain")
+    xiv = np.linspace(x_lo, x_hi, n_xi)
+    return sig, xiv, anhysteresis_values(model, xiv)
 
 
 def check_lemma1(
     model: DuhemModel,
     region: tuple[tuple[float, float], tuple[float, float]],
     epsilon: float,
-    grid: tuple[int, int] = (200, 200),
 ) -> VerificationReport:
     """Grid certificate for the transversality margin behind the crossing
     construction.
 
-    On the rectangle region = ((sigma_lo, sigma_hi), (xi_lo, xi_hi)) the
-    check requires f1(sigma, xi) > f_an'(xi) + epsilon wherever sigma lies
-    above the anhysteresis curve and f2(sigma, xi) > f_an'(xi) + epsilon
-    wherever sigma lies below it; f_an' is estimated by central differences
-    with spacing 1e-5 * (1 + |xi|).  worst_violation is epsilon minus the
-    smallest observed margin, so the report passes exactly when every margin
-    reaches epsilon.  A constant anhysteresis curve (slope below 1e-12
-    everywhere, as for Dahl and Bouc-Wen) is flagged in the details.
+    On a 200 x 200 grid of the rectangle region = ((sigma_lo, sigma_hi),
+    (xi_lo, xi_hi)) the check requires f1(sigma, xi) > f_an'(xi) + epsilon
+    wherever sigma lies above the anhysteresis curve and f2(sigma, xi) >
+    f_an'(xi) + epsilon wherever sigma lies below it; f_an' is estimated by
+    central differences with spacing 1e-5 * (1 + |xi|).  worst_violation is
+    epsilon minus the smallest observed margin, so the report passes exactly
+    when every margin reaches epsilon.  A constant anhysteresis curve (slope
+    below 1e-12 everywhere, as for Dahl and Bouc-Wen) is flagged in the
+    details.
     """
     if epsilon <= 0.0:
         raise ValueError("epsilon must be positive")
-    (s_lo, s_hi), (x_lo, x_hi) = region
-    if not (s_lo < s_hi and x_lo < x_hi):
-        raise ValueError("degenerate region")
-    n_sig, n_xi = grid
-    sig = np.linspace(s_lo, s_hi, n_sig)
-    if not model.domain.contains(sig).all():
-        raise ValueError("sigma range extends outside the model domain")
-    xiv = np.linspace(x_lo, x_hi, n_xi)
+    sig, xiv, fan = _certificate_grid(model, region)
 
     hstep = 1e-5 * (1.0 + np.abs(xiv))
-    fan = anhysteresis_values(model, xiv)
     fan_hi = anhysteresis_values(model, xiv + hstep)
     fan_lo = anhysteresis_values(model, xiv - hstep)
     fan_slope = (fan_hi - fan_lo) / (2.0 * hstep)
     constant_fan = bool(np.all(np.abs(fan_slope) <= 1e-12))
 
     S = sig[:, None]
-    X = np.broadcast_to(xiv[None, :], (n_sig, n_xi))
+    X = np.broadcast_to(xiv[None, :], _CERTIFICATE_GRID)
     F1 = np.asarray(model.f1(S, X), dtype=float)
     F2 = np.asarray(model.f2(S, X), dtype=float)
     above = S > fan[None, :]
@@ -544,7 +561,7 @@ def check_lemma1(
             "worst_margin": worst_margin,
             "worst_branch": worst_branch,
             "constant_f_an": constant_fan,
-            "grid": [int(n_sig), int(n_xi)],
+            "grid": list(_CERTIFICATE_GRID),
             "model": model.name,
         },
     )

@@ -3,16 +3,15 @@
 A counterclockwise-damping sign structure puts F = (f1 - f2)/2 on the side
 of zero that makes hysteresis loops in the input-output plane run clockwise;
 `check_assumption_A` certifies the sign structure on a grid.  The central
-check, `verify_dissipation`, simulates the operator along an input, builds
-the clockwise storage at every sample and tests the sampled dissipation
-inequality
+check, `verify_dissipation_battery`, simulates the operator along each input
+of a battery, builds the clockwise storage at every sample with one storage
+ride over all their samples and tests the sampled dissipation inequality
 
     dH/dt <= y * du/dt
 
-one-sidedly: the forward variant compares forward differences of H with the
-right input rate, the backward variant uses left rates.
-`verify_dissipation_battery` checks many inputs with one storage ride over
-all their samples.  `loop_orientation`
+one-sidedly: the forward report compares forward differences of H with the
+right input rate, the backward report uses left rates;
+`verify_dissipation_pair` is its one-input call.  `loop_orientation`
 classifies the final closed input cycle by the sign of its signed loop area
 (positive area means clockwise traversal), and `loop_areas` decomposes a
 trajectory into the successive closed loops at its starting level.
@@ -27,7 +26,7 @@ from typing import Sequence
 import numpy as np
 
 from .core import DuhemModel, Trajectory, simulate
-from .curves import anhysteresis_values
+from .curves import _CERTIFICATE_GRID, _certificate_grid
 from .report import VerificationReport
 from .signals import InputSignal
 from .storage import storage_cw_batch
@@ -36,7 +35,6 @@ __all__ = [
     "SupplySeries",
     "LoopClassification",
     "check_assumption_A",
-    "verify_dissipation",
     "verify_dissipation_pair",
     "verify_dissipation_battery",
     "cw_supply_integral",
@@ -48,28 +46,19 @@ __all__ = [
 def check_assumption_A(
     model: DuhemModel,
     region: tuple[tuple[float, float], tuple[float, float]],
-    grid: tuple[int, int] = (200, 200),
 ) -> VerificationReport:
     """Grid certificate of the damping sign structure.
 
     Requires F >= 0 at and below the anhysteresis curve and F <= 0 above it
-    on the rectangle region = ((sigma_lo, sigma_hi), (xi_lo, xi_hi)).  The
-    violation at a grid point is the amount F sticks out on the wrong side;
-    a 1e-12 tolerance absorbs roundoff at points that sit exactly on the
-    curve.
+    on a 200 x 200 grid of the rectangle region = ((sigma_lo, sigma_hi),
+    (xi_lo, xi_hi)).  The violation at a grid point is the amount F sticks
+    out on the wrong side; a 1e-12 tolerance absorbs roundoff at points that
+    sit exactly on the curve.
     """
-    (s_lo, s_hi), (x_lo, x_hi) = region
-    if not (s_lo < s_hi and x_lo < x_hi):
-        raise ValueError("degenerate region")
-    n_sig, n_xi = grid
-    sig = np.linspace(s_lo, s_hi, n_sig)
-    if not model.domain.contains(sig).all():
-        raise ValueError("sigma range extends outside the model domain")
-    xiv = np.linspace(x_lo, x_hi, n_xi)
-    fan = anhysteresis_values(model, xiv)
+    sig, xiv, fan = _certificate_grid(model, region)
 
     S = sig[:, None]
-    X = np.broadcast_to(xiv[None, :], (n_sig, n_xi))
+    X = np.broadcast_to(xiv[None, :], _CERTIFICATE_GRID)
     F = np.asarray(model.F(S, X), dtype=float)
     upper = S > fan[None, :]
 
@@ -82,7 +71,7 @@ def check_assumption_A(
         tolerance=1e-12,
         samples_checked=int(viol.size),
         details={
-            "grid": [int(n_sig), int(n_xi)],
+            "grid": list(_CERTIFICATE_GRID),
             "side": "above" if bool(upper[i, j]) else "below",
             "model": model.name,
         },
@@ -100,10 +89,16 @@ def verify_dissipation_battery(
 ) -> list[tuple[VerificationReport, VerificationReport]]:
     """Forward and backward dissipation reports of each input of a battery.
 
-    Simulates every signal from y0, evaluates the storage at all samples of
-    all signals in one `storage_cw_batch` ride and splits it back per
-    signal.  A lane's storage does not depend on the batch it rides in, so
-    each signal's pair equals its `verify_dissipation_pair` reports.
+    Simulates every signal from y0, evaluates the clockwise storage H at all
+    samples of all signals in one `storage_cw_batch` ride and splits it back
+    per signal.  Each report checks the sampled inequality dH/dt <= y du/dt
+    between consecutive samples, with dH/dt a forward difference: the
+    forward report against the right input rate and the sample's own output,
+    the backward report against the left rate and the next sample's output.
+    The default tolerance 1e-6 + 10 * step covers the first-order sampling
+    error of the difference quotients at unit input rate.  A lane's storage
+    does not depend on the batch it rides in, so each signal's pair equals
+    its `verify_dissipation_pair` reports.
     """
     if tol is None:
         tol = 1e-6 + 10.0 * step
@@ -169,34 +164,6 @@ def verify_dissipation_pair(
     )[0]
 
 
-def verify_dissipation(
-    model: DuhemModel,
-    signal: InputSignal,
-    y0: float,
-    *,
-    tol: float | None = None,
-    step: float = 5e-3,
-    ride_step: float | None = None,
-    direction: str = "forward",
-) -> VerificationReport:
-    """Sampled dissipation inequality along one input.
-
-    Simulates the operator, evaluates the clockwise storage at every sample
-    and checks dH/dt <= y * du/dt between consecutive samples, with dH/dt a
-    forward difference against the right input rate and the sample's own
-    output (direction="forward"), or against the left rate and the next
-    sample's output (direction="backward").  The default tolerance
-    1e-6 + 10 * step covers the first-order sampling error of the
-    difference quotients at unit input rate.
-    """
-    if direction not in ("forward", "backward"):
-        raise ValueError(f"unknown direction {direction!r}")
-    fwd, bwd = verify_dissipation_pair(
-        model, signal, y0, tol=tol, step=step, ride_step=ride_step
-    )
-    return fwd if direction == "forward" else bwd
-
-
 @dataclass(frozen=True, eq=False)
 class SupplySeries:
     """Cumulative supply integral W(t) = int y du along a trajectory."""
@@ -238,13 +205,20 @@ def _final_direction(u: np.ndarray) -> float:
     return math.copysign(1.0, du[nz[-1]])
 
 
-def loop_orientation(traj: Trajectory, *, area_tol: float = 1e-9) -> LoopClassification:
+# signed loop area beyond which a loop counts as clockwise (counterclockwise
+# below its negative); the loop-orientation report of `duhem verify` reads
+# the same threshold
+LOOP_AREA_TOL = 1e-9
+
+
+def loop_orientation(traj: Trajectory) -> LoopClassification:
     """Classify the last closed cycle of the input by its signed loop area.
 
     Scans backward for the previous time the input crossed its final level
     moving in the same direction; the signed area of y du over that stretch
-    is positive for clockwise loops.  Raises ValueError when the input never
-    closes a cycle at its final level.
+    is positive for clockwise loops, and |area| <= LOOP_AREA_TOL is
+    degenerate.  Raises ValueError when the input never closes a cycle at
+    its final level.
     """
     u, y, t = traj.u, traj.y, traj.t
     ue = float(u[-1])
@@ -252,9 +226,9 @@ def loop_orientation(traj: Trajectory, *, area_tol: float = 1e-9) -> LoopClassif
     n = u.size
 
     def classify(area: float, t_star: float) -> LoopClassification:
-        if area > area_tol:
+        if area > LOOP_AREA_TOL:
             label = "clockwise"
-        elif area < -area_tol:
+        elif area < -LOOP_AREA_TOL:
             label = "counterclockwise"
         else:
             label = "degenerate"

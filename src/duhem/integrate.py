@@ -155,13 +155,11 @@ def bisect(
     b: float,
     *,
     ftol: float = 0.0,
-    xtol: float = 0.0,
-    max_iter: int = 200,
 ) -> float:
     """Bisection root of g on [a, b]; the endpoints must bracket a sign change.
 
-    Stops as soon as |g(mid)| <= ftol or the interval width drops below xtol;
-    with both zero it runs to floating-point interval collapse.
+    Stops as soon as |g(mid)| <= ftol, at floating-point interval collapse,
+    or after 200 halvings.
     """
     ga = float(g(a))
     gb = float(g(b))
@@ -171,10 +169,10 @@ def bisect(
         return b
     if ga * gb > 0.0:
         raise BracketError(f"no sign change on [{a}, {b}]: g(a)={ga}, g(b)={gb}")
-    for _ in range(max_iter):
+    for _ in range(200):
         mid = 0.5 * (a + b)
         gm = float(g(mid))
-        if abs(gm) <= ftol or (b - a) <= xtol or mid == a or mid == b:
+        if abs(gm) <= ftol or mid == a or mid == b:
             return mid
         if ga * gm <= 0.0:
             b, gb = mid, gm
@@ -190,18 +188,17 @@ def expand_bracket(
     *,
     lo_limit: float = -math.inf,
     hi_limit: float = math.inf,
-    max_doublings: int = 60,
 ):
     """Find [a, b] with a sign change of g by geometric expansion around center.
 
-    The half-width starts at width0 and doubles up to max_doublings times,
-    clipped to (lo_limit, hi_limit).  Returns the bracketing interval.
+    The half-width starts at width0 and doubles up to 60 times, clipped to
+    (lo_limit, hi_limit).  Returns the bracketing interval.
     """
     gc = float(g(center))
     if gc == 0.0:
         return center, center
     w = width0
-    for _ in range(max_doublings + 1):
+    for _ in range(61):
         a = max(center - w, lo_limit)
         b = min(center + w, hi_limit)
         if float(g(a)) * gc <= 0.0:

@@ -14,7 +14,6 @@ anhysteresis function.
 
 from __future__ import annotations
 
-import json
 import math
 from typing import Any, Mapping
 
@@ -28,7 +27,6 @@ __all__ = [
     "exp_example",
     "BUILTIN_MODELS",
     "model_from_config",
-    "model_from_json",
 ]
 
 
@@ -218,8 +216,3 @@ def model_from_config(config: Mapping[str, Any]) -> DuhemModel:
         raise ValueError(
             f"invalid parameters for model {name!r}: {sorted(params)}"
         ) from None
-
-
-def model_from_json(text: str) -> DuhemModel:
-    """Parse a JSON model description (see model_from_config)."""
-    return model_from_config(json.loads(text))

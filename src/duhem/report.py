@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from typing import Any, Mapping
 
@@ -69,6 +68,3 @@ class VerificationReport:
             "samples_checked": self.samples_checked,
             "details": dict(self.details),
         }
-
-    def to_json(self, indent: int = 2) -> str:
-        return json.dumps(self.to_dict(), indent=indent, sort_keys=True)

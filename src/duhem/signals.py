@@ -87,9 +87,6 @@ class InputSignal:
         for i in range(t.size - 1):
             yield float(t[i]), float(t[i + 1]), float(u[i]), float(u[i + 1])
 
-    def total_variation(self) -> float:
-        return float(np.abs(np.diff(self.values)).sum())
-
 
 def ramp(u0: float, u1: float, duration: float) -> InputSignal:
     """Single monotone segment from u0 to u1 over [0, duration]."""

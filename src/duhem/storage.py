@@ -47,7 +47,6 @@ __all__ = [
     "storage_cw",
     "storage_cw_batch",
     "storage_dahl_closed_form",
-    "lambda_dahl_closed_form",
     "available_storage_bruteforce",
     "available_storage_bruteforce_batch",
 ]
@@ -102,11 +101,9 @@ def storage_cw(
     adaptive Simpson to quad_tol, as is the anhysteresis term from 0 to the
     intersection.  Raises CrossingSearchError when no intersection is found.
     """
-    if not bool(model.domain.contains(p.sigma, p.xi)):
+    if not bool(model.domain.contains(p.sigma)):
         raise ValueError(f"phase point {p} outside model domain")
-    ride = ride_to_crossing(
-        model, np.array([p.sigma]), np.array([p.xi]), step=step, refine_iters=80
-    )
+    ride = ride_to_crossing(model, np.array([p.sigma]), np.array([p.xi]), step=step)
     lam = float(ride.lam[0])
 
     if lam == p.xi:
@@ -185,7 +182,6 @@ def storage_cw_batch(
     xi: np.ndarray,
     *,
     step: float = 2e-3,
-    max_doublings: int = 60,
 ) -> StorageBatch:
     """Clockwise storage at many phase points via lockstep curve rides.
 
@@ -195,9 +191,7 @@ def storage_cw_batch(
     """
     sigma = np.atleast_1d(np.asarray(sigma, dtype=float))
     xi = np.atleast_1d(np.asarray(xi, dtype=float))
-    ride = ride_to_crossing(
-        model, sigma, xi, step=step, max_doublings=max_doublings
-    )
+    ride = ride_to_crossing(model, sigma, xi, step=step)
     fan_int = _anhysteresis_integrals(model, ride.lam)
     return StorageBatch(lam=ride.lam, value=fan_int - ride.integral)
 
@@ -215,23 +209,6 @@ def storage_dahl_closed_form(y, rho: float = 1.5, fc: float = 0.75):
     if (a >= fc).any():
         raise ValueError(f"output outside the open band (-{fc}, {fc})")
     out = (fc * fc / rho) * np.log(fc / (fc + a)) + (fc / rho) * a
-    return float(out) if out.ndim == 0 else out
-
-
-def lambda_dahl_closed_form(y, u, rho: float = 1.5, fc: float = 0.75):
-    """Closed-form anhysteresis intersection abscissa of the slope-1 Dahl
-    model: the traversing curve through (y, u) meets the axis y = 0 at
-
-        Lambda = u + sign(y) (fc/rho) log(fc/(fc+|y|)).
-    """
-    if rho <= 0.0 or fc <= 0.0:
-        raise ValueError("rho and fc must be positive")
-    y = np.asarray(y, dtype=float)
-    u = np.asarray(u, dtype=float)
-    a = np.abs(y)
-    if (a >= fc).any():
-        raise ValueError(f"output outside the open band (-{fc}, {fc})")
-    out = u + np.sign(y) * (fc / rho) * np.log(fc / (fc + a))
     return float(out) if out.ndim == 0 else out
 
 
@@ -407,7 +384,7 @@ def available_storage_bruteforce_batch(
     if not points:
         return []
     for p, family in zip(points, families):
-        if not bool(model.domain.contains(p.sigma, p.xi)):
+        if not bool(model.domain.contains(p.sigma)):
             raise ValueError(f"phase point {p} outside model domain")
         lo = min(0.0, p.xi - family.span)
         hi = max(0.0, p.xi + family.span)

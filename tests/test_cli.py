@@ -149,6 +149,26 @@ def test_verify_battery_dahl(tmp_path, capsys):
     assert len(loops) == 6
 
 
+@pytest.mark.parametrize("n", ["0", "-3"])
+def test_verify_without_battery_signals_is_config_error(tmp_path, n, capsys):
+    code = run_cli(
+        "verify", "--model", "dahl", "--n-signals", n, "--out-dir", str(tmp_path)
+    )
+    assert code == 2
+    assert "--n-signals" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
+
+
+def test_curves_with_zero_step_is_an_error_not_a_crash(tmp_path, capsys):
+    code = run_cli(
+        "curves", "--model", "dahl", "--sigma", "0.375", "--xi", "1.0",
+        "--tau-min", "-1.0", "--tau-max", "2.0", "--step", "0",
+        "--out", str(tmp_path / "curve.csv"),
+    )
+    assert code == 1
+    assert "step must be positive" in capsys.readouterr().err
+
+
 def test_verify_preset_overrides_model_parameters(tmp_path, capsys):
     code = run_cli(
         "verify", "--model", "dahl", "--preset", "fig1",

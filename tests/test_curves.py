@@ -16,6 +16,7 @@ from duhem.curves import (
     traversing_curve,
 )
 from duhem.signals import ramp
+from duhem.storage import storage_cw
 
 from oracles import (
     boucwen_lambda_exact,
@@ -143,6 +144,22 @@ def test_march_branch_makes_four_field_calls_per_step(dahl_r1):
 def test_traversing_curve_validates_window(dahl_r1):
     with pytest.raises(ValueError):
         traversing_curve(dahl_r1, PhasePoint(0.0, 5.0), -1.0, 1.0)
+
+
+@pytest.mark.parametrize("step", [0.0, -0.1])
+def test_traversing_curve_rejects_a_step_that_is_not_positive(dahl_r1, step):
+    with pytest.raises(ValueError, match="step must be positive"):
+        traversing_curve(dahl_r1, PhasePoint(0.1, 0.0), -1.0, 1.0, step=step)
+
+
+def test_single_point_crossings_are_the_batch_ride_bit_for_bit(dahl_r1):
+    # the crossing lies 1e-8 right of zero, where a longer refinement than
+    # the batch ride's would still move lambda
+    p = PhasePoint(0.3, 0.5 * float(np.log1p(0.4)) + 1e-8)
+    lam = ride_to_crossing(dahl_r1, [p.sigma], [p.xi]).lam[0]
+    assert 0.0 < lam < 2e-8
+    assert intersect_lambda(dahl_r1, p) == lam
+    assert storage_cw(dahl_r1, p).lambda_star == lam
 
 
 def test_intersect_lambda_matches_closed_form(dahl_r1):

@@ -11,7 +11,6 @@ from duhem.dissipativity import (
     cw_supply_integral,
     loop_areas,
     loop_orientation,
-    verify_dissipation,
     verify_dissipation_battery,
     verify_dissipation_pair,
 )
@@ -55,23 +54,12 @@ def test_assumption_A_flags_wrong_sign_structure():
 
 
 def test_dissipation_forward_and_backward_on_triangle(dahl_r1):
-    fwd = verify_dissipation(dahl_r1, triangle(1.0, 2), 0.0)
-    bwd = verify_dissipation(dahl_r1, triangle(1.0, 2), 0.0, direction="backward")
+    fwd, bwd = verify_dissipation_pair(dahl_r1, triangle(1.0, 2), 0.0)
     assert fwd.passed and bwd.passed
     assert fwd.name == "dissipation-forward"
     assert bwd.name == "dissipation-backward"
     # default tolerance tracks the discretisation: 1e-6 + 10 * step
     assert fwd.tolerance == pytest.approx(1e-6 + 10.0 * fwd.details["step"])
-
-
-def test_dissipation_pair_matches_single_direction_calls(dahl_r1):
-    sig = triangle(0.8, 2)
-    fwd, bwd = verify_dissipation_pair(dahl_r1, sig, 0.1)
-    assert fwd.worst_violation == verify_dissipation(dahl_r1, sig, 0.1).worst_violation
-    assert (
-        bwd.worst_violation
-        == verify_dissipation(dahl_r1, sig, 0.1, direction="backward").worst_violation
-    )
 
 
 def _report_bits(rep):
@@ -110,11 +98,6 @@ def test_dissipation_battery_pairs_are_the_per_signal_pairs(model):
 
 def test_dissipation_battery_of_no_signals_is_empty(dahl_r1):
     assert verify_dissipation_battery(dahl_r1, [], 0.0) == []
-
-
-def test_dissipation_rejects_unknown_direction(dahl_r1):
-    with pytest.raises(ValueError):
-        verify_dissipation(dahl_r1, triangle(1.0, 1), 0.0, direction="sideways")
 
 
 @given(st.integers(min_value=0, max_value=10_000))

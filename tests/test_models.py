@@ -1,4 +1,3 @@
-import json
 import math
 
 import numpy as np
@@ -6,7 +5,7 @@ import pytest
 
 from duhem import DomainExitError, boucwen, dahl, exp_example, simulate
 from duhem.cli import main
-from duhem.models import BUILTIN_MODELS, model_from_config, model_from_json
+from duhem.models import BUILTIN_MODELS, model_from_config
 from duhem.signals import ramp
 
 from oracles import boucwen_fields_numpy, dahl_fields_numpy, exp_fields_numpy
@@ -101,11 +100,6 @@ def test_model_from_config_rejects_stray_keys():
 def test_model_from_config_rejects_bad_params():
     with pytest.raises(ValueError):
         model_from_config({"model": "dahl", "params": {"mass": 3.0}})
-
-
-def test_model_from_json():
-    m = model_from_json(json.dumps({"model": "boucwen", "params": {"n": 2.0}}))
-    assert m.params["n"] == 2.0
 
 
 # Each built-in model with the numpy expressions of its fields (the oracle)

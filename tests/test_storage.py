@@ -19,7 +19,6 @@ from duhem.storage import (
     _supply_running_min,
     available_storage_bruteforce,
     available_storage_bruteforce_batch,
-    lambda_dahl_closed_form,
     storage_cw,
     storage_cw_batch,
     storage_dahl_closed_form,
@@ -48,12 +47,6 @@ def test_closed_form_rejects_band_boundary():
         storage_dahl_closed_form(0.75)
     with pytest.raises(ValueError):
         storage_dahl_closed_form(0.1, rho=-1.0)
-
-
-def test_lambda_closed_form_matches_oracle(rng):
-    y = 0.7 * (2.0 * rng.random(25) - 1.0)
-    u = 3.0 * (2.0 * rng.random(25) - 1.0)
-    assert np.allclose(lambda_dahl_closed_form(y, u), lambda_exact(y, u), atol=1e-15)
 
 
 def test_storage_cw_matches_closed_form(dahl_r1):
