@@ -217,7 +217,11 @@ def _base_config(args: argparse.Namespace, names: tuple[str, ...]) -> RunConfig:
         except json.JSONDecodeError as exc:
             raise ConfigError(f"--input is not valid JSON: {exc}") from exc
         cfg = replace(cfg, input=spec)
-    return _merge_flags(cfg, args, names)
+    cfg = _merge_flags(cfg, args, names)
+    step = cfg.step
+    if step is not None and not (isinstance(step, (int, float)) and step > 0.0):
+        raise ConfigError(f"--step must be positive (config 'step'), got {step!r}")
+    return cfg
 
 
 def _out_path(cfg: RunConfig, default_name: str) -> str:

@@ -12,15 +12,17 @@ The crossing search marches the branch ODE with the simulator's RK4 step,
 watches the sign of f_an - y (of F when f_an is not declared) along the
 ride, and sets aside each lane's bracketing step.  Once every lane has
 crossed, one vector bisection on the brackets' cubic Hermite models refines
-all crossings at once (event location on dense output).  The march is
-vectorized so a whole trajectory's worth of phase points rides in lockstep;
-scalar operations use batch size one.
+all crossings at once (event location on dense output).  `ride_to_crossing`
+marches a whole trajectory's worth of phase points in lockstep.  Single-point
+queries (`intersect_lambda`, `storage.storage_cw`) take the same steps in
+Python floats, since a batch-of-one numpy march costs many times as much,
+and share the batch ride's set-up and refinement.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -286,6 +288,36 @@ def _side_residual(model: DuhemModel) -> Callable:
     return lambda y, tau: model.f_an(tau) - y
 
 
+def _domain_exit_error(count: int, tau) -> CrossingSearchError:
+    return CrossingSearchError(
+        f"{count} traversing branch(es) left the domain before meeting the "
+        f"anhysteresis curve (first at tau={tau:.6g})"
+    )
+
+
+def _budget_error(count: int, max_steps: int, h: float) -> CrossingSearchError:
+    return CrossingSearchError(
+        f"{count} traversing branch(es) did not meet the anhysteresis curve "
+        f"within {max_steps} steps of size {abs(h):.3g} "
+        "(transversality hypotheses violated or budget too small)"
+    )
+
+
+def _refine_crossings(side: Callable, tA, tB, yA, yB, fA, fB, acc):
+    """Crossing abscissas in the brackets [tA, tB] (arrays, one per lane),
+    the branch values there and acc plus the branch integrals from tA: one
+    vector bisection on the brackets' cubic Hermite models."""
+
+    def residual(s):
+        return np.asarray(
+            side(hermite_eval(s, tA, tB, yA, yB, fA, fB), s), dtype=float
+        )
+
+    lam = bisect_on_interval_vec(residual, tA, tB, iters=_REFINE_ITERS)
+    y_at = hermite_eval(lam, tA, tB, yA, yB, fA, fB)
+    return lam, y_at, acc + hermite_partial_integral(lam, tA, tB, yA, yB, fA, fB)
+
+
 def _march_to_crossing(
     model: DuhemModel,
     f: Callable,
@@ -326,11 +358,7 @@ def _march_to_crossing(
         tau_new = tau + h
         if guarded and not ((y_new > lo) & (y_new < hi)).all():
             bad = ~((y_new > lo) & (y_new < hi))
-            raise CrossingSearchError(
-                f"{int(bad.sum())} traversing branch(es) left the domain "
-                f"before meeting the anhysteresis curve (first at tau="
-                f"{tau_new[bad][0]:.6g})"
-            )
+            raise _domain_exit_error(int(bad.sum()), tau_new[bad][0])
         f_new = np.asarray(f(y_new, tau_new), dtype=float)
         c_new = np.asarray(side(y_new, tau_new), dtype=float)
         crossed = c_new * c_start <= 0.0
@@ -361,27 +389,43 @@ def _march_to_crossing(
         c_start = c_start[keep]
 
     if idx.size:
-        raise CrossingSearchError(
-            f"{idx.size} traversing branch(es) did not meet the anhysteresis "
-            f"curve within {max_steps} steps of size {abs(h):.3g} "
-            "(transversality hypotheses violated or budget too small)"
-        )
+        raise _budget_error(idx.size, max_steps, h)
 
-    hit, tA, tB, yA, yB, fA, fB, acc = (np.concatenate(a) for a in zip(*stash))
-
-    def residual(s):
-        return np.asarray(
-            side(hermite_eval(s, tA, tB, yA, yB, fA, fB), s), dtype=float
-        )
-
-    lam_c = bisect_on_interval_vec(residual, tA, tB, iters=_REFINE_ITERS)
+    hit, *bracket = (np.concatenate(a) for a in zip(*stash))
     lam = np.empty(n)
     y_at = np.empty(n)
     integral = np.empty(n)
-    lam[hit] = lam_c
-    y_at[hit] = hermite_eval(lam_c, tA, tB, yA, yB, fA, fB)
-    integral[hit] = acc + hermite_partial_integral(lam_c, tA, tB, yA, yB, fA, fB)
+    lam[hit], y_at[hit], integral[hit] = _refine_crossings(side, *bracket)
     return lam, y_at, integral, steps
+
+
+def _ride_setup(model: DuhemModel, sigma, xi, step: float, max_doublings: int):
+    """Checks, start sides and step budget of a ride from (sigma_k, xi_k).
+
+    Returns sigma and xi as 1-d float arrays, the side residuals c0 there
+    (c0 == 0 means on the curve), the masks of the points that ride f2
+    leftward (at or above the curve) and f1 rightward (below it), and the
+    step budget: a span of (1 + max |xi|) doubled min(max_doublings, 21)
+    times, at most 2**21 steps.
+    """
+    if step <= 0.0:
+        raise ValueError("step must be positive")
+    sigma = np.atleast_1d(np.asarray(sigma, dtype=float))
+    xi = np.atleast_1d(np.asarray(xi, dtype=float))
+    if sigma.shape != xi.shape or sigma.ndim != 1:
+        raise ValueError("sigma and xi must be 1-d arrays of equal length")
+    if not np.asarray(model.domain.contains(sigma)).all():
+        raise ValueError("phase points outside model domain")
+
+    fan = anhysteresis_values(model, xi)
+    c0 = np.asarray(_side_residual(model)(sigma, xi), dtype=float)
+    on_curve = c0 == 0.0
+    above = (sigma >= fan) & ~on_curve
+    below = (sigma < fan) & ~on_curve
+
+    span_limit = (1.0 + float(np.abs(xi).max())) * 2.0 ** min(max_doublings, 21)
+    max_steps = int(min(math.ceil(span_limit / step), 2**21))
+    return sigma, xi, c0, above, below, max_steps
 
 
 def ride_to_crossing(
@@ -405,29 +449,14 @@ def ride_to_crossing(
     of (1 + |xi|) doubled up to `max_doublings` times, subject to a hard cap
     of 2**21 steps, after which a CrossingSearchError is raised.
     """
-    if step <= 0.0:
-        raise ValueError("step must be positive")
-    sigma = np.atleast_1d(np.asarray(sigma, dtype=float))
-    xi = np.atleast_1d(np.asarray(xi, dtype=float))
-    if sigma.shape != xi.shape or sigma.ndim != 1:
-        raise ValueError("sigma and xi must be 1-d arrays of equal length")
-    if not np.asarray(model.domain.contains(sigma)).all():
-        raise ValueError("phase points outside model domain")
-
+    sigma, xi, c0, above, below, max_steps = _ride_setup(
+        model, sigma, xi, step, max_doublings
+    )
     n = sigma.size
     lam = xi.copy()
     y_at = sigma.copy()
     integral = np.zeros(n)
     steps = np.zeros(n, dtype=int)
-
-    fan = anhysteresis_values(model, xi)
-    c0 = np.asarray(_side_residual(model)(sigma, xi), dtype=float)
-    on_curve = c0 == 0.0
-    above = (sigma >= fan) & ~on_curve
-    below = (sigma < fan) & ~on_curve
-
-    span_limit = (1.0 + float(np.abs(xi).max())) * 2.0 ** min(max_doublings, 21)
-    max_steps = int(min(math.ceil(span_limit / step), 2**21))
 
     for mask, f, direction in ((above, model.f2, -1.0), (below, model.f1, 1.0)):
         if not mask.any():
@@ -446,6 +475,52 @@ def ride_to_crossing(
     return CrossingResult(lam=lam, y_at=y_at, integral=integral, steps=steps)
 
 
+def _ride_point(
+    model: DuhemModel, p: PhasePoint, *, step: float, max_doublings: int = 60
+) -> tuple[float, float, float]:
+    """The `ride_to_crossing` lane of one phase point, marched in Python
+    floats: (lam, y_at, integral).
+
+    It takes the batch lane's steps (same set-up, tau advanced by tau + h,
+    same side test, guard, errors and refinement), so it returns the lane's
+    bits wherever the model's fields return the same bits for floats as for
+    arrays.  Batch-of-one numpy steps cost many times the float arithmetic.
+    """
+    sigma, xi, c0, above, below, max_steps = _ride_setup(
+        model, p.sigma, p.xi, step, max_doublings
+    )
+    y, tau = float(sigma[0]), float(xi[0])
+    if above[0]:
+        f, direction = model.f2, -1.0
+    elif below[0]:
+        f, direction = model.f1, 1.0
+    else:
+        return tau, y, 0.0
+    h = direction * step
+    c_start = float(c0[0])
+    side = _side_residual(model)
+    lo, hi = model.domain.sigma_min, model.domain.sigma_max
+    guarded = model.domain.bounded
+
+    fcur = float(f(y, tau))
+    acc = 0.0
+    for _ in range(max_steps):
+        y_new = float(rk4_step(f, y, tau, h, fcur))
+        tau_new = tau + h
+        if guarded and not lo < y_new < hi:
+            raise _domain_exit_error(1, tau_new)
+        f_new = float(f(y_new, tau_new))
+        if float(side(y_new, tau_new)) * c_start <= 0.0:
+            bracket = (tau, tau_new, y, y_new, fcur, f_new, acc)
+            lam, y_at, integral = _refine_crossings(
+                side, *(np.array([v]) for v in bracket)
+            )
+            return float(lam[0]), float(y_at[0]), float(integral[0])
+        acc = acc + hermite_integral(tau, tau_new, y, y_new, fcur, f_new)
+        y, tau, fcur = y_new, tau_new, f_new
+    raise _budget_error(1, max_steps, h)
+
+
 def intersect_lambda(
     model: DuhemModel,
     p: PhasePoint,
@@ -458,21 +533,17 @@ def intersect_lambda(
 
     The search direction follows the sign of sigma - f_an(xi): at or above
     the curve the intersection lies at u* <= xi, below it at u* > xi.  The
-    returned u* is the `ride_to_crossing` abscissa, bit for bit, and
-    satisfies |omega(u*) - f_an(u*)| <= 1e-9, where omega is the traversing
-    branch; a CrossingSearchError means no crossing was found within the
-    expansion budget or the residual is larger.
+    ride runs in Python floats (`_ride_point`); u* is the `ride_to_crossing`
+    abscissa of p bit for bit wherever the model's slope fields return the
+    same bits for float arguments as for arrays (the built-in fields do,
+    except that the float power of Dahl with r != 1 may differ in the last
+    bit).  u* satisfies |omega(u*) - f_an(u*)| <= 1e-9, where omega is the
+    traversing branch; a CrossingSearchError means no crossing was found
+    within the expansion budget or the residual is larger.
     """
-    res = ride_to_crossing(
-        model,
-        np.array([p.sigma]),
-        np.array([p.xi]),
-        step=step,
-        max_doublings=max_doublings,
-    )
-    lam = float(res.lam[0])
+    lam, y_at, _ = _ride_point(model, p, step=step, max_doublings=max_doublings)
     fan_at = anhysteresis(model, lam)
-    mismatch = abs(float(res.y_at[0]) - fan_at)
+    mismatch = abs(y_at - fan_at)
     if mismatch > 1e-9:
         raise CrossingSearchError(
             f"crossing refinement stalled: |omega - f_an| = {mismatch:.3e} "

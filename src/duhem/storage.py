@@ -32,6 +32,7 @@ from .curves import (
     PhasePoint,
     TraversingCurve,
     _march_branch,
+    _ride_point,
     anhysteresis,
     anhysteresis_values,
     ride_to_crossing,
@@ -96,15 +97,17 @@ def storage_cw(
 ) -> StorageEvaluation:
     """Clockwise storage at one phase point via adaptive quadrature.
 
-    The traversing branch from xi to the anhysteresis intersection is
-    resampled at fixed step into a cubic Hermite table and integrated with
-    adaptive Simpson to quad_tol, as is the anhysteresis term from 0 to the
-    intersection.  Raises CrossingSearchError when no intersection is found.
+    The intersection abscissa is found by the single-point ride of
+    `intersect_lambda` (Python floats, the `ride_to_crossing` lane of p
+    under the same condition on the fields).  The traversing branch from xi
+    to the intersection is then resampled at fixed step into a cubic Hermite
+    table and integrated with adaptive Simpson to quad_tol, as is the
+    anhysteresis term from 0 to the intersection.  Raises
+    CrossingSearchError when no intersection is found.
     """
     if not bool(model.domain.contains(p.sigma)):
         raise ValueError(f"phase point {p} outside model domain")
-    ride = ride_to_crossing(model, np.array([p.sigma]), np.array([p.xi]), step=step)
-    lam = float(ride.lam[0])
+    lam, _, _ = _ride_point(model, p, step=step)
 
     if lam == p.xi:
         traverse = 0.0

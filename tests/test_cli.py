@@ -165,8 +165,37 @@ def test_curves_with_zero_step_is_an_error_not_a_crash(tmp_path, capsys):
         "--tau-min", "-1.0", "--tau-max", "2.0", "--step", "0",
         "--out", str(tmp_path / "curve.csv"),
     )
-    assert code == 1
+    assert code == 2
     assert "step must be positive" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("step", ["0", "-1"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("simulate", "--model", "dahl", "--input", TRIANGLE),
+        ("curves", "--model", "dahl", "--sigma", "0.3", "--xi", "1.0",
+         "--tau-min", "-1.0", "--tau-max", "2.0"),
+        ("storage", "--model", "dahl", "--sigma", "0.3", "--xi", "1.0"),
+        ("verify", "--model", "dahl", "--n-signals", "1"),
+        ("loops", "--model", "dahl", "--input", TRIANGLE),
+    ],
+    ids=lambda a: a[0] if isinstance(a, tuple) else None,
+)
+def test_a_step_that_is_not_positive_is_a_config_error(tmp_path, capsys, argv, step):
+    code = run_cli(*argv, "--step", step, "--out-dir", str(tmp_path))
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: --step must be positive"), err
+    assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("step", [0.0, -1e-3, "fine"])
+def test_a_config_file_step_that_is_not_positive_is_a_config_error(tmp_path, capsys, step):
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"model": "dahl", "input": json.loads(TRIANGLE), "step": step}))
+    assert run_cli("simulate", "--config", str(cfg), "--out-dir", str(tmp_path)) == 2
+    assert "--step must be positive (config 'step')" in capsys.readouterr().err
 
 
 def test_verify_preset_overrides_model_parameters(tmp_path, capsys):

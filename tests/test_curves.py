@@ -8,6 +8,7 @@ from duhem.core import Domain, DuhemModel
 from duhem.curves import (
     CrossingSearchError,
     PhasePoint,
+    _ride_point,
     anhysteresis,
     anhysteresis_values,
     check_lemma1,
@@ -284,6 +285,140 @@ def test_ride_to_crossing_batch_is_bitwise_batch_of_one(model, sigma_half, xi_ha
         for name in ("lam", "y_at", "integral", "steps"):
             got = getattr(batch, name)[k : k + 1].tobytes()
             assert got == getattr(one, name).tobytes(), (name, k)
+
+
+SINGLE_STEP = 1e-2
+EPS = np.finfo(float).eps
+
+
+@pytest.mark.parametrize(
+    "model, sigma_half, xi_half",
+    [
+        (dahl(), 0.7, 3.0),
+        (boucwen(), 1.2, 3.0),
+        (exp_example(), 2.5, 2.5),
+        (_strip_f_an(exp_example()), 2.5, 2.5),
+    ],
+    ids=["dahl", "boucwen", "exp", "exp-solver"],
+)
+def test_single_point_ride_is_the_batch_lane_bit_for_bit(model, sigma_half, xi_half):
+    # these fields return the same bits for floats as for arrays, so the
+    # float ride must take the batch lane's steps exactly
+    sigma, xi = _mixed_lanes(24, sigma_half, xi_half, seed=5)
+    batch = ride_to_crossing(model, sigma, xi, step=SINGLE_STEP)
+    assert (batch.lam < xi).any() and (batch.lam > xi).any()
+    for k in range(sigma.size):
+        p = PhasePoint(float(sigma[k]), float(xi[k]))
+        lane = (batch.lam[k], batch.y_at[k], batch.integral[k])
+        one = _ride_point(model, p, step=SINGLE_STEP)
+        assert np.array(one).tobytes() == np.array(lane).tobytes(), k
+        assert intersect_lambda(model, p, step=SINGLE_STEP) == lane[0], k
+        assert storage_cw(model, p, step=SINGLE_STEP).lambda_star == lane[0], k
+
+
+def test_single_point_ride_of_dahl_r3_is_the_batch_lane_within_field_rounding(dahl_r3):
+    # Python's float power and numpy's array power may round |z|^3
+    # differently in the last bit, so each field value of a step may be off
+    # by 2 ulp after scaling by rho.  As in the supply-march test, that moves
+    # a step by at most 4 eps (|y| + step max|f|) and the Dahl branches do
+    # not expand output differences, so after N steps the nodes differ by at
+    # most dy = N 4 eps (Y + step F), with Y = max|y| = |sigma| (the ride runs
+    # from sigma to 0) and F = max|f| = max(|f(sigma)|, rho).  A node slope
+    # then differs by at most df = L dy + 2 eps F, with L = r (rho/fc) 2^(r-1)
+    # the largest |df/dsigma| on the band.  The bracket's Hermite model moves
+    # by at most dH = dy + step df (its basis weights on y sum to 1, those on
+    # step * f to less than 1).  The model crosses y = 0, where the branch
+    # slope is rho and stays above rho/2 within one step, so its root moves
+    # by at most 2 dH / rho, plus the 60-halving resolution step 2^-59 and
+    # the rounding of lambda.  The integral sums N steps of width step, each
+    # moved by at most step dH and rounded within 2 eps of the running sum,
+    # bounded by N step Y.
+    model = dahl_r3
+    rho, fc, r = (model.params[k] for k in ("rho", "fc", "r"))
+    L = r * (rho / fc) * 2.0 ** (r - 1.0)
+    sigma, xi = _mixed_lanes(60, 0.7, 3.0, seed=5)
+    batch = ride_to_crossing(model, sigma, xi, step=SINGLE_STEP)
+    assert (batch.lam < xi).any() and (batch.lam > xi).any()
+    n_differ = 0
+    for k in range(sigma.size):
+        N = int(batch.steps[k])
+        Y = abs(sigma[k])
+        f = model.f1 if batch.lam[k] > xi[k] else model.f2
+        F = max(abs(float(f(float(sigma[k]), 0.0))), rho)
+        dy = N * 4.0 * EPS * (Y + SINGLE_STEP * F)
+        dH = dy + SINGLE_STEP * (L * dy + 2.0 * EPS * F)
+        tol_lam = 2.0 * dH / rho + SINGLE_STEP * 2.0**-59 + 2.0 * EPS * (1.0 + abs(batch.lam[k]))
+        tol_y = dH + F * tol_lam
+        tol_int = N * (SINGLE_STEP * dH + 2.0 * EPS * N * SINGLE_STEP * Y) + Y * tol_lam
+        lam, y_at, integral = _ride_point(
+            model, PhasePoint(float(sigma[k]), float(xi[k])), step=SINGLE_STEP
+        )
+        assert abs(lam - batch.lam[k]) <= tol_lam, k
+        assert abs(y_at - batch.y_at[k]) <= tol_y, k
+        assert abs(integral - batch.integral[k]) <= tol_int, k
+        n_differ += (lam, y_at, integral) != tuple(
+            float(a[k]) for a in (batch.lam, batch.y_at, batch.integral)
+        )
+    # the bound is not vacuous here: some lanes do differ
+    assert n_differ > 0
+
+
+def _same_failure(batch_call, single_call):
+    with pytest.raises(Exception) as batch_err:
+        batch_call()
+    with pytest.raises(Exception) as single_err:
+        single_call()
+    assert single_err.type is batch_err.type
+    assert str(single_err.value) == str(batch_err.value)
+    return batch_err
+
+
+def test_single_point_ride_fails_as_the_batch_ride():
+    # budget: the Dahl crossing at lambda = 1.005 lies one step beyond a
+    # budget of 100 steps (test_crossing_on_the_last_budgeted_step_...)
+    m = dahl(rho=0.3)
+    beyond = float(-0.75 * np.expm1(1.005 * 0.4))
+    err = _same_failure(
+        lambda: ride_to_crossing(m, [beyond], [0.0], step=0.01, max_doublings=0),
+        lambda: intersect_lambda(m, PhasePoint(beyond, 0.0), step=0.01, max_doublings=0),
+    )
+    assert err.type is CrossingSearchError and "did not meet" in str(err.value)
+    # ... and the crossing on the last budgeted step is found
+    inside = float(-0.75 * np.expm1(0.995 * 0.4))
+    lane = ride_to_crossing(m, [inside], [0.0], step=0.01, max_doublings=0).lam[0]
+    assert intersect_lambda(m, PhasePoint(inside, 0.0), step=0.01, max_doublings=0) == lane
+
+    # domain exit: the band-exit model's rising branch from (0, 15)
+    band = DuhemModel(
+        name="band-exit",
+        f1=lambda s, x: 1.0 + 0.0 * s,
+        f2=lambda s, x: 1.0 - 2.0 * (s - x / 10.0),
+        params={},
+        domain=Domain(-1.0, 1.0),
+        f_an=lambda xi: xi / 10.0,
+    )
+    err = _same_failure(
+        lambda: ride_to_crossing(band, [0.0], [15.0], step=1e-2),
+        lambda: storage_cw(band, PhasePoint(0.0, 15.0), step=1e-2),
+    )
+    assert err.type is CrossingSearchError and "left the domain" in str(err.value)
+
+    # a step that is not positive, and a point outside the domain
+    d = dahl()
+    for step in (0.0, -1e-3):
+        err = _same_failure(
+            lambda: ride_to_crossing(d, [0.3], [0.0], step=step),
+            lambda: intersect_lambda(d, PhasePoint(0.3, 0.0), step=step),
+        )
+        assert err.type is ValueError and str(err.value) == "step must be positive"
+        _same_failure(
+            lambda: ride_to_crossing(d, [0.3], [0.0], step=step),
+            lambda: storage_cw(d, PhasePoint(0.3, 0.0), step=step),
+        )
+    _same_failure(
+        lambda: ride_to_crossing(d, [0.9], [0.0]),
+        lambda: intersect_lambda(d, PhasePoint(0.9, 0.0)),
+    )
 
 
 def test_ride_refines_all_crossings_in_at_most_two_bisections(monkeypatch, exp_model):
