@@ -445,6 +445,11 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_mech(args: argparse.Namespace) -> int:
+    for flag, value in (
+        ("--horizon", args.horizon), ("--step", args.step), ("--tol", args.tol)
+    ):
+        if not (value > 0.0 and math.isfinite(value)):
+            raise ConfigError(f"{flag} must be positive and finite, got {value!r}")
     try:
         params = MechParams(
             m=args.m, d=args.d, k=args.k, rho=args.rho, fc=args.fc, mode=args.mode

@@ -16,7 +16,8 @@ all crossings at once (event location on dense output).  `ride_to_crossing`
 marches a whole trajectory's worth of phase points in lockstep.  Single-point
 queries (`intersect_lambda`, `storage.storage_cw`) take the same steps in
 Python floats, since a batch-of-one numpy march costs many times as much,
-and share the batch ride's set-up and refinement.
+share the batch ride's set-up and refine their one bracket with the batch's
+halvings in floats.
 """
 
 from __future__ import annotations
@@ -318,6 +319,39 @@ def _refine_crossings(side: Callable, tA, tB, yA, yB, fA, fB, acc):
     return lam, y_at, acc + hermite_partial_integral(lam, tA, tB, yA, yB, fA, fB)
 
 
+def _refine_point(side: Callable, tA, tB, yA, yB, fA, fB, acc):
+    """`_refine_crossings` of one bracket in Python floats, bit for bit.
+
+    It takes the halvings of `bisect_on_interval_vec`: the residual at tA is
+    evaluated once, a halving with ga * gm <= 0 moves b and any other moves
+    a (and ga), and after at most `_REFINE_ITERS` halvings the crossing is
+    the midpoint.  It stops early at a fixed point, a halving that leaves a
+    and b unchanged, since every later halving would repeat it.
+    """
+    if tA == tB:
+        # a step too short to move tau (|tau| far above the step): Python
+        # would raise on the Hermite models' 0 / 0, numpy gives the NaNs of
+        # the batch lane
+        bracket = (np.array([v]) for v in (tA, tB, yA, yB, fA, fB, acc))
+        return tuple(float(v[0]) for v in _refine_crossings(side, *bracket))
+    a, b = tA, tB
+    ga = float(side(hermite_eval(a, tA, tB, yA, yB, fA, fB), a))
+    for _ in range(_REFINE_ITERS):
+        mid = 0.5 * (a + b)
+        gm = float(side(hermite_eval(mid, tA, tB, yA, yB, fA, fB), mid))
+        if ga * gm <= 0.0:
+            if mid == b:
+                break
+            b = mid
+        else:
+            if mid == a:
+                break
+            a, ga = mid, gm
+    lam = 0.5 * (a + b)
+    y_at = hermite_eval(lam, tA, tB, yA, yB, fA, fB)
+    return lam, y_at, acc + hermite_partial_integral(lam, tA, tB, yA, yB, fA, fB)
+
+
 def _march_to_crossing(
     model: DuhemModel,
     f: Callable,
@@ -482,9 +516,11 @@ def _ride_point(
     floats: (lam, y_at, integral).
 
     It takes the batch lane's steps (same set-up, tau advanced by tau + h,
-    same side test, guard, errors and refinement), so it returns the lane's
-    bits wherever the model's fields return the same bits for floats as for
-    arrays.  Batch-of-one numpy steps cost many times the float arithmetic.
+    same side test, guard and errors) and refines its bracket with
+    `_refine_point`, the float twin of `_refine_crossings`, so it returns the
+    lane's bits wherever the model's fields return the same bits for floats
+    as for arrays.  Batch-of-one numpy steps cost many times the float
+    arithmetic.
     """
     sigma, xi, c0, above, below, max_steps = _ride_setup(
         model, p.sigma, p.xi, step, max_doublings
@@ -511,11 +547,7 @@ def _ride_point(
             raise _domain_exit_error(1, tau_new)
         f_new = float(f(y_new, tau_new))
         if float(side(y_new, tau_new)) * c_start <= 0.0:
-            bracket = (tau, tau_new, y, y_new, fcur, f_new, acc)
-            lam, y_at, integral = _refine_crossings(
-                side, *(np.array([v]) for v in bracket)
-            )
-            return float(lam[0]), float(y_at[0]), float(integral[0])
+            return _refine_point(side, tau, tau_new, y, y_new, fcur, f_new, acc)
         acc = acc + hermite_integral(tau, tau_new, y, y_new, fcur, f_new)
         y, tau, fcur = y_new, tau_new, f_new
     raise _budget_error(1, max_steps, h)
@@ -533,11 +565,11 @@ def intersect_lambda(
 
     The search direction follows the sign of sigma - f_an(xi): at or above
     the curve the intersection lies at u* <= xi, below it at u* > xi.  The
-    ride runs in Python floats (`_ride_point`); u* is the `ride_to_crossing`
-    abscissa of p bit for bit wherever the model's slope fields return the
-    same bits for float arguments as for arrays (the built-in fields do,
-    except that the float power of Dahl with r != 1 may differ in the last
-    bit).  u* satisfies |omega(u*) - f_an(u*)| <= 1e-9, where omega is the
+    ride and its crossing refinement run in Python floats (`_ride_point`,
+    `_refine_point`); u* is the `ride_to_crossing` abscissa of p bit for bit
+    wherever the model's slope fields return the same bits for float
+    arguments as for arrays (the built-in fields do, except that the float
+    power of Dahl with r != 1 may differ in the last bit).  u* satisfies |omega(u*) - f_an(u*)| <= 1e-9, where omega is the
     traversing branch; a CrossingSearchError means no crossing was found
     within the expansion budget or the residual is larger.
     """

@@ -220,6 +220,11 @@ def bisect_on_interval_vec(g, a, b, iters: int = 80):
     g maps an array of abscissas to an array of residuals; every interval
     must bracket a sign change (g(a) and g(b) of opposite sign, zeros
     allowed).  Returns the midpoint array after `iters` halvings.
+
+    Every halving runs: on large batches some lanes (crossings near 0) never
+    reach a fixed point within the count, so a test for one does not pay.
+    `curves._refine_point`, the one-interval float twin, stops at its fixed
+    point.
     """
     a = np.asarray(a, dtype=float).copy()
     b = np.asarray(b, dtype=float).copy()

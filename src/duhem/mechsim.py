@@ -109,25 +109,54 @@ class MechSeries:
 
 
 def _rk4_mech(m, d, k, rho, fc, x1, x2, x3, h):
-    """One RK4 step of the coupled system; pure floats throughout."""
+    """One RK4 step of the coupled system in Python floats.
 
-    def deriv(a, b, c):
-        db = -(k * a + d * b + c) / m
-        if b >= 0.0:
-            dc = rho * (1.0 - c / fc) * b
-        else:
-            dc = rho * (1.0 + c / fc) * b
-        return b, db, dc
-
-    k1 = deriv(x1, x2, x3)
-    k2 = deriv(x1 + 0.5 * h * k1[0], x2 + 0.5 * h * k1[1], x3 + 0.5 * h * k1[2])
-    k3 = deriv(x1 + 0.5 * h * k2[0], x2 + 0.5 * h * k2[1], x3 + 0.5 * h * k2[2])
-    k4 = deriv(x1 + h * k3[0], x2 + h * k3[1], x3 + h * k3[2])
+    The four stages are written out with no per-call closure or tuples, and
+    every stage expression keeps the operand order of the field
+    (x2, -(k x1 + d x2 + x3) / m, rho (1 -+ x3/fc) x2); hh = 0.5 * h is the
+    factor that 0.5 * h * k evaluates first anyway, so the step's bits do
+    not depend on the layout.
+    """
+    hh = 0.5 * h
+    # stage 1 at (x1, x2, x3)
+    a1 = x2
+    b1 = -(k * x1 + d * x2 + x3) / m
+    if x2 >= 0.0:
+        c1 = rho * (1.0 - x3 / fc) * x2
+    else:
+        c1 = rho * (1.0 + x3 / fc) * x2
+    # stage 2 at the half step along stage 1
+    p1 = x1 + hh * a1
+    a2 = x2 + hh * b1
+    p3 = x3 + hh * c1
+    b2 = -(k * p1 + d * a2 + p3) / m
+    if a2 >= 0.0:
+        c2 = rho * (1.0 - p3 / fc) * a2
+    else:
+        c2 = rho * (1.0 + p3 / fc) * a2
+    # stage 3 at the half step along stage 2
+    p1 = x1 + hh * a2
+    a3 = x2 + hh * b2
+    p3 = x3 + hh * c2
+    b3 = -(k * p1 + d * a3 + p3) / m
+    if a3 >= 0.0:
+        c3 = rho * (1.0 - p3 / fc) * a3
+    else:
+        c3 = rho * (1.0 + p3 / fc) * a3
+    # stage 4 at the full step along stage 3
+    p1 = x1 + h * a3
+    a4 = x2 + h * b3
+    p3 = x3 + h * c3
+    b4 = -(k * p1 + d * a4 + p3) / m
+    if a4 >= 0.0:
+        c4 = rho * (1.0 - p3 / fc) * a4
+    else:
+        c4 = rho * (1.0 + p3 / fc) * a4
     s = h / 6.0
     return (
-        x1 + s * (k1[0] + 2.0 * k2[0] + 2.0 * k3[0] + k4[0]),
-        x2 + s * (k1[1] + 2.0 * k2[1] + 2.0 * k3[1] + k4[1]),
-        x3 + s * (k1[2] + 2.0 * k2[2] + 2.0 * k3[2] + k4[2]),
+        x1 + s * (a1 + 2.0 * a2 + 2.0 * a3 + a4),
+        x2 + s * (b1 + 2.0 * b2 + 2.0 * b3 + b4),
+        x3 + s * (c1 + 2.0 * c2 + 2.0 * c3 + c4),
     )
 
 
@@ -144,10 +173,10 @@ def simulate_mech(
     integrate through a kink).  Raises DomainExitError if the friction force
     reaches the boundary of its confinement band (-fc, fc).
     """
-    if horizon <= 0.0:
-        raise ValueError("horizon must be positive")
-    if step <= 0.0:
-        raise ValueError("step must be positive")
+    if not (horizon > 0.0 and math.isfinite(horizon)):
+        raise ValueError(f"horizon must be positive and finite, got {horizon!r}")
+    if not (step > 0.0 and math.isfinite(step)):
+        raise ValueError(f"step must be positive and finite, got {step!r}")
     fc = params.fc
     if abs(init.x3) >= fc:
         raise ValueError(f"|x3(0)| = {abs(init.x3)} must lie inside (-{fc}, {fc})")

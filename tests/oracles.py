@@ -196,3 +196,51 @@ def loop_areas_per_sample(u, y, t, lvl):
         else:
             acc += 0.5 * (y[j] + y[j + 1]) * (b - a)
     return np.asarray(times, dtype=float), np.asarray(areas, dtype=float)
+
+
+def simulate_mech_closure(params, init, horizon, step):
+    """The friction march of mechsim.simulate_mech with its RK4 step built
+    from a per-call derivative closure and stage tuples.
+
+    Returns the sample times, the states x1, x2, x3 up to the last sample
+    inside the band (-fc, fc) and, when the march leaves the band, the index
+    and state (x1, x3) of the first sample outside it; otherwise None.
+    """
+    m, d, k, rho, fc = params.m, params.d, params.k, params.rho, params.fc
+
+    def rk4(x1, x2, x3, h):
+        def deriv(a, b, c):
+            db = -(k * a + d * b + c) / m
+            if b >= 0.0:
+                dc = rho * (1.0 - c / fc) * b
+            else:
+                dc = rho * (1.0 + c / fc) * b
+            return b, db, dc
+
+        k1 = deriv(x1, x2, x3)
+        k2 = deriv(x1 + 0.5 * h * k1[0], x2 + 0.5 * h * k1[1], x3 + 0.5 * h * k1[2])
+        k3 = deriv(x1 + 0.5 * h * k2[0], x2 + 0.5 * h * k2[1], x3 + 0.5 * h * k2[2])
+        k4 = deriv(x1 + h * k3[0], x2 + h * k3[1], x3 + h * k3[2])
+        s = h / 6.0
+        return (
+            x1 + s * (k1[0] + 2.0 * k2[0] + 2.0 * k3[0] + k4[0]),
+            x2 + s * (k1[1] + 2.0 * k2[1] + 2.0 * k3[1] + k4[1]),
+            x3 + s * (k1[2] + 2.0 * k2[2] + 2.0 * k3[2] + k4[2]),
+        )
+
+    n = max(1, int(round(horizon / step)))
+    h = horizon / n
+    t = np.linspace(0.0, horizon, n + 1)
+    states = [(float(init.x1), float(init.x2), float(init.x3))]
+    for j in range(1, n + 1):
+        a, b, c = states[-1]
+        na, nb, nc = rk4(a, b, c, h)
+        if nb * b < 0.0:
+            ha, hb, hc = rk4(a, b, c, 0.5 * h)
+            na, nb, nc = rk4(ha, hb, hc, 0.5 * h)
+        if abs(nc) >= fc:
+            x1, x2, x3 = (np.array(v) for v in zip(*states))
+            return t, x1, x2, x3, (j, na, nc)
+        states.append((na, nb, nc))
+    x1, x2, x3 = (np.array(v) for v in zip(*states))
+    return t, x1, x2, x3, None

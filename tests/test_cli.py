@@ -215,6 +215,28 @@ def test_mech_subcommand_passes(capsys):
     assert "x2(T)=" in stdout
 
 
+@pytest.mark.parametrize(
+    "flag, value",
+    [
+        ("--horizon", "inf"),
+        ("--horizon", "nan"),
+        ("--horizon", "0"),
+        ("--step", "0"),
+        ("--step", "-1e-3"),
+        ("--step", "nan"),
+        ("--tol", "0"),
+        ("--tol", "inf"),
+    ],
+)
+def test_mech_rejects_a_bad_horizon_step_or_tol_as_config_error(tmp_path, capsys, flag, value):
+    # an infinite horizon used to end in an OverflowError traceback, and
+    # the others in exit 1 as runtime errors
+    out = tmp_path / "mech.csv"
+    assert run_cli("mech", f"{flag}={value}", "--out", str(out)) == 2
+    assert capsys.readouterr().err.startswith(f"config error: {flag} must be positive and finite")
+    assert not out.exists()
+
+
 def test_mech_feedback_requires_zero_stiffness(capsys):
     assert run_cli("mech", "--mode", "feedback", "--horizon", "1") == 2
     assert (

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,7 +10,11 @@ from duhem.core import Domain, DuhemModel
 from duhem.curves import (
     CrossingSearchError,
     PhasePoint,
+    _REFINE_ITERS,
+    _refine_crossings,
+    _refine_point,
     _ride_point,
+    _side_residual,
     anhysteresis,
     anhysteresis_values,
     check_lemma1,
@@ -161,6 +167,71 @@ def test_single_point_crossings_are_the_batch_ride_bit_for_bit(dahl_r1):
     assert 0.0 < lam < 2e-8
     assert intersect_lambda(dahl_r1, p) == lam
     assert storage_cw(dahl_r1, p).lambda_star == lam
+
+
+def _refinement_brackets(rng):
+    """(side, bracket) pairs for the crossing refinement; a bracket is
+    (tA, tB, yA, yB, fA, fB, acc) with tB - tA one ride step."""
+    exp_side = _side_residual(exp_example())
+    dahl_side = _side_residual(dahl())
+    out = []
+    # random Hermite brackets about f_an = tau / 1.2, both directions
+    for _ in range(200):
+        tA = float(rng.uniform(-3.0, 3.0))
+        tB = tA + float(rng.choice([-1.0, 1.0]) * rng.uniform(5e-3, 1e-2))
+        dA, dB = (float(v) for v in rng.uniform(1e-6, 1e-2, 2))
+        up = float(rng.choice([-1.0, 1.0]))
+        fA, fB = (float(v) for v in rng.uniform(0.2, 2.0, 2))
+        acc = float(rng.normal())
+        out.append((exp_side, (tA, tB, tA / 1.2 + up * dA, tB / 1.2 - up * dB, fA, fB, acc)))
+    # the residual exactly 0 at tA, and exactly 0 at tB
+    for tA, tB in ((0.7, 0.71), (-1.3, -1.31)):
+        out.append((exp_side, (tA, tB, tA / 1.2, tB / 1.2 + 1e-3, 0.9, 1.1, 0.0)))
+        out.append((exp_side, (tA, tB, tA / 1.2 - 1e-3, tB / 1.2, 0.9, 1.1, 0.0)))
+    # y = tau - r against f_an = 0: near r = 0, 60 halvings leave the
+    # interval far wider than the spacing of floats there
+    for r in (0.0, 1e-12, -1e-10, 1e-9, 0.25):
+        for tA, tB in ((r - 4e-3, r + 6e-3), (r + 6e-3, r - 4e-3)):
+            out.append((dahl_side, (tA, tB, tA - r, tB - r, 1.0, 1.0, 0.5)))
+    # NaN residuals: everywhere, and on the part of the bracket where tau < 0
+    out.append((dahl_side, (0.1, 0.11, math.nan, -0.2, 1.0, 1.0, 0.0)))
+    sqrt_side = lambda y, tau: np.sqrt(tau) - y
+    out.append((sqrt_side, (-0.004, 0.006, 0.3, -0.2, 1.0, 1.0, 0.0)))
+    out.append((sqrt_side, (0.006, -0.004, -0.2, 0.3, 1.0, 1.0, 0.0)))
+    # a step that did not move tau
+    out.append((dahl_side, (1e17, 1e17, 0.3, -0.1, 1.0, 1.0, 0.0)))
+    return out
+
+
+def test_float_refinement_is_the_vector_refinement_bit_for_bit():
+    halvings = []
+    for side, bracket in _refinement_brackets(np.random.default_rng(3)):
+        calls = []
+
+        def counted(y, tau):
+            calls.append(tau)
+            return side(y, tau)
+
+        with np.errstate(all="ignore"):
+            one = _refine_point(counted, *bracket)
+            vec = _refine_crossings(side, *(np.array([v]) for v in bracket))
+        assert np.array(one).tobytes() == np.concatenate(vec).tobytes(), bracket
+        halvings.append(len(calls) - 1)
+    # most brackets stop at their fixed point, those about 0 never reach one
+    assert min(halvings) < _REFINE_ITERS - 4
+    assert max(halvings) == _REFINE_ITERS
+
+
+def test_single_point_ride_of_a_far_point_is_the_batch_lane_bit_for_bit(dahl_r1):
+    # at xi = 1e17 a step of 1e-3 does not move tau, so the crossing bracket
+    # has zero width and its Hermite model divides 0 by 0
+    p = PhasePoint(0.3, 1e17)
+    with np.errstate(all="ignore"):
+        batch = ride_to_crossing(dahl_r1, [p.sigma], [p.xi])
+        one = _ride_point(dahl_r1, p, step=1e-3)
+        lane = np.array([batch.lam[0], batch.y_at[0], batch.integral[0]])
+        assert np.array(one).tobytes() == lane.tobytes()
+        assert intersect_lambda(dahl_r1, p) == batch.lam[0] == 1e17
 
 
 def test_intersect_lambda_matches_closed_form(dahl_r1):

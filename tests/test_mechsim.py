@@ -1,3 +1,6 @@
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -11,6 +14,8 @@ from duhem.mechsim import (
     simulate_mech,
 )
 from duhem.storage import storage_dahl_closed_form
+
+from oracles import simulate_mech_closure
 
 
 @pytest.fixture(scope="module")
@@ -145,3 +150,62 @@ def test_horizon_and_step_validation():
         simulate_mech(MechParams(), MechState(0.0, 0.0, 0.0), -1.0)
     with pytest.raises(ValueError):
         simulate_mech(MechParams(), MechState(0.0, 0.0, 0.0), 1.0, step=0.0)
+    # not finite: an infinite horizon used to end in an OverflowError from
+    # int(round(inf)), and a NaN step passed the sign test
+    for bad in (math.inf, math.nan):
+        with pytest.raises(ValueError, match="horizon must be positive and finite"):
+            simulate_mech(MechParams(), MechState(1.0, 0.0, 0.0), bad)
+        with pytest.raises(ValueError, match="step must be positive and finite"):
+            simulate_mech(MechParams(), MechState(1.0, 0.0, 0.0), 1.0, step=bad)
+
+
+@pytest.mark.parametrize(
+    "params, init, horizon",
+    [
+        (MechParams(), MechState(1.0, 0.0, 0.0), 25.0),
+        (MechParams(d=0.0, k=4.0), MechState(2.0, -1.0, 0.3), 20.0),
+        (MechParams(k=0.0, mode="feedback"), MechState(1.0, 1.1, 0.0), 10.0),
+    ],
+    ids=["free", "free-undamped", "feedback"],
+)
+def test_friction_march_is_the_closure_kernel_bit_for_bit(params, init, horizon):
+    # the flat RK4 step must take the closure kernel's stages in the same
+    # operand order, including the half-step redo of a velocity sign change
+    ser = simulate_mech(params, init, horizon, step=1e-3)
+    t, x1, x2, x3, exit_at = simulate_mech_closure(params, init, horizon, 1e-3)
+    assert exit_at is None
+    for got, want in ((ser.t, t), (ser.x1, x1), (ser.x2, x2), (ser.x3, x3)):
+        assert got.tobytes() == want.tobytes()
+    if params.mode == "free":
+        assert (x2[1:] * x2[:-1] < 0.0).sum() >= 2
+
+
+def test_band_exit_is_the_closure_kernel_bit_for_bit():
+    params, init = MechParams(), MechState(0.0, 50.0, 0.7)
+    t, _, _, _, exit_at = simulate_mech_closure(params, init, 2.0, 0.5)
+    j, u, y = exit_at
+    with pytest.raises(DomainExitError) as err:
+        simulate_mech(params, init, 2.0, step=0.5)
+    assert (err.value.t, err.value.u, err.value.y) == (float(t[j]), u, y)
+    assert str(err.value) == f"friction force reached the band boundary at t={t[j]:.6g}"
+
+
+def _mech_peak(n):
+    tracemalloc.start()
+    try:
+        simulate_mech(MechParams(), MechState(1.0, 0.0, 0.0), n * 1e-3, step=1e-3)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_friction_march_memory_is_its_five_float_arrays():
+    # t, x1, x2, x3 and V are float64 arrays of n + 1 samples; evaluating V
+    # holds at most four more array temporaries, so each extra step may cost
+    # 9 * 8 bytes.  The states kept in Python lists would cost 32 bytes per
+    # entry each (an 8-byte pointer and a 24-byte float), 96 bytes a step for
+    # the three lists alone before their arrays are built.
+    _mech_peak(1000)
+    small = _mech_peak(10_000)
+    large = _mech_peak(70_000)
+    assert large - small <= 9 * 8 * 60_000
