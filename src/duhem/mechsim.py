@@ -119,14 +119,13 @@ def _rk4_mech(m, d, k, rho, fc, x1, x2, x3, h):
     """
     hh = 0.5 * h
     # stage 1 at (x1, x2, x3)
-    a1 = x2
     b1 = -(k * x1 + d * x2 + x3) / m
     if x2 >= 0.0:
         c1 = rho * (1.0 - x3 / fc) * x2
     else:
         c1 = rho * (1.0 + x3 / fc) * x2
     # stage 2 at the half step along stage 1
-    p1 = x1 + hh * a1
+    p1 = x1 + hh * x2
     a2 = x2 + hh * b1
     p3 = x3 + hh * c1
     b2 = -(k * p1 + d * a2 + p3) / m
@@ -154,7 +153,7 @@ def _rk4_mech(m, d, k, rho, fc, x1, x2, x3, h):
         c4 = rho * (1.0 + p3 / fc) * a4
     s = h / 6.0
     return (
-        x1 + s * (a1 + 2.0 * a2 + 2.0 * a3 + a4),
+        x1 + s * (x2 + 2.0 * a2 + 2.0 * a3 + a4),
         x2 + s * (b1 + 2.0 * b2 + 2.0 * b3 + b4),
         x3 + s * (c1 + 2.0 * c2 + 2.0 * c3 + c4),
     )
