@@ -43,7 +43,14 @@ from .dissipativity import (
     verify_dissipation_battery,
 )
 from .integrate import BracketError, QuadratureError
-from .mechsim import MechParams, MechState, lyapunov_check, passivity_port_check, simulate_mech
+from .mechsim import (
+    MAX_MECH_STEPS,
+    MechParams,
+    MechState,
+    lyapunov_check,
+    passivity_port_check,
+    simulate_mech,
+)
 from .models import model_from_config
 from .report import VerificationReport
 from .signals import InputSignal, ramp, random_piecewise_linear, sine_sampled, triangle
@@ -450,6 +457,10 @@ def cmd_mech(args: argparse.Namespace) -> int:
     ):
         if not (value > 0.0 and math.isfinite(value)):
             raise ConfigError(f"{flag} must be positive and finite, got {value!r}")
+    if not args.horizon / args.step <= MAX_MECH_STEPS:
+        raise ConfigError(
+            f"--horizon / --step asks for more than {MAX_MECH_STEPS} steps"
+        )
     try:
         params = MechParams(
             m=args.m, d=args.d, k=args.k, rho=args.rho, fc=args.fc, mode=args.mode

@@ -569,14 +569,16 @@ def intersect_lambda(
     `_refine_point`); u* is the `ride_to_crossing` abscissa of p bit for bit
     wherever the model's slope fields return the same bits for float
     arguments as for arrays (the built-in fields do, except that the float
-    power of Dahl with r != 1 may differ in the last bit).  u* satisfies |omega(u*) - f_an(u*)| <= 1e-9, where omega is the
-    traversing branch; a CrossingSearchError means no crossing was found
-    within the expansion budget or the residual is larger.
+    power of Dahl with r != 1 may differ in the last bit).  u* satisfies
+    |omega(u*) - f_an(u*)| <= 1e-9, where omega is the traversing branch; a
+    CrossingSearchError means no crossing was found within the expansion
+    budget, or the residual is larger or NaN.
     """
     lam, y_at, _ = _ride_point(model, p, step=step, max_doublings=max_doublings)
     fan_at = anhysteresis(model, lam)
     mismatch = abs(y_at - fan_at)
-    if mismatch > 1e-9:
+    # written so that a NaN residual fails too
+    if not mismatch <= 1e-9:
         raise CrossingSearchError(
             f"crossing refinement stalled: |omega - f_an| = {mismatch:.3e} "
             f"> 1.0e-09 at u* = {lam:.6g}"

@@ -33,6 +33,7 @@ from .report import VerificationReport
 from .storage import storage_dahl_closed_form
 
 __all__ = [
+    "MAX_MECH_STEPS",
     "MechParams",
     "MechState",
     "MechSeries",
@@ -40,6 +41,11 @@ __all__ = [
     "lyapunov_check",
     "passivity_port_check",
 ]
+
+
+# largest step count simulate_mech accepts: its five float series of
+# MAX_MECH_STEPS + 1 samples take 400 MB, and the march about a minute
+MAX_MECH_STEPS = 10_000_000
 
 
 @dataclass(frozen=True)
@@ -170,12 +176,18 @@ def simulate_mech(
     A step whose velocity crosses zero is redone once as two half steps (the
     friction slope switches with the sign of x2, so the plain step would
     integrate through a kink).  Raises DomainExitError if the friction force
-    reaches the boundary of its confinement band (-fc, fc).
+    reaches the boundary of its confinement band (-fc, fc), and ValueError,
+    before allocating, if horizon / step exceeds MAX_MECH_STEPS.
     """
     if not (horizon > 0.0 and math.isfinite(horizon)):
         raise ValueError(f"horizon must be positive and finite, got {horizon!r}")
     if not (step > 0.0 and math.isfinite(step)):
         raise ValueError(f"step must be positive and finite, got {step!r}")
+    if not horizon / step <= MAX_MECH_STEPS:
+        raise ValueError(
+            f"horizon / step = {horizon / step:.6g} is more than "
+            f"{MAX_MECH_STEPS} steps"
+        )
     fc = params.fc
     if abs(init.x3) >= fc:
         raise ValueError(f"|x3(0)| = {abs(init.x3)} must lie inside (-{fc}, {fc})")

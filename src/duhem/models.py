@@ -102,6 +102,7 @@ def dahl(rho: float = 1.5, fc: float = 0.75, r: float = 1.0) -> DuhemModel:
         params={"rho": rho, "fc": fc, "r": r},
         domain=Domain(-fc, fc),
         f_an=lambda xi: 0.0 * xi,
+        odd=True,
     )
 
 
@@ -153,6 +154,7 @@ def boucwen(
         params={"alpha": alpha, "beta": beta, "zeta": zeta, "n": n},
         domain=WHOLE_PLANE,
         f_an=f_an,
+        odd=True,
     )
 
 
@@ -180,6 +182,7 @@ def exp_example() -> DuhemModel:
         params={},
         domain=WHOLE_PLANE,
         f_an=lambda xi: xi / 1.2,
+        odd=True,
     )
 
 

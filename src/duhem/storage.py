@@ -17,6 +17,15 @@ a requested tolerance; `storage_cw_batch` accumulates the exact integral of
 the same cubic Hermite table segment by segment while many points ride in
 lockstep.  Agreement between the routes is part of the test surface, so
 neither should be rewritten in terms of the other.
+
+The brute-force search (`available_storage_bruteforce_batch`) marches all
+its inputs in lockstep and tracks each one's supply integral.  For odd
+models (`DuhemModel.odd`) every lane marches in its frame reflected
+through the origin on falling stretches, where it rises on f1, so each RK4
+stage evaluates one slope field instead of both.  Negation is exact in
+floating point, and rounding to nearest commutes with it, so the
+reflected march gives the outputs and supplies of the unreflected one bit
+for bit (`_supply_running_min` says where a zero's sign may differ).
 """
 
 from __future__ import annotations
@@ -279,6 +288,18 @@ def _supply_running_min(
     are therefore those of `simulate` on its signal.  A domain exit raises
     DomainExitError at `simulate`'s sample, naming the lane by lane_name.
 
+    Each lane marches in a frame z = s y, v = s u with s = -1 on a falling
+    substep (h < 0) and +1 otherwise, so that its substep s h = |h| always
+    rises.  For an odd model (`DuhemModel.odd`, f2(y, u) = f1(-y, -u)) the
+    falling branch in that frame is f1, and every lane takes the RK4 step of
+    f1 alone, where the two-branch field would evaluate both fields on all
+    lanes and keep one.  At a switch the lanes whose sign turns negate z.
+    The reflection is exact: negation is exact and round-to-nearest is
+    symmetric under it, so every stage of a reflected step is the negative
+    of the unreflected one, bit for bit up to the sign of an exact zero,
+    and the supply increment 0.5 (z + z') s h equals 0.5 (y + y') h.  A
+    model that is not odd keeps s = +1 and the two-branch field.
+
     Returns the running minimum of the supply integral W(t) = int y du and
     the final output, per signal.
     """
@@ -302,31 +323,40 @@ def _supply_running_min(
     bounds = np.searchsorted(ev_k, np.append(switch_at, ev_k[-1] + 1))
     n_iter = int(ev_k[-1])
 
-    y = np.empty(m)
-    y[:] = y0
+    z = np.empty(m)
+    z[:] = y0
+    sign = np.ones(m)
     W = np.zeros(m)
     minW = np.zeros(m)
-    ua, h, base = np.zeros(m), np.zeros(m), np.zeros(m)
+    va, h, base = np.zeros(m), np.zeros(m), np.zeros(m)
     lo, hi = model.domain.sigma_min, model.domain.sigma_max
     guarded = model.domain.bounded
+    odd = model.odd
 
-    def field(yv, uv):
-        return np.where(up, model.f1(yv, uv), model.f2(yv, uv))
+    if odd:
+        field = model.f1
+    else:
+        def field(yv, uv):
+            return np.where(up, model.f1(yv, uv), model.f2(yv, uv))
 
-    g = 0  # every lane has an event at iteration 0, which sets its ua and h
+    g = 0  # every lane has an event at iteration 0, which sets its va and h
     for k in range(n_iter):
         if k == switch_at[g]:
             sl = slice(bounds[g], bounds[g + 1])
             lanes = ev_lane[sl]
-            ua[lanes] = ev[sl, 3]
-            h[lanes] = ev[sl, 4]
+            hk = ev[sl, 4]
+            sk = np.where(odd & (hk < 0.0), -1.0, 1.0)
+            z[lanes] *= sk * sign[lanes]
+            sign[lanes] = sk
+            va[lanes] = sk * ev[sl, 3]
+            h[lanes] = sk * hk
             base[lanes] = k
             up = h >= 0.0
             g += 1
-        u = ua + (k - base) * h
-        y_new = rk4_step(field, y, u, h, field(y, u))
-        if guarded and not ((y_new > lo) & (y_new < hi)).all():
-            bad = int(np.argmax(~((y_new > lo) & (y_new < hi))))
+        v = va + (k - base) * h
+        z_new = rk4_step(field, z, v, h, field(z, v))
+        if guarded and not (lo < z_new.min() and z_new.max() < hi):
+            bad = int(np.argmax(~((z_new > lo) & (z_new < hi))))
             mine = np.flatnonzero((ev_lane == bad) & (ev_k <= k))[-1]
             t, u_exit = _substep_sample(
                 signals[bad], int(ev[mine, 2]), k + 1 - int(ev_k[mine]), step
@@ -334,13 +364,13 @@ def _supply_running_min(
             raise DomainExitError(
                 t=t,
                 u=u_exit,
-                y=float(y_new[bad]),
+                y=float(sign[bad] * z_new[bad]),
                 message=f"{lane_name(bad)} drove the output out of the domain",
             )
-        W = W + 0.5 * (y + y_new) * h
-        minW = np.minimum(minW, W)
-        y = y_new
-    return minW, y
+        W += 0.5 * (z + z_new) * h
+        np.minimum(minW, W, out=minW)
+        z = z_new
+    return minW, sign * z
 
 
 def _search_signals(

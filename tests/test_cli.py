@@ -10,9 +10,12 @@ from duhem.cli import (
     PRESETS,
     ConfigError,
     RunConfig,
+    _aggregate,
     build_input,
     main,
 )
+from duhem.mechsim import MAX_MECH_STEPS
+from duhem.report import VerificationReport
 
 TRIANGLE = '{"kind": "triangle", "amplitude": 1.0, "cycles": 2}'
 
@@ -235,6 +238,35 @@ def test_mech_rejects_a_bad_horizon_step_or_tol_as_config_error(tmp_path, capsys
     assert run_cli("mech", f"{flag}={value}", "--out", str(out)) == 2
     assert capsys.readouterr().err.startswith(f"config error: {flag} must be positive and finite")
     assert not out.exists()
+
+
+@pytest.mark.parametrize("horizon, step", [("1e300", "1e-300"), ("1e9", "1e-9")])
+def test_mech_rejects_a_step_count_above_the_cap_as_config_error(tmp_path, capsys, horizon, step):
+    # the first used to end in an OverflowError traceback, the second to ask
+    # numpy for 1e18-sample arrays
+    out = tmp_path / "mech.csv"
+    assert run_cli("mech", "--horizon", horizon, "--step", step, "--out", str(out)) == 2
+    assert capsys.readouterr().err.startswith(
+        f"config error: --horizon / --step asks for more than {MAX_MECH_STEPS} steps"
+    )
+    assert not out.exists()
+
+
+def _report(worst, tol=1.0):
+    return VerificationReport.from_violation(
+        name="r", worst_violation=worst, worst_location=(worst,), tolerance=tol,
+        samples_checked=3, details={},
+    )
+
+
+def test_aggregate_of_a_failing_and_a_passing_run_is_the_failing_run():
+    failing, passing = _report(2.0), _report(0.5)
+    for runs in ([failing, passing], [passing, failing]):
+        agg = _aggregate("battery", runs)
+        assert not agg.passed
+        assert (agg.worst_violation, agg.worst_location) == (2.0, (2.0,))
+        assert agg.samples_checked == 6
+        assert agg.details == {"runs": 2, "failed_runs": 1}
 
 
 def test_mech_feedback_requires_zero_stiffness(capsys):

@@ -231,7 +231,15 @@ def test_single_point_ride_of_a_far_point_is_the_batch_lane_bit_for_bit(dahl_r1)
         one = _ride_point(dahl_r1, p, step=1e-3)
         lane = np.array([batch.lam[0], batch.y_at[0], batch.integral[0]])
         assert np.array(one).tobytes() == lane.tobytes()
-        assert intersect_lambda(dahl_r1, p) == batch.lam[0] == 1e17
+    assert batch.lam[0] == 1e17 and np.isnan(batch.y_at[0])
+
+
+def test_intersect_lambda_rejects_a_nan_residual(dahl_r1):
+    # the far point's branch value at the crossing is NaN, so its residual
+    # is NaN; a check written `mismatch > 1e-9` returned 1e17 here
+    with np.errstate(all="ignore"):
+        with pytest.raises(CrossingSearchError, match="nan"):
+            intersect_lambda(dahl_r1, PhasePoint(0.3, 1e17))
 
 
 def test_intersect_lambda_matches_closed_form(dahl_r1):

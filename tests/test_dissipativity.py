@@ -15,6 +15,7 @@ from duhem.dissipativity import (
     verify_dissipation_pair,
 )
 from duhem.signals import InputSignal, ramp, random_piecewise_linear
+from duhem.storage import storage_cw_batch
 
 from oracles import loop_areas_per_sample, storage_exact
 
@@ -60,6 +61,28 @@ def test_dissipation_forward_and_backward_on_triangle(dahl_r1):
     assert bwd.name == "dissipation-backward"
     # default tolerance tracks the discretisation: 1e-6 + 10 * step
     assert fwd.tolerance == pytest.approx(1e-6 + 10.0 * fwd.details["step"])
+
+
+def test_backward_report_is_checked_against_the_next_output(dahl_r1):
+    # On a triangle the output moves between samples, so the forward supply
+    # y_k du_k and the backward supply y_k+1 du_k differ; each report's
+    # worst violation is the largest of its own difference quotients,
+    # computed here sample by sample.
+    step = 0.05
+    sig = triangle(1.0, 2)
+    fwd, bwd = verify_dissipation_pair(dahl_r1, sig, 0.2, step=step)
+    traj = simulate(dahl_r1, sig, 0.2, step=step)
+    H = storage_cw_batch(dahl_r1, traj.y, traj.u, step=step).value
+    t, u, y = (a.tolist() for a in (traj.t, traj.u, traj.y))
+    quotients = {"forward": [], "backward": []}
+    for k in range(len(t) - 1):
+        dH, du, dt = H[k + 1] - H[k], u[k + 1] - u[k], t[k + 1] - t[k]
+        assert y[k + 1] != y[k]
+        quotients["forward"].append((dH - y[k] * du) / dt)
+        quotients["backward"].append((dH - y[k + 1] * du) / dt)
+    assert fwd.worst_violation == max(quotients["forward"])
+    assert bwd.worst_violation == max(quotients["backward"])
+    assert fwd.worst_violation != bwd.worst_violation
 
 
 def _report_bits(rep):

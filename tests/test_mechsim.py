@@ -6,6 +6,7 @@ import pytest
 
 from duhem.core import DomainExitError
 from duhem.mechsim import (
+    MAX_MECH_STEPS,
     MechParams,
     MechSeries,
     MechState,
@@ -157,6 +158,22 @@ def test_horizon_and_step_validation():
             simulate_mech(MechParams(), MechState(1.0, 0.0, 0.0), bad)
         with pytest.raises(ValueError, match="step must be positive and finite"):
             simulate_mech(MechParams(), MechState(1.0, 0.0, 0.0), 1.0, step=bad)
+
+
+@pytest.mark.parametrize("horizon, step", [(1e300, 1e-300), (1e9, 1e-9), (1e4, 9.9e-4)])
+def test_a_step_count_above_the_cap_is_rejected_before_allocating(horizon, step):
+    # 1e300 / 1e-300 overflows to inf and used to end in an OverflowError;
+    # 1e9 / 1e-9 used to ask numpy for 1e18-sample arrays; the last is just
+    # above the cap
+    assert horizon / step > MAX_MECH_STEPS
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=f"more than {MAX_MECH_STEPS} steps"):
+            simulate_mech(MechParams(), MechState(1.0, 0.0, 0.0), horizon, step=step)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
 
 
 @pytest.mark.parametrize(

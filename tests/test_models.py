@@ -1,9 +1,11 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
 from duhem import DomainExitError, boucwen, dahl, exp_example, simulate
+from duhem.core import Domain, DuhemModel
 from duhem.cli import main
 from duhem.models import BUILTIN_MODELS, model_from_config
 from duhem.signals import ramp
@@ -69,6 +71,45 @@ def test_exp_example_branch_symmetry(exp_model):
     s, x = 0.8, -0.4
     assert exp_model.f1(s, x) == pytest.approx(np.exp(0.5 * (-1.2 * s + x)) + 0.83)
     assert exp_model.f2(s, x) == pytest.approx(np.exp(0.5 * (1.2 * s - x)) + 0.83)
+
+
+@pytest.mark.parametrize(
+    "model",
+    [dahl(), dahl(r=2.5), dahl(r=3.0), boucwen(), boucwen(n=2.5), boucwen(zeta=0.0), exp_example()],
+    ids=lambda m: f"{m.name} {m.params}",
+)
+def test_builtin_models_are_odd_bit_for_bit(model):
+    # the supply march rides falling lanes on f1 in a reflected frame, which
+    # is exact only if f2(sigma, xi) is f1(-sigma, -xi) in every bit
+    assert model.odd
+    rng = np.random.default_rng(11)
+    half = model.domain.sigma_max if model.domain.bounded else 3.0
+    sigma = rng.uniform(-half, half, 2000)
+    xi = rng.uniform(-5.0, 5.0, 2000)
+    assert model.f2(sigma, xi).tobytes() == model.f1(-sigma, -xi).tobytes()
+    for s, x in zip(sigma[:200].tolist(), xi[:200].tolist()):
+        assert model.f2(s, x) == model.f1(-s, -x)
+
+
+def test_an_odd_declaration_that_does_not_hold_is_rejected():
+    exp, d = exp_example(), dahl()
+    nudged = DuhemModel(
+        name="nudged", f1=exp.f1, f2=lambda s, x: exp.f2(s, x) * (1.0 + 1e-15),
+        domain=exp.domain, f_an=exp.f_an,
+    )
+    assert not nudged.odd
+    with pytest.raises(ValueError, match="f1\\(-sigma, -xi\\)"):
+        dataclasses.replace(nudged, odd=True)
+    # one field for both directions is not odd: f1(-s) = rho (1 + s/fc)
+    with pytest.raises(ValueError, match="odd model 'dahl'"):
+        dataclasses.replace(d, f2=d.f1)
+    with pytest.raises(ValueError, match="symmetric about 0"):
+        dataclasses.replace(d, domain=Domain(-0.75, 1.0))
+    with pytest.raises(ValueError, match="symmetric about 0"):
+        dataclasses.replace(exp, domain=Domain(sigma_min=-1.0))
+    # the same models are accepted when they do not claim the symmetry
+    dataclasses.replace(d, domain=Domain(-0.75, 1.0), odd=False)
+    dataclasses.replace(d, f2=d.f1, odd=False)
 
 
 def test_F_is_half_branch_difference(dahl_r1):

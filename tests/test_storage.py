@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import tracemalloc
 
@@ -323,6 +324,24 @@ def test_supply_march_lanes_are_simulate(model_name, request, rng):
         assert extracted == pytest.approx(
             -min(float(supply.running_min.min()), 0.0), abs=tol_W
         ), i
+
+
+@pytest.mark.parametrize("model_name", ["dahl_r1", "dahl_r3", "bw", "exp_model"])
+def test_odd_supply_march_is_the_two_branch_march_bit_for_bit(model_name, request, rng):
+    # An odd model marches every lane on f1 in its reflected frame; the
+    # same model declared not odd marches on both fields.  The lanes turn
+    # (random inputs), finish at different iterations and hold (the last
+    # input), and start on both sides of 0.
+    model = request.getfixturevalue(model_name)
+    two_branch = dataclasses.replace(model, odd=False)
+    assert model.odd and not two_branch.odd
+    sigs = _march_signals(rng)
+    y0 = np.linspace(-0.6, 0.6, len(sigs))
+    minW, y_end = _supply_running_min(model, sigs, y0, MARCH_STEP)
+    ref_minW, ref_y = _supply_running_min(two_branch, sigs, y0, MARCH_STEP)
+    assert minW.tobytes() == ref_minW.tobytes()
+    assert y_end.tobytes() == ref_y.tobytes()
+    assert (minW < 0.0).sum() >= 10  # lanes that extract energy
 
 
 def test_supply_march_domain_exit_names_the_lane_and_its_sample():
