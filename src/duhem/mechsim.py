@@ -44,7 +44,8 @@ __all__ = [
 
 
 # largest step count simulate_mech accepts: its five float series of
-# MAX_MECH_STEPS + 1 samples take 400 MB, and the march about a minute
+# MAX_MECH_STEPS + 1 samples take 400 MB, and the march takes about 100
+# times as long as the default run's 10^5 steps
 MAX_MECH_STEPS = 10_000_000
 
 

@@ -8,8 +8,9 @@ traversing curves) run in plain float arithmetic; array arguments take the
 numpy expressions.  Where Python's float power raises OverflowError, the
 fields return inf as numpy does, so a blow-up still surfaces as a non-finite
 output and not as an exception.  Each factory validates its parameters and
-declares the model's validity domain and, when available in closed form, the
-anhysteresis function.
+declares the model's validity domain, its odd symmetry (all three are odd:
+f2(sigma, xi) is f1(-sigma, -xi) bit for bit, as `DuhemModel.odd` requires)
+and, when available in closed form, the anhysteresis function.
 """
 
 from __future__ import annotations
