@@ -8,16 +8,18 @@ the right of xi and dy/dtau = f2 to the left.  Under a transversality margin
 side) each traversing curve meets the anhysteresis curve exactly once; the
 intersection abscissa is what the storage construction integrates to.
 
-The crossing search marches the branch ODE with the simulator's RK4 step,
-watches the sign of f_an - y (of F when f_an is not declared) along the
-ride, and sets aside each lane's bracketing step.  Once every lane has
-crossed, one vector bisection on the brackets' cubic Hermite models refines
-all crossings at once (event location on dense output).  `ride_to_crossing`
+The crossing search reads the sign of the side residual f_an - y (F when
+f_an is not declared) at the start point, which by the sign structure says
+which branch the point rides and which way.  It marches that branch with the
+simulator's RK4 step until the residual reaches the other side, and sets
+aside each lane's bracketing step.  Once every lane has crossed, one vector
+bisection on the brackets' cubic Hermite models refines all crossings at
+once (event location on dense output).  `ride_to_crossing`
 marches a whole trajectory's worth of phase points in lockstep.  Single-point
 queries (`intersect_lambda`, `storage.storage_cw`) take the same steps in
 Python floats, since a batch-of-one numpy march costs many times as much,
 share the batch ride's set-up and refine their one bracket with the batch's
-halvings in floats.
+halvings in floats; they return the crossing alone, not the branch integral.
 """
 
 from __future__ import annotations
@@ -319,8 +321,9 @@ def _refine_crossings(side: Callable, tA, tB, yA, yB, fA, fB, acc):
     return lam, y_at, acc + hermite_partial_integral(lam, tA, tB, yA, yB, fA, fB)
 
 
-def _refine_point(side: Callable, tA, tB, yA, yB, fA, fB, acc):
-    """`_refine_crossings` of one bracket in Python floats, bit for bit.
+def _refine_point(side: Callable, tA, tB, yA, yB, fA, fB):
+    """The crossing abscissa and branch value of `_refine_crossings` for one
+    bracket, in Python floats, bit for bit.
 
     It takes the halvings of `bisect_on_interval_vec`: the residual at tA is
     evaluated once, a halving with ga * gm <= 0 moves b and any other moves
@@ -332,8 +335,9 @@ def _refine_point(side: Callable, tA, tB, yA, yB, fA, fB, acc):
         # a step too short to move tau (|tau| far above the step): Python
         # would raise on the Hermite models' 0 / 0, numpy gives the NaNs of
         # the batch lane
-        bracket = (np.array([v]) for v in (tA, tB, yA, yB, fA, fB, acc))
-        return tuple(float(v[0]) for v in _refine_crossings(side, *bracket))
+        bracket = (np.array([v]) for v in (tA, tB, yA, yB, fA, fB, 0.0))
+        lam, y_at, _ = _refine_crossings(side, *bracket)
+        return float(lam[0]), float(y_at[0])
     a, b = tA, tB
     ga = float(side(hermite_eval(a, tA, tB, yA, yB, fA, fB), a))
     for _ in range(_REFINE_ITERS):
@@ -348,8 +352,7 @@ def _refine_point(side: Callable, tA, tB, yA, yB, fA, fB, acc):
                 break
             a, ga = mid, gm
     lam = 0.5 * (a + b)
-    y_at = hermite_eval(lam, tA, tB, yA, yB, fA, fB)
-    return lam, y_at, acc + hermite_partial_integral(lam, tA, tB, yA, yB, fA, fB)
+    return lam, hermite_eval(lam, tA, tB, yA, yB, fA, fB)
 
 
 def _march_to_crossing(
@@ -357,12 +360,13 @@ def _march_to_crossing(
     f: Callable,
     y0: np.ndarray,
     tau0: np.ndarray,
-    c0: np.ndarray,
     h: float,
     max_steps: int,
 ):
-    """March dy/dtau = f from (y0, tau0) with signed step h until the sign
-    of `_side_residual` flips from c0's; returns per-element crossing data.
+    """March dy/dtau = f from (y0, tau0) with signed step h until each
+    lane's side residual (`_side_residual`) reaches <= 0 (h > 0: the lanes
+    start below the curve) or >= 0 (h < 0: above it); returns per-element
+    crossing data.
 
     The march only detects crossings: each lane's bracketing step and the
     integral accumulated before it are set aside, and after the march all
@@ -374,7 +378,6 @@ def _march_to_crossing(
     idx = np.arange(n)
     y = y0.astype(float).copy()
     tau = tau0.astype(float).copy()
-    c_start = c0.astype(float).copy()
     fcur = np.asarray(f(y, tau), dtype=float)
     acc = np.zeros(n)
     steps = np.zeros(n, dtype=int)
@@ -395,7 +398,7 @@ def _march_to_crossing(
             raise _domain_exit_error(int(bad.sum()), tau_new[bad][0])
         f_new = np.asarray(f(y_new, tau_new), dtype=float)
         c_new = np.asarray(side(y_new, tau_new), dtype=float)
-        crossed = c_new * c_start <= 0.0
+        crossed = (c_new >= 0.0) if h < 0.0 else (c_new <= 0.0)
 
         if crossed.any():
             steps[idx[crossed]] = it
@@ -420,7 +423,6 @@ def _march_to_crossing(
         y = y_new[keep]
         tau = tau_new[keep]
         fcur = f_new[keep]
-        c_start = c_start[keep]
 
     if idx.size:
         raise _budget_error(idx.size, max_steps, h)
@@ -436,9 +438,13 @@ def _march_to_crossing(
 def _ride_setup(model: DuhemModel, sigma, xi, step: float, max_doublings: int):
     """Checks, start sides and step budget of a ride from (sigma_k, xi_k).
 
-    Returns sigma and xi as 1-d float arrays, the side residuals c0 there
-    (c0 == 0 means on the curve), the masks of the points that ride f2
-    leftward (at or above the curve) and f1 rightward (below it), and the
+    The side residual c0 = `_side_residual`(sigma, xi) alone decides the
+    side: by the sign structure (F >= 0 below the anhysteresis curve, <= 0
+    above it) a point with c0 < 0 lies above the curve and rides f2
+    leftward, one with c0 > 0 lies below it and rides f1 rightward, and one
+    with c0 == 0 is on the curve.  A NaN c0 raises CrossingSearchError
+    naming the first such point.  Returns sigma and xi as 1-d float arrays,
+    the masks of the points that ride f2 leftward and f1 rightward, and the
     step budget: a span of (1 + max |xi|) doubled min(max_doublings, 21)
     times, at most 2**21 steps.
     """
@@ -451,15 +457,18 @@ def _ride_setup(model: DuhemModel, sigma, xi, step: float, max_doublings: int):
     if not np.asarray(model.domain.contains(sigma)).all():
         raise ValueError("phase points outside model domain")
 
-    fan = anhysteresis_values(model, xi)
     c0 = np.asarray(_side_residual(model)(sigma, xi), dtype=float)
-    on_curve = c0 == 0.0
-    above = (sigma >= fan) & ~on_curve
-    below = (sigma < fan) & ~on_curve
+    nan = np.isnan(c0)
+    if nan.any():
+        k = int(np.argmax(nan))
+        raise CrossingSearchError(
+            f"{int(nan.sum())} phase point(s) have a NaN side residual "
+            f"(first at sigma={sigma[k]:.6g}, xi={xi[k]:.6g})"
+        )
 
     span_limit = (1.0 + float(np.abs(xi).max())) * 2.0 ** min(max_doublings, 21)
     max_steps = int(min(math.ceil(span_limit / step), 2**21))
-    return sigma, xi, c0, above, below, max_steps
+    return sigma, xi, c0 < 0.0, c0 > 0.0, max_steps
 
 
 def ride_to_crossing(
@@ -472,18 +481,20 @@ def ride_to_crossing(
 ) -> CrossingResult:
     """Ride traversing branches from (sigma_k, xi_k) to the anhysteresis curve.
 
-    Points at or above the curve ride the decreasing branch (f2) leftward,
-    points below ride the increasing branch (f1) rightward; this matches the
-    direction in which the intersection is guaranteed to lie.  Returns the
-    intersection abscissas, branch values there (equal to the anhysteresis
-    value up to refinement error) and the signed branch integrals from xi to
-    the intersection.
+    The sign of the side residual at each point decides its ride
+    (`_ride_setup`): points above the curve ride the decreasing branch (f2)
+    leftward, points below ride the increasing branch (f1) rightward, the
+    directions in which the intersection is guaranteed to lie, and points
+    on the curve stay where they are.  Returns the intersection abscissas,
+    branch values there (equal to the anhysteresis value up to refinement
+    error) and the signed branch integrals from xi to the intersection.
 
     The search budget is geometric in spirit: the ride may extend to a span
     of (1 + |xi|) doubled up to `max_doublings` times, subject to a hard cap
-    of 2**21 steps, after which a CrossingSearchError is raised.
+    of 2**21 steps, after which a CrossingSearchError is raised.  So is a
+    point whose side residual is NaN.
     """
-    sigma, xi, c0, above, below, max_steps = _ride_setup(
+    sigma, xi, above, below, max_steps = _ride_setup(
         model, sigma, xi, step, max_doublings
     )
     n = sigma.size
@@ -496,13 +507,7 @@ def ride_to_crossing(
         if not mask.any():
             continue
         res = _march_to_crossing(
-            model,
-            f,
-            sigma[mask],
-            xi[mask],
-            c0[mask],
-            direction * step,
-            max_steps,
+            model, f, sigma[mask], xi[mask], direction * step, max_steps
         )
         lam[mask], y_at[mask], integral[mask], steps[mask] = res
 
@@ -511,9 +516,9 @@ def ride_to_crossing(
 
 def _ride_point(
     model: DuhemModel, p: PhasePoint, *, step: float, max_doublings: int = 60
-) -> tuple[float, float, float]:
-    """The `ride_to_crossing` lane of one phase point, marched in Python
-    floats: (lam, y_at, integral).
+) -> tuple[float, float]:
+    """The crossing abscissa and branch value of p's `ride_to_crossing`
+    lane, marched in Python floats: (lam, y_at).
 
     It takes the batch lane's steps (same set-up, tau advanced by tau + h,
     same side test, guard and errors) and refines its bracket with
@@ -522,33 +527,30 @@ def _ride_point(
     as for arrays.  Batch-of-one numpy steps cost many times the float
     arithmetic.
     """
-    sigma, xi, c0, above, below, max_steps = _ride_setup(
+    sigma, xi, above, below, max_steps = _ride_setup(
         model, p.sigma, p.xi, step, max_doublings
     )
     y, tau = float(sigma[0]), float(xi[0])
     if above[0]:
-        f, direction = model.f2, -1.0
+        f, h = model.f2, -step
     elif below[0]:
-        f, direction = model.f1, 1.0
+        f, h = model.f1, step
     else:
-        return tau, y, 0.0
-    h = direction * step
-    c_start = float(c0[0])
+        return tau, y
     side = _side_residual(model)
     lo, hi = model.domain.sigma_min, model.domain.sigma_max
     guarded = model.domain.bounded
 
     fcur = float(f(y, tau))
-    acc = 0.0
     for _ in range(max_steps):
         y_new = float(rk4_step(f, y, tau, h, fcur))
         tau_new = tau + h
         if guarded and not lo < y_new < hi:
             raise _domain_exit_error(1, tau_new)
         f_new = float(f(y_new, tau_new))
-        if float(side(y_new, tau_new)) * c_start <= 0.0:
-            return _refine_point(side, tau, tau_new, y, y_new, fcur, f_new, acc)
-        acc = acc + hermite_integral(tau, tau_new, y, y_new, fcur, f_new)
+        c_new = float(side(y_new, tau_new))
+        if (c_new >= 0.0) if h < 0.0 else (c_new <= 0.0):
+            return _refine_point(side, tau, tau_new, y, y_new, fcur, f_new)
         y, tau, fcur = y_new, tau_new, f_new
     raise _budget_error(1, max_steps, h)
 
@@ -563,18 +565,19 @@ def intersect_lambda(
     """Abscissa where the traversing curve through p meets the anhysteresis
     curve.
 
-    The search direction follows the sign of sigma - f_an(xi): at or above
-    the curve the intersection lies at u* <= xi, below it at u* > xi.  The
-    ride and its crossing refinement run in Python floats (`_ride_point`,
-    `_refine_point`); u* is the `ride_to_crossing` abscissa of p bit for bit
-    wherever the model's slope fields return the same bits for float
-    arguments as for arrays (the built-in fields do, except that the float
-    power of Dahl with r != 1 may differ in the last bit).  u* satisfies
-    |omega(u*) - f_an(u*)| <= 1e-9, where omega is the traversing branch; a
-    CrossingSearchError means no crossing was found within the expansion
-    budget, or the residual is larger or NaN.
+    The search direction follows the sign of the side residual at p
+    (`_ride_setup`): above the curve the intersection lies at u* < xi,
+    below it at u* > xi, and on it u* = xi.  The ride and its crossing
+    refinement run in Python floats (`_ride_point`, `_refine_point`); u* is
+    the `ride_to_crossing` abscissa of p bit for bit wherever the model's
+    slope fields return the same bits for float arguments as for arrays
+    (the built-in fields do, except that the float power of Dahl with
+    r != 1 may differ in the last bit).  u* satisfies |omega(u*) -
+    f_an(u*)| <= 1e-9, where omega is the traversing branch; a
+    CrossingSearchError means a NaN side residual at p, no crossing within
+    the expansion budget, or a crossing residual that is larger or NaN.
     """
-    lam, y_at, _ = _ride_point(model, p, step=step, max_doublings=max_doublings)
+    lam, y_at = _ride_point(model, p, step=step, max_doublings=max_doublings)
     fan_at = anhysteresis(model, lam)
     mismatch = abs(y_at - fan_at)
     # written so that a NaN residual fails too

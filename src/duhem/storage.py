@@ -41,9 +41,9 @@ from .curves import (
     PhasePoint,
     TraversingCurve,
     _march_branch,
-    _ride_point,
     anhysteresis,
     anhysteresis_values,
+    intersect_lambda,
     ride_to_crossing,
 )
 from .integrate import adaptive_simpson, rk4_step
@@ -106,17 +106,15 @@ def storage_cw(
 ) -> StorageEvaluation:
     """Clockwise storage at one phase point via adaptive quadrature.
 
-    The intersection abscissa is found by the single-point ride of
-    `intersect_lambda` (Python floats, the `ride_to_crossing` lane of p
-    under the same condition on the fields).  The traversing branch from xi
-    to the intersection is then resampled at fixed step into a cubic Hermite
-    table and integrated with adaptive Simpson to quad_tol, as is the
-    anhysteresis term from 0 to the intersection.  Raises
-    CrossingSearchError when no intersection is found.
+    The intersection abscissa is `intersect_lambda`'s (the `ride_to_crossing`
+    lane of p, ridden in Python floats, with its 1e-9 crossing residual
+    check).  The traversing branch from xi to the intersection is then
+    resampled at fixed step into a cubic Hermite table and integrated with
+    adaptive Simpson to quad_tol, as is `anhysteresis` from 0 to the
+    intersection.  Raises CrossingSearchError when no intersection is found
+    and ValueError for a point outside the model domain.
     """
-    if not bool(model.domain.contains(p.sigma)):
-        raise ValueError(f"phase point {p} outside model domain")
-    lam, _, _ = _ride_point(model, p, step=step)
+    lam = intersect_lambda(model, p, step=step)
 
     if lam == p.xi:
         traverse = 0.0
@@ -137,10 +135,6 @@ def storage_cw(
     span = (min(0.0, p.xi, lam), max(0.0, p.xi, lam))
     if _anhysteresis_is_zero(model, *span):
         fan_int = 0.0
-    elif model.f_an is not None:
-        fan_int = adaptive_simpson(
-            lambda t: float(model.f_an(t)), 0.0, lam, tol=quad_tol
-        )
     else:
         fan_int = adaptive_simpson(
             lambda t: anhysteresis(model, t), 0.0, lam, tol=quad_tol

@@ -213,9 +213,9 @@ def test_float_refinement_is_the_vector_refinement_bit_for_bit():
             return side(y, tau)
 
         with np.errstate(all="ignore"):
-            one = _refine_point(counted, *bracket)
+            one = _refine_point(counted, *bracket[:-1])
             vec = _refine_crossings(side, *(np.array([v]) for v in bracket))
-        assert np.array(one).tobytes() == np.concatenate(vec).tobytes(), bracket
+        assert np.array(one).tobytes() == np.concatenate(vec[:2]).tobytes(), bracket
         halvings.append(len(calls) - 1)
     # most brackets stop at their fixed point, those about 0 never reach one
     assert min(halvings) < _REFINE_ITERS - 4
@@ -229,7 +229,7 @@ def test_single_point_ride_of_a_far_point_is_the_batch_lane_bit_for_bit(dahl_r1)
     with np.errstate(all="ignore"):
         batch = ride_to_crossing(dahl_r1, [p.sigma], [p.xi])
         one = _ride_point(dahl_r1, p, step=1e-3)
-        lane = np.array([batch.lam[0], batch.y_at[0], batch.integral[0]])
+        lane = np.array([batch.lam[0], batch.y_at[0]])
         assert np.array(one).tobytes() == lane.tobytes()
     assert batch.lam[0] == 1e17 and np.isnan(batch.y_at[0])
 
@@ -388,7 +388,7 @@ def test_single_point_ride_is_the_batch_lane_bit_for_bit(model, sigma_half, xi_h
     assert (batch.lam < xi).any() and (batch.lam > xi).any()
     for k in range(sigma.size):
         p = PhasePoint(float(sigma[k]), float(xi[k]))
-        lane = (batch.lam[k], batch.y_at[k], batch.integral[k])
+        lane = (batch.lam[k], batch.y_at[k])
         one = _ride_point(model, p, step=SINGLE_STEP)
         assert np.array(one).tobytes() == np.array(lane).tobytes(), k
         assert intersect_lambda(model, p, step=SINGLE_STEP) == lane[0], k
@@ -409,9 +409,7 @@ def test_single_point_ride_of_dahl_r3_is_the_batch_lane_within_field_rounding(da
     # step * f to less than 1).  The model crosses y = 0, where the branch
     # slope is rho and stays above rho/2 within one step, so its root moves
     # by at most 2 dH / rho, plus the 60-halving resolution step 2^-59 and
-    # the rounding of lambda.  The integral sums N steps of width step, each
-    # moved by at most step dH and rounded within 2 eps of the running sum,
-    # bounded by N step Y.
+    # the rounding of lambda.
     model = dahl_r3
     rho, fc, r = (model.params[k] for k in ("rho", "fc", "r"))
     L = r * (rho / fc) * 2.0 ** (r - 1.0)
@@ -428,16 +426,12 @@ def test_single_point_ride_of_dahl_r3_is_the_batch_lane_within_field_rounding(da
         dH = dy + SINGLE_STEP * (L * dy + 2.0 * EPS * F)
         tol_lam = 2.0 * dH / rho + SINGLE_STEP * 2.0**-59 + 2.0 * EPS * (1.0 + abs(batch.lam[k]))
         tol_y = dH + F * tol_lam
-        tol_int = N * (SINGLE_STEP * dH + 2.0 * EPS * N * SINGLE_STEP * Y) + Y * tol_lam
-        lam, y_at, integral = _ride_point(
+        lam, y_at = _ride_point(
             model, PhasePoint(float(sigma[k]), float(xi[k])), step=SINGLE_STEP
         )
         assert abs(lam - batch.lam[k]) <= tol_lam, k
         assert abs(y_at - batch.y_at[k]) <= tol_y, k
-        assert abs(integral - batch.integral[k]) <= tol_int, k
-        n_differ += (lam, y_at, integral) != tuple(
-            float(a[k]) for a in (batch.lam, batch.y_at, batch.integral)
-        )
+        n_differ += (lam, y_at) != (float(batch.lam[k]), float(batch.y_at[k]))
     # the bound is not vacuous here: some lanes do differ
     assert n_differ > 0
 
