@@ -33,6 +33,7 @@ from .dissipativity import (
     SupplySeries,
     check_assumption_A,
     cw_supply_integral,
+    cycle_stabilization,
     loop_areas,
     loop_orientation,
     verify_dissipation_battery,
@@ -103,6 +104,7 @@ __all__ = [
     "check_existence_conditions",
     "check_lemma1",
     "cw_supply_integral",
+    "cycle_stabilization",
     "dahl",
     "exp_example",
     "intersect_lambda",

@@ -38,6 +38,7 @@ from .curves import CrossingSearchError, PhasePoint, check_lemma1, intersect_lam
 from .dissipativity import (
     LOOP_AREA_TOL,
     check_assumption_A,
+    cycle_stabilization,
     loop_areas,
     loop_orientation,
     verify_dissipation_battery,
@@ -416,20 +417,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         )
     )
     times, areas = loop_areas(traj)
-    if areas.size >= 4:
-        settle = float(np.max(np.abs(np.diff(areas[2:]))))
-    else:
-        settle = math.inf
-    reports.append(
-        VerificationReport.from_violation(
-            name="cycle-stabilization",
-            worst_violation=settle,
-            worst_location=(float(times[-1]) if times.size else 0.0,),
-            tolerance=1e-4,
-            samples_checked=max(0, int(areas.size) - 3),
-            details={"areas": [float(a) for a in areas]},
-        )
-    )
+    reports.append(cycle_stabilization(times, areas))
 
     os.makedirs(cfg.out_dir, exist_ok=True)
     loops_path = os.path.join(cfg.out_dir, f"loops_{model.name}.csv")
@@ -468,6 +456,11 @@ def cmd_mech(args: argparse.Namespace) -> int:
         init = MechState(args.x1, args.x2, args.x3)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
+    if not abs(init.x3) < params.fc:
+        raise ConfigError(
+            f"--x3 must lie inside the friction band (-{params.fc}, {params.fc}) "
+            f"of --fc, got {args.x3!r}"
+        )
     series = simulate_mech(params, init, args.horizon, args.step)
     if args.out:
         series.to_csv(args.out)

@@ -13,8 +13,9 @@ one-sidedly: the forward report compares forward differences of H with the
 right input rate, the backward report uses left rates;
 `verify_dissipation_pair` is its one-input call.  `loop_orientation`
 classifies the final closed input cycle by the sign of its signed loop area
-(positive area means clockwise traversal), and `loop_areas` decomposes a
-trajectory into the successive closed loops at its starting level.
+(positive area means clockwise traversal), `loop_areas` decomposes a
+trajectory into the successive closed loops at its starting level, and
+`cycle_stabilization` reports whether those loop areas have settled.
 """
 
 from __future__ import annotations
@@ -40,6 +41,7 @@ __all__ = [
     "cw_supply_integral",
     "loop_orientation",
     "loop_areas",
+    "cycle_stabilization",
 ]
 
 
@@ -299,3 +301,26 @@ def loop_areas(traj: Trajectory, *, level: float | None = None):
         terms = np.concatenate(([partial], trap[start : c[k]], [closing[k]]))
         areas[k - first] = np.cumsum(terms)[-1]
     return t_star[first:], areas
+
+
+def cycle_stabilization(times: np.ndarray, areas: np.ndarray) -> VerificationReport:
+    """Report on the settling of the loop areas of `loop_areas`.
+
+    The violation is the largest change between successive areas from the
+    third loop on, max_k |areas[k + 1] - areas[k]| over k >= 2, and the
+    report passes when it is at most 1e-4.  Fewer than four loops cannot
+    show settling: the violation is then infinite.  The location is the
+    close time of the last loop (0 when none closes).
+    """
+    if areas.size >= 4:
+        settle = float(np.max(np.abs(np.diff(areas[2:]))))
+    else:
+        settle = math.inf
+    return VerificationReport.from_violation(
+        name="cycle-stabilization",
+        worst_violation=settle,
+        worst_location=(float(times[-1]) if times.size else 0.0,),
+        tolerance=1e-4,
+        samples_checked=max(0, int(areas.size) - 3),
+        details={"areas": [float(a) for a in areas]},
+    )

@@ -252,6 +252,19 @@ def test_mech_rejects_a_step_count_above_the_cap_as_config_error(tmp_path, capsy
     assert not out.exists()
 
 
+@pytest.mark.parametrize("x3", ["1.0", "-0.75"])
+def test_mech_rejects_an_initial_friction_force_outside_the_band_as_config_error(
+    tmp_path, capsys, x3
+):
+    # a bad flag value is a usage error, not a failed verification
+    out = tmp_path / "mech.csv"
+    assert run_cli("mech", "--x3", x3, "--out", str(out)) == 2
+    assert capsys.readouterr().err.startswith(
+        "config error: --x3 must lie inside the friction band (-0.75, 0.75)"
+    )
+    assert not out.exists()
+
+
 def _report(worst, tol=1.0):
     return VerificationReport.from_violation(
         name="r", worst_violation=worst, worst_location=(worst,), tolerance=tol,

@@ -14,6 +14,7 @@ from duhem.curves import (
     _refine_crossings,
     _refine_point,
     _ride_point,
+    _ride_setup,
     _side_residual,
     anhysteresis,
     anhysteresis_values,
@@ -22,8 +23,9 @@ from duhem.curves import (
     ride_to_crossing,
     traversing_curve,
 )
+from duhem.cli import _battery_geometry
 from duhem.signals import ramp
-from duhem.storage import storage_cw
+from duhem.storage import storage_cw, storage_cw_batch
 
 from oracles import (
     boucwen_lambda_exact,
@@ -492,6 +494,72 @@ def test_single_point_ride_fails_as_the_batch_ride():
         lambda: ride_to_crossing(d, [0.9], [0.0]),
         lambda: intersect_lambda(d, PhasePoint(0.9, 0.0)),
     )
+
+
+def test_a_ride_from_a_nan_side_residual_fails_at_once():
+    # f_an = sqrt(1 - xi) is NaN at xi = 2: the point lies on neither side
+    # of the curve and is not on it either, so no ride may start there
+    m = DuhemModel(
+        name="sqrt-curve",
+        f1=lambda s, x: 1.0 + 0.0 * s,
+        f2=lambda s, x: 1.0 - 2.0 * s,
+        params={},
+        domain=Domain(-np.inf, np.inf),
+        f_an=lambda xi: np.sqrt(1.0 - xi),
+    )
+    p = PhasePoint(0.3, 2.0)
+    with np.errstate(invalid="ignore"):
+        err = _same_failure(
+            lambda: ride_to_crossing(m, [p.sigma], [p.xi]),
+            lambda: intersect_lambda(m, p),
+        )
+        assert err.type is CrossingSearchError
+        assert str(err.value) == (
+            "1 phase point(s) have a NaN side residual (first at sigma=0.3, xi=2)"
+        )
+        _same_failure(lambda: storage_cw_batch(m, [p.sigma], [p.xi]), lambda: storage_cw(m, p))
+        # in a batch the error names the first such point
+        with pytest.raises(CrossingSearchError, match=r"^2 phase .* sigma=-0.1, xi=3\)$"):
+            ride_to_crossing(m, [0.2, -0.1, 0.3], [0.5, 3.0, 2.0])
+
+
+@pytest.mark.parametrize("model", [dahl(), boucwen(), exp_example()], ids=lambda m: m.name)
+def test_ride_sides_are_the_comparison_with_the_curve(model):
+    # on the verify certificate grid, plus one point on the curve per xi
+    # line, the side residual's sign puts each point on the side of
+    # sigma's comparison with f_an(xi), bit for bit
+    sig, xiv, fan = curves._certificate_grid(model, _battery_geometry(model)[0])
+    S = np.concatenate([np.broadcast_to(sig[:, None], (sig.size, xiv.size)), fan[None, :]])
+    X = np.broadcast_to(xiv[None, :], S.shape)
+    _, _, above, below, _ = _ride_setup(model, S.ravel(), X.ravel(), 1e-3, 60)
+    F = np.broadcast_to(fan[None, :], S.shape).ravel()
+    assert above.tobytes() == (S.ravel() > F).tobytes()
+    assert below.tobytes() == (S.ravel() < F).tobytes()
+    assert above.any() and below.any() and not (above | below)[-xiv.size :].any()
+
+
+def test_solver_path_ride_sides_are_the_comparison_with_the_solved_curve():
+    # without f_an the sign of F decides; it agrees with the solved curve
+    # wherever |F| exceeds the rounding of f1 - f2 (a few ulp of each field,
+    # whose exponent argument is rounded too).  Besides the certificate grid
+    # the points include the solved curve and its neighbours 1e-9 off it.
+    region = _battery_geometry(exp_example())[0]
+    model = _strip_f_an(exp_example())
+    sig, xiv, fan = curves._certificate_grid(model, region)
+    off = 1e-9 * (1.0 + np.abs(fan))
+    S = np.concatenate(
+        [np.broadcast_to(sig[:, None], (sig.size, xiv.size)), [fan - off, fan, fan + off]]
+    ).ravel()
+    X = np.broadcast_to(xiv, (sig.size + 3, xiv.size)).ravel()
+    F = np.broadcast_to(fan, (sig.size + 3, xiv.size)).ravel()
+    _, _, above, below, _ = _ride_setup(model, S, X, 1e-3, 60)
+    f1, f2 = model.f1(S, X), model.f2(S, X)
+    rounding = 8.0 * EPS * (np.abs(f1) + np.abs(f2)) * (1.0 + 1.2 * np.abs(S) + np.abs(X))
+    clear = np.abs(model.F(S, X)) > rounding
+    # every point off the curve is clear of rounding
+    assert clear[: -2 * xiv.size].all() and clear[-xiv.size :].all()
+    assert (above == (S > F))[clear].all()
+    assert (below == (S < F))[clear].all()
 
 
 def test_ride_refines_all_crossings_in_at_most_two_bisections(monkeypatch, exp_model):

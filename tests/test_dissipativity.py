@@ -9,6 +9,7 @@ from duhem.dissipativity import (
     LoopClassification,
     check_assumption_A,
     cw_supply_integral,
+    cycle_stabilization,
     loop_areas,
     loop_orientation,
     verify_dissipation_battery,
@@ -243,3 +244,31 @@ def test_loop_areas_equal_the_per_sample_sum_bit_for_bit(dahl_r3, seed):
 def test_loop_classification_is_plain_record():
     lc = LoopClassification(label="clockwise", area=1.0, t_close=2.0)
     assert lc == LoopClassification("clockwise", 1.0, 2.0)
+
+
+def _settling_areas(change, loops=6):
+    """Loop areas that change by `change` per loop from the third loop on."""
+    return np.concatenate([[1.0, 0.5], 0.3 + change * np.arange(loops - 2)])[:loops]
+
+
+def test_cycle_stabilization_fails_on_areas_that_settle_only_to_2e4():
+    times = np.arange(1.0, 7.0)
+    areas = _settling_areas(2e-4)
+    rep = cycle_stabilization(times, areas)
+    assert not rep.passed
+    assert rep.worst_violation == pytest.approx(2e-4, rel=1e-9)
+    assert rep.tolerance == 1e-4
+    assert rep.worst_location == (6.0,)
+    assert rep.samples_checked == 3
+    assert rep.details == {"areas": [float(a) for a in areas]}
+    # the same changes ten times smaller pass
+    assert cycle_stabilization(times, _settling_areas(2e-5)).passed
+
+
+def test_cycle_stabilization_needs_four_loops():
+    rep = cycle_stabilization(np.arange(1.0, 4.0), _settling_areas(0.0, loops=3))
+    assert not rep.passed and rep.worst_violation == np.inf
+    rep = cycle_stabilization(np.zeros(0), np.zeros(0))
+    assert not rep.passed and rep.worst_location == (0.0,)
+    assert rep.samples_checked == 0
+
