@@ -442,11 +442,12 @@ def _ride_setup(model: DuhemModel, sigma, xi, step: float, max_doublings: int):
     side: by the sign structure (F >= 0 below the anhysteresis curve, <= 0
     above it) a point with c0 < 0 lies above the curve and rides f2
     leftward, one with c0 > 0 lies below it and rides f1 rightward, and one
-    with c0 == 0 is on the curve.  A NaN c0 raises CrossingSearchError
-    naming the first such point.  Returns sigma and xi as 1-d float arrays,
-    the masks of the points that ride f2 leftward and f1 rightward, and the
-    step budget: a span of (1 + max |xi|) doubled min(max_doublings, 21)
-    times, at most 2**21 steps.
+    with c0 == 0 is on the curve.  A NaN c0 raises CrossingSearchError and
+    a point outside the model domain ValueError, each naming the first such
+    point.  Returns sigma and xi as 1-d float arrays, the masks of the
+    points that ride f2 leftward and f1 rightward, and the step budget: a
+    span of (1 + max |xi|) doubled min(max_doublings, 21) times, at most
+    2**21 steps.
     """
     if step <= 0.0:
         raise ValueError("step must be positive")
@@ -454,17 +455,20 @@ def _ride_setup(model: DuhemModel, sigma, xi, step: float, max_doublings: int):
     xi = np.atleast_1d(np.asarray(xi, dtype=float))
     if sigma.shape != xi.shape or sigma.ndim != 1:
         raise ValueError("sigma and xi must be 1-d arrays of equal length")
-    if not np.asarray(model.domain.contains(sigma)).all():
-        raise ValueError("phase points outside model domain")
 
-    c0 = np.asarray(_side_residual(model)(sigma, xi), dtype=float)
-    nan = np.isnan(c0)
-    if nan.any():
-        k = int(np.argmax(nan))
-        raise CrossingSearchError(
-            f"{int(nan.sum())} phase point(s) have a NaN side residual "
+    def points(mask, what):
+        k = int(np.argmax(mask))
+        return (
+            f"{int(mask.sum())} phase point(s) {what} "
             f"(first at sigma={sigma[k]:.6g}, xi={xi[k]:.6g})"
         )
+
+    outside = ~model.domain.contains(sigma)
+    if outside.any():
+        raise ValueError(points(outside, "outside the model domain"))
+    c0 = np.asarray(_side_residual(model)(sigma, xi), dtype=float)
+    if np.isnan(c0).any():
+        raise CrossingSearchError(points(np.isnan(c0), "have a NaN side residual"))
 
     span_limit = (1.0 + float(np.abs(xi).max())) * 2.0 ** min(max_doublings, 21)
     max_steps = int(min(math.ceil(span_limit / step), 2**21))

@@ -490,10 +490,14 @@ def test_single_point_ride_fails_as_the_batch_ride():
             lambda: ride_to_crossing(d, [0.3], [0.0], step=step),
             lambda: storage_cw(d, PhasePoint(0.3, 0.0), step=step),
         )
-    _same_failure(
-        lambda: ride_to_crossing(d, [0.9], [0.0]),
-        lambda: intersect_lambda(d, PhasePoint(0.9, 0.0)),
-    )
+    for single in (intersect_lambda, storage_cw):
+        err = _same_failure(
+            lambda: ride_to_crossing(d, [0.9], [0.0]),
+            lambda: single(d, PhasePoint(0.9, 0.0)),
+        )
+        assert err.type is ValueError and str(err.value) == (
+            "1 phase point(s) outside the model domain (first at sigma=0.9, xi=0)"
+        )
 
 
 def test_a_ride_from_a_nan_side_residual_fails_at_once():
