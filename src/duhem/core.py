@@ -227,11 +227,12 @@ def _march_segment(f, y, ua, ub, n, lo, hi):
     stops, or None.
     """
     h = (ub - ua) / n
+    half, sixth = 0.5 * h, h / 6.0
     u = ua
     k1 = float(f(y, u))
     us, ys, ks = [u], [y], [k1]
     for k in range(1, n + 1):
-        y = float(rk4_step(f, y, u, h, k1))
+        y = float(rk4_step(f, y, k1, u + half, u + h, half, h, sixth))
         if not lo < y < hi:
             return us, ys, ks, y
         u = ua + k * h if k < n else ub

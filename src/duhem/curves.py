@@ -387,12 +387,13 @@ def _march_to_crossing(
     side = _side_residual(model)
     lo, hi = model.domain.sigma_min, model.domain.sigma_max
     guarded = model.domain.bounded
+    half, sixth = 0.5 * h, h / 6.0
 
     for it in range(1, max_steps + 1):
         if idx.size == 0:
             break
-        y_new = rk4_step(f, y, tau, h, fcur)
         tau_new = tau + h
+        y_new = rk4_step(f, y, fcur, tau + half, tau_new, half, h, sixth)
         if guarded and not ((y_new > lo) & (y_new < hi)).all():
             bad = ~((y_new > lo) & (y_new < hi))
             raise _domain_exit_error(int(bad.sum()), tau_new[bad][0])
@@ -544,11 +545,12 @@ def _ride_point(
     side = _side_residual(model)
     lo, hi = model.domain.sigma_min, model.domain.sigma_max
     guarded = model.domain.bounded
+    half, sixth = 0.5 * h, h / 6.0
 
     fcur = float(f(y, tau))
     for _ in range(max_steps):
-        y_new = float(rk4_step(f, y, tau, h, fcur))
         tau_new = tau + h
+        y_new = float(rk4_step(f, y, fcur, tau + half, tau_new, half, h, sixth))
         if guarded and not lo < y_new < hi:
             raise _domain_exit_error(1, tau_new)
         f_new = float(f(y_new, tau_new))

@@ -36,18 +36,21 @@ class BracketError(RuntimeError):
     """No sign change found within the bracket expansion budget."""
 
 
-def rk4_step(f, y, x, h, k1):
-    """Classical RK4 step for dy/dx = f(y, x) from the start slope f(y, x) = k1.
+def rk4_step(f, y, k1, xm, xh, half, h, sixth):
+    """Classical RK4 step for dy/dx = f(y, x) from (y, x) with start slope
+    k1 = f(y, x), given its stage inputs: xm = x + half and xh = x + h at
+    half = 0.5 * h, and sixth = h / 6.0.
 
-    `h` may be negative (backward march) and, in batch use, an array with
-    zero entries for frozen elements.
+    The caller computes the stage inputs, so a march that holds h fixed
+    computes half and sixth once, and a lockstep march can compute all of
+    them for a block of substeps before it runs them.  `h` may be negative
+    (backward march) and, in batch use, an array with zero entries for
+    frozen elements.
     """
-    half = 0.5 * h
-    xm = x + half
     k2 = f(y + half * k1, xm)
     k3 = f(y + half * k2, xm)
-    k4 = f(y + h * k3, x + h)
-    return y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    k4 = f(y + h * k3, xh)
+    return y + sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
 # -- cubic Hermite pieces ---------------------------------------------------

@@ -25,7 +25,11 @@ through the origin on falling stretches, where it rises on f1, so each RK4
 stage evaluates one slope field instead of both.  Negation is exact in
 floating point, and rounding to nearest commutes with it, so the
 reflected march gives the outputs and supplies of the unreflected one bit
-for bit (`_supply_running_min` says where a zero's sign may differ).
+for bit (`_supply_running_min` says where a zero's sign may differ).  The
+march runs in blocks of substeps: only the RK4 recurrence runs substep by
+substep, and each block's inputs and stage factors, its domain guard and
+its supply bookkeeping are array operations over the whole block, with
+the bits of a march of one substep at a time.
 """
 
 from __future__ import annotations
@@ -262,6 +266,10 @@ def _clip_to_horizon(sig: InputSignal, horizon: float) -> InputSignal:
     return InputSignal(times, values)
 
 
+# substeps per block of the supply march (`_supply_running_min`)
+_SUPPLY_BLOCK = 64
+
+
 def _supply_running_min(
     model: DuhemModel,
     signals: Sequence[InputSignal],
@@ -294,6 +302,17 @@ def _supply_running_min(
     and the supply increment 0.5 (z + z') s h equals 0.5 (y + y') h.  A
     model that is not odd keeps s = +1 and the two-branch field.
 
+    The iterations run in blocks of `_SUPPLY_BLOCK`.  Only the RK4
+    recurrence runs substep by substep.  Each block first gathers every
+    lane's frame sign, input v and RK4 stage inputs from its current event
+    (the event ids forward-filled down the block), and afterwards takes the
+    domain guard, the supply increments, their running sum (an in-order
+    `np.add.accumulate`) and the running minimum over the whole block.
+    Each value is the same elementwise expression as in a march of one
+    substep at a time, so the outputs do not depend on the block size; a
+    domain exit is reported at its first substep and the substeps computed
+    after it are discarded.
+
     Returns the running minimum of the supply integral W(t) = int y du and
     the final output, per signal.
     """
@@ -313,19 +332,23 @@ def _supply_running_min(
     ev = ev[np.argsort(ev[:, 0], kind="stable")]
     ev_k = ev[:, 0].astype(int)
     ev_lane = ev[:, 1].astype(int)
-    switch_at = np.unique(ev_k)
-    bounds = np.searchsorted(ev_k, np.append(switch_at, ev_k[-1] + 1))
     n_iter = int(ev_k[-1])
+    odd = model.odd
+    # each event's frame sign, start value, substep and its stage factors
+    ev_sign = np.where(odd & (ev[:, 4] < 0.0), -1.0, 1.0)
+    ev_va = ev_sign * ev[:, 3]
+    ev_h = ev_sign * ev[:, 4]
+    ev_half = 0.5 * ev_h
+    ev_sixth = ev_h / 6.0
 
     z = np.empty(m)
     z[:] = y0
     sign = np.ones(m)
+    current = np.full(m, -1)  # each lane's event before the block
     W = np.zeros(m)
     minW = np.zeros(m)
-    va, h, base = np.zeros(m), np.zeros(m), np.zeros(m)
     lo, hi = model.domain.sigma_min, model.domain.sigma_max
     guarded = model.domain.bounded
-    odd = model.odd
 
     if odd:
         field = model.f1
@@ -333,37 +356,71 @@ def _supply_running_min(
         def field(yv, uv):
             return np.where(up, model.f1(yv, uv), model.f2(yv, uv))
 
-    g = 0  # every lane has an event at iteration 0, which sets its va and h
-    for k in range(n_iter):
-        if k == switch_at[g]:
-            sl = slice(bounds[g], bounds[g + 1])
-            lanes = ev_lane[sl]
-            hk = ev[sl, 4]
-            sk = np.where(odd & (hk < 0.0), -1.0, 1.0)
-            z[lanes] *= sk * sign[lanes]
-            sign[lanes] = sk
-            va[lanes] = sk * ev[sl, 3]
-            h[lanes] = sk * hk
-            base[lanes] = k
-            up = h >= 0.0
-            g += 1
-        v = va + (k - base) * h
-        z_new = rk4_step(field, z, v, h, field(z, v))
-        if guarded and not (lo < z_new.min() and z_new.max() < hi):
-            bad = int(np.argmax(~((z_new > lo) & (z_new < hi))))
-            mine = np.flatnonzero((ev_lane == bad) & (ev_k <= k))[-1]
+    # every lane has an event at iteration 0, which sets its sign and h
+    for k0 in range(0, n_iter, _SUPPLY_BLOCK):
+        nb = min(_SUPPLY_BLOCK, n_iter - k0)
+        e0, e1 = np.searchsorted(ev_k, (k0, k0 + nb))
+        rows = ev_k[e0:e1] - k0
+        ids = np.empty((nb, m), dtype=int)
+        ids[0] = current
+        ids[1:] = -1
+        ids[rows, ev_lane[e0:e1]] = np.arange(e0, e1)
+        np.maximum.accumulate(ids, axis=0, out=ids)
+        H = ev_h[ids]
+        half = ev_half[ids]
+        sixth = ev_sixth[ids]
+        V = (np.arange(k0, k0 + nb)[:, None] - ev_k[ids]) * H
+        V += ev_va[ids]
+        XM = V + half
+        XH = V + H
+        # z is negated at a switch that turns the lane's sign: factor
+        # s_k s_(k-1), which is 1 on every other lane and substep
+        turn = ev_sign[ids]
+        turn[1:] *= turn[:-1]
+        turn[0] *= sign
+        switch = np.zeros(nb, dtype=bool)
+        switch[rows] = True
+
+        Z = np.empty((nb + 1, m))
+        Z[0] = z
+        for r, at_switch in enumerate(switch.tolist()):
+            if at_switch:
+                z = z * turn[r]
+                up = H[r] >= 0.0
+            z = rk4_step(
+                field, z, field(z, V[r]), XM[r], XH[r], half[r], H[r], sixth[r]
+            )
+            Z[r + 1] = z
+
+        Z_new = Z[1:]
+        if guarded and not (lo < Z_new.min() and Z_new.max() < hi):
+            out = ~((Z_new > lo) & (Z_new < hi))
+            r = int(np.argmax(out.any(axis=1)))
+            bad = int(np.argmax(out[r]))
+            e = ids[r, bad]
             t, u_exit = _substep_sample(
-                signals[bad], int(ev[mine, 2]), k + 1 - int(ev_k[mine]), step
+                signals[bad], int(ev[e, 2]), k0 + r + 1 - int(ev_k[e]), step
             )
             raise DomainExitError(
                 t=t,
                 u=u_exit,
-                y=float(sign[bad] * z_new[bad]),
+                y=float(ev_sign[e] * Z_new[r, bad]),
                 message=f"{lane_name(bad)} drove the output out of the domain",
             )
-        W += 0.5 * (z + z_new) * h
-        np.minimum(minW, W, out=minW)
-        z = z_new
+        # W += 0.5 * (z + z_new) * h at each substep, in place in turn
+        Wk = turn
+        Wk *= Z[:-1]
+        Wk += Z_new
+        Wk *= 0.5
+        Wk *= H
+        Wk[0] += W
+        np.add.accumulate(Wk, axis=0, out=Wk)
+        np.minimum(minW, Wk.min(axis=0), out=minW)
+        W = Wk[-1].copy()
+        current = ids[-1].copy()
+        sign = ev_sign[current]
+        # free the block's arrays before the next block allocates its own
+        del ids, H, half, sixth, V, XM, XH, turn, Z, Z_new, Wk
     return minW, sign * z
 
 

@@ -19,17 +19,55 @@ from duhem.integrate import (
 )
 
 
+def _rk4(f, y, x, h, k1):
+    """rk4_step from (y, x) with its stage inputs computed as a march does."""
+    half = 0.5 * h
+    return rk4_step(f, y, k1, x + half, x + h, half, h, h / 6.0)
+
+
 def test_rk4_step_exponential_accuracy():
     # one step of size h leaves an O(h^5) defect: ~8.5e-8 at h = 0.1
     f = lambda y, x: y
-    y = rk4_step(f, 1.0, 0.0, 0.1, f(1.0, 0.0))
+    y = _rk4(f, 1.0, 0.0, 0.1, f(1.0, 0.0))
     assert y == pytest.approx(math.exp(0.1), abs=2e-7)
 
 
 def test_rk4_step_backwards():
     f = lambda y, x: y
-    y = rk4_step(f, math.exp(0.1), 0.1, -0.1, f(math.exp(0.1), 0.1))
+    y = _rk4(f, math.exp(0.1), 0.1, -0.1, f(math.exp(0.1), 0.1))
     assert y == pytest.approx(1.0, abs=2e-7)
+
+
+def test_rk4_step_is_the_step_from_x_and_h_bit_for_bit():
+    # The step that computed its own stage inputs from (x, h), written out.
+    def step_from_x(f, y, x, h, k1):
+        half = 0.5 * h
+        xm = x + half
+        k2 = f(y + half * k1, xm)
+        k3 = f(y + half * k2, xm)
+        k4 = f(y + h * k3, x + h)
+        return y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+    f = lambda y, x: math.sin(3.0 * y) - 0.7 * y * x
+    f_vec = lambda y, x: np.sin(3.0 * y) - 0.7 * y * x
+    rng = np.random.default_rng(11)
+    for _ in range(200):
+        y, x = rng.uniform(-2.0, 2.0, 2)
+        h = float(rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-4.0, -0.5))
+        y, x = float(y), float(x)
+        k1 = f(y, x)
+        got = _rk4(f, y, x, h, k1)
+        assert type(got) is float
+        assert got.hex() == step_from_x(f, y, x, h, k1).hex()
+
+    y = rng.uniform(-2.0, 2.0, 300)
+    x = rng.uniform(-3.0, 3.0, 300)
+    h = rng.choice([-1.0, 1.0], 300) * 10.0 ** rng.uniform(-4.0, -0.5, 300)
+    h[::7] = 0.0  # frozen lanes
+    k1 = f_vec(y, x)
+    got = _rk4(f_vec, y, x, h, k1)
+    assert got.tobytes() == step_from_x(f_vec, y, x, h, k1).tobytes()
+    assert (got[::7] == y[::7]).all()
 
 
 def test_hermite_reproduces_cubics_exactly():

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from duhem import boucwen, dahl, simulate
+from duhem import storage as storage_module
 from duhem.core import Domain, DomainExitError, DuhemModel
 from duhem.curves import PhasePoint
 from duhem.dissipativity import cw_supply_integral
@@ -390,3 +391,116 @@ def test_supply_march_domain_exit_names_the_lane_and_its_sample():
     with pytest.raises(DomainExitError) as lone:
         simulate(model, sig, 0.5, step)
     assert (exc.t, exc.u, exc.y) == (lone.value.t, lone.value.u, lone.value.y)
+
+
+def _supply_march_at_block_sizes(monkeypatch, model, sigs, y0, step, blocks):
+    """minW and final output bytes of the supply march at each block size."""
+    out = []
+    for block in blocks:
+        monkeypatch.setattr(storage_module, "_SUPPLY_BLOCK", block)
+        minW, y_end = _supply_running_min(model, sigs, y0, step)
+        out.append((minW.tobytes(), y_end.tobytes()))
+    return out
+
+
+@pytest.mark.parametrize("odd", [True, False])
+@pytest.mark.parametrize("model_name", ["dahl_r1", "dahl_r3", "bw", "exp_model"])
+def test_supply_march_does_not_depend_on_the_block_size(model_name, odd, request, rng, monkeypatch):
+    # Block size 1 is the march of one substep at a time; 10**6 is one
+    # block larger than the iteration count (about 1,000 here).
+    model = dataclasses.replace(request.getfixturevalue(model_name), odd=odd)
+    sigs = _march_signals(rng)
+    y0 = np.linspace(-0.6, 0.6, len(sigs))
+    runs = _supply_march_at_block_sizes(
+        monkeypatch, model, sigs, y0, MARCH_STEP, (1, 7, storage_module._SUPPLY_BLOCK, 10**6)
+    )
+    assert all(run == runs[0] for run in runs[1:])
+
+
+def _segments(u0, *moves):
+    """Signal from u0 through the cumulative moves at unit input rate
+    (a move of 0 holds the input for one time unit)."""
+    values = u0 + np.concatenate([[0.0], np.cumsum(moves)])
+    times = np.concatenate([[0.0], np.cumsum(np.where(np.array(moves) == 0.0, 1.0, np.abs(moves)))])
+    return InputSignal(times, values)
+
+
+@pytest.mark.parametrize("odd", [True, False])
+def test_supply_march_switches_on_block_boundaries(dahl_r1, odd, monkeypatch):
+    # At step 1/8 a move of 7/8 takes 7 substeps and one of 8 takes 64, so
+    # these lanes switch segment (and turn) on the first substep of blocks
+    # of 7 and of 64, and finish there; one lane switches on every substep.
+    model = dataclasses.replace(dahl_r1, odd=odd)
+    step = 0.125
+    sigs = [
+        _segments(0.0, *[0.875, -0.875] * 10),        # switches at 7, 14, ..., 140
+        _segments(0.2, 8.0, -8.0, 8.0),               # at 64 and 128, done at 192
+        _segments(-0.1, *[0.125, -0.125] * 70),       # at every substep to 140
+        _segments(0.0, -8.0, 0.0, 7.0, 0.875),        # holds at 64, done at 128
+        _segments(0.5, 7.875, -0.125, 0.125),         # at 63, 64 and 65
+        _segments(0.0, -0.875 * 9),                   # done at 63
+    ]
+    y0 = np.array([0.0, -0.7, 0.3, 0.6, -0.2, 0.1])
+    runs = _supply_march_at_block_sizes(monkeypatch, model, sigs, y0, step, (1, 7, 64, 10**6))
+    assert all(run == runs[0] for run in runs[1:])
+    # dahl r = 1 is pure arithmetic: each lane ends on simulate's output
+    _, y_end = _supply_running_min(model, sigs, y0, step)
+    for i, sig in enumerate(sigs):
+        assert y_end[i] == simulate(model, sig, y0[i], step).y[-1], i
+
+
+def _unit_slope_band(odd: bool) -> DuhemModel:
+    return DuhemModel(
+        name="unit-slope band",
+        f1=lambda s, x: 1.0 + 0.0 * s,
+        f2=lambda s, x: 1.0 + 0.0 * s,
+        domain=Domain(-1.0, 1.0),
+        f_an=lambda xi: 0.0 * xi,
+        odd=odd,
+    )
+
+
+def _exit_at(k: int, direction: float) -> InputSignal:
+    """A lane of the unit-slope band from y = 0 that zigzags in single
+    substeps of 3/8 (exact in RK4 at step 3/8) and leaves the band on
+    iteration k (k even): the last segment's third substep reaches 9/8."""
+    assert k % 2 == 0
+    return _segments(0.0, *direction * np.array([0.375, -0.375] * ((k - 2) // 2) + [1.5]))
+
+
+@pytest.mark.parametrize("odd", [True, False])
+@pytest.mark.parametrize("direction", [1.0, -1.0])
+@pytest.mark.parametrize(
+    "k_exit",
+    [
+        166,  # row 38 of the third block of 64
+        202,  # row 10 of the final partial block (iterations 192-211)
+    ],
+)
+def test_supply_march_exit_in_a_later_block_is_simulates_exit(k_exit, direction, odd, monkeypatch):
+    # Lane 2 leaves the band on iteration k_exit.  Lane 0 leaves it four
+    # iterations later in the same block: the march reports the first exit
+    # in time, not the first lane, and discards the substeps after it.
+    # Lane 1 zigzags inside the band for 212 iterations.
+    model = _unit_slope_band(odd)
+    step = 0.375
+    sigs = [
+        _exit_at(k_exit + 4, direction),
+        _segments(0.0, *[0.375, -0.375] * 106),
+        _exit_at(k_exit, direction),
+        _segments(0.0, 0.75),
+    ]
+    with pytest.raises(DomainExitError) as lone:
+        simulate(model, sigs[2], 0.0, step)
+    assert lone.value.y == direction * 1.125
+    assert lone.value.t == 0.375 * (k_exit + 1)  # unit rate: 3/8 per substep
+    with pytest.raises(DomainExitError):
+        simulate(model, sigs[0], 0.0, step)
+    simulate(model, sigs[1], 0.0, step)
+
+    for block in (1, 7, storage_module._SUPPLY_BLOCK):
+        monkeypatch.setattr(storage_module, "_SUPPLY_BLOCK", block)
+        with pytest.raises(DomainExitError, match="signal 2 drove the output") as err:
+            _supply_running_min(model, sigs, 0.0, step)
+        exc = err.value
+        assert (exc.t, exc.u, exc.y) == (lone.value.t, lone.value.u, lone.value.y), block
