@@ -61,6 +61,8 @@ class CrossingSearchError(RuntimeError):
 
     Raised when the search exhausts its expansion budget or leaves the model
     domain; both indicate the transversality hypotheses fail along the ride.
+    Also raised for a NaN side residual at a start point and for a crossing
+    more than 1e-9 (or NaN) off the anhysteresis curve.
     """
 
 
@@ -91,7 +93,7 @@ def anhysteresis(model: DuhemModel, xi: float) -> float:
     Uses the model's declared anhysteresis function when present; otherwise
     brackets the root of F(., xi) by geometric expansion from sigma = 0
     (clipped to the model domain) and bisects until |F| <= 1e-10.  Raises
-    ValueError when the residual |F(sigma*, xi)| exceeds 1e-9.
+    ValueError when the residual |F(sigma*, xi)| exceeds 1e-9 or is NaN.
     """
     xi = float(xi)
     if model.f_an is not None:
@@ -102,7 +104,8 @@ def anhysteresis(model: DuhemModel, xi: float) -> float:
         a, b = expand_bracket(g, 0.0, 1.0 + abs(xi), lo_limit=lo, hi_limit=hi)
         sigma = a if a == b else bisect(g, a, b, ftol=1e-10)
     res = abs(float(model.F(sigma, xi)))
-    if res > 1e-9:
+    # written so that a NaN residual fails too
+    if not res <= 1e-9:
         raise ValueError(
             f"anhysteresis residual {res:.3e} exceeds tolerance at xi={xi}"
         )
@@ -497,7 +500,9 @@ def ride_to_crossing(
     The search budget is geometric in spirit: the ride may extend to a span
     of (1 + |xi|) doubled up to `max_doublings` times, subject to a hard cap
     of 2**21 steps, after which a CrossingSearchError is raised.  So is a
-    point whose side residual is NaN.
+    point whose side residual is NaN, and a ride whose crossings do not all
+    satisfy |y_at - f_an(lam)| <= 1e-9 (`intersect_lambda`'s check, against
+    `anhysteresis_values`), naming the count and the first such point.
     """
     sigma, xi, above, below, max_steps = _ride_setup(
         model, sigma, xi, step, max_doublings
@@ -516,6 +521,16 @@ def ride_to_crossing(
         )
         lam[mask], y_at[mask], integral[mask], steps[mask] = res
 
+    mismatch = np.abs(y_at - anhysteresis_values(model, lam))
+    # written so that a NaN residual fails too
+    stalled = ~(mismatch <= 1e-9)
+    if stalled.any():
+        k = int(np.argmax(stalled))
+        raise CrossingSearchError(
+            f"crossing refinement stalled on {int(stalled.sum())} lane(s): "
+            f"|omega - f_an| = {mismatch[k]:.3e} > 1.0e-09 at u* = {lam[k]:.6g} "
+            f"(first from sigma={sigma[k]:.6g}, xi={xi[k]:.6g})"
+        )
     return CrossingResult(lam=lam, y_at=y_at, integral=integral, steps=steps)
 
 

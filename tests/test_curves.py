@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -229,11 +230,17 @@ def test_single_point_ride_of_a_far_point_is_the_batch_lane_bit_for_bit(dahl_r1)
     # has zero width and its Hermite model divides 0 by 0
     p = PhasePoint(0.3, 1e17)
     with np.errstate(all="ignore"):
-        batch = ride_to_crossing(dahl_r1, [p.sigma], [p.xi])
+        sigma, xi, above, _, max_steps = _ride_setup(dahl_r1, p.sigma, p.xi, 1e-3, 60)
+        assert above[0]
+        lam, y_at, _, _ = curves._march_to_crossing(
+            dahl_r1, dahl_r1.f2, sigma, xi, -1e-3, max_steps
+        )
         one = _ride_point(dahl_r1, p, step=1e-3)
-        lane = np.array([batch.lam[0], batch.y_at[0]])
-        assert np.array(one).tobytes() == lane.tobytes()
-    assert batch.lam[0] == 1e17 and np.isnan(batch.y_at[0])
+        assert np.array(one).tobytes() == np.array([lam[0], y_at[0]]).tobytes()
+        # the batch ride rejects the lane's NaN crossing residual
+        with pytest.raises(CrossingSearchError, match="nan"):
+            ride_to_crossing(dahl_r1, [p.sigma], [p.xi])
+    assert lam[0] == 1e17 and np.isnan(y_at[0])
 
 
 def test_intersect_lambda_rejects_a_nan_residual(dahl_r1):
@@ -242,6 +249,37 @@ def test_intersect_lambda_rejects_a_nan_residual(dahl_r1):
     with np.errstate(all="ignore"):
         with pytest.raises(CrossingSearchError, match="nan"):
             intersect_lambda(dahl_r1, PhasePoint(0.3, 1e17))
+
+
+def test_anhysteresis_rejects_a_nan_residual():
+    # f_an = sqrt(1 - xi) is NaN at xi = 2, and so is F there; a check
+    # written `res > 1e-9` returned the NaN
+    model = dataclasses.replace(exp_example(), f_an=lambda xi: np.sqrt(1.0 - xi))
+    with np.errstate(invalid="ignore"):
+        with pytest.raises(ValueError, match="residual nan"):
+            anhysteresis(model, 2.0)
+    assert math.isfinite(anhysteresis(exp_example(), 2.0))
+
+
+def test_batch_ride_rejects_the_solver_path_crossings_of_boucwen():
+    # Without f_an the ride reads the sign of F, which cancels near the curve
+    # (`_side_residual`): its crossings land 3.8e-6 off the solved curve.
+    # The batch ride rejects them, as intersect_lambda does, and names the
+    # count and the first point; with the declared curve they pass.
+    solver = dataclasses.replace(boucwen(), f_an=None)
+    sigma, xi = [0.3, -0.2, 0.1], [0.4, 0.4, -1.0]
+    with pytest.raises(
+        CrossingSearchError, match=r"stalled on 3 lane\(s\).*first from sigma=0.3, xi=0.4\)"
+    ):
+        ride_to_crossing(solver, sigma, xi)
+    for s, x in zip(sigma, xi):
+        with pytest.raises(CrossingSearchError, match="stalled"):
+            intersect_lambda(solver, PhasePoint(s, x))
+    ride = ride_to_crossing(boucwen(), sigma, xi)
+    assert np.abs(ride.y_at).max() <= 1e-9
+    # one failing lane among passing ones is named, and counted alone
+    with pytest.raises(CrossingSearchError, match=r"stalled on 1 lane\(s\).*sigma=-0.2, xi=0.4\)"):
+        ride_to_crossing(solver, [0.0, -0.2], [0.4, 0.4])
 
 
 def test_intersect_lambda_matches_closed_form(dahl_r1):

@@ -51,3 +51,56 @@ def test_unused_import_check_sees_a_planted_import():
     assert _unused_imports("import os.path\n") == ["os"]
     assert _unused_imports("import os.path\nos.sep\n") == []
     assert _unused_imports("from math import pi\n__all__ = ['pi']\n") == []
+
+
+def _doubled(node) -> bool:
+    return (
+        isinstance(node, ast.BinOp)
+        and isinstance(node.op, ast.Mult)
+        and any(isinstance(n, ast.Constant) and n.value == 2 for n in (node.left, node.right))
+    )
+
+
+def _rk4_weight_sites(source: str) -> list[str]:
+    """Names of the functions (one entry per occurrence) holding the RK4
+    weight expression a + 2.0 * b + 2.0 * c + d."""
+    sites = []
+
+    def visit(node, where):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            where = node.name
+        if (
+            isinstance(node, ast.BinOp)
+            and isinstance(node.op, ast.Add)
+            and isinstance(node.left, ast.BinOp)
+            and isinstance(node.left.op, ast.Add)
+            and _doubled(node.left.right)
+            and isinstance(node.left.left, ast.BinOp)
+            and isinstance(node.left.left.op, ast.Add)
+            and _doubled(node.left.left.right)
+        ):
+            sites.append(where)
+        for child in ast.iter_child_nodes(node):
+            visit(child, where)
+
+    visit(ast.parse(source), "<module>")
+    return sites
+
+
+def test_rk4_weights_live_in_the_two_rk4_steps():
+    # The branch ODE has one RK4 step, integrate.rk4_step; the friction
+    # system's step, mechsim._rk4_mech, writes out its three components.
+    sites = {
+        path.stem: _rk4_weight_sites(path.read_text(encoding="utf-8")) for path in SOURCES
+    }
+    found = {stem: where for stem, where in sites.items() if where}
+    assert found == {"integrate": ["rk4_step"], "mechsim": ["_rk4_mech"] * 3}
+
+
+def test_rk4_weight_check_sees_a_planted_copy():
+    source = (SOURCES[0].parent / "storage.py").read_text(encoding="utf-8")
+    planted = "\n\ndef _march(y, s, k1, k2, k3, k4):\n    return y + s * (k1 + 2.0 * k2 + 2.0 * k3 + k4)\n"
+    assert _rk4_weight_sites(source) == []
+    assert _rk4_weight_sites(source + planted) == ["_march"]
+    assert _rk4_weight_sites("w = a + 2 * b + c * 2.0 + d\n") == ["<module>"]
+    assert _rk4_weight_sites("w = a + 2.0 * b + c + d\n") == []
