@@ -266,7 +266,8 @@ def _clip_to_horizon(sig: InputSignal, horizon: float) -> InputSignal:
     return InputSignal(times, values)
 
 
-# substeps per block of the supply march (`_supply_running_min`)
+# substeps per block of the supply march (`_supply_running_min`), whose
+# block arrays hold about ten numbers per lane and substep
 _SUPPLY_BLOCK = 64
 
 

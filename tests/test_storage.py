@@ -407,12 +407,12 @@ def _supply_march_at_block_sizes(monkeypatch, model, sigs, y0, step, blocks):
 @pytest.mark.parametrize("model_name", ["dahl_r1", "dahl_r3", "bw", "exp_model"])
 def test_supply_march_does_not_depend_on_the_block_size(model_name, odd, request, rng, monkeypatch):
     # Block size 1 is the march of one substep at a time; 10**6 is one
-    # block larger than the iteration count (about 1,000 here).
+    # block larger than the iteration count (about 1,300 here).
     model = dataclasses.replace(request.getfixturevalue(model_name), odd=odd)
-    sigs = _march_signals(rng)
+    sigs = _march_signals(rng, n=16)
     y0 = np.linspace(-0.6, 0.6, len(sigs))
     runs = _supply_march_at_block_sizes(
-        monkeypatch, model, sigs, y0, MARCH_STEP, (1, 7, storage_module._SUPPLY_BLOCK, 10**6)
+        monkeypatch, model, sigs, y0, 2.0 * MARCH_STEP, (1, 7, storage_module._SUPPLY_BLOCK, 10**6)
     )
     assert all(run == runs[0] for run in runs[1:])
 
