@@ -362,9 +362,8 @@ def _supply_running_min(
         nb = min(_SUPPLY_BLOCK, n_iter - k0)
         e0, e1 = np.searchsorted(ev_k, (k0, k0 + nb))
         rows = ev_k[e0:e1] - k0
-        ids = np.empty((nb, m), dtype=int)
+        ids = np.full((nb, m), -1)
         ids[0] = current
-        ids[1:] = -1
         ids[rows, ev_lane[e0:e1]] = np.arange(e0, e1)
         np.maximum.accumulate(ids, axis=0, out=ids)
         H = ev_h[ids]

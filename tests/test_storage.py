@@ -436,7 +436,7 @@ def test_supply_march_switches_on_block_boundaries(dahl_r1, odd, monkeypatch):
         _segments(0.0, *[0.875, -0.875] * 10),        # switches at 7, 14, ..., 140
         _segments(0.2, 8.0, -8.0, 8.0),               # at 64 and 128, done at 192
         _segments(-0.1, *[0.125, -0.125] * 70),       # at every substep to 140
-        _segments(0.0, -8.0, 0.0, 7.0, 0.875),        # holds at 64, done at 128
+        _segments(0.0, -8.0, 0.0, 7.125, 0.875),      # holds, turns at 64, done at 128
         _segments(0.5, 7.875, -0.125, 0.125),         # at 63, 64 and 65
         _segments(0.0, -0.875 * 9),                   # done at 63
     ]
