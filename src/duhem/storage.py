@@ -374,7 +374,8 @@ def _supply_running_min(
         XM = V + half
         XH = V + H
         # z is negated at a switch that turns the lane's sign: factor
-        # s_k s_(k-1), which is 1 on every other lane and substep
+        # s_k s_(k-1), which is 1 on every other lane and substep (numpy
+        # reads the overlapping rows as they were before the product)
         turn = ev_sign[ids]
         turn[1:] *= turn[:-1]
         turn[0] *= sign
