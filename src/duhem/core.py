@@ -94,11 +94,12 @@ class DuhemModel:
     f1 and f2 map (sigma, xi) to the output slope dy/du on increasing and
     decreasing input stretches; both must accept floats and numpy arrays
     elementwise.  For float arguments they should return a Python float:
-    numpy scalars work too, but the scalar marches (`simulate`, traversing
-    curves) then do numpy-scalar arithmetic and run 2-4x slower.  f_an,
-    when given, is the explicit anhysteresis function (the sigma solving
-    f1(sigma, xi) = f2(sigma, xi)); models without a closed form leave it
-    None and the curve operations solve for it.
+    float64 numpy scalars and 0-d arrays give the same bits, but the scalar
+    marches (`simulate`, traversing curves, single-point rides) do not
+    convert them and then run numpy-scalar arithmetic, 2-4x slower.
+    f_an, when given, is the explicit anhysteresis function (the sigma
+    solving f1(sigma, xi) = f2(sigma, xi)); models without a closed form
+    leave it None and the curve operations solve for it.
 
     odd declares the point symmetry of the operator: f2(sigma, xi) equals
     f1(-sigma, -xi) bit for bit on arrays, and the domain is symmetric about
@@ -221,26 +222,27 @@ def _march_segment(f, y, ua, ub, n, lo, hi):
     """March dy/du = f from (y, ua) to ub in n RK4 substeps of h = (ub - ua)/n
     to the nodes u_k = ua + k h, with u_n = ub exactly.
 
-    Returns the nodes, outputs and node slopes f(y_k, u_k) (each the next
-    substep's k1) from the start node on, and the output of the first
-    substep outside lo < y < hi (a non-finite one is), where the march
-    stops, or None.
+    Returns the nodes (an array), outputs and node slopes f(y_k, u_k) (each
+    the next substep's k1) from the start node on, and the output of the
+    first substep outside lo < y < hi (a non-finite one is), where the march
+    stops, or None.  The nodes and stage inputs u_k + h/2, u_k + h are
+    array operations, with the bits of the same float operations.
     """
     h = (ub - ua) / n
     half, sixth = 0.5 * h, h / 6.0
-    u = ua
-    k1 = float(f(y, u))
-    us, ys, ks = [u], [y], [k1]
-    for k in range(1, n + 1):
-        y = float(rk4_step(f, y, k1, u + half, u + h, half, h, sixth))
+    nodes = ua + np.arange(n + 1) * h
+    nodes[0], nodes[n] = ua, ub
+    k1 = f(y, ua)
+    ys, ks = [y], [k1]
+    xms, xhs = (nodes[:-1] + half).tolist(), (nodes[:-1] + h).tolist()
+    for xm, xh, u in zip(xms, xhs, nodes[1:].tolist()):
+        y = rk4_step(f, y, k1, xm, xh, half, h, sixth)
         if not lo < y < hi:
-            return us, ys, ks, y
-        u = ua + k * h if k < n else ub
-        k1 = float(f(y, u))
-        us.append(u)
+            return nodes[: len(ys)], ys, ks, y
+        k1 = f(y, u)
         ys.append(y)
         ks.append(k1)
-    return us, ys, ks, None
+    return nodes, ys, ks, None
 
 
 def simulate(
@@ -279,36 +281,38 @@ def simulate(
     if not bool(model.domain.contains(y0)):
         raise DomainExitError(0.0, u_first, y0, "initial state outside model domain")
 
-    ts = [float(signal.times[0])]
-    us = [u_first]
-    ys = [y0]
+    ts = [np.array([float(signal.times[0])])]
+    us = [np.array([u_first])]
+    ys = [np.array([y0])]
     y = y0
     lo, hi = model.domain.sigma_min, model.domain.sigma_max
 
     for j, (t0, t1, ua, ub) in enumerate(signal.segments()):
         du = ub - ua
         if du == 0.0:
-            ts.append(t1)
-            us.append(ub)
-            ys.append(y)
+            ts.append(np.array([t1]))
+            us.append(np.array([ub]))
+            ys.append(np.array([y]))
             continue
         n = _segment_substeps(du, step)
         f = model.f1 if du > 0.0 else model.f2
         nodes, outs, _, y_exit = _march_segment(f, y, ua, ub, n, lo, hi)
         if y_exit is not None:
-            t, u = _substep_sample(signal, j, len(nodes), step)
+            t, u = _substep_sample(signal, j, len(outs), step)
             raise DomainExitError(t, u, y_exit)
         inv_rate = (t1 - t0) / du
-        ts.extend(t0 + (u - ua) * inv_rate for u in nodes[1:-1])
-        ts.append(t1)
-        us.extend(nodes[1:])
-        ys.extend(outs[1:])
+        u = nodes[1:]
+        t = t0 + (u - ua) * inv_rate
+        t[-1] = t1
+        ts.append(t)
+        us.append(u)
+        ys.append(np.array(outs[1:], dtype=float))
         y = outs[-1]
 
     return Trajectory(
-        np.array(ts),
-        np.array(us),
-        np.array(ys),
+        np.concatenate(ts),
+        np.concatenate(us),
+        np.concatenate(ys),
         model_name=model.name,
         y0=y0,
         step=float(step) if step is not None else math.nan,

@@ -230,7 +230,7 @@ def _march_branch(
     n = _segment_substeps(span, step)
     lo, hi = model.domain.sigma_min, model.domain.sigma_max
     taus, ys, fs, y_exit = _march_segment(f, sigma, xi, tau_stop, n, lo, hi)
-    return np.array(taus), np.array(ys), np.array(fs), y_exit is not None
+    return taus, np.array(ys, dtype=float), np.array(fs, dtype=float), y_exit is not None
 
 
 def traversing_curve(
@@ -403,6 +403,9 @@ def _march_to_crossing(
         f_new = np.asarray(f(y_new, tau_new), dtype=float)
         c_new = np.asarray(side(y_new, tau_new), dtype=float)
         crossed = (c_new >= 0.0) if h < 0.0 else (c_new <= 0.0)
+        # every lane's step integral, the crossed lanes' too: one elementwise
+        # pass costs less than gathering its six inputs
+        acc_new = acc + hermite_integral(tau, tau_new, y, y_new, fcur, f_new)
 
         if crossed.any():
             steps[idx[crossed]] = it
@@ -418,15 +421,11 @@ def _march_to_crossing(
                     acc[crossed],
                 )
             )
+            keep = ~crossed
+            idx, acc_new = idx[keep], acc_new[keep]
+            y_new, tau_new, f_new = y_new[keep], tau_new[keep], f_new[keep]
 
-        keep = ~crossed
-        acc = acc[keep] + hermite_integral(
-            tau[keep], tau_new[keep], y[keep], y_new[keep], fcur[keep], f_new[keep]
-        )
-        idx = idx[keep]
-        y = y_new[keep]
-        tau = tau_new[keep]
-        fcur = f_new[keep]
+        acc, y, tau, fcur = acc_new, y_new, tau_new, f_new
 
     if idx.size:
         raise _budget_error(idx.size, max_steps, h)
@@ -562,14 +561,14 @@ def _ride_point(
     guarded = model.domain.bounded
     half, sixth = 0.5 * h, h / 6.0
 
-    fcur = float(f(y, tau))
+    fcur = f(y, tau)
     for _ in range(max_steps):
         tau_new = tau + h
-        y_new = float(rk4_step(f, y, fcur, tau + half, tau_new, half, h, sixth))
+        y_new = rk4_step(f, y, fcur, tau + half, tau_new, half, h, sixth)
         if guarded and not lo < y_new < hi:
             raise _domain_exit_error(1, tau_new)
-        f_new = float(f(y_new, tau_new))
-        c_new = float(side(y_new, tau_new))
+        f_new = f(y_new, tau_new)
+        c_new = side(y_new, tau_new)
         if (c_new >= 0.0) if h < 0.0 else (c_new <= 0.0):
             return _refine_point(side, tau, tau_new, y, y_new, fcur, f_new)
         y, tau, fcur = y_new, tau_new, f_new

@@ -39,27 +39,40 @@ def _power(a, n):
         return math.inf
 
 
-def _scaled_signed_power(rho, z, r):
-    """rho * |z|^r * sgn(z); a Python float for a float z."""
-    if isinstance(z, float):
-        # the power is guarded inline: a call to _power per field evaluation
-        # costs as much as the arithmetic
-        try:
-            p = abs(z) ** r
-        except OverflowError:
-            p = math.inf
-        # copysign and np.sign disagree only at z = -0.0, which 1 +- sigma/fc
-        # never rounds to
-        return rho * math.copysign(p, z)
-    return rho * np.abs(z) ** r * np.sign(z)
+def _signed_power_field(rho, fc, r, rising):
+    """The Dahl field rho * |z|^r * sgn(z) at z = 1 - sigma/fc (rising, f1)
+    or z = 1 + sigma/fc (f2), in one Python call; a Python float for a
+    float sigma."""
+
+    def field(sigma, xi):
+        z = 1.0 - sigma / fc if rising else 1.0 + sigma / fc
+        if isinstance(z, float):
+            # the power is guarded inline: a call to _power per field
+            # evaluation costs as much as the arithmetic
+            try:
+                p = abs(z) ** r
+            except OverflowError:
+                p = math.inf
+            # copysign and np.sign disagree only at z = -0.0, which 1 +-
+            # sigma/fc never rounds to
+            return rho * math.copysign(p, z)
+        return rho * np.abs(z) ** r * np.sign(z)
+
+    return field
 
 
-def _exp(x):
-    """np.exp, as a Python float for a float argument.  math.exp differs
-    from np.exp in the last bit on some arguments, so it is not used."""
-    if isinstance(x, float):
-        return float(np.exp(x))
-    return np.exp(x)
+def _exp_field(rising):
+    """The exponential example's field exp(0.5*(-1.2*sigma + xi)) + 0.83
+    (rising, f1) or exp(0.5*(1.2*sigma - xi)) + 0.83 (f2), in one Python
+    call; a Python float for a float argument.  np.exp is bound once;
+    math.exp differs from it in the last bit on some arguments."""
+    exp = np.exp
+
+    def field(sigma, xi):
+        x = 0.5 * (-1.2 * sigma + xi) if rising else 0.5 * (1.2 * sigma - xi)
+        return (float(exp(x)) if isinstance(x, float) else exp(x)) + 0.83
+
+    return field
 
 
 def dahl(rho: float = 1.5, fc: float = 0.75, r: float = 1.0) -> DuhemModel:
@@ -90,11 +103,8 @@ def dahl(rho: float = 1.5, fc: float = 0.75, r: float = 1.0) -> DuhemModel:
         def f2(sigma, xi):
             return rho * (1.0 + sigma / fc)
     else:
-        def f1(sigma, xi):
-            return _scaled_signed_power(rho, 1.0 - sigma / fc, r)
-
-        def f2(sigma, xi):
-            return _scaled_signed_power(rho, 1.0 + sigma / fc, r)
+        f1 = _signed_power_field(rho, fc, r, rising=True)
+        f2 = _signed_power_field(rho, fc, r, rising=False)
 
     return DuhemModel(
         name="dahl",
@@ -169,17 +179,10 @@ def exp_example() -> DuhemModel:
     anhysteresis function is xi/1.2 (slope 5/6, not the 0.83 additive
     constant appearing in the slope fields).
     """
-
-    def f1(sigma, xi):
-        return _exp(0.5 * (-1.2 * sigma + xi)) + 0.83
-
-    def f2(sigma, xi):
-        return _exp(0.5 * (1.2 * sigma - xi)) + 0.83
-
     return DuhemModel(
         name="exp_example",
-        f1=f1,
-        f2=f2,
+        f1=_exp_field(rising=True),
+        f2=_exp_field(rising=False),
         params={},
         domain=WHOLE_PLANE,
         f_an=lambda xi: xi / 1.2,

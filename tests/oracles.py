@@ -244,3 +244,73 @@ def simulate_mech_closure(params, init, horizon, step):
         states.append((na, nb, nc))
     x1, x2, x3 = (np.array(v) for v in zip(*states))
     return t, x1, x2, x3, None
+
+
+def march_per_step(f, y, ua, ub, n, lo, hi):
+    """The scalar segment march one node at a time, as core._march_segment
+    first wrote it: node u_k = ua + k*h (u_n = ub), the RK4 step written
+    out, and every field value and RK4 result passed through float().
+
+    Returns the nodes, outputs and node slopes from the start node on, and
+    the output of the first substep outside lo < y < hi, or None.
+    """
+    h = (ub - ua) / n
+    half, sixth = 0.5 * h, h / 6.0
+    u = ua
+    k1 = float(f(y, u))
+    us, ys, ks = [u], [y], [k1]
+    for k in range(1, n + 1):
+        k2 = float(f(y + half * k1, u + half))
+        k3 = float(f(y + half * k2, u + half))
+        k4 = float(f(y + h * k3, u + h))
+        y = float(y + sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4))
+        if not lo < y < hi:
+            return us, ys, ks, y
+        u = ua + k * h if k < n else ub
+        k1 = float(f(y, u))
+        us.append(u)
+        ys.append(y)
+        ks.append(k1)
+    return us, ys, ks, None
+
+
+def substeps(du, step):
+    """Substep count of a segment of input change du: the simulate rule."""
+    if step is None:
+        step = min(abs(du) / 1000.0, 1e-3)
+    return max(1, int(math.ceil(abs(du) / step)))
+
+
+def simulate_per_step(model, signal, y0, step):
+    """core.simulate sample by sample on `march_per_step`: times
+    t0 + (u - ua) * inv_rate inside a segment and t1 at its end, a held
+    output on segments with no input change.
+
+    Returns (t, u, y) lists and None, or, when a substep leaves the
+    domain, the samples before it and the exit (t, u, y) of that substep.
+    """
+    lo, hi = model.domain.sigma_min, model.domain.sigma_max
+    ts, us, ys = [float(signal.times[0])], [float(signal.values[0])], [float(y0)]
+    for j in range(len(signal.times) - 1):
+        t0, t1 = float(signal.times[j]), float(signal.times[j + 1])
+        ua, ub = float(signal.values[j]), float(signal.values[j + 1])
+        du = ub - ua
+        if du == 0.0:
+            ts.append(t1)
+            us.append(ub)
+            ys.append(ys[-1])
+            continue
+        n = substeps(du, step)
+        f = model.f1 if du > 0.0 else model.f2
+        nodes, outs, _, y_exit = march_per_step(f, ys[-1], ua, ub, n, lo, hi)
+        inv_rate = (t1 - t0) / du
+        if y_exit is not None:
+            k = len(nodes)
+            u = ua + k * (du / n) if k < n else ub
+            t = t1 if k == n else t0 + (u - ua) * inv_rate
+            return ts, us, ys, (t, u, y_exit)
+        ts.extend(t0 + (u - ua) * inv_rate for u in nodes[1:-1])
+        ts.append(t1)
+        us.extend(nodes[1:])
+        ys.extend(outs[1:])
+    return ts, us, ys, None

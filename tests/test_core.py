@@ -1,3 +1,5 @@
+import dataclasses
+import functools
 import math
 
 import numpy as np
@@ -5,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from duhem import simulate
+from duhem import boucwen, core, curves, dahl, exp_example, simulate
 from duhem.core import (
     Domain,
     DomainExitError,
@@ -15,7 +17,14 @@ from duhem.core import (
 )
 from duhem.signals import InputSignal, ramp, random_piecewise_linear, rate_reparameterize, triangle
 
-from oracles import BOUCWEN_FIXED_POINT, ramp_response_exact, simulate_exact
+from oracles import (
+    BOUCWEN_FIXED_POINT,
+    march_per_step,
+    ramp_response_exact,
+    simulate_exact,
+    simulate_per_step,
+    substeps,
+)
 
 # 0.75 * (1 - exp(-2)): Dahl r=1 rising from rest over one input unit
 RAMP_ORACLE = 0.6484985375725405
@@ -192,3 +201,144 @@ def test_existence_conditions_rejects_bad_inputs(dahl_r1):
     with pytest.raises(ValueError):
         check_existence_conditions(dahl_r1, (np.linspace(-0.5, 0.5, 10), np.array([0.0])), -1.0)
 
+
+
+# -- the scalar march against its one-node-at-a-time oracle ------------------
+
+
+def _numpy_scalar_model():
+    """Fields that return numpy float64 scalars (f1) and 0-d arrays (f2)
+    for float arguments, arrays for arrays."""
+    return DuhemModel(
+        name="numpy scalars",
+        f1=lambda s, x: np.float64(1.0) - 0.5 * s + 0.1 * np.sin(x),
+        f2=lambda s, x: np.asarray(1.0 + 0.5 * s - 0.1 * np.sin(x)),
+        domain=Domain(-3.0, 3.0),
+    )
+
+
+_ORACLE_MODELS = {
+    "dahl r=1": dahl,
+    "dahl r=3": lambda: dahl(r=3.0),
+    "boucwen": boucwen,
+    "exp_example": exp_example,
+    "numpy scalars": _numpy_scalar_model,
+}
+
+
+def _oracle_signals():
+    rng = np.random.default_rng(41)
+    return [
+        (triangle(2.0, 2), 1e-3),
+        # a held stretch, a short segment of one substep, the default step
+        (InputSignal(np.array([0.0, 1.0, 2.0, 2.5, 4.0]),
+                     np.array([0.0, 1.3, 1.3, 1.3004, -0.7])), None),
+        (random_piecewise_linear(rng, u_start=0.0, span=2.0, n_breakpoints=(3, 8)), 5e-3),
+        # ua + n h misses ub on the second segment, t0 + (ub - ua) * inv_rate
+        # misses t1 on the first
+        (InputSignal(np.array([0.0, 0.7, 1.9]), np.array([0.1, 1.37, -0.29])), 3e-3),
+    ]
+
+
+def _bits(values):
+    return np.array(values, dtype=float).tobytes()
+
+
+@pytest.mark.parametrize("name", sorted(_ORACLE_MODELS))
+def test_simulate_is_the_per_step_march_bit_for_bit(name):
+    model = _ORACLE_MODELS[name]()
+    for signal, step in _oracle_signals():
+        traj = simulate(model, signal, 0.1, step=step)
+        t, u, y, exit_ = simulate_per_step(model, signal, 0.1, step)
+        assert exit_ is None
+        assert (traj.t.tobytes(), traj.u.tobytes(), traj.y.tobytes()) == (
+            _bits(t), _bits(u), _bits(y)
+        ), (name, step)
+
+
+@pytest.mark.parametrize("name", sorted(_ORACLE_MODELS))
+def test_march_branch_is_the_per_step_march_bit_for_bit(name):
+    model = _ORACLE_MODELS[name]()
+    lo, hi = model.domain.sigma_min, model.domain.sigma_max
+    for f, sigma, xi, tau_stop in (
+        (model.f1, 0.2, -0.3, 1.7),
+        (model.f2, -0.1, 0.4, -1.35),
+        (model.f2, 0.1, 1.37, -0.29),
+        # the start node keeps the sign of a zero: -0.0 + 0 h is +0.0
+        (model.f1, 0.2, -0.0, 0.5),
+        (model.f1, 0.2, 0.4, 0.4),
+    ):
+        taus, ys, fs, truncated = curves._march_branch(model, f, sigma, xi, tau_stop, 1e-3)
+        if tau_stop == xi:
+            want = [xi], [sigma], [float(f(sigma, xi))], None
+        else:
+            want = march_per_step(f, sigma, xi, tau_stop, substeps(tau_stop - xi, 1e-3), lo, hi)
+        assert (taus.tobytes(), ys.tobytes(), fs.tobytes()) == tuple(map(_bits, want[:3]))
+        assert truncated == (want[3] is not None)
+
+
+def _tangent_model():
+    """dy/du = 1 + y^2 on both branches: y = tan(u - c) leaves the band
+    (-1, 1) inside a segment."""
+    field = lambda s, x: 1.0 + s * s
+    return DuhemModel(name="tangent", f1=field, f2=field, domain=Domain(-1.0, 1.0))
+
+
+@pytest.mark.parametrize(
+    "values", [(0.0, 2.0), (0.0, 0.5, -2.0)], ids=["rising", "falling"]
+)
+def test_domain_exit_is_the_per_step_march_exit(values):
+    model = _tangent_model()
+    signal = InputSignal(np.arange(len(values), dtype=float), np.array(values))
+    with pytest.raises(DomainExitError) as err:
+        simulate(model, signal, 0.0, step=1e-2)
+    *_, exit_ = simulate_per_step(model, signal, 0.0, 1e-2)
+    got = (err.value.t, err.value.u, err.value.y)
+    assert _bits(got) == _bits(exit_), (got, exit_)
+    # the exit lies inside the last segment
+    assert min(values[-2:]) < err.value.u < max(values[-2:])
+    assert len(values) - 2 < err.value.t < len(values) - 1
+
+
+def test_march_branch_truncation_is_the_per_step_march_exit():
+    model = _tangent_model()
+    taus, ys, fs, truncated = curves._march_branch(model, model.f1, 0.0, 0.0, 2.0, 1e-2)
+    want = march_per_step(model.f1, 0.0, 0.0, 2.0, 200, -1.0, 1.0)
+    assert truncated and want[3] is not None
+    assert (taus.tobytes(), ys.tobytes(), fs.tobytes()) == tuple(map(_bits, want[:3]))
+
+
+# -- work counts of the scalar march ------------------------------------------
+
+
+def _counted(fn, calls):
+    @functools.wraps(fn)
+    def wrapper(*args):
+        calls[0] += 1
+        return fn(*args)
+
+    return wrapper
+
+
+def test_simulate_makes_4n_plus_1_field_calls_per_moving_segment(dahl_r3):
+    field_calls = [0]
+    model = dataclasses.replace(
+        dahl_r3, f1=_counted(dahl_r3.f1, field_calls), f2=_counted(dahl_r3.f2, field_calls)
+    )
+    field_calls[0] = 0
+    values = np.array([0.0, 1.0, 1.0, -0.55, 0.3, 0.3000001])
+    signal = InputSignal(np.arange(values.size, dtype=float), values)
+    simulate(model, signal, 0.0, step=1e-2)
+    moving = [du for du in np.diff(values) if du != 0.0]
+    assert field_calls[0] == sum(4 * math.ceil(abs(du) / 1e-2) + 1 for du in moving)
+
+
+@pytest.mark.parametrize("n", [1, 2, 37])
+def test_march_segment_makes_n_rk4_steps_and_4n_plus_1_field_calls(monkeypatch, exp_model, n):
+    rk4_calls, field_calls = [0], [0]
+    monkeypatch.setattr(core, "rk4_step", _counted(core.rk4_step, rk4_calls))
+    f = _counted(exp_model.f1, field_calls)
+    nodes, ys, ks, y_exit = core._march_segment(f, 0.3, -0.2, 0.9, n, -math.inf, math.inf)
+    assert y_exit is None and len(nodes) == len(ys) == len(ks) == n + 1
+    assert rk4_calls[0] == n
+    assert field_calls[0] == 4 * n + 1
