@@ -229,7 +229,17 @@ def _base_config(args: argparse.Namespace, names: tuple[str, ...]) -> RunConfig:
     step = cfg.step
     if step is not None and not (isinstance(step, (int, float)) and step > 0.0):
         raise ConfigError(f"--step must be positive (config 'step'), got {step!r}")
+    y0 = cfg.y0
+    if "y0" in names and not (isinstance(y0, (int, float)) and math.isfinite(y0)):
+        raise ConfigError(f"--y0 must be finite (config 'y0'), got {y0!r}")
     return cfg
+
+
+def _phase_point(args: argparse.Namespace) -> PhasePoint:
+    for flag, value in (("--sigma", args.sigma), ("--xi", args.xi)):
+        if not math.isfinite(value):
+            raise ConfigError(f"{flag} must be finite, got {value!r}")
+    return PhasePoint(args.sigma, args.xi)
 
 
 def _out_path(cfg: RunConfig, default_name: str) -> str:
@@ -240,11 +250,16 @@ def _out_path(cfg: RunConfig, default_name: str) -> str:
 
 
 def _print_report(report: VerificationReport) -> None:
+    """One line per check, ending in ratio=worst/tol when tol > 0: how
+    close the check came to failing (it failed above 1)."""
     state = "PASS" if report.passed else "FAIL"
-    print(
+    line = (
         f"[{state}] {report.name}: worst={report.worst_violation:.6g} "
         f"tol={report.tolerance:.6g} samples={report.samples_checked}"
     )
+    if report.tolerance > 0.0:
+        line += f" ratio={report.worst_violation / report.tolerance:.3g}"
+    print(line)
 
 
 # --- subcommand handlers ---------------------------------------------------
@@ -265,7 +280,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 def cmd_curves(args: argparse.Namespace) -> int:
     cfg = _base_config(args, ("model", "step", "out", "out_dir"))
     model = _resolve_model(cfg)
-    p = PhasePoint(args.sigma, args.xi)
+    p = _phase_point(args)
     step = cfg.step if cfg.step is not None else 1e-3
     curve = traversing_curve(model, p, args.tau_min, args.tau_max, step=step)
     lam = intersect_lambda(model, p, step=step)
@@ -288,7 +303,7 @@ def cmd_curves(args: argparse.Namespace) -> int:
 def cmd_storage(args: argparse.Namespace) -> int:
     cfg = _base_config(args, ("model", "step", "quad_tol", "out", "out_dir"))
     model = _resolve_model(cfg)
-    p = PhasePoint(args.sigma, args.xi)
+    p = _phase_point(args)
     step = cfg.step if cfg.step is not None else 1e-3
     ev = storage_cw(model, p, quad_tol=cfg.quad_tol, step=step)
     text = json.dumps(ev.to_dict(), sort_keys=True, indent=2)

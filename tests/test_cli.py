@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -11,6 +12,7 @@ from duhem.cli import (
     ConfigError,
     RunConfig,
     _aggregate,
+    _print_report,
     build_input,
     main,
 )
@@ -263,6 +265,82 @@ def test_mech_rejects_an_initial_friction_force_outside_the_band_as_config_error
         "config error: --x3 must lie inside the friction band (-0.75, 0.75)"
     )
     assert not out.exists()
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("simulate", "--model", "dahl", "--input", TRIANGLE),
+        ("verify", "--model", "dahl", "--n-signals", "1"),
+        ("loops", "--model", "dahl", "--input", TRIANGLE),
+    ],
+    ids=lambda a: a[0] if isinstance(a, tuple) else None,
+)
+def test_a_y0_that_is_not_finite_is_a_config_error(tmp_path, capsys, argv, value):
+    # it used to exit 1 with "error: y0 must be finite", like a failed run
+    code = run_cli(*argv, f"--y0={value}", "--out-dir", str(tmp_path))
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: --y0 must be finite (config 'y0')"), err
+    assert not any(tmp_path.iterdir())
+
+
+def test_a_config_file_y0_that_is_not_finite_is_a_config_error(tmp_path, capsys):
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"model": "dahl", "input": json.loads(TRIANGLE), "y0": math.nan}))
+    assert run_cli("simulate", "--config", str(cfg), "--out-dir", str(tmp_path)) == 2
+    assert "--y0 must be finite (config 'y0'), got nan" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag", ["--sigma", "--xi"])
+@pytest.mark.parametrize("value", ["nan", "inf"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("curves", "--model", "dahl", "--tau-min", "-1.0", "--tau-max", "2.0"),
+        ("storage", "--model", "dahl"),
+    ],
+    ids=lambda a: a[0] if isinstance(a, tuple) else None,
+)
+def test_a_phase_point_that_is_not_finite_is_a_config_error(tmp_path, capsys, argv, flag, value):
+    # it used to exit 1 with "phase point coordinates must be finite"
+    point = {"--sigma": "0.3", "--xi": "1.0", flag: value}
+    out = tmp_path / "out.txt"
+    code = run_cli(*argv, *(x for kv in point.items() for x in kv), "--out", str(out))
+    assert code == 2
+    assert capsys.readouterr().err.startswith(f"config error: {flag} must be finite, got {value}")
+    assert not out.exists()
+
+
+def test_report_line_ends_in_its_ratio_to_a_positive_tolerance(capsys):
+    for worst, tol in ((2.5, 1.0), (0.25, 0.5), (-0.5, 0.25)):
+        _print_report(_report(worst, tol=tol))
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].startswith("[FAIL] r: worst=2.5 tol=1 ") and lines[0].endswith(" ratio=2.5")
+    assert float(lines[0].rsplit("ratio=", 1)[1]) > 1.0
+    assert lines[1].endswith(" ratio=0.5") and lines[1].startswith("[PASS]")
+    assert lines[2].endswith(" ratio=-2")
+
+
+def test_report_line_of_a_zero_tolerance_check_has_no_ratio(capsys):
+    _print_report(_report(-0.25, tol=0.0))
+    assert capsys.readouterr().out == "[PASS] r: worst=-0.25 tol=0 samples=3\n"
+
+
+def test_failing_verify_run_prints_a_ratio_above_one(tmp_path, capsys):
+    # a battery tolerance far below the run's dissipation slack fails the
+    # battery, and its line shows by how much
+    code = run_cli(
+        "verify", "--model", "dahl", "--n-signals", "1", "--tol", "1e-12",
+        "--out-dir", str(tmp_path),
+    )
+    assert code == 1
+    line = next(
+        l for l in capsys.readouterr().out.splitlines() if "dissipation-forward" in l
+    )
+    assert line.startswith("[FAIL]")
+    assert float(line.rsplit("ratio=", 1)[1]) > 1.0
 
 
 def _report(worst, tol=1.0):
