@@ -202,7 +202,6 @@ def test_existence_conditions_rejects_bad_inputs(dahl_r1):
         check_existence_conditions(dahl_r1, (np.linspace(-0.5, 0.5, 10), np.array([0.0])), -1.0)
 
 
-
 # -- the scalar march against its one-node-at-a-time oracle ------------------
 
 
