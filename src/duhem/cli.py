@@ -232,11 +232,16 @@ def _base_config(args: argparse.Namespace, names: tuple[str, ...]) -> RunConfig:
     y0 = cfg.y0
     if "y0" in names and not (isinstance(y0, (int, float)) and math.isfinite(y0)):
         raise ConfigError(f"--y0 must be finite (config 'y0'), got {y0!r}")
+    tol = cfg.quad_tol
+    if "quad_tol" in names and not (isinstance(tol, (int, float)) and 0.0 < tol < math.inf):
+        raise ConfigError(f"--quad-tol must be positive and finite (config 'quad_tol'), got {tol!r}")
     return cfg
 
 
-def _phase_point(args: argparse.Namespace) -> PhasePoint:
-    for flag, value in (("--sigma", args.sigma), ("--xi", args.xi)):
+def _phase_point(args: argparse.Namespace, *flags: tuple[str, float]) -> PhasePoint:
+    """The phase point of --sigma and --xi; it and every further (flag,
+    value) must be finite."""
+    for flag, value in (("--sigma", args.sigma), ("--xi", args.xi), *flags):
         if not math.isfinite(value):
             raise ConfigError(f"{flag} must be finite, got {value!r}")
     return PhasePoint(args.sigma, args.xi)
@@ -280,7 +285,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 def cmd_curves(args: argparse.Namespace) -> int:
     cfg = _base_config(args, ("model", "step", "out", "out_dir"))
     model = _resolve_model(cfg)
-    p = _phase_point(args)
+    p = _phase_point(args, ("--tau-min", args.tau_min), ("--tau-max", args.tau_max))
     step = cfg.step if cfg.step is not None else 1e-3
     curve = traversing_curve(model, p, args.tau_min, args.tau_max, step=step)
     lam = intersect_lambda(model, p, step=step)

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import inspect
 import math
+import struct
 from dataclasses import dataclass, field
 from typing import Callable, Mapping
 
@@ -102,11 +103,13 @@ class DuhemModel:
     leave it None and the curve operations solve for it.
 
     odd declares the point symmetry of the operator: f2(sigma, xi) equals
-    f1(-sigma, -xi) bit for bit on arrays, and the domain is symmetric about
-    0.  A falling stretch is then a rising one reflected through the
-    origin, and the brute-force supply march
-    (`storage._supply_running_min`) integrates every lane on f1 alone.
-    The declaration is checked on a small grid of points when the model is
+    f1(-sigma, -xi) bit for bit on arrays, f_an(-xi) == -f_an(xi) if f_an
+    is declared, and the domain is symmetric about 0.  A falling stretch,
+    or a ride from above the anhysteresis curve, is then a rising one
+    reflected through the origin, and the supply march
+    (`storage._supply_running_min`) and the crossing ride
+    (`curves.ride_to_crossing`) march every lane on f1 alone.  The
+    declaration is checked on a small grid of points when the model is
     built; a mismatch there, or an asymmetric domain, raises ValueError.
     Dahl, Bouc-Wen and the exponential example are odd.
     """
@@ -127,8 +130,9 @@ class DuhemModel:
             self._check_odd()
 
     def _check_odd(self):
-        """Raise ValueError unless the domain is symmetric about 0 and
-        f2(sigma, xi) == f1(-sigma, -xi) on the probe grid."""
+        """Raise ValueError unless the domain is symmetric about 0 and the
+        odd symmetries of f1, f2 and f_an (if declared) hold on the probe
+        grid."""
         lo, hi = self.domain.sigma_min, self.domain.sigma_max
         if lo != -hi:
             raise ValueError(
@@ -144,15 +148,19 @@ class DuhemModel:
         # the numerics, not the check of a declaration.
         f1, f2 = inspect.unwrap(self.f1), inspect.unwrap(self.f2)
         with np.errstate(all="ignore"):
-            a = np.broadcast_to(np.asarray(f2(sigma, xi), dtype=float), sigma.shape)
-            b = np.broadcast_to(np.asarray(f1(-sigma, -xi), dtype=float), sigma.shape)
-        same = (a == b) | (np.isnan(a) & np.isnan(b))
-        if not same.all():
-            k = int(np.argmin(same))
-            raise ValueError(
-                f"odd model {self.name!r}: f2(sigma, xi) = {float(a[k])!r} but "
-                f"f1(-sigma, -xi) = {float(b[k])!r} at sigma={sigma[k]:.6g}, xi={xi[k]:.6g}"
-            )
+            pairs = [("f2(sigma, xi)", f2(sigma, xi), "f1(-sigma, -xi)", f1(-sigma, -xi))]
+            if self.f_an is not None:
+                f_an = inspect.unwrap(self.f_an)
+                pairs.append(("f_an(-xi)", f_an(-xi), "-f_an(xi)", -f_an(xi)))
+        for lhs, a, rhs, b in pairs:
+            a, b = (np.broadcast_to(np.asarray(v, dtype=float), sigma.shape) for v in (a, b))
+            same = (a == b) | (np.isnan(a) & np.isnan(b))
+            if not same.all():
+                k = int(np.argmin(same))
+                raise ValueError(
+                    f"odd model {self.name!r}: {lhs} = {float(a[k])!r} but "
+                    f"{rhs} = {float(b[k])!r} at sigma={sigma[k]:.6g}, xi={xi[k]:.6g}"
+                )
 
     def F(self, sigma, xi):
         """Half-difference of the slope fields; zero exactly on the
@@ -255,7 +263,9 @@ def simulate(
 
     Each monotone segment is integrated in u by `_march_segment` (RK4,
     substep at most `step`; default: segment u-length / 1000, capped at
-    1e-3).  Samples are emitted at every breakpoint and every uniform
+    1e-3).  A segment that repeats an earlier one of the same call from the
+    same output, bit for bit (a periodic input on its periodic orbit),
+    reuses its outputs.  Samples are emitted at every breakpoint and uniform
     substep, with sample times linearly interpolated inside segments.
     Segments with zero u-change hold y exactly.  If a substep is not finite
     or lands outside the model domain, a DomainExitError carrying the first
@@ -286,6 +296,9 @@ def simulate(
     ys = [np.array([y0])]
     y = y0
     lo, hi = model.domain.sigma_min, model.domain.sigma_max
+    # _march_segment is a pure function of (f, y, ua, ub, n): its results
+    # keyed on the bits of those, for this call only
+    marched = {}
 
     for j, (t0, t1, ua, ub) in enumerate(signal.segments()):
         du = ub - ua
@@ -296,18 +309,20 @@ def simulate(
             continue
         n = _segment_substeps(du, step)
         f = model.f1 if du > 0.0 else model.f2
-        nodes, outs, _, y_exit = _march_segment(f, y, ua, ub, n, lo, hi)
-        if y_exit is not None:
-            t, u = _substep_sample(signal, j, len(outs), step)
-            raise DomainExitError(t, u, y_exit)
+        key = (f, struct.pack("3d", y, ua, ub), n)
+        if key not in marched:
+            nodes, outs, _, y_exit = _march_segment(f, y, ua, ub, n, lo, hi)
+            if y_exit is not None:
+                t, u = _substep_sample(signal, j, len(outs), step)
+                raise DomainExitError(t, u, y_exit)
+            marched[key] = (nodes[1:], np.array(outs[1:], dtype=float), outs[-1])
+        u, y_seg, y = marched[key]
         inv_rate = (t1 - t0) / du
-        u = nodes[1:]
         t = t0 + (u - ua) * inv_rate
         t[-1] = t1
         ts.append(t)
         us.append(u)
-        ys.append(np.array(outs[1:], dtype=float))
-        y = outs[-1]
+        ys.append(y_seg)
 
     return Trajectory(
         np.concatenate(ts),

@@ -283,6 +283,9 @@ class CrossingResult:
 # vector bisection halvings of each crossing bracket, one count for every
 # ride (batch and single-point)
 _REFINE_ITERS = 60
+# lanes per crossing march at most: a march holds some 25 arrays of its
+# lanes, which past this many outgrow a 2 MB L2 cache and churn the heap
+_RIDE_LANES = 16384
 
 
 def _side_residual(model: DuhemModel) -> Callable:
@@ -361,15 +364,17 @@ def _refine_point(side: Callable, tA, tB, yA, yB, fA, fB):
 def _march_to_crossing(
     model: DuhemModel,
     f: Callable,
+    sign: np.ndarray,
     y0: np.ndarray,
     tau0: np.ndarray,
     h: float,
     max_steps: int,
 ):
-    """March dy/dtau = f from (y0, tau0) with signed step h until each
-    lane's side residual (`_side_residual`) reaches <= 0 (h > 0: the lanes
-    start below the curve) or >= 0 (h < 0: above it); returns per-element
-    crossing data.
+    """March dy/dtau = f from (y0, tau0) with signed step h, lane k in the
+    frame z = s y, v = s tau of s = sign[k] = +-1, until each lane's side
+    residual (`_side_residual`) reaches <= 0 (h > 0: the lanes start below
+    the curve) or >= 0 (h < 0: above it); returns per-element crossing
+    data, unreflected (the branch integral int z dv is int y dtau).
 
     The march only detects crossings: each lane's bracketing step and the
     integral accumulated before it are set aside, and after the march all
@@ -379,8 +384,8 @@ def _march_to_crossing(
     """
     n = y0.size
     idx = np.arange(n)
-    y = y0.astype(float).copy()
-    tau = tau0.astype(float).copy()
+    y = sign * y0
+    tau = sign * tau0
     fcur = np.asarray(f(y, tau), dtype=float)
     acc = np.zeros(n)
     steps = np.zeros(n, dtype=int)
@@ -399,7 +404,7 @@ def _march_to_crossing(
         y_new = rk4_step(f, y, fcur, tau + half, tau_new, half, h, sixth)
         if guarded and not ((y_new > lo) & (y_new < hi)).all():
             bad = ~((y_new > lo) & (y_new < hi))
-            raise _domain_exit_error(int(bad.sum()), tau_new[bad][0])
+            raise _domain_exit_error(int(bad.sum()), (sign[idx] * tau_new)[bad][0])
         f_new = np.asarray(f(y_new, tau_new), dtype=float)
         c_new = np.asarray(side(y_new, tau_new), dtype=float)
         crossed = (c_new >= 0.0) if h < 0.0 else (c_new <= 0.0)
@@ -435,7 +440,7 @@ def _march_to_crossing(
     y_at = np.empty(n)
     integral = np.empty(n)
     lam[hit], y_at[hit], integral[hit] = _refine_crossings(side, *bracket)
-    return lam, y_at, integral, steps
+    return sign * lam, sign * y_at, integral, steps
 
 
 def _ride_setup(model: DuhemModel, sigma, xi, step: float, max_doublings: int):
@@ -496,6 +501,15 @@ def ride_to_crossing(
     branch values there (equal to the anhysteresis value up to refinement
     error) and the signed branch integrals from xi to the intersection.
 
+    An odd model (`DuhemModel.odd`) rides all lanes in one march on f1
+    rightward, those above the curve in the frame reflected through the
+    origin, where f2 is f1 and the side residual (f_an or F is odd) changes
+    sign.  Negation is exact and round-to-nearest symmetric under it, so a
+    reflected lane is its f2 march negated bit for bit, up to the sign of
+    an exact zero.  Other models march the two sides apart.  A march of
+    more than `_RIDE_LANES` lanes is split into equal parts marched in
+    turn; an error then counts the lanes of the first part that fails.
+
     The search budget is geometric in spirit: the ride may extend to a span
     of (1 + |xi|) doubled up to `max_doublings` times, subject to a hard cap
     of 2**21 steps, after which a CrossingSearchError is raised.  So is a
@@ -512,13 +526,18 @@ def ride_to_crossing(
     integral = np.zeros(n)
     steps = np.zeros(n, dtype=int)
 
-    for mask, f, direction in ((above, model.f2, -1.0), (below, model.f1, 1.0)):
-        if not mask.any():
-            continue
-        res = _march_to_crossing(
-            model, f, sigma[mask], xi[mask], direction * step, max_steps
-        )
-        lam[mask], y_at[mask], integral[mask], steps[mask] = res
+    sign = np.where(above & model.odd, -1.0, 1.0)
+    rides = ((above, model.f2, -1.0), (below, model.f1, 1.0))
+    if model.odd:
+        rides = ((above | below, model.f1, 1.0),)
+    for mask, f, direction in rides:
+        lanes = np.flatnonzero(mask)
+        parts = -(-lanes.size // _RIDE_LANES)
+        for k in np.array_split(lanes, parts) if parts else ():
+            res = _march_to_crossing(
+                model, f, sign[k], sigma[k], xi[k], direction * step, max_steps
+            )
+            lam[k], y_at[k], integral[k], steps[k] = res
 
     mismatch = np.abs(y_at - anhysteresis_values(model, lam))
     # written so that a NaN residual fails too
@@ -539,8 +558,8 @@ def _ride_point(
     """The crossing abscissa and branch value of p's `ride_to_crossing`
     lane, marched in Python floats: (lam, y_at).
 
-    It takes the batch lane's steps (same set-up, tau advanced by tau + h,
-    same side test, guard and errors) and refines its bracket with
+    It takes the batch lane's steps (same set-up and frame, tau advanced by
+    tau + h, same side test, guard and errors) and refines its bracket with
     `_refine_point`, the float twin of `_refine_crossings`, so it returns the
     lane's bits wherever the model's fields return the same bits for floats
     as for arrays.  Batch-of-one numpy steps cost many times the float
@@ -550,12 +569,11 @@ def _ride_point(
         model, p.sigma, p.xi, step, max_doublings
     )
     y, tau = float(sigma[0]), float(xi[0])
-    if above[0]:
-        f, h = model.f2, -step
-    elif below[0]:
-        f, h = model.f1, step
-    else:
+    if not (above[0] or below[0]):
         return tau, y
+    s = -1.0 if above[0] and model.odd else 1.0
+    f, h = (model.f2, -step) if above[0] and not model.odd else (model.f1, step)
+    y, tau = s * y, s * tau
     side = _side_residual(model)
     lo, hi = model.domain.sigma_min, model.domain.sigma_max
     guarded = model.domain.bounded
@@ -566,11 +584,12 @@ def _ride_point(
         tau_new = tau + h
         y_new = rk4_step(f, y, fcur, tau + half, tau_new, half, h, sixth)
         if guarded and not lo < y_new < hi:
-            raise _domain_exit_error(1, tau_new)
+            raise _domain_exit_error(1, s * tau_new)
         f_new = f(y_new, tau_new)
         c_new = side(y_new, tau_new)
         if (c_new >= 0.0) if h < 0.0 else (c_new <= 0.0):
-            return _refine_point(side, tau, tau_new, y, y_new, fcur, f_new)
+            lam, y_at = _refine_point(side, tau, tau_new, y, y_new, fcur, f_new)
+            return s * lam, s * y_at
         y, tau, fcur = y_new, tau_new, f_new
     raise _budget_error(1, max_steps, h)
 

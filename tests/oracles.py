@@ -23,6 +23,11 @@ and the anhysteresis curve xi / 1.2 (slope 5/6), the transversality margin
 f1 - 5/6 is minimised over a box in closed form (exp_margin_min), and the
 rounding that a central-difference estimate of the slope 5/6 picks up is
 bounded from the spacing alone (central_slope_rounding).
+
+Besides the closed forms, earlier forms of the numerical loops are kept here
+written out, as oracles of bit-for-bit rewrites: the per-step segment march
+(march_per_step, simulate_per_step) and the two-march crossing ride
+(ride_two_marches).
 """
 
 import math
@@ -314,3 +319,88 @@ def simulate_per_step(model, signal, y0, step):
         us.extend(nodes[1:])
         ys.extend(outs[1:])
     return ts, us, ys, None
+
+
+def _hermite_eval(x, xL, xR, yL, yR, fL, fR):
+    h = xR - xL
+    s = (x - xL) / h
+    s2 = s * s
+    s3 = s2 * s
+    return (yL * (2.0 * s3 - 3.0 * s2 + 1.0) + h * fL * (s3 - 2.0 * s2 + s)
+            + yR * (-2.0 * s3 + 3.0 * s2) + h * fR * (s3 - s2))
+
+
+def _hermite_partial_integral(x, xL, xR, yL, yR, fL, fR):
+    h = xR - xL
+    s = (x - xL) / h
+    s2 = s * s
+    s3 = s2 * s
+    s4 = s2 * s2
+    return h * (yL * (0.5 * s4 - s3 + s) + h * fL * (0.25 * s4 - (2.0 / 3.0) * s3 + 0.5 * s2)
+                + yR * (-0.5 * s4 + s3) + h * fR * (0.25 * s4 - s3 / 3.0))
+
+
+def ride_two_marches(model, sigma, xi, step, halvings=60):
+    """The crossing ride of curves.ride_to_crossing as it ran before odd
+    models rode one reflected march: the lanes above the anhysteresis curve
+    (side residual f_an(xi) - sigma, or F without f_an, below 0) march f2
+    leftward with step -step and the lanes below it f1 rightward, each side
+    in its own lockstep march until the residual reaches the other side.
+    Each lane's crossing step is refined by `halvings` bisections of the
+    step's cubic Hermite model, and its integral is the exact integral of
+    those models from xi.  RK4, the Hermite pieces and the bisection are
+    written out with the operations of the package, without its code.
+
+    Returns lam, y_at, integral and steps per lane; a point on the curve
+    keeps lam = xi and y_at = sigma.
+    """
+    sigma = np.asarray(sigma, dtype=float)
+    xi = np.asarray(xi, dtype=float)
+    if model.f_an is None:
+        side = lambda y, t: 0.5 * (model.f1(y, t) - model.f2(y, t))
+    else:
+        side = lambda y, t: model.f_an(t) - y
+    c0 = side(sigma, xi)
+    lam, y_at = xi.copy(), sigma.copy()
+    integral = np.zeros(sigma.size)
+    steps = np.zeros(sigma.size, dtype=int)
+    for lanes, f, h in ((c0 < 0.0, model.f2, -step), (c0 > 0.0, model.f1, step)):
+        k = np.flatnonzero(lanes)
+        y, t = sigma[k], xi[k]
+        fy = f(y, t)
+        acc = np.zeros(k.size)
+        n_step = 0
+        while k.size:
+            n_step += 1
+            if n_step > 2**21:
+                raise RuntimeError("no crossing within 2**21 steps")
+            t_new = t + h
+            k2 = f(y + 0.5 * h * fy, t + 0.5 * h)
+            k3 = f(y + 0.5 * h * k2, t + 0.5 * h)
+            k4 = f(y + h * k3, t_new)
+            y_new = y + h / 6.0 * (fy + 2.0 * k2 + 2.0 * k3 + k4)
+            f_new = f(y_new, t_new)
+            c = side(y_new, t_new)
+            crossed = (c >= 0.0) if h < 0.0 else (c <= 0.0)
+            if crossed.any():
+                bracket = [v[crossed] for v in (t, t_new, y, y_new, fy, f_new)]
+                g = lambda s: side(_hermite_eval(s, *bracket), s)
+                a, b = bracket[0].copy(), bracket[1].copy()
+                ga = g(a)
+                for _ in range(halvings):
+                    mid = 0.5 * (a + b)
+                    gm = g(mid)
+                    left = ga * gm <= 0.0
+                    b = np.where(left, mid, b)
+                    a = np.where(left, a, mid)
+                    ga = np.where(left, ga, gm)
+                kc = k[crossed]
+                lam[kc] = 0.5 * (a + b)
+                y_at[kc] = _hermite_eval(lam[kc], *bracket)
+                integral[kc] = acc[crossed] + _hermite_partial_integral(lam[kc], *bracket)
+                steps[kc] = n_step
+            dt = t_new - t
+            acc = acc + (0.5 * dt * (y + y_new) + dt * dt * (fy - f_new) / 12.0)
+            keep = ~crossed
+            k, acc, y, t, fy = k[keep], acc[keep], y_new[keep], t_new[keep], f_new[keep]
+    return lam, y_at, integral, steps

@@ -313,6 +313,56 @@ def test_a_phase_point_that_is_not_finite_is_a_config_error(tmp_path, capsys, ar
     assert not out.exists()
 
 
+def _no_ride(*args, **kwargs):
+    raise AssertionError("a bad flag value must be rejected before any ride")
+
+
+@pytest.mark.parametrize("flag", ["--tau-min", "--tau-max"])
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_a_tau_bound_that_is_not_finite_is_a_config_error(tmp_path, capsys, monkeypatch, flag, value):
+    # --tau-max inf ended in an OverflowError traceback and --tau-min nan
+    # exited 1 with "need tau_min <= p.xi <= tau_max"
+    for name in ("traversing_curve", "intersect_lambda"):
+        monkeypatch.setattr(duhem.cli, name, _no_ride)
+    bounds = {"--tau-min": "-1.0", "--tau-max": "2.0", flag: value}
+    out = tmp_path / "curve.csv"
+    code = run_cli(
+        "curves", "--model", "dahl", "--sigma", "0.3", "--xi", "1.0",
+        *(f"{k}={v}" for k, v in bounds.items()), "--out", str(out),
+    )
+    assert code == 2
+    assert capsys.readouterr().err.startswith(f"config error: {flag} must be finite, got {value}")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-1", "0", "-0.0"])
+def test_a_quad_tol_that_is_not_positive_and_finite_is_a_config_error(tmp_path, capsys, monkeypatch, value):
+    # --quad-tol nan and -1 used to run the whole ride and quadrature and
+    # then exit 1
+    monkeypatch.setattr(duhem.cli, "storage_cw", _no_ride)
+    out = tmp_path / "storage.json"
+    code = run_cli(
+        "storage", "--model", "dahl", "--sigma", "0.3", "--xi", "1.0",
+        f"--quad-tol={value}", "--out", str(out),
+    )
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith(
+        "config error: --quad-tol must be positive and finite (config 'quad_tol'), got "
+    ), err
+    assert not out.exists()
+
+
+def test_a_config_file_quad_tol_that_is_not_positive_is_a_config_error(tmp_path, capsys):
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"model": "dahl", "quad_tol": -1e-8}))
+    code = run_cli("storage", "--config", str(cfg), "--sigma", "0.3", "--xi", "1.0")
+    assert code == 2
+    assert "--quad-tol must be positive and finite (config 'quad_tol'), got -1e-08" in (
+        capsys.readouterr().err
+    )
+
+
 def test_report_line_ends_in_its_ratio_to_a_positive_tolerance(capsys):
     for worst, tol in ((2.5, 1.0), (0.25, 0.5), (-0.5, 0.25)):
         _print_report(_report(worst, tol=tol))

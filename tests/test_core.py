@@ -332,6 +332,47 @@ def test_simulate_makes_4n_plus_1_field_calls_per_moving_segment(dahl_r3):
     assert field_calls[0] == sum(4 * math.ceil(abs(du) / 1e-2) + 1 for du in moving)
 
 
+@pytest.mark.parametrize("make", [dahl, boucwen], ids=["dahl", "boucwen"])
+def test_periodic_loop_reuses_repeated_segments_bit_for_bit(make):
+    # on its periodic orbit a 5-cycle triangle repeats its segments from
+    # the same output bits; simulate reuses them, which shows as fewer than
+    # 4n + 1 field calls per moving segment, with the per-step march's bits
+    field_calls = [0]
+    model = make()
+    counted = dataclasses.replace(
+        model, f1=_counted(model.f1, field_calls), f2=_counted(model.f2, field_calls)
+    )
+    signal = triangle(2.0, 5)
+    traj = simulate(counted, signal, 0.0, step=1e-3)
+    t, u, y, exit_ = simulate_per_step(model, signal, 0.0, 1e-3)
+    assert exit_ is None
+    assert (traj.t.tobytes(), traj.u.tobytes(), traj.y.tobytes()) == (_bits(t), _bits(u), _bits(y))
+    moving = [du for du in np.diff(signal.values) if du != 0.0]
+    assert field_calls[0] < sum(4 * substeps(du, 1e-3) + 1 for du in moving)
+
+
+@pytest.mark.parametrize(
+    "f1, f2, y0",
+    [
+        (lambda s, x: math.copysign(1.0, s), lambda s, x: -1.0, -0.0),
+        (lambda s, x: 2.0 if s == 0.5 else 1.0, lambda s, x: 1.0, 0.5 + 2.0**-53),
+    ],
+    ids=["sign of zero", "last bit"],
+)
+def test_segments_from_starts_that_differ_in_one_bit_are_marched_apart(f1, f2, y0):
+    # the input 0 -> 1 -> 0 -> 1 in one substep per segment brings the
+    # output back to y0 but for the sign of zero or the last bit, and the
+    # field reads that bit, so the third segment's output differs from the
+    # first's: reusing the first would show
+    model = DuhemModel(name="bits", f1=f1, f2=f2)
+    signal = InputSignal(np.arange(4.0), np.array([0.0, 1.0, 0.0, 1.0]))
+    traj = simulate(model, signal, y0, step=1.0)
+    _, _, y, _ = simulate_per_step(model, signal, y0, 1.0)
+    assert traj.y.tobytes() == _bits(y)
+    assert _bits([traj.y[2]]) != _bits([y0]) and abs(traj.y[2] - y0) <= math.ulp(y0)
+    assert traj.y[3] != traj.y[1]
+
+
 @pytest.mark.parametrize("n", [1, 2, 37])
 def test_march_segment_makes_n_rk4_steps_and_4n_plus_1_field_calls(monkeypatch, exp_model, n):
     rk4_calls, field_calls = [0], [0]

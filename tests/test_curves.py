@@ -33,6 +33,7 @@ from oracles import (
     central_slope_rounding,
     exp_margin_min,
     lambda_exact,
+    ride_two_marches,
     storage_exact,
     traversing_exact,
 )
@@ -232,8 +233,9 @@ def test_single_point_ride_of_a_far_point_is_the_batch_lane_bit_for_bit(dahl_r1)
     with np.errstate(all="ignore"):
         sigma, xi, above, _, max_steps = _ride_setup(dahl_r1, p.sigma, p.xi, 1e-3, 60)
         assert above[0]
+        # the batch lane: f1 rightward in the frame reflected through 0
         lam, y_at, _, _ = curves._march_to_crossing(
-            dahl_r1, dahl_r1.f2, sigma, xi, -1e-3, max_steps
+            dahl_r1, dahl_r1.f1, -np.ones(1), sigma, xi, 1e-3, max_steps
         )
         one = _ride_point(dahl_r1, p, step=1e-3)
         assert np.array(one).tobytes() == np.array([lam[0], y_at[0]]).tobytes()
@@ -253,8 +255,10 @@ def test_intersect_lambda_rejects_a_nan_residual(dahl_r1):
 
 def test_anhysteresis_rejects_a_nan_residual():
     # f_an = sqrt(1 - xi) is NaN at xi = 2, and so is F there; a check
-    # written `res > 1e-9` returned the NaN
-    model = dataclasses.replace(exp_example(), f_an=lambda xi: np.sqrt(1.0 - xi))
+    # written `res > 1e-9` returned the NaN.  This f_an is not odd.
+    model = dataclasses.replace(
+        exp_example(), f_an=lambda xi: np.sqrt(1.0 - xi), odd=False
+    )
     with np.errstate(invalid="ignore"):
         with pytest.raises(ValueError, match="residual nan"):
             anhysteresis(model, 2.0)
@@ -404,6 +408,96 @@ def test_ride_to_crossing_batch_is_bitwise_batch_of_one(model, sigma_half, xi_ha
         for name in ("lam", "y_at", "integral", "steps"):
             got = getattr(batch, name)[k : k + 1].tobytes()
             assert got == getattr(one, name).tobytes(), (name, k)
+
+
+@pytest.mark.parametrize(
+    "model, sigma_half, xi_half",
+    [
+        (dahl(), 0.7, 3.0),
+        (dahl(r=3.0), 0.7, 3.0),
+        (boucwen(), 1.2, 3.0),
+        (exp_example(), 2.5, 2.5),
+        (dataclasses.replace(exp_example(), f_an=None), 2.5, 2.5),
+    ],
+    ids=["dahl", "dahl-r3", "boucwen", "exp", "exp-solver"],
+)
+def test_reflected_ride_is_the_two_march_ride(model, sigma_half, xi_half):
+    # an odd model rides the lanes above the curve on f1 in the frame
+    # reflected through the origin, in one march with the lanes below it;
+    # negation is exact, so lam, the integral and the steps keep every bit
+    # of the two directional marches, and y_at may differ only in the sign
+    # of an exact zero
+    assert model.odd
+    sigma, xi = _mixed_lanes(200, sigma_half, xi_half, seed=17)
+    # two lanes on the curve, which stay where they are
+    sigma[:2], xi[:2] = 0.0, (0.0, -0.0)
+    got = ride_to_crossing(model, sigma, xi, step=1e-2)
+    lam, y_at, integral, steps = ride_two_marches(model, sigma, xi, 1e-2)
+    assert (lam < xi).any() and (lam > xi).any() and (lam == xi).any()
+    assert got.lam.tobytes() == lam.tobytes()
+    assert got.integral.tobytes() == integral.tobytes()
+    assert got.steps.tobytes() == steps.tobytes()
+    assert (got.y_at == y_at).all()
+
+
+def test_a_ride_wider_than_one_march_is_split_bit_for_bit(monkeypatch, exp_model):
+    # a ride of more than _RIDE_LANES lanes marches equal parts in turn;
+    # every lane is elementwise, so the parts keep the one march's bits
+    sigma, xi = _mixed_lanes(60, 2.5, 2.5, seed=11)
+    whole = ride_to_crossing(exp_model, sigma, xi, step=1e-2)
+    sizes = []
+    real = curves._march_to_crossing
+
+    def counting(model, f, sign, y0, *args):
+        sizes.append(y0.size)
+        return real(model, f, sign, y0, *args)
+
+    monkeypatch.setattr(curves, "_RIDE_LANES", 16)
+    monkeypatch.setattr(curves, "_march_to_crossing", counting)
+    parts = ride_to_crossing(exp_model, sigma, xi, step=1e-2)
+    assert sizes == [15, 15, 15, 15]
+    for name in ("lam", "y_at", "integral", "steps"):
+        assert getattr(parts, name).tobytes() == getattr(whole, name).tobytes(), name
+
+
+def _odd_band_exit():
+    """Unit slope on both branches in the band (-1, 1) around the curve
+    xi / 10, declared odd: the leftward ride from (0, -15) would meet the
+    curve at sigma = -5/3, beyond the band."""
+    f1 = lambda s, x: 1.0 + 0.0 * s
+    return DuhemModel(
+        name="odd-band-exit",
+        f1=f1,
+        f2=lambda s, x: f1(-s, -x),
+        domain=Domain(-1.0, 1.0),
+        f_an=lambda xi: xi / 10.0,
+        odd=True,
+    )
+
+
+def test_reflected_ride_leaving_the_domain_names_the_unreflected_tau():
+    m = _odd_band_exit()
+    for single in (intersect_lambda, storage_cw):
+        err = _same_failure(
+            lambda: ride_to_crossing(m, [0.0], [-15.0], step=1e-2),
+            lambda: single(m, PhasePoint(0.0, -15.0), step=1e-2),
+        )
+    assert err.type is CrossingSearchError
+    # the two directional marches of the same fields name the same tau, on
+    # the leftward side of xi = -15
+    with pytest.raises(CrossingSearchError) as two_marches:
+        ride_to_crossing(dataclasses.replace(m, odd=False), [0.0], [-15.0], step=1e-2)
+    assert str(err.value) == str(two_marches.value) == (
+        "1 traversing branch(es) left the domain before meeting the "
+        "anhysteresis curve (first at tau=-16)"
+    )
+    # in one march, lanes leaving the band on both sides are counted together
+    with pytest.raises(CrossingSearchError, match=r"^2 traversing .*tau=-16\)$"):
+        ride_to_crossing(m, [0.0, -0.5, 0.0], [-15.0, 2.0, 15.0], step=1e-2)
+    # lanes that meet the curve inside the band ride on both sides
+    ok = ride_to_crossing(m, [0.5, -0.5], [1.0, 2.0], step=1e-2)
+    assert ok.lam[0] < 1.0 and ok.lam[1] > 2.0
+    assert np.abs(ok.y_at - ok.lam / 10.0).max() < 1e-9
 
 
 SINGLE_STEP = 1e-2

@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import math
 
 import numpy as np
@@ -110,6 +111,24 @@ def test_an_odd_declaration_that_does_not_hold_is_rejected():
     # the same models are accepted when they do not claim the symmetry
     dataclasses.replace(d, domain=Domain(-0.75, 1.0), odd=False)
     dataclasses.replace(d, f2=d.f1, odd=False)
+
+
+def test_an_odd_declaration_needs_an_odd_anhysteresis_function():
+    # the crossing ride reflects the lanes above the curve through the
+    # origin, which maps the curve onto itself only if f_an is odd
+    exp = exp_example()
+    with pytest.raises(ValueError, match=r"odd model 'exp_example': f_an\(-xi\) = .* but -f_an\(xi\)"):
+        dataclasses.replace(exp, f_an=lambda x: x / 1.2 + 0.1)
+    dataclasses.replace(exp, f_an=lambda x: x / 1.2 + 0.1, odd=False)
+    # the check calls f_an under its functools.wraps layers, as f1 and f2
+    calls = []
+
+    @functools.wraps(exp.f_an)
+    def counted(xi):
+        calls.append(xi)
+        return exp.f_an(xi)
+
+    assert dataclasses.replace(exp, f_an=counted).odd and not calls
 
 
 def test_F_is_half_branch_difference(dahl_r1):
