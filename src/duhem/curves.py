@@ -283,9 +283,6 @@ class CrossingResult:
 # vector bisection halvings of each crossing bracket, one count for every
 # ride (batch and single-point)
 _REFINE_ITERS = 60
-# lanes per crossing march at most: a march holds some 25 arrays of its
-# lanes, which past this many outgrow a 2 MB L2 cache and churn the heap
-_RIDE_LANES = 16384
 
 
 def _side_residual(model: DuhemModel) -> Callable:
@@ -506,9 +503,7 @@ def ride_to_crossing(
     origin, where f2 is f1 and the side residual (f_an or F is odd) changes
     sign.  Negation is exact and round-to-nearest symmetric under it, so a
     reflected lane is its f2 march negated bit for bit, up to the sign of
-    an exact zero.  Other models march the two sides apart.  A march of
-    more than `_RIDE_LANES` lanes is split into equal parts marched in
-    turn; an error then counts the lanes of the first part that fails.
+    an exact zero.  Other models march the two sides apart.
 
     The search budget is geometric in spirit: the ride may extend to a span
     of (1 + |xi|) doubled up to `max_doublings` times, subject to a hard cap
@@ -531,13 +526,12 @@ def ride_to_crossing(
     if model.odd:
         rides = ((above | below, model.f1, 1.0),)
     for mask, f, direction in rides:
-        lanes = np.flatnonzero(mask)
-        parts = -(-lanes.size // _RIDE_LANES)
-        for k in np.array_split(lanes, parts) if parts else ():
-            res = _march_to_crossing(
-                model, f, sign[k], sigma[k], xi[k], direction * step, max_steps
-            )
-            lam[k], y_at[k], integral[k], steps[k] = res
+        if not mask.any():
+            continue
+        res = _march_to_crossing(
+            model, f, sign[mask], sigma[mask], xi[mask], direction * step, max_steps
+        )
+        lam[mask], y_at[mask], integral[mask], steps[mask] = res
 
     mismatch = np.abs(y_at - anhysteresis_values(model, lam))
     # written so that a NaN residual fails too

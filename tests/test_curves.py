@@ -440,26 +440,6 @@ def test_reflected_ride_is_the_two_march_ride(model, sigma_half, xi_half):
     assert (got.y_at == y_at).all()
 
 
-def test_a_ride_wider_than_one_march_is_split_bit_for_bit(monkeypatch, exp_model):
-    # a ride of more than _RIDE_LANES lanes marches equal parts in turn;
-    # every lane is elementwise, so the parts keep the one march's bits
-    sigma, xi = _mixed_lanes(60, 2.5, 2.5, seed=11)
-    whole = ride_to_crossing(exp_model, sigma, xi, step=1e-2)
-    sizes = []
-    real = curves._march_to_crossing
-
-    def counting(model, f, sign, y0, *args):
-        sizes.append(y0.size)
-        return real(model, f, sign, y0, *args)
-
-    monkeypatch.setattr(curves, "_RIDE_LANES", 16)
-    monkeypatch.setattr(curves, "_march_to_crossing", counting)
-    parts = ride_to_crossing(exp_model, sigma, xi, step=1e-2)
-    assert sizes == [15, 15, 15, 15]
-    for name in ("lam", "y_at", "integral", "steps"):
-        assert getattr(parts, name).tobytes() == getattr(whole, name).tobytes(), name
-
-
 def _odd_band_exit():
     """Unit slope on both branches in the band (-1, 1) around the curve
     xi / 10, declared odd: the leftward ride from (0, -15) would meet the
