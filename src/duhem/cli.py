@@ -53,7 +53,7 @@ from .mechsim import (
     simulate_mech,
 )
 from .models import model_from_config
-from .report import VerificationReport
+from .report import VerificationReport, worst_point
 from .signals import InputSignal, ramp, random_piecewise_linear, sine_sampled, triangle
 from .storage import storage_cw
 
@@ -227,8 +227,8 @@ def _base_config(args: argparse.Namespace, names: tuple[str, ...]) -> RunConfig:
         cfg = replace(cfg, input=spec)
     cfg = _merge_flags(cfg, args, names)
     step = cfg.step
-    if step is not None and not (isinstance(step, (int, float)) and step > 0.0):
-        raise ConfigError(f"--step must be positive (config 'step'), got {step!r}")
+    if step is not None and not (isinstance(step, (int, float)) and 0.0 < step < math.inf):
+        raise ConfigError(f"--step must be positive and finite (config 'step'), got {step!r}")
     y0 = cfg.y0
     if "y0" in names and not (isinstance(y0, (int, float)) and math.isfinite(y0)):
         raise ConfigError(f"--y0 must be finite (config 'y0'), got {y0!r}")
@@ -351,7 +351,8 @@ def _battery_geometry(model: DuhemModel):
 
 
 def _aggregate(name: str, reports: list[VerificationReport]) -> VerificationReport:
-    worst = max(reports, key=lambda r: r.worst_violation - r.tolerance)
+    (k,), _ = worst_point([r.worst_violation - r.tolerance for r in reports])
+    worst = reports[k]
     return VerificationReport.from_violation(
         name=name,
         worst_violation=worst.worst_violation,

@@ -23,8 +23,8 @@ from typing import Callable, Mapping
 import numpy as np
 
 from .integrate import rk4_step
-from .report import VerificationReport
-from .signals import InputSignal
+from .report import VerificationReport, worst_point
+from .signals import InputSignal, _readonly
 
 __all__ = [
     "Domain",
@@ -180,15 +180,11 @@ class Trajectory:
     step: float = math.nan
 
     def __post_init__(self):
-        t = np.asarray(self.t, dtype=float)
-        u = np.asarray(self.u, dtype=float)
-        y = np.asarray(self.y, dtype=float)
+        t, u, y = _readonly(self.t), _readonly(self.u), _readonly(self.y)
         if not (t.size == u.size == y.size) or t.ndim != 1:
             raise ValueError("t, u, y must be 1-d arrays of equal length")
         if t.size > 1 and not (np.diff(t) > 0.0).all():
             raise ValueError("sample times must be strictly increasing")
-        for a in (t, u, y):
-            a.setflags(write=False)
         object.__setattr__(self, "t", t)
         object.__setattr__(self, "u", u)
         object.__setattr__(self, "y", y)
@@ -348,7 +344,8 @@ def check_existence_conditions(
 
     must satisfy q1 <= lambda_bound and q2 >= -lambda_bound.  The report's
     worst_violation is the largest excess over the bound (negative when the
-    inequalities hold with margin).
+    inequalities hold with margin, NaN when a field value is).  The excesses
+    are one array of 2 * n_xi * n_sigma^2 floats.
 
     Parameters
     ----------
@@ -367,35 +364,26 @@ def check_existence_conditions(
     if not model.domain.contains(sig).all():
         raise ValueError("sigma grid extends outside the model domain")
 
-    ds = sig[:, None] - sig[None, :]
-    off = ~np.eye(sig.size, dtype=bool)
-    worst = -math.inf
-    worst_loc = (sig[0], sig[0], xiv[0])
-    worst_kind = ""
-    for xi in xiv:
-        xi_col = np.full_like(sig, xi)
-        v1 = np.asarray(model.f1(sig, xi_col), dtype=float)
-        v2 = np.asarray(model.f2(sig, xi_col), dtype=float)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            q1 = (v1[:, None] - v1[None, :]) / ds
-            q2 = (v2[:, None] - v2[None, :]) / ds
-        e1 = np.where(off, q1 - lambda_bound, -math.inf)
-        e2 = np.where(off, -lambda_bound - q2, -math.inf)
-        for kind, e in (("increasing-branch", e1), ("decreasing-branch", e2)):
-            i, j = np.unravel_index(np.argmax(e), e.shape)
-            if e[i, j] > worst:
-                worst = float(e[i, j])
-                worst_loc = (float(sig[i]), float(sig[j]), float(xi))
-                worst_kind = kind
+    # fields on the whole (xi, sigma) grid, and the excesses q1 - lambda and
+    # -lambda - q2 as one (xi, branch, sigma1, sigma2) array, made in place
+    S, X = np.meshgrid(sig, xiv)
+    v = np.stack((model.f1(S, X), model.f2(S, X)), axis=1)
+    excess = v[..., :, None] - v[..., None, :]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        excess /= sig[:, None] - sig[None, :]
+    excess[:, 0] -= lambda_bound
+    np.subtract(-lambda_bound, excess[:, 1], out=excess[:, 1])
+    excess[..., np.eye(sig.size, dtype=bool)] = -math.inf
+    (k, b, i, j), worst = worst_point(excess)
     return VerificationReport.from_violation(
         name="existence-conditions",
         worst_violation=worst,
-        worst_location=worst_loc,
+        worst_location=(sig[i], sig[j], xiv[k]),
         tolerance=0.0,
         samples_checked=int(xiv.size * sig.size * (sig.size - 1)),
         details={
             "lambda_bound": float(lambda_bound),
-            "worst_branch": worst_kind,
+            "worst_branch": ("increasing-branch", "decreasing-branch")[b],
             "model": model.name,
         },
     )

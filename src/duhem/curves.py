@@ -41,7 +41,8 @@ from .integrate import (
     hermite_partial_integral,
     rk4_step,
 )
-from .report import VerificationReport
+from .report import VerificationReport, worst_point
+from .signals import _readonly
 
 __all__ = [
     "PhasePoint",
@@ -156,8 +157,10 @@ class TraversingCurve:
     Node arrays run in ascending tau and include the origin; dydtau holds
     the branch slope at each node (f2 left of the origin, f1 at and right
     of it).  Calling the object evaluates the piecewise cubic Hermite
-    interpolant.  The truncation flags record that a branch stopped early
-    because it reached the domain boundary.
+    interpolant; on the interval that ends at the origin it takes the left
+    branch's slope there, `origin_left_slope`, when one is given.  The
+    truncation flags record that a branch stopped early because it reached
+    the domain boundary.
     """
 
     origin: PhasePoint
@@ -167,12 +170,11 @@ class TraversingCurve:
     left_truncated: bool = False
     right_truncated: bool = False
     model_name: str = ""
+    origin_left_slope: float | None = None
 
     def __post_init__(self):
         for name in ("tau", "y", "dydtau"):
-            a = np.asarray(getattr(self, name), dtype=float)
-            a.setflags(write=False)
-            object.__setattr__(self, name, a)
+            object.__setattr__(self, name, _readonly(getattr(self, name)))
         if self.tau.size < 1 or self.tau.size != self.y.size:
             raise ValueError("inconsistent node arrays")
         if self.tau.size > 1 and not (np.diff(self.tau) > 0.0).all():
@@ -196,6 +198,10 @@ class TraversingCurve:
             out = np.full_like(t, self.y[0])
             return float(out) if t.ndim == 0 else out
         i = np.clip(np.searchsorted(self.tau, t, side="right") - 1, 0, self.tau.size - 2)
+        f_right = self.dydtau[i + 1]
+        if self.origin_left_slope is not None:
+            to_origin = self.tau[i + 1] == self.origin.xi
+            f_right = np.where(to_origin, self.origin_left_slope, f_right)
         out = hermite_eval(
             t,
             self.tau[i],
@@ -203,7 +209,7 @@ class TraversingCurve:
             self.y[i],
             self.y[i + 1],
             self.dydtau[i],
-            self.dydtau[i + 1],
+            f_right,
         )
         return float(out) if t.ndim == 0 else out
 
@@ -267,6 +273,7 @@ def traversing_curve(
         left_truncated=trunc_l,
         right_truncated=trunc_r,
         model_name=model.name,
+        origin_left_slope=float(f_l[0]),
     )
 
 
@@ -659,9 +666,9 @@ def check_lemma1(
     f_an'(xi) + epsilon wherever sigma lies below it; f_an' is estimated by
     central differences with spacing 1e-5 * (1 + |xi|).  worst_violation is
     epsilon minus the smallest observed margin, so the report passes exactly
-    when every margin reaches epsilon.  A constant anhysteresis curve (slope
-    below 1e-12 everywhere, as for Dahl and Bouc-Wen) is flagged in the
-    details.
+    when every margin reaches epsilon; a NaN field or f_an value at a grid
+    node fails it.  A constant anhysteresis curve (slope below 1e-12
+    everywhere, as for Dahl and Bouc-Wen) is flagged in the details.
     """
     if epsilon <= 0.0:
         raise ValueError("epsilon must be positive")
@@ -673,34 +680,27 @@ def check_lemma1(
     fan_slope = (fan_hi - fan_lo) / (2.0 * hstep)
     constant_fan = bool(np.all(np.abs(fan_slope) <= 1e-12))
 
+    # margins of both branches as one (branch, sigma, xi) stack: f1 above the
+    # curve, f2 below it, inf elsewhere and NaN where f_an is not a number
     S = sig[:, None]
     X = np.broadcast_to(xiv[None, :], _CERTIFICATE_GRID)
-    F1 = np.asarray(model.f1(S, X), dtype=float)
-    F2 = np.asarray(model.f2(S, X), dtype=float)
-    above = S > fan[None, :]
-    below = S < fan[None, :]
-
-    margin1 = np.where(above, F1 - fan_slope[None, :], math.inf)
-    margin2 = np.where(below, F2 - fan_slope[None, :], math.inf)
-    worst_margin = math.inf
-    worst_loc = (float(sig[0]), float(xiv[0]))
-    worst_branch = ""
-    for branch, m in (("increasing", margin1), ("decreasing", margin2)):
-        i, j = np.unravel_index(np.argmin(m), m.shape)
-        if m[i, j] < worst_margin:
-            worst_margin = float(m[i, j])
-            worst_loc = (float(sig[i]), float(xiv[j]))
-            worst_branch = branch
+    F = np.stack([np.broadcast_to(f(S, X), _CERTIFICATE_GRID) for f in (model.f1, model.f2)])
+    sides = np.stack((S > fan, S < fan))
+    margin = np.where(sides, F - fan_slope, math.inf)
+    margin[:, :, np.isnan(fan)] = math.nan
+    # ranked on -margin, exact, so that no two margins round together
+    (b, i, j), _ = worst_point(-margin)
+    worst_margin = float(margin[b, i, j])
     return VerificationReport.from_violation(
         name="transversality-margin",
         worst_violation=epsilon - worst_margin,
-        worst_location=worst_loc,
+        worst_location=(sig[i], xiv[j]),
         tolerance=0.0,
-        samples_checked=int(above.sum() + below.sum()),
+        samples_checked=int(sides.sum()),
         details={
             "epsilon": float(epsilon),
             "worst_margin": worst_margin,
-            "worst_branch": worst_branch,
+            "worst_branch": ("increasing", "decreasing")[b],
             "constant_f_an": constant_fan,
             "grid": list(_CERTIFICATE_GRID),
             "model": model.name,

@@ -28,8 +28,8 @@ import numpy as np
 
 from .core import DuhemModel, Trajectory, simulate
 from .curves import _CERTIFICATE_GRID, _certificate_grid
-from .report import VerificationReport
-from .signals import InputSignal
+from .report import VerificationReport, worst_point
+from .signals import InputSignal, _readonly
 from .storage import storage_cw_batch
 
 __all__ = [
@@ -54,8 +54,8 @@ def check_assumption_A(
     Requires F >= 0 at and below the anhysteresis curve and F <= 0 above it
     on a 200 x 200 grid of the rectangle region = ((sigma_lo, sigma_hi),
     (xi_lo, xi_hi)).  The violation at a grid point is the amount F sticks
-    out on the wrong side; a 1e-12 tolerance absorbs roundoff at points that
-    sit exactly on the curve.
+    out on the wrong side, NaN where F or f_an is; a 1e-12 tolerance absorbs
+    roundoff at points that sit exactly on the curve.
     """
     sig, xiv, fan = _certificate_grid(model, region)
 
@@ -65,10 +65,11 @@ def check_assumption_A(
     upper = S > fan[None, :]
 
     viol = np.where(upper, F, -F)
-    i, j = np.unravel_index(np.argmax(viol), viol.shape)
+    viol[:, np.isnan(fan)] = math.nan
+    (i, j), worst = worst_point(viol)
     return VerificationReport.from_violation(
         name="damping-sign-structure",
-        worst_violation=float(viol[i, j]),
+        worst_violation=worst,
         worst_location=(float(sig[i]), float(xiv[j])),
         tolerance=1e-12,
         samples_checked=int(viol.size),
@@ -127,11 +128,11 @@ def verify_dissipation_battery(
             ("backward", traj.y[1:] * du),
         ):
             viol = (dH - supply) / dt
-            k = int(np.argmax(viol))
+            (k,), worst = worst_point(viol)
             pair.append(
                 VerificationReport.from_violation(
                     name=f"dissipation-{direction}",
-                    worst_violation=float(viol[k]),
+                    worst_violation=worst,
                     worst_location=(
                         float(traj.t[k]), float(traj.u[k]), float(traj.y[k])
                     ),
@@ -176,9 +177,7 @@ class SupplySeries:
 
     def __post_init__(self):
         for name in ("t", "values", "running_min"):
-            a = np.asarray(getattr(self, name), dtype=float)
-            a.setflags(write=False)
-            object.__setattr__(self, name, a)
+            object.__setattr__(self, name, _readonly(getattr(self, name)))
         if not (self.t.size == self.values.size == self.running_min.size):
             raise ValueError("inconsistent series lengths")
 

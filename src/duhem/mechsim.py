@@ -29,7 +29,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import DomainExitError
-from .report import VerificationReport
+from .report import VerificationReport, worst_point
+from .signals import _readonly
 from .storage import storage_dahl_closed_form
 
 __all__ = [
@@ -102,9 +103,7 @@ class MechSeries:
 
     def __post_init__(self):
         for name in ("t", "x1", "x2", "x3", "v"):
-            a = np.asarray(getattr(self, name), dtype=float)
-            a.setflags(write=False)
-            object.__setattr__(self, name, a)
+            object.__setattr__(self, name, _readonly(getattr(self, name)))
         n = self.t.size
         if not all(getattr(self, name).size == n for name in ("x1", "x2", "x3", "v")):
             raise ValueError("inconsistent series lengths")
@@ -239,16 +238,14 @@ def lyapunov_check(
     dt = np.diff(series.t)
     dv = np.diff(series.v)
     rate = dv / dt + params.d * series.x2[:-1] ** 2
-    k_rate = int(np.argmax(rate))
     vmax = float(series.v.max())
     mono = dv / vmax if vmax > 0.0 else dv
-    k_mono = int(np.argmax(mono))
-    worst_rate = float(rate[k_rate])
-    worst_mono = float(mono[k_mono])
-    if worst_rate >= worst_mono:
-        worst, k = worst_rate, k_rate
-    else:
-        worst, k = worst_mono, k_mono
+    # the worst of the (rate, monotonicity) rows, row by row: the first
+    # maximum of each row, then of the two
+    (k_rate,), worst_rate = worst_point(rate)
+    (k_mono,), worst_mono = worst_point(mono)
+    (row,), worst = worst_point([worst_rate, worst_mono])
+    k = (k_rate, k_mono)[row]
     return VerificationReport.from_violation(
         name="lyapunov-decay",
         worst_violation=worst,
@@ -283,10 +280,10 @@ def passivity_port_check(
         [[0.0], np.cumsum(0.5 * (power[:-1] + power[1:]) * np.diff(series.t))]
     )
     excess = (series.v - series.v[0]) - w
-    k = int(np.argmax(excess))
+    (k,), worst = worst_point(excess)
     return VerificationReport.from_violation(
         name="passivity-port",
-        worst_violation=float(excess[k]),
+        worst_violation=worst,
         worst_location=(float(series.t[k]), float(series.x2[k]), float(series.x3[k])),
         tolerance=float(tol),
         samples_checked=int(excess.size),

@@ -5,7 +5,19 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Mapping
 
-__all__ = ["VerificationReport"]
+import numpy as np
+
+__all__ = ["VerificationReport", "worst_point"]
+
+
+def worst_point(violation) -> tuple[tuple[int, ...], float]:
+    """Index and value of a check's worst point: the first largest entry of
+    its violation array in C order, where a NaN counts as larger than any
+    number, so a NaN anywhere fails the check."""
+    v = np.asarray(violation, dtype=float)
+    # argmax returns the first maximum, and the first NaN if there is one
+    index = np.unravel_index(int(np.argmax(v)), v.shape)
+    return tuple(int(i) for i in index), float(v[index])
 
 
 @dataclass(frozen=True)
@@ -14,14 +26,13 @@ class VerificationReport:
 
     `worst_violation` is the signed worst-case amount by which the checked
     inequality was broken (negative means the check held with margin), and
-    `passed` is always equivalent to worst_violation <= tolerance, enforced
-    at construction.  `worst_location` pins the grid point or sample where
-    the worst case occurred, and `details` carries check-specific extras
-    (flags, margins, sample counts per category).
+    the check passed when it is at most `tolerance` (a NaN fails).
+    `worst_location` pins the grid point or sample where the worst case
+    occurred, and `details` carries check-specific extras (flags, margins,
+    sample counts per category).
     """
 
     name: str
-    passed: bool
     worst_violation: float
     worst_location: tuple[float, ...]
     tolerance: float
@@ -31,12 +42,10 @@ class VerificationReport:
     def __post_init__(self):
         if self.samples_checked < 0:
             raise ValueError("samples_checked must be nonnegative")
-        expected = self.worst_violation <= self.tolerance
-        if bool(self.passed) != expected:
-            raise ValueError(
-                f"inconsistent report: passed={self.passed} but "
-                f"worst_violation={self.worst_violation} vs tolerance={self.tolerance}"
-            )
+
+    @property
+    def passed(self) -> bool:
+        return bool(self.worst_violation <= self.tolerance)
 
     @classmethod
     def from_violation(
@@ -50,7 +59,6 @@ class VerificationReport:
     ) -> "VerificationReport":
         return cls(
             name=name,
-            passed=worst_violation <= tolerance,
             worst_violation=float(worst_violation),
             worst_location=tuple(float(x) for x in worst_location),
             tolerance=float(tolerance),

@@ -51,7 +51,7 @@ from .curves import (
     ride_to_crossing,
 )
 from .integrate import adaptive_simpson, rk4_step
-from .signals import InputSignal, random_piecewise_linear
+from .signals import InputSignal, _readonly, random_piecewise_linear
 
 __all__ = [
     "StorageEvaluation",
@@ -252,9 +252,7 @@ class AvailableStorageResult:
     n_signals: int
 
     def __post_init__(self):
-        a = np.asarray(self.per_signal, dtype=float)
-        a.setflags(write=False)
-        object.__setattr__(self, "per_signal", a)
+        object.__setattr__(self, "per_signal", _readonly(self.per_signal))
 
 
 def _clip_to_horizon(sig: InputSignal, horizon: float) -> InputSignal:

@@ -26,8 +26,10 @@ bounded from the spacing alone (central_slope_rounding).
 
 Besides the closed forms, earlier forms of the numerical loops are kept here
 written out, as oracles of bit-for-bit rewrites: the per-step segment march
-(march_per_step, simulate_per_step) and the two-march crossing ride
-(ride_two_marches).
+(march_per_step, simulate_per_step), the two-march crossing ride
+(ride_two_marches), and the per-xi and per-branch worst-point scans of the
+existence and transversality certificates (existence_per_xi_scan,
+lemma1_per_branch_scan).
 """
 
 import math
@@ -404,3 +406,71 @@ def ride_two_marches(model, sigma, xi, step, halvings=60):
             keep = ~crossed
             k, acc, y, t, fy = k[keep], acc[keep], y_new[keep], t_new[keep], f_new[keep]
     return lam, y_at, integral, steps
+
+
+def existence_per_xi_scan(model, sig, xiv, lambda_bound):
+    """core.check_existence_conditions as it scanned before one array held
+    every xi and branch: for each xi in turn, the increasing then the
+    decreasing branch, the first largest excess of the (sigma1, sigma2)
+    matrix, kept only if it beats the worst so far.
+
+    Returns the worst excess, its (sigma1, sigma2, xi) and the branch name.
+    """
+    ds = sig[:, None] - sig[None, :]
+    off = ~np.eye(sig.size, dtype=bool)
+    worst = -math.inf
+    worst_loc = (sig[0], sig[0], xiv[0])
+    worst_kind = ""
+    for xi in xiv:
+        xi_col = np.full_like(sig, xi)
+        v1 = np.asarray(model.f1(sig, xi_col), dtype=float)
+        v2 = np.asarray(model.f2(sig, xi_col), dtype=float)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            q1 = (v1[:, None] - v1[None, :]) / ds
+            q2 = (v2[:, None] - v2[None, :]) / ds
+        e1 = np.where(off, q1 - lambda_bound, -math.inf)
+        e2 = np.where(off, -lambda_bound - q2, -math.inf)
+        for kind, e in (("increasing-branch", e1), ("decreasing-branch", e2)):
+            i, j = np.unravel_index(np.argmax(e), e.shape)
+            if e[i, j] > worst:
+                worst = float(e[i, j])
+                worst_loc = (float(sig[i]), float(sig[j]), float(xi))
+                worst_kind = kind
+    return worst, worst_loc, worst_kind
+
+
+def lemma1_per_branch_scan(model, region, epsilon, grid=(200, 200)):
+    """curves.check_lemma1 as it scanned before one stack held both
+    branches, for a model with a declared f_an: the f1 margins above the
+    curve, then the f2 margins below it, each searched for its first
+    smallest entry, the second kept only if strictly smaller.
+
+    Returns epsilon minus the worst margin, the worst margin, its
+    (sigma, xi), the branch name and the number of points checked.
+    """
+    (s_lo, s_hi), (x_lo, x_hi) = region
+    sig = np.linspace(s_lo, s_hi, grid[0])
+    xiv = np.linspace(x_lo, x_hi, grid[1])
+    f_an = lambda x: np.broadcast_to(np.asarray(model.f_an(x), dtype=float), x.shape)
+    fan = f_an(xiv)
+    hstep = 1e-5 * (1.0 + np.abs(xiv))
+    fan_slope = (f_an(xiv + hstep) - f_an(xiv - hstep)) / (2.0 * hstep)
+    S = sig[:, None]
+    X = np.broadcast_to(xiv[None, :], grid)
+    F1 = np.asarray(model.f1(S, X), dtype=float)
+    F2 = np.asarray(model.f2(S, X), dtype=float)
+    above = S > fan[None, :]
+    below = S < fan[None, :]
+    margin1 = np.where(above, F1 - fan_slope[None, :], math.inf)
+    margin2 = np.where(below, F2 - fan_slope[None, :], math.inf)
+    worst_margin = math.inf
+    worst_loc = (float(sig[0]), float(xiv[0]))
+    worst_branch = ""
+    for branch, m in (("increasing", margin1), ("decreasing", margin2)):
+        i, j = np.unravel_index(np.argmin(m), m.shape)
+        if m[i, j] < worst_margin:
+            worst_margin = float(m[i, j])
+            worst_loc = (float(sig[i]), float(xiv[j]))
+            worst_branch = branch
+    samples = int(above.sum() + below.sum())
+    return epsilon - worst_margin, worst_margin, worst_loc, worst_branch, samples

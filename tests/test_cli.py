@@ -174,18 +174,20 @@ def test_curves_with_zero_step_is_an_error_not_a_crash(tmp_path, capsys):
     assert "step must be positive" in capsys.readouterr().err
 
 
+# one run of each subcommand that takes --step
+STEP_ARGVS = [
+    ("simulate", "--model", "dahl", "--input", TRIANGLE),
+    ("curves", "--model", "dahl", "--sigma", "0.3", "--xi", "1.0",
+     "--tau-min", "-1.0", "--tau-max", "2.0"),
+    ("storage", "--model", "dahl", "--sigma", "0.3", "--xi", "1.0"),
+    ("verify", "--model", "dahl", "--n-signals", "1"),
+    ("loops", "--model", "dahl", "--input", TRIANGLE),
+]
+
+
 @pytest.mark.parametrize("step", ["0", "-1"])
 @pytest.mark.parametrize(
-    "argv",
-    [
-        ("simulate", "--model", "dahl", "--input", TRIANGLE),
-        ("curves", "--model", "dahl", "--sigma", "0.3", "--xi", "1.0",
-         "--tau-min", "-1.0", "--tau-max", "2.0"),
-        ("storage", "--model", "dahl", "--sigma", "0.3", "--xi", "1.0"),
-        ("verify", "--model", "dahl", "--n-signals", "1"),
-        ("loops", "--model", "dahl", "--input", TRIANGLE),
-    ],
-    ids=lambda a: a[0] if isinstance(a, tuple) else None,
+    "argv", STEP_ARGVS, ids=lambda a: a[0] if isinstance(a, tuple) else None
 )
 def test_a_step_that_is_not_positive_is_a_config_error(tmp_path, capsys, argv, step):
     code = run_cli(*argv, "--step", step, "--out-dir", str(tmp_path))
@@ -200,7 +202,27 @@ def test_a_config_file_step_that_is_not_positive_is_a_config_error(tmp_path, cap
     cfg = tmp_path / "run.json"
     cfg.write_text(json.dumps({"model": "dahl", "input": json.loads(TRIANGLE), "step": step}))
     assert run_cli("simulate", "--config", str(cfg), "--out-dir", str(tmp_path)) == 2
-    assert "--step must be positive (config 'step')" in capsys.readouterr().err
+    assert "--step must be positive and finite (config 'step')" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", STEP_ARGVS, ids=lambda a: a[0])
+def test_an_infinite_step_is_a_config_error(tmp_path, capsys, argv):
+    # an infinite step once rode 0 steps of size inf (storage) or took one
+    # RK4 substep per segment (simulate)
+    code = run_cli(*argv, "--step", "inf", "--out-dir", str(tmp_path))
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: --step must be positive and finite"), err
+    assert not any(tmp_path.iterdir())
+
+
+def test_a_config_file_step_that_is_infinite_is_a_config_error(tmp_path, capsys):
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"model": "dahl", "input": json.loads(TRIANGLE), "step": math.inf}))
+    assert run_cli("simulate", "--config", str(cfg), "--out-dir", str(tmp_path)) == 2
+    err = capsys.readouterr().err
+    assert "--step must be positive and finite (config 'step'), got inf" in err
+    assert [p.name for p in tmp_path.iterdir()] == ["run.json"]
 
 
 def test_verify_preset_overrides_model_parameters(tmp_path, capsys):
@@ -408,6 +430,23 @@ def test_aggregate_of_a_failing_and_a_passing_run_is_the_failing_run():
         assert (agg.worst_violation, agg.worst_location) == (2.0, (2.0,))
         assert agg.samples_checked == 6
         assert agg.details == {"runs": 2, "failed_runs": 1}
+
+
+def test_aggregate_with_a_nan_run_fails_wherever_the_run_stands():
+    # Python's max once skipped a NaN key that was not first: PASS with
+    # failed_runs 1
+    passing, nan_run = _report(0.5), _report(math.nan)
+    for runs in ([passing, nan_run], [nan_run, passing], [passing, passing, nan_run]):
+        agg = _aggregate("battery", runs)
+        assert not agg.passed
+        assert math.isnan(agg.worst_violation)
+        assert agg.details["failed_runs"] == 1
+
+
+def test_aggregate_tie_goes_to_the_first_run():
+    first, second = _report(0.5, tol=1.0), _report(1.5, tol=2.0)
+    agg = _aggregate("battery", [first, second])
+    assert (agg.worst_violation, agg.tolerance) == (0.5, 1.0)
 
 
 def test_mech_feedback_requires_zero_stiffness(capsys):

@@ -99,6 +99,19 @@ def test_traversing_curve_matches_exponential_solution(dahl_r1):
     assert np.abs(curve(off) - traversing_exact(off, 0.375, 1.0)).max() < 1e-11
 
 
+def test_traversing_curve_takes_the_left_branch_slope_just_left_of_the_origin(dahl_r1):
+    # the node slope at the origin is f1's; the interval that ends there
+    # lies on the f2 branch, whose slope at the origin differs by 1.2
+    h = 1e-3
+    curve = traversing_curve(dahl_r1, PhasePoint(0.3, 1.0), -2.0, 2.0, step=h)
+    assert curve.origin_left_slope == dahl_r1.f2(0.3, 1.0)
+    assert curve.dydtau[curve.tau == 1.0] == dahl_r1.f1(0.3, 1.0)
+    taus = 1.0 + h * np.array([-1.5, -0.75, -0.5, -0.25, 0.25, 0.5, 1.5])
+    assert np.abs(curve(taus) - traversing_exact(taus, 0.3, 1.0)).max() < 1e-13
+    for t in taus:
+        assert abs(curve(t) - traversing_exact(t, 0.3, 1.0)) < 1e-13
+
+
 def test_traversing_curve_passes_through_origin(dahl_r1):
     p = PhasePoint(-0.2, 0.6)
     curve = traversing_curve(dahl_r1, p, -1.0, 2.0)

@@ -118,6 +118,42 @@ def test_feedback_port_balance(feedback_run):
     assert rep.name == "passivity-port"
 
 
+def _hand_series(v, x2, params):
+    t = np.arange(len(v), dtype=float)
+    z = np.zeros(len(v))
+    return MechSeries(t=t, x1=z, x2=np.array(x2), x3=z, v=np.array(v), params=params)
+
+
+def test_lyapunov_tie_goes_to_the_rate_row():
+    # rate = dV/dt + d x2^2 = [0.25, 0.5, 0.5] peaks first at t = 1, the
+    # monotonicity excess dV / max V = [0.25, 0, 0.5] at t = 2, equally high
+    p = MechParams(d=0.5)
+    rep = lyapunov_check(_hand_series([0.25, 0.5, 0.5, 1.0], [0.0, 1.0, 0.0, 0.0], p), p)
+    assert rep.details["rate_violation"] == rep.details["monotonicity_violation"] == 0.5
+    assert rep.worst_violation == 0.5
+    assert rep.worst_location[0] == 1.0
+
+
+def test_a_nan_in_either_lyapunov_row_fails_the_check(free_run):
+    p, ser = free_run
+    for name in ("x2", "v"):
+        values = {a: getattr(ser, a).copy() for a in ("x1", "x2", "x3", "v")}
+        values[name][20_000] = math.nan
+        bad = MechSeries(t=ser.t, params=p, **values)
+        rep = lyapunov_check(bad, p)
+        assert not rep.passed, name
+        assert math.isnan(rep.worst_violation)
+
+
+def test_a_nan_energy_fails_the_port_check(feedback_run):
+    p, ser = feedback_run
+    v = ser.v.copy()
+    v[-1] = math.nan
+    bad = MechSeries(t=ser.t, x1=ser.x1, x2=ser.x2, x3=ser.x3, v=v, params=p)
+    rep = passivity_port_check(bad, p)
+    assert not rep.passed and rep.worst_location[0] == ser.t[-1]
+
+
 def test_port_check_requires_feedback_mode(free_run):
     p, ser = free_run
     with pytest.raises(ValueError, match="feedback"):

@@ -1,8 +1,10 @@
 import json
+import math
 
+import numpy as np
 import pytest
 
-from duhem.report import VerificationReport
+from duhem.report import VerificationReport, worst_point
 
 
 def test_from_violation_sets_pass_flag():
@@ -18,26 +20,37 @@ def test_from_violation_sets_pass_flag():
     assert not fail.passed
 
 
-def test_inconsistent_flag_is_rejected():
-    # the record never claims a pass it cannot back up
-    with pytest.raises(ValueError):
-        VerificationReport(
-            name="demo",
-            passed=True,
-            worst_violation=1.0,
-            worst_location=(0.0,),
-            tolerance=0.0,
-            samples_checked=1,
+def test_pass_flag_is_derived_from_the_worst_violation():
+    # no stored flag: the report passes exactly when worst <= tolerance
+    for worst, tol, passed in [(1e-6, 1e-6, True), (1.5e-6, 1e-6, False),
+                               (-math.inf, 0.0, True), (math.nan, 1.0, False)]:
+        rep = VerificationReport(
+            name="demo", worst_violation=worst, worst_location=(0.0,),
+            tolerance=tol, samples_checked=1,
         )
-    with pytest.raises(ValueError):
-        VerificationReport(
-            name="demo",
-            passed=False,
-            worst_violation=-1.0,
-            worst_location=(0.0,),
-            tolerance=0.0,
-            samples_checked=1,
-        )
+        assert rep.passed is passed
+        assert rep.to_dict()["passed"] is passed
+
+
+def test_worst_point_is_the_first_maximum_in_c_order():
+    assert worst_point([0.5, 2.0, -1.0, 2.0]) == ((1,), 2.0)
+    v = np.array([[[0.0, 3.0], [3.0, 1.0]], [[3.0, 0.0], [2.0, 3.0]]])
+    assert worst_point(v) == ((0, 0, 1), 3.0)
+    assert worst_point(np.full((2, 3), -math.inf)) == ((0, 0), -math.inf)
+
+
+@pytest.mark.parametrize("at", [0, 3, 5])
+def test_worst_point_takes_a_nan_as_the_largest_entry(at):
+    # a NaN anywhere, before or after the largest number, is the worst point
+    v = np.array([1.0, 7.0, math.inf, 2.0, -3.0, 0.0])
+    v[at] = math.nan
+    (k,), worst = worst_point(v)
+    assert k == at and math.isnan(worst)
+    w = v.reshape(2, 3)
+    (i, j), _ = worst_point(w)
+    assert (i, j) == divmod(at, 3)
+    # of two NaNs the first
+    assert worst_point([1.0, math.nan, math.nan])[0] == (1,)
 
 
 def test_json_round_trip_sorted_keys():
