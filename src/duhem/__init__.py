@@ -36,6 +36,7 @@ from .dissipativity import (
     cycle_stabilization,
     loop_areas,
     loop_orientation,
+    loop_orientation_report,
     verify_dissipation_battery,
     verify_dissipation_pair,
 )
@@ -110,6 +111,7 @@ __all__ = [
     "intersect_lambda",
     "loop_areas",
     "loop_orientation",
+    "loop_orientation_report",
     "lyapunov_check",
     "model_from_config",
     "passivity_port_check",

@@ -170,7 +170,18 @@ class DuhemModel:
 
 @dataclass(frozen=True, eq=False)
 class Trajectory:
-    """Sampled response: arrays t, u, y of equal length plus run metadata."""
+    """Sampled response: arrays t, u, y of equal length plus run metadata.
+
+    A simulated trajectory also carries the branch slopes dy/du that its
+    march computed, one float per sample plus two per segment: slope[k] is
+    the slope at sample k on the branch of the interval that leaves it
+    (where a held stretch or nothing leaves it, of the one that enters it;
+    NaN where neither moves), and end_slope[i] the slope at sample
+    end_index[i], the last sample of a segment, on that segment's branch.
+    Both ends of every moving interval thus have their own branch's slope.
+    A trajectory built by hand has none (slope None); `interval_slopes` then
+    gives each interval its secant slope.
+    """
 
     t: np.ndarray
     u: np.ndarray
@@ -178,6 +189,9 @@ class Trajectory:
     model_name: str = ""
     y0: float = math.nan
     step: float = math.nan
+    slope: np.ndarray | None = None
+    end_index: np.ndarray = ()
+    end_slope: np.ndarray = ()
 
     def __post_init__(self):
         t, u, y = _readonly(self.t), _readonly(self.u), _readonly(self.y)
@@ -185,9 +199,35 @@ class Trajectory:
             raise ValueError("t, u, y must be 1-d arrays of equal length")
         if t.size > 1 and not (np.diff(t) > 0.0).all():
             raise ValueError("sample times must be strictly increasing")
+        end_index = np.asarray(self.end_index, dtype=np.intp)
+        end_index.setflags(write=False)
+        end_slope = _readonly(self.end_slope)
+        if end_index.shape != end_slope.shape or end_index.ndim != 1:
+            raise ValueError("end_index and end_slope must be 1-d arrays of equal length")
+        if end_index.size and not (1 <= end_index.min() and end_index.max() < t.size):
+            raise ValueError("end_index must name samples 1 .. n - 1")
+        if self.slope is not None:
+            slope = _readonly(self.slope)
+            if slope.shape != t.shape:
+                raise ValueError("slope must have one entry per sample")
+            object.__setattr__(self, "slope", slope)
         object.__setattr__(self, "t", t)
         object.__setattr__(self, "u", u)
         object.__setattr__(self, "y", y)
+        object.__setattr__(self, "end_index", end_index)
+        object.__setattr__(self, "end_slope", end_slope)
+
+    def interval_slopes(self) -> tuple[np.ndarray, np.ndarray]:
+        """Slopes dy/du at the left and right end of each sample interval,
+        both on the interval's own branch: the marched slopes, or the secant
+        slope at both ends (0 on a held interval) when slope is None."""
+        if self.slope is None:
+            du = np.diff(self.u)
+            secant = np.divide(np.diff(self.y), du, out=np.zeros_like(du), where=du != 0.0)
+            return secant, secant
+        right = self.slope[1:].copy()
+        right[self.end_index - 1] = self.end_slope
+        return self.slope[:-1], right
 
     @property
     def n_samples(self) -> int:
@@ -263,7 +303,11 @@ def simulate(
     same output, bit for bit (a periodic input on its periodic orbit),
     reuses its outputs.  Samples are emitted at every breakpoint and uniform
     substep, with sample times linearly interpolated inside segments.
-    Segments with zero u-change hold y exactly.  If a substep is not finite
+    Segments with zero u-change hold y exactly.  The trajectory keeps the
+    branch slope f(y_k, u_k) the march computed at every node (each
+    substep's first RK4 stage, and each segment's end slope), so the loop
+    areas of `dissipativity` integrate y du by the cubic Hermite rule with
+    no further field evaluation.  If a substep is not finite
     or lands outside the model domain, a DomainExitError carrying the first
     exit point is raised; no clamping is applied.
 
@@ -279,6 +323,7 @@ def simulate(
     Returns
     -------
     Trajectory
+        With `slope`, `end_index` and `end_slope` set from the march.
     """
     y0 = float(y0)
     if not np.isfinite(y0):
@@ -290,6 +335,12 @@ def simulate(
     ts = [np.array([float(signal.times[0])])]
     us = [np.array([u_first])]
     ys = [np.array([y0])]
+    # slopes on the branch leaving each sample, the march's own node slopes;
+    # a segment's first slope belongs to the sample before it
+    held = np.array([math.nan])
+    fs = [held]
+    starts, start_slopes, ends = [], [], []
+    n_samples = 1
     y = y0
     lo, hi = model.domain.sigma_min, model.domain.sigma_max
     # _march_segment is a pure function of (f, y, ua, ub, n): its results
@@ -302,24 +353,37 @@ def simulate(
             ts.append(np.array([t1]))
             us.append(np.array([ub]))
             ys.append(np.array([y]))
+            fs.append(held)
+            n_samples += 1
             continue
         n = _segment_substeps(du, step)
         f = model.f1 if du > 0.0 else model.f2
         key = (f, struct.pack("3d", y, ua, ub), n)
         if key not in marched:
-            nodes, outs, _, y_exit = _march_segment(f, y, ua, ub, n, lo, hi)
+            nodes, outs, ks, y_exit = _march_segment(f, y, ua, ub, n, lo, hi)
             if y_exit is not None:
                 t, u = _substep_sample(signal, j, len(outs), step)
                 raise DomainExitError(t, u, y_exit)
-            marched[key] = (nodes[1:], np.array(outs[1:], dtype=float), outs[-1])
-        u, y_seg, y = marched[key]
+            marched[key] = (
+                nodes[1:], np.array(outs[1:], dtype=float),
+                ks[0], np.array(ks[1:], dtype=float), outs[-1],
+            )
+        u, y_seg, k_start, f_seg, y = marched[key]
+        starts.append(n_samples - 1)
+        start_slopes.append(k_start)
+        n_samples += n
+        ends.append(n_samples - 1)
         inv_rate = (t1 - t0) / du
         t = t0 + (u - ua) * inv_rate
         t[-1] = t1
         ts.append(t)
         us.append(u)
         ys.append(y_seg)
+        fs.append(f_seg)
 
+    slope = np.concatenate(fs)
+    end_slope = slope[ends]
+    slope[starts] = start_slopes
     return Trajectory(
         np.concatenate(ts),
         np.concatenate(us),
@@ -327,6 +391,9 @@ def simulate(
         model_name=model.name,
         y0=y0,
         step=float(step) if step is not None else math.nan,
+        slope=slope,
+        end_index=ends,
+        end_slope=end_slope,
     )
 
 

@@ -687,7 +687,8 @@ def check_lemma1(
     F = np.stack([np.broadcast_to(f(S, X), _CERTIFICATE_GRID) for f in (model.f1, model.f2)])
     sides = np.stack((S > fan, S < fan))
     margin = np.where(sides, F - fan_slope, math.inf)
-    margin[:, :, np.isnan(fan)] = math.nan
+    nan_fan = np.isnan(fan)
+    margin[:, :, nan_fan] = math.nan
     # ranked on -margin, exact, so that no two margins round together
     (b, i, j), _ = worst_point(-margin)
     worst_margin = float(margin[b, i, j])
@@ -696,7 +697,8 @@ def check_lemma1(
         worst_violation=epsilon - worst_margin,
         worst_location=(sig[i], xiv[j]),
         tolerance=0.0,
-        samples_checked=int(sides.sum()),
+        # the nodes above or below the curve, and those where f_an is NaN
+        samples_checked=int(sides.sum() + nan_fan.sum() * sig.size),
         details={
             "epsilon": float(epsilon),
             "worst_margin": worst_margin,

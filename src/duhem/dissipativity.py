@@ -15,7 +15,9 @@ right input rate, the backward report uses left rates;
 classifies the final closed input cycle by the sign of its signed loop area
 (positive area means clockwise traversal), `loop_areas` decomposes a
 trajectory into the successive closed loops at its starting level, and
-`cycle_stabilization` reports whether those loop areas have settled.
+`cycle_stabilization` reports whether those loop areas have settled.  Both
+loop functions integrate y du by the cubic Hermite rule on the branch slopes
+that `simulate` keeps, fourth order in the step.
 """
 
 from __future__ import annotations
@@ -28,6 +30,7 @@ import numpy as np
 
 from .core import DuhemModel, Trajectory, simulate
 from .curves import _CERTIFICATE_GRID, _certificate_grid
+from .integrate import hermite_integral, hermite_partial_integral
 from .report import VerificationReport, worst_point
 from .signals import InputSignal, _readonly
 from .storage import storage_cw_batch
@@ -40,6 +43,7 @@ __all__ = [
     "verify_dissipation_battery",
     "cw_supply_integral",
     "loop_orientation",
+    "loop_orientation_report",
     "loop_areas",
     "cycle_stabilization",
 ]
@@ -212,19 +216,51 @@ def _final_direction(u: np.ndarray) -> float:
 LOOP_AREA_TOL = 1e-9
 
 
+def _interval_integrals(traj: Trajectory) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The integral of y du over each sample interval by the cubic Hermite
+    rule, with both end slopes on the interval's own branch
+    (`Trajectory.interval_slopes`), and those slopes.  A held interval adds
+    -0.0, the exact identity of +.  With the secant slopes of a trajectory
+    built by hand the rule is the trapezoid rule."""
+    u, y = traj.u, traj.y
+    f_left, f_right = traj.interval_slopes()
+    whole = hermite_integral(u[:-1], u[1:], y[:-1], y[1:], f_left, f_right)
+    return np.where(u[:-1] == u[1:], -0.0, whole), f_left, f_right
+
+
+def _split_at_level(lvl, u, y, f_left, f_right, c):
+    """The integrals of y du over intervals c from their left end up to the
+    level (closing) and from the level to their right end (opening), each
+    from its own end of the interval's Hermite cubic, so that a level on an
+    interval end adds exactly 0 to the part beyond it."""
+    closing = hermite_partial_integral(
+        lvl, u[c], u[c + 1], y[c], y[c + 1], f_left[c], f_right[c]
+    )
+    opening = -hermite_partial_integral(
+        lvl, u[c + 1], u[c], y[c + 1], y[c], f_right[c], f_left[c]
+    )
+    return closing, opening
+
+
 def loop_orientation(traj: Trajectory) -> LoopClassification:
     """Classify the last closed cycle of the input by its signed loop area.
 
     Scans backward for the previous time the input crossed its final level
     moving in the same direction; the signed area of y du over that stretch
     is positive for clockwise loops, and |area| <= LOOP_AREA_TOL is
-    degenerate.  Raises ValueError when the input never closes a cycle at
-    its final level.
+    degenerate.  When no such crossing exists but the input starts at its
+    final level, the whole path is the loop.  y du is integrated by the
+    cubic Hermite rule on each sample interval, with the interval's branch
+    slopes at both ends (fourth order on a simulated trajectory, the
+    trapezoid rule on one built by hand); the crossing splits its interval's
+    cubic.  Raises ValueError when the input never closes a cycle at its
+    final level.
     """
-    u, y, t = traj.u, traj.y, traj.t
+    u, t = traj.u, traj.t
     ue = float(u[-1])
     d_end = _final_direction(u)
     n = u.size
+    whole, f_left, f_right = _interval_integrals(traj)
 
     def classify(area: float, t_star: float) -> LoopClassification:
         if area > LOOP_AREA_TOL:
@@ -243,20 +279,29 @@ def loop_orientation(traj: Trajectory) -> LoopClassification:
     hits = np.flatnonzero(same)
     if hits.size:
         j = int(hits[-1])
-        du_j = du[j]
-        frac = (ue - u[j]) / du_j
-        y_star = y[j] + frac * (y[j + 1] - y[j])
+        frac = (ue - u[j]) / du[j]
         t_star = t[j] + frac * (t[j + 1] - t[j])
-        area = 0.5 * (y_star + y[j + 1]) * (u[j + 1] - ue)
-        area += float(
-            np.sum(0.5 * (y[j + 1 : -1] + y[j + 2 :]) * np.diff(u[j + 1 :]))
-        )
+        _, area = _split_at_level(ue, u, traj.y, f_left, f_right, j)
+        area += float(np.sum(whole[j + 1 :]))
         return classify(area, t_star)
     # no interior same-direction crossing: the path itself may close a loop
     if u[0] == ue:
-        area = float(np.sum(0.5 * (y[:-1] + y[1:]) * np.diff(u)))
-        return classify(area, float(t[0]))
+        return classify(float(np.sum(whole)), float(t[0]))
     raise ValueError("input never closes a cycle at its final level")
+
+
+def loop_orientation_report(cls: LoopClassification) -> VerificationReport:
+    """Report that the loop of `loop_orientation` runs clockwise: the
+    violation LOOP_AREA_TOL - area is positive unless its area exceeds the
+    threshold."""
+    return VerificationReport.from_violation(
+        name="loop-orientation",
+        worst_violation=LOOP_AREA_TOL - cls.area,
+        worst_location=(cls.t_close,),
+        tolerance=0.0,
+        samples_checked=1,
+        details={"label": cls.label, "area": cls.area},
+    )
 
 
 def loop_areas(traj: Trajectory, *, level: float | None = None):
@@ -264,8 +309,11 @@ def loop_areas(traj: Trajectory, *, level: float | None = None):
 
     The level defaults to the starting input value; a loop closes each time
     the input returns to the level moving in its original departure
-    direction.  Returns (close_times, areas) as float arrays; both are empty
-    when no loop closes.
+    direction.  Each area integrates y du by the cubic Hermite rule on each
+    sample interval, with the interval's branch slopes at both ends, and
+    splits the cubic of an interval that the level crosses (as
+    `loop_orientation`).  Returns (close_times, areas) as float arrays; both
+    are empty when no loop closes.
     """
     u, y, t = traj.u, traj.y, traj.t
     lvl = float(u[0]) if level is None else float(level)
@@ -274,6 +322,7 @@ def loop_areas(traj: Trajectory, *, level: float | None = None):
     if nz.size == 0:
         return np.zeros(0), np.zeros(0)
     d0 = math.copysign(1.0, du[nz[0]])
+    whole, f_left, f_right = _interval_integrals(traj)
 
     a, b = u[:-1], u[1:]
     # a half-open crossing convention (strictly from the approach side, onto
@@ -284,12 +333,8 @@ def loop_areas(traj: Trajectory, *, level: float | None = None):
     else:
         c = np.flatnonzero((a > lvl) & (lvl >= b))
     frac = (lvl - a[c]) / du[c]
-    y_star = y[c] + frac * (y[c + 1] - y[c])
     t_star = t[c] + frac * (t[c + 1] - t[c])
-    closing = 0.5 * (y[c] + y_star) * (lvl - a[c])
-    opening = 0.5 * (y_star + y[c + 1]) * (b[c] - lvl)
-    # trapezoids of y du; held samples add -0.0, the exact identity of +
-    trap = np.where(du == 0.0, -0.0, 0.5 * (y[:-1] + y[1:]) * du)
+    closing, opening = _split_at_level(lvl, u, y, f_left, f_right, c)
 
     # loop k runs from crossing k - 1 (or the start, when it lies on the
     # level) to crossing k; cumsum adds its terms left to right
@@ -297,7 +342,7 @@ def loop_areas(traj: Trajectory, *, level: float | None = None):
     areas = np.empty(max(c.size - first, 0))
     for k in range(first, c.size):
         start, partial = (0, 0.0) if k == 0 else (c[k - 1] + 1, opening[k - 1])
-        terms = np.concatenate(([partial], trap[start : c[k]], [closing[k]]))
+        terms = np.concatenate(([partial], whole[start : c[k]], [closing[k]]))
         areas[k - first] = np.cumsum(terms)[-1]
     return t_star[first:], areas
 

@@ -10,7 +10,7 @@ Dahl (r = 1): the affine branch fields
     f2(sigma) = rho * (1 + sigma / fc)      (input falling)
 
 are integrated in closed form (traversing curves, crossing point, storage,
-ramp responses).
+ramp responses and the supply int y du along them).
 
 Bouc-Wen with beta = zeta: the branch that rides toward the anhysteresis
 curve y = 0 has slope f2 = alpha - beta sigma^n + zeta sigma^n = alpha above
@@ -70,6 +70,34 @@ def ramp_response_exact(u0, u1, y0, rho=1.5, fc=0.75):
     if u1 >= u0:
         return fc - (fc - y0) * math.exp(-k * (u1 - u0))
     return -fc + (fc + y0) * math.exp(k * (u1 - u0))
+
+
+def branch_integral_exact(u0, u1, y0, rho=1.5, fc=0.75):
+    """Exact int y du along one monotone ramp from u0 to u1 starting at y0.
+
+    Rising, y = fc - (fc - y0) exp(-k (u - u0)) with k = rho / fc, so the
+    integral is fc du - (fc - y0)(1 - exp(-k du)) / k; falling is its
+    mirror, y = -fc + (fc + y0) exp(k (u - u0)), with integral
+    -fc du + (fc + y0)(exp(k du) - 1) / k.
+    """
+    k = rho / fc
+    du = u1 - u0
+    if du >= 0.0:
+        return fc * du + (fc - y0) * math.expm1(-k * du) / k
+    return -fc * du + (fc + y0) * math.expm1(k * du) / k
+
+
+def supply_exact(signal, y0, rho=1.5, fc=0.75):
+    """Exact cumulative supply W = int y du of Dahl (r = 1) at every
+    breakpoint of a piecewise-linear input, ramp by ramp."""
+    y, w = float(y0), 0.0
+    out = [w]
+    vals = signal.values
+    for i in range(len(vals) - 1):
+        w += branch_integral_exact(vals[i], vals[i + 1], y, rho, fc)
+        y = ramp_response_exact(vals[i], vals[i + 1], y, rho, fc)
+        out.append(w)
+    return np.array(out)
 
 
 def simulate_exact(signal, y0, rho=1.5, fc=0.75):
@@ -175,11 +203,15 @@ def exp_fields_numpy():
             lambda sigma, xi: np.exp(0.5 * (1.2 * sigma - xi)) + 0.83)
 
 
-def loop_areas_per_sample(u, y, t, lvl):
+def loop_areas_per_sample(model, u, y, t, lvl):
     """The loop decomposition of dissipativity.loop_areas as a per-sample
     loop: a loop closes each time u returns onto or past lvl from its
-    departure side, and its area is the trapezoid sum of y du, added left to
-    right, with the crossing samples interpolated linearly."""
+    departure side, and its area is the sum of y du over the sample
+    intervals, added left to right.  Each interval's integral is the cubic
+    Hermite rule written out, with the slopes of its branch (f1 rising, f2
+    falling) evaluated from the model at both ends; an interval that the
+    level crosses is split at the level into the integral of its cubic from
+    the left end up to the level and, from the right end, down to it."""
     du = np.diff(u)
     nz = np.nonzero(du)[0]
     if nz.size == 0:
@@ -192,16 +224,19 @@ def loop_areas_per_sample(u, y, t, lvl):
         a, b = float(u[j]), float(u[j + 1])
         if a == b:
             continue
+        f = model.f1 if b > a else model.f2
+        yl, yr = float(y[j]), float(y[j + 1])
+        fl, fr = f(yl, a), f(yr, b)
         if (a < lvl <= b) if d0 > 0 else (a > lvl >= b):
             frac = (lvl - a) / (b - a)
-            y_star = y[j] + frac * (y[j + 1] - y[j])
             if on_level:
                 times.append(float(t[j] + frac * (t[j + 1] - t[j])))
-                areas.append(acc + 0.5 * (y[j] + y_star) * (lvl - a))
+                areas.append(acc + _hermite_partial_integral(lvl, a, b, yl, yr, fl, fr))
             on_level = True
-            acc = 0.5 * (y_star + y[j + 1]) * (b - lvl)
+            acc = -_hermite_partial_integral(lvl, b, a, yr, yl, fr, fl)
         else:
-            acc += 0.5 * (y[j] + y[j + 1]) * (b - a)
+            h = b - a
+            acc += 0.5 * h * (yl + yr) + h * h * (fl - fr) / 12.0
     return np.asarray(times, dtype=float), np.asarray(areas, dtype=float)
 
 

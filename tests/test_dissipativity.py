@@ -12,13 +12,14 @@ from duhem.dissipativity import (
     cycle_stabilization,
     loop_areas,
     loop_orientation,
+    loop_orientation_report,
     verify_dissipation_battery,
     verify_dissipation_pair,
 )
 from duhem.signals import InputSignal, ramp, random_piecewise_linear
 from duhem.storage import storage_cw_batch
 
-from oracles import loop_areas_per_sample, storage_exact
+from oracles import loop_areas_per_sample, storage_exact, supply_exact
 
 DAHL_BAND = ((-0.7, 0.7), (-2.0, 2.0))
 
@@ -153,10 +154,14 @@ def test_supply_from_rest_never_goes_negative(dahl_r1):
 
 
 def test_loop_orientation_triangle_is_clockwise(dahl_r1):
-    traj = simulate(dahl_r1, triangle(1.0, 3), 0.0, step=1e-3)
+    # the third cycle, 0 -> 1 -> -1 -> 0 from t = 8, in closed form
+    # (1.553958607145777); the trapezoid rule at this step is 5.5e-7 off
+    sig = triangle(1.0, 3)
+    traj = simulate(dahl_r1, sig, 0.0, step=1e-3)
     lc = loop_orientation(traj)
+    w = supply_exact(sig, 0.0)
     assert lc.label == "clockwise"
-    assert lc.area == pytest.approx(1.5539581251318455, abs=1e-9)
+    assert lc.area == pytest.approx(w[9] - w[6], abs=1e-9)
     assert lc.t_close == pytest.approx(8.0)
 
 
@@ -166,8 +171,68 @@ def test_loop_orientation_whole_path_fallback(dahl_r1):
     traj = simulate(dahl_r1, sig, 0.0, step=1e-3)
     lc = loop_orientation(traj)
     assert lc.label == "clockwise"
-    assert lc.area == pytest.approx(0.5711342506497776, abs=1e-12)
+    # closed form 0.5711345602716437; the trapezoid rule is 3.1e-7 off
+    assert lc.area == pytest.approx(supply_exact(sig, 0.0)[-1], abs=1e-12)
     assert lc.t_close == 0.0
+
+
+@pytest.mark.parametrize(
+    "model, amplitude",
+    [(dahl(r=3.0), 2.0), (boucwen(), 2.0), (exp_example(), 3.0)],
+    ids=["dahl fig1", "boucwen fig2", "exp_example"],
+)
+def test_readme_loops_at_the_battery_step_lie_within_1e_8_of_a_fine_reference(model, amplitude):
+    # the loop input of each README `duhem verify` command: a 5-cycle
+    # triangle over the certified xi range, from y0 = 0, at the battery step
+    # 5e-3 against step 2.5e-4 (the trapezoid rule at 1e-3 is 2.2e-7 to
+    # 1.3e-6 off)
+    sig = triangle(amplitude, 5)
+    traj, ref = (simulate(model, sig, 0.0, step=h) for h in (5e-3, 2.5e-4))
+    times, areas = loop_areas(traj)
+    ref_times, ref_areas = loop_areas(ref)
+    assert areas.size == 5 and np.array_equal(times, ref_times)
+    np.testing.assert_allclose(areas, ref_areas, rtol=0.0, atol=1e-8)
+    assert loop_orientation(traj).area == pytest.approx(loop_orientation(ref).area, abs=1e-8)
+
+
+def test_a_trajectory_built_by_hand_takes_the_trapezoid_rule():
+    # one excursion 0 -> top -> 0 on uneven samples: the whole path is the loop
+    rng = np.random.default_rng(5)
+    up = np.cumsum(rng.uniform(0.01, 0.1, 20))
+    down = up[-1] - np.cumsum(rng.uniform(0.01, 0.1, 30))
+    u = np.concatenate([[0.0], up, down[down > 0.0], [0.0]])
+    y = rng.uniform(-1.0, 1.0, u.size)
+    lc = loop_orientation(Trajectory(np.arange(float(u.size)), u, y))
+    trapezoid = np.sum(0.5 * (y[:-1] + y[1:]) * np.diff(u))
+    assert lc.area == pytest.approx(trapezoid, rel=1e-13)
+
+
+def _reflected_dahl():
+    """The y -> -y reflection of Dahl r = 1: f1'(s, x) = -f1(-s, x) and
+    f2'(s, x) = -f2(-s, x), counterclockwise with Dahl's F."""
+    m = dahl()
+    return DuhemModel(
+        name="dahl reflected",
+        f1=lambda s, x: -m.f1(-s, x),
+        f2=lambda s, x: -m.f2(-s, x),
+        domain=m.domain,
+        f_an=m.f_an,
+    )
+
+
+def test_reflected_dahl_is_counterclockwise_and_fails_the_loop_report():
+    model = _reflected_dahl()
+    cls = loop_orientation(simulate(model, triangle(2.0, 5), 0.0, step=5e-3))
+    assert cls.label == "counterclockwise"
+    assert cls.area == pytest.approx(-4.501, abs=1e-3)
+    rep = loop_orientation_report(cls)
+    assert not rep.passed and rep.worst_violation > 4.5
+    # Dahl itself passes with the mirror area
+    dahl_cls = loop_orientation(simulate(dahl(), triangle(2.0, 5), 0.0, step=5e-3))
+    assert loop_orientation_report(dahl_cls).passed
+    assert dahl_cls.area == pytest.approx(-cls.area, rel=1e-12)
+    # its F equals Dahl's, so the sign-structure certificate cannot tell
+    assert check_assumption_A(model, DAHL_BAND).passed
 
 
 def test_loop_orientation_counterclockwise_parametric():
@@ -200,12 +265,16 @@ def test_loop_orientation_rejects_open_path(dahl_r1):
 
 
 def test_loop_areas_converge_cycle_over_cycle(dahl_r1):
-    traj = simulate(dahl_r1, triangle(1.0, 3), 0.0, step=1e-3)
+    sig = triangle(1.0, 3)
+    traj = simulate(dahl_r1, sig, 0.0, step=1e-3)
     times, areas = loop_areas(traj)
     assert np.allclose(times, [4.0, 8.0, 12.0])
     assert (areas > 0.0).all()
     assert np.abs(np.diff(areas))[-1] < 1e-4
-    assert areas[-1] == pytest.approx(1.5539581251318455, abs=1e-9)
+    # each cycle's closed form: the supply between the breakpoints at
+    # t = 0, 4, 8 and 12
+    exact = np.diff(supply_exact(sig, 0.0)[::3])
+    np.testing.assert_allclose(areas, exact, rtol=0.0, atol=1e-9)
 
 
 def test_loop_areas_empty_for_constant_input():
@@ -235,7 +304,7 @@ def test_loop_areas_equal_the_per_sample_sum_bit_for_bit(dahl_r3, seed):
     for level in (None, 0.5, -0.3):
         lvl = float(traj.u[0]) if level is None else level
         got = loop_areas(traj, level=level)
-        want = loop_areas_per_sample(traj.u, traj.y, traj.t, lvl)
+        want = loop_areas_per_sample(dahl_r3, traj.u, traj.y, traj.t, lvl)
         assert want[0].size > 0
         assert got[0].tobytes() == want[0].tobytes()
         assert got[1].tobytes() == want[1].tobytes()
@@ -263,6 +332,16 @@ def test_cycle_stabilization_fails_on_areas_that_settle_only_to_2e4():
     assert rep.details == {"areas": [float(a) for a in areas]}
     # the same changes ten times smaller pass
     assert cycle_stabilization(times, _settling_areas(2e-5)).passed
+
+
+def test_cycle_stabilization_reads_the_change_from_the_third_loop_to_the_fourth():
+    # a jump of 2e-4 between loops 3 and 4, flat afterwards: a check that
+    # started at the fourth loop would pass
+    times = np.arange(1.0, 7.0)
+    areas = np.array([1.0, 0.5, 0.3, 0.3002, 0.3002, 0.3002])
+    rep = cycle_stabilization(times, areas)
+    assert not rep.passed
+    assert rep.worst_violation == pytest.approx(2e-4, rel=1e-9)
 
 
 def test_cycle_stabilization_needs_four_loops():

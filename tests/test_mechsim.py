@@ -124,6 +124,17 @@ def _hand_series(v, x2, params):
     return MechSeries(t=t, x1=z, x2=np.array(x2), x3=z, v=np.array(v), params=params)
 
 
+def test_port_check_fails_a_stored_change_above_the_supplied_energy():
+    # x2 = 1 at unit spacing supplies W(t) = -d t < 0; a stored change of
+    # 0.75 W exceeds it by 0.25 d t, though it lies below half of W
+    p = MechParams(k=0.0, mode="feedback")
+    w = -p.d * np.arange(5.0)
+    rep = passivity_port_check(_hand_series(1.0 + 0.75 * w, np.ones(5), p), p)
+    assert not rep.passed
+    assert rep.worst_violation == pytest.approx(0.25 * p.d * 4.0, rel=1e-12)
+    assert rep.worst_location[0] == 4.0
+
+
 def test_lyapunov_tie_goes_to_the_rate_row():
     # rate = dV/dt + d x2^2 = [0.25, 0.5, 0.5] peaks first at t = 1, the
     # monotonicity excess dV / max V = [0.25, 0, 0.5] at t = 2, equally high
