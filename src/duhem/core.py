@@ -217,17 +217,20 @@ class Trajectory:
         object.__setattr__(self, "end_index", end_index)
         object.__setattr__(self, "end_slope", end_slope)
 
-    def interval_slopes(self) -> tuple[np.ndarray, np.ndarray]:
-        """Slopes dy/du at the left and right end of each sample interval,
-        both on the interval's own branch: the marched slopes, or the secant
-        slope at both ends (0 on a held interval) when slope is None."""
+    def interval_slopes(self, start: int = 0) -> tuple[np.ndarray, np.ndarray]:
+        """Slopes dy/du at the left and right end of each sample interval
+        from the one leaving sample `start` on, both on the interval's own
+        branch: the marched slopes, or the secant slope at both ends (0 on a
+        held interval) when slope is None."""
         if self.slope is None:
-            du = np.diff(self.u)
-            secant = np.divide(np.diff(self.y), du, out=np.zeros_like(du), where=du != 0.0)
+            du = np.diff(self.u[start:])
+            dy = np.diff(self.y[start:])
+            secant = np.divide(dy, du, out=np.zeros_like(du), where=du != 0.0)
             return secant, secant
-        right = self.slope[1:].copy()
-        right[self.end_index - 1] = self.end_slope
-        return self.slope[:-1], right
+        right = self.slope[start + 1 :].copy()
+        after = self.end_index > start
+        right[self.end_index[after] - 1 - start] = self.end_slope[after]
+        return self.slope[start:-1], right
 
     @property
     def n_samples(self) -> int:

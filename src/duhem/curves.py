@@ -13,13 +13,17 @@ f_an is not declared) at the start point, which by the sign structure says
 which branch the point rides and which way.  It marches that branch with the
 simulator's RK4 step until the residual reaches the other side, and sets
 aside each lane's bracketing step.  Once every lane has crossed, one vector
-bisection on the brackets' cubic Hermite models refines all crossings at
-once (event location on dense output).  `ride_to_crossing`
-marches a whole trajectory's worth of phase points in lockstep.  Single-point
-queries (`intersect_lambda`, `storage.storage_cw`) take the same steps in
-Python floats, since a batch-of-one numpy march costs many times as much,
-share the batch ride's set-up and refine their one bracket with the batch's
-halvings in floats; they return the crossing alone, not the branch integral.
+root finder on the brackets' cubic Hermite models refines all crossings at
+once (event location on dense output): `_REFINE_PASSES` = 8 passes of
+Illinois regula falsi (`integrate.bisect_on_interval_vec`).  Their
+crossings lie within a few ulps of the bracket scale |lam| + step (more
+where F cancels) of those of a 60-halving bisection, the tests' reference,
+and leave no larger side residual.  `ride_to_crossing` marches a whole
+trajectory's worth of phase points in lockstep.  Single-point queries
+(`intersect_lambda`, `storage.storage_cw`) take the same steps in Python
+floats, since a batch-of-one numpy march costs many times as much, share the
+batch ride's set-up and refine their one bracket with the batch's passes in
+floats; they return the crossing alone, not the branch integral.
 """
 
 from __future__ import annotations
@@ -117,8 +121,10 @@ def anhysteresis_values(model: DuhemModel, xi: np.ndarray) -> np.ndarray:
     """Vectorized anhysteresis evaluation used by grid checks and rides.
 
     Without a declared f_an, each root of F(., xi) is bracketed by doubling
-    a window around sigma = 0 (at most 60 times) and refined by 80 vector
-    bisection halvings.
+    a window around sigma = 0 (at most 60 times) and refined by 80 passes
+    of the crossing refinement's root finder (`bisect_on_interval_vec`).
+    A xi where F(0, xi) is NaN gets NaN, with no expansion, as a NaN
+    declared f_an gives.
     """
     xi = np.asarray(xi, dtype=float)
     if model.f_an is not None:
@@ -130,12 +136,13 @@ def anhysteresis_values(model: DuhemModel, xi: np.ndarray) -> np.ndarray:
     g = lambda s: np.asarray(model.F(s, xi), dtype=float)
     zero = np.zeros_like(xi)
     gc = g(zero)
+    nan = np.isnan(gc)
     lo = np.maximum(-w, lo_lim)
     hi = np.minimum(w, hi_lim)
     for _ in range(61):
         glo = g(lo)
         ghi = g(hi)
-        ok = (glo * gc <= 0.0) | (ghi * gc <= 0.0) | (gc == 0.0)
+        ok = (glo * gc <= 0.0) | (ghi * gc <= 0.0) | (gc == 0.0) | nan
         if ok.all():
             break
         w = np.where(ok, w, 2.0 * w)
@@ -147,6 +154,7 @@ def anhysteresis_values(model: DuhemModel, xi: np.ndarray) -> np.ndarray:
     use_lo = g(lo) * gc <= 0.0
     a = np.where(gc == 0.0, zero, np.where(use_lo, lo, zero))
     b = np.where(gc == 0.0, zero, np.where(use_lo, zero, hi))
+    a[nan] = b[nan] = math.nan
     return bisect_on_interval_vec(g, a, b, iters=80)
 
 
@@ -287,9 +295,9 @@ class CrossingResult:
     steps: np.ndarray     # RK4 steps used per point
 
 
-# vector bisection halvings of each crossing bracket, one count for every
-# ride (batch and single-point)
-_REFINE_ITERS = 60
+# regula falsi passes on each crossing bracket, one count for every ride
+# (batch and single-point)
+_REFINE_PASSES = 8
 
 
 def _side_residual(model: DuhemModel) -> Callable:
@@ -319,14 +327,15 @@ def _budget_error(count: int, max_steps: int, h: float) -> CrossingSearchError:
 def _refine_crossings(side: Callable, tA, tB, yA, yB, fA, fB, acc):
     """Crossing abscissas in the brackets [tA, tB] (arrays, one per lane),
     the branch values there and acc plus the branch integrals from tA: one
-    vector bisection on the brackets' cubic Hermite models."""
+    vector root finder (`bisect_on_interval_vec`, `_REFINE_PASSES` Illinois
+    regula falsi passes) on the brackets' cubic Hermite models."""
 
     def residual(s):
         return np.asarray(
             side(hermite_eval(s, tA, tB, yA, yB, fA, fB), s), dtype=float
         )
 
-    lam = bisect_on_interval_vec(residual, tA, tB, iters=_REFINE_ITERS)
+    lam = bisect_on_interval_vec(residual, tA, tB, iters=_REFINE_PASSES)
     y_at = hermite_eval(lam, tA, tB, yA, yB, fA, fB)
     return lam, y_at, acc + hermite_partial_integral(lam, tA, tB, yA, yB, fA, fB)
 
@@ -335,11 +344,13 @@ def _refine_point(side: Callable, tA, tB, yA, yB, fA, fB):
     """The crossing abscissa and branch value of `_refine_crossings` for one
     bracket, in Python floats, bit for bit.
 
-    It takes the halvings of `bisect_on_interval_vec`: the residual at tA is
-    evaluated once, a halving with ga * gm <= 0 moves b and any other moves
-    a (and ga), and after at most `_REFINE_ITERS` halvings the crossing is
-    the midpoint.  It stops early at a fixed point, a halving that leaves a
-    and b unchanged, since every later halving would repeat it.
+    It runs the `_REFINE_PASSES` passes of `bisect_on_interval_vec` with
+    the same operations in the same order: r and p start at tA and tB, a
+    secant point that is not strictly inside the bracket (or whose residual
+    difference is 0, where Python would raise and numpy gives inf or NaN)
+    becomes the midpoint, and an exact zero collapses the bracket.  It runs
+    every pass: the vector finder stops early only where the later passes
+    would change nothing.
     """
     if tA == tB:
         # a step too short to move tau (|tau| far above the step): Python
@@ -348,20 +359,23 @@ def _refine_point(side: Callable, tA, tB, yA, yB, fA, fB):
         bracket = (np.array([v]) for v in (tA, tB, yA, yB, fA, fB, 0.0))
         lam, y_at, _ = _refine_crossings(side, *bracket)
         return float(lam[0]), float(y_at[0])
-    a, b = tA, tB
-    ga = float(side(hermite_eval(a, tA, tB, yA, yB, fA, fB), a))
-    for _ in range(_REFINE_ITERS):
-        mid = 0.5 * (a + b)
-        gm = float(side(hermite_eval(mid, tA, tB, yA, yB, fA, fB), mid))
-        if ga * gm <= 0.0:
-            if mid == b:
-                break
-            b = mid
+    r, p = tA, tB
+    gr = fr = float(side(hermite_eval(r, tA, tB, yA, yB, fA, fB), r))
+    gp = float(side(hermite_eval(p, tA, tB, yA, yB, fA, fB), p))
+    for _ in range(_REFINE_PASSES):
+        d = gp - fr
+        x = p - gp * (p - r) / d if d != 0.0 else math.nan
+        if not min(r, p) < x < max(r, p):
+            x = 0.5 * (r + p)
+        gx = float(side(hermite_eval(x, tA, tB, yA, yB, fA, fB), x))
+        if gx == 0.0:
+            r, gr, fr = x, gx, gx
+        elif gp * gx <= 0.0:
+            r, gr, fr = p, gp, gp
         else:
-            if mid == a:
-                break
-            a, ga = mid, gm
-    lam = 0.5 * (a + b)
+            fr = 0.5 * fr
+        p, gp = x, gx
+    lam = p if abs(gp) < abs(gr) else r
     return lam, hermite_eval(lam, tA, tB, yA, yB, fA, fB)
 
 
@@ -382,9 +396,9 @@ def _march_to_crossing(
 
     The march only detects crossings: each lane's bracketing step and the
     integral accumulated before it are set aside, and after the march all
-    brackets are refined together in one vector bisection on their cubic
-    Hermite models.  Every operation is elementwise, so a lane's result does
-    not depend on which other lanes share the batch.
+    brackets are refined together in one vector root finder on their cubic
+    Hermite models (`_refine_crossings`).  Every operation is elementwise,
+    so a lane's result does not depend on which other lanes share the batch.
     """
     n = y0.size
     idx = np.arange(n)

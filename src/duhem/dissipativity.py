@@ -216,14 +216,16 @@ def _final_direction(u: np.ndarray) -> float:
 LOOP_AREA_TOL = 1e-9
 
 
-def _interval_integrals(traj: Trajectory) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The integral of y du over each sample interval by the cubic Hermite
-    rule, with both end slopes on the interval's own branch
-    (`Trajectory.interval_slopes`), and those slopes.  A held interval adds
-    -0.0, the exact identity of +.  With the secant slopes of a trajectory
-    built by hand the rule is the trapezoid rule."""
-    u, y = traj.u, traj.y
-    f_left, f_right = traj.interval_slopes()
+def _interval_integrals(
+    traj: Trajectory, start: int = 0
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The integral of y du over each sample interval from the one leaving
+    sample `start` on by the cubic Hermite rule, with both end slopes on the
+    interval's own branch (`Trajectory.interval_slopes`), and those slopes.
+    A held interval adds -0.0, the exact identity of +.  With the secant
+    slopes of a trajectory built by hand the rule is the trapezoid rule."""
+    u, y = traj.u[start:], traj.y[start:]
+    f_left, f_right = traj.interval_slopes(start)
     whole = hermite_integral(u[:-1], u[1:], y[:-1], y[1:], f_left, f_right)
     return np.where(u[:-1] == u[1:], -0.0, whole), f_left, f_right
 
@@ -253,14 +255,14 @@ def loop_orientation(traj: Trajectory) -> LoopClassification:
     cubic Hermite rule on each sample interval, with the interval's branch
     slopes at both ends (fourth order on a simulated trajectory, the
     trapezoid rule on one built by hand); the crossing splits its interval's
-    cubic.  Raises ValueError when the input never closes a cycle at its
-    final level.
+    cubic.  The crossing is found from u alone, and only the intervals from
+    it on are integrated.  Raises ValueError when the input never closes a
+    cycle at its final level.
     """
     u, t = traj.u, traj.t
     ue = float(u[-1])
     d_end = _final_direction(u)
     n = u.size
-    whole, f_left, f_right = _interval_integrals(traj)
 
     def classify(area: float, t_star: float) -> LoopClassification:
         if area > LOOP_AREA_TOL:
@@ -281,12 +283,13 @@ def loop_orientation(traj: Trajectory) -> LoopClassification:
         j = int(hits[-1])
         frac = (ue - u[j]) / du[j]
         t_star = t[j] + frac * (t[j + 1] - t[j])
-        _, area = _split_at_level(ue, u, traj.y, f_left, f_right, j)
-        area += float(np.sum(whole[j + 1 :]))
+        whole, f_left, f_right = _interval_integrals(traj, j)
+        _, area = _split_at_level(ue, u[j:], traj.y[j:], f_left, f_right, 0)
+        area += float(np.sum(whole[1:]))
         return classify(area, t_star)
     # no interior same-direction crossing: the path itself may close a loop
     if u[0] == ue:
-        return classify(float(np.sum(whole)), float(t[0]))
+        return classify(float(np.sum(_interval_integrals(traj)[0])), float(t[0]))
     raise ValueError("input never closes a cycle at its final level")
 
 

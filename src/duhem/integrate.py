@@ -1,5 +1,6 @@
 """Shared numerical kernels: fixed-step RK4, cubic Hermite tools, adaptive
-Simpson quadrature and bracketed bisection.
+Simpson quadrature, bracketed bisection and a vector bracketed root finder
+(Illinois regula falsi).
 
 Everything here is a pure function of its arguments.  The RK4 and Hermite
 routines accept either Python floats or numpy arrays and operate elementwise,
@@ -218,26 +219,58 @@ def expand_bracket(
 
 
 def bisect_on_interval_vec(g, a, b, iters: int = 80):
-    """Vectorized bisection on per-element intervals [a_k, b_k].
+    """Roots of g in per-element brackets [a_k, b_k] by `iters` passes of
+    Illinois-modified regula falsi (Dowell and Jarratt, BIT 11, 1971).
 
-    g maps an array of abscissas to an array of residuals; every interval
-    must bracket a sign change (g(a) and g(b) of opposite sign, zeros
-    allowed).  Returns the midpoint array after `iters` halvings.
+    g maps an array of abscissas to an array of residuals; every bracket
+    must hold a sign change (g(a) and g(b) of opposite sign, zeros allowed;
+    a and b in either order).  The bracket is kept as its retained end r
+    (first a) and its latest point p (first b).  Each pass
+      - takes the secant point x of (r, fr) and (p, g(p)), where fr is
+        g(r) halved once for every pass in a row that kept r (the Illinois
+        modification), or the midpoint where x is not strictly inside;
+      - keeps p as the retained end if g(p) g(x) <= 0 and r otherwise, and
+        makes x the latest point;
+      - collapses the bracket onto x where g(x) is exactly 0.
+    Returns the end with the smaller |g| (r on a tie); where every residual
+    is NaN (as on a Hermite bracket of zero width) that is a.  A pass that
+    leaves every r and p unchanged, bit for bit, ends the passes early: its
+    x was a midpoint that rounded to p, so no float lies strictly inside
+    any bracket, every later pass takes the same midpoint, and r, p and
+    their residuals stay as they are.
 
-    Every halving runs: on large batches some lanes (crossings near 0) never
-    reach a fixed point within the count, so a test for one does not pay.
-    `curves._refine_point`, the one-interval float twin, stops at its fixed
-    point.
+    Every operation commutes with negation, so the negated brackets and
+    residuals of a ride reflected through the origin give the negated roots
+    bit for bit.  `curves._refine_point` is the float twin of one bracket.
+    The name stays from the bisection this finder replaced: the crossing
+    refinement calls it through the `curves` binding, which
+    `perfbench/tracing.py` spans as `curves.refine`.
     """
-    a = np.asarray(a, dtype=float).copy()
-    b = np.asarray(b, dtype=float).copy()
-    ga = np.asarray(g(a), dtype=float)
-    for _ in range(iters):
-        mid = 0.5 * (a + b)
-        gm = np.asarray(g(mid), dtype=float)
-        left = ga * gm <= 0.0
-        b = np.where(left, mid, b)
-        keep_a = ~left
-        a = np.where(keep_a, mid, a)
-        ga = np.where(keep_a, gm, ga)
-    return 0.5 * (a + b)
+    r = np.asarray(a, dtype=float)
+    p = np.asarray(b, dtype=float)
+    gr = fr = np.asarray(g(r), dtype=float)
+    gp = np.asarray(g(p), dtype=float)
+    # a secant through a vanishing or NaN residual difference gives inf or
+    # NaN, which the midpoint replaces
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for _ in range(iters):
+            x = p - gp * (p - r) / (gp - fr)
+            inside = (np.minimum(r, p) < x) & (x < np.maximum(r, p))
+            x = np.where(inside, x, 0.5 * (r + p))
+            gx = np.asarray(g(x), dtype=float)
+            flip = gp * gx <= 0.0
+            zero = gx == 0.0
+            r_new = np.where(zero, x, np.where(flip, p, r))
+            gr = np.where(zero, gx, np.where(flip, gp, gr))
+            fr = np.where(flip | zero, gr, 0.5 * fr)
+            fixed = _same_bits(x, p) and _same_bits(r_new, r)
+            r, p, gp = r_new, x, gx
+            if fixed:
+                break
+    return np.where(np.abs(gp) < np.abs(gr), p, r)
+
+
+def _same_bits(x, y) -> bool:
+    """Whether two float arrays hold the same bits everywhere (NaN and the
+    sign of 0 included)."""
+    return bool((x.view(np.int64) == y.view(np.int64)).all())

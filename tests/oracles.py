@@ -27,9 +27,12 @@ bounded from the spacing alone (central_slope_rounding).
 Besides the closed forms, earlier forms of the numerical loops are kept here
 written out, as oracles of bit-for-bit rewrites: the per-step segment march
 (march_per_step, simulate_per_step), the two-march crossing ride
-(ride_two_marches), and the per-xi and per-branch worst-point scans of the
-existence and transversality certificates (existence_per_xi_scan,
-lemma1_per_branch_scan).
+(ride_two_marches), the two crossing refinements (illinois_passes, and
+bisect_halvings, the 60 halvings it replaced, as the reference of its
+tolerance), the per-xi and per-branch worst-point scans of the existence
+and transversality certificates (existence_per_xi_scan,
+lemma1_per_branch_scan) and the whole-trajectory loop orientation
+(loop_orientation_whole).
 """
 
 import math
@@ -240,6 +243,39 @@ def loop_areas_per_sample(model, u, y, t, lvl):
     return np.asarray(times, dtype=float), np.asarray(areas, dtype=float)
 
 
+def loop_orientation_whole(traj):
+    """(area, t_close) of dissipativity.loop_orientation as it ran before it
+    integrated from the crossing alone: every sample interval's integral of
+    y du by the cubic Hermite rule (-0.0 on a held interval), from the
+    slopes of the whole trajectory; the last same-direction crossing j of
+    the final level splits its interval's cubic, and the area adds np.sum
+    of the integrals after it (of all of them, from t[0], when the input
+    starts at its final level and no crossing exists)."""
+    u, y, t = traj.u, traj.y, traj.t
+    f_left, f_right = traj.interval_slopes()
+    h = u[1:] - u[:-1]
+    whole = 0.5 * h * (y[:-1] + y[1:]) + h * h * (f_left - f_right) / 12.0
+    whole = np.where(u[:-1] == u[1:], -0.0, whole)
+    ue = float(u[-1])
+    du = np.diff(u)
+    d_end = math.copysign(1.0, du[np.nonzero(du)[0][-1]])
+    n = u.size
+    hits = [
+        j for j in range(n - 2)
+        if du[j] != 0.0 and math.copysign(1.0, du[j]) == d_end
+        and not (u[j] - ue) * (u[j + 1] - ue) > 0.0
+    ]
+    if hits:
+        j = hits[-1]
+        t_star = t[j] + (ue - u[j]) / du[j] * (t[j + 1] - t[j])
+        opening = -_hermite_partial_integral(
+            ue, u[j + 1], u[j], y[j + 1], y[j], f_right[j], f_left[j]
+        )
+        return opening + float(np.sum(whole[j + 1 :])), float(t_star)
+    assert u[0] == ue
+    return float(np.sum(whole)), float(t[0])
+
+
 def simulate_mech_closure(params, init, horizon, step):
     """The friction march of mechsim.simulate_mech with its RK4 step built
     from a per-call derivative closure and stage tuples.
@@ -377,16 +413,73 @@ def _hermite_partial_integral(x, xL, xR, yL, yR, fL, fR):
                 + yR * (-0.5 * s4 + s3) + h * fR * (0.25 * s4 - s3 / 3.0))
 
 
-def ride_two_marches(model, sigma, xi, step, halvings=60):
+def bisect_halvings(g, a, b, halvings=60):
+    """Crossings in brackets [a, b] by `halvings` vector bisections, as the
+    crossing refinement ran before its regula falsi: a halving with
+    g(a) g(mid) <= 0 moves b, any other moves a; the crossing is the final
+    midpoint."""
+    a, b = np.array(a, dtype=float), np.array(b, dtype=float)
+    ga = g(a)
+    for _ in range(halvings):
+        mid = 0.5 * (a + b)
+        gm = g(mid)
+        left = ga * gm <= 0.0
+        b = np.where(left, mid, b)
+        a = np.where(left, a, mid)
+        ga = np.where(left, ga, gm)
+    return 0.5 * (a + b)
+
+
+def illinois_passes(g, a, b, passes=8):
+    """Crossings in brackets [a, b] by `passes` passes of Illinois regula
+    falsi (Dowell and Jarratt 1971), lane by lane on scalars (g is the
+    vector residual; lane k reads entry k of g at a constant array).
+
+    The bracket is a retained end r (from a) with its residual gr and its
+    Illinois weight wr, and the latest point p (from b).  A pass takes the
+    secant point of (r, wr) and (p, g(p)), or the midpoint where that point
+    is not strictly inside (r, p) in either order; a zero residual there
+    makes it both ends, a residual of the other sign from g(p) (or a zero
+    g(p)) makes p the retained end, and otherwise the retained end's weight
+    halves.  The crossing is the end with the smaller |residual|, r on a
+    tie.
+    """
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    g_a, g_b = g(a), g(b)
+    out = np.empty(a.size)
+    with np.errstate(all="ignore"):
+        for k in range(a.size):
+            lane = lambda s: float(g(np.full(a.size, s))[k])
+            r, p, gr, gp = a[k], b[k], g_a[k], g_b[k]
+            wr = gr
+            for _ in range(passes):
+                x = p - gp * (p - r) / (gp - wr)
+                lo, hi = (r, p) if r < p else (p, r)
+                if not lo < x < hi:
+                    x = 0.5 * (r + p)
+                gx = lane(x)
+                if gx == 0.0:
+                    r, gr, wr = x, gx, gx
+                elif gp * gx <= 0.0:
+                    r, gr, wr = p, gp, gp
+                else:
+                    wr = 0.5 * wr
+                p, gp = x, gx
+            out[k] = p if abs(gp) < abs(gr) else r
+    return out
+
+
+def ride_two_marches(model, sigma, xi, step, refine=illinois_passes):
     """The crossing ride of curves.ride_to_crossing as it ran before odd
     models rode one reflected march: the lanes above the anhysteresis curve
     (side residual f_an(xi) - sigma, or F without f_an, below 0) march f2
     leftward with step -step and the lanes below it f1 rightward, each side
     in its own lockstep march until the residual reaches the other side.
-    Each lane's crossing step is refined by `halvings` bisections of the
-    step's cubic Hermite model, and its integral is the exact integral of
-    those models from xi.  RK4, the Hermite pieces and the bisection are
-    written out with the operations of the package, without its code.
+    Each lane's crossing step is refined by `refine(g, tA, tB)` on the
+    step's cubic Hermite model (8 regula falsi passes, or bisect_halvings
+    for the refinement before them), and its integral is the exact integral
+    of those models from xi.  RK4, the Hermite pieces and the refinements
+    are written out with the operations of the package, without its code.
 
     Returns lam, y_at, integral and steps per lane; a point on the curve
     keeps lam = xi and y_at = sigma.
@@ -422,17 +515,8 @@ def ride_two_marches(model, sigma, xi, step, halvings=60):
             if crossed.any():
                 bracket = [v[crossed] for v in (t, t_new, y, y_new, fy, f_new)]
                 g = lambda s: side(_hermite_eval(s, *bracket), s)
-                a, b = bracket[0].copy(), bracket[1].copy()
-                ga = g(a)
-                for _ in range(halvings):
-                    mid = 0.5 * (a + b)
-                    gm = g(mid)
-                    left = ga * gm <= 0.0
-                    b = np.where(left, mid, b)
-                    a = np.where(left, a, mid)
-                    ga = np.where(left, ga, gm)
                 kc = k[crossed]
-                lam[kc] = 0.5 * (a + b)
+                lam[kc] = refine(g, bracket[0], bracket[1])
                 y_at[kc] = _hermite_eval(lam[kc], *bracket)
                 integral[kc] = acc[crossed] + _hermite_partial_integral(lam[kc], *bracket)
                 steps[kc] = n_step

@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 from duhem import boucwen, dahl, exp_example
 from duhem.cli import PRESETS, _battery_geometry
 from duhem.core import DuhemModel, check_existence_conditions
-from duhem.curves import check_lemma1
+from duhem.curves import anhysteresis_values, check_lemma1
 from duhem.dissipativity import check_assumption_A
 
 from oracles import existence_per_xi_scan, lemma1_per_branch_scan
@@ -240,5 +240,31 @@ def test_a_nan_anhysteresis_value_fails_both_sign_certificates():
     assert rep.samples_checked == 40_000
     assert lemma1_per_branch_scan(NAN_F_AN, SQUARE, 1e-3)[0] < 0.0
     sign = check_assumption_A(NAN_F_AN, SQUARE)
+    assert not sign.passed and math.isnan(sign.worst_violation)
+    assert sign.worst_location[1] > 1.0
+
+
+# exp_example's fields, NaN for xi > 1, with no f_an: the solver finds no
+# root of F on those xi lines
+NAN_FIELDS_SOLVER = DuhemModel(
+    "nan fields solver",
+    *(lambda s, x, f=f: np.where(np.asarray(x) > 1.0, np.nan, f(s, x)) for f in (EXP.f1, EXP.f2)),
+    domain=EXP.domain,
+)
+
+
+def test_a_nan_solved_anhysteresis_value_fails_both_sign_certificates():
+    # the solver used to double its bracket 61 times on those lines and
+    # raise BracketError; it now marks them NaN, as a NaN declared f_an
+    xiv = np.linspace(-3.0, 3.0, 200)
+    fan = anhysteresis_values(NAN_FIELDS_SOLVER, xiv)
+    assert np.isnan(fan[xiv > 1.0]).all()
+    assert np.abs(fan[xiv <= 1.0] - xiv[xiv <= 1.0] / 1.2).max() <= 1e-12
+    rep = check_lemma1(NAN_FIELDS_SOLVER, SQUARE, 1e-3)
+    assert not rep.passed
+    assert math.isnan(rep.worst_violation)
+    assert rep.worst_location[1] > 1.0
+    assert rep.samples_checked == 40_000
+    sign = check_assumption_A(NAN_FIELDS_SOLVER, SQUARE)
     assert not sign.passed and math.isnan(sign.worst_violation)
     assert sign.worst_location[1] > 1.0

@@ -11,7 +11,7 @@ from duhem.core import Domain, DuhemModel
 from duhem.curves import (
     CrossingSearchError,
     PhasePoint,
-    _REFINE_ITERS,
+    _REFINE_PASSES,
     _refine_crossings,
     _refine_point,
     _ride_point,
@@ -29,6 +29,7 @@ from duhem.signals import ramp
 from duhem.storage import storage_cw, storage_cw_batch
 
 from oracles import (
+    bisect_halvings,
     boucwen_lambda_exact,
     central_slope_rounding,
     exp_margin_min,
@@ -221,7 +222,7 @@ def _refinement_brackets(rng):
 
 
 def test_float_refinement_is_the_vector_refinement_bit_for_bit():
-    halvings = []
+    evaluations = []
     for side, bracket in _refinement_brackets(np.random.default_rng(3)):
         calls = []
 
@@ -233,10 +234,10 @@ def test_float_refinement_is_the_vector_refinement_bit_for_bit():
             one = _refine_point(counted, *bracket[:-1])
             vec = _refine_crossings(side, *(np.array([v]) for v in bracket))
         assert np.array(one).tobytes() == np.concatenate(vec[:2]).tobytes(), bracket
-        halvings.append(len(calls) - 1)
-    # most brackets stop at their fixed point, those about 0 never reach one
-    assert min(halvings) < _REFINE_ITERS - 4
-    assert max(halvings) == _REFINE_ITERS
+        if bracket[0] != bracket[1]:
+            evaluations.append(len(calls))
+    # the residual at both ends, then one per pass: no early stop
+    assert set(evaluations) == {_REFINE_PASSES + 2}
 
 
 def test_single_point_ride_of_a_far_point_is_the_batch_lane_bit_for_bit(dahl_r1):
@@ -278,12 +279,22 @@ def test_anhysteresis_rejects_a_nan_residual():
     assert math.isfinite(anhysteresis(exp_example(), 2.0))
 
 
-def test_batch_ride_rejects_the_solver_path_crossings_of_boucwen():
-    # Without f_an the ride reads the sign of F, which cancels near the curve
-    # (`_side_residual`): its crossings land 3.8e-6 off the solved curve.
-    # The batch ride rejects them, as intersect_lambda does, and names the
-    # count and the first point; with the declared curve they pass.
-    solver = dataclasses.replace(boucwen(), f_an=None)
+def _dead_band_model(width):
+    """An odd model whose F = (f1 - f2) / 2 is exactly 0 on the band |sigma|
+    <= width around its anhysteresis curve sigma = 0, and -(|sigma| - width)
+    sgn(sigma) outside it; no f_an is declared."""
+    dead = lambda s: np.sign(s) * np.maximum(np.abs(s) - width, 0.0)
+    f1 = lambda s, x: 1.0 - dead(s)
+    return DuhemModel(name="dead-band", f1=f1, f2=lambda s, x: f1(-s, -x), odd=True)
+
+
+def test_batch_ride_rejects_crossings_in_a_zero_band_of_F():
+    # Without f_an the ride reads the sign of F, which is 0 all across the
+    # band: its crossings stop anywhere in it, up to 1e-4 off the solved
+    # curve sigma = 0.  The batch ride rejects them, as intersect_lambda
+    # does, and names the count and the first point; with the declared
+    # curve they pass.
+    solver = _dead_band_model(1e-4)
     sigma, xi = [0.3, -0.2, 0.1], [0.4, 0.4, -1.0]
     with pytest.raises(
         CrossingSearchError, match=r"stalled on 3 lane\(s\).*first from sigma=0.3, xi=0.4\)"
@@ -292,11 +303,29 @@ def test_batch_ride_rejects_the_solver_path_crossings_of_boucwen():
     for s, x in zip(sigma, xi):
         with pytest.raises(CrossingSearchError, match="stalled"):
             intersect_lambda(solver, PhasePoint(s, x))
-    ride = ride_to_crossing(boucwen(), sigma, xi)
+    declared = dataclasses.replace(solver, f_an=lambda xi: 0.0 * xi)
+    ride = ride_to_crossing(declared, sigma, xi)
     assert np.abs(ride.y_at).max() <= 1e-9
-    # one failing lane among passing ones is named, and counted alone
+    # one failing lane among passing ones (a point on the curve) is named,
+    # and counted alone
     with pytest.raises(CrossingSearchError, match=r"stalled on 1 lane\(s\).*sigma=-0.2, xi=0.4\)"):
         ride_to_crossing(solver, [0.0, -0.2], [0.4, 0.4])
+
+
+def test_solver_path_crossings_of_boucwen_land_on_the_curve():
+    # F of Bouc-Wen cancels to 0 for |sigma| < 3.8e-6 (`_side_residual`),
+    # where 60 halvings stopped at the band's edge, 3.8e-6 off the curve.
+    # The branch is a line of slope alpha there, so the first secant point
+    # lands on the crossing, inside the band, and collapses the bracket.
+    solver = dataclasses.replace(boucwen(), f_an=None)
+    sigma, xi = [0.3, -0.2, 0.1], [0.4, 0.4, -1.0]
+    ride = ride_to_crossing(solver, sigma, xi)
+    assert np.abs(ride.y_at).max() <= 1e-15
+    # lam carries the rounding of tau summed over up to 1,100 steps
+    exact = [boucwen_lambda_exact(s, x) for s, x in zip(sigma, xi)]
+    assert np.abs(ride.lam - exact).max() <= 1e-13
+    for s, x, lam in zip(sigma, xi, ride.lam):
+        assert intersect_lambda(solver, PhasePoint(s, x)) == lam
 
 
 def test_intersect_lambda_matches_closed_form(dahl_r1):
@@ -451,6 +480,48 @@ def test_reflected_ride_is_the_two_march_ride(model, sigma_half, xi_half):
     assert got.integral.tobytes() == integral.tobytes()
     assert got.steps.tobytes() == steps.tobytes()
     assert (got.y_at == y_at).all()
+
+
+@pytest.mark.parametrize(
+    "model, sigma_half, xi_half",
+    [
+        (dahl(), 0.7, 3.0),
+        (dahl(r=3.0), 0.7, 3.0),
+        (boucwen(), 1.2, 3.0),
+        (exp_example(), 2.5, 2.5),
+        (dataclasses.replace(exp_example(), f_an=None), 2.5, 2.5),
+    ],
+    ids=["dahl", "dahl-r3", "boucwen", "exp", "exp-solver"],
+)
+def test_regula_falsi_crossings_stay_within_the_tolerance_of_60_halvings(
+    model, sigma_half, xi_half
+):
+    # The refinement's tolerance against the 60 halvings it replaced (the
+    # oracle ride with bisect_halvings), on the same brackets.  A crossing
+    # is fixed only up to the spacing of tau at the bracket scale |lam| +
+    # step, plus the rounding of the side residual over its slope along
+    # the branch: the spacing of y for f_an(tau) - y, of |f1| + |f2| for F,
+    # which cancels near the curve.  lam lies within 8 of those units of
+    # the halvings' lam (measured on the README rides: at most 4.3 ulps of
+    # the bracket scale), and no lane's |side residual| at its crossing is
+    # larger than the largest one the halvings left.
+    sigma, xi = _mixed_lanes(1000, sigma_half, xi_half, seed=29)
+    step = 1e-2
+    got = ride_to_crossing(model, sigma, xi, step=step)
+    lam, y_at, _, steps = ride_two_marches(model, sigma, xi, step, refine=bisect_halvings)
+    assert got.steps.tobytes() == steps.tobytes()
+    side = _side_residual(model)
+    f = np.where(lam > xi, model.f1(y_at, lam), model.f2(y_at, lam))
+    d = 1e-6
+    slope = np.abs(side(y_at + d * f, lam + d) - side(y_at - d * f, lam - d)) / (2.0 * d)
+    if model.f_an is None:
+        rounding = np.spacing(np.abs(model.f1(y_at, lam)) + np.abs(model.f2(y_at, lam)))
+    else:
+        rounding = np.spacing(np.abs(y_at))
+    units = np.spacing(np.abs(lam) + step) + rounding / slope
+    assert (np.abs(got.lam - lam) <= 8.0 * units).all()
+    halvings_worst = np.abs(side(y_at, lam)).max()
+    assert np.abs(side(got.y_at, got.lam)).max() <= halvings_worst
 
 
 def _odd_band_exit():

@@ -19,7 +19,7 @@ from duhem.dissipativity import (
 from duhem.signals import InputSignal, ramp, random_piecewise_linear
 from duhem.storage import storage_cw_batch
 
-from oracles import loop_areas_per_sample, storage_exact, supply_exact
+from oracles import loop_areas_per_sample, loop_orientation_whole, storage_exact, supply_exact
 
 DAHL_BAND = ((-0.7, 0.7), (-2.0, 2.0))
 
@@ -193,6 +193,39 @@ def test_readme_loops_at_the_battery_step_lie_within_1e_8_of_a_fine_reference(mo
     assert areas.size == 5 and np.array_equal(times, ref_times)
     np.testing.assert_allclose(areas, ref_areas, rtol=0.0, atol=1e-8)
     assert loop_orientation(traj).area == pytest.approx(loop_orientation(ref).area, abs=1e-8)
+
+
+@pytest.mark.parametrize(
+    "model, amplitude",
+    [(dahl(r=3.0), 2.0), (boucwen(), 2.0), (exp_example(), 3.0)],
+    ids=["dahl fig1", "boucwen fig2", "exp_example"],
+)
+@pytest.mark.parametrize("step", [5e-3, 1e-3])
+def test_loop_orientation_from_the_crossing_is_the_whole_trajectory_sum_bit_for_bit(
+    model, amplitude, step
+):
+    # the README loops: the crossing is found from u alone and only the
+    # intervals from it on are integrated, summed by the same np.sum over
+    # the same values
+    traj = simulate(model, triangle(amplitude, 5), 0.0, step=step)
+    cls = loop_orientation(traj)
+    area, t_close = loop_orientation_whole(traj)
+    assert np.array([cls.area, cls.t_close]).tobytes() == np.array([area, t_close]).tobytes()
+    # the last cycle of five, of 4 * amplitude each, closes at 16 * amplitude
+    assert cls.t_close == pytest.approx(16.0 * amplitude)
+
+
+def test_loop_orientation_of_the_whole_path_and_by_hand_is_the_whole_trajectory_sum():
+    # no interior crossing: the whole path from t[0]; and secant slopes on
+    # a trajectory built by hand, with a crossing inside
+    up_down = InputSignal.from_breakpoints([(0.0, 0.0), (1.0, 1.0), (2.0, 0.0)])
+    trajs = [simulate(dahl(), up_down, 0.0, step=1e-3)]
+    t = np.linspace(0.0, 2.0, 4001)
+    trajs.append(Trajectory(t, np.cos(2.0 * np.pi * t), np.sin(2.0 * np.pi * t) ** 3))
+    for traj in trajs:
+        cls = loop_orientation(traj)
+        assert (cls.area, cls.t_close) == loop_orientation_whole(traj)
+    assert trajs[0].slope is not None and trajs[1].slope is None
 
 
 def test_a_trajectory_built_by_hand_takes_the_trapezoid_rule():

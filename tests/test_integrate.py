@@ -5,6 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import illinois_passes
+
 from duhem.integrate import (
     BracketError,
     QuadratureError,
@@ -164,3 +166,35 @@ def test_vector_bisection_independent_roots():
     g = lambda x: x - roots
     out = bisect_on_interval_vec(g, roots - 1.0, roots + 1.0)
     assert np.abs(out - roots).max() < 1e-14
+
+
+def test_root_finder_stops_early_only_at_a_fixed_point():
+    # the finder ends its passes once one leaves every bracket unchanged;
+    # the written-out passes of the oracle never stop early, and give the
+    # same bits at every pass count: brackets in both orders, roots near 0
+    # and at an end, an exact zero inside, NaN residuals on part of a
+    # bracket, a bracket of adjacent floats and one of zero width
+    rng = np.random.default_rng(41)
+    roots = np.concatenate([rng.uniform(-2.0, 2.0, 40), [0.0, 1e-300, -3e-17]])
+    a = roots - rng.uniform(1e-3, 1.0, roots.size)
+    b = roots + rng.uniform(1e-3, 1.0, roots.size)
+    a[::2], b[::2] = b[::2].copy(), a[::2].copy()
+    a = np.concatenate([a, [0.25, 0.0, -1.0, 1.0, np.nextafter(1.0, 2.0), 0.5]])
+    b = np.concatenate([b, [1.0, 0.5, 3.0, np.nextafter(1.0, 2.0), 1.0, 0.5]])
+    roots = np.concatenate([roots, [1.0, 0.25, 0.0, 1.0, 1.0, 0.5]])
+    g = lambda x: np.where(x < -0.5, np.sqrt(x + 0.5), 1.0) * np.sinh(x - roots) * (1.0 + x * x)
+    with np.errstate(invalid="ignore"):
+        for passes in (1, 3, 8, 30, 80):
+            want = illinois_passes(g, a, b, passes)
+            # the whole batch, and each bracket alone, which stops as soon as
+            # its own bracket is fixed
+            got = bisect_on_interval_vec(g, a, b, iters=passes)
+            assert got.tobytes() == want.tobytes(), passes
+            for k in range(a.size):
+                one = lambda x, k=k: g(np.full(a.size, x[0]))[k : k + 1]
+                alone = bisect_on_interval_vec(one, a[k : k + 1], b[k : k + 1], iters=passes)
+                assert alone.tobytes() == want[k : k + 1].tobytes(), (passes, k)
+        # converged: every root whose bracket has no NaN within 2 ulps
+        ok = np.isfinite(g(a)) & np.isfinite(g(b))
+    assert ok.sum() >= 30
+    assert (np.abs(got - roots) <= 2.0 * np.spacing(np.abs(roots)) + 1e-300)[ok].all()

@@ -145,6 +145,31 @@ def test_lyapunov_tie_goes_to_the_rate_row():
     assert rep.worst_location[0] == 1.0
 
 
+def test_lyapunov_check_fails_a_decay_slower_than_the_damping():
+    # x2 = 1 at unit spacing: the certificate asks dV/dt <= -d = -0.5, and
+    # V falls by 0.25 a step, so the rate excess is 0.25 on every step,
+    # although V never rises
+    p = MechParams(d=0.5)
+    rep = lyapunov_check(_hand_series(10.0 - 0.25 * np.arange(6.0), np.ones(6), p), p)
+    assert not rep.passed
+    assert rep.details["rate_violation"] == 0.25
+    assert rep.details["monotonicity_violation"] < 0.0
+    assert rep.worst_violation == 0.25 and rep.worst_location[0] == 0.0
+
+
+def test_lyapunov_check_fails_a_rise_that_the_rate_row_passes():
+    # x2 = 0 and V = 1e-3 rising by 1e-6 across the step from t = 2: the
+    # rate excess 1e-6 passes tol = 1e-4, the rise is 1e-3 of max V
+    p = MechParams(d=0.5)
+    v = np.array([1e-3, 1e-3, 1e-3, 1e-3 + 1e-6, 1e-3 + 1e-6])
+    rep = lyapunov_check(_hand_series(v, np.zeros(5), p), p)
+    assert rep.details["rate_violation"] <= 1e-4
+    assert not rep.passed
+    assert rep.worst_violation == rep.details["monotonicity_violation"]
+    assert rep.worst_violation == pytest.approx(1e-6 / (1e-3 + 1e-6), rel=1e-9)
+    assert rep.worst_location[0] == 2.0
+
+
 def test_a_nan_in_either_lyapunov_row_fails_the_check(free_run):
     p, ser = free_run
     for name in ("x2", "v"):

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from duhem import boucwen, dahl, simulate
+from duhem import boucwen, dahl, exp_example, simulate
 from duhem import storage as storage_module
 from duhem.core import Domain, DomainExitError, DuhemModel
 from duhem.curves import PhasePoint
@@ -26,7 +26,14 @@ from duhem.storage import (
     storage_dahl_closed_form,
 )
 
-from oracles import boucwen_lambda_exact, boucwen_storage_exact, lambda_exact, storage_exact
+from oracles import (
+    bisect_halvings,
+    boucwen_lambda_exact,
+    boucwen_storage_exact,
+    lambda_exact,
+    ride_two_marches,
+    storage_exact,
+)
 
 STORAGE_ORACLE = 0.03545058445943833  # closed form at y = 0.375
 
@@ -504,3 +511,30 @@ def test_supply_march_exit_in_a_later_block_is_simulates_exit(k_exit, direction,
             _supply_running_min(model, sigs, 0.0, step)
         exc = err.value
         assert (exc.t, exc.u, exc.y) == (lone.value.t, lone.value.u, lone.value.y), block
+
+
+@pytest.mark.parametrize(
+    "model",
+    [dahl(rho=1.5, fc=0.75, r=3.0), boucwen(), exp_example()],
+    ids=["dahl fig1", "boucwen fig2", "exp_example"],
+)
+def test_readme_ride_storage_stays_within_4_ulps_of_the_60_halving_storage(model):
+    # the 25,520 battery samples of each README `duhem verify` command
+    # (seed 0, 25 signals, step 5e-3); the storage from the crossings of 60
+    # halvings is the oracle ride's.  H is the curve's integral minus the
+    # branch's up to lam, whose first-order changes in lam cancel at the
+    # crossing, so H moves by rounding alone: within 4 ulps of the ride's
+    # largest |H| (measured: at most 1)
+    rng = np.random.default_rng(0)
+    battery = [
+        random_piecewise_linear(rng, u_start=0.0, span=2.0, n_breakpoints=(3, 8))
+        for _ in range(25)
+    ]
+    trajs = [simulate(model, sig, 0.0, step=5e-3) for sig in battery]
+    sigma = np.concatenate([t.y for t in trajs])
+    xi = np.concatenate([t.u for t in trajs])
+    assert sigma.size == 25_520
+    H = storage_cw_batch(model, sigma, xi, step=5e-3).value
+    lam, _, integral, _ = ride_two_marches(model, sigma, xi, 5e-3, refine=bisect_halvings)
+    H60 = _anhysteresis_integrals(model, lam) - integral
+    assert np.abs(H - H60).max() <= 4.0 * np.spacing(np.abs(H60).max())
