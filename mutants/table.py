@@ -1,4 +1,5 @@
-"""Hand-made mutants of the checks and of the crossing refinement in `src/`.
+"""Hand-made mutants of the checks, the crossing refinement and the supply
+march in `src/`.
 
 Each entry names a file under `src/duhem`, an exact snippet of it, the text
 that replaces the snippet, and the tests expected to kill the mutant (pytest
@@ -119,5 +120,61 @@ MUTANTS = [
         "snippet": "for _ in range(_REFINE_PASSES):",
         "replacement": "for _ in range(_REFINE_PASSES - 1):",
         "tests": ["tests/test_curves.py::test_float_refinement_is_the_vector_refinement_bit_for_bit"],
+    },
+    # -- the supply march: finished lanes leave it at a block boundary
+    {
+        "name": "supply-drop-one-block-early",
+        "why": "a lane leaves the march one block before the block of its end",
+        "file": "storage.py",
+        "snippet": "done = end_k[live] < k0",
+        "replacement": "done = end_k[live] < k0 + _SUPPLY_BLOCK",
+        "tests": [
+            "tests/test_storage.py::test_supply_march_evaluates_a_lane_only_to_the_end_of_its_last_block",
+            "tests/test_storage.py::test_supply_march_does_not_depend_on_the_block_size",
+        ],
+    },
+    {
+        "name": "supply-dropped-minimum-left-at-0",
+        "why": "a lane that leaves the march keeps a running minimum of 0",
+        "file": "storage.py",
+        "snippet": "minW_out[live[done]] = minW[done]",
+        "replacement": "minW_out[live[done]] = 0.0",
+        "tests": [
+            "tests/test_storage.py::test_supply_march_does_not_depend_on_the_block_size",
+            "tests/test_storage.py::test_supply_march_lanes_are_simulate",
+        ],
+    },
+    {
+        "name": "supply-exit-names-the-column",
+        "why": "a domain exit names the live column instead of the lane",
+        "file": "storage.py",
+        "snippet": "lane = int(live[bad])",
+        "replacement": "lane = bad",
+        "tests": ["tests/test_storage.py::test_supply_march_domain_exit_names_the_lane_and_its_sample"],
+    },
+    {
+        "name": "supply-branch-mask-kept-across-a-drop",
+        "why": "a model that is not odd keeps the previous block's branch mask",
+        "file": "storage.py",
+        "snippet": "up = H[0] >= 0.0",
+        "replacement": "pass",
+        "tests": ["tests/test_storage.py::test_supply_march_does_not_depend_on_the_block_size"],
+    },
+    {
+        "name": "designed-ramp-not-clipped",
+        "why": "the designed ramp runs past the horizon",
+        "file": "storage.py",
+        "snippet": "return [_clip_to_horizon(sig, horizon) for sig in signals]",
+        "replacement": "return signals[:1] + [_clip_to_horizon(sig, horizon) for sig in signals[1:]]",
+        "tests": ["tests/test_storage.py::test_designed_ramp_is_clipped_to_the_horizon"],
+    },
+    # -- the solver path of the anhysteresis curve
+    {
+        "name": "anhysteresis-nan-end-keeps-doubling",
+        "why": "a window end at a NaN residual keeps moving outward",
+        "file": "curves.py",
+        "snippet": "np.isinf(cap_hi), np.minimum(w, hi_lim)",
+        "replacement": "True, np.minimum(w, hi_lim)",
+        "tests": ["tests/test_certificates.py::test_a_nan_window_end_stops_and_the_root_is_found_in_the_finite_part"],
     },
 ]

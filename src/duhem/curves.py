@@ -124,7 +124,11 @@ def anhysteresis_values(model: DuhemModel, xi: np.ndarray) -> np.ndarray:
     a window around sigma = 0 (at most 60 times) and refined by 80 passes
     of the crossing refinement's root finder (`bisect_on_interval_vec`).
     A xi where F(0, xi) is NaN gets NaN, with no expansion, as a NaN
-    declared f_an gives.
+    declared f_an gives.  A window end where F is NaN stops moving outward:
+    from then on that end is the midpoint of its last finite probe and its
+    nearest NaN probe, so the search closes in on the finite part.  A xi
+    with no bracket after the last doubling gets NaN if a NaN probe stopped
+    one of its ends, and raises BracketError otherwise.
     """
     xi = np.asarray(xi, dtype=float)
     if model.f_an is not None:
@@ -139,6 +143,9 @@ def anhysteresis_values(model: DuhemModel, xi: np.ndarray) -> np.ndarray:
     nan = np.isnan(gc)
     lo = np.maximum(-w, lo_lim)
     hi = np.minimum(w, hi_lim)
+    # per end: its last finite probe and its nearest NaN probe (inf: none)
+    fin_lo, fin_hi = zero, zero
+    cap_lo, cap_hi = np.full_like(xi, -math.inf), np.full_like(xi, math.inf)
     for _ in range(61):
         glo = g(lo)
         ghi = g(hi)
@@ -146,10 +153,18 @@ def anhysteresis_values(model: DuhemModel, xi: np.ndarray) -> np.ndarray:
         if ok.all():
             break
         w = np.where(ok, w, 2.0 * w)
-        lo = np.maximum(-w, lo_lim)
-        hi = np.minimum(w, hi_lim)
+        nan_lo, nan_hi = np.isnan(glo), np.isnan(ghi)
+        fin_lo, cap_lo = np.where(nan_lo, fin_lo, lo), np.where(nan_lo, lo, cap_lo)
+        fin_hi, cap_hi = np.where(nan_hi, fin_hi, hi), np.where(nan_hi, hi, cap_hi)
+        lo = np.where(ok, lo, np.where(
+            np.isinf(cap_lo), np.maximum(-w, lo_lim), 0.5 * (fin_lo + cap_lo)))
+        hi = np.where(ok, hi, np.where(
+            np.isinf(cap_hi), np.minimum(w, hi_lim), 0.5 * (fin_hi + cap_hi)))
     else:
-        raise BracketError("anhysteresis bracket expansion budget exhausted")
+        stuck = ~ok
+        if (stuck & np.isinf(cap_lo) & np.isinf(cap_hi)).any():
+            raise BracketError("anhysteresis bracket expansion budget exhausted")
+        nan = nan | stuck
     # pick the side of 0 that brackets the sign change
     use_lo = g(lo) * gc <= 0.0
     a = np.where(gc == 0.0, zero, np.where(use_lo, lo, zero))

@@ -29,11 +29,13 @@ for bit (`_supply_running_min` says where a zero's sign may differ).  The
 march runs in blocks of substeps: only the RK4 recurrence runs substep by
 substep, and each block's inputs and stage factors, its domain guard and
 its supply bookkeeping are array operations over the whole block, with
-the bits of a march of one substep at a time.
+the bits of a march of one substep at a time.  A lane whose input has
+ended leaves the march at the next block boundary.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -284,10 +286,10 @@ def _supply_running_min(
     takes n = max(1, ceil(|du| / step)) RK4 substeps of h = du / n starting
     at u = ua + k h, and segments with du == 0 are skipped.  The lanes
     advance one substep per iteration; each lane switches segment at its own
-    precomputed iteration, and a lane that has finished marches with h = 0,
-    which leaves its output and supply unchanged.  A lane's (u, y) substeps
-    are therefore those of `simulate` on its signal.  A domain exit raises
-    DomainExitError at `simulate`'s sample, naming the lane by lane_name.
+    precomputed iteration, and a lane that has finished marches with h = 0
+    to the end of its block.  A lane's (u, y) substeps are therefore those
+    of `simulate` on its signal.  A domain exit raises DomainExitError at
+    `simulate`'s sample, naming the lane by lane_name.
 
     Each lane marches in a frame z = s y, v = s u with s = -1 on a falling
     substep (h < 0) and +1 otherwise, so that its substep s h = |h| always
@@ -312,6 +314,15 @@ def _supply_running_min(
     domain exit is reported at its first substep and the substeps computed
     after it are discarded.
 
+    At each block boundary the lanes whose end event lies before the block
+    leave the march: their running minimum and output are stored by lane,
+    and the next block runs on the live lanes alone, in lane order, through
+    a lane -> column map.  Such a lane has taken at least one substep of
+    h = 0 (z + 0.0 and W + 0.0, which may turn a -0.0 output into +0.0),
+    after which further substeps of h = 0 change no bit, so the outputs are
+    those of a march that keeps every lane to the last iteration.  A model
+    that is not odd takes its branch mask from the block's first row.
+
     Returns the running minimum of the supply integral W(t) = int y du and
     the final output, per signal.
     """
@@ -319,6 +330,7 @@ def _supply_running_min(
     # One switch event per moving segment and one per finished lane:
     # (start iteration, lane, segment index, start value u, substep h).
     events = []
+    end_k = np.empty(m, dtype=int)  # each lane's end iteration
     for i, s in enumerate(signals):
         v, k = s.values, 0
         for j in np.flatnonzero(np.diff(v)):
@@ -327,10 +339,12 @@ def _supply_running_min(
             events.append((k, i, j, v[j], du / n))
             k += n
         events.append((k, i, -1, v[-1], 0.0))
+        end_k[i] = k
     ev = np.array(events)
     ev = ev[np.argsort(ev[:, 0], kind="stable")]
     ev_k = ev[:, 0].astype(int)
     ev_lane = ev[:, 1].astype(int)
+    ev_kf = ev[:, 0]
     n_iter = int(ev_k[-1])
     odd = model.odd
     # each event's frame sign, start value, substep and its stage factors
@@ -340,14 +354,26 @@ def _supply_running_min(
     ev_half = 0.5 * ev_h
     ev_sixth = ev_h / 6.0
 
+    minW_out = np.zeros(m)
+    y_out = np.empty(m)
+    # the live lanes, in lane order, and each lane's column among them
+    live = np.arange(m)
+    column = np.arange(m)
     z = np.empty(m)
     z[:] = y0
     sign = np.ones(m)
-    current = np.full(m, -1)  # each lane's event before the block
+    current = np.full(m, -1)  # each live lane's event before the block
     W = np.zeros(m)
     minW = np.zeros(m)
     lo, hi = model.domain.sigma_min, model.domain.sigma_max
     guarded = model.domain.bounded
+    # The block arrays live in buffers of the first block's size, allocated
+    # once: arrays that shrank with the live lanes in every block made the
+    # heap trim and refault them block after block.
+    n_rows = min(_SUPPLY_BLOCK, n_iter)
+    ids_buf = np.empty(n_rows * m, dtype=int)
+    bufs = [np.empty(n_rows * m) for _ in range(7)]
+    Z_buf = np.empty((n_rows + 1) * m)
 
     if odd:
         field = model.f1
@@ -357,30 +383,51 @@ def _supply_running_min(
 
     # every lane has an event at iteration 0, which sets its sign and h
     for k0 in range(0, n_iter, _SUPPLY_BLOCK):
+        # a lane whose end event came before the block has taken a substep
+        # of h = 0, after which its output and supply no longer change:
+        # it leaves the march
+        done = end_k[live] < k0
+        if done.any():
+            minW_out[live[done]] = minW[done]
+            y_out[live[done]] = sign[done] * z[done]
+            keep = ~done
+            live, z, sign, current, W, minW = (
+                a[keep] for a in (live, z, sign, current, W, minW)
+            )
+            column[live] = np.arange(live.size)
         nb = min(_SUPPLY_BLOCK, n_iter - k0)
         e0, e1 = np.searchsorted(ev_k, (k0, k0 + nb))
         rows = ev_k[e0:e1] - k0
-        ids = np.full((nb, m), -1)
+        size = nb * live.size
+        ids = ids_buf[:size].reshape(nb, -1)
+        H, half, sixth, V, XM, XH, turn = (b[:size].reshape(nb, -1) for b in bufs)
+        ids.fill(-1)
         ids[0] = current
-        ids[rows, ev_lane[e0:e1]] = np.arange(e0, e1)
+        ids[rows, column[ev_lane[e0:e1]]] = np.arange(e0, e1)
         np.maximum.accumulate(ids, axis=0, out=ids)
-        H = ev_h[ids]
-        half = ev_half[ids]
-        sixth = ev_sixth[ids]
-        V = (np.arange(k0, k0 + nb)[:, None] - ev_k[ids]) * H
-        V += ev_va[ids]
-        XM = V + half
-        XH = V + H
+        # gathers into the buffers (every id is in range; a mode other than
+        # "raise" lets take write to out without a temporary)
+        for table, dest in ((ev_h, H), (ev_half, half), (ev_sixth, sixth),
+                            (ev_kf, V), (ev_va, XM), (ev_sign, turn)):
+            np.take(table, ids, out=dest, mode="wrap")
+        # u = va + (k - k_event) h, the substep count exact in floats
+        np.subtract(np.arange(k0, k0 + nb, dtype=float)[:, None], V, out=V)
+        V *= H
+        V += XM
+        np.add(V, half, out=XM)
+        np.add(V, H, out=XH)
         # z is negated at a switch that turns the lane's sign: factor
         # s_k s_(k-1), which is 1 on every other lane and substep (numpy
         # reads the overlapping rows as they were before the product)
-        turn = ev_sign[ids]
         turn[1:] *= turn[:-1]
         turn[0] *= sign
         switch = np.zeros(nb, dtype=bool)
         switch[rows] = True
+        # each lane's branch is the sign of its h, constant between its
+        # switches
+        up = H[0] >= 0.0
 
-        Z = np.empty((nb + 1, m))
+        Z = Z_buf[: size + live.size].reshape(nb + 1, -1)
         Z[0] = z
         for r, at_switch in enumerate(switch.tolist()):
             if at_switch:
@@ -397,14 +444,15 @@ def _supply_running_min(
             r = int(np.argmax(out.any(axis=1)))
             bad = int(np.argmax(out[r]))
             e = ids[r, bad]
+            lane = int(live[bad])
             t, u_exit = _substep_sample(
-                signals[bad], int(ev[e, 2]), k0 + r + 1 - int(ev_k[e]), step
+                signals[lane], int(ev[e, 2]), k0 + r + 1 - int(ev_k[e]), step
             )
             raise DomainExitError(
                 t=t,
                 u=u_exit,
                 y=float(ev_sign[e] * Z_new[r, bad]),
-                message=f"{lane_name(bad)} drove the output out of the domain",
+                message=f"{lane_name(lane)} drove the output out of the domain",
             )
         # W += 0.5 * (z + z_new) * h at each substep, in place in turn
         Wk = turn
@@ -418,9 +466,9 @@ def _supply_running_min(
         W = Wk[-1].copy()
         current = ids[-1].copy()
         sign = ev_sign[current]
-        # free the block's arrays before the next block allocates its own
-        del ids, H, half, sixth, V, XM, XH, turn, Z, Z_new, Wk
-    return minW, sign * z
+    minW_out[live] = minW
+    y_out[live] = sign * z
+    return minW_out, y_out
 
 
 def _search_signals(
@@ -428,21 +476,22 @@ def _search_signals(
 ) -> list[InputSignal]:
     """The search inputs of one point: the designed ramp from p.xi to lam
     (a held input when p lies on the curve), then the family's random
-    inputs from p.xi, clipped to the horizon."""
+    inputs from p.xi, all clipped to the horizon."""
     if lam != p.xi:
         signals = [InputSignal(np.array([0.0, abs(lam - p.xi)]), np.array([p.xi, lam]))]
     else:
         signals = [InputSignal(np.array([0.0, 1.0]), np.array([p.xi, p.xi]))]
     rng = np.random.default_rng(family.seed)
     for _ in range(family.n_random):
-        sig = random_piecewise_linear(
-            rng,
-            u_start=p.xi,
-            span=family.span,
-            n_breakpoints=family.breakpoints,
+        signals.append(
+            random_piecewise_linear(
+                rng,
+                u_start=p.xi,
+                span=family.span,
+                n_breakpoints=family.breakpoints,
+            )
         )
-        signals.append(_clip_to_horizon(sig, horizon))
-    return signals
+    return [_clip_to_horizon(sig, horizon) for sig in signals]
 
 
 def available_storage_bruteforce_batch(
@@ -459,8 +508,13 @@ def available_storage_bruteforce_batch(
     Every lane of both marches is computed elementwise, so each point's
     result equals its separate `available_storage_bruteforce` call bit for
     bit.  A domain exit names the point and the index of its signal (0 is
-    the designed ramp).
+    the designed ramp).  Raises ValueError for a horizon that is not
+    positive and a step that is not positive and finite.
     """
+    if not horizon > 0.0:
+        raise ValueError(f"horizon must be positive, got {horizon}")
+    if not (step > 0.0 and math.isfinite(step)):
+        raise ValueError(f"step must be positive and finite, got {step}")
     points, families = list(points), list(families)
     if len(points) != len(families):
         raise ValueError("need one signal family per phase point")

@@ -21,6 +21,7 @@ from duhem.cli import PRESETS, _battery_geometry
 from duhem.core import DuhemModel, check_existence_conditions
 from duhem.curves import anhysteresis_values, check_lemma1
 from duhem.dissipativity import check_assumption_A
+from duhem.integrate import BracketError
 
 from oracles import existence_per_xi_scan, lemma1_per_branch_scan
 
@@ -268,3 +269,37 @@ def test_a_nan_solved_anhysteresis_value_fails_both_sign_certificates():
     sign = check_assumption_A(NAN_FIELDS_SOLVER, SQUARE)
     assert not sign.passed and math.isnan(sign.worst_violation)
     assert sign.worst_location[1] > 1.0
+
+
+# exp_example's fields, NaN for sigma > 2, with no f_an: F(0, xi) is finite
+# on every line, and the root xi / 1.2 lies in the finite part for xi < 2.4
+NAN_ABOVE_2_SOLVER = DuhemModel(
+    "nan above 2 solver",
+    *(lambda s, x, f=f: np.where(np.asarray(s) > 2.0, np.nan, f(s, x)) for f in (EXP.f1, EXP.f2)),
+    domain=EXP.domain,
+)
+
+
+def test_a_nan_window_end_stops_and_the_root_is_found_in_the_finite_part():
+    # the window used to double into the NaN part and raise BracketError
+    xiv = np.linspace(-3.0, 3.0, 200)
+    with np.errstate(over="ignore", invalid="ignore"):
+        fan = anhysteresis_values(NAN_ABOVE_2_SOLVER, xiv)
+    inside = xiv / 1.2 < 2.0
+    assert np.abs(fan[inside] - xiv[inside] / 1.2).max() <= 1e-12
+    assert np.isnan(fan[~inside]).all() and (~inside).sum() == 20
+    with np.errstate(over="ignore", invalid="ignore"):
+        rep = check_lemma1(NAN_ABOVE_2_SOLVER, SQUARE, 1e-3)
+        sign = check_assumption_A(NAN_ABOVE_2_SOLVER, SQUARE)
+    for r in (rep, sign):
+        assert not r.passed and math.isnan(r.worst_violation)
+        s, x = r.worst_location
+        assert s > 2.0 or x / 1.2 >= 2.0
+    assert rep.samples_checked == 40_000
+
+
+def test_a_line_with_no_root_and_no_nan_probe_still_raises():
+    # F = 1/2 everywhere: the window doubles 61 times over finite residuals
+    no_root = DuhemModel("no root", lambda s, x: 1.0 + 0.0 * s, lambda s, x: 0.0 * s)
+    with pytest.raises(BracketError, match="budget exhausted"):
+        anhysteresis_values(no_root, np.array([0.0, 1.0]))

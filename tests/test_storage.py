@@ -28,6 +28,7 @@ from duhem.storage import (
 
 from oracles import (
     bisect_halvings,
+    branch_integral_exact,
     boucwen_lambda_exact,
     boucwen_storage_exact,
     lambda_exact,
@@ -240,6 +241,52 @@ def test_many_point_search_equals_separate_calls(dahl_r1):
         available_storage_bruteforce_batch(dahl_r1, points, families[:2])
 
 
+def test_designed_ramp_is_clipped_to_the_horizon(dahl_r1):
+    # from (0.2, 0.3) the designed ramp falls at unit rate to the crossing,
+    # about 0.118 away; a horizon of half of it stops the ramp halfway, where
+    # the extraction so far is the closed-form supply of that half
+    # (the march sums y du by the trapezoid rule: on a ramp of length L at
+    # substeps of at most 2e-3 its error is at most L (2e-3)^2 / 12 max|y''|,
+    # with y'' = (rho / fc) y' and |y'| <= rho (1 + sigma / fc) here)
+    p = PhasePoint(0.2, 0.3)
+    ramp = float(p.xi - lambda_exact(p.sigma, p.xi))
+    half = 0.5 * ramp
+    y2 = (1.5 / 0.75) * 1.5 * (1.0 + p.sigma / 0.75)
+    res = available_storage_bruteforce(dahl_r1, p, SignalFamily(n_random=3), horizon=half)
+    assert res.designed_value == pytest.approx(
+        -branch_integral_exact(p.xi, p.xi - half, p.sigma), abs=half * 4e-6 / 12.0 * y2
+    )
+    whole = available_storage_bruteforce(dahl_r1, p, SignalFamily(n_random=3))
+    assert whole.designed_value == pytest.approx(
+        storage_dahl_closed_form(p.sigma), abs=ramp * 4e-6 / 12.0 * y2
+    )
+    tiny = available_storage_bruteforce(dahl_r1, p, SignalFamily(n_random=3), horizon=1e-9)
+    assert 0.0 < tiny.designed_value < 1e-9
+
+
+@pytest.mark.parametrize(
+    "kwargs, name",
+    [
+        ({"horizon": -1.0}, "horizon"),
+        ({"horizon": 0.0}, "horizon"),
+        ({"horizon": math.nan}, "horizon"),
+        ({"step": 0.0}, "step"),
+        ({"step": -1e-3}, "step"),
+        ({"step": math.inf}, "step"),
+        ({"step": math.nan}, "step"),
+    ],
+)
+def test_bruteforce_rejects_a_bad_horizon_or_step_before_any_ride(dahl_r1, kwargs, name, monkeypatch):
+    def no_ride(*args, **kw):
+        raise AssertionError("rode before checking its arguments")
+
+    monkeypatch.setattr(storage_module, "ride_to_crossing", no_ride)
+    with pytest.raises(ValueError, match=f"^{name} must be positive"):
+        available_storage_bruteforce(dahl_r1, PhasePoint(0.2, 0.3), SignalFamily(n_random=2), **kwargs)
+    with pytest.raises(ValueError, match=f"^{name} must be positive"):
+        available_storage_bruteforce_batch(dahl_r1, [], [], **kwargs)
+
+
 def test_available_storage_requires_flat_backbone(exp_model):
     with pytest.raises(ValueError, match="anhysteresis"):
         available_storage_bruteforce(
@@ -355,7 +402,7 @@ def test_odd_supply_march_is_the_two_branch_march_bit_for_bit(model_name, reques
 def test_supply_march_domain_exit_names_the_lane_and_its_sample():
     # y follows u one to one inside the band |y| < 1; signal 2 leaves it in
     # its last segment, long after the short signals 0 and 1 have finished
-    # and are marching with h = 0.
+    # and left the march, so it is named by its lane, not its column.
     model = DuhemModel(
         name="unit-slope band",
         f1=lambda s, x: 1.0 + 0.0 * s,
@@ -454,6 +501,48 @@ def test_supply_march_switches_on_block_boundaries(dahl_r1, odd, monkeypatch):
     _, y_end = _supply_running_min(model, sigs, y0, step)
     for i, sig in enumerate(sigs):
         assert y_end[i] == simulate(model, sig, y0[i], step).y[-1], i
+
+
+@pytest.mark.parametrize("odd", [True, False])
+def test_supply_march_evaluates_a_lane_only_to_the_end_of_its_last_block(dahl_r1, odd, monkeypatch):
+    # At step 1/8 the lanes end at iterations 0 (a held designed ramp: p on
+    # the curve), 64 (on a block boundary), 100 (inside a block) and 200
+    # (last).  A lane takes substeps until the end of the block in which
+    # its end iteration lies, and none after the last iteration: at block
+    # size B it takes min(200, (end // B + 1) B) substeps of four f1 calls.
+    # (Lanes that kept marching with h = 0 to the end took 200 each.)
+    step = 0.125
+    sigs = [
+        InputSignal(np.array([0.0, 1.0]), np.array([0.3, 0.3])),
+        _segments(0.0, 4.0, -4.0),
+        _segments(0.2, -6.0, 6.5),
+        _segments(-0.1, 10.0, -15.0),
+    ]
+    ends = np.array([0, 64, 100, 200])
+    y0 = np.array([0.25, -0.4, 0.3, 0.1])
+    sizes = []
+
+    def f1(s, x, f=dahl_r1.f1):
+        sizes.append(np.size(s))
+        return f(s, x)
+
+    model = dataclasses.replace(dahl_r1, f1=f1, odd=odd)
+    runs = []
+    for block in (1, 7, 64, 10**6):
+        monkeypatch.setattr(storage_module, "_SUPPLY_BLOCK", block)
+        sizes.clear()
+        minW, y_end = _supply_running_min(model, sigs, y0, step)
+        runs.append((minW.tobytes(), y_end.tobytes()))
+        assert sum(sizes) == 4 * np.minimum(200, (ends // block + 1) * block).sum(), block
+    assert sum(sizes) == 4 * 4 * 200
+    assert all(run == runs[0] for run in runs[1:])
+    assert runs == _supply_march_at_block_sizes(
+        monkeypatch, dahl_r1, sigs, y0, step, (1, 7, 64, 10**6)
+    )
+    # the held lane keeps its output and extracts nothing
+    assert (minW[0], y_end[0]) == (0.0, 0.25)
+    for i, sig in enumerate(sigs):
+        assert y_end[i] == simulate(dahl_r1, sig, y0[i], step).y[-1], i
 
 
 def _unit_slope_band(odd: bool) -> DuhemModel:
