@@ -1,5 +1,5 @@
-"""Hand-made mutants of the checks, the crossing refinement and the supply
-march in `src/`.
+"""Hand-made mutants of the checks, the crossing refinement, the supply
+march and the interval slopes of a trajectory in `src/`.
 
 Each entry names a file under `src/duhem`, an exact snippet of it, the text
 that replaces the snippet, and the tests expected to kill the mutant (pytest
@@ -176,5 +176,88 @@ MUTANTS = [
         "snippet": "np.isinf(cap_hi), np.minimum(w, hi_lim)",
         "replacement": "True, np.minimum(w, hi_lim)",
         "tests": ["tests/test_certificates.py::test_a_nan_window_end_stops_and_the_root_is_found_in_the_finite_part"],
+    },
+    # -- the interval slopes of a trajectory
+    {
+        "name": "simulate-right-slope-from-the-left-end",
+        "why": "simulate keeps each substep's start slope at its right end too",
+        "file": "core.py",
+        "snippet": "rights.append(ks[1:])",
+        "replacement": "rights.append(ks[:-1])",
+        "tests": [
+            "tests/test_core.py::test_simulated_interval_slopes_are_the_branch_fields_at_both_ends_bit_for_bit",
+        ],
+    },
+    {
+        "name": "simulate-left-slope-from-the-right-end",
+        "why": "simulate keeps each substep's end slope at its left end too",
+        "file": "core.py",
+        "snippet": "lefts.append(ks[:-1])",
+        "replacement": "lefts.append(ks[1:])",
+        "tests": [
+            "tests/test_core.py::test_simulated_interval_slopes_are_the_branch_fields_at_both_ends_bit_for_bit",
+        ],
+    },
+    {
+        "name": "simulate-held-slope-not-zero",
+        "why": "a held interval gets slope 1 instead of 0 (its integral stays -0.0)",
+        "file": "core.py",
+        "snippet": "held = np.zeros(1)",
+        "replacement": "held = np.ones(1)",
+        "tests": [
+            "tests/test_core.py::test_simulated_interval_slopes_are_the_branch_fields_at_both_ends_bit_for_bit",
+        ],
+    },
+    {
+        "name": "secant-slope-of-du",
+        "why": "a trajectory built by hand takes du / du for its secant slope",
+        "file": "core.py",
+        "snippet": "np.divide(np.diff(y), du,",
+        "replacement": "np.divide(du, du,",
+        "tests": ["tests/test_core.py::test_trajectory_built_by_hand_has_secant_interval_slopes"],
+    },
+    # -- arguments that cannot be run
+    {
+        "name": "simulate-step-may-be-infinite",
+        "why": "simulate and traversing_curve accept step = inf",
+        "file": "core.py",
+        "snippet": "step = min(abs(du) / 1000.0, 1e-3)\n    if not 0.0 < step < math.inf:",
+        "replacement": "step = min(abs(du) / 1000.0, 1e-3)\n    if not 0.0 < step:",
+        "tests": [
+            "tests/test_core.py::test_simulate_rejects_a_step_that_is_not_finite",
+            "tests/test_curves.py::test_marches_and_rides_reject_a_step_that_is_not_finite",
+        ],
+    },
+    {
+        "name": "ride-step-may-be-infinite",
+        "why": "the crossing rides accept step = inf",
+        "file": "curves.py",
+        "snippet": "    if not 0.0 < step < math.inf:\n        raise ValueError(f\"step must be positive and finite, got {step}\")\n    sigma",
+        "replacement": "    if not 0.0 < step:\n        raise ValueError(f\"step must be positive and finite, got {step}\")\n    sigma",
+        "tests": ["tests/test_curves.py::test_marches_and_rides_reject_a_step_that_is_not_finite"],
+    },
+    {
+        "name": "signal-family-span-may-be-infinite",
+        "why": "SignalFamily accepts span = inf",
+        "file": "storage.py",
+        "snippet": "if not 0.0 < self.span < math.inf:",
+        "replacement": "if not 0.0 < self.span:",
+        "tests": ["tests/test_storage.py::test_signal_family_rejects_a_span_that_is_not_positive_and_finite"],
+    },
+    {
+        "name": "verify-tol-may-be-infinite",
+        "why": "duhem verify accepts a --tol that is not finite",
+        "file": "cli.py",
+        "snippet": "isinstance(tol, (int, float)) and 0.0 < tol < math.inf\n    ):",
+        "replacement": "isinstance(tol, (int, float)) and 0.0 < tol\n    ):",
+        "tests": ["tests/test_cli.py::test_a_verify_tol_that_is_not_positive_and_finite_is_a_config_error"],
+    },
+    {
+        "name": "storage-cw-ignores-a-truncated-left-branch",
+        "why": "storage_cw integrates a resampled left branch that stopped at the domain boundary",
+        "file": "storage.py",
+        "snippet": "        if curve.left_truncated or curve.right_truncated:\n            raise CrossingSearchError(",
+        "replacement": "        if curve.right_truncated:\n            raise CrossingSearchError(",
+        "tests": ["tests/test_storage.py::test_storage_cw_raises_when_its_resampled_branch_is_truncated"],
     },
 ]

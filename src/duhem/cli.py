@@ -235,6 +235,11 @@ def _base_config(args: argparse.Namespace, names: tuple[str, ...]) -> RunConfig:
     tol = cfg.quad_tol
     if "quad_tol" in names and not (isinstance(tol, (int, float)) and 0.0 < tol < math.inf):
         raise ConfigError(f"--quad-tol must be positive and finite (config 'quad_tol'), got {tol!r}")
+    tol = cfg.tol
+    if "tol" in names and tol is not None and not (
+        isinstance(tol, (int, float)) and 0.0 < tol < math.inf
+    ):
+        raise ConfigError(f"--tol must be positive and finite (config 'tol'), got {tol!r}")
     return cfg
 
 

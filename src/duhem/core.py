@@ -172,15 +172,12 @@ class DuhemModel:
 class Trajectory:
     """Sampled response: arrays t, u, y of equal length plus run metadata.
 
-    A simulated trajectory also carries the branch slopes dy/du that its
-    march computed, one float per sample plus two per segment: slope[k] is
-    the slope at sample k on the branch of the interval that leaves it
-    (where a held stretch or nothing leaves it, of the one that enters it;
-    NaN where neither moves), and end_slope[i] the slope at sample
-    end_index[i], the last sample of a segment, on that segment's branch.
-    Both ends of every moving interval thus have their own branch's slope.
-    A trajectory built by hand has none (slope None); `interval_slopes` then
-    gives each interval its secant slope.
+    slope_left[k] and slope_right[k] are the slopes dy/du at the left and
+    right end of sample interval k (from sample k to k + 1), both on that
+    interval's own branch, so a turning point has one slope on each side;
+    a held interval has 0.0 in both.  A simulated trajectory holds the
+    branch slopes its march computed.  A trajectory built without them
+    gets each interval's secant slope in both fields, as one array.
     """
 
     t: np.ndarray
@@ -189,9 +186,8 @@ class Trajectory:
     model_name: str = ""
     y0: float = math.nan
     step: float = math.nan
-    slope: np.ndarray | None = None
-    end_index: np.ndarray = ()
-    end_slope: np.ndarray = ()
+    slope_left: np.ndarray | None = None
+    slope_right: np.ndarray | None = None
 
     def __post_init__(self):
         t, u, y = _readonly(self.t), _readonly(self.u), _readonly(self.y)
@@ -199,38 +195,23 @@ class Trajectory:
             raise ValueError("t, u, y must be 1-d arrays of equal length")
         if t.size > 1 and not (np.diff(t) > 0.0).all():
             raise ValueError("sample times must be strictly increasing")
-        end_index = np.asarray(self.end_index, dtype=np.intp)
-        end_index.setflags(write=False)
-        end_slope = _readonly(self.end_slope)
-        if end_index.shape != end_slope.shape or end_index.ndim != 1:
-            raise ValueError("end_index and end_slope must be 1-d arrays of equal length")
-        if end_index.size and not (1 <= end_index.min() and end_index.max() < t.size):
-            raise ValueError("end_index must name samples 1 .. n - 1")
-        if self.slope is not None:
-            slope = _readonly(self.slope)
-            if slope.shape != t.shape:
-                raise ValueError("slope must have one entry per sample")
-            object.__setattr__(self, "slope", slope)
+        if (self.slope_left is None) != (self.slope_right is None):
+            raise ValueError("give both slope_left and slope_right, or neither")
+        if self.slope_left is None:
+            du = np.diff(u)
+            secant = np.divide(np.diff(y), du, out=np.zeros_like(du), where=du != 0.0)
+            left = right = _readonly(secant)
+        else:
+            left, right = _readonly(self.slope_left), _readonly(self.slope_right)
+            if not left.shape == right.shape == (max(t.size - 1, 0),):
+                raise ValueError(
+                    "slope_left and slope_right must have one entry per sample interval"
+                )
         object.__setattr__(self, "t", t)
         object.__setattr__(self, "u", u)
         object.__setattr__(self, "y", y)
-        object.__setattr__(self, "end_index", end_index)
-        object.__setattr__(self, "end_slope", end_slope)
-
-    def interval_slopes(self, start: int = 0) -> tuple[np.ndarray, np.ndarray]:
-        """Slopes dy/du at the left and right end of each sample interval
-        from the one leaving sample `start` on, both on the interval's own
-        branch: the marched slopes, or the secant slope at both ends (0 on a
-        held interval) when slope is None."""
-        if self.slope is None:
-            du = np.diff(self.u[start:])
-            dy = np.diff(self.y[start:])
-            secant = np.divide(dy, du, out=np.zeros_like(du), where=du != 0.0)
-            return secant, secant
-        right = self.slope[start + 1 :].copy()
-        after = self.end_index > start
-        right[self.end_index[after] - 1 - start] = self.end_slope[after]
-        return self.slope[start:-1], right
+        object.__setattr__(self, "slope_left", left)
+        object.__setattr__(self, "slope_right", right)
 
     @property
     def n_samples(self) -> int:
@@ -248,8 +229,8 @@ def _segment_substeps(du: float, step: float | None) -> int:
     # default step: segment u-length / 1000, capped at 1e-3
     if step is None:
         step = min(abs(du) / 1000.0, 1e-3)
-    if step <= 0.0:
-        raise ValueError(f"step must be positive, got {step}")
+    if not 0.0 < step < math.inf:
+        raise ValueError(f"step must be positive and finite, got {step}")
     return max(1, int(math.ceil(abs(du) / step)))
 
 
@@ -307,12 +288,13 @@ def simulate(
     reuses its outputs.  Samples are emitted at every breakpoint and uniform
     substep, with sample times linearly interpolated inside segments.
     Segments with zero u-change hold y exactly.  The trajectory keeps the
-    branch slope f(y_k, u_k) the march computed at every node (each
-    substep's first RK4 stage, and each segment's end slope), so the loop
-    areas of `dissipativity` integrate y du by the cubic Hermite rule with
-    no further field evaluation.  If a substep is not finite
-    or lands outside the model domain, a DomainExitError carrying the first
-    exit point is raised; no clamping is applied.
+    branch slope f(y_k, u_k) the march computed at both ends of every
+    substep (its first RK4 stage, and the next one's or the segment's end
+    slope), so the loop areas of `dissipativity` integrate y du by the
+    cubic Hermite rule with no further field evaluation.  A held segment
+    gets slope 0.0 at both ends.  If a substep is not finite or lands
+    outside the model domain, a DomainExitError carrying the first exit
+    point is raised; no clamping is applied.
 
     Parameters
     ----------
@@ -326,7 +308,7 @@ def simulate(
     Returns
     -------
     Trajectory
-        With `slope`, `end_index` and `end_slope` set from the march.
+        With `slope_left` and `slope_right` set from the march.
     """
     y0 = float(y0)
     if not np.isfinite(y0):
@@ -338,12 +320,9 @@ def simulate(
     ts = [np.array([float(signal.times[0])])]
     us = [np.array([u_first])]
     ys = [np.array([y0])]
-    # slopes on the branch leaving each sample, the march's own node slopes;
-    # a segment's first slope belongs to the sample before it
-    held = np.array([math.nan])
-    fs = [held]
-    starts, start_slopes, ends = [], [], []
-    n_samples = 1
+    # the march's node slopes at the left and right end of each interval
+    held = np.zeros(1)
+    lefts, rights = [np.zeros(0)], [np.zeros(0)]
     y = y0
     lo, hi = model.domain.sigma_min, model.domain.sigma_max
     # _march_segment is a pure function of (f, y, ua, ub, n): its results
@@ -356,8 +335,8 @@ def simulate(
             ts.append(np.array([t1]))
             us.append(np.array([ub]))
             ys.append(np.array([y]))
-            fs.append(held)
-            n_samples += 1
+            lefts.append(held)
+            rights.append(held)
             continue
         n = _segment_substeps(du, step)
         f = model.f1 if du > 0.0 else model.f2
@@ -369,24 +348,18 @@ def simulate(
                 raise DomainExitError(t, u, y_exit)
             marched[key] = (
                 nodes[1:], np.array(outs[1:], dtype=float),
-                ks[0], np.array(ks[1:], dtype=float), outs[-1],
+                np.array(ks, dtype=float), outs[-1],
             )
-        u, y_seg, k_start, f_seg, y = marched[key]
-        starts.append(n_samples - 1)
-        start_slopes.append(k_start)
-        n_samples += n
-        ends.append(n_samples - 1)
+        u, y_seg, ks, y = marched[key]
         inv_rate = (t1 - t0) / du
         t = t0 + (u - ua) * inv_rate
         t[-1] = t1
         ts.append(t)
         us.append(u)
         ys.append(y_seg)
-        fs.append(f_seg)
+        lefts.append(ks[:-1])
+        rights.append(ks[1:])
 
-    slope = np.concatenate(fs)
-    end_slope = slope[ends]
-    slope[starts] = start_slopes
     return Trajectory(
         np.concatenate(ts),
         np.concatenate(us),
@@ -394,9 +367,8 @@ def simulate(
         model_name=model.name,
         y0=y0,
         step=float(step) if step is not None else math.nan,
-        slope=slope,
-        end_index=ends,
-        end_slope=end_slope,
+        slope_left=np.concatenate(lefts),
+        slope_right=np.concatenate(rights),
     )
 
 

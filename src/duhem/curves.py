@@ -246,8 +246,8 @@ def _march_branch(
     step: float,
 ):
     """`_march_segment` of one branch to tau_stop with `simulate`'s substep
-    rule (substeps at most `step`, which must be positive); flags a domain
-    exit, keeping the nodes before it."""
+    rule (substeps at most `step`, which must be positive and finite);
+    flags a domain exit, keeping the nodes before it."""
     span = tau_stop - xi
     if span == 0.0:
         return (
@@ -490,8 +490,8 @@ def _ride_setup(model: DuhemModel, sigma, xi, step: float, max_doublings: int):
     span of (1 + max |xi|) doubled min(max_doublings, 21) times, at most
     2**21 steps.
     """
-    if step <= 0.0:
-        raise ValueError("step must be positive")
+    if not 0.0 < step < math.inf:
+        raise ValueError(f"step must be positive and finite, got {step}")
     sigma = np.atleast_1d(np.asarray(sigma, dtype=float))
     xi = np.atleast_1d(np.asarray(xi, dtype=float))
     if sigma.shape != xi.shape or sigma.ndim != 1:

@@ -221,11 +221,12 @@ def _interval_integrals(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The integral of y du over each sample interval from the one leaving
     sample `start` on by the cubic Hermite rule, with both end slopes on the
-    interval's own branch (`Trajectory.interval_slopes`), and those slopes.
-    A held interval adds -0.0, the exact identity of +.  With the secant
-    slopes of a trajectory built by hand the rule is the trapezoid rule."""
+    interval's own branch (`Trajectory.slope_left` and `slope_right`), and
+    views of those slopes.  A held interval adds -0.0, the exact identity
+    of +.  With the secant slopes of a trajectory built by hand the rule is
+    the trapezoid rule."""
     u, y = traj.u[start:], traj.y[start:]
-    f_left, f_right = traj.interval_slopes(start)
+    f_left, f_right = traj.slope_left[start:], traj.slope_right[start:]
     whole = hermite_integral(u[:-1], u[1:], y[:-1], y[1:], f_left, f_right)
     return np.where(u[:-1] == u[1:], -0.0, whole), f_left, f_right
 

@@ -45,12 +45,11 @@ from .core import DomainExitError, DuhemModel, _segment_substeps, _substep_sampl
 from .curves import (
     CrossingSearchError,
     PhasePoint,
-    TraversingCurve,
-    _march_branch,
     anhysteresis,
     anhysteresis_values,
     intersect_lambda,
     ride_to_crossing,
+    traversing_curve,
 )
 from .integrate import adaptive_simpson, rk4_step
 from .signals import InputSignal, _readonly, random_piecewise_linear
@@ -115,9 +114,9 @@ def storage_cw(
     The intersection abscissa is `intersect_lambda`'s (the `ride_to_crossing`
     lane of p, ridden in Python floats, with its 1e-9 crossing residual
     check).  The traversing branch from xi to the intersection is then
-    resampled at fixed step into a cubic Hermite table and integrated with
-    adaptive Simpson to quad_tol, as is `anhysteresis` from 0 to the
-    intersection.  Raises CrossingSearchError when no intersection is found
+    resampled at fixed step by `traversing_curve` into a cubic Hermite
+    table and integrated with adaptive Simpson to quad_tol, as is
+    `anhysteresis` from 0 to the intersection.  Raises CrossingSearchError when no intersection is found
     and ValueError for a point outside the model domain.
     """
     lam = intersect_lambda(model, p, step=step)
@@ -125,17 +124,11 @@ def storage_cw(
     if lam == p.xi:
         traverse = 0.0
     else:
-        branch = model.f2 if lam < p.xi else model.f1
-        taus, ys, fs, truncated = _march_branch(model, branch, p.sigma, p.xi, lam, step)
-        if truncated:
+        curve = traversing_curve(model, p, min(lam, p.xi), max(lam, p.xi), step)
+        if curve.left_truncated or curve.right_truncated:
             raise CrossingSearchError(
                 "traversing branch left the domain while resampling"
             )
-        if lam < p.xi:
-            taus, ys, fs = taus[::-1], ys[::-1], fs[::-1]
-        curve = TraversingCurve(
-            origin=p, tau=taus, y=ys, dydtau=fs, model_name=model.name
-        )
         traverse = adaptive_simpson(curve, p.xi, lam, tol=quad_tol)
 
     span = (min(0.0, p.xi, lam), max(0.0, p.xi, lam))
@@ -239,8 +232,8 @@ class SignalFamily:
         lo, hi = self.breakpoints
         if not (2 <= lo <= hi):
             raise ValueError(f"bad breakpoint range {self.breakpoints}")
-        if self.span <= 0.0:
-            raise ValueError("span must be positive")
+        if not 0.0 < self.span < math.inf:
+            raise ValueError(f"span must be positive and finite, got {self.span}")
 
 
 @dataclass(frozen=True, eq=False)

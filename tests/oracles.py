@@ -252,7 +252,7 @@ def loop_orientation_whole(traj):
     of the integrals after it (of all of them, from t[0], when the input
     starts at its final level and no crossing exists)."""
     u, y, t = traj.u, traj.y, traj.t
-    f_left, f_right = traj.interval_slopes()
+    f_left, f_right = traj.slope_left, traj.slope_right
     h = u[1:] - u[:-1]
     whole = 0.5 * h * (y[:-1] + y[1:]) + h * h * (f_left - f_right) / 12.0
     whole = np.where(u[:-1] == u[1:], -0.0, whole)

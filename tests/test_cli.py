@@ -385,6 +385,32 @@ def test_a_config_file_quad_tol_that_is_not_positive_is_a_config_error(tmp_path,
     )
 
 
+@pytest.mark.parametrize(
+    "source, value",
+    [
+        ("flag", "inf"), ("flag", "nan"), ("flag", "0"), ("flag", "-1e-3"),
+        ("config", "fine"), ("config", math.inf), ("config", 0.0),
+    ],
+)
+def test_a_verify_tol_that_is_not_positive_and_finite_is_a_config_error(
+    tmp_path, capsys, monkeypatch, source, value
+):
+    # --tol inf passed both dissipation reports and exited 0, and a config
+    # 'tol' that is not a number exited 1
+    monkeypatch.setattr(duhem.cli, "verify_dissipation_battery", _no_ride)
+    argv = ["verify", "--model", "dahl", "--n-signals", "1", "--out-dir", str(tmp_path / "out")]
+    if source == "flag":
+        argv.append(f"--tol={value}")
+    else:
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"tol": value}))
+        argv += ["--config", str(cfg)]
+    assert run_cli(*argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: --tol must be positive and finite (config 'tol'), got "), err
+    assert not (tmp_path / "out").exists()
+
+
 def test_report_line_ends_in_its_ratio_to_a_positive_tolerance(capsys):
     for worst, tol in ((2.5, 1.0), (0.25, 0.5), (-0.5, 0.25)):
         _print_report(_report(worst, tol=tol))

@@ -146,28 +146,42 @@ def test_simulate_rejects_nonpositive_step(dahl_r1):
         simulate(dahl_r1, ramp(0.0, 1.0, 1.0), 0.0, step=-1e-3)
 
 
+@pytest.mark.parametrize("step", [math.nan, math.inf])
+def test_simulate_rejects_a_step_that_is_not_finite(dahl_r1, step):
+    # nan raised "cannot convert float NaN to integer"; inf ran one RK4
+    # substep per segment and left the domain at t=3
+    with pytest.raises(ValueError, match=f"^step must be positive and finite, got {step}$"):
+        simulate(dahl_r1, triangle(1.0, 1), 0.0, step=step)
+
+
 def test_trajectory_validation():
     with pytest.raises(ValueError):
         Trajectory(np.array([0.0, 1.0]), np.array([0.0]), np.array([0.0]))
     with pytest.raises(ValueError):
         Trajectory(np.array([0.0, 0.0]), np.array([0.0, 1.0]), np.array([0.0, 1.0]))
     t = u = y = np.array([0.0, 1.0, 2.0])
-    with pytest.raises(ValueError, match="one entry per sample"):
-        Trajectory(t, u, y, slope=np.ones(2))
-    with pytest.raises(ValueError, match="equal length"):
-        Trajectory(t, u, y, slope=np.ones(3), end_index=[2], end_slope=[])
-    with pytest.raises(ValueError, match="name samples"):
-        Trajectory(t, u, y, slope=np.ones(3), end_index=[0], end_slope=[1.0])
+    with pytest.raises(ValueError, match="one entry per sample interval"):
+        Trajectory(t, u, y, slope_left=np.ones(3), slope_right=np.ones(3))
+    with pytest.raises(ValueError, match="one entry per sample interval"):
+        Trajectory(t, u, y, slope_left=np.ones(2), slope_right=np.ones(1))
+    with pytest.raises(ValueError, match="or neither"):
+        Trajectory(t, u, y, slope_left=np.ones(2))
 
 
 def test_trajectory_built_by_hand_has_secant_interval_slopes():
     u = np.array([0.0, 0.5, 0.5, 1.5, 1.0])
     y = np.array([0.1, 0.3, 0.3, 0.2, 0.6])
     traj = Trajectory(np.arange(5.0), u, y)
-    assert traj.slope is None and traj.end_index.size == 0
-    left, right = traj.interval_slopes()
+    assert traj.slope_left.size == traj.slope_right.size == 4
+    left, right = traj.slope_left, traj.slope_right
     assert left is right
     np.testing.assert_allclose(left, [0.4, 0.0, -0.1, -0.8], rtol=1e-15, atol=0.0)
+
+
+def test_simulate_of_a_single_breakpoint_is_one_sample_and_no_interval(dahl_r1):
+    traj = simulate(dahl_r1, InputSignal(np.array([0.0]), np.array([0.3])), 0.1)
+    assert (traj.t.tolist(), traj.u.tolist(), traj.y.tolist()) == ([0.0], [0.3], [0.1])
+    assert traj.slope_left.shape == traj.slope_right.shape == (0,)
 
 
 def test_trajectory_csv_roundtrip(tmp_path, dahl_r1):
@@ -328,20 +342,22 @@ def test_march_branch_truncation_is_the_per_step_march_exit():
 def test_simulated_interval_slopes_are_the_branch_fields_at_both_ends_bit_for_bit(name):
     # the slopes the march keeps are f(y_k, u_k) on each interval's own
     # branch at both of its ends: across turning points, held stretches and
-    # reused segments
+    # reused segments; a held interval has 0.0 at both ends
     model = _ORACLE_MODELS[name]()
     for signal, step in _oracle_signals() + [(triangle(1.0, 3), 5e-3)]:
         traj = simulate(model, signal, 0.1, step=step)
-        left, right = traj.interval_slopes()
+        left, right = traj.slope_left, traj.slope_right
         u, y = traj.u.tolist(), traj.y.tolist()
         want_left, want_right = [], []
         for k in range(len(u) - 1):
             f = model.f1 if u[k + 1] > u[k] else model.f2
-            want_left.append(float(f(y[k], u[k])) if u[k + 1] != u[k] else math.nan)
-            want_right.append(float(f(y[k + 1], u[k + 1])) if u[k + 1] != u[k] else math.nan)
+            want_left.append(float(f(y[k], u[k])) if u[k + 1] != u[k] else 0.0)
+            want_right.append(float(f(y[k + 1], u[k + 1])) if u[k + 1] != u[k] else 0.0)
         moving = np.diff(traj.u) != 0.0
         assert _bits(left[moving]) == _bits(np.array(want_left)[moving]), (name, step)
         assert _bits(right[moving]) == _bits(np.array(want_right)[moving]), (name, step)
+        assert _bits(left) == _bits(np.array(want_left)), (name, step)
+        assert _bits(right) == _bits(np.array(want_right)), (name, step)
 
 
 # -- work counts of the scalar march ------------------------------------------

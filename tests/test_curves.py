@@ -681,7 +681,8 @@ def test_single_point_ride_fails_as_the_batch_ride():
             lambda: ride_to_crossing(d, [0.3], [0.0], step=step),
             lambda: intersect_lambda(d, PhasePoint(0.3, 0.0), step=step),
         )
-        assert err.type is ValueError and str(err.value) == "step must be positive"
+        assert err.type is ValueError
+        assert str(err.value) == f"step must be positive and finite, got {step}"
         _same_failure(
             lambda: ride_to_crossing(d, [0.3], [0.0], step=step),
             lambda: storage_cw(d, PhasePoint(0.3, 0.0), step=step),
@@ -694,6 +695,21 @@ def test_single_point_ride_fails_as_the_batch_ride():
         assert err.type is ValueError and str(err.value) == (
             "1 phase point(s) outside the model domain (first at sigma=0.9, xi=0)"
         )
+
+
+@pytest.mark.parametrize("step", [math.nan, math.inf])
+def test_marches_and_rides_reject_a_step_that_is_not_finite(dahl_r1, step):
+    # nan raised "cannot convert float NaN to integer"; inf marched one RK4
+    # substep per branch, or gave a ride budget error "within 0 steps"
+    want = f"^step must be positive and finite, got {step}$"
+    with pytest.raises(ValueError, match=want):
+        traversing_curve(dahl_r1, PhasePoint(0.1, 0.0), -1.0, 1.0, step=step)
+    with pytest.raises(ValueError, match=want):
+        ride_to_crossing(dahl_r1, [0.3], [0.0], step=step)
+    with pytest.raises(ValueError, match=want):
+        intersect_lambda(dahl_r1, PhasePoint(0.3, 0.0), step=step)
+    with pytest.raises(ValueError, match=want):
+        storage_cw_batch(dahl_r1, [0.3], [0.0], step=step)
 
 
 def test_a_ride_from_a_nan_side_residual_fails_at_once():

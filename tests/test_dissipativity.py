@@ -225,7 +225,8 @@ def test_loop_orientation_of_the_whole_path_and_by_hand_is_the_whole_trajectory_
     for traj in trajs:
         cls = loop_orientation(traj)
         assert (cls.area, cls.t_close) == loop_orientation_whole(traj)
-    assert trajs[0].slope is not None and trajs[1].slope is None
+    assert trajs[0].slope_left is not trajs[0].slope_right
+    assert trajs[1].slope_left is trajs[1].slope_right
 
 
 def test_a_trajectory_built_by_hand_takes_the_trapezoid_rule():

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from duhem import boucwen, dahl, exp_example, simulate
 from duhem import storage as storage_module
 from duhem.core import Domain, DomainExitError, DuhemModel
-from duhem.curves import PhasePoint
+from duhem.curves import CrossingSearchError, PhasePoint
 from duhem.dissipativity import cw_supply_integral
 from duhem.signals import InputSignal, random_piecewise_linear
 from duhem.storage import (
@@ -193,6 +193,33 @@ def test_signal_family_validation():
         SignalFamily(breakpoints=(5, 3))
     with pytest.raises(ValueError):
         SignalFamily(span=-1.0)
+
+
+@pytest.mark.parametrize("span", [math.nan, math.inf, 0.0])
+def test_signal_family_rejects_a_span_that_is_not_positive_and_finite(span):
+    # nan failed later in the signal builder ("breakpoints must be finite")
+    # and inf with a wrong reason, after a NaN anhysteresis probe
+    with pytest.raises(ValueError, match=f"^span must be positive and finite, got {span}$"):
+        SignalFamily(span=span)
+
+
+@pytest.mark.parametrize(
+    "sigma, xi, flag", [(0.3, 1.0, "left_truncated"), (-0.3, 1.0, "right_truncated")]
+)
+def test_storage_cw_raises_when_its_resampled_branch_is_truncated(
+    dahl_r1, monkeypatch, sigma, xi, flag
+):
+    # the resampling march and the crossing ride step differently, so the
+    # truncation flag of the branch that storage_cw integrates is checked
+    # on its own
+    real = storage_module.traversing_curve
+
+    def truncated(*args, **kwargs):
+        return dataclasses.replace(real(*args, **kwargs), **{flag: True})
+
+    monkeypatch.setattr(storage_module, "traversing_curve", truncated)
+    with pytest.raises(CrossingSearchError, match="left the domain while resampling"):
+        storage_cw(dahl_r1, PhasePoint(sigma, xi))
 
 
 def test_available_storage_bruteforce_brackets_closed_form(dahl_r1):
