@@ -1,5 +1,6 @@
 """Hand-made mutants of the checks, the crossing refinement, the supply
-march and the interval slopes of a trajectory in `src/`.
+march, the interval slopes of a trajectory and the output-only storage in
+`src/`.
 
 Each entry names a file under `src/duhem`, an exact snippet of it, the text
 that replaces the snippet, and the tests expected to kill the mutant (pytest
@@ -218,23 +219,31 @@ MUTANTS = [
     },
     # -- arguments that cannot be run
     {
-        "name": "simulate-step-may-be-infinite",
-        "why": "simulate and traversing_curve accept step = inf",
+        "name": "step-may-be-infinite",
+        "why": "simulate, traversing_curve and the crossing rides accept step = inf",
         "file": "core.py",
-        "snippet": "step = min(abs(du) / 1000.0, 1e-3)\n    if not 0.0 < step < math.inf:",
-        "replacement": "step = min(abs(du) / 1000.0, 1e-3)\n    if not 0.0 < step:",
+        "snippet": "if not 0.0 < step < math.inf:",
+        "replacement": "if not 0.0 < step:",
         "tests": [
             "tests/test_core.py::test_simulate_rejects_a_step_that_is_not_finite",
             "tests/test_curves.py::test_marches_and_rides_reject_a_step_that_is_not_finite",
         ],
     },
     {
-        "name": "ride-step-may-be-infinite",
-        "why": "the crossing rides accept step = inf",
+        "name": "simulate-checks-the-step-per-segment-only",
+        "why": "simulate reads the step only where a segment moves",
+        "file": "core.py",
+        "snippet": "    if step is not None:\n        _check_step(step)\n",
+        "replacement": "",
+        "tests": ["tests/test_core.py::test_simulate_checks_the_step_before_the_first_segment"],
+    },
+    {
+        "name": "traversing-curve-checks-the-step-per-branch-only",
+        "why": "traversing_curve reads the step only where a branch moves",
         "file": "curves.py",
-        "snippet": "    if not 0.0 < step < math.inf:\n        raise ValueError(f\"step must be positive and finite, got {step}\")\n    sigma",
-        "replacement": "    if not 0.0 < step:\n        raise ValueError(f\"step must be positive and finite, got {step}\")\n    sigma",
-        "tests": ["tests/test_curves.py::test_marches_and_rides_reject_a_step_that_is_not_finite"],
+        "snippet": "    _check_step(step)\n    if not (tau_min <= p.xi <= tau_max):",
+        "replacement": "    if not (tau_min <= p.xi <= tau_max):",
+        "tests": ["tests/test_curves.py::test_a_traversing_curve_checks_the_step_where_neither_branch_moves"],
     },
     {
         "name": "signal-family-span-may-be-infinite",
@@ -245,12 +254,23 @@ MUTANTS = [
         "tests": ["tests/test_storage.py::test_signal_family_rejects_a_span_that_is_not_positive_and_finite"],
     },
     {
-        "name": "verify-tol-may-be-infinite",
-        "why": "duhem verify accepts a --tol that is not finite",
+        "name": "config-number-may-be-infinite",
+        "why": "the CLI's number check accepts inf for --step, --y0, --quad-tol and --tol",
         "file": "cli.py",
-        "snippet": "isinstance(tol, (int, float)) and 0.0 < tol < math.inf\n    ):",
-        "replacement": "isinstance(tol, (int, float)) and 0.0 < tol\n    ):",
-        "tests": ["tests/test_cli.py::test_a_verify_tol_that_is_not_positive_and_finite_is_a_config_error"],
+        "snippet": "not isinstance(value, bool)\n        and math.isfinite(value)",
+        "replacement": "not isinstance(value, bool)\n        and value == value",
+        "tests": [
+            "tests/test_cli.py::test_a_verify_tol_that_is_not_positive_and_finite_is_a_config_error",
+            "tests/test_cli.py::test_an_infinite_step_is_a_config_error",
+        ],
+    },
+    {
+        "name": "config-number-may-be-a-bool",
+        "why": "the CLI's number check takes a JSON true for 1 and false for 0",
+        "file": "cli.py",
+        "snippet": "and not isinstance(value, bool)",
+        "replacement": "",
+        "tests": ["tests/test_cli.py::test_a_config_number_given_as_a_json_boolean_is_a_config_error"],
     },
     {
         "name": "storage-cw-ignores-a-truncated-left-branch",
@@ -259,5 +279,46 @@ MUTANTS = [
         "snippet": "        if curve.left_truncated or curve.right_truncated:\n            raise CrossingSearchError(",
         "replacement": "        if curve.right_truncated:\n            raise CrossingSearchError(",
         "tests": ["tests/test_storage.py::test_storage_cw_raises_when_its_resampled_branch_is_truncated"],
+    },
+    {
+        "name": "bruteforce-nothing-extracted-is-minus-zero",
+        "why": "a signal that extracts nothing reads -0.0 (-minW instead of 0.0 - minW)",
+        "file": "storage.py",
+        "snippet": "np.maximum(0.0, 0.0 - minW[a:b])",
+        "replacement": "np.maximum(0.0, -minW[a:b])",
+        "tests": ["tests/test_storage.py::test_a_signal_that_extracts_nothing_reads_plus_zero"],
+    },
+    # -- the storage of a xi-free model by quadrature in the output
+    {
+        "name": "output-only-storage-on-the-other-branch",
+        "why": (
+            "H built on f2 below the curve and f1 above: the required supply, "
+            "itself a storage function, so the dissipation reports pass it; "
+            "only the agreement tests tell"
+        ),
+        "file": "storage.py",
+        "snippet": "((model.f1, block < 0.0), (model.f2, block > 0.0))",
+        "replacement": "((model.f2, block < 0.0), (model.f1, block > 0.0))",
+        "tests": [
+            "tests/test_storage.py::test_output_only_storage_is_the_dahl_closed_form",
+            "tests/test_storage.py::test_output_only_storage_is_the_boucwen_closed_form",
+            "tests/test_storage.py::test_output_only_storage_is_the_fine_ride_on_the_fig1_preset",
+        ],
+    },
+    {
+        "name": "output-only-slope-unchecked-at-sigma",
+        "why": "the branch slope is checked at the quadrature nodes but not at sigma itself",
+        "file": "storage.py",
+        "snippet": "bad[lanes] = ~((slope > 0.0) & (slope < math.inf)).all(axis=1)",
+        "replacement": "bad[lanes] = ~((slope > 0.0) & (slope < math.inf))[:, :-1].all(axis=1)",
+        "tests": ["tests/test_storage.py::test_output_only_storage_names_the_first_failing_sample"],
+    },
+    {
+        "name": "xi-free-declaration-unchecked",
+        "why": "DuhemModel skips the probe check of a xi_free declaration",
+        "file": "core.py",
+        "snippet": "        if self.xi_free:\n            self._check_xi_free()",
+        "replacement": "        pass",
+        "tests": ["tests/test_models.py::test_a_xi_free_declaration_whose_field_reads_xi_is_rejected"],
     },
 ]

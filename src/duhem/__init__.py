@@ -68,6 +68,7 @@ from .storage import (
     available_storage_bruteforce_batch,
     storage_cw,
     storage_cw_batch,
+    storage_output_only,
     storage_dahl_closed_form,
 )
 
@@ -124,6 +125,7 @@ __all__ = [
     "sine_sampled",
     "storage_cw",
     "storage_cw_batch",
+    "storage_output_only",
     "storage_dahl_closed_form",
     "traversing_curve",
     "triangle",

@@ -226,21 +226,31 @@ def _base_config(args: argparse.Namespace, names: tuple[str, ...]) -> RunConfig:
             raise ConfigError(f"--input is not valid JSON: {exc}") from exc
         cfg = replace(cfg, input=spec)
     cfg = _merge_flags(cfg, args, names)
-    step = cfg.step
-    if step is not None and not (isinstance(step, (int, float)) and 0.0 < step < math.inf):
-        raise ConfigError(f"--step must be positive and finite (config 'step'), got {step!r}")
-    y0 = cfg.y0
-    if "y0" in names and not (isinstance(y0, (int, float)) and math.isfinite(y0)):
-        raise ConfigError(f"--y0 must be finite (config 'y0'), got {y0!r}")
-    tol = cfg.quad_tol
-    if "quad_tol" in names and not (isinstance(tol, (int, float)) and 0.0 < tol < math.inf):
-        raise ConfigError(f"--quad-tol must be positive and finite (config 'quad_tol'), got {tol!r}")
-    tol = cfg.tol
-    if "tol" in names and tol is not None and not (
-        isinstance(tol, (int, float)) and 0.0 < tol < math.inf
-    ):
-        raise ConfigError(f"--tol must be positive and finite (config 'tol'), got {tol!r}")
+    # None is the default of step and tol
+    if cfg.step is not None:
+        _check_number("step", cfg.step, positive=True)
+    if "y0" in names:
+        _check_number("y0", cfg.y0, positive=False)
+    if "quad_tol" in names:
+        _check_number("quad_tol", cfg.quad_tol, positive=True)
+    if "tol" in names and cfg.tol is not None:
+        _check_number("tol", cfg.tol, positive=True)
     return cfg
+
+
+def _check_number(key: str, value, positive: bool) -> None:
+    """ConfigError unless the value of config key (flag --key) is an int or
+    float that is finite, and positive if asked; a JSON boolean is neither,
+    though Python counts True as the int 1."""
+    if not (
+        isinstance(value, (int, float))
+        and not isinstance(value, bool)
+        and math.isfinite(value)
+        and (value > 0.0 or not positive)
+    ):
+        what = "positive and finite" if positive else "finite"
+        flag = "--" + key.replace("_", "-")
+        raise ConfigError(f"{flag} must be {what} (config '{key}'), got {value!r}")
 
 
 def _phase_point(args: argparse.Namespace, *flags: tuple[str, float]) -> PhasePoint:

@@ -82,10 +82,10 @@ class Domain:
 
 WHOLE_PLANE = Domain()
 
-# probe grid of a declared odd symmetry: outputs as fractions of the domain's
-# half-width (of 2 on an unbounded domain), and inputs
-_ODD_PROBE_SIGMA = np.array([-0.93, -0.61, -0.27, 0.0, 0.18, 0.52, 0.86])
-_ODD_PROBE_XI = np.array([-2.3, -0.7, 0.0, 0.4, 1.9])
+# probe grid of the declared properties (odd, xi_free): outputs as fractions
+# of the domain's half-width (of 2 on an unbounded domain), and inputs
+_PROBE_SIGMA = np.array([-0.93, -0.61, -0.27, 0.0, 0.18, 0.52, 0.86])
+_PROBE_XI = np.array([-2.3, -0.7, 0.0, 0.4, 1.9])
 
 
 @dataclass(frozen=True, eq=False)
@@ -112,6 +112,19 @@ class DuhemModel:
     declaration is checked on a small grid of points when the model is
     built; a mismatch there, or an asymmetric domain, raises ValueError.
     Dahl, Bouc-Wen and the exponential example are odd.
+
+    xi_free declares that f1 and f2 ignore the input and that f_an is
+    declared and identically 0.  A traversing curve is then the autonomous
+    ODE dy/dtau = f(y), and the storage at (sigma, xi) is the integral of
+    s / f(s) from 0 to sigma, f the branch that the ride from the point
+    takes (f1 below the curve, f2 above): a function of the output alone,
+    which `verify_dissipation_battery` evaluates by quadrature
+    (`storage.storage_output_only`) instead of riding every sample to its
+    crossing.  The declaration is checked on the same probe grid: f1 and
+    f2 must return the same bits at every probe input as at xi = 0, and
+    f_an must be 0 there; a mismatch, or no f_an, raises ValueError.  Dahl
+    and Bouc-Wen with zeta != 0 are xi-free; the exponential example is
+    not.
     """
 
     name: str
@@ -121,6 +134,7 @@ class DuhemModel:
     domain: Domain = WHOLE_PLANE
     f_an: Callable | None = None
     odd: bool = False
+    xi_free: bool = False
 
     def __post_init__(self):
         if not callable(self.f1) or not callable(self.f2):
@@ -128,6 +142,40 @@ class DuhemModel:
         object.__setattr__(self, "params", dict(self.params))
         if self.odd:
             self._check_odd()
+        if self.xi_free:
+            self._check_xi_free()
+
+    def _probe(self):
+        """The probe grid, flattened: `_PROBE_SIGMA` as fractions of the
+        domain's half-width about its midpoint (a half-width of 2, beside
+        the finite limit, on an unbounded side), against `_PROBE_XI`; and
+        f1, f2 and f_an under any functools.wraps layers, so that a wrapper
+        that counts or times field calls sees only the calls of the
+        numerics, not the checks of the declarations."""
+        lo, hi = self.domain.sigma_min, self.domain.sigma_max
+        if math.isfinite(lo) and math.isfinite(hi):
+            mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
+        else:
+            mid = lo + 2.0 if math.isfinite(lo) else hi - 2.0 if math.isfinite(hi) else 0.0
+            half = 2.0
+        sigma, xi = (
+            a.ravel() for a in np.meshgrid(mid + half * _PROBE_SIGMA, _PROBE_XI)
+        )
+        f_an = None if self.f_an is None else inspect.unwrap(self.f_an)
+        return sigma, xi, inspect.unwrap(self.f1), inspect.unwrap(self.f2), f_an
+
+    def _check_probe_pairs(self, what: str, sigma, xi, pairs):
+        """Raise ValueError at the first probe point where the two sides of
+        a pair (lhs, a, rhs, b) differ (two NaNs agree)."""
+        for lhs, a, rhs, b in pairs:
+            a, b = (np.broadcast_to(np.asarray(v, dtype=float), sigma.shape) for v in (a, b))
+            same = (a == b) | (np.isnan(a) & np.isnan(b))
+            if not same.all():
+                k = int(np.argmin(same))
+                raise ValueError(
+                    f"{what} {self.name!r}: {lhs} = {float(a[k])!r} but "
+                    f"{rhs} = {float(b[k])!r} at sigma={sigma[k]:.6g}, xi={xi[k]:.6g}"
+                )
 
     def _check_odd(self):
         """Raise ValueError unless the domain is symmetric about 0 and the
@@ -139,28 +187,29 @@ class DuhemModel:
                 f"odd model {self.name!r} needs a domain symmetric about 0, "
                 f"got ({lo}, {hi})"
             )
-        scale = hi if math.isfinite(hi) else 2.0
-        sigma, xi = (
-            a.ravel() for a in np.meshgrid(scale * _ODD_PROBE_SIGMA, _ODD_PROBE_XI)
-        )
-        # The probe calls the functions under any functools.wraps layers, so
-        # a wrapper that counts or times field calls sees only the calls of
-        # the numerics, not the check of a declaration.
-        f1, f2 = inspect.unwrap(self.f1), inspect.unwrap(self.f2)
+        sigma, xi, f1, f2, f_an = self._probe()
         with np.errstate(all="ignore"):
             pairs = [("f2(sigma, xi)", f2(sigma, xi), "f1(-sigma, -xi)", f1(-sigma, -xi))]
-            if self.f_an is not None:
-                f_an = inspect.unwrap(self.f_an)
+            if f_an is not None:
                 pairs.append(("f_an(-xi)", f_an(-xi), "-f_an(xi)", -f_an(xi)))
-        for lhs, a, rhs, b in pairs:
-            a, b = (np.broadcast_to(np.asarray(v, dtype=float), sigma.shape) for v in (a, b))
-            same = (a == b) | (np.isnan(a) & np.isnan(b))
-            if not same.all():
-                k = int(np.argmin(same))
-                raise ValueError(
-                    f"odd model {self.name!r}: {lhs} = {float(a[k])!r} but "
-                    f"{rhs} = {float(b[k])!r} at sigma={sigma[k]:.6g}, xi={xi[k]:.6g}"
-                )
+        self._check_probe_pairs("odd model", sigma, xi, pairs)
+
+    def _check_xi_free(self):
+        """Raise ValueError unless f_an is declared and 0 on the probe grid
+        and f1 and f2 return there the bits they return at xi = 0."""
+        if self.f_an is None:
+            raise ValueError(
+                f"xi-free model {self.name!r} must declare f_an (identically 0)"
+            )
+        sigma, xi, f1, f2, f_an = self._probe()
+        at_0 = np.zeros_like(xi)
+        with np.errstate(all="ignore"):
+            pairs = [
+                ("f1(sigma, xi)", f1(sigma, xi), "f1(sigma, 0)", f1(sigma, at_0)),
+                ("f2(sigma, xi)", f2(sigma, xi), "f2(sigma, 0)", f2(sigma, at_0)),
+                ("f_an(xi)", f_an(xi), "0", 0.0),
+            ]
+        self._check_probe_pairs("xi-free model", sigma, xi, pairs)
 
     def F(self, sigma, xi):
         """Half-difference of the slope fields; zero exactly on the
@@ -225,13 +274,18 @@ class Trajectory:
                 fh.write(f"{ti:.17g},{ui:.17g},{yi:.17g}\n")
 
 
+def _check_step(step: float) -> float:
+    """The step of a march, or ValueError unless it is positive and finite."""
+    if not 0.0 < step < math.inf:
+        raise ValueError(f"step must be positive and finite, got {step}")
+    return step
+
+
 def _segment_substeps(du: float, step: float | None) -> int:
     # default step: segment u-length / 1000, capped at 1e-3
     if step is None:
         step = min(abs(du) / 1000.0, 1e-3)
-    if not 0.0 < step < math.inf:
-        raise ValueError(f"step must be positive and finite, got {step}")
-    return max(1, int(math.ceil(abs(du) / step)))
+    return max(1, int(math.ceil(abs(du) / _check_step(step))))
 
 
 def _substep_sample(sig: InputSignal, j: int, k: int, step: float | None):
@@ -303,7 +357,7 @@ def simulate(
     y0 : float
         Initial output; (y0, u(0)) must lie inside the model domain.
     step : float, optional
-        Maximum u-substep.
+        Maximum u-substep; ValueError unless it is positive and finite.
 
     Returns
     -------
@@ -313,6 +367,9 @@ def simulate(
     y0 = float(y0)
     if not np.isfinite(y0):
         raise ValueError(f"y0 must be finite, got {y0}")
+    # checked before the first segment: an input that never moves marches none
+    if step is not None:
+        _check_step(step)
     u_first = float(signal.values[0])
     if not bool(model.domain.contains(y0)):
         raise DomainExitError(0.0, u_first, y0, "initial state outside model domain")

@@ -34,7 +34,7 @@ from typing import Callable
 
 import numpy as np
 
-from .core import DuhemModel, _march_segment, _segment_substeps
+from .core import DuhemModel, _check_step, _march_segment, _segment_substeps
 from .integrate import (
     BracketError,
     bisect,
@@ -275,8 +275,10 @@ def traversing_curve(
     dy/dtau = f2 on [tau_min, p.xi]; both start from (p.sigma, p.xi), so the
     two branches are continuous at the origin by construction.  A branch
     that reaches the domain boundary is truncated and flagged rather than
-    extrapolated.
+    extrapolated.  A step that is not positive and finite raises ValueError,
+    also where neither branch moves.
     """
+    _check_step(step)
     if not (tau_min <= p.xi <= tau_max):
         raise ValueError("need tau_min <= p.xi <= tau_max")
     if not bool(model.domain.contains(p.sigma)):
@@ -490,8 +492,7 @@ def _ride_setup(model: DuhemModel, sigma, xi, step: float, max_doublings: int):
     span of (1 + max |xi|) doubled min(max_doublings, 21) times, at most
     2**21 steps.
     """
-    if not 0.0 < step < math.inf:
-        raise ValueError(f"step must be positive and finite, got {step}")
+    _check_step(step)
     sigma = np.atleast_1d(np.asarray(sigma, dtype=float))
     xi = np.atleast_1d(np.asarray(xi, dtype=float))
     if sigma.shape != xi.shape or sigma.ndim != 1:

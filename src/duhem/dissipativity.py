@@ -4,8 +4,9 @@ A counterclockwise-damping sign structure puts F = (f1 - f2)/2 on the side
 of zero that makes hysteresis loops in the input-output plane run clockwise;
 `check_assumption_A` certifies the sign structure on a grid.  The central
 check, `verify_dissipation_battery`, simulates the operator along each input
-of a battery, builds the clockwise storage at every sample with one storage
-ride over all their samples and tests the sampled dissipation inequality
+of a battery, builds the clockwise storage at every sample in one call over
+all their samples (by quadrature in the output for a xi-free model, by one
+storage ride otherwise) and tests the sampled dissipation inequality
 
     dH/dt <= y * du/dt
 
@@ -33,7 +34,7 @@ from .curves import _CERTIFICATE_GRID, _certificate_grid
 from .integrate import hermite_integral, hermite_partial_integral
 from .report import VerificationReport, worst_point
 from .signals import InputSignal, _readonly
-from .storage import storage_cw_batch
+from .storage import _GAUSS_NODES, storage_cw_batch, storage_output_only
 
 __all__ = [
     "SupplySeries",
@@ -96,31 +97,38 @@ def verify_dissipation_battery(
 ) -> list[tuple[VerificationReport, VerificationReport]]:
     """Forward and backward dissipation reports of each input of a battery.
 
-    Simulates every signal from y0, evaluates the clockwise storage H at all
-    samples of all signals in one `storage_cw_batch` ride and splits it back
-    per signal.  Each report checks the sampled inequality dH/dt <= y du/dt
-    between consecutive samples, with dH/dt a forward difference: the
-    forward report against the right input rate and the sample's own output,
-    the backward report against the left rate and the next sample's output.
-    The default tolerance 1e-6 + 10 * step covers the first-order sampling
-    error of the difference quotients at unit input rate.  A lane's storage
-    does not depend on the batch it rides in, so each signal's pair equals
-    its `verify_dissipation_pair` reports.
+    Simulates every signal from y0 and evaluates the clockwise storage H at
+    all samples of all signals in one call, then splits it back per signal.
+    A xi-free model (`DuhemModel.xi_free`) has a storage of the output
+    alone, evaluated by Gauss-Legendre quadrature in the output
+    (`storage_output_only`); any other model rides all samples to their
+    crossings in one `storage_cw_batch` ride at `ride_step` (default:
+    `step`), which applies to such models only.  Each report checks the
+    sampled inequality dH/dt <= y du/dt between consecutive samples, with
+    dH/dt a forward difference: the forward report against the right input
+    rate and the sample's own output, the backward report against the left
+    rate and the next sample's output.  The default tolerance 1e-6 + 10 *
+    step covers the first-order sampling error of the difference quotients
+    at unit input rate.  A sample's storage does not depend on the batch
+    it is evaluated in, so each signal's pair equals its
+    `verify_dissipation_pair` reports.
     """
     if tol is None:
         tol = 1e-6 + 10.0 * step
-    ride_step = ride_step or step
     trajs = [simulate(model, sig, y0, step=step) for sig in signals]
     if not trajs:
         return []
-    batch = storage_cw_batch(
-        model,
-        np.concatenate([traj.y for traj in trajs]),
-        np.concatenate([traj.u for traj in trajs]),
-        step=ride_step,
-    )
+    y_all = np.concatenate([traj.y for traj in trajs])
+    if model.xi_free:
+        H_flat = storage_output_only(model, y_all)
+        route = {"gauss_nodes": _GAUSS_NODES}
+    else:
+        ride_step = ride_step or step
+        u_all = np.concatenate([traj.u for traj in trajs])
+        H_flat = storage_cw_batch(model, y_all, u_all, step=ride_step).value
+        route = {"ride_step": float(ride_step)}
     ends = np.cumsum([traj.n_samples for traj in trajs])
-    H_all = np.split(batch.value, ends[:-1])
+    H_all = np.split(H_flat, ends[:-1])
     out = []
     for traj, H in zip(trajs, H_all):
         dt = np.diff(traj.t)
@@ -145,7 +153,7 @@ def verify_dissipation_battery(
                     details={
                         "model": model.name,
                         "step": float(step),
-                        "ride_step": float(ride_step),
+                        **route,
                         "y0": float(y0),
                         "max_storage": float(H.max()),
                     },

@@ -1,6 +1,6 @@
 """Shared numerical kernels: fixed-step RK4, cubic Hermite tools, adaptive
-Simpson quadrature, bracketed bisection and a vector bracketed root finder
-(Illinois regula falsi).
+Simpson quadrature, the Gauss-Legendre rule, bracketed bisection and a
+vector bracketed root finder (Illinois regula falsi).
 
 Everything here is a pure function of its arguments.  The RK4 and Hermite
 routines accept either Python floats or numpy arrays and operate elementwise,
@@ -23,6 +23,7 @@ __all__ = [
     "hermite_integral",
     "hermite_partial_integral",
     "adaptive_simpson",
+    "gauss_legendre",
     "bisect",
     "expand_bracket",
     "bisect_on_interval_vec",
@@ -98,6 +99,25 @@ def hermite_partial_integral(x, xL, xR, yL, yR, fL, fR):
     i01 = -0.5 * s4 + s3
     i11 = 0.25 * s4 - s3 / 3.0
     return h * (yL * i00 + h * fL * i10 + yR * i01 + h * fR * i11)
+
+
+def gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes, ascending, and weights of the n-point Gauss-Legendre rule on
+    [-1, 1], exact for polynomials of degree up to 2n - 1.
+
+    Newton's method on the Legendre polynomial P_n, evaluated by its
+    three-term recurrence, from the guesses cos(pi (k - 1/4) / (n + 1/2));
+    the weights are 2 / ((1 - x^2) P_n'(x)^2).  Ten passes are more than
+    the quadratic convergence from those guesses needs.
+    """
+    x = np.cos(np.pi * (np.arange(n, 0, -1) - 0.25) / (n + 0.5))
+    for _ in range(10):
+        p, q = x, np.ones(n)  # P_k(x) and P_(k-1)(x), from k = 1
+        for k in range(2, n + 1):
+            p, q = ((2 * k - 1) * x * p - (k - 1) * q) / k, p
+        dp = n * (x * p - q) / (x * x - 1.0)  # P_n'(x)
+        x = x - p / dp
+    return x, 2.0 / ((1.0 - x * x) * dp * dp)
 
 
 def adaptive_simpson(

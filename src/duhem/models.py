@@ -9,8 +9,10 @@ numpy expressions.  Where Python's float power raises OverflowError, the
 fields return inf as numpy does, so a blow-up still surfaces as a non-finite
 output and not as an exception.  Each factory validates its parameters and
 declares the model's validity domain, its odd symmetry (all three are odd:
-f2(sigma, xi) is f1(-sigma, -xi) bit for bit, as `DuhemModel.odd` requires)
-and, when available in closed form, the anhysteresis function.
+f2(sigma, xi) is f1(-sigma, -xi) bit for bit, as `DuhemModel.odd` requires),
+whether its fields ignore the input with f_an identically 0
+(`DuhemModel.xi_free`: Dahl, and Bouc-Wen with zeta != 0) and, when
+available in closed form, the anhysteresis function.
 """
 
 from __future__ import annotations
@@ -114,6 +116,7 @@ def dahl(rho: float = 1.5, fc: float = 0.75, r: float = 1.0) -> DuhemModel:
         domain=Domain(-fc, fc),
         f_an=lambda xi: 0.0 * xi,
         odd=True,
+        xi_free=True,
     )
 
 
@@ -166,6 +169,7 @@ def boucwen(
         domain=WHOLE_PLANE,
         f_an=f_an,
         odd=True,
+        xi_free=f_an is not None,
     )
 
 

@@ -7,16 +7,26 @@ abscissa Lambda, then
     H(sigma, xi) = integral of f_an from 0 to Lambda
                  - integral of the traversing branch from xi to Lambda.
 
-Both integrals are signed.  For models whose anhysteresis curve is
-identically zero (Dahl, Bouc-Wen) the first term vanishes and H depends on
-the output alone.
+Both integrals are signed.
 
-Two evaluation routes are provided on purpose.  `storage_cw` resamples the
-ride into a C^1 table and integrates it with adaptive Simpson quadrature to
-a requested tolerance; `storage_cw_batch` accumulates the exact integral of
-the same cubic Hermite table segment by segment while many points ride in
-lockstep.  Agreement between the routes is part of the test surface, so
-neither should be rewritten in terms of the other.
+Two evaluation routes of the construction are provided on purpose.
+`storage_cw` resamples the ride into a C^1 table and integrates it with
+adaptive Simpson quadrature to a requested tolerance; `storage_cw_batch`
+accumulates the exact integral of the same cubic Hermite table segment by
+segment while many points ride in lockstep.  Agreement between the routes
+is part of the test surface, so neither should be rewritten in terms of the
+other: each checks the other's ride, table and quadrature.
+
+A third route, `storage_output_only`, skips the ride for models whose
+fields ignore the input and whose anhysteresis curve is identically zero
+(`DuhemModel.xi_free`: Dahl, Bouc-Wen).  There the first term vanishes, the
+traversing curve is the autonomous ODE dy/dtau = f(y), and H(sigma) is the
+integral of s / f(s) from 0 to sigma, a function of the output alone,
+evaluated by a fixed Gauss-Legendre rule.  It is a cross-check of the two
+rides as much as they are of it; the dissipation battery uses it for those
+models.  Built on the other branch (f2 below the curve, f1 above) the same
+integral is the required supply, which is also a storage function, so only
+the agreement with the rides and the closed forms can tell the two apart.
 
 The brute-force search (`available_storage_bruteforce_batch`) marches all
 its inputs in lockstep and tracks each one's supply integral.  For odd
@@ -41,7 +51,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .core import DomainExitError, DuhemModel, _segment_substeps, _substep_sample
+from .core import DomainExitError, DuhemModel, _check_step, _segment_substeps, _substep_sample
 from .curves import (
     CrossingSearchError,
     PhasePoint,
@@ -51,7 +61,7 @@ from .curves import (
     ride_to_crossing,
     traversing_curve,
 )
-from .integrate import adaptive_simpson, rk4_step
+from .integrate import adaptive_simpson, gauss_legendre, rk4_step
 from .signals import InputSignal, _readonly, random_piecewise_linear
 
 __all__ = [
@@ -61,6 +71,7 @@ __all__ = [
     "AvailableStorageResult",
     "storage_cw",
     "storage_cw_batch",
+    "storage_output_only",
     "storage_dahl_closed_form",
     "available_storage_bruteforce",
     "available_storage_bruteforce_batch",
@@ -199,6 +210,79 @@ def storage_cw_batch(
     ride = ride_to_crossing(model, sigma, xi, step=step)
     fan_int = _anhysteresis_integrals(model, ride.lam)
     return StorageBatch(lam=ride.lam, value=fan_int - ride.integral)
+
+
+# Gauss-Legendre rule of `storage_output_only` on [0, 1]: its nodes, then
+# 1.0 (where the slope at sigma itself is checked), and its weights.  The
+# integrand is smooth on Dahl and reaches rounding at 10-12 nodes, but
+# Bouc-Wen with a non-integer n has |s|^n in it, and there the error falls
+# only algebraically; 20 nodes is the smallest count that is at least as
+# accurate as the step-5e-3 ride it replaces on every model measured
+# (BENCH_21.json)
+_GAUSS_NODES = 20
+_x, _w = gauss_legendre(_GAUSS_NODES)
+_GAUSS_T = np.append(0.5 * (_x + 1.0), 1.0)
+_GAUSS_W = 0.5 * _w
+del _x, _w
+# rows of nodes evaluated at a time, so that each block array (rows x 21
+# floats, 84 KiB) stays below glibc's 128 KiB trim threshold at any batch
+# size
+_GAUSS_BLOCK_ROWS = 512
+
+
+def storage_output_only(model: DuhemModel, sigma) -> np.ndarray:
+    """Clockwise storage of a xi-free model (`DuhemModel.xi_free`) at
+    outputs sigma, by a fixed Gauss-Legendre rule in the output.
+
+    Such a model's traversing curve is the autonomous ODE dy/dtau = f(y),
+    so the ride's branch integral from xi to the crossing at y = 0 is the
+    integral of y / f(y) dy, and
+
+        H(sigma) = integral of s / f(s) ds from 0 to sigma,
+
+    with f the branch that the ride takes: f1 on the lanes with sigma < 0
+    (below the curve), f2 on those with sigma > 0; H(0) = 0.  Each branch
+    is one field call per block of rows (at xi = 0), on its own lanes, and
+    each lane's weighted terms are summed by numpy's per-row reduction, so
+    a lane's value does not depend on the batch it is evaluated in.
+
+    Raises ValueError for a model that is not xi-free and for samples
+    outside the model domain (or NaN), and CrossingSearchError where the
+    branch slope is not finite and positive at a node or at sigma itself,
+    where the traversing curve would not reach the anhysteresis curve;
+    both name the count and the first such sample.
+    """
+    if not model.xi_free:
+        raise ValueError(f"model {model.name!r} does not declare xi_free")
+    sigma = np.atleast_1d(np.asarray(sigma, dtype=float))
+
+    def samples(mask, what):
+        k = int(np.argmax(mask))
+        return f"{int(mask.sum())} sample(s) {what} (first at sigma={sigma[k]:.6g})"
+
+    outside = ~model.domain.contains(sigma)
+    if outside.any():
+        raise ValueError(samples(outside, "outside the model domain"))
+    value = np.zeros(sigma.size)
+    bad = np.zeros(sigma.size, dtype=bool)
+    for a in range(0, sigma.size, _GAUSS_BLOCK_ROWS):
+        block = sigma[a : a + _GAUSS_BLOCK_ROWS]
+        for f, side in ((model.f1, block < 0.0), (model.f2, block > 0.0)):
+            lanes = a + np.flatnonzero(side)
+            if not lanes.size:
+                continue
+            s = sigma[lanes]
+            nodes = s[:, None] * _GAUSS_T
+            slope = f(nodes, np.zeros_like(nodes))
+            bad[lanes] = ~((slope > 0.0) & (slope < math.inf)).all(axis=1)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                g = nodes[:, :-1] / slope[:, :-1]
+            value[lanes] = s * (g * _GAUSS_W).sum(axis=1)
+    if bad.any():
+        raise CrossingSearchError(
+            samples(bad, "with a branch slope that is not finite and positive")
+        )
+    return value
 
 
 def storage_dahl_closed_form(y, rho: float = 1.5, fc: float = 0.75):
@@ -506,8 +590,7 @@ def available_storage_bruteforce_batch(
     """
     if not horizon > 0.0:
         raise ValueError(f"horizon must be positive, got {horizon}")
-    if not (step > 0.0 and math.isfinite(step)):
-        raise ValueError(f"step must be positive and finite, got {step}")
+    _check_step(step)
     points, families = list(points), list(families)
     if len(points) != len(families):
         raise ValueError("need one signal family per phase point")
@@ -541,7 +624,8 @@ def available_storage_bruteforce_batch(
     minW, _ = _supply_running_min(model, signals, y0, step, lane_name)
     out = []
     for a, b in zip(starts[:-1], starts[1:]):
-        per_signal = np.maximum(0.0, -minW[a:b])
+        # 0.0 - minW, not -minW: a signal that extracts nothing reads +0.0
+        per_signal = np.maximum(0.0, 0.0 - minW[a:b])
         best = int(np.argmax(per_signal))
         out.append(
             AvailableStorageResult(

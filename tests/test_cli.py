@@ -411,6 +411,32 @@ def test_a_verify_tol_that_is_not_positive_and_finite_is_a_config_error(
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("value", [True, False])
+@pytest.mark.parametrize(
+    "key, argv, what",
+    [
+        ("step", ["simulate", "--input", TRIANGLE], "positive and finite"),
+        ("y0", ["simulate", "--input", TRIANGLE], "finite"),
+        ("quad_tol", ["storage", "--sigma", "0.3", "--xi", "1.0"], "positive and finite"),
+        ("tol", ["verify", "--n-signals", "1"], "positive and finite"),
+    ],
+)
+def test_a_config_number_given_as_a_json_boolean_is_a_config_error(
+    tmp_path, capsys, monkeypatch, key, argv, what, value
+):
+    # isinstance(True, int) holds, so {"tol": true} once ran duhem verify
+    # with tol = 1 and exited 0
+    monkeypatch.setattr(duhem.cli, "verify_dissipation_battery", _no_ride)
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"model": "dahl", key: value}))
+    out = tmp_path / "out"
+    assert run_cli(*argv, "--config", str(cfg), "--out-dir", str(out)) == 2
+    flag = "--" + key.replace("_", "-")
+    want = f"config error: {flag} must be {what} (config '{key}'), got {value!r}"
+    assert capsys.readouterr().err.startswith(want)
+    assert not out.exists()
+
+
 def test_report_line_ends_in_its_ratio_to_a_positive_tolerance(capsys):
     for worst, tol in ((2.5, 1.0), (0.25, 0.5), (-0.5, 0.25)):
         _print_report(_report(worst, tol=tol))

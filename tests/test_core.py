@@ -154,6 +154,16 @@ def test_simulate_rejects_a_step_that_is_not_finite(dahl_r1, step):
         simulate(dahl_r1, triangle(1.0, 1), 0.0, step=step)
 
 
+@pytest.mark.parametrize("step", [math.nan, math.inf, 0.0, -1e-3])
+def test_simulate_checks_the_step_before_the_first_segment(dahl_r1, step):
+    # a held input marches no segment: at step = nan it returned its two
+    # samples, since only a moving segment's substep count read the step
+    held = InputSignal(np.array([0.0, 1.0]), np.array([0.2, 0.2]))
+    with pytest.raises(ValueError, match=f"^step must be positive and finite, got {step}$"):
+        simulate(dahl_r1, held, 0.0, step=step)
+    assert simulate(dahl_r1, held, 0.0).y.tolist() == [0.0, 0.0]
+
+
 def test_trajectory_validation():
     with pytest.raises(ValueError):
         Trajectory(np.array([0.0, 1.0]), np.array([0.0]), np.array([0.0]))

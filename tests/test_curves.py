@@ -317,7 +317,8 @@ def test_solver_path_crossings_of_boucwen_land_on_the_curve():
     # where 60 halvings stopped at the band's edge, 3.8e-6 off the curve.
     # The branch is a line of slope alpha there, so the first secant point
     # lands on the crossing, inside the band, and collapses the bracket.
-    solver = dataclasses.replace(boucwen(), f_an=None)
+    # Without f_an the model no longer declares xi_free, which needs it.
+    solver = dataclasses.replace(boucwen(), f_an=None, xi_free=False)
     sigma, xi = [0.3, -0.2, 0.1], [0.4, 0.4, -1.0]
     ride = ride_to_crossing(solver, sigma, xi)
     assert np.abs(ride.y_at).max() <= 1e-15
@@ -710,6 +711,15 @@ def test_marches_and_rides_reject_a_step_that_is_not_finite(dahl_r1, step):
         intersect_lambda(dahl_r1, PhasePoint(0.3, 0.0), step=step)
     with pytest.raises(ValueError, match=want):
         storage_cw_batch(dahl_r1, [0.3], [0.0], step=step)
+
+
+@pytest.mark.parametrize("step", [math.nan, math.inf, 0.0])
+def test_a_traversing_curve_checks_the_step_where_neither_branch_moves(dahl_r1, step):
+    # on tau_min = tau_max = xi it returned a one-node curve at step = nan
+    p = PhasePoint(0.1, 0.0)
+    with pytest.raises(ValueError, match=f"^step must be positive and finite, got {step}$"):
+        traversing_curve(dahl_r1, p, 0.0, 0.0, step=step)
+    assert traversing_curve(dahl_r1, p, 0.0, 0.0).y.tolist() == [0.1]
 
 
 def test_a_ride_from_a_nan_side_residual_fails_at_once():

@@ -1,3 +1,7 @@
+import dataclasses
+import hashlib
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -17,7 +21,8 @@ from duhem.dissipativity import (
     verify_dissipation_pair,
 )
 from duhem.signals import InputSignal, ramp, random_piecewise_linear
-from duhem.storage import storage_cw_batch
+from duhem import dissipativity as dissipativity_module
+from duhem.storage import storage_cw_batch, storage_output_only
 
 from oracles import loop_areas_per_sample, loop_orientation_whole, storage_exact, supply_exact
 
@@ -65,16 +70,22 @@ def test_dissipation_forward_and_backward_on_triangle(dahl_r1):
     assert fwd.tolerance == pytest.approx(1e-6 + 10.0 * fwd.details["step"])
 
 
-def test_backward_report_is_checked_against_the_next_output(dahl_r1):
+@pytest.mark.parametrize("xi_free", [True, False])
+def test_backward_report_is_checked_against_the_next_output(dahl_r1, xi_free):
     # On a triangle the output moves between samples, so the forward supply
     # y_k du_k and the backward supply y_k+1 du_k differ; each report's
     # worst violation is the largest of its own difference quotients,
-    # computed here sample by sample.
+    # computed here sample by sample, on the storage of the battery's route
+    # (output quadrature for a xi-free model, the batch ride otherwise).
     step = 0.05
     sig = triangle(1.0, 2)
-    fwd, bwd = verify_dissipation_pair(dahl_r1, sig, 0.2, step=step)
-    traj = simulate(dahl_r1, sig, 0.2, step=step)
-    H = storage_cw_batch(dahl_r1, traj.y, traj.u, step=step).value
+    model = dataclasses.replace(dahl_r1, xi_free=xi_free)
+    fwd, bwd = verify_dissipation_pair(model, sig, 0.2, step=step)
+    traj = simulate(model, sig, 0.2, step=step)
+    if xi_free:
+        H = storage_output_only(model, traj.y)
+    else:
+        H = storage_cw_batch(model, traj.y, traj.u, step=step).value
     t, u, y = (a.tolist() for a in (traj.t, traj.u, traj.y))
     quotients = {"forward": [], "backward": []}
     for k in range(len(t) - 1):
@@ -99,18 +110,23 @@ def _report_bits(rep):
     )
 
 
-@pytest.mark.parametrize("model", [dahl(), boucwen(), exp_example()], ids=lambda m: m.name)
-def test_dissipation_battery_pairs_are_the_per_signal_pairs(model):
-    # inputs of unequal length (a short ramp, random inputs with different
-    # breakpoint counts, a triangle), so a misplaced split of the one storage
-    # ride over all samples hands a signal another signal's storage
+def _battery_signals():
+    """Inputs of unequal length: a short ramp, random inputs with different
+    breakpoint counts, a triangle."""
     rng = np.random.default_rng(11)
-    signals = [
+    return [
         ramp(0.0, 0.4, 0.4),
         random_piecewise_linear(rng, span=1.5, n_breakpoints=(3, 3)),
         triangle(1.0, 2),
         random_piecewise_linear(rng, span=2.0, n_breakpoints=(8, 8)),
     ]
+
+
+@pytest.mark.parametrize("model", [dahl(), boucwen(), exp_example()], ids=lambda m: m.name)
+def test_dissipation_battery_pairs_are_the_per_signal_pairs(model):
+    # inputs of unequal length, so a misplaced split of the one storage
+    # evaluation over all samples hands a signal another signal's storage
+    signals = _battery_signals()
     sizes = {simulate(model, sig, 0.1, step=5e-3).n_samples for sig in signals}
     assert len(sizes) == len(signals)
     pairs = verify_dissipation_battery(model, signals, 0.1, ride_step=1e-2)
@@ -119,6 +135,49 @@ def test_dissipation_battery_pairs_are_the_per_signal_pairs(model):
         lone_fwd, lone_bwd = verify_dissipation_pair(model, sig, 0.1, ride_step=1e-2)
         assert _report_bits(fwd) == _report_bits(lone_fwd)
         assert _report_bits(bwd) == _report_bits(lone_bwd)
+
+
+# sha256 of the sorted-key JSON of every report of the battery below, as the
+# battery gave them when every model's storage was the `storage_cw_batch`
+# ride (recorded with Python 3.11.7 and numpy 2.4.6)
+RIDE_BATTERY_DIGESTS = {
+    ("dahl", None): "cec092bbdf619f7534bb7eb6fefd27987d49c87c4bb8e480aeff58555b105dc7",
+    ("dahl", 1e-2): "8d9bb0add03c4b7bf918a23ce4160a9d48aec2d239428f8fd2167f7d3f0cd6fc",
+    ("boucwen", None): "746101b79b7f4adeb027b9b8983d062957e113491b3b3b53bd4a5593f03cea9e",
+}
+
+
+@pytest.mark.parametrize("name, ride_step", list(RIDE_BATTERY_DIGESTS))
+def test_an_undeclared_model_keeps_the_ride_battery_bit_for_bit(name, ride_step, monkeypatch):
+    model = dataclasses.replace({"dahl": dahl, "boucwen": boucwen}[name](), xi_free=False)
+
+    def no_quadrature(*args):
+        raise AssertionError("storage_output_only called for an undeclared model")
+
+    monkeypatch.setattr(dissipativity_module, "storage_output_only", no_quadrature)
+    pairs = verify_dissipation_battery(model, _battery_signals(), 0.1, ride_step=ride_step)
+    text = json.dumps([[r.to_dict() for r in pair] for pair in pairs], sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == RIDE_BATTERY_DIGESTS[name, ride_step]
+
+
+def test_a_xi_free_battery_takes_the_output_quadrature_and_no_ride(monkeypatch):
+    model = dahl(r=3.0)
+    signals = _battery_signals()
+    trajs = [simulate(model, sig, 0.1, step=5e-3) for sig in signals]
+    H = storage_output_only(model, np.concatenate([t.y for t in trajs]))
+
+    def no_ride(*args, **kwargs):
+        raise AssertionError("storage_cw_batch called for a xi-free model")
+
+    monkeypatch.setattr(dissipativity_module, "storage_cw_batch", no_ride)
+    pairs = verify_dissipation_battery(model, signals, 0.1)
+    # ride_step applies to the ride alone
+    assert pairs == verify_dissipation_battery(model, signals, 0.1, ride_step=1e-2)
+    ends = np.cumsum([t.n_samples for t in trajs])
+    for (fwd, bwd), H_sig in zip(pairs, np.split(H, ends[:-1])):
+        for rep in (fwd, bwd):
+            assert rep.details["gauss_nodes"] == 20 and "ride_step" not in rep.details
+            assert rep.details["max_storage"] == float(H_sig.max())
 
 
 def test_dissipation_battery_of_no_signals_is_empty(dahl_r1):

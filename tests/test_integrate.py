@@ -11,6 +11,7 @@ from duhem.integrate import (
     BracketError,
     QuadratureError,
     adaptive_simpson,
+    gauss_legendre,
     bisect,
     bisect_on_interval_vec,
     expand_bracket,
@@ -198,3 +199,17 @@ def test_root_finder_stops_early_only_at_a_fixed_point():
         ok = np.isfinite(g(a)) & np.isfinite(g(b))
     assert ok.sum() >= 30
     assert (np.abs(got - roots) <= 2.0 * np.spacing(np.abs(roots)) + 1e-300)[ok].all()
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 20])
+def test_gauss_legendre_integrates_polynomials_to_degree_2n_minus_1(n):
+    x, w = gauss_legendre(n)
+    assert (np.diff(x) > 0.0).all() and (w > 0.0).all()
+    for k in range(2 * n):
+        exact = 0.0 if k % 2 else 2.0 / (k + 1)
+        assert abs(np.sum(w * x**k) - exact) <= 8e-16, k
+    # numpy's rule (whose weights are the less accurate of the two: 7e-14
+    # against 8e-15 relative at n = 20, by a 40-digit reference)
+    X, W = np.polynomial.legendre.leggauss(n)
+    assert np.abs(x - X).max() <= 2e-16
+    assert (np.abs(w - W) / W).max() <= 1e-13

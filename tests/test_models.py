@@ -131,6 +131,46 @@ def test_an_odd_declaration_needs_an_odd_anhysteresis_function():
     assert dataclasses.replace(exp, f_an=counted).odd and not calls
 
 
+def test_the_catalog_declares_xi_free_where_the_fields_ignore_the_input():
+    assert dahl().xi_free and dahl(r=3.0).xi_free and boucwen().xi_free
+    # Bouc-Wen with zeta = 0 has no declared f_an; exp_example's fields read xi
+    assert not boucwen(zeta=0.0).xi_free and not exp_example().xi_free
+
+
+def test_a_xi_free_declaration_whose_field_reads_xi_is_rejected():
+    d = dahl()
+    with pytest.raises(ValueError, match=r"xi-free model 'dahl': f1\(sigma, xi\) = .* but f1\(sigma, 0\)"):
+        dataclasses.replace(d, f1=lambda s, x: d.f1(s, x) + 1e-3 * x, odd=False)
+    with pytest.raises(ValueError, match=r"xi-free model 'dahl': f2\(sigma, xi\)"):
+        dataclasses.replace(d, f2=lambda s, x: d.f2(s, x) * (1.0 + 1e-15 * (x > 1.0)), odd=False)
+    with pytest.raises(ValueError, match=r"xi-free model 'exp_example': f1\(sigma, xi\)"):
+        dataclasses.replace(exp_example(), xi_free=True)
+    # f_an must be declared and 0 on the probe grid
+    with pytest.raises(ValueError, match="must declare f_an"):
+        dataclasses.replace(boucwen(), f_an=None)
+    with pytest.raises(ValueError, match=r"xi-free model 'dahl': f_an\(xi\) = .* but 0"):
+        dataclasses.replace(d, f_an=lambda x: 1e-9 * x, odd=False)
+    # the same models are accepted when they do not claim the property
+    dataclasses.replace(d, f1=lambda s, x: d.f1(s, x) + 1e-3 * x, odd=False, xi_free=False)
+    dataclasses.replace(boucwen(), f_an=None, xi_free=False)
+
+
+def test_a_xi_free_declaration_is_checked_under_the_wraps_layers():
+    # as for odd: a wrapper that counts field calls sees none from the check
+    d = dahl(r=3.0)
+    calls = []
+
+    def counted(f):
+        @functools.wraps(f)
+        def wrapper(*args):
+            calls.append(len(args))
+            return f(*args)
+        return wrapper
+
+    m = dataclasses.replace(d, f1=counted(d.f1), f2=counted(d.f2), f_an=counted(d.f_an))
+    assert m.xi_free and m.odd and not calls
+
+
 def test_F_is_half_branch_difference(dahl_r1):
     s = np.array([-0.3, 0.0, 0.45])
     expect = 0.5 * (dahl_r1.f1(s, 0.0) - dahl_r1.f2(s, 0.0))

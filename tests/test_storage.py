@@ -24,6 +24,7 @@ from duhem.storage import (
     storage_cw,
     storage_cw_batch,
     storage_dahl_closed_form,
+    storage_output_only,
 )
 
 from oracles import (
@@ -186,6 +187,74 @@ def test_batch_storage_boucwen_matches_closed_form(n):
     assert np.abs(batch.value - boucwen_storage_exact(sigma)).max() < bound
 
 
+def test_output_only_storage_is_the_dahl_closed_form(dahl_r1):
+    # Dahl r = 1: H = (fc^2/rho) log(fc/(fc + |y|)) + (fc/rho)|y|, up to
+    # rounding, over the whole band; exactly 0 at the curve
+    sigma = np.concatenate([np.linspace(-0.749, 0.749, 301), [-0.0, 1e-12, -1e-12]])
+    H = storage_output_only(dahl_r1, sigma)
+    assert np.abs(H - storage_exact(sigma)).max() <= 1e-15
+    assert H[150] == 0.0 and H[301] == 0.0
+
+
+@pytest.mark.parametrize("alpha", [1.0, 2.0])
+def test_output_only_storage_is_the_boucwen_closed_form(alpha):
+    # beta = zeta: the ridden branch is the line of slope alpha on both
+    # sides, H = sigma^2 / (2 alpha); the Gauss-Legendre rule is exact on it
+    # up to the rounding of its sum
+    m = boucwen(alpha=alpha)
+    sigma = np.concatenate([np.linspace(-1.5, 1.5, 41), [3e-6, -3e-6, 1e-7]])
+    H = storage_output_only(m, sigma)
+    bound = 4 * np.finfo(float).eps * boucwen_storage_exact(1.5, alpha)
+    assert np.abs(H - boucwen_storage_exact(sigma, alpha)).max() <= bound
+
+
+def test_output_only_storage_is_the_fine_ride_on_the_fig1_preset():
+    # Dahl r = 3 (`duhem verify --preset fig1`) has no closed form: the
+    # rule agrees with a ride at step 2.5e-4 to 7.7e-14 over the band (the
+    # ride's own error; the README ride at step 5e-3 is 8.7e-9 off it), at
+    # any input coordinate, since the storage ignores it
+    m = dahl(rho=1.5, fc=0.75, r=3.0)
+    sigma = np.concatenate([np.linspace(-0.745, 0.745, 299), [1e-9, -1e-9, 0.7499, -0.7499]])
+    xi = np.linspace(-2.0, 2.0, sigma.size)
+    ride = storage_cw_batch(m, sigma, xi, step=2.5e-4).value
+    assert np.abs(storage_output_only(m, sigma) - ride).max() <= 1e-12
+
+
+@pytest.mark.parametrize("model_name", ["dahl_r1", "dahl_r3", "bw"])
+def test_output_only_storage_of_a_lane_does_not_depend_on_its_batch(model_name, request, rng):
+    # more rows than one block, both branches and zeros: each lane alone
+    # gives the bits it gets in the batch
+    model = request.getfixturevalue(model_name)
+    half = 0.74 if model.domain.bounded else 1.5
+    sigma = half * (2.0 * rng.random(2 * storage_module._GAUSS_BLOCK_ROWS + 37) - 1.0)
+    sigma[::97] = 0.0
+    whole = storage_output_only(model, sigma)
+    alone = [storage_output_only(model, sigma[i : i + 1])[0] for i in range(0, sigma.size, 7)]
+    assert whole[::7].tobytes() == np.array(alone).tobytes()
+    assert whole[::-1].tobytes() == storage_output_only(model, sigma[::-1]).tobytes()
+
+
+def test_output_only_storage_names_the_first_failing_sample(dahl_r1, exp_model):
+    with pytest.raises(ValueError, match="does not declare xi_free"):
+        storage_output_only(exp_model, [0.1])
+    with pytest.raises(ValueError, match=r"2 sample\(s\) outside the model domain \(first at sigma=0\.8\)"):
+        storage_output_only(dahl_r1, [0.1, 0.8, math.nan])
+    # a branch slope that reaches 0 inside [0, sigma] (f2 = 1 - 2 s on
+    # s > 0), or is not finite, stops the storage: the ride would not reach
+    # the curve
+    flat = DuhemModel(
+        name="flat", f1=lambda s, x: 1.0 + 0.0 * s, f2=lambda s, x: 1.0 - 2.0 * s,
+        f_an=lambda x: 0.0 * x, xi_free=True,
+    )
+    # the integrals of s and of s / (1 - 2 s) = -1/2 + 1 / (2 (1 - 2 s))
+    exact = [4.5, -0.15 - 0.25 * math.log(0.4)]
+    assert storage_output_only(flat, [-3.0, 0.3]) == pytest.approx(exact, rel=1e-14)
+    with pytest.raises(CrossingSearchError, match=r"2 sample\(s\) with a branch slope .*\(first at sigma=0\.5\)"):
+        storage_output_only(flat, [-3.0, 0.5, 0.2, 0.9])
+    with pytest.raises(CrossingSearchError, match=r"1 sample\(s\) .*\(first at sigma=-2\)"):
+        storage_output_only(dataclasses.replace(flat, f1=lambda s, x: np.where(s < -1.5, np.inf, 1.0)), [-2.0, 0.1])
+
+
 def test_signal_family_validation():
     with pytest.raises(ValueError):
         SignalFamily(n_random=-1)
@@ -266,6 +335,15 @@ def test_many_point_search_equals_separate_calls(dahl_r1):
     assert available_storage_bruteforce_batch(dahl_r1, [], []) == []
     with pytest.raises(ValueError, match="one signal family per phase point"):
         available_storage_bruteforce_batch(dahl_r1, points, families[:2])
+
+
+def test_a_signal_that_extracts_nothing_reads_plus_zero(dahl_r1):
+    # at a point on the curve no input extracts energy: per_signal, value
+    # and designed_value are +0.0, where -minW made them -0.0
+    res = available_storage_bruteforce(dahl_r1, PhasePoint(0.0, 0.7), SignalFamily(n_random=2))
+    assert res.per_signal.tolist() == [0.0, 0.0, 0.0]
+    assert not np.signbit(res.per_signal).any()
+    assert not np.signbit([res.value, res.designed_value]).any()
 
 
 def test_designed_ramp_is_clipped_to_the_horizon(dahl_r1):
