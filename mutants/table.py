@@ -1,6 +1,6 @@
 """Hand-made mutants of the checks, the crossing refinement, the supply
-march, the interval slopes of a trajectory and the output-only storage in
-`src/`.
+march, the interval slopes of a trajectory, the output-only storage and the
+recipe of `duhem verify` in `src/`.
 
 Each entry names a file under `src/duhem`, an exact snippet of it, the text
 that replaces the snippet, and the tests expected to kill the mutant (pytest
@@ -320,5 +320,37 @@ MUTANTS = [
         "snippet": "        if self.xi_free:\n            self._check_xi_free()",
         "replacement": "        pass",
         "tests": ["tests/test_models.py::test_a_xi_free_declaration_whose_field_reads_xi_is_rejected"],
+    },
+    # -- the recipe of `duhem verify` as one library call
+    {
+        "name": "verify-model-drops-the-backward-battery",
+        "why": "verify_model returns six reports, without the backward dissipation battery",
+        "file": "dissipativity.py",
+        "snippet": '    reports.append(_aggregate("dissipation-backward-battery", [b for _, b in pairs]))\n',
+        "replacement": "",
+        "tests": [
+            "tests/test_dissipativity.py::test_verify_model_passes_a_model_outside_the_catalog_that_is_not_odd",
+            "tests/test_dissipativity.py::test_verify_model_fails_the_loop_orientation_of_the_reflected_dahl",
+            "tests/test_cli.py::test_verify_writes_the_reports_and_loops_of_verify_model",
+        ],
+    },
+    {
+        "name": "aggregate-takes-the-first-run",
+        "why": "a battery report is its first run instead of its worst",
+        "file": "dissipativity.py",
+        "snippet": "(k,), _ = worst_point([r.worst_violation - r.tolerance for r in reports])",
+        "replacement": "k = 0",
+        "tests": [
+            "tests/test_dissipativity.py::test_aggregate_of_a_failing_and_a_passing_run_is_the_failing_run",
+            "tests/test_dissipativity.py::test_aggregate_with_a_nan_run_fails_wherever_the_run_stands",
+        ],
+    },
+    {
+        "name": "boucwen-region-guard-dropped",
+        "why": "duhem verify takes a Bouc-Wen region from any alpha / (beta + zeta)",
+        "file": "cli.py",
+        "snippet": "if not 0.0 < ratio < math.inf:",
+        "replacement": "if False:",
+        "tests": ["tests/test_cli.py::test_a_boucwen_model_with_no_verification_region_is_a_config_error"],
     },
 ]

@@ -30,15 +30,14 @@ from .curves import (
 )
 from .dissipativity import (
     LoopClassification,
-    SupplySeries,
     check_assumption_A,
-    cw_supply_integral,
     cycle_stabilization,
     loop_areas,
     loop_orientation,
     loop_orientation_report,
     verify_dissipation_battery,
     verify_dissipation_pair,
+    verify_model,
 )
 from .integrate import BracketError, QuadratureError
 from .mechsim import (
@@ -92,7 +91,6 @@ __all__ = [
     "SignalFamily",
     "StorageBatch",
     "StorageEvaluation",
-    "SupplySeries",
     "Trajectory",
     "TraversingCurve",
     "VerificationReport",
@@ -105,7 +103,6 @@ __all__ = [
     "check_assumption_A",
     "check_existence_conditions",
     "check_lemma1",
-    "cw_supply_integral",
     "cycle_stabilization",
     "dahl",
     "exp_example",
@@ -131,4 +128,5 @@ __all__ = [
     "triangle",
     "verify_dissipation_battery",
     "verify_dissipation_pair",
+    "verify_model",
 ]

@@ -33,16 +33,9 @@ from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
-from .core import DomainExitError, DuhemModel, check_existence_conditions, simulate
-from .curves import CrossingSearchError, PhasePoint, check_lemma1, intersect_lambda, traversing_curve
-from .dissipativity import (
-    check_assumption_A,
-    cycle_stabilization,
-    loop_areas,
-    loop_orientation,
-    loop_orientation_report,
-    verify_dissipation_battery,
-)
+from .core import DomainExitError, DuhemModel, simulate
+from .curves import CrossingSearchError, PhasePoint, intersect_lambda, traversing_curve
+from .dissipativity import loop_areas, loop_orientation, verify_model
 from .integrate import BracketError, QuadratureError
 from .mechsim import (
     MAX_MECH_STEPS,
@@ -53,7 +46,7 @@ from .mechsim import (
     simulate_mech,
 )
 from .models import model_from_config
-from .report import VerificationReport, worst_point
+from .report import VerificationReport
 from .signals import InputSignal, ramp, random_piecewise_linear, sine_sampled, triangle
 from .storage import storage_cw
 
@@ -353,7 +346,15 @@ def _battery_geometry(model: DuhemModel):
         lam = p["r"] * (p["rho"] / p["fc"]) * 2.0 ** (p["r"] - 1.0) + 1.0
         return region, eps, lam
     if model.name == "boucwen":
-        s_star = (p["alpha"] / (p["beta"] + p["zeta"])) ** (1.0 / p["n"])
+        # the output saturates where alpha = (beta + zeta) |sigma|^n
+        denom = p["beta"] + p["zeta"]
+        ratio = p["alpha"] / denom if denom else math.nan
+        if not 0.0 < ratio < math.inf:
+            raise ConfigError(
+                f"no verification region: alpha / (beta + zeta) = {p['alpha']!r} / "
+                f"{denom!r} is not positive and finite"
+            )
+        s_star = ratio ** (1.0 / p["n"])
         s_hi = 0.75 * s_star
         region = ((-s_hi, s_hi), (-2.0, 2.0))
         lam = p["n"] * (p["beta"] + p["zeta"]) * max(1.0, s_hi) ** (p["n"] - 1.0) + 1.0
@@ -363,22 +364,6 @@ def _battery_geometry(model: DuhemModel):
         lam = 0.6 * math.exp(0.5 * (1.2 * 3.0 + 3.0)) + 1.0
         return region, 1e-3, lam
     raise ConfigError(f"no default verification geometry for model {model.name!r}")
-
-
-def _aggregate(name: str, reports: list[VerificationReport]) -> VerificationReport:
-    (k,), _ = worst_point([r.worst_violation - r.tolerance for r in reports])
-    worst = reports[k]
-    return VerificationReport.from_violation(
-        name=name,
-        worst_violation=worst.worst_violation,
-        worst_location=worst.worst_location,
-        tolerance=worst.tolerance,
-        samples_checked=sum(r.samples_checked for r in reports),
-        details={
-            "runs": len(reports),
-            "failed_runs": sum(0 if r.passed else 1 for r in reports),
-        },
-    )
 
 
 def _write_loops_csv(path: str, times: np.ndarray, areas: np.ndarray) -> None:
@@ -396,14 +381,13 @@ def _write_loops_csv(path: str, times: np.ndarray, areas: np.ndarray) -> None:
 def cmd_verify(args: argparse.Namespace) -> int:
     """Run the verification battery of one model and write its artifacts.
 
-    The grid certificates (existence conditions, assumption A, Lemma 1) run
-    on the model's default region; the dissipation reports on a seeded
-    battery of random inputs at `step` (default 5e-3); the loop reports on
-    the loop input (a 5-cycle triangle over the certified xi range unless
-    --input or a preset gives one), simulated at the same step, whose loop
-    areas integrate y du by the cubic Hermite rule on the march's own
-    slopes.  Writes verify_<model>.json and loops_<model>.csv and returns
-    EXIT_OK only if every report passes.
+    `dissipativity.verify_model` runs the reports: the grid certificates
+    on the model's default region (`_battery_geometry`), the dissipation
+    reports on a seeded battery of random inputs at `step` (default 5e-3)
+    and the loop reports on the loop input (a 5-cycle triangle over the
+    certified xi range unless --input or a preset gives one), simulated at
+    the same step.  Writes verify_<model>.json and loops_<model>.csv and
+    returns EXIT_OK only if every report passes.
     """
     if args.n_signals < 1:
         raise ConfigError(f"--n-signals must be at least 1, got {args.n_signals}")
@@ -423,38 +407,19 @@ def cmd_verify(args: argparse.Namespace) -> int:
         )
     model = _resolve_model(cfg)
     region, epsilon, lam_bound = _battery_geometry(model)
-    (s_lo, s_hi), (x_lo, x_hi) = region
-    step = cfg.step if cfg.step is not None else 5e-3
-
-    reports: list[VerificationReport] = []
-    reports.append(
-        check_existence_conditions(
-            model,
-            (np.linspace(s_lo, s_hi, 60), np.linspace(x_lo, x_hi, 9)),
-            lam_bound,
-        )
-    )
-    reports.append(check_assumption_A(model, region))
-    reports.append(check_lemma1(model, region, epsilon))
-
     rng = np.random.default_rng(cfg.seed)
     battery = [
         random_piecewise_linear(rng, u_start=0.0, span=2.0, n_breakpoints=(3, 8))
         for _ in range(args.n_signals)
     ]
-    pairs = verify_dissipation_battery(model, battery, cfg.y0, tol=cfg.tol, step=step)
-    reports.append(_aggregate("dissipation-forward-battery", [f for f, _ in pairs]))
-    reports.append(_aggregate("dissipation-backward-battery", [b for _, b in pairs]))
-
     # loop amplitude matches the xi range the battery certifies
     loop_spec = cfg.input if cfg.input is not None else {
-        "kind": "triangle", "amplitude": x_hi, "cycles": 5,
+        "kind": "triangle", "amplitude": region[1][1], "cycles": 5,
     }
-    loop_sig = build_input(loop_spec, cfg.seed)
-    traj = simulate(model, loop_sig, cfg.y0, step=step)
-    reports.append(loop_orientation_report(loop_orientation(traj)))
-    times, areas = loop_areas(traj)
-    reports.append(cycle_stabilization(times, areas))
+    reports, times, areas = verify_model(
+        model, region, epsilon, lam_bound, battery, build_input(loop_spec, cfg.seed),
+        y0=cfg.y0, step=cfg.step if cfg.step is not None else 5e-3, tol=cfg.tol,
+    )
 
     os.makedirs(cfg.out_dir, exist_ok=True)
     loops_path = os.path.join(cfg.out_dir, f"loops_{model.name}.csv")

@@ -12,7 +12,9 @@ storage ride otherwise) and tests the sampled dissipation inequality
 
 one-sidedly: the forward report compares forward differences of H with the
 right input rate, the backward report uses left rates;
-`verify_dissipation_pair` is its one-input call.  `loop_orientation`
+`verify_dissipation_pair` is its one-input call.  `verify_model` runs the
+whole recipe of `duhem verify` on one model: the three grid certificates,
+the battery and the loop reports.  `loop_orientation`
 classifies the final closed input cycle by the sign of its signed loop area
 (positive area means clockwise traversal), `loop_areas` decomposes a
 trajectory into the successive closed loops at its starting level, and
@@ -29,20 +31,19 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import DuhemModel, Trajectory, simulate
-from .curves import _CERTIFICATE_GRID, _certificate_grid
+from .core import DuhemModel, Trajectory, check_existence_conditions, simulate
+from .curves import _CERTIFICATE_GRID, _certificate_grid, check_lemma1
 from .integrate import hermite_integral, hermite_partial_integral
 from .report import VerificationReport, worst_point
-from .signals import InputSignal, _readonly
+from .signals import InputSignal
 from .storage import _GAUSS_NODES, storage_cw_batch, storage_output_only
 
 __all__ = [
-    "SupplySeries",
     "LoopClassification",
     "check_assumption_A",
     "verify_dissipation_pair",
     "verify_dissipation_battery",
-    "cw_supply_integral",
+    "verify_model",
     "loop_orientation",
     "loop_orientation_report",
     "loop_areas",
@@ -93,7 +94,6 @@ def verify_dissipation_battery(
     *,
     tol: float | None = None,
     step: float = 5e-3,
-    ride_step: float | None = None,
 ) -> list[tuple[VerificationReport, VerificationReport]]:
     """Forward and backward dissipation reports of each input of a battery.
 
@@ -102,8 +102,8 @@ def verify_dissipation_battery(
     A xi-free model (`DuhemModel.xi_free`) has a storage of the output
     alone, evaluated by Gauss-Legendre quadrature in the output
     (`storage_output_only`); any other model rides all samples to their
-    crossings in one `storage_cw_batch` ride at `ride_step` (default:
-    `step`), which applies to such models only.  Each report checks the
+    crossings in one `storage_cw_batch` ride at `step`, which the reports
+    name as `ride_step`.  Each report checks the
     sampled inequality dH/dt <= y du/dt between consecutive samples, with
     dH/dt a forward difference: the forward report against the right input
     rate and the sample's own output, the backward report against the left
@@ -123,10 +123,9 @@ def verify_dissipation_battery(
         H_flat = storage_output_only(model, y_all)
         route = {"gauss_nodes": _GAUSS_NODES}
     else:
-        ride_step = ride_step or step
         u_all = np.concatenate([traj.u for traj in trajs])
-        H_flat = storage_cw_batch(model, y_all, u_all, step=ride_step).value
-        route = {"ride_step": float(ride_step)}
+        H_flat = storage_cw_batch(model, y_all, u_all, step=step).value
+        route = {"ride_step": float(step)}
     ends = np.cumsum([traj.n_samples for traj in trajs])
     H_all = np.split(H_flat, ends[:-1])
     out = []
@@ -170,35 +169,71 @@ def verify_dissipation_pair(
     *,
     tol: float | None = None,
     step: float = 5e-3,
-    ride_step: float | None = None,
 ) -> tuple[VerificationReport, VerificationReport]:
     """Forward and backward dissipation reports sharing one storage pass:
     a battery of one signal (`verify_dissipation_battery`)."""
-    return verify_dissipation_battery(
-        model, [signal], y0, tol=tol, step=step, ride_step=ride_step
-    )[0]
+    return verify_dissipation_battery(model, [signal], y0, tol=tol, step=step)[0]
 
 
-@dataclass(frozen=True, eq=False)
-class SupplySeries:
-    """Cumulative supply integral W(t) = int y du along a trajectory."""
+def _aggregate(name: str, reports: list[VerificationReport]) -> VerificationReport:
+    """One report of many runs of a check: the worst run by its excess over
+    its own tolerance (the first of a tie, a NaN first of all), with the
+    samples of all runs."""
+    (k,), _ = worst_point([r.worst_violation - r.tolerance for r in reports])
+    worst = reports[k]
+    return VerificationReport.from_violation(
+        name=name,
+        worst_violation=worst.worst_violation,
+        worst_location=worst.worst_location,
+        tolerance=worst.tolerance,
+        samples_checked=sum(r.samples_checked for r in reports),
+        details={
+            "runs": len(reports),
+            "failed_runs": sum(0 if r.passed else 1 for r in reports),
+        },
+    )
 
-    t: np.ndarray
-    values: np.ndarray
-    running_min: np.ndarray
 
-    def __post_init__(self):
-        for name in ("t", "values", "running_min"):
-            object.__setattr__(self, name, _readonly(getattr(self, name)))
-        if not (self.t.size == self.values.size == self.running_min.size):
-            raise ValueError("inconsistent series lengths")
+def verify_model(
+    model: DuhemModel,
+    region: tuple[tuple[float, float], tuple[float, float]],
+    epsilon: float,
+    lam_bound: float,
+    battery: Sequence[InputSignal],
+    loop_input: InputSignal,
+    *,
+    y0: float,
+    step: float,
+    tol: float | None,
+) -> tuple[list[VerificationReport], np.ndarray, np.ndarray]:
+    """The seven reports of `duhem verify` on one model, and its loop series.
 
-
-def cw_supply_integral(traj: Trajectory) -> SupplySeries:
-    """Trapezoid cumulative supply along a simulated trajectory."""
-    inc = 0.5 * (traj.y[:-1] + traj.y[1:]) * np.diff(traj.u)
-    w = np.concatenate([[0.0], np.cumsum(inc)])
-    return SupplySeries(t=traj.t, values=w, running_min=np.minimum.accumulate(w))
+    On region = ((sigma_lo, sigma_hi), (xi_lo, xi_hi)): the existence
+    conditions with bound lam_bound on a 60 x 9 grid, the damping sign
+    structure (`check_assumption_A`) and the Lemma 1 margin epsilon
+    (`check_lemma1`).  Then the forward and backward dissipation reports of
+    the battery (a nonempty sequence of inputs) from y0 at `step`, each the
+    worst of its runs, with `tol` as in `verify_dissipation_battery` (None:
+    its default); and the loop orientation and cycle stabilization of
+    loop_input, simulated from y0 at `step`.  Returns (reports, times,
+    areas), where times and areas are the closed loops of `loop_areas`.
+    """
+    (s_lo, s_hi), (x_lo, x_hi) = region
+    reports = [
+        check_existence_conditions(
+            model, (np.linspace(s_lo, s_hi, 60), np.linspace(x_lo, x_hi, 9)), lam_bound
+        ),
+        check_assumption_A(model, region),
+        check_lemma1(model, region, epsilon),
+    ]
+    pairs = verify_dissipation_battery(model, battery, y0, tol=tol, step=step)
+    reports.append(_aggregate("dissipation-forward-battery", [f for f, _ in pairs]))
+    reports.append(_aggregate("dissipation-backward-battery", [b for _, b in pairs]))
+    traj = simulate(model, loop_input, y0, step=step)
+    reports.append(loop_orientation_report(loop_orientation(traj)))
+    times, areas = loop_areas(traj)
+    reports.append(cycle_stabilization(times, areas))
+    return reports, times, areas
 
 
 @dataclass(frozen=True)

@@ -32,10 +32,12 @@ bisect_halvings, the 60 halvings it replaced, as the reference of its
 tolerance), the per-xi and per-branch worst-point scans of the existence
 and transversality certificates (existence_per_xi_scan,
 lemma1_per_branch_scan) and the whole-trajectory loop orientation
-(loop_orientation_whole).
+(loop_orientation_whole).  The trapezoid supply along a trajectory
+(cw_supply_integral) is the reference of the brute-force supply march.
 """
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -274,6 +276,24 @@ def loop_orientation_whole(traj):
         return opening + float(np.sum(whole[j + 1 :])), float(t_star)
     assert u[0] == ue
     return float(np.sum(whole)), float(t[0])
+
+
+@dataclass(frozen=True, eq=False)
+class SupplySeries:
+    """Cumulative supply integral W(t) = int y du along a trajectory, and
+    its running minimum."""
+
+    t: np.ndarray
+    values: np.ndarray
+    running_min: np.ndarray
+
+
+def cw_supply_integral(traj):
+    """Trapezoid cumulative supply along a simulated trajectory: W starts
+    at 0 and adds 0.5 (y_k + y_k+1) (u_k+1 - u_k) in order."""
+    inc = 0.5 * (traj.y[:-1] + traj.y[1:]) * np.diff(traj.u)
+    w = np.concatenate([[0.0], np.cumsum(inc)])
+    return SupplySeries(t=traj.t, values=w, running_min=np.minimum.accumulate(w))
 
 
 def simulate_mech_closure(params, init, horizon, step):

@@ -88,9 +88,7 @@ def test_criterion_2_dissipation_battery():
     signals = [_battery_signal(k)[1] for k in range(BATTERY_N)]
     for model in (dahl(), boucwen(), exp_example()):
         worst = -math.inf
-        pairs = verify_dissipation_battery(
-            model, signals, 0.0, step=BATTERY_STEP, ride_step=1e-2
-        )
+        pairs = verify_dissipation_battery(model, signals, 0.0, step=BATTERY_STEP)
         for fwd, bwd in pairs:
             worst = max(worst, fwd.worst_violation, bwd.worst_violation)
             violations += (not fwd.passed) + (not bwd.passed)

@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 import duhem
@@ -11,13 +12,16 @@ from duhem.cli import (
     PRESETS,
     ConfigError,
     RunConfig,
-    _aggregate,
+    _battery_geometry,
     _print_report,
     build_input,
     main,
 )
+from duhem.dissipativity import verify_model
 from duhem.mechsim import MAX_MECH_STEPS
+from duhem.models import boucwen
 from duhem.report import VerificationReport
+from duhem.signals import random_piecewise_linear, triangle
 
 TRIANGLE = '{"kind": "triangle", "amplitude": 1.0, "cycles": 2}'
 
@@ -397,7 +401,7 @@ def test_a_verify_tol_that_is_not_positive_and_finite_is_a_config_error(
 ):
     # --tol inf passed both dissipation reports and exited 0, and a config
     # 'tol' that is not a number exited 1
-    monkeypatch.setattr(duhem.cli, "verify_dissipation_battery", _no_ride)
+    monkeypatch.setattr(duhem.cli, "verify_model", _no_ride)
     argv = ["verify", "--model", "dahl", "--n-signals", "1", "--out-dir", str(tmp_path / "out")]
     if source == "flag":
         argv.append(f"--tol={value}")
@@ -426,7 +430,7 @@ def test_a_config_number_given_as_a_json_boolean_is_a_config_error(
 ):
     # isinstance(True, int) holds, so {"tol": true} once ran duhem verify
     # with tol = 1 and exited 0
-    monkeypatch.setattr(duhem.cli, "verify_dissipation_battery", _no_ride)
+    monkeypatch.setattr(duhem.cli, "verify_model", _no_ride)
     cfg = tmp_path / "run.json"
     cfg.write_text(json.dumps({"model": "dahl", key: value}))
     out = tmp_path / "out"
@@ -435,6 +439,59 @@ def test_a_config_number_given_as_a_json_boolean_is_a_config_error(
     want = f"config error: {flag} must be {what} (config '{key}'), got {value!r}"
     assert capsys.readouterr().err.startswith(want)
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "params, ratio",
+    [
+        ({"beta": -2.0}, "1.0 / -1.0"),
+        ({"alpha": -1.0}, "-1.0 / 2.0"),
+        ({"beta": 0.0, "zeta": 0.0}, "1.0 / 0.0"),
+        ({"alpha": 0.0}, "0.0 / 2.0"),
+    ],
+)
+def test_a_boucwen_model_with_no_verification_region_is_a_config_error(
+    tmp_path, capsys, monkeypatch, params, ratio
+):
+    # the region is 0.75 (alpha / (beta + zeta))^(1/n) wide: beta = -2 and
+    # alpha = -1 raised a TypeError from a complex power, beta = zeta = 0 a
+    # ZeroDivisionError, and alpha = 0 exited 1 with "degenerate region"
+    monkeypatch.setattr(duhem.cli, "verify_model", _no_ride)
+    out = tmp_path / "out"
+    code = run_cli(
+        "verify", "--model", "boucwen", "--params", json.dumps(params),
+        "--n-signals", "1", "--out-dir", str(out),
+    )
+    assert code == 2
+    want = f"config error: no verification region: alpha / (beta + zeta) = {ratio} is not"
+    assert capsys.readouterr().err.startswith(want)
+    assert not out.exists()
+
+
+def test_verify_writes_the_reports_and_loops_of_verify_model(tmp_path, capsys):
+    # the command draws its battery from --seed and its loop input from the
+    # certified xi range, and writes what the library call returns
+    code = run_cli(
+        "verify", "--preset", "fig2", "--n-signals", "2", "--seed", "5",
+        "--y0", "0.25", "--out-dir", str(tmp_path),
+    )
+    assert code == 0
+    model = boucwen(**PRESETS["fig2"]["params"])
+    region, epsilon, lam_bound = _battery_geometry(model)
+    rng = np.random.default_rng(5)
+    battery = [
+        random_piecewise_linear(rng, u_start=0.0, span=2.0, n_breakpoints=(3, 8))
+        for _ in range(2)
+    ]
+    reports, times, areas = verify_model(
+        model, region, epsilon, lam_bound, battery, triangle(region[1][1], 5),
+        y0=0.25, step=5e-3, tol=None,
+    )
+    payload = json.loads((tmp_path / "verify_boucwen.json").read_text())
+    assert payload["reports"] == json.loads(json.dumps([r.to_dict() for r in reports]))
+    rows = np.loadtxt(tmp_path / "loops_boucwen.csv", delimiter=",", skiprows=1, ndmin=2)
+    assert np.array_equal(rows[:, 1], times) and np.array_equal(rows[:, 2], areas)
+    assert len(capsys.readouterr().out.splitlines()) == len(reports) == 7
 
 
 def test_report_line_ends_in_its_ratio_to_a_positive_tolerance(capsys):
@@ -472,33 +529,6 @@ def _report(worst, tol=1.0):
         name="r", worst_violation=worst, worst_location=(worst,), tolerance=tol,
         samples_checked=3, details={},
     )
-
-
-def test_aggregate_of_a_failing_and_a_passing_run_is_the_failing_run():
-    failing, passing = _report(2.0), _report(0.5)
-    for runs in ([failing, passing], [passing, failing]):
-        agg = _aggregate("battery", runs)
-        assert not agg.passed
-        assert (agg.worst_violation, agg.worst_location) == (2.0, (2.0,))
-        assert agg.samples_checked == 6
-        assert agg.details == {"runs": 2, "failed_runs": 1}
-
-
-def test_aggregate_with_a_nan_run_fails_wherever_the_run_stands():
-    # Python's max once skipped a NaN key that was not first: PASS with
-    # failed_runs 1
-    passing, nan_run = _report(0.5), _report(math.nan)
-    for runs in ([passing, nan_run], [nan_run, passing], [passing, passing, nan_run]):
-        agg = _aggregate("battery", runs)
-        assert not agg.passed
-        assert math.isnan(agg.worst_violation)
-        assert agg.details["failed_runs"] == 1
-
-
-def test_aggregate_tie_goes_to_the_first_run():
-    first, second = _report(0.5, tol=1.0), _report(1.5, tol=2.0)
-    agg = _aggregate("battery", [first, second])
-    assert (agg.worst_violation, agg.tolerance) == (0.5, 1.0)
 
 
 def test_mech_feedback_requires_zero_stiffness(capsys):

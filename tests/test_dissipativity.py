@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import json
+import math
 
 import numpy as np
 import pytest
@@ -11,20 +12,29 @@ from duhem import boucwen, dahl, exp_example, simulate, triangle
 from duhem.core import Domain, DuhemModel, Trajectory
 from duhem.dissipativity import (
     LoopClassification,
+    _aggregate,
     check_assumption_A,
-    cw_supply_integral,
     cycle_stabilization,
     loop_areas,
     loop_orientation,
     loop_orientation_report,
     verify_dissipation_battery,
     verify_dissipation_pair,
+    verify_model,
 )
 from duhem.signals import InputSignal, ramp, random_piecewise_linear
 from duhem import dissipativity as dissipativity_module
+from duhem.report import VerificationReport
 from duhem.storage import storage_cw_batch, storage_output_only
 
-from oracles import loop_areas_per_sample, loop_orientation_whole, storage_exact, supply_exact
+from oracles import (
+    cw_supply_integral,
+    loop_areas_per_sample,
+    loop_orientation_whole,
+    storage_exact,
+    supply_exact,
+)
+from test_certificates import STEEP_BELOW
 
 DAHL_BAND = ((-0.7, 0.7), (-2.0, 2.0))
 
@@ -129,35 +139,34 @@ def test_dissipation_battery_pairs_are_the_per_signal_pairs(model):
     signals = _battery_signals()
     sizes = {simulate(model, sig, 0.1, step=5e-3).n_samples for sig in signals}
     assert len(sizes) == len(signals)
-    pairs = verify_dissipation_battery(model, signals, 0.1, ride_step=1e-2)
+    pairs = verify_dissipation_battery(model, signals, 0.1)
     assert len(pairs) == len(signals)
     for sig, (fwd, bwd) in zip(signals, pairs):
-        lone_fwd, lone_bwd = verify_dissipation_pair(model, sig, 0.1, ride_step=1e-2)
+        lone_fwd, lone_bwd = verify_dissipation_pair(model, sig, 0.1)
         assert _report_bits(fwd) == _report_bits(lone_fwd)
         assert _report_bits(bwd) == _report_bits(lone_bwd)
 
 
 # sha256 of the sorted-key JSON of every report of the battery below, as the
 # battery gave them when every model's storage was the `storage_cw_batch`
-# ride (recorded with Python 3.11.7 and numpy 2.4.6)
+# ride at the battery step (recorded with Python 3.11.7 and numpy 2.4.6)
 RIDE_BATTERY_DIGESTS = {
-    ("dahl", None): "cec092bbdf619f7534bb7eb6fefd27987d49c87c4bb8e480aeff58555b105dc7",
-    ("dahl", 1e-2): "8d9bb0add03c4b7bf918a23ce4160a9d48aec2d239428f8fd2167f7d3f0cd6fc",
-    ("boucwen", None): "746101b79b7f4adeb027b9b8983d062957e113491b3b3b53bd4a5593f03cea9e",
+    "dahl": "cec092bbdf619f7534bb7eb6fefd27987d49c87c4bb8e480aeff58555b105dc7",
+    "boucwen": "746101b79b7f4adeb027b9b8983d062957e113491b3b3b53bd4a5593f03cea9e",
 }
 
 
-@pytest.mark.parametrize("name, ride_step", list(RIDE_BATTERY_DIGESTS))
-def test_an_undeclared_model_keeps_the_ride_battery_bit_for_bit(name, ride_step, monkeypatch):
+@pytest.mark.parametrize("name", list(RIDE_BATTERY_DIGESTS))
+def test_an_undeclared_model_keeps_the_ride_battery_bit_for_bit(name, monkeypatch):
     model = dataclasses.replace({"dahl": dahl, "boucwen": boucwen}[name](), xi_free=False)
 
     def no_quadrature(*args):
         raise AssertionError("storage_output_only called for an undeclared model")
 
     monkeypatch.setattr(dissipativity_module, "storage_output_only", no_quadrature)
-    pairs = verify_dissipation_battery(model, _battery_signals(), 0.1, ride_step=ride_step)
+    pairs = verify_dissipation_battery(model, _battery_signals(), 0.1)
     text = json.dumps([[r.to_dict() for r in pair] for pair in pairs], sort_keys=True)
-    assert hashlib.sha256(text.encode()).hexdigest() == RIDE_BATTERY_DIGESTS[name, ride_step]
+    assert hashlib.sha256(text.encode()).hexdigest() == RIDE_BATTERY_DIGESTS[name]
 
 
 def test_a_xi_free_battery_takes_the_output_quadrature_and_no_ride(monkeypatch):
@@ -171,8 +180,6 @@ def test_a_xi_free_battery_takes_the_output_quadrature_and_no_ride(monkeypatch):
 
     monkeypatch.setattr(dissipativity_module, "storage_cw_batch", no_ride)
     pairs = verify_dissipation_battery(model, signals, 0.1)
-    # ride_step applies to the ride alone
-    assert pairs == verify_dissipation_battery(model, signals, 0.1, ride_step=1e-2)
     ends = np.cumsum([t.n_samples for t in trajs])
     for (fwd, bwd), H_sig in zip(pairs, np.split(H, ends[:-1])):
         for rep in (fwd, bwd):
@@ -326,6 +333,97 @@ def test_reflected_dahl_is_counterclockwise_and_fails_the_loop_report():
     assert dahl_cls.area == pytest.approx(-cls.area, rel=1e-12)
     # its F equals Dahl's, so the sign-structure certificate cannot tell
     assert check_assumption_A(model, DAHL_BAND).passed
+
+
+VERIFY_REPORTS = [
+    "existence-conditions",
+    "damping-sign-structure",
+    "transversality-margin",
+    "dissipation-forward-battery",
+    "dissipation-backward-battery",
+    "loop-orientation",
+    "cycle-stabilization",
+]
+
+
+def test_verify_model_passes_a_model_outside_the_catalog_that_is_not_odd():
+    # f1 = 1 - s, f2 = 1 + 3 s on the whole plane: clockwise, with its Lemma
+    # 1 margin 0.1 at s = -0.3; neither odd nor declared xi-free, so its
+    # battery storage is the batch ride
+    assert not (STEEP_BELOW.odd or STEEP_BELOW.xi_free)
+    rng = np.random.default_rng(3)
+    battery = [random_piecewise_linear(rng, span=2.0, n_breakpoints=(3, 8)) for _ in range(4)]
+    reports, times, areas = verify_model(
+        STEEP_BELOW, ((-0.3, 0.3), (-1.0, 1.0)), 0.05, 4.0, battery, triangle(1.0, 5),
+        y0=0.0, step=5e-3, tol=None,
+    )
+    assert [r.name for r in reports] == VERIFY_REPORTS
+    assert all(r.passed for r in reports), [r.to_dict() for r in reports if not r.passed]
+    # the battery reports are the worst of the per-signal pairs
+    pairs = verify_dissipation_battery(STEEP_BELOW, battery, 0.0, step=5e-3)
+    for rep, runs in zip(reports[3:5], zip(*pairs)):
+        assert rep == _aggregate(rep.name, list(runs))
+    assert reports[3].samples_checked == sum(f.samples_checked for f, _ in pairs)
+    assert reports[4].details == {"runs": 4, "failed_runs": 0}
+    # the loop series is the loop input's, and its areas have settled
+    traj = simulate(STEEP_BELOW, triangle(1.0, 5), 0.0, step=5e-3)
+    ref_times, ref_areas = loop_areas(traj)
+    assert np.array_equal(times, ref_times) and np.array_equal(areas, ref_areas)
+    assert areas.size == 5 and reports[5].details["label"] == "clockwise"
+
+
+def test_verify_model_fails_the_loop_orientation_of_the_reflected_dahl():
+    # the battery holds its input at 0, where the output stays on the
+    # curve: from a point off it, the storage ride of this counterclockwise
+    # model moves away from the curve until its step budget runs out
+    held = InputSignal(np.array([0.0, 1.0]), np.array([0.0, 0.0]))
+    reports, times, areas = verify_model(
+        _reflected_dahl(), DAHL_BAND, 0.01, 5.0, [held], triangle(2.0, 5),
+        y0=0.0, step=5e-3, tol=None,
+    )
+    passed = {r.name: r.passed for r in reports}
+    assert list(passed) == VERIFY_REPORTS
+    assert not passed["loop-orientation"]
+    assert reports[5].details["label"] == "counterclockwise"
+    assert reports[5].worst_violation > 4.5
+    # rising input lowers its output: f1 has no margin above the curve,
+    # while the sign structure, its F being Dahl's, cannot tell
+    assert not passed["transversality-margin"] and passed["damping-sign-structure"]
+    assert areas.size == 5 and np.all(areas < -4.0)
+
+
+def _report(worst, tol=1.0):
+    return VerificationReport.from_violation(
+        name="r", worst_violation=worst, worst_location=(worst,), tolerance=tol,
+        samples_checked=3, details={},
+    )
+
+
+def test_aggregate_of_a_failing_and_a_passing_run_is_the_failing_run():
+    failing, passing = _report(2.0), _report(0.5)
+    for runs in ([failing, passing], [passing, failing]):
+        agg = _aggregate("battery", runs)
+        assert not agg.passed
+        assert (agg.worst_violation, agg.worst_location) == (2.0, (2.0,))
+        assert agg.samples_checked == 6
+        assert agg.details == {"runs": 2, "failed_runs": 1}
+
+
+def test_aggregate_with_a_nan_run_fails_wherever_the_run_stands():
+    # Python's max once skipped a NaN key that was not first: PASS with
+    # failed_runs 1
+    passing, nan_run = _report(0.5), _report(math.nan)
+    for runs in ([passing, nan_run], [nan_run, passing], [passing, passing, nan_run]):
+        agg = _aggregate("battery", runs)
+        assert not agg.passed
+        assert math.isnan(agg.worst_violation)
+        assert agg.details["failed_runs"] == 1
+
+
+def test_aggregate_tie_goes_to_the_first_run():
+    first, second = _report(0.5, tol=1.0), _report(1.5, tol=2.0)
+    agg = _aggregate("battery", [first, second])
+    assert (agg.worst_violation, agg.tolerance) == (0.5, 1.0)
 
 
 def test_loop_orientation_counterclockwise_parametric():

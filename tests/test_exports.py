@@ -104,3 +104,45 @@ def test_rk4_weight_check_sees_a_planted_copy():
     assert _rk4_weight_sites(source + planted) == ["_march"]
     assert _rk4_weight_sites("w = a + 2 * b + c * 2.0 + d\n") == ["<module>"]
     assert _rk4_weight_sites("w = a + 2.0 * b + c + d\n") == []
+
+
+# the report builders of `duhem verify`, which `dissipativity.verify_model` calls
+REPORT_BUILDERS = {
+    "check_existence_conditions",
+    "check_assumption_A",
+    "check_lemma1",
+    "verify_dissipation_battery",
+    "loop_orientation_report",
+    "cycle_stabilization",
+}
+
+
+def _report_builders_named(source: str) -> set[str]:
+    """The report builders a module imports or names (as a name or as an
+    attribute, such as dissipativity.check_lemma1)."""
+    named = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom):
+            named.update(a.name for a in node.names)
+        elif isinstance(node, ast.Name):
+            named.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            named.add(node.attr)
+    return named & REPORT_BUILDERS
+
+
+def test_the_cli_builds_no_report_of_verify_itself():
+    # cmd_verify hands its geometry, battery and loop input to verify_model
+    cli = SOURCES[0].parent / "cli.py"
+    assert _report_builders_named(cli.read_text(encoding="utf-8")) == set()
+
+
+def test_report_builder_check_sees_a_planted_use():
+    assert _report_builders_named("from .curves import check_lemma1 as lemma\n") == {"check_lemma1"}
+    assert _report_builders_named("r = dissipativity.cycle_stabilization(t, a)\n") == {
+        "cycle_stabilization"
+    }
+    assert _report_builders_named("reports.append(check_assumption_A(m, region))\n") == {
+        "check_assumption_A"
+    }
+    assert _report_builders_named("from .dissipativity import verify_model\n") == set()

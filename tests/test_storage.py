@@ -11,7 +11,6 @@ from duhem import boucwen, dahl, exp_example, simulate
 from duhem import storage as storage_module
 from duhem.core import Domain, DomainExitError, DuhemModel
 from duhem.curves import CrossingSearchError, PhasePoint
-from duhem.dissipativity import cw_supply_integral
 from duhem.signals import InputSignal, random_piecewise_linear
 from duhem.storage import (
     AvailableStorageResult,
@@ -32,6 +31,7 @@ from oracles import (
     branch_integral_exact,
     boucwen_lambda_exact,
     boucwen_storage_exact,
+    cw_supply_integral,
     lambda_exact,
     ride_two_marches,
     storage_exact,
