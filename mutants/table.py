@@ -1,6 +1,7 @@
 """Hand-made mutants of the checks, the crossing refinement, the supply
-march, the interval slopes of a trajectory, the output-only storage and the
-recipe of `duhem verify` in `src/`.
+march, the interval slopes of a trajectory, the output-only storage, the
+f_an term of the batch storage, the friction parameters and the recipe of
+`duhem verify` in `src/`.
 
 Each entry names a file under `src/duhem`, an exact snippet of it, the text
 that replaces the snippet, and the tests expected to kill the mutant (pytest
@@ -320,6 +321,42 @@ MUTANTS = [
         "snippet": "        if self.xi_free:\n            self._check_xi_free()",
         "replacement": "        pass",
         "tests": ["tests/test_models.py::test_a_xi_free_declaration_whose_field_reads_xi_is_rejected"],
+    },
+    # -- the f_an term of the batch storage
+    {
+        "name": "anhysteresis-rule-without-its-length",
+        "why": "the Gauss-Legendre sums of f_an are not scaled by the length lam of [0, lam]",
+        "file": "storage.py",
+        "snippet": "    return lam * sums\n",
+        "replacement": "    return sums\n",
+        "tests": [
+            "tests/test_storage.py::test_anhysteresis_integrals_are_the_closed_forms_of_smooth_curves",
+            "tests/test_storage.py::test_batch_route_agrees_with_quadrature_route_on_a_nonlinear_curve",
+            "tests/test_storage.py::test_batch_route_agrees_with_quadrature_route",
+        ],
+    },
+    # -- the friction parameters and the tolerance of a check
+    {
+        "name": "mech-params-accept-nan",
+        "why": "MechParams rejects an infinite parameter but not a NaN",
+        "file": "mechsim.py",
+        "snippet": 'if not math.isfinite(getattr(self, name)):\n                raise ValueError(f"{name} must be finite, got',
+        "replacement": 'if math.isinf(getattr(self, name)):\n                raise ValueError(f"{name} must be finite, got',
+        "tests": [
+            "tests/test_mechsim.py::test_params_reject_a_value_that_is_not_finite",
+            "tests/test_cli.py::test_mech_rejects_a_parameter_that_is_not_finite_as_config_error",
+        ],
+    },
+    {
+        "name": "check-tol-may-be-infinite",
+        "why": "lyapunov_check, passivity_port_check and the dissipation battery accept tol = inf",
+        "file": "report.py",
+        "snippet": "if not 0.0 < tol < math.inf:",
+        "replacement": "if not 0.0 < tol:",
+        "tests": [
+            "tests/test_mechsim.py::test_mech_checks_reject_a_tol_that_is_not_positive_and_finite",
+            "tests/test_dissipativity.py::test_dissipation_battery_rejects_a_tol_that_is_not_positive_and_finite",
+        ],
     },
     # -- the recipe of `duhem verify` as one library call
     {

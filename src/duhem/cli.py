@@ -590,10 +590,9 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (DomainExitError, CrossingSearchError, BracketError, QuadratureError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VERIFICATION
-    except ValueError as exc:
+    except (
+        DomainExitError, CrossingSearchError, BracketError, QuadratureError, ValueError
+    ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VERIFICATION
 

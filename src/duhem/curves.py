@@ -192,7 +192,6 @@ class TraversingCurve:
     dydtau: np.ndarray
     left_truncated: bool = False
     right_truncated: bool = False
-    model_name: str = ""
     origin_left_slope: float | None = None
 
     def __post_init__(self):
@@ -297,7 +296,6 @@ def traversing_curve(
         dydtau=fv,
         left_truncated=trunc_l,
         right_truncated=trunc_r,
-        model_name=model.name,
         origin_left_slope=float(f_l[0]),
     )
 

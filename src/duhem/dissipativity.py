@@ -34,7 +34,7 @@ import numpy as np
 from .core import DuhemModel, Trajectory, check_existence_conditions, simulate
 from .curves import _CERTIFICATE_GRID, _certificate_grid, check_lemma1
 from .integrate import hermite_integral, hermite_partial_integral
-from .report import VerificationReport, worst_point
+from .report import VerificationReport, _check_tol, worst_point
 from .signals import InputSignal
 from .storage import _GAUSS_NODES, storage_cw_batch, storage_output_only
 
@@ -111,10 +111,13 @@ def verify_dissipation_battery(
     step covers the first-order sampling error of the difference quotients
     at unit input rate.  A sample's storage does not depend on the batch
     it is evaluated in, so each signal's pair equals its
-    `verify_dissipation_pair` reports.
+    `verify_dissipation_pair` reports.  Raises ValueError for a tol that is
+    not positive and finite.
     """
     if tol is None:
         tol = 1e-6 + 10.0 * step
+    else:
+        _check_tol(tol)
     trajs = [simulate(model, sig, y0, step=step) for sig in signals]
     if not trajs:
         return []

@@ -238,7 +238,7 @@ def expand_bracket(
     )
 
 
-def bisect_on_interval_vec(g, a, b, iters: int = 80):
+def bisect_on_interval_vec(g, a, b, iters: int):
     """Roots of g in per-element brackets [a_k, b_k] by `iters` passes of
     Illinois-modified regula falsi (Dowell and Jarratt, BIT 11, 1971).
 

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import DomainExitError
-from .report import VerificationReport, worst_point
+from .report import VerificationReport, _check_tol, worst_point
 from .signals import _readonly
 from .storage import storage_dahl_closed_form
 
@@ -52,7 +52,11 @@ MAX_MECH_STEPS = 10_000_000
 
 @dataclass(frozen=True)
 class MechParams:
-    """Mass-spring-damper parameters plus the Dahl friction pair."""
+    """Mass-spring-damper parameters plus the Dahl friction pair.
+
+    Raises ValueError unless m, d, k, rho and fc are finite, m, rho and fc
+    positive and d and k nonnegative.
+    """
 
     m: float = 1.0
     d: float = 0.5
@@ -62,6 +66,9 @@ class MechParams:
     mode: str = "free"
 
     def __post_init__(self):
+        for name in ("m", "d", "k", "rho", "fc"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
         if self.m <= 0.0:
             raise ValueError(f"mass must be positive, got {self.m}")
         if self.d < 0.0:
@@ -231,10 +238,9 @@ def lyapunov_check(
     every interior sample and, on top of it, that V never increases by more
     than tol * max(V) across a step.  worst_violation is the larger of the
     rate excess and the normalized monotonicity excess, both of which the
-    same tol bounds.
+    same tol bounds.  Raises ValueError unless tol is positive and finite.
     """
-    if tol <= 0.0:
-        raise ValueError("tol must be positive")
+    _check_tol(tol)
     dt = np.diff(series.t)
     dv = np.diff(series.v)
     rate = dv / dt + params.d * series.x2[:-1] ** 2
@@ -271,8 +277,10 @@ def passivity_port_check(
 
     In feedback mode the applied force is F = -d x2, so the supplied energy
     is W(T) = int F x2 dt; passivity requires V(T) - V(0) <= W(T) + tol at
-    every sample time T (trapezoid quadrature for W).
+    every sample time T (trapezoid quadrature for W).  Raises ValueError
+    unless tol is positive and finite.
     """
+    _check_tol(tol)
     if params.mode != "feedback":
         raise ValueError("port bookkeeping is defined for feedback mode only")
     power = -params.d * series.x2**2

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Any, Mapping
 
@@ -18,6 +19,12 @@ def worst_point(violation) -> tuple[tuple[int, ...], float]:
     # argmax returns the first maximum, and the first NaN if there is one
     index = np.unravel_index(int(np.argmax(v)), v.shape)
     return tuple(int(i) for i in index), float(v[index])
+
+
+def _check_tol(tol: float) -> None:
+    """ValueError unless a check's tolerance is positive and finite."""
+    if not 0.0 < tol < math.inf:
+        raise ValueError(f"tol must be positive and finite, got {tol!r}")
 
 
 @dataclass(frozen=True)

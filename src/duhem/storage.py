@@ -10,19 +10,20 @@ abscissa Lambda, then
 Both integrals are signed.
 
 Two evaluation routes of the construction are provided on purpose.
-`storage_cw` resamples the ride into a C^1 table and integrates it with
-adaptive Simpson quadrature to a requested tolerance; `storage_cw_batch`
-accumulates the exact integral of the same cubic Hermite table segment by
-segment while many points ride in lockstep.  Agreement between the routes
-is part of the test surface, so neither should be rewritten in terms of the
-other: each checks the other's ride, table and quadrature.
+`storage_cw` resamples the ride into a C^1 table and integrates it, and
+f_an, with adaptive Simpson quadrature to a requested tolerance;
+`storage_cw_batch` accumulates the exact integral of the same cubic Hermite
+table segment by segment while many points ride in lockstep, and integrates
+f_an by a fixed 20-node Gauss-Legendre rule per lane.  Agreement between
+the routes is part of the test surface, so neither should be rewritten in
+terms of the other: each checks the other's ride, table and quadrature.
 
 A third route, `storage_output_only`, skips the ride for models whose
 fields ignore the input and whose anhysteresis curve is identically zero
 (`DuhemModel.xi_free`: Dahl, Bouc-Wen).  There the first term vanishes, the
 traversing curve is the autonomous ODE dy/dtau = f(y), and H(sigma) is the
 integral of s / f(s) from 0 to sigma, a function of the output alone,
-evaluated by a fixed Gauss-Legendre rule.  It is a cross-check of the two
+evaluated by the same Gauss-Legendre rule.  It is a cross-check of the two
 rides as much as they are of it; the dissipation battery uses it for those
 models.  Built on the other branch (f2 below the curve, f1 above) the same
 integral is the required supply, which is also a storage function, so only
@@ -158,14 +159,9 @@ def storage_cw(
     )
 
 
-_SIMPSON_PANELS = 64
-# rows of Simpson nodes evaluated at a time, so the node matrix stays at
-# _SIMPSON_BLOCK_ROWS x (2 * _SIMPSON_PANELS + 1) floats at any batch size
-_SIMPSON_BLOCK_ROWS = 512
-
-
 def _anhysteresis_integrals(model: DuhemModel, lam: np.ndarray) -> np.ndarray:
-    """Composite-Simpson integral of f_an from 0 to each lam.
+    """Integral of f_an from 0 to each lam, by the Gauss-Legendre rule of
+    `_GAUSS_T` and `_GAUSS_W` in blocks of `_GAUSS_BLOCK_ROWS` rows.
 
     Each row's weighted terms are summed by numpy's per-row reduction, whose
     order depends on the row length alone, so a lane's value does not depend
@@ -178,18 +174,12 @@ def _anhysteresis_integrals(model: DuhemModel, lam: np.ndarray) -> np.ndarray:
     hi = max(0.0, float(lam.max()))
     if _anhysteresis_is_zero(model, lo, hi):
         return np.zeros_like(lam)
-    n = _SIMPSON_PANELS
-    s = np.linspace(0.0, 1.0, 2 * n + 1)
-    w = np.full(2 * n + 1, 2.0)
-    w[1::2] = 4.0
-    w[0] = w[-1] = 1.0
     sums = np.empty(lam.size)
-    for a in range(0, lam.size, _SIMPSON_BLOCK_ROWS):
-        nodes = lam[a : a + _SIMPSON_BLOCK_ROWS, None] * s[None, :]
+    for a in range(0, lam.size, _GAUSS_BLOCK_ROWS):
+        nodes = lam[a : a + _GAUSS_BLOCK_ROWS, None] * _GAUSS_T[:-1]
         fan = anhysteresis_values(model, nodes.ravel()).reshape(nodes.shape)
-        sums[a : a + _SIMPSON_BLOCK_ROWS] = (fan * w).sum(axis=1)
-    h = lam / (2.0 * n)
-    return (h / 3.0) * sums
+        sums[a : a + _GAUSS_BLOCK_ROWS] = (fan * _GAUSS_W).sum(axis=1)
+    return lam * sums
 
 
 def storage_cw_batch(
@@ -212,13 +202,15 @@ def storage_cw_batch(
     return StorageBatch(lam=ride.lam, value=fan_int - ride.integral)
 
 
-# Gauss-Legendre rule of `storage_output_only` on [0, 1]: its nodes, then
-# 1.0 (where the slope at sigma itself is checked), and its weights.  The
-# integrand is smooth on Dahl and reaches rounding at 10-12 nodes, but
-# Bouc-Wen with a non-integer n has |s|^n in it, and there the error falls
-# only algebraically; 20 nodes is the smallest count that is at least as
-# accurate as the step-5e-3 ride it replaces on every model measured
-# (BENCH_21.json)
+# Gauss-Legendre rule on [0, 1]: its nodes, then 1.0 (where
+# `storage_output_only` checks the slope at sigma itself), and its weights.
+# Both per-lane integrals from 0 take it: f_an in `storage_cw_batch`, and
+# s / f(s) in `storage_output_only`.  The output integrand is smooth on
+# Dahl and reaches rounding at 10-12 nodes, but Bouc-Wen with a non-integer
+# n has |s|^n in it, and there the error falls only algebraically; 20 nodes
+# is the smallest count that is at least as accurate as the step-5e-3 ride
+# it replaces on every model measured (BENCH_21.json).  On a smooth f_an
+# the rule is at rounding.
 _GAUSS_NODES = 20
 _x, _w = gauss_legendre(_GAUSS_NODES)
 _GAUSS_T = np.append(0.5 * (_x + 1.0), 1.0)

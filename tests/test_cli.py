@@ -268,6 +268,16 @@ def test_mech_rejects_a_bad_horizon_step_or_tol_as_config_error(tmp_path, capsys
     assert not out.exists()
 
 
+@pytest.mark.parametrize("value", ["nan", "inf"])
+@pytest.mark.parametrize("flag", ["--m", "--d", "--k", "--rho", "--fc"])
+def test_mech_rejects_a_parameter_that_is_not_finite_as_config_error(tmp_path, capsys, flag, value):
+    # a bad flag value is a usage error, not a failed verification
+    out = tmp_path / "mech.csv"
+    assert run_cli("mech", f"{flag}={value}", "--horizon", "1", "--out", str(out)) == 2
+    assert capsys.readouterr().err.startswith(f"config error: {flag[2:]} must be finite")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("horizon, step", [("1e300", "1e-300"), ("1e9", "1e-9")])
 def test_mech_rejects_a_step_count_above_the_cap_as_config_error(tmp_path, capsys, horizon, step):
     # the first used to end in an OverflowError traceback, the second to ask

@@ -792,7 +792,7 @@ def test_ride_refines_all_crossings_in_at_most_two_bisections(monkeypatch, exp_m
     calls = []
     real = curves.bisect_on_interval_vec
 
-    def counting(g, a, b, iters=80):
+    def counting(g, a, b, iters):
         calls.append(np.asarray(a).size)
         return real(g, a, b, iters=iters)
 

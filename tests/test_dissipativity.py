@@ -372,6 +372,18 @@ def test_verify_model_passes_a_model_outside_the_catalog_that_is_not_odd():
     assert areas.size == 5 and reports[5].details["label"] == "clockwise"
 
 
+@pytest.mark.parametrize("tol", [0.0, -1.0, math.inf, math.nan])
+def test_dissipation_battery_rejects_a_tol_that_is_not_positive_and_finite(dahl_r1, tol):
+    # an infinite tol would pass any battery
+    battery = [triangle(1.0, 2)]
+    with pytest.raises(ValueError, match="tol must be positive"):
+        verify_dissipation_battery(dahl_r1, battery, 0.0, tol=tol)
+    with pytest.raises(ValueError, match="tol must be positive"):
+        verify_model(
+            dahl_r1, DAHL_BAND, 0.01, 5.0, battery, triangle(1.0, 5), y0=0.0, step=5e-3, tol=tol
+        )
+
+
 def test_verify_model_fails_the_loop_orientation_of_the_reflected_dahl():
     # the battery holds its input at 0, where the output stays on the
     # curve: from a point off it, the storage ride of this counterclockwise

@@ -165,7 +165,7 @@ def test_expand_bracket_immediate_zero():
 def test_vector_bisection_independent_roots():
     roots = np.array([0.2, -1.3, 2.7])
     g = lambda x: x - roots
-    out = bisect_on_interval_vec(g, roots - 1.0, roots + 1.0)
+    out = bisect_on_interval_vec(g, roots - 1.0, roots + 1.0, iters=80)
     assert np.abs(out - roots).max() < 1e-14
 
 

@@ -42,6 +42,15 @@ def test_params_validation():
         MechParams(k=1.0, mode="feedback")
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+@pytest.mark.parametrize("name", ["m", "d", "k", "rho", "fc"])
+def test_params_reject_a_value_that_is_not_finite(name, value):
+    # a NaN passes every sign test, and an infinite rho or fc gives a
+    # system whose checks read NaN
+    with pytest.raises(ValueError, match=f"{name} must be finite"):
+        MechParams(**{name: value})
+
+
 def test_state_validation():
     with pytest.raises(ValueError):
         MechState(np.nan, 0.0, 0.0)
@@ -122,6 +131,17 @@ def _hand_series(v, x2, params):
     t = np.arange(len(v), dtype=float)
     z = np.zeros(len(v))
     return MechSeries(t=t, x1=z, x2=np.array(x2), x3=z, v=np.array(v), params=params)
+
+
+@pytest.mark.parametrize("tol", [0.0, -1.0, math.inf, math.nan])
+def test_mech_checks_reject_a_tol_that_is_not_positive_and_finite(tol):
+    # an infinite tol would pass any series
+    free = MechParams()
+    port = MechParams(k=0.0, mode="feedback")
+    with pytest.raises(ValueError, match="tol must be positive"):
+        lyapunov_check(_hand_series([1.0, 2.0, 3.0], [0.0, 0.0, 0.0], free), free, tol)
+    with pytest.raises(ValueError, match="tol must be positive"):
+        passivity_port_check(_hand_series([1.0, 2.0, 3.0], [0.0, 0.0, 0.0], port), port, tol)
 
 
 def test_port_check_fails_a_stored_change_above_the_supplied_energy():

@@ -10,7 +10,8 @@ from hypothesis import strategies as st
 from duhem import boucwen, dahl, exp_example, simulate
 from duhem import storage as storage_module
 from duhem.core import Domain, DomainExitError, DuhemModel
-from duhem.curves import CrossingSearchError, PhasePoint
+from duhem.curves import CrossingSearchError, PhasePoint, check_lemma1
+from duhem.dissipativity import check_assumption_A
 from duhem.signals import InputSignal, random_piecewise_linear
 from duhem.storage import (
     AvailableStorageResult,
@@ -112,10 +113,57 @@ def test_batch_route_agrees_with_quadrature_route(dahl_r1, exp_model):
             assert batch.lam[k] == pytest.approx(scalar.lambda_star, abs=1e-9)
 
 
+def _exp_fields(g):
+    """The exponential example's fields with g(xi) in place of xi."""
+    return (
+        lambda s, x: np.exp(0.5 * (-1.2 * s + g(x))) + 0.83,
+        lambda s, x: np.exp(0.5 * (1.2 * s - g(x))) + 0.83,
+    )
+
+
+@pytest.mark.parametrize(
+    "f_an, exact",
+    [
+        (lambda x: 0.5 * np.sin(2.0 * x), lambda lam: (1.0 - np.cos(2.0 * lam)) / 4.0),
+        (lambda x: np.exp(x) - 1.0, lambda lam: np.exp(lam) - 1.0 - lam),
+    ],
+    ids=["sin", "exp"],
+)
+def test_anhysteresis_integrals_are_the_closed_forms_of_smooth_curves(f_an, exact):
+    # the Gauss-Legendre rule is at rounding on a smooth f_an (measured:
+    # 2.2e-16 and 1.1e-14)
+    f1, f2 = _exp_fields(lambda x: x)
+    model = DuhemModel(name="smooth f_an", f1=f1, f2=f2, f_an=f_an)
+    lam = np.linspace(-3.0, 3.0, 601)
+    assert np.abs(_anhysteresis_integrals(model, lam) - exact(lam)).max() < 1e-13
+
+
+def test_batch_route_agrees_with_quadrature_route_on_a_nonlinear_curve():
+    # exp_example with g(xi) = 0.8 xi + 0.1 sin xi in place of xi: f1 - f2
+    # vanishes on sigma = g(xi) / 1.2, a nonlinear anhysteresis curve that
+    # both certificates accept on [-3, 3]^2; the two routes integrate f_an
+    # by different rules
+    g = lambda x: 0.8 * x + 0.1 * np.sin(x)
+    f1, f2 = _exp_fields(g)
+    model = DuhemModel(name="nonlinear f_an", f1=f1, f2=f2, f_an=lambda x: g(x) / 1.2)
+    square = ((-3.0, 3.0), (-3.0, 3.0))
+    assert check_assumption_A(model, square).passed
+    assert check_lemma1(model, square, 1e-3).passed
+    rng = np.random.default_rng(5)
+    sig = rng.uniform(-2.0, 2.0, 20)
+    xi = rng.uniform(-2.5, 2.5, 20)
+    batch = storage_cw_batch(model, sig, xi, step=1e-3)
+    for k in range(sig.size):
+        scalar = storage_cw(model, PhasePoint(sig[k], xi[k]), step=1e-3)
+        assert abs(scalar.anhysteresis_integral) > 1e-3
+        assert batch.value[k] == pytest.approx(scalar.value, abs=1e-9)
+        assert batch.lam[k] == pytest.approx(scalar.lambda_star, abs=1e-9)
+
+
 def test_batch_storage_of_a_point_does_not_depend_on_its_batch(exp_model):
     # all samples of two seeded battery signals ride as one batch of more
-    # than two Simpson blocks of rows; every 11th sample alone must give the
-    # same storage bit for bit, in every block
+    # than two blocks of rows of the f_an rule; every 11th sample alone must
+    # give the same storage bit for bit, in every block
     rng = np.random.default_rng(6)
     trajs = [
         simulate(
@@ -146,9 +194,9 @@ def _anhysteresis_peak(model, lam):
 
 
 def test_anhysteresis_integral_memory_does_not_grow_with_the_batch(exp_model):
-    # the Simpson nodes of 129 per lane are evaluated in blocks of rows, so
-    # 20,000 more lanes may add their O(lanes) inputs and outputs (a few
-    # floats each) but not 129 node values each
+    # the 20 Gauss-Legendre nodes per lane are evaluated in blocks of rows,
+    # so 20,000 more lanes may add their O(lanes) inputs and outputs (a few
+    # floats each) but not 20 node values each
     lam = np.linspace(-3.0, 3.0, 21_000)
     small = _anhysteresis_peak(exp_model, lam[:1000])
     large = _anhysteresis_peak(exp_model, lam)
