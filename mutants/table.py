@@ -1,7 +1,7 @@
 """Hand-made mutants of the checks, the crossing refinement, the supply
 march, the interval slopes of a trajectory, the output-only storage, the
-f_an term of the batch storage, the friction parameters and the recipe of
-`duhem verify` in `src/`.
+f_an term of the batch storage, the friction parameters, the recipe of
+`duhem verify` and the config checks of the CLI in `src/`.
 
 Each entry names a file under `src/duhem`, an exact snippet of it, the text
 that replaces the snippet, and the tests expected to kill the mutant (pytest
@@ -39,6 +39,14 @@ MUTANTS = [
         "snippet": "np.subtract(-lambda_bound, excess[:, 1], out=excess[:, 1])",
         "replacement": "excess[:, 1] = -math.inf",
         "tests": ["tests/test_certificates.py::test_existence_bound_broken_by_the_decreasing_branch_only_fails"],
+    },
+    {
+        "name": "existence-bound-may-be-infinite",
+        "why": "check_existence_conditions takes lambda_bound = inf, which passes any model, and NaN",
+        "file": "core.py",
+        "snippet": "if not 0.0 <= lambda_bound < math.inf:",
+        "replacement": "if lambda_bound < 0.0:",
+        "tests": ["tests/test_core.py::test_existence_conditions_rejects_bad_inputs"],
     },
     # -- the friction certificates
     {
@@ -349,13 +357,25 @@ MUTANTS = [
     },
     {
         "name": "check-tol-may-be-infinite",
-        "why": "lyapunov_check, passivity_port_check and the dissipation battery accept tol = inf",
+        "why": "lyapunov_check, passivity_port_check, the dissipation battery and adaptive_simpson accept tol = inf",
         "file": "report.py",
         "snippet": "if not 0.0 < tol < math.inf:",
         "replacement": "if not 0.0 < tol:",
         "tests": [
             "tests/test_mechsim.py::test_mech_checks_reject_a_tol_that_is_not_positive_and_finite",
             "tests/test_dissipativity.py::test_dissipation_battery_rejects_a_tol_that_is_not_positive_and_finite",
+            "tests/test_integrate.py::test_adaptive_simpson_rejects_a_tol_that_is_not_positive_and_finite",
+        ],
+    },
+    {
+        "name": "adaptive-simpson-tol-unchecked",
+        "why": "adaptive_simpson, and so storage_cw, with no check of its tolerance",
+        "file": "integrate.py",
+        "snippet": "    _check_tol(tol)\n    if a == b:",
+        "replacement": "    if a == b:",
+        "tests": [
+            "tests/test_integrate.py::test_adaptive_simpson_rejects_a_tol_that_is_not_positive_and_finite",
+            "tests/test_storage.py::test_storage_cw_rejects_a_quad_tol_that_is_not_positive_and_finite",
         ],
     },
     # -- the recipe of `duhem verify` as one library call
@@ -389,5 +409,14 @@ MUTANTS = [
         "snippet": "if not 0.0 < ratio < math.inf:",
         "replacement": "if False:",
         "tests": ["tests/test_cli.py::test_a_boucwen_model_with_no_verification_region_is_a_config_error"],
+    },
+    # -- the config checks of the CLI
+    {
+        "name": "config-seed-accepts-a-bool",
+        "why": "a config seed of true runs as seed 1",
+        "file": "cli.py",
+        "snippet": "isinstance(cfg.seed, bool) or ",
+        "replacement": "",
+        "tests": ["tests/test_cli.py::test_a_config_seed_that_is_not_a_nonnegative_integer_is_a_config_error"],
     },
 ]

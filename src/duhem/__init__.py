@@ -68,7 +68,6 @@ from .storage import (
     storage_cw,
     storage_cw_batch,
     storage_output_only,
-    storage_dahl_closed_form,
 )
 
 __version__ = "0.1.0"
@@ -123,7 +122,6 @@ __all__ = [
     "storage_cw",
     "storage_cw_batch",
     "storage_output_only",
-    "storage_dahl_closed_form",
     "traversing_curve",
     "triangle",
     "verify_dissipation_battery",

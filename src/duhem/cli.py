@@ -65,10 +65,9 @@ class ConfigError(ValueError):
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Serializable run description shared by the subcommands.
-
-    Round-trips through to_dict/from_dict; unknown keys are rejected rather
-    than ignored so typos surface as exit code 2.
+    """Run description shared by the subcommands, read from a JSON object
+    (from_dict); unknown keys are rejected rather than ignored so typos
+    surface as exit code 2.
     """
 
     model: str | None = None
@@ -91,9 +90,6 @@ class RunConfig:
         if unknown:
             raise ConfigError(f"unknown config keys: {', '.join(unknown)}")
         return cls(**data)
-
-    def to_dict(self) -> dict:
-        return {f.name: getattr(self, f.name) for f in fields(self)}
 
     @classmethod
     def from_file(cls, path: str) -> "RunConfig":
@@ -195,16 +191,10 @@ def _resolve_input(cfg: RunConfig) -> InputSignal:
     return build_input(cfg.input, cfg.seed)
 
 
-def _merge_flags(cfg: RunConfig, args: argparse.Namespace, names: tuple[str, ...]) -> RunConfig:
-    updates = {}
-    for name in names:
-        val = getattr(args, name, None)
-        if val is not None:
-            updates[name] = val
-    return replace(cfg, **updates) if updates else cfg
-
-
-def _base_config(args: argparse.Namespace, names: tuple[str, ...]) -> RunConfig:
+def _base_config(args: argparse.Namespace) -> RunConfig:
+    """The --config file, overridden by the flags given; ConfigError unless
+    every number and the seed in it can be run, whether or not the
+    subcommand reads them."""
     cfg = RunConfig.from_file(args.config) if getattr(args, "config", None) else RunConfig()
     if getattr(args, "params", None) is not None:
         try:
@@ -218,16 +208,25 @@ def _base_config(args: argparse.Namespace, names: tuple[str, ...]) -> RunConfig:
         except json.JSONDecodeError as exc:
             raise ConfigError(f"--input is not valid JSON: {exc}") from exc
         cfg = replace(cfg, input=spec)
-    cfg = _merge_flags(cfg, args, names)
+    # a flag that the subcommand does not define reads None, as does one
+    # that was not given; params and input are JSON, read above
+    flags = {
+        f.name: getattr(args, f.name, None)
+        for f in fields(RunConfig)
+        if f.name not in ("params", "input")
+    }
+    cfg = replace(cfg, **{k: v for k, v in flags.items() if v is not None})
     # None is the default of step and tol
     if cfg.step is not None:
         _check_number("step", cfg.step, positive=True)
-    if "y0" in names:
-        _check_number("y0", cfg.y0, positive=False)
-    if "quad_tol" in names:
-        _check_number("quad_tol", cfg.quad_tol, positive=True)
-    if "tol" in names and cfg.tol is not None:
+    _check_number("y0", cfg.y0, positive=False)
+    _check_number("quad_tol", cfg.quad_tol, positive=True)
+    if cfg.tol is not None:
         _check_number("tol", cfg.tol, positive=True)
+    if isinstance(cfg.seed, bool) or not (isinstance(cfg.seed, int) and cfg.seed >= 0):
+        raise ConfigError(
+            f"--seed must be a nonnegative integer (config 'seed'), got {cfg.seed!r}"
+        )
     return cfg
 
 
@@ -279,7 +278,7 @@ def _print_report(report: VerificationReport) -> None:
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
-    cfg = _base_config(args, ("model", "y0", "step", "seed", "out", "out_dir"))
+    cfg = _base_config(args)
     model = _resolve_model(cfg)
     signal = _resolve_input(cfg)
     traj = simulate(model, signal, cfg.y0, step=cfg.step)
@@ -291,7 +290,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def cmd_curves(args: argparse.Namespace) -> int:
-    cfg = _base_config(args, ("model", "step", "out", "out_dir"))
+    cfg = _base_config(args)
     model = _resolve_model(cfg)
     p = _phase_point(args, ("--tau-min", args.tau_min), ("--tau-max", args.tau_max))
     step = cfg.step if cfg.step is not None else 1e-3
@@ -314,7 +313,7 @@ def cmd_curves(args: argparse.Namespace) -> int:
 
 
 def cmd_storage(args: argparse.Namespace) -> int:
-    cfg = _base_config(args, ("model", "step", "quad_tol", "out", "out_dir"))
+    cfg = _base_config(args)
     model = _resolve_model(cfg)
     p = _phase_point(args)
     step = cfg.step if cfg.step is not None else 1e-3
@@ -391,7 +390,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     """
     if args.n_signals < 1:
         raise ConfigError(f"--n-signals must be at least 1, got {args.n_signals}")
-    cfg = _base_config(args, ("model", "y0", "step", "tol", "seed", "out_dir"))
+    cfg = _base_config(args)
     if args.preset is not None:
         preset = PRESETS.get(args.preset)
         if preset is None:
@@ -480,7 +479,7 @@ def cmd_mech(args: argparse.Namespace) -> int:
 
 
 def cmd_loops(args: argparse.Namespace) -> int:
-    cfg = _base_config(args, ("model", "y0", "step", "seed", "out", "out_dir"))
+    cfg = _base_config(args)
     model = _resolve_model(cfg)
     signal = _resolve_input(cfg)
     traj = simulate(model, signal, cfg.y0, step=cfg.step)

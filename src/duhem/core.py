@@ -234,7 +234,6 @@ class Trajectory:
     y: np.ndarray
     model_name: str = ""
     y0: float = math.nan
-    step: float = math.nan
     slope_left: np.ndarray | None = None
     slope_right: np.ndarray | None = None
 
@@ -423,7 +422,6 @@ def simulate(
         np.concatenate(ys),
         model_name=model.name,
         y0=y0,
-        step=float(step) if step is not None else math.nan,
         slope_left=np.concatenate(lefts),
         slope_right=np.concatenate(rights),
     )
@@ -452,10 +450,13 @@ def check_existence_conditions(
         Rectangular evaluation grid; every sigma must lie inside the model
         domain.
     lambda_bound : float
-        Common nonnegative bound for both inequalities.
+        Common bound for both inequalities; ValueError unless it is
+        nonnegative and finite (an infinite bound passes every model).
     """
-    if lambda_bound < 0.0:
-        raise ValueError("lambda_bound must be nonnegative")
+    if not 0.0 <= lambda_bound < math.inf:
+        raise ValueError(
+            f"lambda_bound must be nonnegative and finite, got {lambda_bound!r}"
+        )
     sig = np.asarray(grid[0], dtype=float)
     xiv = np.asarray(grid[1], dtype=float)
     if sig.size < 2 or xiv.size < 1:
@@ -474,12 +475,12 @@ def check_existence_conditions(
     np.subtract(-lambda_bound, excess[:, 1], out=excess[:, 1])
     excess[..., np.eye(sig.size, dtype=bool)] = -math.inf
     (k, b, i, j), worst = worst_point(excess)
-    return VerificationReport.from_violation(
+    return VerificationReport(
         name="existence-conditions",
         worst_violation=worst,
         worst_location=(sig[i], sig[j], xiv[k]),
         tolerance=0.0,
-        samples_checked=int(xiv.size * sig.size * (sig.size - 1)),
+        samples_checked=xiv.size * sig.size * (sig.size - 1),
         details={
             "lambda_bound": float(lambda_bound),
             "worst_branch": ("increasing-branch", "decreasing-branch")[b],

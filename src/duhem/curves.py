@@ -202,14 +202,6 @@ class TraversingCurve:
         if self.tau.size > 1 and not (np.diff(self.tau) > 0.0).all():
             raise ValueError("tau nodes must be strictly increasing")
 
-    @property
-    def tau_min(self) -> float:
-        return float(self.tau[0])
-
-    @property
-    def tau_max(self) -> float:
-        return float(self.tau[-1])
-
     def __call__(self, tau):
         t = np.asarray(tau, dtype=float)
         if (t < self.tau[0]).any() or (t > self.tau[-1]).any():
@@ -510,7 +502,7 @@ def _ride_setup(model: DuhemModel, sigma, xi, step: float, max_doublings: int):
     if np.isnan(c0).any():
         raise CrossingSearchError(points(np.isnan(c0), "have a NaN side residual"))
 
-    span_limit = (1.0 + float(np.abs(xi).max())) * 2.0 ** min(max_doublings, 21)
+    span_limit = (1.0 + float(np.abs(xi).max(initial=0.0))) * 2.0 ** min(max_doublings, 21)
     max_steps = int(min(math.ceil(span_limit / step), 2**21))
     return sigma, xi, c0 < 0.0, c0 > 0.0, max_steps
 
@@ -720,13 +712,13 @@ def check_lemma1(
     # ranked on -margin, exact, so that no two margins round together
     (b, i, j), _ = worst_point(-margin)
     worst_margin = float(margin[b, i, j])
-    return VerificationReport.from_violation(
+    return VerificationReport(
         name="transversality-margin",
         worst_violation=epsilon - worst_margin,
         worst_location=(sig[i], xiv[j]),
         tolerance=0.0,
         # the nodes above or below the curve, and those where f_an is NaN
-        samples_checked=int(sides.sum() + nan_fan.sum() * sig.size),
+        samples_checked=sides.sum() + nan_fan.sum() * sig.size,
         details={
             "epsilon": float(epsilon),
             "worst_margin": worst_margin,

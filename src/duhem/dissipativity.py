@@ -73,12 +73,12 @@ def check_assumption_A(
     viol = np.where(upper, F, -F)
     viol[:, np.isnan(fan)] = math.nan
     (i, j), worst = worst_point(viol)
-    return VerificationReport.from_violation(
+    return VerificationReport(
         name="damping-sign-structure",
         worst_violation=worst,
-        worst_location=(float(sig[i]), float(xiv[j])),
+        worst_location=(sig[i], xiv[j]),
         tolerance=1e-12,
-        samples_checked=int(viol.size),
+        samples_checked=viol.size,
         details={
             "grid": list(_CERTIFICATE_GRID),
             "side": "above" if bool(upper[i, j]) else "below",
@@ -144,14 +144,12 @@ def verify_dissipation_battery(
             viol = (dH - supply) / dt
             (k,), worst = worst_point(viol)
             pair.append(
-                VerificationReport.from_violation(
+                VerificationReport(
                     name=f"dissipation-{direction}",
                     worst_violation=worst,
-                    worst_location=(
-                        float(traj.t[k]), float(traj.u[k]), float(traj.y[k])
-                    ),
-                    tolerance=float(tol),
-                    samples_checked=int(viol.size),
+                    worst_location=(traj.t[k], traj.u[k], traj.y[k]),
+                    tolerance=tol,
+                    samples_checked=viol.size,
                     details={
                         "model": model.name,
                         "step": float(step),
@@ -184,7 +182,7 @@ def _aggregate(name: str, reports: list[VerificationReport]) -> VerificationRepo
     samples of all runs."""
     (k,), _ = worst_point([r.worst_violation - r.tolerance for r in reports])
     worst = reports[k]
-    return VerificationReport.from_violation(
+    return VerificationReport(
         name=name,
         worst_violation=worst.worst_violation,
         worst_location=worst.worst_location,
@@ -344,7 +342,7 @@ def loop_orientation_report(cls: LoopClassification) -> VerificationReport:
     """Report that the loop of `loop_orientation` runs clockwise: the
     violation LOOP_AREA_TOL - area is positive unless its area exceeds the
     threshold."""
-    return VerificationReport.from_violation(
+    return VerificationReport(
         name="loop-orientation",
         worst_violation=LOOP_AREA_TOL - cls.area,
         worst_location=(cls.t_close,),
@@ -410,11 +408,11 @@ def cycle_stabilization(times: np.ndarray, areas: np.ndarray) -> VerificationRep
         settle = float(np.max(np.abs(np.diff(areas[2:]))))
     else:
         settle = math.inf
-    return VerificationReport.from_violation(
+    return VerificationReport(
         name="cycle-stabilization",
         worst_violation=settle,
-        worst_location=(float(times[-1]) if times.size else 0.0,),
+        worst_location=(times[-1] if times.size else 0.0,),
         tolerance=1e-4,
-        samples_checked=max(0, int(areas.size) - 3),
+        samples_checked=max(0, areas.size - 3),
         details={"areas": [float(a) for a in areas]},
     )

@@ -15,6 +15,8 @@ from typing import Callable
 
 import numpy as np
 
+from .report import _check_tol
+
 __all__ = [
     "QuadratureError",
     "BracketError",
@@ -130,10 +132,12 @@ def adaptive_simpson(
     """Adaptive composite Simpson quadrature of g over [a, b].
 
     `tol` is an absolute tolerance on the whole interval; b < a is allowed
-    and flips the sign.  Raises QuadratureError when the recursion depth
-    budget is exhausted before the local error estimate falls below the
-    local tolerance share.
+    and flips the sign.  Raises ValueError unless tol is positive and
+    finite (an infinite one accepts the first Simpson step), and
+    QuadratureError when the recursion depth budget is exhausted before the
+    local error estimate falls below the local tolerance share.
     """
+    _check_tol(tol)
     if a == b:
         return 0.0
     sign = 1.0

@@ -47,31 +47,22 @@ class VerificationReport:
     details: Mapping[str, Any] = field(default_factory=dict)
 
     def __post_init__(self):
+        # Python floats and ints whatever the builder passed (numpy scalars
+        # too), so that to_dict is plain JSON
+        for name, kind in (
+            ("worst_violation", float), ("tolerance", float), ("samples_checked", int)
+        ):
+            object.__setattr__(self, name, kind(getattr(self, name)))
+        object.__setattr__(
+            self, "worst_location", tuple(float(x) for x in self.worst_location)
+        )
+        object.__setattr__(self, "details", dict(self.details))
         if self.samples_checked < 0:
             raise ValueError("samples_checked must be nonnegative")
 
     @property
     def passed(self) -> bool:
         return bool(self.worst_violation <= self.tolerance)
-
-    @classmethod
-    def from_violation(
-        cls,
-        name: str,
-        worst_violation: float,
-        worst_location: tuple[float, ...],
-        tolerance: float,
-        samples_checked: int,
-        details: Mapping[str, Any] | None = None,
-    ) -> "VerificationReport":
-        return cls(
-            name=name,
-            worst_violation=float(worst_violation),
-            worst_location=tuple(float(x) for x in worst_location),
-            tolerance=float(tolerance),
-            samples_checked=int(samples_checked),
-            details=dict(details or {}),
-        )
 
     def to_dict(self) -> dict:
         return {

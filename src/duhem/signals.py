@@ -10,7 +10,7 @@ the traversed u-path.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator
 
 import numpy as np
 
@@ -58,18 +58,9 @@ class InputSignal:
         object.__setattr__(self, "times", t)
         object.__setattr__(self, "values", u)
 
-    @classmethod
-    def from_breakpoints(cls, pairs: Iterable[Sequence[float]]) -> "InputSignal":
-        pts = list(pairs)
-        return cls(np.array([p[0] for p in pts]), np.array([p[1] for p in pts]))
-
     @property
     def end_time(self) -> float:
         return float(self.times[-1])
-
-    @property
-    def n_breakpoints(self) -> int:
-        return int(self.times.size)
 
     def value(self, t):
         """u(t) by linear interpolation; t may be a scalar or array."""

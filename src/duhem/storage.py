@@ -73,7 +73,6 @@ __all__ = [
     "storage_cw",
     "storage_cw_batch",
     "storage_output_only",
-    "storage_dahl_closed_form",
     "available_storage_bruteforce",
     "available_storage_bruteforce_batch",
 ]
@@ -129,7 +128,8 @@ def storage_cw(
     resampled at fixed step by `traversing_curve` into a cubic Hermite
     table and integrated with adaptive Simpson to quad_tol, as is
     `anhysteresis` from 0 to the intersection.  Raises CrossingSearchError when no intersection is found
-    and ValueError for a point outside the model domain.
+    and ValueError for a point outside the model domain, or, from the
+    quadrature, for a quad_tol that is not positive and finite.
     """
     lam = intersect_lambda(model, p, step=step)
 
@@ -275,22 +275,6 @@ def storage_output_only(model: DuhemModel, sigma) -> np.ndarray:
             samples(bad, "with a branch slope that is not finite and positive")
         )
     return value
-
-
-def storage_dahl_closed_form(y, rho: float = 1.5, fc: float = 0.75):
-    """Closed-form clockwise storage of the slope-1 Dahl model.
-
-    H(y) = (fc^2/rho) log(fc/(fc+|y|)) + (fc/rho)|y|, valid for |y| < fc;
-    the value is even in y and independent of the input coordinate.
-    """
-    if rho <= 0.0 or fc <= 0.0:
-        raise ValueError("rho and fc must be positive")
-    y = np.asarray(y, dtype=float)
-    a = np.abs(y)
-    if (a >= fc).any():
-        raise ValueError(f"output outside the open band (-{fc}, {fc})")
-    out = (fc * fc / rho) * np.log(fc / (fc + a)) + (fc / rho) * a
-    return float(out) if out.ndim == 0 else out
 
 
 @dataclass(frozen=True)

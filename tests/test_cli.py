@@ -451,6 +451,72 @@ def test_a_config_number_given_as_a_json_boolean_is_a_config_error(
     assert not out.exists()
 
 
+_SUBCOMMANDS = [
+    ["simulate", "--input", TRIANGLE],
+    ["curves", "--sigma", "0.3", "--xi", "1.0", "--tau-min", "-1", "--tau-max", "2"],
+    ["storage", "--sigma", "0.3", "--xi", "1.0"],
+    ["verify", "--n-signals", "1"],
+    ["loops", "--input", TRIANGLE],
+]
+
+
+def _run_config(tmp_path, monkeypatch, argv, config):
+    """Exit code of a subcommand run on the config, with every ride and
+    march replaced by an error; the output directory must stay unmade."""
+    rides = ("simulate", "traversing_curve", "intersect_lambda", "storage_cw", "verify_model")
+    for name in rides:
+        monkeypatch.setattr(duhem.cli, name, _no_ride)
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"model": "dahl", **config}))
+    out = tmp_path / "out"
+    code = run_cli(*argv, "--config", str(cfg), "--out-dir", str(out))
+    assert not out.exists()
+    return code
+
+
+@pytest.mark.parametrize("argv", _SUBCOMMANDS, ids=lambda a: a[0])
+@pytest.mark.parametrize(
+    "key, value, what",
+    [
+        ("step", -1.0, "positive and finite"),
+        ("y0", "abc", "finite"),
+        ("quad_tol", "oops", "positive and finite"),
+        ("tol", -5, "positive and finite"),
+    ],
+)
+def test_every_subcommand_checks_every_config_number(
+    tmp_path, capsys, monkeypatch, argv, key, value, what
+):
+    # a config number was checked only by the subcommands that read it:
+    # duhem simulate with {"tol": -5, "quad_tol": "oops"} exited 0
+    assert _run_config(tmp_path, monkeypatch, argv, {key: value}) == 2
+    flag = "--" + key.replace("_", "-")
+    want = f"config error: {flag} must be {what} (config '{key}'), got {value!r}"
+    assert capsys.readouterr().err.startswith(want)
+
+
+@pytest.mark.parametrize("argv", _SUBCOMMANDS, ids=lambda a: a[0])
+@pytest.mark.parametrize("value", ["abc", 1.5, True, -1])
+def test_a_config_seed_that_is_not_a_nonnegative_integer_is_a_config_error(
+    tmp_path, capsys, monkeypatch, argv, value
+):
+    # in a verify config "abc" and 1.5 ended in a TypeError traceback from
+    # the seeded battery, and true ran as seed 1; the other subcommands
+    # did not look at the seed
+    assert _run_config(tmp_path, monkeypatch, argv, {"seed": value}) == 2
+    want = f"config error: --seed must be a nonnegative integer (config 'seed'), got {value!r}"
+    assert capsys.readouterr().err.startswith(want)
+
+
+@pytest.mark.parametrize("argv", [_SUBCOMMANDS[i] for i in (0, 3, 4)], ids=lambda a: a[0])
+def test_a_negative_seed_flag_is_a_config_error(tmp_path, capsys, monkeypatch, argv):
+    # --seed -1 exited 1 with numpy's "expected non-negative integer"
+    assert _run_config(tmp_path, monkeypatch, [*argv, "--seed", "-1"], {}) == 2
+    assert capsys.readouterr().err.startswith(
+        "config error: --seed must be a nonnegative integer (config 'seed'), got -1"
+    )
+
+
 @pytest.mark.parametrize(
     "params, ratio",
     [
@@ -535,7 +601,7 @@ def test_failing_verify_run_prints_a_ratio_above_one(tmp_path, capsys):
 
 
 def _report(worst, tol=1.0):
-    return VerificationReport.from_violation(
+    return VerificationReport(
         name="r", worst_violation=worst, worst_location=(worst,), tolerance=tol,
         samples_checked=3, details={},
     )
@@ -573,11 +639,6 @@ def test_module_entry_point_runs():
     )
     assert proc.returncode == 0
     assert "simulate" in proc.stdout
-
-
-def test_runconfig_roundtrip():
-    cfg = RunConfig(model="dahl", params={"r": 2.0}, y0=0.1, seed=7)
-    assert RunConfig.from_dict(cfg.to_dict()) == cfg
 
 
 def test_runconfig_rejects_unknown_keys():

@@ -47,7 +47,7 @@ def test_simulate_lands_exactly_on_breakpoints(dahl_r1):
 
 
 def test_simulate_holds_output_on_constant_segments(dahl_r1):
-    sig = InputSignal.from_breakpoints([(0.0, 0.0), (1.0, 1.0), (2.0, 1.0)])
+    sig = InputSignal(np.array([0.0, 1.0, 2.0]), np.array([0.0, 1.0, 1.0]))
     traj = simulate(dahl_r1, sig, 0.0, step=1e-3)
     assert traj.y[-1] == traj.y[-2]
     assert traj.u[-1] == 1.0
@@ -91,7 +91,7 @@ def test_boucwen_ramp_approaches_fixed_point(bw):
 
 def test_rate_independence_of_sampled_path(dahl_r1):
     sig = triangle(1.0, 2)
-    warp = InputSignal.from_breakpoints([(0.0, 0.0), (2.0, 5.0), (sig.end_time, 11.0)])
+    warp = InputSignal(np.array([0.0, 2.0, sig.end_time]), np.array([0.0, 5.0, 11.0]))
     fast = simulate(dahl_r1, sig, 0.0, step=1e-3)
     slow = simulate(dahl_r1, rate_reparameterize(sig, warp), 0.0, step=1e-3)
     # same u grid per segment, so outputs agree sample by sample
@@ -241,6 +241,12 @@ def test_existence_conditions_rejects_bad_inputs(dahl_r1):
         check_existence_conditions(dahl_r1, (np.linspace(-1.0, 1.0, 10), np.array([0.0])), 3.0)
     with pytest.raises(ValueError):
         check_existence_conditions(dahl_r1, (np.linspace(-0.5, 0.5, 10), np.array([0.0])), -1.0)
+    # an infinite bound made every excess -inf, so any model passed, and a
+    # NaN got past the test bound < 0
+    grid = (np.linspace(-0.5, 0.5, 10), np.array([0.0]))
+    for bound in (math.inf, math.nan):
+        with pytest.raises(ValueError, match="lambda_bound must be nonnegative"):
+            check_existence_conditions(dahl_r1, grid, bound)
 
 
 # -- the scalar march against its one-node-at-a-time oracle ------------------

@@ -117,7 +117,7 @@ def test_traversing_curve_passes_through_origin(dahl_r1):
     p = PhasePoint(-0.2, 0.6)
     curve = traversing_curve(dahl_r1, p, -1.0, 2.0)
     assert curve(0.6) == -0.2
-    assert curve.tau_min == -1.0 and curve.tau_max == 2.0
+    assert curve.tau[0] == -1.0 and curve.tau[-1] == 2.0
 
 
 def test_traversing_curve_rejects_evaluation_outside_range(dahl_r1):
@@ -136,7 +136,7 @@ def test_traversing_curve_truncates_at_domain_boundary():
     )
     curve = traversing_curve(m, PhasePoint(0.0, 0.0), -3.0, 3.0, step=1e-2)
     assert curve.right_truncated
-    assert curve.tau_max < 3.0
+    assert curve.tau[-1] < 3.0
     assert curve.y.max() < 1.0
 
 

@@ -233,7 +233,7 @@ def test_loop_orientation_triangle_is_clockwise(dahl_r1):
 
 def test_loop_orientation_whole_path_fallback(dahl_r1):
     # single up-down excursion closes only over the full path
-    sig = InputSignal.from_breakpoints([(0.0, 0.0), (1.0, 1.0), (2.0, 0.0)])
+    sig = InputSignal(np.array([0.0, 1.0, 2.0]), np.array([0.0, 1.0, 0.0]))
     traj = simulate(dahl_r1, sig, 0.0, step=1e-3)
     lc = loop_orientation(traj)
     assert lc.label == "clockwise"
@@ -284,7 +284,7 @@ def test_loop_orientation_from_the_crossing_is_the_whole_trajectory_sum_bit_for_
 def test_loop_orientation_of_the_whole_path_and_by_hand_is_the_whole_trajectory_sum():
     # no interior crossing: the whole path from t[0]; and secant slopes on
     # a trajectory built by hand, with a crossing inside
-    up_down = InputSignal.from_breakpoints([(0.0, 0.0), (1.0, 1.0), (2.0, 0.0)])
+    up_down = InputSignal(np.array([0.0, 1.0, 2.0]), np.array([0.0, 1.0, 0.0]))
     trajs = [simulate(dahl(), up_down, 0.0, step=1e-3)]
     t = np.linspace(0.0, 2.0, 4001)
     trajs.append(Trajectory(t, np.cos(2.0 * np.pi * t), np.sin(2.0 * np.pi * t) ** 3))
@@ -405,7 +405,7 @@ def test_verify_model_fails_the_loop_orientation_of_the_reflected_dahl():
 
 
 def _report(worst, tol=1.0):
-    return VerificationReport.from_violation(
+    return VerificationReport(
         name="r", worst_violation=worst, worst_location=(worst,), tolerance=tol,
         samples_checked=3, details={},
     )
@@ -447,9 +447,7 @@ def test_loop_orientation_counterclockwise_parametric():
 
 
 def test_loop_orientation_degenerate_wiggle(dahl_r1):
-    sig = InputSignal.from_breakpoints(
-        [(0.0, 0.0), (1.0, 1e-7), (2.0, -1e-7), (3.0, 0.0)]
-    )
+    sig = InputSignal(np.array([0.0, 1.0, 2.0, 3.0]), np.array([0.0, 1e-7, -1e-7, 0.0]))
     traj = simulate(dahl_r1, sig, 0.0, step=1e-3)
     assert loop_orientation(traj).label == "degenerate"
 
@@ -461,7 +459,7 @@ def test_loop_orientation_rejects_constant_input(dahl_r1):
 
 
 def test_loop_orientation_rejects_open_path(dahl_r1):
-    sig = InputSignal.from_breakpoints([(0.0, 0.0), (1.0, 1.0), (1.5, 0.5)])
+    sig = InputSignal(np.array([0.0, 1.0, 1.5]), np.array([0.0, 1.0, 0.5]))
     traj = simulate(dahl_r1, sig, 0.0, step=1e-3)
     with pytest.raises(ValueError, match="never closes"):
         loop_orientation(traj)

@@ -111,6 +111,14 @@ def test_adaptive_simpson_signed_reversal():
     assert adaptive_simpson(math.sin, 1.0, 1.0, 1e-12) == 0.0
 
 
+@pytest.mark.parametrize("tol", [math.inf, 0.0, -1e-12, math.nan])
+def test_adaptive_simpson_rejects_a_tol_that_is_not_positive_and_finite(tol):
+    # tol = inf accepted the first 3-point Simpson step, and 0 or NaN ran
+    # the depth budget out into a QuadratureError
+    with pytest.raises(ValueError, match="tol must be positive and finite"):
+        adaptive_simpson(math.sin, 0.0, math.pi, tol)
+
+
 def test_adaptive_simpson_depth_budget():
     spike = lambda x: 1.0 / math.sqrt(abs(x) + 1e-300)
     with pytest.raises(QuadratureError):

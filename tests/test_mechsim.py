@@ -14,9 +14,7 @@ from duhem.mechsim import (
     passivity_port_check,
     simulate_mech,
 )
-from duhem.storage import storage_dahl_closed_form
-
-from oracles import simulate_mech_closure
+from oracles import simulate_mech_closure, storage_exact
 
 
 @pytest.fixture(scope="module")
@@ -36,6 +34,9 @@ def test_params_validation():
         MechParams(m=0.0)
     with pytest.raises(ValueError):
         MechParams(d=-0.1)
+    for bad in (dict(rho=-1.0), dict(fc=0.0)):
+        with pytest.raises(ValueError, match="rho and fc must be positive"):
+            MechParams(**bad)
     with pytest.raises(ValueError):
         MechParams(mode="chaotic")
     with pytest.raises(ValueError, match="feedback"):
@@ -88,7 +89,7 @@ def test_energy_series_matches_definition(free_run):
     v = (
         0.5 * p.k * ser.x1**2
         + 0.5 * p.m * ser.x2**2
-        + storage_dahl_closed_form(ser.x3, p.rho, p.fc)
+        + storage_exact(ser.x3, p.rho, p.fc)
     )
     assert np.abs(ser.v - v).max() < 1e-14
 

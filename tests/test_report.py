@@ -7,19 +7,6 @@ import pytest
 from duhem.report import VerificationReport, worst_point
 
 
-def test_from_violation_sets_pass_flag():
-    rep = VerificationReport.from_violation(
-        name="demo", worst_violation=-0.5, worst_location=(0.0,), tolerance=0.0,
-        samples_checked=10,
-    )
-    assert rep.passed
-    fail = VerificationReport.from_violation(
-        name="demo", worst_violation=0.5, worst_location=(0.0,), tolerance=0.0,
-        samples_checked=10,
-    )
-    assert not fail.passed
-
-
 def test_pass_flag_is_derived_from_the_worst_violation():
     # no stored flag: the report passes exactly when worst <= tolerance
     for worst, tol, passed in [(1e-6, 1e-6, True), (1.5e-6, 1e-6, False),
@@ -54,7 +41,7 @@ def test_worst_point_takes_a_nan_as_the_largest_entry(at):
 
 
 def test_json_round_trip_sorted_keys():
-    rep = VerificationReport.from_violation(
+    rep = VerificationReport(
         name="demo", worst_violation=-1e-3, worst_location=(1.0, 2.0),
         tolerance=1e-6, samples_checked=42, details={"model": "dahl"},
     )
@@ -64,3 +51,23 @@ def test_json_round_trip_sorted_keys():
     assert payload["passed"] is True
     assert payload["details"]["model"] == "dahl"
     assert payload["samples_checked"] == 42
+
+
+def test_a_report_of_numpy_values_holds_python_types():
+    # the constructor coerces, so every builder's report is plain JSON
+    details = {"model": "dahl"}
+    rep = VerificationReport(
+        name="demo", worst_violation=np.float32(0.25),
+        worst_location=np.array([1.5, -2.0], dtype=np.float32),
+        tolerance=np.float64(0.5), samples_checked=np.int64(42), details=details,
+    )
+    assert type(rep.worst_violation) is float and rep.worst_violation == 0.25
+    assert type(rep.tolerance) is float
+    assert type(rep.samples_checked) is int and rep.samples_checked == 42
+    assert rep.worst_location == (1.5, -2.0)
+    assert all(type(x) is float for x in rep.worst_location)
+    assert type(rep.details) is dict and rep.details is not details
+    payload = json.loads(json.dumps(rep.to_dict()))
+    assert payload["samples_checked"] == 42 and payload["worst_location"] == [1.5, -2.0]
+    with pytest.raises(ValueError, match="samples_checked"):
+        VerificationReport("demo", 0.0, (), 0.0, np.int64(-1))

@@ -10,8 +10,9 @@ from hypothesis import strategies as st
 from duhem import boucwen, dahl, exp_example, simulate
 from duhem import storage as storage_module
 from duhem.core import Domain, DomainExitError, DuhemModel
-from duhem.curves import CrossingSearchError, PhasePoint, check_lemma1
+from duhem.curves import CrossingSearchError, PhasePoint, check_lemma1, ride_to_crossing
 from duhem.dissipativity import check_assumption_A
+from duhem.mechsim import MechParams, MechState, simulate_mech
 from duhem.signals import InputSignal, random_piecewise_linear
 from duhem.storage import (
     AvailableStorageResult,
@@ -23,7 +24,6 @@ from duhem.storage import (
     available_storage_bruteforce_batch,
     storage_cw,
     storage_cw_batch,
-    storage_dahl_closed_form,
     storage_output_only,
 )
 
@@ -41,24 +41,24 @@ from oracles import (
 STORAGE_ORACLE = 0.03545058445943833  # closed form at y = 0.375
 
 
+def _friction_storage(x3):
+    # the friction system's V at rest at the origin is H(x3), the closed
+    # form of the slope-1 Dahl storage at the stock rho = 1.5, fc = 0.75
+    return simulate_mech(MechParams(), MechState(0.0, 0.0, x3), 1e-3, step=1e-3).v[0]
+
+
 def test_closed_form_reference_value():
-    assert storage_dahl_closed_form(0.375) == pytest.approx(STORAGE_ORACLE, abs=1e-16)
-    assert storage_dahl_closed_form(0.375) == pytest.approx(storage_exact(0.375), abs=1e-16)
+    for y in (0.375, -0.375):
+        assert _friction_storage(y) == pytest.approx(STORAGE_ORACLE, abs=1e-16)
+        assert _friction_storage(y) == pytest.approx(float(storage_exact(y)), abs=1e-16)
 
 
 def test_closed_form_is_even_and_zero_at_origin():
     ys = np.linspace(-0.7, 0.7, 15)
-    vals = storage_dahl_closed_form(ys)
+    vals = np.array([_friction_storage(y) for y in ys])
     assert np.allclose(vals, vals[::-1])
-    assert storage_dahl_closed_form(0.0) == 0.0
+    assert _friction_storage(0.0) == 0.0
     assert (vals[ys != 0.0] > 0.0).all()
-
-
-def test_closed_form_rejects_band_boundary():
-    with pytest.raises(ValueError):
-        storage_dahl_closed_form(0.75)
-    with pytest.raises(ValueError):
-        storage_dahl_closed_form(0.1, rho=-1.0)
 
 
 def test_storage_cw_matches_closed_form(dahl_r1):
@@ -85,6 +85,27 @@ def test_storage_cw_exp_on_curve_integrates_backbone(exp_model):
         ev = storage_cw(exp_model, PhasePoint(xi / 1.2, xi))
         assert ev.value == pytest.approx(xi * xi / 2.4, abs=1e-12)
         assert ev.lambda_star == xi
+
+
+@pytest.mark.parametrize("quad_tol", [math.inf, 0.0, math.nan])
+def test_storage_cw_rejects_a_quad_tol_that_is_not_positive_and_finite(exp_model, quad_tol):
+    # quad_tol = inf took one Simpson step per integral, 2.3e-7 off here,
+    # and 0 or NaN ran out of depth into a QuadratureError
+    with pytest.raises(ValueError, match="tol must be positive and finite"):
+        storage_cw(exp_model, PhasePoint(0.5, -0.2), quad_tol=quad_tol)
+
+
+@pytest.mark.parametrize("model", ["dahl_r1", "exp_model"])
+def test_an_empty_batch_rides_to_empty_results(model, request):
+    # the step budget took the max of no |xi| and raised numpy's "zero-size
+    # array to reduction operation maximum"; exp_model's f_an is not zero,
+    # so the batch storage integrates it over no lanes
+    model = request.getfixturevalue(model)
+    empty = np.array([])
+    res = ride_to_crossing(model, empty, empty)
+    assert [a.shape for a in (res.lam, res.y_at, res.integral, res.steps)] == [(0,)] * 4
+    batch = storage_cw_batch(model, empty, empty)
+    assert batch.lam.shape == batch.value.shape == (0,)
 
 
 def test_storage_evaluation_dict_keys(dahl_r1):
@@ -343,7 +364,7 @@ def test_available_storage_bruteforce_brackets_closed_form(dahl_r1):
     res = available_storage_bruteforce(
         dahl_r1, PhasePoint(0.375, 1.0), SignalFamily(n_random=30, seed=3)
     )
-    H = storage_dahl_closed_form(0.375)
+    H = float(storage_exact(0.375))
     # extraction can only fall short of the stored energy, up to solver noise
     assert res.value >= 0.98 * H
     assert res.value <= H + 1e-4
@@ -411,7 +432,7 @@ def test_designed_ramp_is_clipped_to_the_horizon(dahl_r1):
     )
     whole = available_storage_bruteforce(dahl_r1, p, SignalFamily(n_random=3))
     assert whole.designed_value == pytest.approx(
-        storage_dahl_closed_form(p.sigma), abs=ramp * 4e-6 / 12.0 * y2
+        float(storage_exact(p.sigma)), abs=ramp * 4e-6 / 12.0 * y2
     )
     tiny = available_storage_bruteforce(dahl_r1, p, SignalFamily(n_random=3), horizon=1e-9)
     assert 0.0 < tiny.designed_value < 1e-9
