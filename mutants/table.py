@@ -1,7 +1,8 @@
 """Hand-made mutants of the checks, the crossing refinement, the supply
-march, the interval slopes of a trajectory, the output-only storage, the
-f_an term of the batch storage, the friction parameters, the recipe of
-`duhem verify` and the config checks of the CLI in `src/`.
+march, the Dahl r = 1 array fields, the interval slopes of a trajectory,
+the output-only storage, the f_an term of the batch storage, the friction
+parameters, the recipe of `duhem verify` and the config checks of the CLI
+in `src/`.
 
 Each entry names a file under `src/duhem`, an exact snippet of it, the text
 that replaces the snippet, and the tests expected to kill the mutant (pytest
@@ -170,6 +171,26 @@ MUTANTS = [
         "replacement": "pass",
         "tests": ["tests/test_storage.py::test_supply_march_does_not_depend_on_the_block_size"],
     },
+    # -- the supply march: a xi-free model's lanes carry no input
+    {
+        "name": "supply-no-input-for-any-model",
+        "why": "every model marches with the input 0.0, also one whose fields read the input",
+        "file": "storage.py",
+        "snippet": "odd, xi_free = model.odd, model.xi_free",
+        "replacement": "odd, xi_free = model.odd, True",
+        "tests": [
+            "tests/test_storage.py::test_odd_supply_march_is_the_two_branch_march_bit_for_bit[exp_model]",
+            "tests/test_storage.py::test_supply_march_lanes_are_simulate[exp_model]",
+        ],
+    },
+    {
+        "name": "dahl-array-constant-one-ulp-off",
+        "why": "the array branch of Dahl r = 1 divides by fc one ulp above the float branch's",
+        "file": "models.py",
+        "snippet": "one, rho_a, fc_a = (np.array(v) for v in (1.0, rho, fc))",
+        "replacement": "one, rho_a, fc_a = (np.array(v) for v in (1.0, rho, math.nextafter(fc, math.inf)))",
+        "tests": ["tests/test_models.py::test_array_fields_return_the_numpy_values[dahl r=1]"],
+    },
     {
         "name": "designed-ramp-not-clipped",
         "why": "the designed ramp runs past the horizon",
@@ -290,6 +311,14 @@ MUTANTS = [
         "tests": ["tests/test_storage.py::test_storage_cw_raises_when_its_resampled_branch_is_truncated"],
     },
     {
+        "name": "storage-cw-quad-tol-unchecked",
+        "why": "storage_cw checks quad_tol only in the quadrature, after the ride, and not at all on the curve",
+        "file": "storage.py",
+        "snippet": "    _check_tol(quad_tol)\n",
+        "replacement": "",
+        "tests": ["tests/test_storage.py::test_storage_cw_rejects_a_quad_tol_that_is_not_positive_and_finite"],
+    },
+    {
         "name": "bruteforce-nothing-extracted-is-minus-zero",
         "why": "a signal that extracts nothing reads -0.0 (-minW instead of 0.0 - minW)",
         "file": "storage.py",
@@ -369,14 +398,11 @@ MUTANTS = [
     },
     {
         "name": "adaptive-simpson-tol-unchecked",
-        "why": "adaptive_simpson, and so storage_cw, with no check of its tolerance",
+        "why": "adaptive_simpson with no check of its tolerance",
         "file": "integrate.py",
         "snippet": "    _check_tol(tol)\n    if a == b:",
         "replacement": "    if a == b:",
-        "tests": [
-            "tests/test_integrate.py::test_adaptive_simpson_rejects_a_tol_that_is_not_positive_and_finite",
-            "tests/test_storage.py::test_storage_cw_rejects_a_quad_tol_that_is_not_positive_and_finite",
-        ],
+        "tests": ["tests/test_integrate.py::test_adaptive_simpson_rejects_a_tol_that_is_not_positive_and_finite"],
     },
     # -- the recipe of `duhem verify` as one library call
     {

@@ -120,11 +120,12 @@ class DuhemModel:
     takes (f1 below the curve, f2 above): a function of the output alone,
     which `verify_dissipation_battery` evaluates by quadrature
     (`storage.storage_output_only`) instead of riding every sample to its
-    crossing.  The declaration is checked on the same probe grid: f1 and
-    f2 must return the same bits at every probe input as at xi = 0, and
-    f_an must be 0 there; a mismatch, or no f_an, raises ValueError.  Dahl
-    and Bouc-Wen with zeta != 0 are xi-free; the exponential example is
-    not.
+    crossing; the supply march (`storage._supply_running_min`) calls the
+    fields at the input 0.0 and carries no input.  The declaration is
+    checked on the same probe grid: f1 and f2 must return the same bits at
+    every probe input as at xi = 0, and f_an must be 0 there; a mismatch,
+    or no f_an, raises ValueError.  Dahl and Bouc-Wen with zeta != 0 are
+    xi-free; the exponential example is not.
     """
 
     name: str

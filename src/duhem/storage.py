@@ -41,11 +41,14 @@ march runs in blocks of substeps: only the RK4 recurrence runs substep by
 substep, and each block's inputs and stage factors, its domain guard and
 its supply bookkeeping are array operations over the whole block, with
 the bits of a march of one substep at a time.  A lane whose input has
-ended leaves the march at the next block boundary.
+ended leaves the march at the next block boundary.  The lanes of a xi-free
+model carry no input track: its fields ignore the input, so each field
+call and RK4 stage takes the input 0.0, where the declaration is checked.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -63,6 +66,7 @@ from .curves import (
     traversing_curve,
 )
 from .integrate import adaptive_simpson, gauss_legendre, rk4_step
+from .report import _check_tol
 from .signals import InputSignal, _readonly, random_piecewise_linear
 
 __all__ = [
@@ -127,10 +131,12 @@ def storage_cw(
     check).  The traversing branch from xi to the intersection is then
     resampled at fixed step by `traversing_curve` into a cubic Hermite
     table and integrated with adaptive Simpson to quad_tol, as is
-    `anhysteresis` from 0 to the intersection.  Raises CrossingSearchError when no intersection is found
-    and ValueError for a point outside the model domain, or, from the
-    quadrature, for a quad_tol that is not positive and finite.
+    `anhysteresis` from 0 to the intersection.  Raises CrossingSearchError
+    when no intersection is found and ValueError for a point outside the
+    model domain or, before any ride, for a quad_tol that is not positive
+    and finite.
     """
+    _check_tol(quad_tol)
     lam = intersect_lambda(model, p, step=step)
 
     if lam == p.xi:
@@ -367,6 +373,13 @@ def _supply_running_min(
     domain exit is reported at its first substep and the substeps computed
     after it are discarded.
 
+    A xi-free model (`DuhemModel.xi_free`) has no input track: its blocks
+    gather no event start iteration or start value and compute no v,
+    v + h/2 or v + h, and every field call and RK4 stage takes the input
+    0.0, the input against which the declaration check compares every
+    probe input bit for bit.  Its outputs are those of the same model
+    marched with its input; the per-substep cost is what falls.
+
     At each block boundary the lanes whose end event lies before the block
     leave the march: their running minimum and output are stored by lane,
     and the next block runs on the live lanes alone, in lane order, through
@@ -397,15 +410,17 @@ def _supply_running_min(
     ev = ev[np.argsort(ev[:, 0], kind="stable")]
     ev_k = ev[:, 0].astype(int)
     ev_lane = ev[:, 1].astype(int)
-    ev_kf = ev[:, 0]
     n_iter = int(ev_k[-1])
-    odd = model.odd
-    # each event's frame sign, start value, substep and its stage factors
+    odd, xi_free = model.odd, model.xi_free
+    # each event's frame sign, substep and its stage factors, then (where
+    # the fields read the input) its start iteration and start value
     ev_sign = np.where(odd & (ev[:, 4] < 0.0), -1.0, 1.0)
-    ev_va = ev_sign * ev[:, 3]
     ev_h = ev_sign * ev[:, 4]
     ev_half = 0.5 * ev_h
     ev_sixth = ev_h / 6.0
+    tables = [ev_h, ev_half, ev_sixth, ev_sign]
+    if not xi_free:
+        tables += [ev[:, 0], ev_sign * ev[:, 3]]
 
     minW_out = np.zeros(m)
     y_out = np.empty(m)
@@ -425,7 +440,8 @@ def _supply_running_min(
     # heap trim and refault them block after block.
     n_rows = min(_SUPPLY_BLOCK, n_iter)
     ids_buf = np.empty(n_rows * m, dtype=int)
-    bufs = [np.empty(n_rows * m) for _ in range(7)]
+    # H, half, sixth, turn and, where the fields read the input, V, XM, XH
+    bufs = [np.empty(n_rows * m) for _ in range(4 if xi_free else 7)]
     Z_buf = np.empty((n_rows + 1) * m)
 
     if odd:
@@ -453,22 +469,28 @@ def _supply_running_min(
         rows = ev_k[e0:e1] - k0
         size = nb * live.size
         ids = ids_buf[:size].reshape(nb, -1)
-        H, half, sixth, V, XM, XH, turn = (b[:size].reshape(nb, -1) for b in bufs)
+        blocks = [b[:size].reshape(nb, -1) for b in bufs]
+        H, half, sixth, turn = blocks[:4]
         ids.fill(-1)
         ids[0] = current
         ids[rows, column[ev_lane[e0:e1]]] = np.arange(e0, e1)
         np.maximum.accumulate(ids, axis=0, out=ids)
         # gathers into the buffers (every id is in range; a mode other than
         # "raise" lets take write to out without a temporary)
-        for table, dest in ((ev_h, H), (ev_half, half), (ev_sixth, sixth),
-                            (ev_kf, V), (ev_va, XM), (ev_sign, turn)):
+        for table, dest in zip(tables, blocks):
             np.take(table, ids, out=dest, mode="wrap")
-        # u = va + (k - k_event) h, the substep count exact in floats
-        np.subtract(np.arange(k0, k0 + nb, dtype=float)[:, None], V, out=V)
-        V *= H
-        V += XM
-        np.add(V, half, out=XM)
-        np.add(V, H, out=XH)
+        if xi_free:
+            # the fields read no input: every stage takes 0.0
+            inputs = itertools.repeat((0.0, 0.0, 0.0), nb)
+        else:
+            V, XM, XH = blocks[4:]
+            # u = va + (k - k_event) h, the substep count exact in floats
+            np.subtract(np.arange(k0, k0 + nb, dtype=float)[:, None], V, out=V)
+            V *= H
+            V += XM
+            np.add(V, half, out=XM)
+            np.add(V, H, out=XH)
+            inputs = zip(V, XM, XH)
         # z is negated at a switch that turns the lane's sign: factor
         # s_k s_(k-1), which is 1 on every other lane and substep (numpy
         # reads the overlapping rows as they were before the product)
@@ -482,13 +504,11 @@ def _supply_running_min(
 
         Z = Z_buf[: size + live.size].reshape(nb + 1, -1)
         Z[0] = z
-        for r, at_switch in enumerate(switch.tolist()):
+        for r, (at_switch, (v, xm, xh)) in enumerate(zip(switch.tolist(), inputs)):
             if at_switch:
                 z = z * turn[r]
                 up = H[r] >= 0.0
-            z = rk4_step(
-                field, z, field(z, V[r]), XM[r], XH[r], half[r], H[r], sixth[r]
-            )
+            z = rk4_step(field, z, field(z, v), xm, xh, half[r], H[r], sixth[r])
             Z[r + 1] = z
 
         Z_new = Z[1:]

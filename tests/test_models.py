@@ -242,12 +242,22 @@ def test_scalar_fields_return_floats_equal_to_the_numpy_value(label, model, orac
 
 @pytest.mark.parametrize("label,model,oracle,sigmas", FIELD_CASES, ids=[c[0] for c in FIELD_CASES])
 def test_array_fields_return_the_numpy_values(label, model, oracle, sigmas):
+    # on the 2-d grid, on each of its 1-d rows (the lockstep marches' lanes)
+    # and on 0-d arrays: arrays of float64 for arrays, a float64 number for
+    # 0-d inputs, with the oracle's bits
     S, X = np.meshgrid(np.array(sigmas), np.array(FIELD_XI), indexing="ij")
     with np.errstate(all="ignore"):
         for f, ref in zip((model.f1, model.f2), oracle):
-            got, want = f(S, X), ref(S, X)
-            assert type(got) is np.ndarray and got.shape == S.shape
-            assert all(_same(a, b) for a, b in zip(got.ravel(), want.ravel())), label
+            for s, x in [(S, X), *zip(S, X)]:
+                got, want = f(s, x), ref(s, x)
+                assert type(got) is np.ndarray and got.shape == s.shape, label
+                assert got.dtype == np.float64, label
+                assert all(_same(a, b) for a, b in zip(got.ravel(), want.ravel())), label
+            for s, x in zip(S.ravel(), X.ravel()):
+                s, x = np.array(s), np.array(x)
+                got = f(s, x)
+                assert isinstance(got, float) and not isinstance(got, np.ndarray), label
+                assert _same(got, ref(s, x)), (label, s, x)
 
 
 def test_scalar_field_overflow_gives_inf_or_nan_as_numpy_does():

@@ -87,12 +87,32 @@ def test_storage_cw_exp_on_curve_integrates_backbone(exp_model):
         assert ev.lambda_star == xi
 
 
-@pytest.mark.parametrize("quad_tol", [math.inf, 0.0, math.nan])
-def test_storage_cw_rejects_a_quad_tol_that_is_not_positive_and_finite(exp_model, quad_tol):
-    # quad_tol = inf took one Simpson step per integral, 2.3e-7 off here,
-    # and 0 or NaN ran out of depth into a QuadratureError
+@pytest.mark.parametrize("quad_tol", [math.inf, 0.0, math.nan, -1.0])
+@pytest.mark.parametrize(
+    "model_name,point",
+    [("dahl_r1", PhasePoint(0.0, 0.7)), ("exp_model", PhasePoint(0.5, -0.2))],
+    ids=["on the curve", "off it"],
+)
+def test_storage_cw_rejects_a_quad_tol_that_is_not_positive_and_finite(model_name, point, quad_tol, request):
+    # Off the curve, quad_tol = inf took one Simpson step per integral
+    # (2.3e-7 off at this exp_example point), and 0 or NaN ran out of depth
+    # into a QuadratureError.  On the curve no quadrature runs, and any
+    # quad_tol returned 0.0.  The check comes before the ride: no field is
+    # called.
+    calls = []
+
+    def counted(f):
+        def field(sigma, xi):
+            calls.append(1)
+            return f(sigma, xi)
+        return field
+
+    model = request.getfixturevalue(model_name)
+    model = dataclasses.replace(model, f1=counted(model.f1), f2=counted(model.f2))
+    calls.clear()
     with pytest.raises(ValueError, match="tol must be positive and finite"):
-        storage_cw(exp_model, PhasePoint(0.5, -0.2), quad_tol=quad_tol)
+        storage_cw(model, point, quad_tol=quad_tol)
+    assert not calls
 
 
 @pytest.mark.parametrize("model", ["dahl_r1", "exp_model"])
@@ -573,6 +593,27 @@ def test_odd_supply_march_is_the_two_branch_march_bit_for_bit(model_name, reques
     assert (minW < 0.0).sum() >= 10  # lanes that extract energy
 
 
+@pytest.mark.parametrize("odd", [True, False])
+@pytest.mark.parametrize("model_name", ["dahl_r1", "dahl_r3", "bw"])
+def test_xi_free_supply_march_is_the_march_with_the_input_bit_for_bit(model_name, odd, request, rng):
+    # A xi-free model's lanes carry no input, and its field calls and stage
+    # inputs take 0.0; the same model declared not xi-free marches with the
+    # input track.  The lanes turn (random inputs), hold (the last input),
+    # start on both sides of 0 and finish in different blocks.
+    model = dataclasses.replace(request.getfixturevalue(model_name), odd=odd)
+    with_input = dataclasses.replace(model, xi_free=False)
+    assert model.xi_free and not with_input.xi_free
+    sigs = _march_signals(rng)
+    ends = [np.count_nonzero(_simulate_substeps(sig, MARCH_STEP)) for sig in sigs]
+    assert len({k // storage_module._SUPPLY_BLOCK for k in ends}) > 1
+    y0 = np.linspace(-0.6, 0.6, len(sigs))
+    minW, y_end = _supply_running_min(model, sigs, y0, MARCH_STEP)
+    ref_minW, ref_y = _supply_running_min(with_input, sigs, y0, MARCH_STEP)
+    assert minW.tobytes() == ref_minW.tobytes()
+    assert y_end.tobytes() == ref_y.tobytes()
+    assert (minW < 0.0).sum() >= 10  # lanes that extract energy
+
+
 def test_supply_march_domain_exit_names_the_lane_and_its_sample():
     # y follows u one to one inside the band |y| < 1; signal 2 leaves it in
     # its last segment, long after the short signals 0 and 1 have finished
@@ -719,7 +760,7 @@ def test_supply_march_evaluates_a_lane_only_to_the_end_of_its_last_block(dahl_r1
         assert y_end[i] == simulate(dahl_r1, sig, y0[i], step).y[-1], i
 
 
-def _unit_slope_band(odd: bool) -> DuhemModel:
+def _unit_slope_band(odd: bool, xi_free: bool) -> DuhemModel:
     return DuhemModel(
         name="unit-slope band",
         f1=lambda s, x: 1.0 + 0.0 * s,
@@ -727,6 +768,7 @@ def _unit_slope_band(odd: bool) -> DuhemModel:
         domain=Domain(-1.0, 1.0),
         f_an=lambda xi: 0.0 * xi,
         odd=odd,
+        xi_free=xi_free,
     )
 
 
@@ -738,6 +780,7 @@ def _exit_at(k: int, direction: float) -> InputSignal:
     return _segments(0.0, *direction * np.array([0.375, -0.375] * ((k - 2) // 2) + [1.5]))
 
 
+@pytest.mark.parametrize("xi_free", [False, True])
 @pytest.mark.parametrize("odd", [True, False])
 @pytest.mark.parametrize("direction", [1.0, -1.0])
 @pytest.mark.parametrize(
@@ -747,12 +790,13 @@ def _exit_at(k: int, direction: float) -> InputSignal:
         202,  # row 10 of the final partial block (iterations 192-211)
     ],
 )
-def test_supply_march_exit_in_a_later_block_is_simulates_exit(k_exit, direction, odd, monkeypatch):
+def test_supply_march_exit_in_a_later_block_is_simulates_exit(k_exit, direction, odd, xi_free, monkeypatch):
     # Lane 2 leaves the band on iteration k_exit.  Lane 0 leaves it four
     # iterations later in the same block: the march reports the first exit
     # in time, not the first lane, and discards the substeps after it.
-    # Lane 1 zigzags inside the band for 212 iterations.
-    model = _unit_slope_band(odd)
+    # Lane 1 zigzags inside the band for 212 iterations.  Declared
+    # xi-free, the band marches with no input track, to the same exit.
+    model = _unit_slope_band(odd, xi_free)
     step = 0.375
     sigs = [
         _exit_at(k_exit + 4, direction),
