@@ -1,8 +1,8 @@
-"""Hand-made mutants of the checks, the crossing refinement, the supply
-march, the Dahl r = 1 array fields, the interval slopes of a trajectory,
-the output-only storage, the f_an term of the batch storage, the friction
-parameters, the recipe of `duhem verify` and the config checks of the CLI
-in `src/`.
+"""Hand-made mutants of the checks, the crossing refinement, the domain
+exits of the marches, the supply march, the Dahl r = 1 array fields, the
+interval slopes of a trajectory, the output-only storage, the f_an term of
+the batch storage, the friction and model parameters, the recipe of
+`duhem verify` and the config checks of the CLI in `src/`.
 
 Each entry names a file under `src/duhem`, an exact snippet of it, the text
 that replaces the snippet, and the tests expected to kill the mutant (pytest
@@ -247,7 +247,68 @@ MUTANTS = [
         "replacement": "np.divide(du, du,",
         "tests": ["tests/test_core.py::test_trajectory_built_by_hand_has_secant_interval_slopes"],
     },
+    # -- the domain exit of every march: an output NaN, +-inf or not
+    #    strictly inside the band ends it, on the whole plane too
+    {
+        "name": "crossing-march-unguarded-on-the-whole-plane",
+        "why": "the lockstep crossing march tests the band only where it has a finite edge, so a NaN lane marches the whole budget",
+        "file": "curves.py",
+        "snippet": "if not (lo < y_new.min() and y_new.max() < hi):",
+        "replacement": "if hi < math.inf and not (lo < y_new.min() and y_new.max() < hi):",
+        "tests": ["tests/test_curves.py::test_a_whole_plane_ride_that_turns_nan_exits_where_simulate_does"],
+    },
+    {
+        "name": "float-ride-unguarded-on-the-whole-plane",
+        "why": "the single-point ride tests the band only where it has a finite edge",
+        "file": "curves.py",
+        "snippet": "if not lo < y_new < hi:",
+        "replacement": "if hi < math.inf and not lo < y_new < hi:",
+        "tests": ["tests/test_curves.py::test_a_whole_plane_ride_that_turns_nan_exits_where_simulate_does"],
+    },
+    {
+        "name": "supply-march-unguarded-on-the-whole-plane",
+        "why": "the supply march tests the band only where it has a finite edge, so a NaN lane gives a NaN storage",
+        "file": "storage.py",
+        "snippet": "if not (lo < Z_new.min() and Z_new.max() < hi):",
+        "replacement": "if hi < math.inf and not (lo < Z_new.min() and Z_new.max() < hi):",
+        "tests": ["tests/test_storage.py::test_a_whole_plane_search_that_turns_nan_exits_where_simulate_does"],
+    },
+    {
+        "name": "friction-march-lets-nan-pass",
+        "why": "simulate_mech tests abs(x3) >= fc, which a NaN friction force passes",
+        "file": "mechsim.py",
+        "snippet": "if not abs(nc) < fc:",
+        "replacement": "if abs(nc) >= fc:",
+        "tests": ["tests/test_mechsim.py::test_a_nan_friction_force_ends_the_march_at_its_first_step"],
+    },
     # -- arguments that cannot be run
+    {
+        "name": "model-factories-accept-non-finite-parameters",
+        "why": "dahl and boucwen take NaN and +-inf parameters",
+        "file": "models.py",
+        "snippet": "if not math.isfinite(v):",
+        "replacement": "if False:",
+        "tests": [
+            "tests/test_models.py::test_factories_reject_a_parameter_that_is_not_finite",
+            "tests/test_cli.py::test_a_model_parameter_that_is_not_finite_is_a_config_error",
+        ],
+    },
+    {
+        "name": "lemma1-epsilon-may-be-non-finite",
+        "why": "check_lemma1 takes epsilon NaN or inf and fails its report instead of raising",
+        "file": "curves.py",
+        "snippet": "if not 0.0 < epsilon < math.inf:",
+        "replacement": "if epsilon <= 0.0:",
+        "tests": ["tests/test_curves.py::test_lemma_check_rejects_an_epsilon_that_is_not_finite"],
+    },
+    {
+        "name": "curves-tau-range-unchecked",
+        "why": "duhem curves leaves a tau range that misses --xi to traversing_curve (exit 1)",
+        "file": "cli.py",
+        "snippet": "if not args.tau_min <= p.xi <= args.tau_max:",
+        "replacement": "if False:",
+        "tests": ["tests/test_cli.py::test_a_tau_range_that_misses_xi_is_a_config_error"],
+    },
     {
         "name": "step-may-be-infinite",
         "why": "simulate, traversing_curve and the crossing rides accept step = inf",

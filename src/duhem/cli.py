@@ -293,6 +293,11 @@ def cmd_curves(args: argparse.Namespace) -> int:
     cfg = _base_config(args)
     model = _resolve_model(cfg)
     p = _phase_point(args, ("--tau-min", args.tau_min), ("--tau-max", args.tau_max))
+    if not args.tau_min <= p.xi <= args.tau_max:
+        raise ConfigError(
+            "need --tau-min <= --xi <= --tau-max, got "
+            f"--tau-min={args.tau_min!r} --xi={p.xi!r} --tau-max={args.tau_max!r}"
+        )
     step = cfg.step if cfg.step is not None else 1e-3
     curve = traversing_curve(model, p, args.tau_min, args.tau_max, step=step)
     lam = intersect_lambda(model, p, step=step)

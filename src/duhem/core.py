@@ -40,8 +40,8 @@ __all__ = [
 class DomainExitError(RuntimeError):
     """The integration left the model's validity region.
 
-    Carries the first offending sample so callers can report where the
-    state escaped.
+    Carries the first sample not strictly inside the domain band (a NaN or
+    +-inf output is not), so callers can report where the state escaped.
     """
 
     def __init__(self, t: float, u: float, y: float, message: str | None = None):
@@ -59,7 +59,9 @@ class Domain:
     """Open band sigma_min < y < sigma_max, unrestricted in the input.
 
     Covers the built-in catalog: the whole plane (default limits) and the
-    open band (-Fc, Fc) x R used by Dahl-type friction models.
+    open band (-Fc, Fc) x R used by Dahl-type friction models.  NaN and
+    +-inf lie outside every band, the whole plane included, and every
+    march ends at its first output outside its band.
     """
 
     sigma_min: float = -math.inf
@@ -74,10 +76,6 @@ class Domain:
         return (np.asarray(sigma) > self.sigma_min) & (
             np.asarray(sigma) < self.sigma_max
         )
-
-    @property
-    def bounded(self) -> bool:
-        return math.isfinite(self.sigma_min) or math.isfinite(self.sigma_max)
 
 
 WHOLE_PLANE = Domain()

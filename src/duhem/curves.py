@@ -65,7 +65,8 @@ class CrossingSearchError(RuntimeError):
     """The traversing branch never met the anhysteresis curve within budget.
 
     Raised when the search exhausts its expansion budget or leaves the model
-    domain; both indicate the transversality hypotheses fail along the ride.
+    domain (an output NaN, +-inf or not strictly inside its band); both
+    indicate the transversality hypotheses fail along the ride.
     Also raised for a NaN side residual at a start point and for a crossing
     more than 1e-9 (or NaN) off the anhysteresis curve.
     """
@@ -406,6 +407,7 @@ def _march_to_crossing(
     brackets are refined together in one vector root finder on their cubic
     Hermite models (`_refine_crossings`).  Every operation is elementwise,
     so a lane's result does not depend on which other lanes share the batch.
+    An output NaN, +-inf or outside the band ends it (CrossingSearchError).
     """
     n = y0.size
     idx = np.arange(n)
@@ -419,7 +421,6 @@ def _march_to_crossing(
 
     side = _side_residual(model)
     lo, hi = model.domain.sigma_min, model.domain.sigma_max
-    guarded = model.domain.bounded
     half, sixth = 0.5 * h, h / 6.0
 
     for it in range(1, max_steps + 1):
@@ -427,7 +428,7 @@ def _march_to_crossing(
             break
         tau_new = tau + h
         y_new = rk4_step(f, y, fcur, tau + half, tau_new, half, h, sixth)
-        if guarded and not ((y_new > lo) & (y_new < hi)).all():
+        if not (lo < y_new.min() and y_new.max() < hi):
             bad = ~((y_new > lo) & (y_new < hi))
             raise _domain_exit_error(int(bad.sum()), (sign[idx] * tau_new)[bad][0])
         f_new = np.asarray(f(y_new, tau_new), dtype=float)
@@ -597,14 +598,13 @@ def _ride_point(
     y, tau = s * y, s * tau
     side = _side_residual(model)
     lo, hi = model.domain.sigma_min, model.domain.sigma_max
-    guarded = model.domain.bounded
     half, sixth = 0.5 * h, h / 6.0
 
     fcur = f(y, tau)
     for _ in range(max_steps):
         tau_new = tau + h
         y_new = rk4_step(f, y, fcur, tau + half, tau_new, half, h, sixth)
-        if guarded and not lo < y_new < hi:
+        if not lo < y_new < hi:
             raise _domain_exit_error(1, s * tau_new)
         f_new = f(y_new, tau_new)
         c_new = side(y_new, tau_new)
@@ -689,9 +689,10 @@ def check_lemma1(
     when every margin reaches epsilon; a NaN field or f_an value at a grid
     node fails it.  A constant anhysteresis curve (slope below 1e-12
     everywhere, as for Dahl and Bouc-Wen) is flagged in the details.
+    ValueError unless epsilon is positive and finite.
     """
-    if epsilon <= 0.0:
-        raise ValueError("epsilon must be positive")
+    if not 0.0 < epsilon < math.inf:
+        raise ValueError(f"epsilon must be positive and finite, got {epsilon!r}")
     sig, xiv, fan = _certificate_grid(model, region)
 
     hstep = 1e-5 * (1.0 + np.abs(xiv))

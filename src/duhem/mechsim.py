@@ -22,7 +22,7 @@ trajectory is identical, only the power bookkeeping changes, which
 The switching term in x3' is only piecewise smooth, so integration runs in
 time with fixed-step RK4 and any step whose velocity changes sign is redone
 once as two half steps to keep the local error near the switching plane in
-check.
+check.  A friction force that is NaN or not inside (-fc, fc) ends it.
 """
 
 from __future__ import annotations
@@ -185,8 +185,8 @@ def simulate_mech(
 
     A step whose velocity crosses zero is redone once as two half steps (the
     friction slope switches with the sign of x2, so the plain step would
-    integrate through a kink).  Raises DomainExitError if the friction force
-    reaches the boundary of its confinement band (-fc, fc), and ValueError,
+    integrate through a kink).  Raises DomainExitError at a friction force
+    that is NaN or not inside its confinement band (-fc, fc), and ValueError,
     before allocating, if horizon / step exceeds MAX_MECH_STEPS.
     """
     if not (horizon > 0.0 and math.isfinite(horizon)):
@@ -218,7 +218,7 @@ def simulate_mech(
         if nb * b < 0.0:
             ha, hb, hc = _rk4_mech(m, d, k, rho, fc, a, b, c, 0.5 * h)
             na, nb, nc = _rk4_mech(m, d, k, rho, fc, ha, hb, hc, 0.5 * h)
-        if abs(nc) >= fc:
+        if not abs(nc) < fc:
             raise DomainExitError(
                 t=float(t[j]), u=na, y=nc,
                 message=f"friction force reached the band boundary at t={t[j]:.6g}",

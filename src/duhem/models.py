@@ -45,6 +45,16 @@ def _power(a, n):
         return math.inf
 
 
+def _finite_floats(**params) -> list[float]:
+    """The parameter values as floats, or ValueError naming the first that
+    is not finite."""
+    values = [float(v) for v in params.values()]
+    for name, v in zip(params, values):
+        if not math.isfinite(v):
+            raise ValueError(f"{name} must be finite, got {v}")
+    return values
+
+
 def _signed_power_field(rho, fc, r, rising):
     """The Dahl field rho * |z|^r * sgn(z) at z = 1 - sigma/fc (rising, f1)
     or z = 1 + sigma/fc (f2), in one Python call; a Python float for a
@@ -103,11 +113,9 @@ def dahl(rho: float = 1.5, fc: float = 0.75, r: float = 1.0) -> DuhemModel:
     evaluates these fields four times per substep at such widths, where
     per-call overhead dominates.  One consequence: a float32 array, which
     Python-float operands kept in float32, now computes in float64.
-    Every library path passes float64.
+    Every library path passes float64.  Each parameter must be finite.
     """
-    rho = float(rho)
-    fc = float(fc)
-    r = float(r)
+    rho, fc, r = _finite_floats(rho=rho, fc=fc, r=r)
     if rho <= 0.0:
         raise ValueError(f"rho must be positive, got {rho}")
     if fc <= 0.0:
@@ -156,11 +164,9 @@ def boucwen(
 
     zeta (often printed as gamma in the engineering literature) controls the
     loop shape; with zeta > 0 the anhysteresis curve is identically zero.
+    Each parameter must be finite.
     """
-    alpha = float(alpha)
-    beta = float(beta)
-    zeta = float(zeta)
-    n = float(n)
+    alpha, beta, zeta, n = _finite_floats(alpha=alpha, beta=beta, zeta=zeta, n=n)
     if n < 1.0:
         raise ValueError(f"exponent n must be >= 1, got {n}")
 

@@ -347,8 +347,9 @@ def _supply_running_min(
     advance one substep per iteration; each lane switches segment at its own
     precomputed iteration, and a lane that has finished marches with h = 0
     to the end of its block.  A lane's (u, y) substeps are therefore those
-    of `simulate` on its signal.  A domain exit raises DomainExitError at
-    `simulate`'s sample, naming the lane by lane_name.
+    of `simulate` on its signal.  A domain exit (an output NaN, +-inf or
+    not strictly inside the band) raises DomainExitError at `simulate`'s
+    sample, naming the lane by lane_name.
 
     Each lane marches in a frame z = s y, v = s u with s = -1 on a falling
     substep (h < 0) and +1 otherwise, so that its substep s h = |h| always
@@ -434,7 +435,6 @@ def _supply_running_min(
     W = np.zeros(m)
     minW = np.zeros(m)
     lo, hi = model.domain.sigma_min, model.domain.sigma_max
-    guarded = model.domain.bounded
     # The block arrays live in buffers of the first block's size, allocated
     # once: arrays that shrank with the live lanes in every block made the
     # heap trim and refault them block after block.
@@ -512,7 +512,7 @@ def _supply_running_min(
             Z[r + 1] = z
 
         Z_new = Z[1:]
-        if guarded and not (lo < Z_new.min() and Z_new.max() < hi):
+        if not (lo < Z_new.min() and Z_new.max() < hi):
             out = ~((Z_new > lo) & (Z_new < hi))
             r = int(np.argmax(out.any(axis=1)))
             bad = int(np.argmax(out[r]))

@@ -371,6 +371,42 @@ def test_a_tau_bound_that_is_not_finite_is_a_config_error(tmp_path, capsys, monk
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "tau_min, tau_max", [("2", "3"), ("-1", "0.5"), ("1.5", "-1")], ids=["above", "below", "reversed"]
+)
+def test_a_tau_range_that_misses_xi_is_a_config_error(tmp_path, capsys, monkeypatch, tau_min, tau_max):
+    # a bad flag value is a config error, reported before any ride
+    for name in ("traversing_curve", "intersect_lambda"):
+        monkeypatch.setattr(duhem.cli, name, _no_ride)
+    out = tmp_path / "curve.csv"
+    code = run_cli(
+        "curves", "--model", "dahl", "--sigma", "0.3", "--xi", "1.0",
+        f"--tau-min={tau_min}", f"--tau-max={tau_max}", "--out", str(out),
+    )
+    assert code == 2
+    assert capsys.readouterr().err.startswith(
+        "config error: need --tau-min <= --xi <= --tau-max, got "
+        f"--tau-min={float(tau_min)!r} --xi=1.0 --tau-max={float(tau_max)!r}"
+    )
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("model, params", [("dahl", '{"fc": Infinity}'), ("boucwen", '{"n": NaN}')])
+def test_a_model_parameter_that_is_not_finite_is_a_config_error(tmp_path, capsys, monkeypatch, model, params):
+    # JSON reads NaN and Infinity, so --params can carry them to a factory
+    monkeypatch.setattr(duhem.cli, "storage_cw", _no_ride)
+    out = tmp_path / "storage.json"
+    code = run_cli(
+        "storage", "--model", model, "--params", params, "--sigma", "0.3", "--xi", "0.1",
+        "--out", str(out),
+    )
+    assert code == 2
+    name = params.split('"')[1]
+    value = float(params.split(": ")[1].rstrip("}"))
+    assert capsys.readouterr().err.startswith(f"config error: {name} must be finite, got {value}")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("value", ["nan", "inf", "-1", "0", "-0.0"])
 def test_a_quad_tol_that_is_not_positive_and_finite_is_a_config_error(tmp_path, capsys, monkeypatch, value):
     # --quad-tol nan and -1 used to run the whole ride and quadrature and

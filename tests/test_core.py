@@ -207,7 +207,7 @@ def test_trajectory_csv_roundtrip(tmp_path, dahl_r1):
 
 def test_domain_membership_grid():
     d = Domain(-1.0, 1.0)
-    assert d.bounded
+    assert (d.sigma_min, d.sigma_max) == (-1.0, 1.0)
     got = d.contains(np.array([-1.5, 0.0, 0.9999, 1.0]))
     assert got.tolist() == [False, True, True, False]
     with pytest.raises(ValueError):

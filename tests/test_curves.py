@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from duhem import boucwen, curves, dahl, exp_example, simulate
-from duhem.core import Domain, DuhemModel
+from duhem.core import Domain, DomainExitError, DuhemModel
 from duhem.curves import (
     CrossingSearchError,
     PhasePoint,
@@ -825,6 +825,35 @@ def test_batch_ride_leaving_a_bounded_domain_raises():
         ride_to_crossing(m, [0.0, -0.5, 0.0], [1.0, 2.0, 15.0], step=1e-2)
 
 
+def _sqrt_model(odd):
+    # f1 = sqrt(-sigma) + 1 is NaN for sigma > 0, f2(sigma, xi) = f1(-sigma,
+    # -xi): on the whole plane, a ride from below the curve f_an = 0 turns
+    # NaN in the step whose stages probe sigma > 0
+    def f1(s, x):
+        with np.errstate(invalid="ignore"):
+            return np.sqrt(-s) + 1.0
+
+    return DuhemModel(
+        name="sqrt", f1=f1, f2=lambda s, x: f1(-s, -x), f_an=lambda x: 0.0 * x, odd=odd
+    )
+
+
+@pytest.mark.parametrize("odd", [True, False], ids=["odd", "two marches"])
+def test_a_whole_plane_ride_that_turns_nan_exits_where_simulate_does(odd):
+    # a ride that let the NaN pass would march its whole budget, 2**21
+    # steps (43 s) by default: max_doublings=0 keeps it at 20 steps
+    m = _sqrt_model(odd)
+    with pytest.raises(DomainExitError) as lone:
+        simulate(m, ramp(0.0, 1.0, 1.0), -0.5, step=0.05)
+    assert math.isnan(lone.value.y)
+    assert lone.value.u == pytest.approx(0.35, abs=1e-12)
+    want = r"^1 traversing branch\(es\) left the domain before meeting the anhysteresis curve \(first at tau=0\.35\)$"
+    with pytest.raises(CrossingSearchError, match=want):
+        ride_to_crossing(m, [-0.5], [0.0], step=0.05, max_doublings=0)
+    with pytest.raises(CrossingSearchError, match=want):
+        intersect_lambda(m, PhasePoint(-0.5, 0.0), step=0.05, max_doublings=0)
+
+
 def test_lemma_margin_certificate_dahl(dahl_r1):
     rep = check_lemma1(dahl_r1, ((-0.7125, 0.7125), (-2.0, 2.0)), 0.01)
     assert rep.passed
@@ -848,6 +877,13 @@ def test_lemma_margin_certificate_exp_fails_at_loose_epsilon(exp_model):
     rep = check_lemma1(exp_model, ((-5.0, 5.0), (-5.0, 5.0)), 1e-3)
     assert not rep.passed
     assert rep.worst_violation == pytest.approx(1e-3 - EXP_CORNER_MARGIN, abs=1e-12)
+
+
+@pytest.mark.parametrize("epsilon", [math.nan, math.inf])
+def test_lemma_check_rejects_an_epsilon_that_is_not_finite(dahl_r1, epsilon):
+    # both gave a failing report, with worst NaN or inf
+    with pytest.raises(ValueError, match=f"^epsilon must be positive and finite, got {epsilon}$"):
+        check_lemma1(dahl_r1, ((-0.7, 0.7), (-1.0, 1.0)), epsilon)
 
 
 def test_lemma_check_validates_inputs(dahl_r1):

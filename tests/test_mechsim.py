@@ -222,6 +222,15 @@ def test_coarse_step_overshoot_raises_domain_exit():
         simulate_mech(MechParams(), MechState(0.0, 50.0, 0.7), 2.0, step=0.5)
 
 
+def test_a_nan_friction_force_ends_the_march_at_its_first_step():
+    # at m = 1e-300 the first step's acceleration overflows and x3 turns
+    # NaN, which must end the march rather than run on to the horizon
+    with pytest.raises(DomainExitError, match="at t=0.001$") as err:
+        simulate_mech(MechParams(m=1e-300), MechState(1.0, 0.0, 0.0), 1.0, 1e-3)
+    assert err.value.t == 0.001
+    assert math.isnan(err.value.y)
+
+
 def test_series_csv_header(tmp_path):
     p = MechParams()
     ser = simulate_mech(p, MechState(1.0, 0.0, 0.0), 0.01, step=1e-3)

@@ -21,7 +21,7 @@ def test_dahl_r1_branches_are_affine(dahl_r1):
 
 
 def test_dahl_domain_is_open_band(dahl_r1):
-    assert dahl_r1.domain.bounded
+    assert (dahl_r1.domain.sigma_min, dahl_r1.domain.sigma_max) == (-0.75, 0.75)
     assert bool(dahl_r1.domain.contains(0.7499))
     assert not bool(dahl_r1.domain.contains(0.75))
     assert not bool(dahl_r1.domain.contains(-0.75))
@@ -41,6 +41,20 @@ def test_dahl_rejects_bad_parameters():
         dahl(fc=-1.0)
     with pytest.raises(ValueError):
         dahl(r=0.5)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize(
+    "factory, name",
+    [(dahl, "rho"), (dahl, "fc"), (dahl, "r"),
+     (boucwen, "alpha"), (boucwen, "beta"), (boucwen, "zeta"), (boucwen, "n")],
+    ids=lambda v: getattr(v, "__name__", v),
+)
+def test_factories_reject_a_parameter_that_is_not_finite(factory, name, value):
+    # fc = inf would give a Dahl model on the whole plane, and a NaN
+    # parameter fields that return NaN
+    with pytest.raises(ValueError, match=f"^{name} must be finite, got {value}$"):
+        factory(**{name: value})
 
 
 def test_boucwen_branch_values(bw):
@@ -84,7 +98,7 @@ def test_builtin_models_are_odd_bit_for_bit(model):
     # is exact only if f2(sigma, xi) is f1(-sigma, -xi) in every bit
     assert model.odd
     rng = np.random.default_rng(11)
-    half = model.domain.sigma_max if model.domain.bounded else 3.0
+    half = model.domain.sigma_max if math.isfinite(model.domain.sigma_max) else 3.0
     sigma = rng.uniform(-half, half, 2000)
     xi = rng.uniform(-5.0, 5.0, 2000)
     assert model.f2(sigma, xi).tobytes() == model.f1(-sigma, -xi).tobytes()

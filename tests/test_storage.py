@@ -314,7 +314,7 @@ def test_output_only_storage_of_a_lane_does_not_depend_on_its_batch(model_name, 
     # more rows than one block, both branches and zeros: each lane alone
     # gives the bits it gets in the batch
     model = request.getfixturevalue(model_name)
-    half = 0.74 if model.domain.bounded else 1.5
+    half = 0.74 if math.isfinite(model.domain.sigma_max) else 1.5
     sigma = half * (2.0 * rng.random(2 * storage_module._GAUSS_BLOCK_ROWS + 37) - 1.0)
     sigma[::97] = 0.0
     whole = storage_output_only(model, sigma)
@@ -660,6 +660,23 @@ def test_supply_march_domain_exit_names_the_lane_and_its_sample():
     with pytest.raises(DomainExitError) as lone:
         simulate(model, sig, 0.5, step)
     assert (exc.t, exc.u, exc.y) == (lone.value.t, lone.value.u, lone.value.y)
+
+
+def test_a_whole_plane_search_that_turns_nan_exits_where_simulate_does(bw):
+    # Bouc-Wen from (50, 0) blows up on 5 of the 21 search signals, where
+    # simulate raises; the search raises at simulate's sample of the first
+    # exit in time instead of returning NaN.
+    p, family = PhasePoint(50.0, 0.0), SignalFamily(n_random=20, seed=1)
+    with pytest.raises(DomainExitError, match=r"^point 0 \(sigma=50, xi=0\) signal 2 drove") as err:
+        with np.errstate(over="ignore", invalid="ignore"):
+            available_storage_bruteforce(bw, p, family)
+    # the random inputs do not depend on the crossing
+    sig = _search_signals(p, family, 0.0, 10.0)[2]
+    with pytest.raises(DomainExitError) as lone:
+        simulate(bw, sig, 50.0, 2e-3)
+    exc = err.value
+    assert (exc.t, exc.u) == (lone.value.t, lone.value.u)
+    assert math.isnan(exc.y) and math.isnan(lone.value.y)
 
 
 def _supply_march_at_block_sizes(monkeypatch, model, sigs, y0, step, blocks):
