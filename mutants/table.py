@@ -1,7 +1,7 @@
 """Hand-made mutants of the checks, the crossing refinement, the domain
 exits of the marches, the supply march, the Dahl r = 1 array fields, the
 interval slopes of a trajectory, the output-only storage, the f_an term of
-the batch storage, the friction and model parameters, the recipe of
+both storage routes, the friction and model parameters, the recipe of
 `duhem verify` and the config checks of the CLI in `src/`.
 
 Each entry names a file under `src/duhem`, an exact snippet of it, the text
@@ -281,6 +281,14 @@ MUTANTS = [
         "replacement": "if abs(nc) >= fc:",
         "tests": ["tests/test_mechsim.py::test_a_nan_friction_force_ends_the_march_at_its_first_step"],
     },
+    {
+        "name": "friction-nan-reported-at-the-band-edge",
+        "why": "simulate_mech says a NaN friction force reached the band boundary",
+        "file": "mechsim.py",
+        "snippet": 'reason = "became NaN" if math.isnan(nc) else "reached the band boundary"',
+        "replacement": 'reason = "reached the band boundary"',
+        "tests": ["tests/test_mechsim.py::test_a_nan_friction_force_is_not_reported_at_the_band_boundary"],
+    },
     # -- arguments that cannot be run
     {
         "name": "model-factories-accept-non-finite-parameters",
@@ -337,12 +345,46 @@ MUTANTS = [
         "tests": ["tests/test_curves.py::test_a_traversing_curve_checks_the_step_where_neither_branch_moves"],
     },
     {
+        "name": "ride-xi-may-be-non-finite",
+        "why": "the ride set-up takes an infinite xi to the step budget (OverflowError) and a NaN one to the side residual",
+        "file": "curves.py",
+        "snippet": '    unbounded = ~np.isfinite(xi)\n    if unbounded.any():\n        raise ValueError(points(unbounded, "whose xi is not finite"))\n',
+        "replacement": "",
+        "tests": ["tests/test_curves.py::test_a_ride_from_an_input_that_is_not_finite_fails_before_any_march"],
+    },
+    {
+        "name": "traversing-curve-tau-may-be-infinite",
+        "why": "traversing_curve takes an infinite tau bound to the substep count (OverflowError)",
+        "file": "curves.py",
+        "snippet": "    if not (math.isfinite(tau_min) and math.isfinite(tau_max)):\n",
+        "replacement": "    if False:\n",
+        "tests": ["tests/test_curves.py::test_a_traversing_curve_requires_finite_tau_bounds"],
+    },
+    {
         "name": "signal-family-span-may-be-infinite",
         "why": "SignalFamily accepts span = inf",
         "file": "storage.py",
         "snippet": "if not 0.0 < self.span < math.inf:",
         "replacement": "if not 0.0 < self.span:",
         "tests": ["tests/test_storage.py::test_signal_family_rejects_a_span_that_is_not_positive_and_finite"],
+    },
+    {
+        "name": "signal-family-counts-may-be-any-number",
+        "why": "SignalFamily takes a float or bool n_random, breakpoint count or seed",
+        "file": "storage.py",
+        "snippet": (
+            "            if not (type(v) is int and v >= 0):\n"
+            '                raise ValueError(f"{name} must be a nonnegative integer, got {v!r}")\n'
+            "        lo, hi = self.breakpoints\n"
+            "        if not (type(lo) is type(hi) is int and 2 <= lo <= hi):"
+        ),
+        "replacement": (
+            "            if not v >= 0:\n"
+            '                raise ValueError(f"{name} must be a nonnegative integer, got {v!r}")\n'
+            "        lo, hi = self.breakpoints\n"
+            "        if not 2 <= lo <= hi:"
+        ),
+        "tests": ["tests/test_storage.py::test_signal_family_validation"],
     },
     {
         "name": "config-number-may-be-infinite",
@@ -367,8 +409,8 @@ MUTANTS = [
         "name": "storage-cw-ignores-a-truncated-left-branch",
         "why": "storage_cw integrates a resampled left branch that stopped at the domain boundary",
         "file": "storage.py",
-        "snippet": "        if curve.left_truncated or curve.right_truncated:\n            raise CrossingSearchError(",
-        "replacement": "        if curve.right_truncated:\n            raise CrossingSearchError(",
+        "snippet": "    if curve.left_truncated or curve.right_truncated:\n        raise CrossingSearchError(",
+        "replacement": "    if curve.right_truncated:\n        raise CrossingSearchError(",
         "tests": ["tests/test_storage.py::test_storage_cw_raises_when_its_resampled_branch_is_truncated"],
     },
     {
@@ -420,18 +462,34 @@ MUTANTS = [
         "replacement": "        pass",
         "tests": ["tests/test_models.py::test_a_xi_free_declaration_whose_field_reads_xi_is_rejected"],
     },
-    # -- the f_an term of the batch storage
+    # -- the f_an term of both storage routes
     {
         "name": "anhysteresis-rule-without-its-length",
         "why": "the Gauss-Legendre sums of f_an are not scaled by the length lam of [0, lam]",
         "file": "storage.py",
-        "snippet": "    return lam * sums\n",
-        "replacement": "    return sums\n",
+        "snippet": "    return 0.0 + lam * sums\n",
+        "replacement": "    return 0.0 + sums\n",
         "tests": [
             "tests/test_storage.py::test_anhysteresis_integrals_are_the_closed_forms_of_smooth_curves",
             "tests/test_storage.py::test_batch_route_agrees_with_quadrature_route_on_a_nonlinear_curve",
             "tests/test_storage.py::test_batch_route_agrees_with_quadrature_route",
         ],
+    },
+    {
+        "name": "anhysteresis-integrals-zero-f-an-minus-zero",
+        "why": "the batch route's integral of a zero f_an reads -0.0 at lam < 0 (lam * sums without 0.0 +)",
+        "file": "storage.py",
+        "snippet": "return 0.0 + lam * sums",
+        "replacement": "return lam * sums",
+        "tests": ["tests/test_storage.py::test_a_zero_anhysteresis_curve_integrates_to_plus_zero_in_both_routes"],
+    },
+    {
+        "name": "storage-cw-zero-f-an-minus-zero",
+        "why": "storage_cw's integral of a zero f_an reads -0.0 at lam < 0, and so does its value on the curve at xi < 0",
+        "file": "storage.py",
+        "snippet": "fan_int = 0.0 + adaptive_simpson(",
+        "replacement": "fan_int = adaptive_simpson(",
+        "tests": ["tests/test_storage.py::test_a_zero_anhysteresis_curve_integrates_to_plus_zero_in_both_routes"],
     },
     # -- the friction parameters and the tolerance of a check
     {

@@ -267,12 +267,15 @@ def traversing_curve(
     dy/dtau = f2 on [tau_min, p.xi]; both start from (p.sigma, p.xi), so the
     two branches are continuous at the origin by construction.  A branch
     that reaches the domain boundary is truncated and flagged rather than
-    extrapolated.  A step that is not positive and finite raises ValueError,
-    also where neither branch moves.
+    extrapolated.  A step that is not positive and finite, or a tau_min or
+    tau_max that is not finite, raises ValueError, also where neither
+    branch moves.
     """
     _check_step(step)
     if not (tau_min <= p.xi <= tau_max):
         raise ValueError("need tau_min <= p.xi <= tau_max")
+    if not (math.isfinite(tau_min) and math.isfinite(tau_max)):
+        raise ValueError(f"tau_min and tau_max must be finite, got {tau_min} and {tau_max}")
     if not bool(model.domain.contains(p.sigma)):
         raise ValueError(f"phase point {p} outside model domain")
     t_r, y_r, f_r, trunc_r = _march_branch(model, model.f1, p.sigma, p.xi, tau_max, step)
@@ -476,12 +479,13 @@ def _ride_setup(model: DuhemModel, sigma, xi, step: float, max_doublings: int):
     side: by the sign structure (F >= 0 below the anhysteresis curve, <= 0
     above it) a point with c0 < 0 lies above the curve and rides f2
     leftward, one with c0 > 0 lies below it and rides f1 rightward, and one
-    with c0 == 0 is on the curve.  A NaN c0 raises CrossingSearchError and
-    a point outside the model domain ValueError, each naming the first such
-    point.  Returns sigma and xi as 1-d float arrays, the masks of the
-    points that ride f2 leftward and f1 rightward, and the step budget: a
-    span of (1 + max |xi|) doubled min(max_doublings, 21) times, at most
-    2**21 steps.
+    with c0 == 0 is on the curve.  A point outside the model domain or with
+    a xi that is not finite raises ValueError, and a NaN c0 then
+    CrossingSearchError, each naming the count and the first such point.
+    Returns sigma and xi as 1-d float arrays, the masks of the points that
+    ride f2 leftward and f1 rightward, and the step budget: a span of
+    (1 + max |xi|) doubled min(max_doublings, 21) times, at most 2**21
+    steps.
     """
     _check_step(step)
     sigma = np.atleast_1d(np.asarray(sigma, dtype=float))
@@ -499,6 +503,9 @@ def _ride_setup(model: DuhemModel, sigma, xi, step: float, max_doublings: int):
     outside = ~model.domain.contains(sigma)
     if outside.any():
         raise ValueError(points(outside, "outside the model domain"))
+    unbounded = ~np.isfinite(xi)
+    if unbounded.any():
+        raise ValueError(points(unbounded, "whose xi is not finite"))
     c0 = np.asarray(_side_residual(model)(sigma, xi), dtype=float)
     if np.isnan(c0).any():
         raise CrossingSearchError(points(np.isnan(c0), "have a NaN side residual"))

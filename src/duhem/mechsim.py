@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DomainExitError
+from .core import DomainExitError, _check_step
 from .report import VerificationReport, _check_tol, worst_point
 from .signals import _readonly
 
@@ -185,14 +185,14 @@ def simulate_mech(
 
     A step whose velocity crosses zero is redone once as two half steps (the
     friction slope switches with the sign of x2, so the plain step would
-    integrate through a kink).  Raises DomainExitError at a friction force
-    that is NaN or not inside its confinement band (-fc, fc), and ValueError,
-    before allocating, if horizon / step exceeds MAX_MECH_STEPS.
+    integrate through a kink).  Raises DomainExitError, with its own message
+    for each, at a friction force that is NaN or not inside its confinement
+    band (-fc, fc), and ValueError, before allocating, if horizon / step
+    exceeds MAX_MECH_STEPS.
     """
     if not (horizon > 0.0 and math.isfinite(horizon)):
         raise ValueError(f"horizon must be positive and finite, got {horizon!r}")
-    if not (step > 0.0 and math.isfinite(step)):
-        raise ValueError(f"step must be positive and finite, got {step!r}")
+    _check_step(step)
     if not horizon / step <= MAX_MECH_STEPS:
         raise ValueError(
             f"horizon / step = {horizon / step:.6g} is more than "
@@ -219,9 +219,10 @@ def simulate_mech(
             ha, hb, hc = _rk4_mech(m, d, k, rho, fc, a, b, c, 0.5 * h)
             na, nb, nc = _rk4_mech(m, d, k, rho, fc, ha, hb, hc, 0.5 * h)
         if not abs(nc) < fc:
+            reason = "became NaN" if math.isnan(nc) else "reached the band boundary"
             raise DomainExitError(
                 t=float(t[j]), u=na, y=nc,
-                message=f"friction force reached the band boundary at t={t[j]:.6g}",
+                message=f"friction force {reason} at t={t[j]:.6g}",
             )
         a, b, c = na, nb, nc
         x1[j], x2[j], x3[j] = a, b, c

@@ -14,9 +14,10 @@ Two evaluation routes of the construction are provided on purpose.
 f_an, with adaptive Simpson quadrature to a requested tolerance;
 `storage_cw_batch` accumulates the exact integral of the same cubic Hermite
 table segment by segment while many points ride in lockstep, and integrates
-f_an by a fixed 20-node Gauss-Legendre rule per lane.  Agreement between
-the routes is part of the test surface, so neither should be rewritten in
-terms of the other: each checks the other's ride, table and quadrature.
+f_an by a fixed 20-node Gauss-Legendre rule per lane; each takes one path
+for every point.  Agreement between the routes is part of the test
+surface, so neither should be rewritten in terms of the other: each checks
+the other's ride, table and quadrature.
 
 A third route, `storage_output_only`, skips the ride for models whose
 fields ignore the input and whose anhysteresis curve is identically zero
@@ -111,12 +112,6 @@ class StorageBatch:
     value: np.ndarray
 
 
-def _anhysteresis_is_zero(model: DuhemModel, lo: float, hi: float) -> bool:
-    """Probe whether f_an vanishes identically on [lo, hi]."""
-    probe = np.linspace(lo, hi, 33)
-    return bool(np.max(np.abs(anhysteresis_values(model, probe))) <= 1e-12)
-
-
 def storage_cw(
     model: DuhemModel,
     p: PhasePoint,
@@ -131,31 +126,22 @@ def storage_cw(
     check).  The traversing branch from xi to the intersection is then
     resampled at fixed step by `traversing_curve` into a cubic Hermite
     table and integrated with adaptive Simpson to quad_tol, as is
-    `anhysteresis` from 0 to the intersection.  Raises CrossingSearchError
+    `anhysteresis` from 0 to the intersection.  Every point takes this path:
+    on the curve both integrals span no width and are 0.0, and the integral
+    of a zero f_an reads +0.0 on both sides of 0.  Raises CrossingSearchError
     when no intersection is found and ValueError for a point outside the
     model domain or, before any ride, for a quad_tol that is not positive
     and finite.
     """
     _check_tol(quad_tol)
     lam = intersect_lambda(model, p, step=step)
-
-    if lam == p.xi:
-        traverse = 0.0
-    else:
-        curve = traversing_curve(model, p, min(lam, p.xi), max(lam, p.xi), step)
-        if curve.left_truncated or curve.right_truncated:
-            raise CrossingSearchError(
-                "traversing branch left the domain while resampling"
-            )
-        traverse = adaptive_simpson(curve, p.xi, lam, tol=quad_tol)
-
-    span = (min(0.0, p.xi, lam), max(0.0, p.xi, lam))
-    if _anhysteresis_is_zero(model, *span):
-        fan_int = 0.0
-    else:
-        fan_int = adaptive_simpson(
-            lambda t: anhysteresis(model, t), 0.0, lam, tol=quad_tol
-        )
+    curve = traversing_curve(model, p, min(lam, p.xi), max(lam, p.xi), step)
+    if curve.left_truncated or curve.right_truncated:
+        raise CrossingSearchError("traversing branch left the domain while resampling")
+    traverse = adaptive_simpson(curve, p.xi, lam, tol=quad_tol)
+    fan_int = 0.0 + adaptive_simpson(
+        lambda t: anhysteresis(model, t), 0.0, lam, tol=quad_tol
+    )
     return StorageEvaluation(
         point=p,
         lambda_star=lam,
@@ -169,23 +155,19 @@ def _anhysteresis_integrals(model: DuhemModel, lam: np.ndarray) -> np.ndarray:
     """Integral of f_an from 0 to each lam, by the Gauss-Legendre rule of
     `_GAUSS_T` and `_GAUSS_W` in blocks of `_GAUSS_BLOCK_ROWS` rows.
 
-    Each row's weighted terms are summed by numpy's per-row reduction, whose
-    order depends on the row length alone, so a lane's value does not depend
-    on the batch it rides in (a BLAS product `fan @ w` sums in an order that
+    Every batch takes the rule, one `anhysteresis_values` call per block, and
+    the integral of a zero f_an reads +0.0 on both sides of 0.  Each row's
+    weighted terms are summed by numpy's per-row reduction, whose order
+    depends on the row length alone, so a lane's value does not depend on
+    the batch it rides in (a BLAS product `fan @ w` sums in an order that
     depends on the row count), nor on the block of rows it is summed in.
     """
-    if lam.size == 0:
-        return np.zeros(0)
-    lo = min(0.0, float(lam.min()))
-    hi = max(0.0, float(lam.max()))
-    if _anhysteresis_is_zero(model, lo, hi):
-        return np.zeros_like(lam)
     sums = np.empty(lam.size)
     for a in range(0, lam.size, _GAUSS_BLOCK_ROWS):
         nodes = lam[a : a + _GAUSS_BLOCK_ROWS, None] * _GAUSS_T[:-1]
         fan = anhysteresis_values(model, nodes.ravel()).reshape(nodes.shape)
         sums[a : a + _GAUSS_BLOCK_ROWS] = (fan * _GAUSS_W).sum(axis=1)
-    return lam * sums
+    return 0.0 + lam * sums
 
 
 def storage_cw_batch(
@@ -285,7 +267,11 @@ def storage_output_only(model: DuhemModel, sigma) -> np.ndarray:
 
 @dataclass(frozen=True)
 class SignalFamily:
-    """Recipe for the random input family used by the brute-force search."""
+    """Recipe for the random input family used by the brute-force search.
+
+    Raises ValueError unless n_random and seed are nonnegative ints (not
+    bools), the breakpoint counts ints with 2 <= lo <= hi, and span positive
+    and finite."""
 
     n_random: int = 200
     breakpoints: tuple[int, int] = (3, 10)
@@ -293,10 +279,11 @@ class SignalFamily:
     seed: int = 0
 
     def __post_init__(self):
-        if self.n_random < 0:
-            raise ValueError("n_random must be nonnegative")
+        for name, v in (("n_random", self.n_random), ("seed", self.seed)):
+            if not (type(v) is int and v >= 0):
+                raise ValueError(f"{name} must be a nonnegative integer, got {v!r}")
         lo, hi = self.breakpoints
-        if not (2 <= lo <= hi):
+        if not (type(lo) is type(hi) is int and 2 <= lo <= hi):
             raise ValueError(f"bad breakpoint range {self.breakpoints}")
         if not 0.0 < self.span < math.inf:
             raise ValueError(f"span must be positive and finite, got {self.span}")
@@ -597,7 +584,8 @@ def available_storage_bruteforce_batch(
             raise ValueError(f"phase point {p} outside model domain")
         lo = min(0.0, p.xi - family.span)
         hi = max(0.0, p.xi + family.span)
-        if not _anhysteresis_is_zero(model, lo, hi):
+        probe = anhysteresis_values(model, np.linspace(lo, hi, 33))
+        if not np.max(np.abs(probe)) <= 1e-12:
             raise ValueError(
                 "brute-force available storage requires an identically zero "
                 "anhysteresis curve on the search range"

@@ -722,6 +722,39 @@ def test_a_traversing_curve_checks_the_step_where_neither_branch_moves(dahl_r1, 
     assert traversing_curve(dahl_r1, p, 0.0, 0.0).y.tolist() == [0.1]
 
 
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+def test_a_ride_from_an_input_that_is_not_finite_fails_before_any_march(bad):
+    # exp_example's side residual f_an(xi) - sigma is +-inf there, and the
+    # step budget raised a bare OverflowError from math.ceil; NaN gave a
+    # NaN side residual.  Now the set-up names the count and the first
+    # such point, before any field call
+    calls = []
+    model = exp_example()
+    f1, f2 = model.f1, model.f2
+    model = dataclasses.replace(
+        model,
+        f1=lambda s, x: calls.append(1) or f1(s, x),
+        f2=lambda s, x: calls.append(1) or f2(s, x),
+    )
+    calls.clear()
+    want = rf"^2 phase point\(s\) whose xi is not finite \(first at sigma=0.3, xi={bad}\)$"
+    with pytest.raises(ValueError, match=want):
+        ride_to_crossing(model, [0.1, 0.3, -0.2, 0.4], [0.0, bad, 0.5, bad])
+    with pytest.raises(ValueError, match=want):
+        storage_cw_batch(model, [0.1, 0.3, -0.2, 0.4], [0.0, bad, 0.5, bad])
+    assert calls == []
+
+
+@pytest.mark.parametrize("tau_min, tau_max", [(-math.inf, 2.0), (0.0, math.inf), (-math.inf, math.inf)])
+def test_a_traversing_curve_requires_finite_tau_bounds(dahl_r1, tau_min, tau_max):
+    # an infinite bound asked _segment_substeps for ceil(inf) substeps and
+    # raised a bare OverflowError
+    with pytest.raises(
+        ValueError, match=f"^tau_min and tau_max must be finite, got {tau_min} and {tau_max}$"
+    ):
+        traversing_curve(dahl_r1, PhasePoint(0.3, 1.0), tau_min, tau_max)
+
+
 def test_a_ride_from_a_nan_side_residual_fails_at_once():
     # f_an = sqrt(1 - xi) is NaN at xi = 2: the point lies on neither side
     # of the curve and is not on it either, so no ride may start there

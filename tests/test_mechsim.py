@@ -231,6 +231,17 @@ def test_a_nan_friction_force_ends_the_march_at_its_first_step():
     assert math.isnan(err.value.y)
 
 
+def test_a_nan_friction_force_is_not_reported_at_the_band_boundary():
+    # the NaN force never reached the band edge: it has its own message,
+    # and a finite force past the edge keeps the band-edge one
+    with pytest.raises(DomainExitError) as err:
+        simulate_mech(MechParams(m=1e-300), MechState(1.0, 0.0, 0.0), 1.0, 1e-3)
+    assert str(err.value) == "friction force became NaN at t=0.001"
+    with pytest.raises(DomainExitError) as err:
+        simulate_mech(MechParams(), MechState(0.0, 50.0, 0.7), 2.0, step=0.5)
+    assert str(err.value).startswith("friction force reached the band boundary at t=")
+
+
 def test_series_csv_header(tmp_path):
     p = MechParams()
     ser = simulate_mech(p, MechState(1.0, 0.0, 0.0), 0.01, step=1e-3)

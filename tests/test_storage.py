@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from duhem import boucwen, dahl, exp_example, simulate
+from duhem import boucwen, curves, dahl, exp_example, simulate
 from duhem import storage as storage_module
 from duhem.core import Domain, DomainExitError, DuhemModel
 from duhem.curves import CrossingSearchError, PhasePoint, check_lemma1, ride_to_crossing
@@ -152,6 +152,70 @@ def test_batch_route_agrees_with_quadrature_route(dahl_r1, exp_model):
             scalar = storage_cw(model, PhasePoint(s, x), step=1e-3)
             assert batch.value[k] == pytest.approx(scalar.value, abs=1e-9)
             assert batch.lam[k] == pytest.approx(scalar.lambda_star, abs=1e-9)
+
+
+@pytest.mark.parametrize(
+    "model_name, point",
+    [
+        ("dahl_r1", PhasePoint(0.5, -0.2)),
+        ("dahl_r1", PhasePoint(0.0, -0.7)),
+        ("bw", PhasePoint(-0.3, 0.4)),
+        ("exp_model", PhasePoint(0.5, -0.2)),
+        ("exp_model", PhasePoint(-0.5, -0.6)),
+    ],
+)
+def test_storage_cw_makes_no_anhysteresis_values_call(model_name, point, request, monkeypatch):
+    # storage_cw integrates f_an by `anhysteresis` at the Simpson nodes
+    # alone: no 33-point probe decides first whether f_an is zero, on the
+    # curve or off it
+    calls = []
+    for module in (storage_module, curves):
+        real = module.anhysteresis_values
+        monkeypatch.setattr(
+            module, "anhysteresis_values",
+            lambda m, x, real=real: calls.append(np.size(x)) or real(m, x),
+        )
+    ev = storage_cw(request.getfixturevalue(model_name), point)
+    assert calls == []
+    assert math.isfinite(ev.value)
+
+
+@pytest.mark.parametrize("model_name", ["dahl_r1", "exp_model"])
+@pytest.mark.parametrize("n", [0, 1, 512, 513, 1536, 1537])
+def test_anhysteresis_integrals_call_f_an_once_per_block_of_rows(model_name, n, request):
+    # every batch takes the Gauss-Legendre rule, a zero f_an too, and no
+    # probe of f_an comes before it
+    calls = []
+    model = request.getfixturevalue(model_name)
+    f_an = model.f_an
+    model = dataclasses.replace(model, f_an=lambda x: calls.append(np.size(x)) or f_an(x))
+    calls.clear()
+    lam = np.linspace(-0.7, 0.7, n)
+    _anhysteresis_integrals(model, lam)
+    blocks = -(-n // storage_module._GAUSS_BLOCK_ROWS)
+    assert len(calls) == blocks
+    assert sum(calls) == n * storage_module._GAUSS_NODES
+
+
+@pytest.mark.parametrize("model_name", ["dahl_r1", "bw"])
+def test_a_zero_anhysteresis_curve_integrates_to_plus_zero_in_both_routes(model_name, request):
+    # 0.0 + the f_an term: the integral of a zero f_an from 0 to lam < 0
+    # is -0.0 in both rules, and it reads +0.0, as does the storage on the
+    # curve at xi < 0, where the branch integral is +0.0 too
+    def plus_zero(values):
+        values = np.atleast_1d(values)
+        return (values == 0.0).all() and not np.signbit(values).any()
+
+    model = request.getfixturevalue(model_name)
+    ev = storage_cw(model, PhasePoint(0.5, -0.2))
+    assert ev.lambda_star < 0.0
+    assert plus_zero(ev.anhysteresis_integral)
+    assert plus_zero(_anhysteresis_integrals(model, np.array([ev.lambda_star, -0.7, -1e-300])))
+    on = PhasePoint(0.0, -0.7)
+    scalar = storage_cw(model, on)
+    assert scalar.lambda_star == on.xi
+    assert plus_zero(scalar.value)
+    assert plus_zero(storage_cw_batch(model, [on.sigma], [on.xi]).value)
 
 
 def _exp_fields(g):
@@ -351,6 +415,21 @@ def test_signal_family_validation():
         SignalFamily(breakpoints=(5, 3))
     with pytest.raises(ValueError):
         SignalFamily(span=-1.0)
+    # counts that are not ints: n_random = 2.5 failed in the search with a
+    # TypeError from range, True ran one signal, a breakpoint count of 2.5
+    # was accepted, and seed = -1 failed in numpy at search time
+    for kwargs in (
+        {"n_random": 2.5},
+        {"n_random": True},
+        {"breakpoints": (2, 2.5)},
+        {"breakpoints": (2.0, 3)},
+        {"breakpoints": (True, 3)},
+        {"seed": -1},
+        {"seed": 1.0},
+        {"seed": False},
+    ):
+        with pytest.raises(ValueError):
+            SignalFamily(**kwargs)
 
 
 @pytest.mark.parametrize("span", [math.nan, math.inf, 0.0])
