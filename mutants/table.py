@@ -2,7 +2,8 @@
 exits of the marches, the supply march, the Dahl r = 1 array fields, the
 interval slopes of a trajectory, the output-only storage, the f_an term of
 both storage routes, the friction and model parameters, the recipe of
-`duhem verify` and the config checks of the CLI in `src/`.
+`duhem verify`, the one CSV writer of the artifacts and the config checks
+of the CLI in `src/`.
 
 Each entry names a file under `src/duhem`, an exact snippet of it, the text
 that replaces the snippet, and the tests expected to kill the mutant (pytest
@@ -303,10 +304,10 @@ MUTANTS = [
     },
     {
         "name": "lemma1-epsilon-may-be-non-finite",
-        "why": "check_lemma1 takes epsilon NaN or inf and fails its report instead of raising",
+        "why": "check_lemma1 with no check of epsilon: NaN or inf fails its report instead of raising",
         "file": "curves.py",
-        "snippet": "if not 0.0 < epsilon < math.inf:",
-        "replacement": "if epsilon <= 0.0:",
+        "snippet": '    _check_positive("epsilon", epsilon)\n',
+        "replacement": "",
         "tests": ["tests/test_curves.py::test_lemma_check_rejects_an_epsilon_that_is_not_finite"],
     },
     {
@@ -319,20 +320,17 @@ MUTANTS = [
     },
     {
         "name": "step-may-be-infinite",
-        "why": "simulate, traversing_curve and the crossing rides accept step = inf",
-        "file": "core.py",
-        "snippet": "if not 0.0 < step < math.inf:",
-        "replacement": "if not 0.0 < step:",
-        "tests": [
-            "tests/test_core.py::test_simulate_rejects_a_step_that_is_not_finite",
-            "tests/test_curves.py::test_marches_and_rides_reject_a_step_that_is_not_finite",
-        ],
+        "why": "the crossing rides' set-up with no check of the step: inf leaves no step budget, NaN fails in int()",
+        "file": "curves.py",
+        "snippet": '    _check_positive("step", step)\n    sigma = np.atleast_1d(',
+        "replacement": "    sigma = np.atleast_1d(",
+        "tests": ["tests/test_curves.py::test_marches_and_rides_reject_a_step_that_is_not_finite"],
     },
     {
         "name": "simulate-checks-the-step-per-segment-only",
         "why": "simulate reads the step only where a segment moves",
         "file": "core.py",
-        "snippet": "    if step is not None:\n        _check_step(step)\n",
+        "snippet": '    if step is not None:\n        _check_positive("step", step)\n',
         "replacement": "",
         "tests": ["tests/test_core.py::test_simulate_checks_the_step_before_the_first_segment"],
     },
@@ -340,7 +338,7 @@ MUTANTS = [
         "name": "traversing-curve-checks-the-step-per-branch-only",
         "why": "traversing_curve reads the step only where a branch moves",
         "file": "curves.py",
-        "snippet": "    _check_step(step)\n    if not (tau_min <= p.xi <= tau_max):",
+        "snippet": '    _check_positive("step", step)\n    if not (tau_min <= p.xi <= tau_max):',
         "replacement": "    if not (tau_min <= p.xi <= tau_max):",
         "tests": ["tests/test_curves.py::test_a_traversing_curve_checks_the_step_where_neither_branch_moves"],
     },
@@ -362,10 +360,10 @@ MUTANTS = [
     },
     {
         "name": "signal-family-span-may-be-infinite",
-        "why": "SignalFamily accepts span = inf",
+        "why": "SignalFamily with no check of span: NaN and inf pass",
         "file": "storage.py",
-        "snippet": "if not 0.0 < self.span < math.inf:",
-        "replacement": "if not 0.0 < self.span:",
+        "snippet": '        _check_positive("span", self.span)\n',
+        "replacement": "",
         "tests": ["tests/test_storage.py::test_signal_family_rejects_a_span_that_is_not_positive_and_finite"],
     },
     {
@@ -375,15 +373,34 @@ MUTANTS = [
         "snippet": (
             "            if not (type(v) is int and v >= 0):\n"
             '                raise ValueError(f"{name} must be a nonnegative integer, got {v!r}")\n'
-            "        lo, hi = self.breakpoints\n"
+            "        try:\n"
+            "            lo, hi = self.breakpoints\n"
+            "        except (TypeError, ValueError):\n"
+            "            lo = hi = None\n"
             "        if not (type(lo) is type(hi) is int and 2 <= lo <= hi):"
         ),
         "replacement": (
             "            if not v >= 0:\n"
             '                raise ValueError(f"{name} must be a nonnegative integer, got {v!r}")\n'
-            "        lo, hi = self.breakpoints\n"
+            "        try:\n"
+            "            lo, hi = self.breakpoints\n"
+            "        except (TypeError, ValueError):\n"
+            "            lo = hi = None\n"
             "        if not 2 <= lo <= hi:"
         ),
+        "tests": ["tests/test_storage.py::test_signal_family_validation"],
+    },
+    {
+        "name": "signal-family-breakpoints-may-be-any-shape",
+        "why": "SignalFamily unpacks breakpoints unchecked: an int or a triple fails with the unpacking error",
+        "file": "storage.py",
+        "snippet": (
+            "        try:\n"
+            "            lo, hi = self.breakpoints\n"
+            "        except (TypeError, ValueError):\n"
+            "            lo = hi = None\n"
+        ),
+        "replacement": "        lo, hi = self.breakpoints\n",
         "tests": ["tests/test_storage.py::test_signal_family_validation"],
     },
     {
@@ -417,7 +434,7 @@ MUTANTS = [
         "name": "storage-cw-quad-tol-unchecked",
         "why": "storage_cw checks quad_tol only in the quadrature, after the ride, and not at all on the curve",
         "file": "storage.py",
-        "snippet": "    _check_tol(quad_tol)\n",
+        "snippet": '    _check_positive("quad_tol", quad_tol)\n',
         "replacement": "",
         "tests": ["tests/test_storage.py::test_storage_cw_rejects_a_quad_tol_that_is_not_positive_and_finite"],
     },
@@ -505,13 +522,63 @@ MUTANTS = [
     },
     {
         "name": "check-tol-may-be-infinite",
-        "why": "lyapunov_check, passivity_port_check, the dissipation battery and adaptive_simpson accept tol = inf",
-        "file": "report.py",
-        "snippet": "if not 0.0 < tol < math.inf:",
-        "replacement": "if not 0.0 < tol:",
+        "why": "the dissipation battery with no check of a given tol: inf passes any battery",
+        "file": "dissipativity.py",
+        "snippet": '    else:\n        _check_positive("tol", tol)\n',
+        "replacement": "",
         "tests": [
-            "tests/test_mechsim.py::test_mech_checks_reject_a_tol_that_is_not_positive_and_finite",
             "tests/test_dissipativity.py::test_dissipation_battery_rejects_a_tol_that_is_not_positive_and_finite",
+        ],
+    },
+    {
+        "name": "lyapunov-tol-unchecked",
+        "why": "lyapunov_check with no check of its tol: inf passes any series",
+        "file": "mechsim.py",
+        "snippet": '    _check_positive("tol", tol)\n    dt = np.diff(series.t)',
+        "replacement": "    dt = np.diff(series.t)",
+        "tests": ["tests/test_mechsim.py::test_mech_checks_reject_a_tol_that_is_not_positive_and_finite"],
+    },
+    {
+        "name": "port-tol-unchecked",
+        "why": "passivity_port_check with no check of its tol: inf passes any series",
+        "file": "mechsim.py",
+        "snippet": '    _check_positive("tol", tol)\n    if params.mode != "feedback":',
+        "replacement": '    if params.mode != "feedback":',
+        "tests": ["tests/test_mechsim.py::test_mech_checks_reject_a_tol_that_is_not_positive_and_finite"],
+    },
+    {
+        "name": "mech-horizon-unchecked",
+        "why": "simulate_mech with no check of its horizon: inf and NaN fail the step cap with its message",
+        "file": "mechsim.py",
+        "snippet": '    _check_positive("horizon", horizon)\n',
+        "replacement": "",
+        "tests": ["tests/test_mechsim.py::test_horizon_and_step_validation"],
+    },
+    {
+        "name": "mech-step-unchecked",
+        "why": "simulate_mech with no check of its step: 0 divides by zero, NaN fails the step cap",
+        "file": "mechsim.py",
+        "snippet": '    _check_positive("horizon", horizon)\n    _check_positive("step", step)\n',
+        "replacement": '    _check_positive("horizon", horizon)\n',
+        "tests": ["tests/test_mechsim.py::test_horizon_and_step_validation"],
+    },
+    {
+        "name": "bruteforce-step-unchecked",
+        "why": "the brute-force search with no check of its step: it rides with step NaN or inf",
+        "file": "storage.py",
+        "snippet": '        raise ValueError(f"horizon must be positive, got {horizon}")\n    _check_positive("step", step)\n',
+        "replacement": '        raise ValueError(f"horizon must be positive, got {horizon}")\n',
+        "tests": ["tests/test_storage.py::test_bruteforce_rejects_a_bad_horizon_or_step_before_any_ride"],
+    },
+    {
+        "name": "positive-check-takes-infinity",
+        "why": "the one positive-and-finite check lets inf through at every site",
+        "file": "report.py",
+        "snippet": "if not 0.0 < value < math.inf:",
+        "replacement": "if not 0.0 < value:",
+        "tests": [
+            "tests/test_report.py::test_positive_check_names_the_argument_and_returns_a_good_value",
+            "tests/test_core.py::test_simulate_rejects_a_step_that_is_not_finite",
             "tests/test_integrate.py::test_adaptive_simpson_rejects_a_tol_that_is_not_positive_and_finite",
         ],
     },
@@ -519,7 +586,7 @@ MUTANTS = [
         "name": "adaptive-simpson-tol-unchecked",
         "why": "adaptive_simpson with no check of its tolerance",
         "file": "integrate.py",
-        "snippet": "    _check_tol(tol)\n    if a == b:",
+        "snippet": '    _check_positive("tol", tol)\n    if a == b:',
         "replacement": "    if a == b:",
         "tests": ["tests/test_integrate.py::test_adaptive_simpson_rejects_a_tol_that_is_not_positive_and_finite"],
     },
@@ -554,6 +621,42 @@ MUTANTS = [
         "snippet": "if not 0.0 < ratio < math.inf:",
         "replacement": "if False:",
         "tests": ["tests/test_cli.py::test_a_boucwen_model_with_no_verification_region_is_a_config_error"],
+    },
+    {
+        "name": "verify-model-takes-an-empty-battery",
+        "why": "verify_model runs its certificates on an empty battery and fails in argmax",
+        "file": "dissipativity.py",
+        "snippet": '    if not battery:\n        raise ValueError("battery must hold at least one input")\n',
+        "replacement": "",
+        "tests": ["tests/test_dissipativity.py::test_verify_model_rejects_an_empty_battery"],
+    },
+    {
+        "name": "battery-input-with-one-breakpoint-unchecked",
+        "why": "the dissipation battery simulates a one-breakpoint input and fails in argmax",
+        "file": "dissipativity.py",
+        "snippet": "        if sig.times.size < 2:",
+        "replacement": "        if False:",
+        "tests": ["tests/test_dissipativity.py::test_dissipation_battery_names_its_first_input_with_one_breakpoint"],
+    },
+    {
+        "name": "preset-takes-params",
+        "why": "duhem verify --preset replaces --params (config 'params') without a word",
+        "file": "cli.py",
+        "snippet": "        if cfg.params:\n",
+        "replacement": "        if False:\n",
+        "tests": ["tests/test_cli.py::test_a_preset_with_model_parameters_is_a_config_error"],
+    },
+    # -- the one CSV writer of the artifacts
+    {
+        "name": "csv-writes-16-digits",
+        "why": "the CSV writer rounds every value to 16 significant digits",
+        "file": "report.py",
+        "snippet": 'row = ",".join(["{:.17g}"] * len(columns))',
+        "replacement": 'row = ",".join(["{:.16g}"] * len(columns))',
+        "tests": [
+            "tests/test_core.py::test_trajectory_csv_roundtrip",
+            "tests/test_report.py::test_csv_rows_are_the_17_digit_rows_of_savetxt",
+        ],
     },
     # -- the config checks of the CLI
     {

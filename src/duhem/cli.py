@@ -46,7 +46,7 @@ from .mechsim import (
     simulate_mech,
 )
 from .models import model_from_config
-from .report import VerificationReport
+from .report import VerificationReport, _write_csv
 from .signals import InputSignal, ramp, random_piecewise_linear, sine_sampled, triangle
 from .storage import storage_cw
 
@@ -162,16 +162,13 @@ def build_input(spec: dict, seed: int = 0) -> InputSignal:
         raise ConfigError(f"bad input spec: {exc}") from exc
 
 
+# the model and parameters of `duhem verify --preset`; its loop input is
+# the default one or --input
 PRESETS = {
-    "fig1": {
-        "model": "dahl",
-        "params": {"rho": 1.5, "fc": 0.75, "r": 3.0},
-        "input": {"kind": "triangle", "amplitude": 2.0, "cycles": 5},
-    },
+    "fig1": {"model": "dahl", "params": {"rho": 1.5, "fc": 0.75, "r": 3.0}},
     "fig2": {
         "model": "boucwen",
         "params": {"alpha": 1.0, "beta": 1.0, "zeta": 1.0, "n": 3.0},
-        "input": {"kind": "triangle", "amplitude": 2.0, "cycles": 5},
     },
 }
 
@@ -302,14 +299,7 @@ def cmd_curves(args: argparse.Namespace) -> int:
     curve = traversing_curve(model, p, args.tau_min, args.tau_max, step=step)
     lam = intersect_lambda(model, p, step=step)
     path = _out_path(cfg, f"curve_{model.name}.csv")
-    np.savetxt(
-        path,
-        np.column_stack([curve.tau, curve.y, curve.dydtau]),
-        delimiter=",",
-        header="tau,omega,dydtau",
-        comments="",
-        fmt="%.17g",
-    )
+    _write_csv(path, "tau,omega,dydtau", curve.tau, curve.y, curve.dydtau)
     log.info("wrote %s", path)
     print(f"lambda={lam:.17g}")
     if curve.left_truncated or curve.right_truncated:
@@ -372,14 +362,7 @@ def _battery_geometry(model: DuhemModel):
 
 def _write_loops_csv(path: str, times: np.ndarray, areas: np.ndarray) -> None:
     """Write closed loops as CSV rows cycle,t_close,area at full precision."""
-    np.savetxt(
-        path,
-        np.column_stack([np.arange(1, areas.size + 1, dtype=float), times, areas]),
-        delimiter=",",
-        header="cycle,t_close,area",
-        comments="",
-        fmt="%.17g",
-    )
+    _write_csv(path, "cycle,t_close,area", np.arange(1, areas.size + 1), times, areas)
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
@@ -389,9 +372,11 @@ def cmd_verify(args: argparse.Namespace) -> int:
     on the model's default region (`_battery_geometry`), the dissipation
     reports on a seeded battery of random inputs at `step` (default 5e-3)
     and the loop reports on the loop input (a 5-cycle triangle over the
-    certified xi range unless --input or a preset gives one), simulated at
-    the same step.  Writes verify_<model>.json and loops_<model>.csv and
-    returns EXIT_OK only if every report passes.
+    certified xi range unless --input gives one), simulated at the same
+    step.  A preset sets the model and its parameters: another --model, or
+    any --params (config 'params'), with it is a config error.  Writes
+    verify_<model>.json and loops_<model>.csv and returns EXIT_OK only if
+    every report passes.
     """
     if args.n_signals < 1:
         raise ConfigError(f"--n-signals must be at least 1, got {args.n_signals}")
@@ -405,10 +390,12 @@ def cmd_verify(args: argparse.Namespace) -> int:
                 f"preset {args.preset!r} is for model {preset['model']!r}, "
                 f"got --model {cfg.model!r}"
             )
-        cfg = replace(
-            cfg, model=preset["model"], params=dict(preset["params"]),
-            input=dict(preset["input"]),
-        )
+        if cfg.params:
+            raise ConfigError(
+                f"preset {args.preset!r} sets the model parameters, got "
+                f"--params (config 'params') {json.dumps(cfg.params)}"
+            )
+        cfg = replace(cfg, model=preset["model"], params=dict(preset["params"]))
     model = _resolve_model(cfg)
     region, epsilon, lam_bound = _battery_geometry(model)
     rng = np.random.default_rng(cfg.seed)

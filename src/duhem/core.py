@@ -23,7 +23,7 @@ from typing import Callable, Mapping
 import numpy as np
 
 from .integrate import rk4_step
-from .report import VerificationReport, worst_point
+from .report import VerificationReport, _check_positive, _write_csv, worst_point
 from .signals import InputSignal, _readonly
 
 __all__ = [
@@ -266,24 +266,14 @@ class Trajectory:
 
     def to_csv(self, path) -> None:
         """Write samples as CSV with header t,u,y at full float precision."""
-        with open(path, "w", newline="") as fh:
-            fh.write("t,u,y\n")
-            for ti, ui, yi in zip(self.t, self.u, self.y):
-                fh.write(f"{ti:.17g},{ui:.17g},{yi:.17g}\n")
-
-
-def _check_step(step: float) -> float:
-    """The step of a march, or ValueError unless it is positive and finite."""
-    if not 0.0 < step < math.inf:
-        raise ValueError(f"step must be positive and finite, got {step}")
-    return step
+        _write_csv(path, "t,u,y", self.t, self.u, self.y)
 
 
 def _segment_substeps(du: float, step: float | None) -> int:
     # default step: segment u-length / 1000, capped at 1e-3
     if step is None:
         step = min(abs(du) / 1000.0, 1e-3)
-    return max(1, int(math.ceil(abs(du) / _check_step(step))))
+    return max(1, int(math.ceil(abs(du) / _check_positive("step", step))))
 
 
 def _substep_sample(sig: InputSignal, j: int, k: int, step: float | None):
@@ -367,7 +357,7 @@ def simulate(
         raise ValueError(f"y0 must be finite, got {y0}")
     # checked before the first segment: an input that never moves marches none
     if step is not None:
-        _check_step(step)
+        _check_positive("step", step)
     u_first = float(signal.values[0])
     if not bool(model.domain.contains(y0)):
         raise DomainExitError(0.0, u_first, y0, "initial state outside model domain")

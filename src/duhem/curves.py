@@ -34,7 +34,7 @@ from typing import Callable
 
 import numpy as np
 
-from .core import DuhemModel, _check_step, _march_segment, _segment_substeps
+from .core import DuhemModel, _march_segment, _segment_substeps
 from .integrate import (
     BracketError,
     bisect,
@@ -45,7 +45,7 @@ from .integrate import (
     hermite_partial_integral,
     rk4_step,
 )
-from .report import VerificationReport, worst_point
+from .report import VerificationReport, _check_positive, worst_point
 from .signals import _readonly
 
 __all__ = [
@@ -271,7 +271,7 @@ def traversing_curve(
     tau_max that is not finite, raises ValueError, also where neither
     branch moves.
     """
-    _check_step(step)
+    _check_positive("step", step)
     if not (tau_min <= p.xi <= tau_max):
         raise ValueError("need tau_min <= p.xi <= tau_max")
     if not (math.isfinite(tau_min) and math.isfinite(tau_max)):
@@ -487,7 +487,7 @@ def _ride_setup(model: DuhemModel, sigma, xi, step: float, max_doublings: int):
     (1 + max |xi|) doubled min(max_doublings, 21) times, at most 2**21
     steps.
     """
-    _check_step(step)
+    _check_positive("step", step)
     sigma = np.atleast_1d(np.asarray(sigma, dtype=float))
     xi = np.atleast_1d(np.asarray(xi, dtype=float))
     if sigma.shape != xi.shape or sigma.ndim != 1:
@@ -698,8 +698,7 @@ def check_lemma1(
     everywhere, as for Dahl and Bouc-Wen) is flagged in the details.
     ValueError unless epsilon is positive and finite.
     """
-    if not 0.0 < epsilon < math.inf:
-        raise ValueError(f"epsilon must be positive and finite, got {epsilon!r}")
+    _check_positive("epsilon", epsilon)
     sig, xiv, fan = _certificate_grid(model, region)
 
     hstep = 1e-5 * (1.0 + np.abs(xiv))

@@ -34,7 +34,7 @@ import numpy as np
 from .core import DuhemModel, Trajectory, check_existence_conditions, simulate
 from .curves import _CERTIFICATE_GRID, _certificate_grid, check_lemma1
 from .integrate import hermite_integral, hermite_partial_integral
-from .report import VerificationReport, _check_tol, worst_point
+from .report import VerificationReport, _check_positive, worst_point
 from .signals import InputSignal
 from .storage import _GAUSS_NODES, storage_cw_batch, storage_output_only
 
@@ -112,12 +112,16 @@ def verify_dissipation_battery(
     at unit input rate.  A sample's storage does not depend on the batch
     it is evaluated in, so each signal's pair equals its
     `verify_dissipation_pair` reports.  Raises ValueError for a tol that is
-    not positive and finite.
+    not positive and finite, and for an input with one breakpoint, which
+    has no sample interval to check, naming the first by its index.
     """
     if tol is None:
         tol = 1e-6 + 10.0 * step
     else:
-        _check_tol(tol)
+        _check_positive("tol", tol)
+    for i, sig in enumerate(signals):
+        if sig.times.size < 2:
+            raise ValueError(f"battery input {i} has one breakpoint and no sample interval")
     trajs = [simulate(model, sig, y0, step=step) for sig in signals]
     if not trajs:
         return []
@@ -218,7 +222,10 @@ def verify_model(
     its default); and the loop orientation and cycle stabilization of
     loop_input, simulated from y0 at `step`.  Returns (reports, times,
     areas), where times and areas are the closed loops of `loop_areas`.
+    Raises ValueError for an empty battery, before any check.
     """
+    if not battery:
+        raise ValueError("battery must hold at least one input")
     (s_lo, s_hi), (x_lo, x_hi) = region
     reports = [
         check_existence_conditions(

@@ -15,7 +15,7 @@ from typing import Callable
 
 import numpy as np
 
-from .report import _check_tol
+from .report import _check_positive
 
 __all__ = [
     "QuadratureError",
@@ -137,7 +137,7 @@ def adaptive_simpson(
     QuadratureError when the recursion depth budget is exhausted before the
     local error estimate falls below the local tolerance share.
     """
-    _check_tol(tol)
+    _check_positive("tol", tol)
     if a == b:
         return 0.0
     sign = 1.0

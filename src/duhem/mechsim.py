@@ -32,8 +32,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DomainExitError, _check_step
-from .report import VerificationReport, _check_tol, worst_point
+from .core import DomainExitError
+from .report import VerificationReport, _check_positive, _write_csv, worst_point
 from .signals import _readonly
 
 __all__ = [
@@ -119,9 +119,7 @@ class MechSeries:
             raise ValueError("inconsistent series lengths")
 
     def to_csv(self, path: str) -> None:
-        data = np.column_stack([self.t, self.x1, self.x2, self.x3, self.v])
-        np.savetxt(path, data, delimiter=",", header="t,x1,x2,x3,V",
-                   comments="", fmt="%.17g")
+        _write_csv(path, "t,x1,x2,x3,V", self.t, self.x1, self.x2, self.x3, self.v)
 
 
 def _rk4_mech(m, d, k, rho, fc, x1, x2, x3, h):
@@ -190,9 +188,8 @@ def simulate_mech(
     band (-fc, fc), and ValueError, before allocating, if horizon / step
     exceeds MAX_MECH_STEPS.
     """
-    if not (horizon > 0.0 and math.isfinite(horizon)):
-        raise ValueError(f"horizon must be positive and finite, got {horizon!r}")
-    _check_step(step)
+    _check_positive("horizon", horizon)
+    _check_positive("step", step)
     if not horizon / step <= MAX_MECH_STEPS:
         raise ValueError(
             f"horizon / step = {horizon / step:.6g} is more than "
@@ -247,7 +244,7 @@ def lyapunov_check(
     rate excess and the normalized monotonicity excess, both of which the
     same tol bounds.  Raises ValueError unless tol is positive and finite.
     """
-    _check_tol(tol)
+    _check_positive("tol", tol)
     dt = np.diff(series.t)
     dv = np.diff(series.v)
     rate = dv / dt + params.d * series.x2[:-1] ** 2
@@ -287,7 +284,7 @@ def passivity_port_check(
     every sample time T (trapezoid quadrature for W).  Raises ValueError
     unless tol is positive and finite.
     """
-    _check_tol(tol)
+    _check_positive("tol", tol)
     if params.mode != "feedback":
         raise ValueError("port bookkeeping is defined for feedback mode only")
     power = -params.d * series.x2**2

@@ -1,4 +1,6 @@
-"""Uniform result record for grid checks and trajectory verifications."""
+"""Uniform result record for grid checks and trajectory verifications, and
+the two rules the modules share: the positive-and-finite check of a step,
+tolerance or margin, and the CSV format of every artifact."""
 
 from __future__ import annotations
 
@@ -21,10 +23,23 @@ def worst_point(violation) -> tuple[tuple[int, ...], float]:
     return tuple(int(i) for i in index), float(v[index])
 
 
-def _check_tol(tol: float) -> None:
-    """ValueError unless a check's tolerance is positive and finite."""
-    if not 0.0 < tol < math.inf:
-        raise ValueError(f"tol must be positive and finite, got {tol!r}")
+def _check_positive(name: str, value):
+    """The argument `name` of a march, quadrature or check (a step, a
+    tolerance, a margin, a span or a horizon), or ValueError unless it is
+    positive and finite."""
+    if not 0.0 < value < math.inf:
+        raise ValueError(f"{name} must be positive and finite, got {value}")
+    return value
+
+
+def _write_csv(path, header: str, *columns) -> None:
+    """Write the header line, then one row per index of the columns, each
+    value with 17 significant digits: the CSV format of every artifact."""
+    row = ",".join(["{:.17g}"] * len(columns)) + "\n"
+    with open(path, "w", newline="") as fh:
+        fh.write(header + "\n")
+        for values in zip(*(np.asarray(c, dtype=float).tolist() for c in columns)):
+            fh.write(row.format(*values))
 
 
 @dataclass(frozen=True)

@@ -56,7 +56,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .core import DomainExitError, DuhemModel, _check_step, _segment_substeps, _substep_sample
+from .core import DomainExitError, DuhemModel, _segment_substeps, _substep_sample
 from .curves import (
     CrossingSearchError,
     PhasePoint,
@@ -67,7 +67,7 @@ from .curves import (
     traversing_curve,
 )
 from .integrate import adaptive_simpson, gauss_legendre, rk4_step
-from .report import _check_tol
+from .report import _check_positive
 from .signals import InputSignal, _readonly, random_piecewise_linear
 
 __all__ = [
@@ -133,7 +133,7 @@ def storage_cw(
     model domain or, before any ride, for a quad_tol that is not positive
     and finite.
     """
-    _check_tol(quad_tol)
+    _check_positive("quad_tol", quad_tol)
     lam = intersect_lambda(model, p, step=step)
     curve = traversing_curve(model, p, min(lam, p.xi), max(lam, p.xi), step)
     if curve.left_truncated or curve.right_truncated:
@@ -270,7 +270,7 @@ class SignalFamily:
     """Recipe for the random input family used by the brute-force search.
 
     Raises ValueError unless n_random and seed are nonnegative ints (not
-    bools), the breakpoint counts ints with 2 <= lo <= hi, and span positive
+    bools), breakpoints a pair of ints with 2 <= lo <= hi, and span positive
     and finite."""
 
     n_random: int = 200
@@ -282,11 +282,13 @@ class SignalFamily:
         for name, v in (("n_random", self.n_random), ("seed", self.seed)):
             if not (type(v) is int and v >= 0):
                 raise ValueError(f"{name} must be a nonnegative integer, got {v!r}")
-        lo, hi = self.breakpoints
+        try:
+            lo, hi = self.breakpoints
+        except (TypeError, ValueError):
+            lo = hi = None
         if not (type(lo) is type(hi) is int and 2 <= lo <= hi):
             raise ValueError(f"bad breakpoint range {self.breakpoints}")
-        if not 0.0 < self.span < math.inf:
-            raise ValueError(f"span must be positive and finite, got {self.span}")
+        _check_positive("span", self.span)
 
 
 @dataclass(frozen=True, eq=False)
@@ -573,7 +575,7 @@ def available_storage_bruteforce_batch(
     """
     if not horizon > 0.0:
         raise ValueError(f"horizon must be positive, got {horizon}")
-    _check_step(step)
+    _check_positive("step", step)
     points, families = list(points), list(families)
     if len(points) != len(families):
         raise ValueError("need one signal family per phase point")

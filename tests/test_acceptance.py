@@ -139,7 +139,10 @@ def test_criterion_4_preset_loops_clockwise_and_stable():
         model = model_from_config(
             {"model": preset["model"], "params": preset["params"]}
         )
-        traj = simulate(model, build_input(preset["input"]), 0.0, step=1e-3)
+        # the loop input of `duhem verify`: 5 cycles over the certified xi range
+        region, _, _ = _battery_geometry(model)
+        loop = build_input({"kind": "triangle", "amplitude": region[1][1], "cycles": 5})
+        traj = simulate(model, loop, 0.0, step=1e-3)
         orientation = loop_orientation(traj)
         _, areas = loop_areas(traj)
         settle = float(np.abs(np.diff(areas)[2:]).max())

@@ -17,9 +17,10 @@ from duhem.cli import (
     build_input,
     main,
 )
-from duhem.dissipativity import verify_model
+from duhem.core import simulate
+from duhem.dissipativity import loop_areas, verify_model
 from duhem.mechsim import MAX_MECH_STEPS
-from duhem.models import boucwen
+from duhem.models import boucwen, dahl
 from duhem.report import VerificationReport
 from duhem.signals import random_piecewise_linear, triangle
 
@@ -237,6 +238,41 @@ def test_verify_preset_overrides_model_parameters(tmp_path, capsys):
     assert code == 0
     report = json.loads((tmp_path / "verify_dahl.json").read_text())
     assert report["params"]["r"] == 3.0
+
+
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_a_preset_with_model_parameters_is_a_config_error(tmp_path, capsys, source):
+    # the preset's parameters replaced these without a word (exit 0)
+    params = {"rho": 9.0, "fc": 0.5, "r": 1.0}
+    if source == "flag":
+        given = ["--params", json.dumps(params)]
+    else:
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"params": params}))
+        given = ["--config", str(cfg)]
+    out = tmp_path / "out"
+    code = run_cli("verify", "--preset", "fig1", *given, "--n-signals", "1", "--out-dir", str(out))
+    assert code == 2
+    assert capsys.readouterr().err == (
+        "config error: preset 'fig1' sets the model parameters, got --params "
+        """(config 'params') {"rho": 9.0, "fc": 0.5, "r": 1.0}\n"""
+    )
+    assert not out.exists()
+
+
+def test_a_preset_loops_its_input(tmp_path, capsys):
+    # the preset's own loop input replaced --input without a word
+    spec = {"kind": "triangle", "amplitude": 1.5, "cycles": 4}
+    code = run_cli(
+        "verify", "--preset", "fig1", "--input", json.dumps(spec),
+        "--n-signals", "1", "--out-dir", str(tmp_path),
+    )
+    assert code == 0
+    model = dahl(**PRESETS["fig1"]["params"])
+    times, areas = loop_areas(simulate(model, triangle(1.5, 4), 0.0, step=5e-3))
+    rows = np.loadtxt(tmp_path / "loops_dahl.csv", delimiter=",", skiprows=1, ndmin=2)
+    assert rows[:, 0].tolist() == [1.0, 2.0, 3.0, 4.0]
+    assert np.array_equal(rows[:, 1], times) and np.array_equal(rows[:, 2], areas)
 
 
 def test_mech_subcommand_passes(capsys):

@@ -372,6 +372,28 @@ def test_verify_model_passes_a_model_outside_the_catalog_that_is_not_odd():
     assert areas.size == 5 and reports[5].details["label"] == "clockwise"
 
 
+def test_verify_model_rejects_an_empty_battery(dahl_r1, monkeypatch):
+    # the certificates ran, and then the battery reports ended in numpy's
+    # "attempt to get argmax of an empty sequence"
+    monkeypatch.setattr(dissipativity_module, "check_existence_conditions", None)
+    with pytest.raises(ValueError, match="^battery must hold at least one input$"):
+        verify_model(
+            dahl_r1, DAHL_BAND, 0.01, 5.0, [], triangle(1.0, 5), y0=0.0, step=5e-3, tol=None
+        )
+
+
+def test_dissipation_battery_names_its_first_input_with_one_breakpoint(dahl_r1, monkeypatch):
+    # a one-sample trajectory has no interval to check, and its reports
+    # ended in numpy's "attempt to get argmax of an empty sequence"
+    single = InputSignal(np.array([0.0]), np.array([0.0]))
+    monkeypatch.setattr(dissipativity_module, "simulate", None)
+    want = "^battery input 1 has one breakpoint and no sample interval$"
+    with pytest.raises(ValueError, match=want):
+        verify_dissipation_battery(dahl_r1, [triangle(1.0, 1), single, single], 0.0)
+    with pytest.raises(ValueError, match=want.replace("1", "0", 1)):
+        verify_dissipation_pair(dahl_r1, single, 0.0)
+
+
 @pytest.mark.parametrize("tol", [0.0, -1.0, math.inf, math.nan])
 def test_dissipation_battery_rejects_a_tol_that_is_not_positive_and_finite(dahl_r1, tol):
     # an infinite tol would pass any battery

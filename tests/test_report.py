@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from duhem.report import VerificationReport, worst_point
+from duhem.report import VerificationReport, _check_positive, _write_csv, worst_point
 
 
 def test_pass_flag_is_derived_from_the_worst_violation():
@@ -71,3 +71,24 @@ def test_a_report_of_numpy_values_holds_python_types():
     assert payload["samples_checked"] == 42 and payload["worst_location"] == [1.5, -2.0]
     with pytest.raises(ValueError, match="samples_checked"):
         VerificationReport("demo", 0.0, (), 0.0, np.int64(-1))
+
+
+@pytest.mark.parametrize("value", [0.0, -1.0, math.inf, -math.inf, math.nan, np.float64(math.nan)])
+def test_positive_check_names_the_argument_and_returns_a_good_value(value):
+    with pytest.raises(ValueError, match=f"^width must be positive and finite, got {float(value)}$"):
+        _check_positive("width", value)
+    assert _check_positive("width", 5e-324) == 5e-324
+
+
+def test_csv_rows_are_the_17_digit_rows_of_savetxt(tmp_path):
+    # the artifacts' format as np.savetxt(fmt="%.17g") wrote it, signed
+    # zero and non-finite values included
+    rng = np.random.default_rng(3)
+    x = rng.standard_normal(40) * 10.0 ** rng.integers(-300, 300, 40)
+    columns = (np.arange(40), x, np.r_[x[:36], -0.0, math.inf, -math.inf, math.nan])
+    _write_csv(tmp_path / "one.csv", "k,x,z", *columns)
+    np.savetxt(
+        tmp_path / "savetxt.csv", np.column_stack(columns), delimiter=",",
+        header="k,x,z", comments="", fmt="%.17g",
+    )
+    assert (tmp_path / "one.csv").read_bytes() == (tmp_path / "savetxt.csv").read_bytes()

@@ -430,6 +430,11 @@ def test_signal_family_validation():
     ):
         with pytest.raises(ValueError):
             SignalFamily(**kwargs)
+    # breakpoints that are not a pair raised the unpacking error: TypeError
+    # "cannot unpack non-iterable int object", ValueError "too many values"
+    for breakpoints in (5, (2, 3, 4)):
+        with pytest.raises(ValueError, match=r"^bad breakpoint range"):
+            SignalFamily(breakpoints=breakpoints)
 
 
 @pytest.mark.parametrize("span", [math.nan, math.inf, 0.0])
