@@ -2,8 +2,9 @@
 exits of the marches, the supply march, the Dahl r = 1 array fields, the
 interval slopes of a trajectory, the output-only storage, the f_an term of
 both storage routes, the friction and model parameters, the recipe of
-`duhem verify`, the one CSV writer of the artifacts and the config checks
-of the CLI in `src/`.
+`duhem verify` (an open loop input included), the one CSV writer of the
+artifacts, the config checks of the CLI, the counts of the signal
+constructors and the anhysteresis search on a band in `src/`.
 
 Each entry names a file under `src/duhem`, an exact snippet of it, the text
 that replaces the snippet, and the tests expected to kill the mutant (pytest
@@ -666,5 +667,59 @@ MUTANTS = [
         "snippet": "isinstance(cfg.seed, bool) or ",
         "replacement": "",
         "tests": ["tests/test_cli.py::test_a_config_seed_that_is_not_a_nonnegative_integer_is_a_config_error"],
+    },
+    # -- the loop report of verify on an input that closes no cycle
+    {
+        "name": "verify-open-loop-report-passes",
+        "why": "verify_model passes the loop-orientation report of a loop input that closes no cycle",
+        "file": "dissipativity.py",
+        "snippet": 'name="loop-orientation", worst_violation=math.inf,',
+        "replacement": 'name="loop-orientation", worst_violation=-math.inf,',
+        "tests": ["tests/test_cli.py::test_verify_with_a_loop_input_that_closes_no_cycle_writes_its_reports"],
+    },
+    # -- the counts of the signal constructors
+    {
+        "name": "triangle-cycles-may-be-any-number",
+        "why": "triangle takes 2.5 cycles and fails in range with a TypeError",
+        "file": "signals.py",
+        "snippet": '    _check_count("cycles", cycles)\n',
+        "replacement": "",
+        "tests": [
+            "tests/test_signals.py::test_each_signal_check_names_what_it_rejects[triangle-cycles-not-integer]",
+            "tests/test_cli.py::test_each_cli_check_names_what_it_rejects[cycles-2.5]",
+        ],
+    },
+    {
+        "name": "sine-periods-may-be-any-number",
+        "why": "sine_sampled takes 1.5 periods and fails in np.linspace with a TypeError",
+        "file": "signals.py",
+        "snippet": '    _check_count("periods", periods)\n',
+        "replacement": "",
+        "tests": [
+            "tests/test_signals.py::test_each_signal_check_names_what_it_rejects[sine-periods-not-integer]",
+            "tests/test_cli.py::test_each_cli_check_names_what_it_rejects[periods-1.5]",
+        ],
+    },
+    {
+        "name": "sine-n-per-period-may-be-any-number",
+        "why": "sine_sampled takes 256.0 samples a period and fails in np.linspace with a TypeError",
+        "file": "signals.py",
+        "snippet": '    _check_count("n_per_period", n_per_period)\n',
+        "replacement": "",
+        "tests": ["tests/test_signals.py::test_each_signal_check_names_what_it_rejects[sine-n-per-period-not-integer]"],
+    },
+    # -- the anhysteresis search on a band
+    {
+        "name": "band-search-probes-the-domain-ends",
+        "why": "the anhysteresis search limits are the band's ends, where the fields may blow up",
+        "file": "curves.py",
+        "snippet": (
+            "    if math.isfinite(lo):\n"
+            "        lo = lo + 1e-9 * (1.0 + abs(lo))\n"
+            "    if math.isfinite(hi):\n"
+            "        hi = hi - 1e-9 * (1.0 + abs(hi))\n"
+        ),
+        "replacement": "",
+        "tests": ["tests/test_curves.py::test_the_anhysteresis_search_on_a_band_stays_inside_its_ends"],
     },
 ]

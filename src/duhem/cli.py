@@ -103,20 +103,23 @@ class RunConfig:
         return cls.from_dict(data)
 
 
+# kind -> (constructor, required keys, optional keys), the keys being the
+# constructor's own parameter names; an optional key left out takes its default
 _INPUT_KINDS = {
-    "ramp": ({"u0", "u1", "duration"}, {"u0", "u1", "duration"}),
-    "triangle": ({"amplitude", "cycles"}, {"amplitude", "cycles", "period"}),
-    "sine": (
-        {"amplitude", "periods"},
-        {"amplitude", "periods", "period", "n_per_period", "offset"},
+    "ramp": (ramp, {"u0", "u1", "duration"}, set()),
+    "triangle": (triangle, {"amplitude", "cycles"}, {"period"}),
+    "sine": (sine_sampled, {"amplitude", "periods"}, {"period", "n_per_period", "offset"}),
+    "breakpoints": (InputSignal, {"times", "values"}, set()),
+    "random": (
+        random_piecewise_linear, set(), {"u_start", "span", "n_breakpoints", "min_dwell"}
     ),
-    "breakpoints": ({"times", "values"}, {"times", "values"}),
-    "random": (set(), {"u_start", "span", "n_breakpoints", "min_dwell"}),
 }
 
 
 def build_input(spec: dict, seed: int = 0) -> InputSignal:
-    """Construct an input signal from its JSON description."""
+    """Construct an input signal from its JSON description: one call of the
+    kind's constructor with the spec's keys, after a generator seeded with
+    `seed` for the kind random."""
     if not isinstance(spec, dict) or "kind" not in spec:
         raise ConfigError("input spec must be an object with a 'kind' key")
     kind = spec["kind"]
@@ -124,40 +127,17 @@ def build_input(spec: dict, seed: int = 0) -> InputSignal:
         raise ConfigError(
             f"unknown input kind {kind!r}; expected one of {sorted(_INPUT_KINDS)}"
         )
-    required, allowed = _INPUT_KINDS[kind]
+    make, required, optional = _INPUT_KINDS[kind]
     given = set(spec) - {"kind"}
     missing = sorted(required - given)
-    extra = sorted(given - allowed)
+    extra = sorted(given - required - optional)
     if missing:
         raise ConfigError(f"input kind {kind!r} missing keys: {', '.join(missing)}")
     if extra:
         raise ConfigError(f"input kind {kind!r} got unknown keys: {', '.join(extra)}")
+    rng = (np.random.default_rng(seed),) if kind == "random" else ()
     try:
-        if kind == "ramp":
-            return ramp(spec["u0"], spec["u1"], spec["duration"])
-        if kind == "triangle":
-            return triangle(spec["amplitude"], int(spec["cycles"]), spec.get("period"))
-        if kind == "sine":
-            return sine_sampled(
-                spec["amplitude"],
-                int(spec["periods"]),
-                period=spec.get("period", 1.0),
-                n_per_period=int(spec.get("n_per_period", 256)),
-                offset=spec.get("offset", 0.0),
-            )
-        if kind == "breakpoints":
-            return InputSignal(
-                np.asarray(spec["times"], dtype=float),
-                np.asarray(spec["values"], dtype=float),
-            )
-        rng = np.random.default_rng(seed)
-        return random_piecewise_linear(
-            rng,
-            u_start=spec.get("u_start", 0.0),
-            span=spec.get("span", 3.0),
-            n_breakpoints=tuple(spec.get("n_breakpoints", (3, 10))),
-            min_dwell=spec.get("min_dwell", 0.01),
-        )
+        return make(*rng, **{key: spec[key] for key in given})
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad input spec: {exc}") from exc
 
@@ -193,18 +173,13 @@ def _base_config(args: argparse.Namespace) -> RunConfig:
     every number and the seed in it can be run, whether or not the
     subcommand reads them."""
     cfg = RunConfig.from_file(args.config) if getattr(args, "config", None) else RunConfig()
-    if getattr(args, "params", None) is not None:
-        try:
-            params = json.loads(args.params)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"--params is not valid JSON: {exc}") from exc
-        cfg = replace(cfg, params=params)
-    if getattr(args, "input", None) is not None:
-        try:
-            spec = json.loads(args.input)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"--input is not valid JSON: {exc}") from exc
-        cfg = replace(cfg, input=spec)
+    for key in ("params", "input"):
+        text = getattr(args, key, None)
+        if text is not None:
+            try:
+                cfg = replace(cfg, **{key: json.loads(text)})
+            except json.JSONDecodeError as exc:
+                raise ConfigError(f"--{key} is not valid JSON: {exc}") from exc
     # a flag that the subcommand does not define reads None, as does one
     # that was not given; params and input are JSON, read above
     flags = {
@@ -215,11 +190,11 @@ def _base_config(args: argparse.Namespace) -> RunConfig:
     cfg = replace(cfg, **{k: v for k, v in flags.items() if v is not None})
     # None is the default of step and tol
     if cfg.step is not None:
-        _check_number("step", cfg.step, positive=True)
-    _check_number("y0", cfg.y0, positive=False)
-    _check_number("quad_tol", cfg.quad_tol, positive=True)
+        _check_number("--step", cfg.step, True, "step")
+    _check_number("--y0", cfg.y0, False, "y0")
+    _check_number("--quad-tol", cfg.quad_tol, True, "quad_tol")
     if cfg.tol is not None:
-        _check_number("tol", cfg.tol, positive=True)
+        _check_number("--tol", cfg.tol, True, "tol")
     if isinstance(cfg.seed, bool) or not (isinstance(cfg.seed, int) and cfg.seed >= 0):
         raise ConfigError(
             f"--seed must be a nonnegative integer (config 'seed'), got {cfg.seed!r}"
@@ -227,10 +202,11 @@ def _base_config(args: argparse.Namespace) -> RunConfig:
     return cfg
 
 
-def _check_number(key: str, value, positive: bool) -> None:
-    """ConfigError unless the value of config key (flag --key) is an int or
-    float that is finite, and positive if asked; a JSON boolean is neither,
-    though Python counts True as the int 1."""
+def _check_number(flag: str, value, positive: bool, key: str | None) -> None:
+    """ConfigError unless the value of the flag, or of the config key (None:
+    the flag has none), is an int or float that is finite, and positive if
+    asked; a JSON boolean is neither, though Python counts True as the int
+    1."""
     if not (
         isinstance(value, (int, float))
         and not isinstance(value, bool)
@@ -238,16 +214,15 @@ def _check_number(key: str, value, positive: bool) -> None:
         and (value > 0.0 or not positive)
     ):
         what = "positive and finite" if positive else "finite"
-        flag = "--" + key.replace("_", "-")
-        raise ConfigError(f"{flag} must be {what} (config '{key}'), got {value!r}")
+        where = f" (config '{key}')" if key else ""
+        raise ConfigError(f"{flag} must be {what}{where}, got {value!r}")
 
 
 def _phase_point(args: argparse.Namespace, *flags: tuple[str, float]) -> PhasePoint:
     """The phase point of --sigma and --xi; it and every further (flag,
     value) must be finite."""
     for flag, value in (("--sigma", args.sigma), ("--xi", args.xi), *flags):
-        if not math.isfinite(value):
-            raise ConfigError(f"{flag} must be finite, got {value!r}")
+        _check_number(flag, value, False, None)
     return PhasePoint(args.sigma, args.xi)
 
 
@@ -295,9 +270,9 @@ def cmd_curves(args: argparse.Namespace) -> int:
             "need --tau-min <= --xi <= --tau-max, got "
             f"--tau-min={args.tau_min!r} --xi={p.xi!r} --tau-max={args.tau_max!r}"
         )
-    step = cfg.step if cfg.step is not None else 1e-3
-    curve = traversing_curve(model, p, args.tau_min, args.tau_max, step=step)
-    lam = intersect_lambda(model, p, step=step)
+    step = {} if cfg.step is None else {"step": cfg.step}
+    curve = traversing_curve(model, p, args.tau_min, args.tau_max, **step)
+    lam = intersect_lambda(model, p, **step)
     path = _out_path(cfg, f"curve_{model.name}.csv")
     _write_csv(path, "tau,omega,dydtau", curve.tau, curve.y, curve.dydtau)
     log.info("wrote %s", path)
@@ -311,8 +286,8 @@ def cmd_storage(args: argparse.Namespace) -> int:
     cfg = _base_config(args)
     model = _resolve_model(cfg)
     p = _phase_point(args)
-    step = cfg.step if cfg.step is not None else 1e-3
-    ev = storage_cw(model, p, quad_tol=cfg.quad_tol, step=step)
+    step = {} if cfg.step is None else {"step": cfg.step}
+    ev = storage_cw(model, p, quad_tol=cfg.quad_tol, **step)
     text = json.dumps(ev.to_dict(), sort_keys=True, indent=2)
     print(text)
     if cfg.out:
@@ -382,9 +357,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         raise ConfigError(f"--n-signals must be at least 1, got {args.n_signals}")
     cfg = _base_config(args)
     if args.preset is not None:
-        preset = PRESETS.get(args.preset)
-        if preset is None:
-            raise ConfigError(f"unknown preset {args.preset!r}")
+        preset = PRESETS[args.preset]
         if cfg.model is not None and cfg.model != preset["model"]:
             raise ConfigError(
                 f"preset {args.preset!r} is for model {preset['model']!r}, "
@@ -433,19 +406,19 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_mech(args: argparse.Namespace) -> int:
-    for flag, value in (
-        ("--horizon", args.horizon), ("--step", args.step), ("--tol", args.tol)
-    ):
-        if not (value > 0.0 and math.isfinite(value)):
-            raise ConfigError(f"{flag} must be positive and finite, got {value!r}")
+    for name in ("horizon", "step", "tol"):
+        _check_number("--" + name, getattr(args, name), True, None)
     if not args.horizon / args.step <= MAX_MECH_STEPS:
         raise ConfigError(
             f"--horizon / --step asks for more than {MAX_MECH_STEPS} steps"
         )
     try:
-        params = MechParams(
-            m=args.m, d=args.d, k=args.k, rho=args.rho, fc=args.fc, mode=args.mode
-        )
+        # a parameter flag not given reads None and takes MechParams' default
+        params = MechParams(**{
+            f.name: getattr(args, f.name)
+            for f in fields(MechParams)
+            if getattr(args, f.name) is not None
+        })
         init = MechState(args.x1, args.x2, args.x3)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
@@ -541,17 +514,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=cmd_verify)
 
     p = sub.add_parser("mech", help="mechanical system with Dahl friction")
-    p.add_argument("--m", type=float, default=1.0)
-    p.add_argument("--d", type=float, default=0.5)
-    p.add_argument("--k", type=float, default=1.0)
-    p.add_argument("--rho", type=float, default=1.5)
-    p.add_argument("--fc", type=float, default=0.75)
+    for f in fields(MechParams):
+        if f.name != "mode":
+            p.add_argument("--" + f.name, type=float)
     p.add_argument("--x1", type=float, default=1.0)
     p.add_argument("--x2", type=float, default=0.0)
     p.add_argument("--x3", type=float, default=0.0)
     p.add_argument("--horizon", type=float, default=100.0)
     p.add_argument("--step", type=float, default=1e-3)
-    p.add_argument("--mode", choices=("free", "feedback"), default="free")
+    p.add_argument("--mode", choices=("free", "feedback"))
     p.add_argument("--tol", type=float, default=1e-4)
     p.add_argument("--out", help="series CSV path")
     p.set_defaults(handler=cmd_mech)

@@ -220,8 +220,10 @@ def verify_model(
     the battery (a nonempty sequence of inputs) from y0 at `step`, each the
     worst of its runs, with `tol` as in `verify_dissipation_battery` (None:
     its default); and the loop orientation and cycle stabilization of
-    loop_input, simulated from y0 at `step`.  Returns (reports, times,
-    areas), where times and areas are the closed loops of `loop_areas`.
+    loop_input, simulated from y0 at `step` (where loop_input closes no
+    cycle, the orientation fails with the label "open").  Returns (reports,
+    times, areas), where times and areas are the closed loops of
+    `loop_areas`.
     Raises ValueError for an empty battery, before any check.
     """
     if not battery:
@@ -238,7 +240,16 @@ def verify_model(
     reports.append(_aggregate("dissipation-forward-battery", [f for f, _ in pairs]))
     reports.append(_aggregate("dissipation-backward-battery", [b for _, b in pairs]))
     traj = simulate(model, loop_input, y0, step=step)
-    reports.append(loop_orientation_report(loop_orientation(traj)))
+    try:
+        reports.append(loop_orientation_report(loop_orientation(traj)))
+    except ValueError as exc:
+        # a loop input that closes no cycle shows no orientation: the report
+        # fails at the last sample, as cycle stabilization does below four loops
+        reports.append(VerificationReport(
+            name="loop-orientation", worst_violation=math.inf,
+            worst_location=(float(traj.t[-1]),), tolerance=0.0, samples_checked=0,
+            details={"label": "open", "reason": str(exc)},
+        ))
     times, areas = loop_areas(traj)
     reports.append(cycle_stabilization(times, areas))
     return reports, times, areas

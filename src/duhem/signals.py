@@ -9,6 +9,7 @@ the traversed u-path.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -28,6 +29,14 @@ def _readonly(a: np.ndarray) -> np.ndarray:
     a = np.asarray(a, dtype=float)
     a.setflags(write=False)
     return a
+
+
+def _check_count(name: str, value) -> None:
+    """ValueError unless value is an integer to `operator.index`."""
+    try:
+        operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
 
 
 @dataclass(frozen=True, eq=False)
@@ -93,6 +102,7 @@ def triangle(amplitude: float, cycles: int, period: float | None = None) -> Inpu
     """
     if amplitude <= 0.0:
         raise ValueError("amplitude must be positive")
+    _check_count("cycles", cycles)
     if cycles < 1:
         raise ValueError("need at least one cycle")
     p = 4.0 * amplitude if period is None else float(period)
@@ -119,6 +129,8 @@ def sine_sampled(
     256 segments per period keeps the chordal u-path within O(1e-4 * A) of
     the smooth curve, adequate for loop reproduction.
     """
+    _check_count("periods", periods)
+    _check_count("n_per_period", n_per_period)
     if amplitude <= 0.0 or period <= 0.0 or periods < 1 or n_per_period < 4:
         raise ValueError("invalid sine parameters")
     n = periods * n_per_period

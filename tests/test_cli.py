@@ -19,10 +19,10 @@ from duhem.cli import (
 )
 from duhem.core import simulate
 from duhem.dissipativity import loop_areas, verify_model
-from duhem.mechsim import MAX_MECH_STEPS
+from duhem.mechsim import MAX_MECH_STEPS, MechParams
 from duhem.models import boucwen, dahl
 from duhem.report import VerificationReport
-from duhem.signals import random_piecewise_linear, triangle
+from duhem.signals import random_piecewise_linear, sine_sampled, triangle
 
 TRIANGLE = '{"kind": "triangle", "amplitude": 1.0, "cycles": 2}'
 
@@ -747,3 +747,101 @@ def test_presets_cover_both_figures():
     assert set(PRESETS) == {"fig1", "fig2"}
     assert PRESETS["fig1"]["model"] == "dahl"
     assert PRESETS["fig2"]["model"] == "boucwen"
+
+
+@pytest.mark.parametrize("spec, reason", [
+    ('{"kind": "ramp", "u0": 0, "u1": 1, "duration": 1}',
+     "input never closes a cycle at its final level"),
+    ('{"kind": "breakpoints", "times": [0, 1], "values": [0.5, 0.5]}',
+     "constant input carries no loop"),
+], ids=["ramp", "constant"])
+def test_verify_with_a_loop_input_that_closes_no_cycle_writes_its_reports(
+    tmp_path, capsys, spec, reason
+):
+    # the run used to end in exit 1 with the reason and no file written
+    code = run_cli(
+        "verify", "--preset", "fig1", "--input", spec, "--n-signals", "1",
+        "--out-dir", str(tmp_path),
+    )
+    assert code == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 7
+    assert lines[5].startswith("[FAIL] loop-orientation: worst=inf ")
+    payload = json.loads((tmp_path / "verify_dahl.json").read_text())
+    report = payload["reports"][5]
+    assert report["name"] == "loop-orientation" and not report["passed"]
+    assert report["worst_violation"] == math.inf
+    assert report["worst_location"] == [1.0]
+    assert report["details"] == {"label": "open", "reason": reason}
+    assert (tmp_path / "loops_dahl.csv").read_text() == "cycle,t_close,area\n"
+
+
+@pytest.mark.parametrize("argv, err", [
+    (["simulate", "--model", "dahl", "--input", TRIANGLE, "--config", "missing.json"],
+     "config error: cannot read config missing.json"),
+    (["simulate", "--model", "dahl"],
+     "config error: missing input spec (--input or config 'input')"),
+    (["simulate", "--model", "dahl", "--input",
+      '{"kind": "ramp", "u0": 0, "u1": 1, "duration": -1}'],
+     "config error: bad input spec: duration must be positive"),
+    (["simulate", "--model", "dahl", "--input",
+      '{"kind": "triangle", "amplitude": 1.0, "cycles": 2.5}'],
+     "config error: bad input spec: cycles must be an integer, got 2.5"),
+    (["simulate", "--model", "dahl", "--input",
+      '{"kind": "triangle", "amplitude": 1.0, "cycles": 3.0}'],
+     "config error: bad input spec: cycles must be an integer, got 3.0"),
+    (["simulate", "--model", "dahl", "--input",
+      '{"kind": "sine", "amplitude": 1.0, "periods": 1.5}'],
+     "config error: bad input spec: periods must be an integer, got 1.5"),
+    (["verify", "--preset", "fig1", "--model", "boucwen", "--n-signals", "1"],
+     "config error: preset 'fig1' is for model 'dahl', got --model 'boucwen'"),
+    (["verify", "--model", "dahl", "--params", '{"rho": 0.01, "fc": 0.75, "r": 3.0}',
+      "--n-signals", "1"],
+     "config error: margin 0.01 is not attainable anywhere on this model's band"),
+], ids=[
+    "unreadable-config", "missing-input", "bad-input", "cycles-2.5", "cycles-3.0",
+    "periods-1.5", "preset-with-another-model", "dahl-margin",
+])
+def test_each_cli_check_names_what_it_rejects(tmp_path, capsys, monkeypatch, argv, err):
+    # a count that is not an integer used to be truncated: 2.5 cycles ran 2
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(duhem.cli, "verify_model", _no_ride)
+    assert run_cli(*argv, "--out-dir", str(tmp_path / "out")) == 2
+    assert capsys.readouterr().err.startswith(err)
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("spec, direct", [
+    ({"kind": "triangle", "amplitude": 0.5, "cycles": 2},
+     lambda rng: triangle(0.5, 2)),
+    ({"kind": "sine", "amplitude": 0.5, "periods": 2},
+     lambda rng: sine_sampled(0.5, 2)),
+    ({"kind": "sine", "amplitude": 0.5, "periods": 2, "period": 2.0, "n_per_period": 8,
+      "offset": 0.25},
+     lambda rng: sine_sampled(0.5, 2, period=2.0, n_per_period=8, offset=0.25)),
+    ({"kind": "random"}, lambda rng: random_piecewise_linear(rng)),
+    ({"kind": "random", "u_start": 0.5, "span": 1.0, "n_breakpoints": [4, 6],
+      "min_dwell": 0.25},
+     lambda rng: random_piecewise_linear(
+         rng, u_start=0.5, span=1.0, n_breakpoints=(4, 6), min_dwell=0.25
+     )),
+], ids=["triangle", "sine", "sine-every-key", "random", "random-every-key"])
+def test_build_input_calls_the_constructor_with_the_keys_given(spec, direct):
+    # a key left out takes the constructor's own default
+    built = build_input(spec, seed=9)
+    want = direct(np.random.default_rng(9))
+    assert np.array_equal(built.times, want.times)
+    assert np.array_equal(built.values, want.values)
+
+
+def test_mech_parameter_flags_default_to_mech_params(monkeypatch, capsys):
+    seen = []
+
+    def capture(params, init, horizon, step):
+        seen.append(params)
+        raise ValueError("stop")
+
+    monkeypatch.setattr(duhem.cli, "simulate_mech", capture)
+    assert run_cli("mech", "--horizon", "1") == 1
+    assert run_cli("mech", "--horizon", "1", "--rho", "2", "--mode", "feedback", "--k", "0") == 1
+    assert seen == [MechParams(), MechParams(rho=2.0, mode="feedback", k=0.0)]

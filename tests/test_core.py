@@ -451,3 +451,13 @@ def test_march_segment_makes_n_rk4_steps_and_4n_plus_1_field_calls(monkeypatch, 
     assert y_exit is None and len(nodes) == len(ys) == len(ks) == n + 1
     assert rk4_calls[0] == n
     assert field_calls[0] == 4 * n + 1
+
+
+@pytest.mark.parametrize("call, msg", [
+    (lambda: DuhemModel("m", 1.0, lambda s, xi: s), "f1 and f2 must be callable"),
+    (lambda: simulate(dahl(), triangle(1.0, 1), math.nan), "y0 must be finite"),
+    (lambda: check_existence_conditions(dahl(), ([0.0], [0.0]), 1.0), "two sigma values"),
+], ids=["field-not-callable", "nan-y0", "one-sigma-grid"])
+def test_each_core_check_names_what_it_rejects(call, msg):
+    with pytest.raises(ValueError, match=msg):
+        call()

@@ -926,3 +926,27 @@ def test_lemma_check_validates_inputs(dahl_r1):
         check_lemma1(dahl_r1, ((0.7, -0.7), (-1.0, 1.0)), 0.01)
     with pytest.raises(ValueError):
         check_lemma1(dahl_r1, ((-1.0, 1.0), (-1.0, 1.0)), 0.01)
+
+
+def test_a_traversing_curve_rejects_a_point_outside_the_band():
+    # Dahl's band is |sigma| < fc = 0.75
+    with pytest.raises(ValueError, match="outside model domain"):
+        traversing_curve(dahl(), PhasePoint(0.8, 0.0), -1.0, 1.0)
+
+
+def test_a_curve_on_a_single_node_is_its_phase_point():
+    assert traversing_curve(dahl(), PhasePoint(0.3, 0.5), 0.5, 0.5)(0.5) == 0.3
+
+
+@pytest.mark.parametrize("solve", [
+    lambda m: anhysteresis(m, 0.0),
+    lambda m: float(anhysteresis_values(m, np.array([0.0]))[0]),
+], ids=["scalar", "vector"])
+def test_the_anhysteresis_search_on_a_band_stays_inside_its_ends(solve):
+    # f1 = 1/(1 - s) and f2 = 2/(1 + s) meet at 1/3 and blow up at the ends
+    # of (-1, 1); with no f_an the search must not probe the ends themselves
+    band = DuhemModel(
+        "band", lambda s, xi: 1.0 / (1.0 - s), lambda s, xi: 2.0 / (1.0 + s),
+        domain=Domain(-1.0, 1.0),
+    )
+    assert solve(band) == pytest.approx(1.0 / 3.0, abs=1e-9)

@@ -34,6 +34,8 @@ def test_params_validation():
         MechParams(m=0.0)
     with pytest.raises(ValueError):
         MechParams(d=-0.1)
+    with pytest.raises(ValueError, match="stiffness must be nonnegative"):
+        MechParams(k=-1.0)
     for bad in (dict(rho=-1.0), dict(fc=0.0)):
         with pytest.raises(ValueError, match="rho and fc must be positive"):
             MechParams(**bad)

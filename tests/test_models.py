@@ -296,3 +296,12 @@ def test_cli_simulate_blowup_exits_with_verification_status(tmp_path, capsys):
     ])
     assert code == 1
     assert "state left the model domain at t=0.188 (u=0.376, y=nan)" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("config, msg", [
+    ([], "must be a mapping"),
+    ({}, "requires a 'model' key"),
+], ids=["list", "empty"])
+def test_model_from_config_names_a_config_it_cannot_read(config, msg):
+    with pytest.raises(ValueError, match=msg):
+        model_from_config(config)

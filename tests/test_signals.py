@@ -132,3 +132,34 @@ def test_reparameterize_rejects_bad_warps(warp_pairs, msg):
     sig = ramp(0.0, 1.0, 2.0)
     with pytest.raises(ValueError, match=msg):
         rate_reparameterize(sig, InputSignal(*np.array(warp_pairs).T))
+
+
+@pytest.mark.parametrize("call, msg", [
+    (lambda: InputSignal(np.zeros(0), np.zeros(0)), "at least one breakpoint"),
+    (lambda: InputSignal(np.array([0.0, 1.0]), np.array([0.0, np.inf])), "must be finite"),
+    (lambda: ramp(0.0, 1.0, 1.0).value(1.5), "outside signal domain"),
+    (lambda: ramp(0.0, 1.0, 0.0), "duration must be positive"),
+    (lambda: triangle(0.0, 1), "amplitude must be positive"),
+    (lambda: triangle(1.0, 0), "at least one cycle"),
+    (lambda: triangle(1.0, 1, period=-1.0), "period must be positive"),
+    (lambda: rate_reparameterize(ramp(0.0, 1.0, 1.0), InputSignal([0.0], [0.0])), "two breakpoints"),
+    (lambda: triangle(1.0, 2.5), r"cycles must be an integer, got 2\.5"),
+    (lambda: sine_sampled(1.0, 1.5), r"periods must be an integer, got 1\.5"),
+    (lambda: sine_sampled(1.0, 1, n_per_period=256.0), r"n_per_period must be an integer, got 256\.0"),
+], ids=[
+    "empty", "not-finite", "value-outside-domain", "ramp-duration", "triangle-amplitude",
+    "triangle-cycles", "triangle-period", "one-breakpoint-warp", "triangle-cycles-not-integer",
+    "sine-periods-not-integer", "sine-n-per-period-not-integer",
+])
+def test_each_signal_check_names_what_it_rejects(call, msg):
+    # a count that is not an integer used to end in the TypeError of range
+    # or np.linspace
+    with pytest.raises(ValueError, match=msg):
+        call()
+
+
+def test_counts_take_numpy_integers():
+    assert np.array_equal(triangle(1.0, np.int64(2)).times, triangle(1.0, 2).times)
+    a = sine_sampled(1.0, np.int32(2), n_per_period=np.int64(8))
+    b = sine_sampled(1.0, 2, n_per_period=8)
+    assert np.array_equal(a.times, b.times) and np.array_equal(a.values, b.values)

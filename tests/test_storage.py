@@ -946,3 +946,9 @@ def test_readme_ride_storage_stays_within_4_ulps_of_the_60_halving_storage(model
     lam, _, integral, _ = ride_two_marches(model, sigma, xi, 5e-3, refine=bisect_halvings)
     H60 = _anhysteresis_integrals(model, lam) - integral
     assert np.abs(H - H60).max() <= 4.0 * np.spacing(np.abs(H60).max())
+
+
+def test_the_bruteforce_search_rejects_a_point_outside_the_band():
+    # Dahl's band is |sigma| < fc = 0.75
+    with pytest.raises(ValueError, match="outside model domain"):
+        available_storage_bruteforce(dahl(), PhasePoint(0.8, 0.0))
