@@ -1,6 +1,7 @@
 """Hand-made mutants of the checks, the crossing refinement, the domain
 exits of the marches, the supply march, the Dahl r = 1 array fields, the
-interval slopes of a trajectory, the output-only storage, the f_an term of
+interval slopes of a trajectory, the output-only storage and its
+one-variable route (with the declaration it reads), the f_an term of
 both storage routes, the friction and model parameters, the recipe of
 `duhem verify` (an open loop input included), the one CSV writer of the
 artifacts, the config checks of the CLI, the counts of the signal
@@ -369,40 +370,55 @@ MUTANTS = [
     },
     {
         "name": "signal-family-counts-may-be-any-number",
-        "why": "SignalFamily takes a float or bool n_random, breakpoint count or seed",
+        "why": "SignalFamily takes a float or bool n_random or seed",
         "file": "storage.py",
-        "snippet": (
-            "            if not (type(v) is int and v >= 0):\n"
-            '                raise ValueError(f"{name} must be a nonnegative integer, got {v!r}")\n'
-            "        try:\n"
-            "            lo, hi = self.breakpoints\n"
-            "        except (TypeError, ValueError):\n"
-            "            lo = hi = None\n"
-            "        if not (type(lo) is type(hi) is int and 2 <= lo <= hi):"
-        ),
-        "replacement": (
-            "            if not v >= 0:\n"
-            '                raise ValueError(f"{name} must be a nonnegative integer, got {v!r}")\n'
-            "        try:\n"
-            "            lo, hi = self.breakpoints\n"
-            "        except (TypeError, ValueError):\n"
-            "            lo = hi = None\n"
-            "        if not 2 <= lo <= hi:"
-        ),
+        "snippet": "            if not (type(v) is int and v >= 0):\n",
+        "replacement": "            if not v >= 0:\n",
         "tests": ["tests/test_storage.py::test_signal_family_validation"],
     },
     {
-        "name": "signal-family-breakpoints-may-be-any-shape",
-        "why": "SignalFamily unpacks breakpoints unchecked: an int or a triple fails with the unpacking error",
-        "file": "storage.py",
+        "name": "breakpoint-counts-may-be-any-number",
+        "why": "the breakpoint range of SignalFamily and random_piecewise_linear takes float and bool counts",
+        "file": "signals.py",
+        "snippet": "if not (type(lo) is type(hi) is int and 2 <= lo <= hi):",
+        "replacement": "if not 2 <= lo <= hi:",
+        "tests": [
+            "tests/test_storage.py::test_signal_family_validation",
+            "tests/test_signals.py::test_each_signal_check_names_what_it_rejects[random-breakpoints-not-integer]",
+            "tests/test_signals.py::test_each_signal_check_names_what_it_rejects[random-breakpoints-bool]",
+        ],
+    },
+    {
+        "name": "breakpoint-range-may-be-any-shape",
+        "why": "the breakpoint range is unpacked unchecked: an int or a triple fails with the unpacking error",
+        "file": "signals.py",
         "snippet": (
-            "        try:\n"
-            "            lo, hi = self.breakpoints\n"
-            "        except (TypeError, ValueError):\n"
-            "            lo = hi = None\n"
+            "    try:\n"
+            "        lo, hi = value\n"
+            "    except (TypeError, ValueError):\n"
+            "        lo = hi = None\n"
         ),
-        "replacement": "        lo, hi = self.breakpoints\n",
-        "tests": ["tests/test_storage.py::test_signal_family_validation"],
+        "replacement": "    lo, hi = value\n",
+        "tests": [
+            "tests/test_storage.py::test_signal_family_validation",
+            "tests/test_signals.py::test_each_signal_check_names_what_it_rejects[random-breakpoints-int]",
+            "tests/test_signals.py::test_each_signal_check_names_what_it_rejects[random-breakpoints-triple]",
+        ],
+    },
+    {
+        "name": "random-breakpoints-unchecked",
+        "why": (
+            "random_piecewise_linear draws from n_breakpoints unchecked: (0, 0) "
+            "fails with an IndexError, (1, 1) builds an input of one breakpoint"
+        ),
+        "file": "signals.py",
+        "snippet": "    lo, hi = _check_breakpoint_range(n_breakpoints)\n",
+        "replacement": "    lo, hi = n_breakpoints\n",
+        "tests": [
+            "tests/test_signals.py::test_each_signal_check_names_what_it_rejects[random-breakpoints-0-0]",
+            "tests/test_signals.py::test_each_signal_check_names_what_it_rejects[random-breakpoints-1-1]",
+            "tests/test_cli.py::test_each_cli_check_names_what_it_rejects[random-breakpoints-0-0]",
+        ],
     },
     {
         "name": "config-number-may-be-infinite",
@@ -464,13 +480,97 @@ MUTANTS = [
             "tests/test_storage.py::test_output_only_storage_is_the_fine_ride_on_the_fig1_preset",
         ],
     },
+    # -- the storage of a one-variable model by quadrature in w = xi - c sigma
+    {
+        "name": "one-variable-storage-on-the-other-branch",
+        "why": (
+            "H built on g2 where w0 > 0 and g1 where w0 < 0: the required "
+            "supply, which only the exact storage and the rides tell apart"
+        ),
+        "file": "storage.py",
+        "snippet": (
+            '        v, rate_name = c * sigma - xi, "c g(w) - 1"\n'
+            "\n"
+            "        def rate(f, nodes):\n"
+            "            return c * f(np.zeros_like(nodes), -nodes) - 1.0\n"
+        ),
+        "replacement": (
+            '        v, rate_name = xi - c * sigma, "c g(w) - 1"\n'
+            "\n"
+            "        def rate(f, nodes):\n"
+            "            return c * f(np.zeros_like(nodes), nodes) - 1.0\n"
+        ),
+        "tests": [
+            "tests/test_storage.py::test_one_variable_storage_is_the_exact_exp_storage",
+            "tests/test_storage.py::test_readme_exp_ride_is_within_its_step_halving_error_of_the_exact_storage",
+        ],
+    },
+    {
+        "name": "one-variable-xi-may-be-non-finite",
+        "why": "a one-variable storage at a NaN xi reads NaN, at no branch",
+        "file": "storage.py",
+        "snippet": (
+            "    if not (model.xi_free or np.isfinite(xi).all()):\n"
+            '        raise ValueError(samples(~np.isfinite(xi), "whose xi is not finite"))\n'
+        ),
+        "replacement": "",
+        "tests": ["tests/test_storage.py::test_one_variable_storage_is_its_closed_form_and_names_the_first_failing_sample"],
+    },
+    {
+        "name": "battery-rides-a-one-variable-model",
+        "why": "the dissipation battery rides exp_example's samples instead of taking the quadrature in w",
+        "file": "dissipativity.py",
+        "snippet": "if model.xi_free or model.one_variable_c is not None:",
+        "replacement": "if model.xi_free:",
+        "tests": ["tests/test_dissipativity.py::test_a_one_variable_battery_takes_the_quadrature_in_w_and_no_ride"],
+    },
+    {
+        "name": "one-variable-f-an-unchecked",
+        "why": "the one-variable declaration takes any f_an, one ulp off xi / c included",
+        "file": "core.py",
+        "snippet": '                pairs.append(("f_an(xi)", f_an(xi), "xi / c", xi / c))\n',
+        "replacement": "                pass\n",
+        "tests": ["tests/test_models.py::test_a_one_variable_declaration_needs_f_an_to_be_xi_over_c_bit_for_bit"],
+    },
+    {
+        "name": "one-variable-curve-unchecked-without-f-an",
+        "why": "a one-variable model without f_an may have g1(0) != g2(0), its curve off w = 0",
+        "file": "core.py",
+        "snippet": '                pairs.append(("f1(0, 0)", f1(at_0, at_0), "f2(0, 0)", f2(at_0, at_0)))\n',
+        "replacement": "                pass\n",
+        "tests": ["tests/test_models.py::test_a_one_variable_model_without_f_an_needs_its_fields_to_meet_at_w_0"],
+    },
+    {
+        "name": "one-variable-fields-unchecked",
+        "why": "the one-variable declaration takes fields that read sigma or xi apart from w",
+        "file": "core.py",
+        "snippet": (
+            "            pairs = [\n"
+            '                ("f1(sigma, xi)", f1(sigma, xi), "f1(0, xi - c sigma)", f1(at_0, w)),\n'
+            '                ("f2(sigma, xi)", f2(sigma, xi), "f2(0, xi - c sigma)", f2(at_0, w)),\n'
+            "            ]\n"
+        ),
+        "replacement": "            pairs = []\n",
+        "tests": ["tests/test_models.py::test_a_one_variable_declaration_whose_fields_read_more_is_rejected"],
+    },
+    {
+        "name": "one-variable-c-may-be-any-number",
+        "why": "the one-variable declaration takes a c that is not positive and finite",
+        "file": "core.py",
+        "snippet": 'c = _check_positive("one_variable_c", self.one_variable_c)',
+        "replacement": "c = self.one_variable_c",
+        "tests": ["tests/test_models.py::test_a_one_variable_c_must_be_positive_and_finite"],
+    },
     {
         "name": "output-only-slope-unchecked-at-sigma",
-        "why": "the branch slope is checked at the quadrature nodes but not at sigma itself",
+        "why": "the rate (branch slope, or c g - 1) is checked at the quadrature nodes but not at the point itself",
         "file": "storage.py",
         "snippet": "bad[lanes] = ~((slope > 0.0) & (slope < math.inf)).all(axis=1)",
         "replacement": "bad[lanes] = ~((slope > 0.0) & (slope < math.inf))[:, :-1].all(axis=1)",
-        "tests": ["tests/test_storage.py::test_output_only_storage_names_the_first_failing_sample"],
+        "tests": [
+            "tests/test_storage.py::test_output_only_storage_names_the_first_failing_sample",
+            "tests/test_storage.py::test_one_variable_storage_is_its_closed_form_and_names_the_first_failing_sample",
+        ],
     },
     {
         "name": "xi-free-declaration-unchecked",

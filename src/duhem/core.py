@@ -124,6 +124,22 @@ class DuhemModel:
     every probe input as at xi = 0, and f_an must be 0 there; a mismatch,
     or no f_an, raises ValueError.  Dahl and Bouc-Wen with zeta != 0 are
     xi-free; the exponential example is not.
+
+    one_variable_c, when given, declares that f1 and f2 depend on
+    w = xi - c sigma alone, f_i(sigma, xi) = g_i(w) with g_i(w) = f_i(0, w),
+    and that the anhysteresis curve is w = 0, f_an(xi) = xi / c.  Along a
+    traversing curve dw/dtau = 1 - c g(w) does not depend on tau, so the
+    storage at (sigma, xi) is xi^2 / (2c) plus a one-dimensional integral
+    in w, which `verify_dissipation_battery` evaluates by quadrature
+    (`storage.storage_output_only`) instead of riding every sample.  The
+    declaration is checked on the same probe grid: c must be positive and
+    finite, f1 and f2 must return at every probe point (sigma, xi) the
+    bits they return at (0, xi - c sigma), and f_an, if declared, must
+    return the bits of xi / c; a mismatch raises ValueError.  A model
+    without f_an leaves its curve to the solver, and the quadrature takes
+    it at w = 0: such a model must have g1(0) == g2(0), and its curve lies
+    there if g1 - g2 changes sign at w = 0 alone.  The exponential example
+    declares c = 1.2.
     """
 
     name: str
@@ -134,6 +150,7 @@ class DuhemModel:
     f_an: Callable | None = None
     odd: bool = False
     xi_free: bool = False
+    one_variable_c: float | None = None
 
     def __post_init__(self):
         if not callable(self.f1) or not callable(self.f2):
@@ -143,6 +160,8 @@ class DuhemModel:
             self._check_odd()
         if self.xi_free:
             self._check_xi_free()
+        if self.one_variable_c is not None:
+            self._check_one_variable()
 
     def _probe(self):
         """The probe grid, flattened: `_PROBE_SIGMA` as fractions of the
@@ -209,6 +228,25 @@ class DuhemModel:
                 ("f_an(xi)", f_an(xi), "0", 0.0),
             ]
         self._check_probe_pairs("xi-free model", sigma, xi, pairs)
+
+    def _check_one_variable(self):
+        """Raise ValueError unless one_variable_c is positive and finite,
+        f1 and f2 return on the probe grid the bits they return at
+        (0, xi - c sigma), and f_an, if declared, returns those of xi / c
+        (if not, f1 and f2 must agree at (0, 0))."""
+        c = _check_positive("one_variable_c", self.one_variable_c)
+        sigma, xi, f1, f2, f_an = self._probe()
+        at_0, w = np.zeros_like(xi), xi - c * sigma
+        with np.errstate(all="ignore"):
+            pairs = [
+                ("f1(sigma, xi)", f1(sigma, xi), "f1(0, xi - c sigma)", f1(at_0, w)),
+                ("f2(sigma, xi)", f2(sigma, xi), "f2(0, xi - c sigma)", f2(at_0, w)),
+            ]
+            if f_an is not None:
+                pairs.append(("f_an(xi)", f_an(xi), "xi / c", xi / c))
+            else:
+                pairs.append(("f1(0, 0)", f1(at_0, at_0), "f2(0, 0)", f2(at_0, at_0)))
+        self._check_probe_pairs("one-variable model", sigma, xi, pairs)
 
     def F(self, sigma, xi):
         """Half-difference of the slope fields; zero exactly on the

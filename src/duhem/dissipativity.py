@@ -5,8 +5,9 @@ of zero that makes hysteresis loops in the input-output plane run clockwise;
 `check_assumption_A` certifies the sign structure on a grid.  The central
 check, `verify_dissipation_battery`, simulates the operator along each input
 of a battery, builds the clockwise storage at every sample in one call over
-all their samples (by quadrature in the output for a xi-free model, by one
-storage ride otherwise) and tests the sampled dissipation inequality
+all their samples (by quadrature in one variable for a xi-free or a
+one-variable model, by one storage ride otherwise) and tests the sampled
+dissipation inequality
 
     dH/dt <= y * du/dt
 
@@ -100,10 +101,12 @@ def verify_dissipation_battery(
     Simulates every signal from y0 and evaluates the clockwise storage H at
     all samples of all signals in one call, then splits it back per signal.
     A xi-free model (`DuhemModel.xi_free`) has a storage of the output
-    alone, evaluated by Gauss-Legendre quadrature in the output
-    (`storage_output_only`); any other model rides all samples to their
-    crossings in one `storage_cw_batch` ride at `step`, which the reports
-    name as `ride_step`.  Each report checks the
+    alone, and a one-variable model (`DuhemModel.one_variable_c`) one of
+    xi^2 / (2c) and an integral in w = xi - c sigma; both are evaluated by
+    Gauss-Legendre quadrature in that one variable (`storage_output_only`),
+    and the reports name the rule's `gauss_nodes`.  Any other model rides
+    all samples to their crossings in one `storage_cw_batch` ride at
+    `step`, which the reports name as `ride_step`.  Each report checks the
     sampled inequality dH/dt <= y du/dt between consecutive samples, with
     dH/dt a forward difference: the forward report against the right input
     rate and the sample's own output, the backward report against the left
@@ -126,11 +129,11 @@ def verify_dissipation_battery(
     if not trajs:
         return []
     y_all = np.concatenate([traj.y for traj in trajs])
-    if model.xi_free:
-        H_flat = storage_output_only(model, y_all)
+    u_all = np.concatenate([traj.u for traj in trajs])
+    if model.xi_free or model.one_variable_c is not None:
+        H_flat = storage_output_only(model, y_all, u_all)
         route = {"gauss_nodes": _GAUSS_NODES}
     else:
-        u_all = np.concatenate([traj.u for traj in trajs])
         H_flat = storage_cw_batch(model, y_all, u_all, step=step).value
         route = {"ride_step": float(step)}
     ends = np.cumsum([traj.n_samples for traj in trajs])

@@ -16,7 +16,9 @@ validates its parameters and declares the model's validity domain, its
 odd symmetry (all three are odd: f2(sigma, xi) is f1(-sigma, -xi) bit for
 bit, as `DuhemModel.odd` requires), whether its fields ignore the input
 with f_an identically 0 (`DuhemModel.xi_free`: Dahl, and Bouc-Wen with
-zeta != 0) and, when available in closed form, the anhysteresis function.
+zeta != 0), whether they depend on xi - c sigma alone
+(`DuhemModel.one_variable_c`: the exponential example) and, when available
+in closed form, the anhysteresis function.
 """
 
 from __future__ import annotations
@@ -210,7 +212,9 @@ def exp_example() -> DuhemModel:
 
     f1 - f2 vanishes exactly on sigma = xi / 1.2, so the declared
     anhysteresis function is xi/1.2 (slope 5/6, not the 0.83 additive
-    constant appearing in the slope fields).
+    constant appearing in the slope fields).  Both fields depend on
+    w = xi - 1.2 sigma alone (-1.2*sigma + xi rounds like xi - 1.2*sigma),
+    which the model declares as `DuhemModel.one_variable_c`.
     """
     return DuhemModel(
         name="exp_example",
@@ -220,6 +224,7 @@ def exp_example() -> DuhemModel:
         domain=WHOLE_PLANE,
         f_an=lambda xi: xi / 1.2,
         odd=True,
+        one_variable_c=1.2,
     )
 
 

@@ -39,6 +39,18 @@ def _check_count(name: str, value) -> None:
         raise ValueError(f"{name} must be an integer, got {value!r}") from None
 
 
+def _check_breakpoint_range(value) -> tuple[int, int]:
+    """(lo, hi) of a range of breakpoint counts, or ValueError naming the
+    bound unless value is a pair of ints (not bools) with 2 <= lo <= hi."""
+    try:
+        lo, hi = value
+    except (TypeError, ValueError):
+        lo = hi = None
+    if not (type(lo) is type(hi) is int and 2 <= lo <= hi):
+        raise ValueError(f"bad breakpoint range {value!r}: need integers 2 <= lo <= hi")
+    return lo, hi
+
+
 @dataclass(frozen=True, eq=False)
 class InputSignal:
     """Piecewise-linear input defined by breakpoints (times, values).
@@ -150,9 +162,11 @@ def random_piecewise_linear(
 
     Segment durations equal the segment |du| (floored at min_dwell), so the
     input rate magnitude is at most 1; verification tolerances that scale
-    with the input rate stay meaningful across the whole family.
+    with the input rate stay meaningful across the whole family.  The
+    breakpoint count is drawn from n_breakpoints = (lo, hi), which must be
+    ints (not bools) with 2 <= lo <= hi (ValueError otherwise).
     """
-    lo, hi = n_breakpoints
+    lo, hi = _check_breakpoint_range(n_breakpoints)
     k = int(rng.integers(lo, hi + 1))
     vals = np.empty(k)
     vals[0] = u_start

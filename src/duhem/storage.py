@@ -19,16 +19,25 @@ for every point.  Agreement between the routes is part of the test
 surface, so neither should be rewritten in terms of the other: each checks
 the other's ride, table and quadrature.
 
-A third route, `storage_output_only`, skips the ride for models whose
-fields ignore the input and whose anhysteresis curve is identically zero
-(`DuhemModel.xi_free`: Dahl, Bouc-Wen).  There the first term vanishes, the
+A third route, `storage_output_only`, skips the ride for two kinds of
+model, where the construction collapses to an integral in one variable,
+evaluated by the same Gauss-Legendre rule.  For a model whose fields
+ignore the input and whose anhysteresis curve is identically zero
+(`DuhemModel.xi_free`: Dahl, Bouc-Wen) the first term vanishes, the
 traversing curve is the autonomous ODE dy/dtau = f(y), and H(sigma) is the
-integral of s / f(s) from 0 to sigma, a function of the output alone,
-evaluated by the same Gauss-Legendre rule.  It is a cross-check of the two
-rides as much as they are of it; the dissipation battery uses it for those
-models.  Built on the other branch (f2 below the curve, f1 above) the same
-integral is the required supply, which is also a storage function, so only
-the agreement with the rides and the closed forms can tell the two apart.
+integral of s / f(s) from 0 to sigma, a function of the output alone.  For
+a model whose fields depend on w = xi - c sigma alone, with f_an = xi / c
+(`DuhemModel.one_variable_c`: the exponential example), dw/dtau =
+1 - c g(w) along the curve does not depend on tau, so the tau part of the
+branch integral cancels the first term up to xi^2 / (2c), and what is left
+is an integral in w (Willems, "Dissipative dynamical systems, Part I",
+ARMA 1972, for storage functions of this kind).  The route is a
+cross-check of the two rides as much as they are of it; the dissipation
+battery uses it for both kinds of model, so no catalog battery rides.
+Built on the other branch (f2 below the curve, f1 above) the same integral
+is the required supply, which is also a storage function, so only the
+agreement with the rides, the closed forms and the exact exponential
+storage of the tests can tell the two apart.
 
 The brute-force search (`available_storage_bruteforce_batch`) marches all
 its inputs in lockstep and tracks each one's supply integral.  For odd
@@ -68,7 +77,7 @@ from .curves import (
 )
 from .integrate import adaptive_simpson, gauss_legendre, rk4_step
 from .report import _check_positive
-from .signals import InputSignal, _readonly, random_piecewise_linear
+from .signals import InputSignal, _check_breakpoint_range, _readonly, random_piecewise_linear
 
 __all__ = [
     "StorageEvaluation",
@@ -210,59 +219,92 @@ del _x, _w
 _GAUSS_BLOCK_ROWS = 512
 
 
-def storage_output_only(model: DuhemModel, sigma) -> np.ndarray:
-    """Clockwise storage of a xi-free model (`DuhemModel.xi_free`) at
-    outputs sigma, by a fixed Gauss-Legendre rule in the output.
+def storage_output_only(model: DuhemModel, sigma, xi) -> np.ndarray:
+    """Clockwise storage of a xi-free or a one-variable model at phase
+    points (sigma, xi), by a fixed Gauss-Legendre rule in one variable.
 
-    Such a model's traversing curve is the autonomous ODE dy/dtau = f(y),
-    so the ride's branch integral from xi to the crossing at y = 0 is the
-    integral of y / f(y) dy, and
+    A xi-free model's (`DuhemModel.xi_free`) traversing curve is the
+    autonomous ODE dy/dtau = f(y), so the ride's branch integral from xi to
+    the crossing at y = 0 is the integral of y / f(y) dy, and
 
-        H(sigma) = integral of s / f(s) ds from 0 to sigma,
+        H(sigma) = integral of s / f(s) ds from 0 to sigma;
 
-    with f the branch that the ride takes: f1 on the lanes with sigma < 0
-    (below the curve), f2 on those with sigma > 0; H(0) = 0.  Each branch
-    is one field call per block of rows (at xi = 0), on its own lanes, and
-    each lane's weighted terms are summed by numpy's per-row reduction, so
-    a lane's value does not depend on the batch it is evaluated in.
+    xi is not read.  A one-variable model's (`DuhemModel.one_variable_c`)
+    fields are g_i(w) = f_i(0, w) at w = xi - c sigma, and along its
+    traversing curve dw/dtau = 1 - c g(w) does not depend on tau.  The
+    curve meets f_an = xi / c at w = 0, the tau term of the branch integral
+    integrates exactly, and with v = c sigma - xi (= -w)
 
-    Raises ValueError for a model that is not xi-free and for samples
-    outside the model domain (or NaN), and CrossingSearchError where the
-    branch slope is not finite and positive at a node or at sigma itself,
-    where the traversing curve would not reach the anhysteresis curve;
-    both name the count and the first such sample.
+        H(sigma, xi) = xi^2 / (2c) + (1/c) integral of s / (c g(-s) - 1) ds
+                       from 0 to v.
+
+    Both are the integral from 0 to v (sigma, or c sigma - xi) of s over the
+    rate at which the ride moves s (f(s, 0), or c g(-s) - 1), with f the
+    branch that the ride takes: f1 on the lanes with v < 0 (below the
+    curve), f2 on those with v > 0; H(0) = 0, and H = xi^2 / (2c) on the
+    curve.  Each branch is one field call per block of rows, on its own
+    lanes, and each lane's weighted terms are summed by numpy's per-row
+    reduction, so a lane's value does not depend on the batch it is
+    evaluated in.
+
+    Raises ValueError for a model that declares neither, for samples
+    outside the model domain (or NaN) and, on a one-variable model, for a
+    xi that is not finite; and CrossingSearchError where the rate is not
+    finite and positive at a node or at v itself (the branch slope, or
+    c g - 1: 1 - c g is not finite and negative), where the traversing
+    curve would not reach the anhysteresis curve; each names the count and
+    the first such sample.
     """
-    if not model.xi_free:
-        raise ValueError(f"model {model.name!r} does not declare xi_free")
     sigma = np.atleast_1d(np.asarray(sigma, dtype=float))
+    c = model.one_variable_c
+    if model.xi_free:
+        v, rate_name = sigma, "a branch slope"
+
+        def rate(f, nodes):
+            return f(nodes, np.zeros_like(nodes))
+    elif c is not None:
+        xi = np.broadcast_to(np.asarray(xi, dtype=float), sigma.shape)
+        v, rate_name = c * sigma - xi, "c g(w) - 1"
+
+        def rate(f, nodes):
+            return c * f(np.zeros_like(nodes), -nodes) - 1.0
+    else:
+        raise ValueError(
+            f"model {model.name!r} declares neither xi_free nor one_variable_c"
+        )
 
     def samples(mask, what):
         k = int(np.argmax(mask))
-        return f"{int(mask.sum())} sample(s) {what} (first at sigma={sigma[k]:.6g})"
+        at = f"sigma={sigma[k]:.6g}" + ("" if model.xi_free else f", xi={xi[k]:.6g}")
+        return f"{int(mask.sum())} sample(s) {what} (first at {at})"
 
     outside = ~model.domain.contains(sigma)
     if outside.any():
         raise ValueError(samples(outside, "outside the model domain"))
+    if not (model.xi_free or np.isfinite(xi).all()):
+        raise ValueError(samples(~np.isfinite(xi), "whose xi is not finite"))
     value = np.zeros(sigma.size)
     bad = np.zeros(sigma.size, dtype=bool)
     for a in range(0, sigma.size, _GAUSS_BLOCK_ROWS):
-        block = sigma[a : a + _GAUSS_BLOCK_ROWS]
+        block = v[a : a + _GAUSS_BLOCK_ROWS]
         for f, side in ((model.f1, block < 0.0), (model.f2, block > 0.0)):
             lanes = a + np.flatnonzero(side)
             if not lanes.size:
                 continue
-            s = sigma[lanes]
+            s = v[lanes]
             nodes = s[:, None] * _GAUSS_T
-            slope = f(nodes, np.zeros_like(nodes))
+            slope = rate(f, nodes)
             bad[lanes] = ~((slope > 0.0) & (slope < math.inf)).all(axis=1)
             with np.errstate(divide="ignore", invalid="ignore"):
                 g = nodes[:, :-1] / slope[:, :-1]
             value[lanes] = s * (g * _GAUSS_W).sum(axis=1)
     if bad.any():
         raise CrossingSearchError(
-            samples(bad, "with a branch slope that is not finite and positive")
+            samples(bad, f"with {rate_name} that is not finite and positive")
         )
-    return value
+    if model.xi_free:
+        return value
+    return (0.5 * xi * xi + value) / c
 
 
 @dataclass(frozen=True)
@@ -282,12 +324,7 @@ class SignalFamily:
         for name, v in (("n_random", self.n_random), ("seed", self.seed)):
             if not (type(v) is int and v >= 0):
                 raise ValueError(f"{name} must be a nonnegative integer, got {v!r}")
-        try:
-            lo, hi = self.breakpoints
-        except (TypeError, ValueError):
-            lo = hi = None
-        if not (type(lo) is type(hi) is int and 2 <= lo <= hi):
-            raise ValueError(f"bad breakpoint range {self.breakpoints}")
+        _check_breakpoint_range(self.breakpoints)
         _check_positive("span", self.span)
 
 

@@ -22,7 +22,10 @@ Exponential example: with f1(sigma, xi) = exp(0.5*(-1.2*sigma + xi)) + 0.83
 and the anhysteresis curve xi / 1.2 (slope 5/6), the transversality margin
 f1 - 5/6 is minimised over a box in closed form (exp_margin_min), and the
 rounding that a central-difference estimate of the slope 5/6 picks up is
-bounded from the spacing alone (central_slope_rounding).
+bounded from the spacing alone (central_slope_rounding).  Its fields depend
+on w = xi - 1.2 sigma alone, so its storage is xi^2 / 2.4 plus an integral
+in w (exp_storage_exact), taken here by numpy's Gauss-Legendre nodes on
+many panels.
 
 Besides the closed forms, earlier forms of the numerical loops are kept here
 written out, as oracles of bit-for-bit rewrites: the per-step segment march
@@ -146,6 +149,37 @@ def exp_margin_min(region):
         raise ValueError("corner (sigma_hi, xi_lo) is not above the anhysteresis curve")
     margin = math.exp(0.5 * (-1.2 * s_hi + x_lo)) + 0.83 - 5.0 / 6.0
     return margin, (float(s_hi), float(x_lo))
+
+
+def exp_storage_exact(sigma, xi, panels=16, nodes=24):
+    """Storage of the exponential example at (sigma, xi), to rounding.
+
+    With c = 1.2 and w = xi - c y, a traversing curve from (sigma, xi)
+    obeys dw/dtau = 1 - c g(w), g the branch it rides: g1(w) = e^(w/2) +
+    0.83 from below the curve (w > 0) and g2(w) = e^(-w/2) + 0.83 from above
+    (w < 0), e^(|w|/2) + 0.83 on either side.  The ride ends on the curve
+    y = tau / c at w = 0.  Substituting y = (tau - w) / c in the branch
+    integral, its tau part integrates exactly against the curve's
+    Lambda^2 / (2c), which leaves
+
+        H = xi^2 / (2c) + (1/c) integral over [0, w0] of w / (c g(w) - 1) dw,
+
+    w0 = xi - c sigma.  The integrand is analytic, and c g - 1 >= 1.83 c - 1
+    > 1.19, so the composite rule of `nodes` Gauss-Legendre nodes
+    (numpy.polynomial.legendre.leggauss) on each of `panels` equal panels
+    of [0, w0] is at rounding for |w0| up to 10 and more; doubling either
+    count moves it by rounding alone.
+    """
+    c = 1.2
+    sigma, xi = np.broadcast_arrays(np.asarray(sigma, float), np.asarray(xi, float))
+    w0 = xi - c * sigma
+    x, wts = np.polynomial.legendre.leggauss(nodes)
+    integral = np.zeros(w0.shape)
+    for k in range(panels):
+        w = w0[..., None] * ((k + 0.5 * (x + 1.0)) / panels)
+        terms = w / (c * (np.exp(0.5 * np.abs(w)) + 0.83) - 1.0)
+        integral += w0 * (terms @ (0.5 * wts)) / panels
+    return xi * xi / (2.0 * c) + integral / c
 
 
 def central_slope_rounding(xi):

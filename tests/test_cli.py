@@ -793,6 +793,8 @@ def test_verify_with_a_loop_input_that_closes_no_cycle_writes_its_reports(
     (["simulate", "--model", "dahl", "--input",
       '{"kind": "sine", "amplitude": 1.0, "periods": 1.5}'],
      "config error: bad input spec: periods must be an integer, got 1.5"),
+    (["simulate", "--model", "dahl", "--input", '{"kind": "random", "n_breakpoints": [0, 0]}'],
+     "config error: bad input spec: bad breakpoint range [0, 0]: need integers 2 <= lo <= hi"),
     (["verify", "--preset", "fig1", "--model", "boucwen", "--n-signals", "1"],
      "config error: preset 'fig1' is for model 'dahl', got --model 'boucwen'"),
     (["verify", "--model", "dahl", "--params", '{"rho": 0.01, "fc": 0.75, "r": 3.0}',
@@ -800,7 +802,7 @@ def test_verify_with_a_loop_input_that_closes_no_cycle_writes_its_reports(
      "config error: margin 0.01 is not attainable anywhere on this model's band"),
 ], ids=[
     "unreadable-config", "missing-input", "bad-input", "cycles-2.5", "cycles-3.0",
-    "periods-1.5", "preset-with-another-model", "dahl-margin",
+    "periods-1.5", "random-breakpoints-0-0", "preset-with-another-model", "dahl-margin",
 ])
 def test_each_cli_check_names_what_it_rejects(tmp_path, capsys, monkeypatch, argv, err):
     # a count that is not an integer used to be truncated: 2.5 cycles ran 2

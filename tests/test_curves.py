@@ -269,9 +269,10 @@ def test_intersect_lambda_rejects_a_nan_residual(dahl_r1):
 
 def test_anhysteresis_rejects_a_nan_residual():
     # f_an = sqrt(1 - xi) is NaN at xi = 2, and so is F there; a check
-    # written `res > 1e-9` returned the NaN.  This f_an is not odd.
+    # written `res > 1e-9` returned the NaN.  This f_an is neither odd nor
+    # xi / 1.2.
     model = dataclasses.replace(
-        exp_example(), f_an=lambda xi: np.sqrt(1.0 - xi), odd=False
+        exp_example(), f_an=lambda xi: np.sqrt(1.0 - xi), odd=False, one_variable_c=None
     )
     with np.errstate(invalid="ignore"):
         with pytest.raises(ValueError, match="residual nan"):

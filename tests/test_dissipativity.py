@@ -93,7 +93,7 @@ def test_backward_report_is_checked_against_the_next_output(dahl_r1, xi_free):
     fwd, bwd = verify_dissipation_pair(model, sig, 0.2, step=step)
     traj = simulate(model, sig, 0.2, step=step)
     if xi_free:
-        H = storage_output_only(model, traj.y)
+        H = storage_output_only(model, traj.y, traj.u)
     else:
         H = storage_cw_batch(model, traj.y, traj.u, step=step).value
     t, u, y = (a.tolist() for a in (traj.t, traj.u, traj.y))
@@ -153,12 +153,19 @@ def test_dissipation_battery_pairs_are_the_per_signal_pairs(model):
 RIDE_BATTERY_DIGESTS = {
     "dahl": "cec092bbdf619f7534bb7eb6fefd27987d49c87c4bb8e480aeff58555b105dc7",
     "boucwen": "746101b79b7f4adeb027b9b8983d062957e113491b3b3b53bd4a5593f03cea9e",
+    "exp_example": "3c2a640e3b5eae651cb9169f2b5fd56751ac699bb8ea01666249e1d6ca42ca8d",
+}
+# each catalog model with its quadrature declaration removed
+UNDECLARED = {
+    "dahl": lambda: dataclasses.replace(dahl(), xi_free=False),
+    "boucwen": lambda: dataclasses.replace(boucwen(), xi_free=False),
+    "exp_example": lambda: dataclasses.replace(exp_example(), one_variable_c=None),
 }
 
 
 @pytest.mark.parametrize("name", list(RIDE_BATTERY_DIGESTS))
 def test_an_undeclared_model_keeps_the_ride_battery_bit_for_bit(name, monkeypatch):
-    model = dataclasses.replace({"dahl": dahl, "boucwen": boucwen}[name](), xi_free=False)
+    model = UNDECLARED[name]()
 
     def no_quadrature(*args):
         raise AssertionError("storage_output_only called for an undeclared model")
@@ -169,14 +176,15 @@ def test_an_undeclared_model_keeps_the_ride_battery_bit_for_bit(name, monkeypatc
     assert hashlib.sha256(text.encode()).hexdigest() == RIDE_BATTERY_DIGESTS[name]
 
 
-def test_a_xi_free_battery_takes_the_output_quadrature_and_no_ride(monkeypatch):
-    model = dahl(r=3.0)
+def _assert_the_battery_takes_the_quadrature_and_no_ride(model, monkeypatch):
     signals = _battery_signals()
     trajs = [simulate(model, sig, 0.1, step=5e-3) for sig in signals]
-    H = storage_output_only(model, np.concatenate([t.y for t in trajs]))
+    H = storage_output_only(
+        model, np.concatenate([t.y for t in trajs]), np.concatenate([t.u for t in trajs])
+    )
 
     def no_ride(*args, **kwargs):
-        raise AssertionError("storage_cw_batch called for a xi-free model")
+        raise AssertionError(f"storage_cw_batch called for {model.name}")
 
     monkeypatch.setattr(dissipativity_module, "storage_cw_batch", no_ride)
     pairs = verify_dissipation_battery(model, signals, 0.1)
@@ -185,6 +193,14 @@ def test_a_xi_free_battery_takes_the_output_quadrature_and_no_ride(monkeypatch):
         for rep in (fwd, bwd):
             assert rep.details["gauss_nodes"] == 20 and "ride_step" not in rep.details
             assert rep.details["max_storage"] == float(H_sig.max())
+
+
+def test_a_xi_free_battery_takes_the_output_quadrature_and_no_ride(monkeypatch):
+    _assert_the_battery_takes_the_quadrature_and_no_ride(dahl(r=3.0), monkeypatch)
+
+
+def test_a_one_variable_battery_takes_the_quadrature_in_w_and_no_ride(monkeypatch):
+    _assert_the_battery_takes_the_quadrature_and_no_ride(exp_example(), monkeypatch)
 
 
 def test_dissipation_battery_of_no_signals_is_empty(dahl_r1):

@@ -133,7 +133,7 @@ def test_an_odd_declaration_needs_an_odd_anhysteresis_function():
     exp = exp_example()
     with pytest.raises(ValueError, match=r"odd model 'exp_example': f_an\(-xi\) = .* but -f_an\(xi\)"):
         dataclasses.replace(exp, f_an=lambda x: x / 1.2 + 0.1)
-    dataclasses.replace(exp, f_an=lambda x: x / 1.2 + 0.1, odd=False)
+    dataclasses.replace(exp, f_an=lambda x: x / 1.2 + 0.1, odd=False, one_variable_c=None)
     # the check calls f_an under its functools.wraps layers, as f1 and f2
     calls = []
 
@@ -183,6 +183,71 @@ def test_a_xi_free_declaration_is_checked_under_the_wraps_layers():
 
     m = dataclasses.replace(d, f1=counted(d.f1), f2=counted(d.f2), f_an=counted(d.f_an))
     assert m.xi_free and m.odd and not calls
+
+
+def test_the_catalog_declares_one_variable_c_where_the_fields_read_xi_minus_c_sigma():
+    assert exp_example().one_variable_c == 1.2
+    assert dahl().one_variable_c is None and boucwen().one_variable_c is None
+    # a model without f_an keeps the declaration: the solver finds its curve
+    assert dataclasses.replace(exp_example(), f_an=None).one_variable_c == 1.2
+
+
+def test_a_one_variable_declaration_whose_fields_read_more_is_rejected():
+    e = exp_example()
+    with pytest.raises(ValueError, match=r"one-variable model 'exp_example': f1\(sigma, xi\) = .* but f1\(0, xi - c sigma\)"):
+        dataclasses.replace(e, f1=lambda s, x: e.f1(s, x) + 1e-3 * s, odd=False)
+    with pytest.raises(ValueError, match=r"one-variable model 'exp_example': f2\(sigma, xi\) = .* but f2\(0, xi - c sigma\)"):
+        dataclasses.replace(e, f2=lambda s, x: e.f2(s, x) * (1.0 + 1e-15 * (x > 1.0)), odd=False)
+    # the fields read xi - 1.2 sigma, not xi - 1.25 sigma
+    with pytest.raises(ValueError, match=r"one-variable model 'exp_example': f1\(sigma, xi\)"):
+        dataclasses.replace(e, one_variable_c=1.25)
+    # Dahl reads sigma alone
+    with pytest.raises(ValueError, match=r"one-variable model 'dahl': f1\(sigma, xi\)"):
+        dataclasses.replace(dahl(), one_variable_c=1.0)
+    # the same model is accepted when it does not claim the property
+    dataclasses.replace(e, f1=lambda s, x: e.f1(s, x) + 1e-3 * s, odd=False, one_variable_c=None)
+
+
+def test_a_one_variable_declaration_needs_f_an_to_be_xi_over_c_bit_for_bit():
+    # one ulp above xi / 1.2 everywhere (not odd, so odd is not declared)
+    e = exp_example()
+    with pytest.raises(ValueError, match=r"one-variable model 'exp_example': f_an\(xi\) = .* but xi / c = "):
+        dataclasses.replace(e, f_an=lambda x: np.nextafter(x / 1.2, np.inf), odd=False)
+    dataclasses.replace(e, f_an=lambda x: np.nextafter(x / 1.2, np.inf), odd=False, one_variable_c=None)
+
+
+def test_a_one_variable_model_without_f_an_needs_its_fields_to_meet_at_w_0():
+    # the quadrature takes the curve at w = 0, where F must vanish: here
+    # g1 - g2 = e^(w/2) - e^(-w/2) + 0.01 vanishes near w = -0.01 instead
+    e = dataclasses.replace(exp_example(), f_an=None)
+    with pytest.raises(ValueError, match=r"one-variable model 'exp_example': f1\(0, 0\) = 1\.84 but f2\(0, 0\) = 1\.83"):
+        dataclasses.replace(e, f1=lambda s, x: e.f1(s, x) + 0.01, odd=False)
+    dataclasses.replace(e, f1=lambda s, x: e.f1(s, x) + 0.01, odd=False, one_variable_c=None)
+
+
+@pytest.mark.parametrize("c", [0.0, -1.2, math.nan, math.inf, -math.inf])
+def test_a_one_variable_c_must_be_positive_and_finite(c):
+    # constant fields read neither sigma nor xi, so they pass every probe
+    # pair at any c: only the check of c itself rejects these
+    flat = DuhemModel(name="flat", f1=lambda s, x: 2.0 + 0.0 * s, f2=lambda s, x: 2.0 + 0.0 * s)
+    assert dataclasses.replace(flat, one_variable_c=0.5).one_variable_c == 0.5
+    with pytest.raises(ValueError, match="one_variable_c must be positive and finite"):
+        dataclasses.replace(flat, one_variable_c=c)
+
+
+def test_a_one_variable_declaration_is_checked_under_the_wraps_layers():
+    e = exp_example()
+    calls = []
+
+    def counted(f):
+        @functools.wraps(f)
+        def wrapper(*args):
+            calls.append(len(args))
+            return f(*args)
+        return wrapper
+
+    m = dataclasses.replace(e, f1=counted(e.f1), f2=counted(e.f2), f_an=counted(e.f_an))
+    assert m.one_variable_c == 1.2 and m.odd and not calls
 
 
 def test_F_is_half_branch_difference(dahl_r1):

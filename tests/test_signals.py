@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -146,10 +148,19 @@ def test_reparameterize_rejects_bad_warps(warp_pairs, msg):
     (lambda: triangle(1.0, 2.5), r"cycles must be an integer, got 2\.5"),
     (lambda: sine_sampled(1.0, 1.5), r"periods must be an integer, got 1\.5"),
     (lambda: sine_sampled(1.0, 1, n_per_period=256.0), r"n_per_period must be an integer, got 256\.0"),
+    # (0, 0) raised an IndexError, (1, 1) built an input of one breakpoint
+    # and (2.5, 4) ran as if its bounds were integers
+    *[
+        (lambda b=b: random_piecewise_linear(np.random.default_rng(0), n_breakpoints=b),
+         rf"bad breakpoint range {re.escape(repr(b))}: need integers 2 <= lo <= hi")
+        for b in ((0, 0), (1, 1), (2.5, 4), (True, 3), (4, 3), 5, (2, 3, 4))
+    ],
 ], ids=[
     "empty", "not-finite", "value-outside-domain", "ramp-duration", "triangle-amplitude",
     "triangle-cycles", "triangle-period", "one-breakpoint-warp", "triangle-cycles-not-integer",
-    "sine-periods-not-integer", "sine-n-per-period-not-integer",
+    "sine-periods-not-integer", "sine-n-per-period-not-integer", "random-breakpoints-0-0",
+    "random-breakpoints-1-1", "random-breakpoints-not-integer", "random-breakpoints-bool",
+    "random-breakpoints-reversed", "random-breakpoints-int", "random-breakpoints-triple",
 ])
 def test_each_signal_check_names_what_it_rejects(call, msg):
     # a count that is not an integer used to end in the TypeError of range

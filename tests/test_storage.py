@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import math
 import tracemalloc
 
@@ -33,6 +34,7 @@ from oracles import (
     boucwen_lambda_exact,
     boucwen_storage_exact,
     cw_supply_integral,
+    exp_storage_exact,
     lambda_exact,
     ride_two_marches,
     storage_exact,
@@ -343,8 +345,9 @@ def test_batch_storage_boucwen_matches_closed_form(n):
 def test_output_only_storage_is_the_dahl_closed_form(dahl_r1):
     # Dahl r = 1: H = (fc^2/rho) log(fc/(fc + |y|)) + (fc/rho)|y|, up to
     # rounding, over the whole band; exactly 0 at the curve
+    # xi is not read: a NaN input changes no bit
     sigma = np.concatenate([np.linspace(-0.749, 0.749, 301), [-0.0, 1e-12, -1e-12]])
-    H = storage_output_only(dahl_r1, sigma)
+    H = storage_output_only(dahl_r1, sigma, math.nan)
     assert np.abs(H - storage_exact(sigma)).max() <= 1e-15
     assert H[150] == 0.0 and H[301] == 0.0
 
@@ -356,7 +359,7 @@ def test_output_only_storage_is_the_boucwen_closed_form(alpha):
     # up to the rounding of its sum
     m = boucwen(alpha=alpha)
     sigma = np.concatenate([np.linspace(-1.5, 1.5, 41), [3e-6, -3e-6, 1e-7]])
-    H = storage_output_only(m, sigma)
+    H = storage_output_only(m, sigma, 0.0)
     bound = 4 * np.finfo(float).eps * boucwen_storage_exact(1.5, alpha)
     assert np.abs(H - boucwen_storage_exact(sigma, alpha)).max() <= bound
 
@@ -370,7 +373,7 @@ def test_output_only_storage_is_the_fine_ride_on_the_fig1_preset():
     sigma = np.concatenate([np.linspace(-0.745, 0.745, 299), [1e-9, -1e-9, 0.7499, -0.7499]])
     xi = np.linspace(-2.0, 2.0, sigma.size)
     ride = storage_cw_batch(m, sigma, xi, step=2.5e-4).value
-    assert np.abs(storage_output_only(m, sigma) - ride).max() <= 1e-12
+    assert np.abs(storage_output_only(m, sigma, xi) - ride).max() <= 1e-12
 
 
 @pytest.mark.parametrize("model_name", ["dahl_r1", "dahl_r3", "bw"])
@@ -381,17 +384,17 @@ def test_output_only_storage_of_a_lane_does_not_depend_on_its_batch(model_name, 
     half = 0.74 if math.isfinite(model.domain.sigma_max) else 1.5
     sigma = half * (2.0 * rng.random(2 * storage_module._GAUSS_BLOCK_ROWS + 37) - 1.0)
     sigma[::97] = 0.0
-    whole = storage_output_only(model, sigma)
-    alone = [storage_output_only(model, sigma[i : i + 1])[0] for i in range(0, sigma.size, 7)]
+    whole = storage_output_only(model, sigma, 0.0)
+    alone = [storage_output_only(model, sigma[i : i + 1], 0.0)[0] for i in range(0, sigma.size, 7)]
     assert whole[::7].tobytes() == np.array(alone).tobytes()
-    assert whole[::-1].tobytes() == storage_output_only(model, sigma[::-1]).tobytes()
+    assert whole[::-1].tobytes() == storage_output_only(model, sigma[::-1], 0.0).tobytes()
 
 
 def test_output_only_storage_names_the_first_failing_sample(dahl_r1, exp_model):
-    with pytest.raises(ValueError, match="does not declare xi_free"):
-        storage_output_only(exp_model, [0.1])
+    with pytest.raises(ValueError, match="declares neither xi_free nor one_variable_c"):
+        storage_output_only(dataclasses.replace(exp_model, one_variable_c=None), [0.1], [0.0])
     with pytest.raises(ValueError, match=r"2 sample\(s\) outside the model domain \(first at sigma=0\.8\)"):
-        storage_output_only(dahl_r1, [0.1, 0.8, math.nan])
+        storage_output_only(dahl_r1, [0.1, 0.8, math.nan], 0.0)
     # a branch slope that reaches 0 inside [0, sigma] (f2 = 1 - 2 s on
     # s > 0), or is not finite, stops the storage: the ride would not reach
     # the curve
@@ -401,11 +404,101 @@ def test_output_only_storage_names_the_first_failing_sample(dahl_r1, exp_model):
     )
     # the integrals of s and of s / (1 - 2 s) = -1/2 + 1 / (2 (1 - 2 s))
     exact = [4.5, -0.15 - 0.25 * math.log(0.4)]
-    assert storage_output_only(flat, [-3.0, 0.3]) == pytest.approx(exact, rel=1e-14)
+    assert storage_output_only(flat, [-3.0, 0.3], 0.0) == pytest.approx(exact, rel=1e-14)
     with pytest.raises(CrossingSearchError, match=r"2 sample\(s\) with a branch slope .*\(first at sigma=0\.5\)"):
-        storage_output_only(flat, [-3.0, 0.5, 0.2, 0.9])
+        storage_output_only(flat, [-3.0, 0.5, 0.2, 0.9], 0.0)
     with pytest.raises(CrossingSearchError, match=r"1 sample\(s\) .*\(first at sigma=-2\)"):
-        storage_output_only(dataclasses.replace(flat, f1=lambda s, x: np.where(s < -1.5, np.inf, 1.0)), [-2.0, 0.1])
+        storage_output_only(dataclasses.replace(flat, f1=lambda s, x: np.where(s < -1.5, np.inf, 1.0)), [-2.0, 0.1], 0.0)
+
+
+# relative rounding allowance of the one-variable quadrature against the
+# exact exponential storage.  Each weighted term s / (c g - 1) takes about
+# ten roundings (exp within an ulp), and c g - 1 > 1.19 amplifies the
+# relative error of c g >= 2.19 by less than 1.84; the 20 terms share a sign,
+# so their sum adds at most 19 roundings of the sum, and xi^2 / 2 + sum and
+# the division by c add three.  That is below 40 unit roundoffs (20 eps) on
+# each of the route and the oracle, whose rule is at rounding.
+EXP_QUADRATURE_REL = 64 * np.finfo(float).eps
+
+
+@functools.lru_cache(maxsize=1)
+def _readme_exp_samples():
+    """The 25,520 battery samples (sigma, xi) of the README `duhem verify
+    --model exp_example` command (seed 0, 25 signals, step 5e-3)."""
+    rng = np.random.default_rng(0)
+    battery = [
+        random_piecewise_linear(rng, u_start=0.0, span=2.0, n_breakpoints=(3, 8))
+        for _ in range(25)
+    ]
+    trajs = [simulate(exp_example(), sig, 0.0, step=5e-3) for sig in battery]
+    sigma = np.concatenate([t.y for t in trajs])
+    xi = np.concatenate([t.u for t in trajs])
+    assert sigma.size == 25_520
+    return sigma, xi
+
+
+def test_one_variable_storage_is_the_exact_exp_storage(exp_model):
+    # the README battery samples, and the verify square [-3, 3]^2 with the
+    # curve sigma = xi / 1.2 (H = xi^2 / 2.4) and the origin (H = 0) on it
+    sigma, xi = _readme_exp_samples()
+    s, x = (a.ravel() for a in np.meshgrid(np.linspace(-3.0, 3.0, 61), np.linspace(-3.0, 3.0, 61)))
+    sigma = np.concatenate([sigma, s, x / 1.2])
+    xi = np.concatenate([xi, x, x])
+    H = storage_output_only(exp_model, sigma, xi)
+    exact = exp_storage_exact(sigma, xi)
+    assert (np.abs(H - exact) <= EXP_QUADRATURE_REL * exact).all()
+    origin = (sigma == 0.0) & (xi == 0.0)
+    assert origin.any() and (H[origin] == 0.0).all()
+
+
+def test_readme_exp_ride_is_within_its_step_halving_error_of_the_exact_storage(exp_model):
+    # storage_cw_batch at the README battery step h = 5e-3 and at h / 2:
+    # RK4 makes the ride's error about C h^4, so |H_h - H_h/2| is 15/16 of
+    # H_h's error.  Twice that bounds it, plus the quadratures' rounding;
+    # the ride and the one-variable quadrature then agree to the same bound.
+    sigma, xi = _readme_exp_samples()
+    ride = storage_cw_batch(exp_model, sigma, xi, step=5e-3).value
+    half = storage_cw_batch(exp_model, sigma, xi, step=2.5e-3).value
+    exact = exp_storage_exact(sigma, xi)
+    bound = 2.0 * np.abs(ride - half).max() + EXP_QUADRATURE_REL * exact.max()
+    assert np.abs(ride - exact).max() <= bound
+    assert np.abs(ride - storage_output_only(exp_model, sigma, xi)).max() <= bound
+
+
+def test_storage_cw_is_within_its_step_halving_error_of_the_exact_exp_storage(exp_model):
+    # one README battery sample in 500 (all 25,520 would take minutes):
+    # the single-point ride at h = 5e-3 and h / 2, each integral to
+    # quad_tol 1e-12, bounded as the batch ride is, plus the two Simpson
+    # tolerances
+    sigma, xi = _readme_exp_samples()
+    points = [PhasePoint(float(s), float(x)) for s, x in zip(sigma[::500], xi[::500])]
+    ride, half = (
+        np.array([storage_cw(exp_model, p, quad_tol=1e-12, step=h).value for p in points])
+        for h in (5e-3, 2.5e-3)
+    )
+    exact = exp_storage_exact(sigma[::500], xi[::500])
+    bound = 2.0 * np.abs(ride - half).max() + 2e-12 + EXP_QUADRATURE_REL * exact.max()
+    assert np.abs(ride - exact).max() <= bound
+
+
+def test_one_variable_storage_is_its_closed_form_and_names_the_first_failing_sample():
+    # c = 1, g1(w) = 2 - w and g2(w) = 2 + w: H = xi^2 / 2 plus the integral
+    # of w / (1 - w) from 0 to w0 > 0 (-w0 - log(1 - w0)), or of w / (1 + w)
+    # to w0 < 0 (w0 - log(1 + w0)).  c g - 1 reaches 0 at w = 1 and w = -1,
+    # where the ride would stop short of the curve.
+    m = DuhemModel(
+        name="linear", f1=lambda s, x: 2.0 - (x - s), f2=lambda s, x: 2.0 + (x - s),
+        f_an=lambda x: x / 1.0, one_variable_c=1.0,
+    )
+    sigma, xi = np.array([0.1, -0.2, 0.3]), np.array([0.6, -0.7, 0.3])
+    exact = [0.18 - 0.5 - math.log(0.5), 0.245 - 0.5 - math.log(0.5), 0.045]
+    assert storage_output_only(m, sigma, xi) == pytest.approx(exact, rel=1e-14)
+    with pytest.raises(CrossingSearchError, match=r"2 sample\(s\) with c g\(w\) - 1 that is not finite and positive \(first at sigma=-1, xi=0\)"):
+        storage_output_only(m, [0.1, -1.0, 0.2, 1.5], [0.6, 0.0, 0.3, 0.0])
+    with pytest.raises(ValueError, match=r"1 sample\(s\) whose xi is not finite \(first at sigma=0\.2, xi=nan\)"):
+        storage_output_only(m, [0.1, 0.2], [0.6, math.nan])
+    with pytest.raises(ValueError, match=r"1 sample\(s\) outside the model domain \(first at sigma=nan, xi=0\.3\)"):
+        storage_output_only(m, [0.1, math.nan], [0.6, 0.3])
 
 
 def test_signal_family_validation():
