@@ -1,7 +1,7 @@
 """Hand-made mutants of the checks, the crossing refinement, the domain
 exits of the marches, the supply march, the Dahl r = 1 array fields, the
-interval slopes of a trajectory, the output-only storage and its
-one-variable route (with the declaration it reads), the f_an term of
+interval slopes of a trajectory, the output-only storage in the reduced
+coordinate (with the declaration it reads), the f_an term of
 both storage routes, the friction and model parameters, the recipe of
 `duhem verify` (an open loop input included), the one CSV writer of the
 artifacts, the config checks of the CLI, the counts of the signal
@@ -43,6 +43,17 @@ MUTANTS = [
         "snippet": "np.subtract(-lambda_bound, excess[:, 1], out=excess[:, 1])",
         "replacement": "excess[:, 1] = -math.inf",
         "tests": ["tests/test_certificates.py::test_existence_bound_broken_by_the_decreasing_branch_only_fails"],
+    },
+    {
+        "name": "existence-diagonal-only-mask",
+        "why": "check_existence_conditions masks only sigma1 == sigma2 on the diagonal: a repeated grid value reads 0 / 0 = NaN",
+        "file": "core.py",
+        "snippet": "same = sig[:, None] == sig[None, :]",
+        "replacement": "same = np.eye(sig.size, dtype=bool)",
+        "tests": [
+            "tests/test_core.py::test_existence_conditions_mask_every_pair_of_equal_sigmas",
+            "tests/test_certificates.py::test_certificates_of_random_regions_are_the_old_scans_bit_for_bit",
+        ],
     },
     {
         "name": "existence-bound-may-be-infinite",
@@ -174,13 +185,13 @@ MUTANTS = [
         "replacement": "pass",
         "tests": ["tests/test_storage.py::test_supply_march_does_not_depend_on_the_block_size"],
     },
-    # -- the supply march: a xi-free model's lanes carry no input
+    # -- the supply march: the lanes of the reduced form (0, 1) carry no input
     {
         "name": "supply-no-input-for-any-model",
         "why": "every model marches with the input 0.0, also one whose fields read the input",
         "file": "storage.py",
-        "snippet": "odd, xi_free = model.odd, model.xi_free",
-        "replacement": "odd, xi_free = model.odd, True",
+        "snippet": "odd, no_input = model.odd, model.reduced_form == (0.0, 1.0)",
+        "replacement": "odd, no_input = model.odd, True",
         "tests": [
             "tests/test_storage.py::test_odd_supply_march_is_the_two_branch_march_bit_for_bit[exp_model]",
             "tests/test_storage.py::test_supply_march_lanes_are_simulate[exp_model]",
@@ -463,7 +474,7 @@ MUTANTS = [
         "replacement": "np.maximum(0.0, -minW[a:b])",
         "tests": ["tests/test_storage.py::test_a_signal_that_extracts_nothing_reads_plus_zero"],
     },
-    # -- the storage of a xi-free model by quadrature in the output
+    # -- the storage by quadrature in the reduced coordinate z = a xi - b sigma
     {
         "name": "output-only-storage-on-the-other-branch",
         "why": (
@@ -472,34 +483,24 @@ MUTANTS = [
             "only the agreement tests tell"
         ),
         "file": "storage.py",
-        "snippet": "((model.f1, block < 0.0), (model.f2, block > 0.0))",
-        "replacement": "((model.f2, block < 0.0), (model.f1, block > 0.0))",
+        "snippet": "((model.f1, block > 0.0), (model.f2, block < 0.0))",
+        "replacement": "((model.f2, block > 0.0), (model.f1, block < 0.0))",
         "tests": [
             "tests/test_storage.py::test_output_only_storage_is_the_dahl_closed_form",
             "tests/test_storage.py::test_output_only_storage_is_the_boucwen_closed_form",
             "tests/test_storage.py::test_output_only_storage_is_the_fine_ride_on_the_fig1_preset",
         ],
     },
-    # -- the storage of a one-variable model by quadrature in w = xi - c sigma
     {
         "name": "one-variable-storage-on-the-other-branch",
         "why": (
-            "H built on g2 where w0 > 0 and g1 where w0 < 0: the required "
+            "with a = 1, g read at -z: for exp_example (g1(-w) = g2(w)) H "
+            "built on g2 where z > 0 and g1 where z < 0, the required "
             "supply, which only the exact storage and the rides tell apart"
         ),
         "file": "storage.py",
-        "snippet": (
-            '        v, rate_name = c * sigma - xi, "c g(w) - 1"\n'
-            "\n"
-            "        def rate(f, nodes):\n"
-            "            return c * f(np.zeros_like(nodes), -nodes) - 1.0\n"
-        ),
-        "replacement": (
-            '        v, rate_name = xi - c * sigma, "c g(w) - 1"\n'
-            "\n"
-            "        def rate(f, nodes):\n"
-            "            return c * f(np.zeros_like(nodes), nodes) - 1.0\n"
-        ),
+        "snippet": "rate = a - b * g(f, nodes)",
+        "replacement": "rate = a - b * g(f, (1.0 - 2.0 * a) * nodes)",
         "tests": [
             "tests/test_storage.py::test_one_variable_storage_is_the_exact_exp_storage",
             "tests/test_storage.py::test_readme_exp_ride_is_within_its_step_halving_error_of_the_exact_storage",
@@ -507,10 +508,10 @@ MUTANTS = [
     },
     {
         "name": "one-variable-xi-may-be-non-finite",
-        "why": "a one-variable storage at a NaN xi reads NaN, at no branch",
+        "why": "a storage with a = 1 at a NaN xi reads NaN, at no branch",
         "file": "storage.py",
         "snippet": (
-            "    if not (model.xi_free or np.isfinite(xi).all()):\n"
+            "    if a and not np.isfinite(xi).all():\n"
             '        raise ValueError(samples(~np.isfinite(xi), "whose xi is not finite"))\n'
         ),
         "replacement": "",
@@ -520,34 +521,40 @@ MUTANTS = [
         "name": "battery-rides-a-one-variable-model",
         "why": "the dissipation battery rides exp_example's samples instead of taking the quadrature in w",
         "file": "dissipativity.py",
-        "snippet": "if model.xi_free or model.one_variable_c is not None:",
-        "replacement": "if model.xi_free:",
+        "snippet": "if model.reduced_form is not None:",
+        "replacement": "if model.reduced_form == (0.0, 1.0):",
         "tests": ["tests/test_dissipativity.py::test_a_one_variable_battery_takes_the_quadrature_in_w_and_no_ride"],
     },
     {
         "name": "one-variable-f-an-unchecked",
-        "why": "the one-variable declaration takes any f_an, one ulp off xi / c included",
+        "why": "a reduced form takes any f_an, one ulp off xi / c included",
         "file": "core.py",
-        "snippet": '                pairs.append(("f_an(xi)", f_an(xi), "xi / c", xi / c))\n',
+        "snippet": '                pairs.append(("f_an(xi)", f_an(xi), "a xi / b", a * xi / b))\n',
         "replacement": "                pass\n",
-        "tests": ["tests/test_models.py::test_a_one_variable_declaration_needs_f_an_to_be_xi_over_c_bit_for_bit"],
+        "tests": [
+            "tests/test_models.py::test_a_one_variable_declaration_needs_f_an_to_be_xi_over_c_bit_for_bit",
+            "tests/test_models.py::test_a_sigma_only_declaration_whose_field_reads_xi_is_rejected",
+        ],
     },
     {
         "name": "one-variable-curve-unchecked-without-f-an",
-        "why": "a one-variable model without f_an may have g1(0) != g2(0), its curve off w = 0",
+        "why": "a reduced-form model without f_an may have g1(0) != g2(0), its curve off z = 0",
         "file": "core.py",
-        "snippet": '                pairs.append(("f1(0, 0)", f1(at_0, at_0), "f2(0, 0)", f2(at_0, at_0)))\n',
+        "snippet": '                pairs.append(("g1(0)", g(f1, at_0), "g2(0)", g(f2, at_0)))\n',
         "replacement": "                pass\n",
-        "tests": ["tests/test_models.py::test_a_one_variable_model_without_f_an_needs_its_fields_to_meet_at_w_0"],
+        "tests": [
+            "tests/test_models.py::test_a_one_variable_model_without_f_an_needs_its_fields_to_meet_at_w_0",
+            "tests/test_models.py::test_a_sigma_only_model_without_f_an_needs_its_fields_to_meet_at_0",
+        ],
     },
     {
         "name": "one-variable-fields-unchecked",
-        "why": "the one-variable declaration takes fields that read sigma or xi apart from w",
+        "why": "a reduced form takes fields that read sigma or xi apart from z",
         "file": "core.py",
         "snippet": (
             "            pairs = [\n"
-            '                ("f1(sigma, xi)", f1(sigma, xi), "f1(0, xi - c sigma)", f1(at_0, w)),\n'
-            '                ("f2(sigma, xi)", f2(sigma, xi), "f2(0, xi - c sigma)", f2(at_0, w)),\n'
+            '                ("f1(sigma, xi)", f1(sigma, xi), "g1(a xi - b sigma)", g(f1, z)),\n'
+            '                ("f2(sigma, xi)", f2(sigma, xi), "g2(a xi - b sigma)", g(f2, z)),\n'
             "            ]\n"
         ),
         "replacement": "            pairs = []\n",
@@ -555,30 +562,41 @@ MUTANTS = [
     },
     {
         "name": "one-variable-c-may-be-any-number",
-        "why": "the one-variable declaration takes a c that is not positive and finite",
+        "why": "a reduced form (1, b) takes a b that is not positive and finite",
         "file": "core.py",
-        "snippet": 'c = _check_positive("one_variable_c", self.one_variable_c)',
-        "replacement": "c = self.one_variable_c",
+        "snippet": """        _check_positive("reduced_form's b", b)\n""",
+        "replacement": "",
         "tests": ["tests/test_models.py::test_a_one_variable_c_must_be_positive_and_finite"],
     },
     {
         "name": "output-only-slope-unchecked-at-sigma",
-        "why": "the rate (branch slope, or c g - 1) is checked at the quadrature nodes but not at the point itself",
+        "why": "the rate a - b g is checked at the quadrature nodes but not at the point itself",
         "file": "storage.py",
-        "snippet": "bad[lanes] = ~((slope > 0.0) & (slope < math.inf)).all(axis=1)",
-        "replacement": "bad[lanes] = ~((slope > 0.0) & (slope < math.inf))[:, :-1].all(axis=1)",
+        "snippet": "bad[lanes] = ~((rate < 0.0) & (rate > -math.inf)).all(axis=1)",
+        "replacement": "bad[lanes] = ~((rate < 0.0) & (rate > -math.inf))[:, :-1].all(axis=1)",
         "tests": [
             "tests/test_storage.py::test_output_only_storage_names_the_first_failing_sample",
             "tests/test_storage.py::test_one_variable_storage_is_its_closed_form_and_names_the_first_failing_sample",
         ],
     },
     {
-        "name": "xi-free-declaration-unchecked",
-        "why": "DuhemModel skips the probe check of a xi_free declaration",
+        "name": "reduced-form-not-normalised",
+        "why": "a reduced form may be any (a, b): (0, 2) or (0.5, 1) spell a coordinate twice or scale it",
         "file": "core.py",
-        "snippet": "        if self.xi_free:\n            self._check_xi_free()",
+        "snippet": "if a not in (0.0, 1.0) or a == 0.0 and b != 1.0:",
+        "replacement": "if a is None:",
+        "tests": ["tests/test_models.py::test_a_reduced_form_is_0_1_or_1_b"],
+    },
+    {
+        "name": "xi-free-declaration-unchecked",
+        "why": "DuhemModel skips the probe check of a reduced_form declaration",
+        "file": "core.py",
+        "snippet": "        if self.reduced_form is not None:\n            self._check_reduced_form()",
         "replacement": "        pass",
-        "tests": ["tests/test_models.py::test_a_xi_free_declaration_whose_field_reads_xi_is_rejected"],
+        "tests": [
+            "tests/test_models.py::test_a_sigma_only_declaration_whose_field_reads_xi_is_rejected",
+            "tests/test_models.py::test_a_one_variable_declaration_whose_fields_read_more_is_rejected",
+        ],
     },
     # -- the f_an term of both storage routes
     {

@@ -80,7 +80,7 @@ class Domain:
 
 WHOLE_PLANE = Domain()
 
-# probe grid of the declared properties (odd, xi_free): outputs as fractions
+# probe grid of the declared properties (odd, reduced_form): outputs as fractions
 # of the domain's half-width (of 2 on an unbounded domain), and inputs
 _PROBE_SIGMA = np.array([-0.93, -0.61, -0.27, 0.0, 0.18, 0.52, 0.86])
 _PROBE_XI = np.array([-2.3, -0.7, 0.0, 0.4, 1.9])
@@ -111,35 +111,25 @@ class DuhemModel:
     built; a mismatch there, or an asymmetric domain, raises ValueError.
     Dahl, Bouc-Wen and the exponential example are odd.
 
-    xi_free declares that f1 and f2 ignore the input and that f_an is
-    declared and identically 0.  A traversing curve is then the autonomous
-    ODE dy/dtau = f(y), and the storage at (sigma, xi) is the integral of
-    s / f(s) from 0 to sigma, f the branch that the ride from the point
-    takes (f1 below the curve, f2 above): a function of the output alone,
-    which `verify_dissipation_battery` evaluates by quadrature
-    (`storage.storage_output_only`) instead of riding every sample to its
-    crossing; the supply march (`storage._supply_running_min`) calls the
-    fields at the input 0.0 and carries no input.  The declaration is
-    checked on the same probe grid: f1 and f2 must return the same bits at
-    every probe input as at xi = 0, and f_an must be 0 there; a mismatch,
-    or no f_an, raises ValueError.  Dahl and Bouc-Wen with zeta != 0 are
-    xi-free; the exponential example is not.
-
-    one_variable_c, when given, declares that f1 and f2 depend on
-    w = xi - c sigma alone, f_i(sigma, xi) = g_i(w) with g_i(w) = f_i(0, w),
-    and that the anhysteresis curve is w = 0, f_an(xi) = xi / c.  Along a
-    traversing curve dw/dtau = 1 - c g(w) does not depend on tau, so the
-    storage at (sigma, xi) is xi^2 / (2c) plus a one-dimensional integral
-    in w, which `verify_dissipation_battery` evaluates by quadrature
-    (`storage.storage_output_only`) instead of riding every sample.  The
-    declaration is checked on the same probe grid: c must be positive and
-    finite, f1 and f2 must return at every probe point (sigma, xi) the
-    bits they return at (0, xi - c sigma), and f_an, if declared, must
-    return the bits of xi / c; a mismatch raises ValueError.  A model
-    without f_an leaves its curve to the solver, and the quadrature takes
-    it at w = 0: such a model must have g1(0) == g2(0), and its curve lies
-    there if g1 - g2 changes sign at w = 0 alone.  The exponential example
-    declares c = 1.2.
+    reduced_form, when given, is a pair (a, b) declaring that f1 and f2
+    depend on the reduced coordinate z = a xi - b sigma alone,
+    f_i(sigma, xi) = g_i(z), and that the anhysteresis curve is z = 0,
+    f_an(xi) = (a / b) xi.  Each reduced coordinate has one spelling: (0, 1),
+    z = -sigma, fields of the output alone and f_an = 0; or (1, b) with b
+    positive and finite, z = xi - b sigma.  On a monotone stretch, and along
+    a traversing curve, z obeys the autonomous ODE dz/du = a - b g_i(z), so
+    the storage is an integral in one variable, which
+    `verify_dissipation_battery` evaluates by quadrature
+    (`storage.storage_output_only`) instead of riding every sample; with
+    a = 0 the supply march (`storage._supply_running_min`) calls the fields
+    at the input 0.0 and carries no input.  The declaration is checked on
+    the same probe grid: f1 and f2 must return at every probe point the
+    bits of g_i(z), their value at the point of z on the axis ((-z, 0) when
+    a = 0, (0, z) when a = 1), and f_an, if declared, those of a xi / b.  A
+    model without f_an leaves its curve to the solver, and the quadrature
+    takes it at z = 0: such a model must have g1(0) == g2(0).  Any other
+    pair, or a mismatch, raises ValueError.  Dahl and Bouc-Wen with
+    zeta != 0 declare (0, 1), the exponential example (1, 1.2).
     """
 
     name: str
@@ -149,8 +139,7 @@ class DuhemModel:
     domain: Domain = WHOLE_PLANE
     f_an: Callable | None = None
     odd: bool = False
-    xi_free: bool = False
-    one_variable_c: float | None = None
+    reduced_form: tuple[float, float] | None = None
 
     def __post_init__(self):
         if not callable(self.f1) or not callable(self.f2):
@@ -158,10 +147,8 @@ class DuhemModel:
         object.__setattr__(self, "params", dict(self.params))
         if self.odd:
             self._check_odd()
-        if self.xi_free:
-            self._check_xi_free()
-        if self.one_variable_c is not None:
-            self._check_one_variable()
+        if self.reduced_form is not None:
+            self._check_reduced_form()
 
     def _probe(self):
         """The probe grid, flattened: `_PROBE_SIGMA` as fractions of the
@@ -212,41 +199,45 @@ class DuhemModel:
                 pairs.append(("f_an(-xi)", f_an(-xi), "-f_an(xi)", -f_an(xi)))
         self._check_probe_pairs("odd model", sigma, xi, pairs)
 
-    def _check_xi_free(self):
-        """Raise ValueError unless f_an is declared and 0 on the probe grid
-        and f1 and f2 return there the bits they return at xi = 0."""
-        if self.f_an is None:
+    def _check_reduced_form(self):
+        """Raise ValueError unless reduced_form is (0, 1) or (1, b) with b
+        positive and finite (stored as floats), f1 and f2 return on the
+        probe grid the bits of g_i(a xi - b sigma), and f_an, if declared,
+        those of a xi / b (if not, g1(0) and g2(0) must agree)."""
+        try:
+            a, b = (float(v) for v in self.reduced_form)
+        except (TypeError, ValueError):
+            a = b = None
+        if a not in (0.0, 1.0) or a == 0.0 and b != 1.0:
             raise ValueError(
-                f"xi-free model {self.name!r} must declare f_an (identically 0)"
+                f"reduced_form must be (0, 1) or (1, b), got {self.reduced_form!r}"
             )
+        _check_positive("reduced_form's b", b)
+        object.__setattr__(self, "reduced_form", (a, b))
         sigma, xi, f1, f2, f_an = self._probe()
-        at_0 = np.zeros_like(xi)
+        z, g = self._reduced(sigma, xi)
+        at_0 = np.zeros_like(z)
         with np.errstate(all="ignore"):
             pairs = [
-                ("f1(sigma, xi)", f1(sigma, xi), "f1(sigma, 0)", f1(sigma, at_0)),
-                ("f2(sigma, xi)", f2(sigma, xi), "f2(sigma, 0)", f2(sigma, at_0)),
-                ("f_an(xi)", f_an(xi), "0", 0.0),
-            ]
-        self._check_probe_pairs("xi-free model", sigma, xi, pairs)
-
-    def _check_one_variable(self):
-        """Raise ValueError unless one_variable_c is positive and finite,
-        f1 and f2 return on the probe grid the bits they return at
-        (0, xi - c sigma), and f_an, if declared, returns those of xi / c
-        (if not, f1 and f2 must agree at (0, 0))."""
-        c = _check_positive("one_variable_c", self.one_variable_c)
-        sigma, xi, f1, f2, f_an = self._probe()
-        at_0, w = np.zeros_like(xi), xi - c * sigma
-        with np.errstate(all="ignore"):
-            pairs = [
-                ("f1(sigma, xi)", f1(sigma, xi), "f1(0, xi - c sigma)", f1(at_0, w)),
-                ("f2(sigma, xi)", f2(sigma, xi), "f2(0, xi - c sigma)", f2(at_0, w)),
+                ("f1(sigma, xi)", f1(sigma, xi), "g1(a xi - b sigma)", g(f1, z)),
+                ("f2(sigma, xi)", f2(sigma, xi), "g2(a xi - b sigma)", g(f2, z)),
             ]
             if f_an is not None:
-                pairs.append(("f_an(xi)", f_an(xi), "xi / c", xi / c))
+                pairs.append(("f_an(xi)", f_an(xi), "a xi / b", a * xi / b))
             else:
-                pairs.append(("f1(0, 0)", f1(at_0, at_0), "f2(0, 0)", f2(at_0, at_0)))
-        self._check_probe_pairs("one-variable model", sigma, xi, pairs)
+                pairs.append(("g1(0)", g(f1, at_0), "g2(0)", g(f2, at_0)))
+        self._check_probe_pairs(f"reduced-form {self.reduced_form} model", sigma, xi, pairs)
+
+    def _reduced(self, sigma, xi):
+        """The reduced coordinate z = a xi - b sigma of `reduced_form` at
+        the points (sigma, xi), xi not read when a = 0, and g(f, z), the
+        field f at the point of each z on the axis ((-z, 0) when a = 0,
+        (0, z) when a = 1): g_i(z), so that a - b g(f_i, z) is the rate
+        dz/du on branch i."""
+        a, b = self.reduced_form
+        if a == 0.0:
+            return -sigma, lambda f, z: f(-z, np.zeros_like(z))
+        return xi - b * sigma, lambda f, z: f(np.zeros_like(z), z)
 
     def F(self, sigma, xi):
         """Half-difference of the slope fields; zero exactly on the
@@ -468,8 +459,9 @@ def check_existence_conditions(
 
     must satisfy q1 <= lambda_bound and q2 >= -lambda_bound.  The report's
     worst_violation is the largest excess over the bound (negative when the
-    inequalities hold with margin, NaN when a field value is).  The excesses
-    are one array of 2 * n_xi * n_sigma^2 floats.
+    inequalities hold with margin, NaN when a field value is), and
+    samples_checked counts the pairs sigma1 != sigma2 at each xi.  The
+    excesses are one array of 2 * n_xi * n_sigma^2 floats.
 
     Parameters
     ----------
@@ -500,14 +492,16 @@ def check_existence_conditions(
         excess /= sig[:, None] - sig[None, :]
     excess[:, 0] -= lambda_bound
     np.subtract(-lambda_bound, excess[:, 1], out=excess[:, 1])
-    excess[..., np.eye(sig.size, dtype=bool)] = -math.inf
+    # every pair of equal sigmas, the diagonal and a repeated grid value
+    same = sig[:, None] == sig[None, :]
+    excess[..., same] = -math.inf
     (k, b, i, j), worst = worst_point(excess)
     return VerificationReport(
         name="existence-conditions",
         worst_violation=worst,
         worst_location=(sig[i], sig[j], xiv[k]),
         tolerance=0.0,
-        samples_checked=xiv.size * sig.size * (sig.size - 1),
+        samples_checked=xiv.size * (same.size - np.count_nonzero(same)),
         details={
             "lambda_bound": float(lambda_bound),
             "worst_branch": ("increasing-branch", "decreasing-branch")[b],

@@ -5,8 +5,8 @@ of zero that makes hysteresis loops in the input-output plane run clockwise;
 `check_assumption_A` certifies the sign structure on a grid.  The central
 check, `verify_dissipation_battery`, simulates the operator along each input
 of a battery, builds the clockwise storage at every sample in one call over
-all their samples (by quadrature in one variable for a xi-free or a
-one-variable model, by one storage ride otherwise) and tests the sampled
+all their samples (by quadrature in one variable for a model with a
+reduced form, by one storage ride otherwise) and tests the sampled
 dissipation inequality
 
     dH/dt <= y * du/dt
@@ -100,11 +100,11 @@ def verify_dissipation_battery(
 
     Simulates every signal from y0 and evaluates the clockwise storage H at
     all samples of all signals in one call, then splits it back per signal.
-    A xi-free model (`DuhemModel.xi_free`) has a storage of the output
-    alone, and a one-variable model (`DuhemModel.one_variable_c`) one of
-    xi^2 / (2c) and an integral in w = xi - c sigma; both are evaluated by
-    Gauss-Legendre quadrature in that one variable (`storage_output_only`),
-    and the reports name the rule's `gauss_nodes`.  Any other model rides
+    A model with a reduced form (`DuhemModel.reduced_form` (a, b)) has a
+    storage of a xi^2 / (2b) and an integral in z = a xi - b sigma (of the
+    output alone when a = 0), evaluated by Gauss-Legendre quadrature in z
+    (`storage_output_only`), and the reports name the rule's
+    `gauss_nodes`.  Any other model rides
     all samples to their crossings in one `storage_cw_batch` ride at
     `step`, which the reports name as `ride_step`.  Each report checks the
     sampled inequality dH/dt <= y du/dt between consecutive samples, with
@@ -130,7 +130,7 @@ def verify_dissipation_battery(
         return []
     y_all = np.concatenate([traj.y for traj in trajs])
     u_all = np.concatenate([traj.u for traj in trajs])
-    if model.xi_free or model.one_variable_c is not None:
+    if model.reduced_form is not None:
         H_flat = storage_output_only(model, y_all, u_all)
         route = {"gauss_nodes": _GAUSS_NODES}
     else:

@@ -14,11 +14,12 @@ more than one with a float64 0-d array, and the brute-force supply march
 calls these fields four times per substep (see `dahl`).  Each factory
 validates its parameters and declares the model's validity domain, its
 odd symmetry (all three are odd: f2(sigma, xi) is f1(-sigma, -xi) bit for
-bit, as `DuhemModel.odd` requires), whether its fields ignore the input
-with f_an identically 0 (`DuhemModel.xi_free`: Dahl, and Bouc-Wen with
-zeta != 0), whether they depend on xi - c sigma alone
-(`DuhemModel.one_variable_c`: the exponential example) and, when available
-in closed form, the anhysteresis function.
+bit, as `DuhemModel.odd` requires), the one reduced coordinate
+z = a xi - b sigma its fields depend on, with f_an = a xi / b
+(`DuhemModel.reduced_form`: (0, 1), the output alone with f_an
+identically 0, for Dahl and Bouc-Wen with zeta != 0; (1, 1.2) for the
+exponential example) and, when available in closed form, the
+anhysteresis function.
 """
 
 from __future__ import annotations
@@ -149,7 +150,7 @@ def dahl(rho: float = 1.5, fc: float = 0.75, r: float = 1.0) -> DuhemModel:
         domain=Domain(-fc, fc),
         f_an=lambda xi: 0.0 * xi,
         odd=True,
-        xi_free=True,
+        reduced_form=(0, 1),
     )
 
 
@@ -200,7 +201,7 @@ def boucwen(
         domain=WHOLE_PLANE,
         f_an=f_an,
         odd=True,
-        xi_free=f_an is not None,
+        reduced_form=None if f_an is None else (0, 1),
     )
 
 
@@ -213,8 +214,8 @@ def exp_example() -> DuhemModel:
     f1 - f2 vanishes exactly on sigma = xi / 1.2, so the declared
     anhysteresis function is xi/1.2 (slope 5/6, not the 0.83 additive
     constant appearing in the slope fields).  Both fields depend on
-    w = xi - 1.2 sigma alone (-1.2*sigma + xi rounds like xi - 1.2*sigma),
-    which the model declares as `DuhemModel.one_variable_c`.
+    z = xi - 1.2 sigma alone (-1.2*sigma + xi rounds like xi - 1.2*sigma),
+    which the model declares as `DuhemModel.reduced_form` (1, 1.2).
     """
     return DuhemModel(
         name="exp_example",
@@ -224,7 +225,7 @@ def exp_example() -> DuhemModel:
         domain=WHOLE_PLANE,
         f_an=lambda xi: xi / 1.2,
         odd=True,
-        one_variable_c=1.2,
+        reduced_form=(1, 1.2),
     )
 
 

@@ -19,21 +19,18 @@ for every point.  Agreement between the routes is part of the test
 surface, so neither should be rewritten in terms of the other: each checks
 the other's ride, table and quadrature.
 
-A third route, `storage_output_only`, skips the ride for two kinds of
-model, where the construction collapses to an integral in one variable,
-evaluated by the same Gauss-Legendre rule.  For a model whose fields
-ignore the input and whose anhysteresis curve is identically zero
-(`DuhemModel.xi_free`: Dahl, Bouc-Wen) the first term vanishes, the
-traversing curve is the autonomous ODE dy/dtau = f(y), and H(sigma) is the
-integral of s / f(s) from 0 to sigma, a function of the output alone.  For
-a model whose fields depend on w = xi - c sigma alone, with f_an = xi / c
-(`DuhemModel.one_variable_c`: the exponential example), dw/dtau =
-1 - c g(w) along the curve does not depend on tau, so the tau part of the
-branch integral cancels the first term up to xi^2 / (2c), and what is left
-is an integral in w (Willems, "Dissipative dynamical systems, Part I",
-ARMA 1972, for storage functions of this kind).  The route is a
-cross-check of the two rides as much as they are of it; the dissipation
-battery uses it for both kinds of model, so no catalog battery rides.
+A third route, `storage_output_only`, skips the ride for a model whose
+fields depend on one reduced coordinate z = a xi - b sigma alone, with
+f_an = a xi / b (`DuhemModel.reduced_form`: (0, 1), z = -sigma, for Dahl
+and Bouc-Wen, (1, 1.2) for the exponential example).  Along the curve
+dz/dtau = a - b g(z) does not depend on tau, so the tau part of the
+branch integral cancels the first term up to a xi^2 / (2b), and what is
+left is an integral in z, evaluated by the same Gauss-Legendre rule
+(Willems, "Dissipative dynamical systems, Part I", ARMA 1972, for storage
+functions of this kind); with a = 0 it is the integral of s / f(s) from 0
+to sigma, a function of the output alone.  The route is a cross-check of
+the two rides as much as they are of it; the dissipation battery uses it
+for every catalog model, so no catalog battery rides.
 Built on the other branch (f2 below the curve, f1 above) the same integral
 is the required supply, which is also a storage function, so only the
 agreement with the rides, the closed forms and the exact exponential
@@ -51,9 +48,10 @@ march runs in blocks of substeps: only the RK4 recurrence runs substep by
 substep, and each block's inputs and stage factors, its domain guard and
 its supply bookkeeping are array operations over the whole block, with
 the bits of a march of one substep at a time.  A lane whose input has
-ended leaves the march at the next block boundary.  The lanes of a xi-free
-model carry no input track: its fields ignore the input, so each field
-call and RK4 stage takes the input 0.0, where the declaration is checked.
+ended leaves the march at the next block boundary.  The lanes of a model
+of the reduced form (0, 1) carry no input track: its fields ignore the
+input, so each field call and RK4 stage takes the input 0.0, where the
+declaration is checked.
 """
 
 from __future__ import annotations
@@ -220,91 +218,76 @@ _GAUSS_BLOCK_ROWS = 512
 
 
 def storage_output_only(model: DuhemModel, sigma, xi) -> np.ndarray:
-    """Clockwise storage of a xi-free or a one-variable model at phase
-    points (sigma, xi), by a fixed Gauss-Legendre rule in one variable.
+    """Clockwise storage of a model with a reduced form at phase points
+    (sigma, xi), by a fixed Gauss-Legendre rule in one variable.
 
-    A xi-free model's (`DuhemModel.xi_free`) traversing curve is the
-    autonomous ODE dy/dtau = f(y), so the ride's branch integral from xi to
-    the crossing at y = 0 is the integral of y / f(y) dy, and
+    A model with `DuhemModel.reduced_form` (a, b) has fields g_i(z) of
+    z = a xi - b sigma alone, and along its traversing curve the rate
+    dz/dtau = a - b g(z) does not depend on tau.  The curve meets
+    f_an = a xi / b at z = 0, the tau term of the branch integral
+    integrates exactly, and with v = b sigma - a xi (= -z)
 
-        H(sigma) = integral of s / f(s) ds from 0 to sigma;
+        H(sigma, xi) = (a xi^2 / 2 + integral of s / (b g(-s) - a) ds
+                        from 0 to v) / b,
 
-    xi is not read.  A one-variable model's (`DuhemModel.one_variable_c`)
-    fields are g_i(w) = f_i(0, w) at w = xi - c sigma, and along its
-    traversing curve dw/dtau = 1 - c g(w) does not depend on tau.  The
-    curve meets f_an = xi / c at w = 0, the tau term of the branch integral
-    integrates exactly, and with v = c sigma - xi (= -w)
+    with g the branch that the ride takes: g1 on the lanes with z > 0
+    (below the curve), g2 on those with z < 0; H(0) = 0, and
+    H = a xi^2 / (2b) on the curve.  The rule runs in z: its nodes t = z T
+    are -s, the rate there is a - b g(t) = -(b g(-s) - a), and t over it is
+    s over b g(-s) - a, bit for bit.  With a = 0 (b = 1, z = -sigma, the
+    rate -f(sigma, 0)) H(sigma) is the integral of s / f(s) from 0 to
+    sigma, and xi is not read.  Each branch is one field call per block
+    of rows, on its own lanes, and each lane's weighted terms are summed by
+    numpy's per-row reduction, so a lane's value does not depend on the
+    batch it is evaluated in.
 
-        H(sigma, xi) = xi^2 / (2c) + (1/c) integral of s / (c g(-s) - 1) ds
-                       from 0 to v.
-
-    Both are the integral from 0 to v (sigma, or c sigma - xi) of s over the
-    rate at which the ride moves s (f(s, 0), or c g(-s) - 1), with f the
-    branch that the ride takes: f1 on the lanes with v < 0 (below the
-    curve), f2 on those with v > 0; H(0) = 0, and H = xi^2 / (2c) on the
-    curve.  Each branch is one field call per block of rows, on its own
-    lanes, and each lane's weighted terms are summed by numpy's per-row
-    reduction, so a lane's value does not depend on the batch it is
-    evaluated in.
-
-    Raises ValueError for a model that declares neither, for samples
-    outside the model domain (or NaN) and, on a one-variable model, for a
-    xi that is not finite; and CrossingSearchError where the rate is not
-    finite and positive at a node or at v itself (the branch slope, or
-    c g - 1: 1 - c g is not finite and negative), where the traversing
+    Raises ValueError for a model that declares no reduced form, for
+    samples outside the model domain (or NaN) and, with a = 1, for a xi
+    that is not finite; and CrossingSearchError where the rate a - b g is
+    not finite and negative at a node or at z itself, where the traversing
     curve would not reach the anhysteresis curve; each names the count and
     the first such sample.
     """
     sigma = np.atleast_1d(np.asarray(sigma, dtype=float))
-    c = model.one_variable_c
-    if model.xi_free:
-        v, rate_name = sigma, "a branch slope"
-
-        def rate(f, nodes):
-            return f(nodes, np.zeros_like(nodes))
-    elif c is not None:
+    if model.reduced_form is None:
+        raise ValueError(f"model {model.name!r} declares no reduced_form")
+    a, b = model.reduced_form
+    if a:
         xi = np.broadcast_to(np.asarray(xi, dtype=float), sigma.shape)
-        v, rate_name = c * sigma - xi, "c g(w) - 1"
-
-        def rate(f, nodes):
-            return c * f(np.zeros_like(nodes), -nodes) - 1.0
-    else:
-        raise ValueError(
-            f"model {model.name!r} declares neither xi_free nor one_variable_c"
-        )
+    z, g = model._reduced(sigma, xi)
 
     def samples(mask, what):
         k = int(np.argmax(mask))
-        at = f"sigma={sigma[k]:.6g}" + ("" if model.xi_free else f", xi={xi[k]:.6g}")
+        at = f"sigma={sigma[k]:.6g}" + (f", xi={xi[k]:.6g}" if a else "")
         return f"{int(mask.sum())} sample(s) {what} (first at {at})"
 
     outside = ~model.domain.contains(sigma)
     if outside.any():
         raise ValueError(samples(outside, "outside the model domain"))
-    if not (model.xi_free or np.isfinite(xi).all()):
+    if a and not np.isfinite(xi).all():
         raise ValueError(samples(~np.isfinite(xi), "whose xi is not finite"))
     value = np.zeros(sigma.size)
     bad = np.zeros(sigma.size, dtype=bool)
-    for a in range(0, sigma.size, _GAUSS_BLOCK_ROWS):
-        block = v[a : a + _GAUSS_BLOCK_ROWS]
-        for f, side in ((model.f1, block < 0.0), (model.f2, block > 0.0)):
-            lanes = a + np.flatnonzero(side)
+    for k in range(0, sigma.size, _GAUSS_BLOCK_ROWS):
+        block = z[k : k + _GAUSS_BLOCK_ROWS]
+        for f, side in ((model.f1, block > 0.0), (model.f2, block < 0.0)):
+            lanes = k + np.flatnonzero(side)
             if not lanes.size:
                 continue
-            s = v[lanes]
-            nodes = s[:, None] * _GAUSS_T
-            slope = rate(f, nodes)
-            bad[lanes] = ~((slope > 0.0) & (slope < math.inf)).all(axis=1)
+            t = z[lanes]
+            nodes = t[:, None] * _GAUSS_T
+            rate = a - b * g(f, nodes)
+            bad[lanes] = ~((rate < 0.0) & (rate > -math.inf)).all(axis=1)
             with np.errstate(divide="ignore", invalid="ignore"):
-                g = nodes[:, :-1] / slope[:, :-1]
-            value[lanes] = s * (g * _GAUSS_W).sum(axis=1)
+                terms = nodes[:, :-1] / rate[:, :-1]
+            value[lanes] = -t * (terms * _GAUSS_W).sum(axis=1)
     if bad.any():
         raise CrossingSearchError(
-            samples(bad, f"with {rate_name} that is not finite and positive")
+            samples(bad, "with a rate a - b g that is not finite and negative")
         )
-    if model.xi_free:
+    if not a:
         return value
-    return (0.5 * xi * xi + value) / c
+    return (0.5 * xi * xi + value) / b
 
 
 @dataclass(frozen=True)
@@ -400,7 +383,8 @@ def _supply_running_min(
     domain exit is reported at its first substep and the substeps computed
     after it are discarded.
 
-    A xi-free model (`DuhemModel.xi_free`) has no input track: its blocks
+    A model of the reduced form a = 0 (`DuhemModel.reduced_form` (0, 1),
+    fields of the output alone) has no input track: its blocks
     gather no event start iteration or start value and compute no v,
     v + h/2 or v + h, and every field call and RK4 stage takes the input
     0.0, the input against which the declaration check compares every
@@ -438,7 +422,8 @@ def _supply_running_min(
     ev_k = ev[:, 0].astype(int)
     ev_lane = ev[:, 1].astype(int)
     n_iter = int(ev_k[-1])
-    odd, xi_free = model.odd, model.xi_free
+    # a = 0 has the one spelling (0, 1)
+    odd, no_input = model.odd, model.reduced_form == (0.0, 1.0)
     # each event's frame sign, substep and its stage factors, then (where
     # the fields read the input) its start iteration and start value
     ev_sign = np.where(odd & (ev[:, 4] < 0.0), -1.0, 1.0)
@@ -446,7 +431,7 @@ def _supply_running_min(
     ev_half = 0.5 * ev_h
     ev_sixth = ev_h / 6.0
     tables = [ev_h, ev_half, ev_sixth, ev_sign]
-    if not xi_free:
+    if not no_input:
         tables += [ev[:, 0], ev_sign * ev[:, 3]]
 
     minW_out = np.zeros(m)
@@ -467,7 +452,7 @@ def _supply_running_min(
     n_rows = min(_SUPPLY_BLOCK, n_iter)
     ids_buf = np.empty(n_rows * m, dtype=int)
     # H, half, sixth, turn and, where the fields read the input, V, XM, XH
-    bufs = [np.empty(n_rows * m) for _ in range(4 if xi_free else 7)]
+    bufs = [np.empty(n_rows * m) for _ in range(4 if no_input else 7)]
     Z_buf = np.empty((n_rows + 1) * m)
 
     if odd:
@@ -505,7 +490,7 @@ def _supply_running_min(
         # "raise" lets take write to out without a temporary)
         for table, dest in zip(tables, blocks):
             np.take(table, ids, out=dest, mode="wrap")
-        if xi_free:
+        if no_input:
             # the fields read no input: every stage takes 0.0
             inputs = itertools.repeat((0.0, 0.0, 0.0), nb)
         else:

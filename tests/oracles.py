@@ -590,7 +590,7 @@ def existence_per_xi_scan(model, sig, xiv, lambda_bound):
     Returns the worst excess, its (sigma1, sigma2, xi) and the branch name.
     """
     ds = sig[:, None] - sig[None, :]
-    off = ~np.eye(sig.size, dtype=bool)
+    off = sig[:, None] != sig[None, :]
     worst = -math.inf
     worst_loc = (sig[0], sig[0], xiv[0])
     worst_kind = ""

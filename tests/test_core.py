@@ -236,6 +236,20 @@ def test_existence_conditions_flags_violation():
     assert rep.worst_violation == pytest.approx(9.0, abs=1e-9)
 
 
+def test_existence_conditions_mask_every_pair_of_equal_sigmas(dahl_r1):
+    # linspace(0, 5e-324, 3) is [0, 0, 5e-324]: the pair of the two zeros
+    # is 0 / 0, masked like the diagonal, and only the 4 pairs of distinct
+    # sigmas count; with the diagonal alone masked the report read NaN
+    sig = np.linspace(0.0, 5e-324, 3)
+    assert sig[0] == sig[1]
+    rep = check_existence_conditions(dahl_r1, (sig, np.array([0.0, 1.0])), 0.0)
+    assert rep.worst_violation == 0.0 and rep.passed
+    assert rep.samples_checked == 2 * 4
+    # the verify grid repeats no value: every ordered pair counts
+    grid = (np.linspace(-0.7, 0.7, 60), np.linspace(-2.0, 2.0, 9))
+    assert check_existence_conditions(dahl_r1, grid, 3.0).samples_checked == 9 * 60 * 59
+
+
 def test_existence_conditions_rejects_bad_inputs(dahl_r1):
     with pytest.raises(ValueError):
         check_existence_conditions(dahl_r1, (np.linspace(-1.0, 1.0, 10), np.array([0.0])), 3.0)

@@ -272,7 +272,7 @@ def test_anhysteresis_rejects_a_nan_residual():
     # written `res > 1e-9` returned the NaN.  This f_an is neither odd nor
     # xi / 1.2.
     model = dataclasses.replace(
-        exp_example(), f_an=lambda xi: np.sqrt(1.0 - xi), odd=False, one_variable_c=None
+        exp_example(), f_an=lambda xi: np.sqrt(1.0 - xi), odd=False, reduced_form=None
     )
     with np.errstate(invalid="ignore"):
         with pytest.raises(ValueError, match="residual nan"):
@@ -318,8 +318,8 @@ def test_solver_path_crossings_of_boucwen_land_on_the_curve():
     # where 60 halvings stopped at the band's edge, 3.8e-6 off the curve.
     # The branch is a line of slope alpha there, so the first secant point
     # lands on the crossing, inside the band, and collapses the bracket.
-    # Without f_an the model no longer declares xi_free, which needs it.
-    solver = dataclasses.replace(boucwen(), f_an=None, xi_free=False)
+    # Without f_an the model keeps its reduced form (0, 1): g1(0) == g2(0).
+    solver = dataclasses.replace(boucwen(), f_an=None)
     sigma, xi = [0.3, -0.2, 0.1], [0.4, 0.4, -1.0]
     ride = ride_to_crossing(solver, sigma, xi)
     assert np.abs(ride.y_at).max() <= 1e-15

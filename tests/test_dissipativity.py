@@ -80,19 +80,20 @@ def test_dissipation_forward_and_backward_on_triangle(dahl_r1):
     assert fwd.tolerance == pytest.approx(1e-6 + 10.0 * fwd.details["step"])
 
 
-@pytest.mark.parametrize("xi_free", [True, False])
-def test_backward_report_is_checked_against_the_next_output(dahl_r1, xi_free):
+@pytest.mark.parametrize("reduced", [True, False])
+def test_backward_report_is_checked_against_the_next_output(dahl_r1, reduced):
     # On a triangle the output moves between samples, so the forward supply
     # y_k du_k and the backward supply y_k+1 du_k differ; each report's
     # worst violation is the largest of its own difference quotients,
     # computed here sample by sample, on the storage of the battery's route
-    # (output quadrature for a xi-free model, the batch ride otherwise).
+    # (output quadrature for the reduced form (0, 1), the batch ride
+    # otherwise).
     step = 0.05
     sig = triangle(1.0, 2)
-    model = dataclasses.replace(dahl_r1, xi_free=xi_free)
+    model = dataclasses.replace(dahl_r1, reduced_form=(0, 1) if reduced else None)
     fwd, bwd = verify_dissipation_pair(model, sig, 0.2, step=step)
     traj = simulate(model, sig, 0.2, step=step)
-    if xi_free:
+    if reduced:
         H = storage_output_only(model, traj.y, traj.u)
     else:
         H = storage_cw_batch(model, traj.y, traj.u, step=step).value
@@ -155,11 +156,11 @@ RIDE_BATTERY_DIGESTS = {
     "boucwen": "746101b79b7f4adeb027b9b8983d062957e113491b3b3b53bd4a5593f03cea9e",
     "exp_example": "3c2a640e3b5eae651cb9169f2b5fd56751ac699bb8ea01666249e1d6ca42ca8d",
 }
-# each catalog model with its quadrature declaration removed
+# each catalog model with its reduced form removed
 UNDECLARED = {
-    "dahl": lambda: dataclasses.replace(dahl(), xi_free=False),
-    "boucwen": lambda: dataclasses.replace(boucwen(), xi_free=False),
-    "exp_example": lambda: dataclasses.replace(exp_example(), one_variable_c=None),
+    "dahl": lambda: dataclasses.replace(dahl(), reduced_form=None),
+    "boucwen": lambda: dataclasses.replace(boucwen(), reduced_form=None),
+    "exp_example": lambda: dataclasses.replace(exp_example(), reduced_form=None),
 }
 
 
@@ -195,7 +196,7 @@ def _assert_the_battery_takes_the_quadrature_and_no_ride(model, monkeypatch):
             assert rep.details["max_storage"] == float(H_sig.max())
 
 
-def test_a_xi_free_battery_takes_the_output_quadrature_and_no_ride(monkeypatch):
+def test_a_sigma_only_battery_takes_the_output_quadrature_and_no_ride(monkeypatch):
     _assert_the_battery_takes_the_quadrature_and_no_ride(dahl(r=3.0), monkeypatch)
 
 
@@ -364,9 +365,9 @@ VERIFY_REPORTS = [
 
 def test_verify_model_passes_a_model_outside_the_catalog_that_is_not_odd():
     # f1 = 1 - s, f2 = 1 + 3 s on the whole plane: clockwise, with its Lemma
-    # 1 margin 0.1 at s = -0.3; neither odd nor declared xi-free, so its
-    # battery storage is the batch ride
-    assert not (STEEP_BELOW.odd or STEEP_BELOW.xi_free)
+    # 1 margin 0.1 at s = -0.3; neither odd nor of a declared reduced form,
+    # so its battery storage is the batch ride
+    assert not STEEP_BELOW.odd and STEEP_BELOW.reduced_form is None
     rng = np.random.default_rng(3)
     battery = [random_piecewise_linear(rng, span=2.0, n_breakpoints=(3, 8)) for _ in range(4)]
     reports, times, areas = verify_model(

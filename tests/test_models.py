@@ -133,7 +133,7 @@ def test_an_odd_declaration_needs_an_odd_anhysteresis_function():
     exp = exp_example()
     with pytest.raises(ValueError, match=r"odd model 'exp_example': f_an\(-xi\) = .* but -f_an\(xi\)"):
         dataclasses.replace(exp, f_an=lambda x: x / 1.2 + 0.1)
-    dataclasses.replace(exp, f_an=lambda x: x / 1.2 + 0.1, odd=False, one_variable_c=None)
+    dataclasses.replace(exp, f_an=lambda x: x / 1.2 + 0.1, odd=False, reduced_form=None)
     # the check calls f_an under its functools.wraps layers, as f1 and f2
     calls = []
 
@@ -145,109 +145,157 @@ def test_an_odd_declaration_needs_an_odd_anhysteresis_function():
     assert dataclasses.replace(exp, f_an=counted).odd and not calls
 
 
-def test_the_catalog_declares_xi_free_where_the_fields_ignore_the_input():
-    assert dahl().xi_free and dahl(r=3.0).xi_free and boucwen().xi_free
-    # Bouc-Wen with zeta = 0 has no declared f_an; exp_example's fields read xi
-    assert not boucwen(zeta=0.0).xi_free and not exp_example().xi_free
-
-
-def test_a_xi_free_declaration_whose_field_reads_xi_is_rejected():
-    d = dahl()
-    with pytest.raises(ValueError, match=r"xi-free model 'dahl': f1\(sigma, xi\) = .* but f1\(sigma, 0\)"):
-        dataclasses.replace(d, f1=lambda s, x: d.f1(s, x) + 1e-3 * x, odd=False)
-    with pytest.raises(ValueError, match=r"xi-free model 'dahl': f2\(sigma, xi\)"):
-        dataclasses.replace(d, f2=lambda s, x: d.f2(s, x) * (1.0 + 1e-15 * (x > 1.0)), odd=False)
-    with pytest.raises(ValueError, match=r"xi-free model 'exp_example': f1\(sigma, xi\)"):
-        dataclasses.replace(exp_example(), xi_free=True)
-    # f_an must be declared and 0 on the probe grid
-    with pytest.raises(ValueError, match="must declare f_an"):
-        dataclasses.replace(boucwen(), f_an=None)
-    with pytest.raises(ValueError, match=r"xi-free model 'dahl': f_an\(xi\) = .* but 0"):
-        dataclasses.replace(d, f_an=lambda x: 1e-9 * x, odd=False)
-    # the same models are accepted when they do not claim the property
-    dataclasses.replace(d, f1=lambda s, x: d.f1(s, x) + 1e-3 * x, odd=False, xi_free=False)
-    dataclasses.replace(boucwen(), f_an=None, xi_free=False)
-
-
-def test_a_xi_free_declaration_is_checked_under_the_wraps_layers():
-    # as for odd: a wrapper that counts field calls sees none from the check
-    d = dahl(r=3.0)
-    calls = []
-
-    def counted(f):
+def _counted(calls):
+    """A functools.wraps layer that records every call of the field it wraps."""
+    def wrap(f):
         @functools.wraps(f)
         def wrapper(*args):
             calls.append(len(args))
             return f(*args)
         return wrapper
+    return wrap
 
+
+def test_the_catalog_declares_one_reduced_form_per_model():
+    # Dahl and Bouc-Wen read sigma alone, exp_example xi - 1.2 sigma
+    assert dahl().reduced_form == dahl(r=3.0).reduced_form == boucwen().reduced_form == (0.0, 1.0)
+    assert exp_example().reduced_form == (1.0, 1.2)
+    # Bouc-Wen with zeta = 0 has f1 == f2 and no anhysteresis curve
+    assert boucwen(zeta=0.0).reduced_form is None
+    # a model without f_an keeps the declaration: the solver finds its
+    # curve, which lies at z = 0 since g1(0) == g2(0)
+    assert dataclasses.replace(exp_example(), f_an=None).reduced_form == (1.0, 1.2)
+    assert dataclasses.replace(boucwen(), f_an=None).reduced_form == (0.0, 1.0)
+
+
+# the catalog models, each on its sigma half-width: Dahl's band, and
+# [-5, 5] on the whole plane
+CATALOG = {
+    "dahl r=1": (dahl(), 0.75),
+    "dahl fig1": (dahl(r=3.0), 0.75),
+    "dahl rho=2 fc=0.4 r=1.5": (dahl(rho=2.0, fc=0.4, r=1.5), 0.4),
+    "boucwen": (boucwen(), 5.0),
+    "boucwen n=2.5 zeta=0.5": (boucwen(zeta=0.5, n=2.5), 5.0),
+    "exp_example": (exp_example(), 5.0),
+}
+
+
+def reduced_form_samples(half_width):
+    """100,000 seeded points (sigma, xi), sigma in [-half_width, half_width)
+    and xi in [-5, 5)."""
+    u = np.random.default_rng(31).uniform(-1.0, 1.0, (2, 100_000))
+    return half_width * u[0], 5.0 * u[1]
+
+
+@pytest.mark.parametrize("name", list(CATALOG))
+def test_the_catalog_reduced_forms_hold_beyond_the_probe_grid(name):
+    # f_i(sigma, xi) has the bits of g_i(a xi - b sigma) and f_an(xi) those
+    # of a xi / b at every point, not only on the 35 probe points
+    model, half_width = CATALOG[name]
+    a, b = model.reduced_form
+    sigma, xi = reduced_form_samples(half_width)
+    z, g = model._reduced(sigma, xi)
+    for f in (model.f1, model.f2):
+        assert f(sigma, xi).tobytes() == g(f, z).tobytes()
+    assert model.f_an(xi).tobytes() == (a * xi / b).tobytes()
+
+
+def test_a_sigma_only_declaration_whose_field_reads_xi_is_rejected():
+    d = dahl()
+    with pytest.raises(ValueError, match=r"reduced-form \(0\.0, 1\.0\) model 'dahl': f1\(sigma, xi\) = .* but g1\(a xi - b sigma\)"):
+        dataclasses.replace(d, f1=lambda s, x: d.f1(s, x) + 1e-3 * x, odd=False)
+    with pytest.raises(ValueError, match=r"reduced-form \(0\.0, 1\.0\) model 'dahl': f2\(sigma, xi\)"):
+        dataclasses.replace(d, f2=lambda s, x: d.f2(s, x) * (1.0 + 1e-15 * (x > 1.0)), odd=False)
+    with pytest.raises(ValueError, match=r"reduced-form \(0\.0, 1\.0\) model 'exp_example': f1\(sigma, xi\)"):
+        dataclasses.replace(exp_example(), reduced_form=(0, 1))
+    # f_an, when declared, must be 0 on the probe grid
+    with pytest.raises(ValueError, match=r"reduced-form \(0\.0, 1\.0\) model 'dahl': f_an\(xi\) = .* but a xi / b"):
+        dataclasses.replace(d, f_an=lambda x: 1e-9 * x, odd=False)
+    # the same models are accepted when they do not claim the property
+    dataclasses.replace(d, f1=lambda s, x: d.f1(s, x) + 1e-3 * x, odd=False, reduced_form=None)
+
+
+def test_a_sigma_only_model_without_f_an_needs_its_fields_to_meet_at_0():
+    # accepted since one rule covers both forms (a sigma-only declaration
+    # needed f_an before): the quadrature takes the curve at sigma = 0
+    bw = dataclasses.replace(boucwen(), f_an=None)
+    assert bw.f_an is None and bw.reduced_form == (0.0, 1.0)
+    with pytest.raises(ValueError, match=r"reduced-form \(0\.0, 1\.0\) model 'boucwen': g1\(0\) = 1\.01 but g2\(0\) = 1\.0"):
+        dataclasses.replace(bw, f1=lambda s, x: bw.f1(s, x) + 0.01, odd=False)
+
+
+def test_a_sigma_only_declaration_is_checked_under_the_wraps_layers():
+    # as for odd: a wrapper that counts field calls sees none from the check
+    d = dahl(r=3.0)
+    calls = []
+    counted = _counted(calls)
     m = dataclasses.replace(d, f1=counted(d.f1), f2=counted(d.f2), f_an=counted(d.f_an))
-    assert m.xi_free and m.odd and not calls
-
-
-def test_the_catalog_declares_one_variable_c_where_the_fields_read_xi_minus_c_sigma():
-    assert exp_example().one_variable_c == 1.2
-    assert dahl().one_variable_c is None and boucwen().one_variable_c is None
-    # a model without f_an keeps the declaration: the solver finds its curve
-    assert dataclasses.replace(exp_example(), f_an=None).one_variable_c == 1.2
+    assert m.reduced_form == (0.0, 1.0) and m.odd and not calls
 
 
 def test_a_one_variable_declaration_whose_fields_read_more_is_rejected():
     e = exp_example()
-    with pytest.raises(ValueError, match=r"one-variable model 'exp_example': f1\(sigma, xi\) = .* but f1\(0, xi - c sigma\)"):
+    with pytest.raises(ValueError, match=r"reduced-form \(1\.0, 1\.2\) model 'exp_example': f1\(sigma, xi\) = .* but g1\(a xi - b sigma\)"):
         dataclasses.replace(e, f1=lambda s, x: e.f1(s, x) + 1e-3 * s, odd=False)
-    with pytest.raises(ValueError, match=r"one-variable model 'exp_example': f2\(sigma, xi\) = .* but f2\(0, xi - c sigma\)"):
+    with pytest.raises(ValueError, match=r"reduced-form \(1\.0, 1\.2\) model 'exp_example': f2\(sigma, xi\) = .* but g2\(a xi - b sigma\)"):
         dataclasses.replace(e, f2=lambda s, x: e.f2(s, x) * (1.0 + 1e-15 * (x > 1.0)), odd=False)
     # the fields read xi - 1.2 sigma, not xi - 1.25 sigma
-    with pytest.raises(ValueError, match=r"one-variable model 'exp_example': f1\(sigma, xi\)"):
-        dataclasses.replace(e, one_variable_c=1.25)
+    with pytest.raises(ValueError, match=r"reduced-form \(1\.0, 1\.25\) model 'exp_example': f1\(sigma, xi\)"):
+        dataclasses.replace(e, reduced_form=(1, 1.25))
     # Dahl reads sigma alone
-    with pytest.raises(ValueError, match=r"one-variable model 'dahl': f1\(sigma, xi\)"):
-        dataclasses.replace(dahl(), one_variable_c=1.0)
+    with pytest.raises(ValueError, match=r"reduced-form \(1\.0, 1\.0\) model 'dahl': f1\(sigma, xi\)"):
+        dataclasses.replace(dahl(), reduced_form=(1, 1))
     # the same model is accepted when it does not claim the property
-    dataclasses.replace(e, f1=lambda s, x: e.f1(s, x) + 1e-3 * s, odd=False, one_variable_c=None)
+    dataclasses.replace(e, f1=lambda s, x: e.f1(s, x) + 1e-3 * s, odd=False, reduced_form=None)
 
 
 def test_a_one_variable_declaration_needs_f_an_to_be_xi_over_c_bit_for_bit():
     # one ulp above xi / 1.2 everywhere (not odd, so odd is not declared)
     e = exp_example()
-    with pytest.raises(ValueError, match=r"one-variable model 'exp_example': f_an\(xi\) = .* but xi / c = "):
+    with pytest.raises(ValueError, match=r"reduced-form \(1\.0, 1\.2\) model 'exp_example': f_an\(xi\) = .* but a xi / b = "):
         dataclasses.replace(e, f_an=lambda x: np.nextafter(x / 1.2, np.inf), odd=False)
-    dataclasses.replace(e, f_an=lambda x: np.nextafter(x / 1.2, np.inf), odd=False, one_variable_c=None)
+    dataclasses.replace(e, f_an=lambda x: np.nextafter(x / 1.2, np.inf), odd=False, reduced_form=None)
 
 
 def test_a_one_variable_model_without_f_an_needs_its_fields_to_meet_at_w_0():
     # the quadrature takes the curve at w = 0, where F must vanish: here
     # g1 - g2 = e^(w/2) - e^(-w/2) + 0.01 vanishes near w = -0.01 instead
     e = dataclasses.replace(exp_example(), f_an=None)
-    with pytest.raises(ValueError, match=r"one-variable model 'exp_example': f1\(0, 0\) = 1\.84 but f2\(0, 0\) = 1\.83"):
+    with pytest.raises(ValueError, match=r"reduced-form \(1\.0, 1\.2\) model 'exp_example': g1\(0\) = 1\.84 but g2\(0\) = 1\.83"):
         dataclasses.replace(e, f1=lambda s, x: e.f1(s, x) + 0.01, odd=False)
-    dataclasses.replace(e, f1=lambda s, x: e.f1(s, x) + 0.01, odd=False, one_variable_c=None)
+    dataclasses.replace(e, f1=lambda s, x: e.f1(s, x) + 0.01, odd=False, reduced_form=None)
+
+
+# constant fields read neither sigma nor xi, so they pass every probe pair
+# of any reduced form: only the checks of the pair itself reject one
+FLAT = DuhemModel(name="flat", f1=lambda s, x: 2.0 + 0.0 * s, f2=lambda s, x: 2.0 + 0.0 * s)
 
 
 @pytest.mark.parametrize("c", [0.0, -1.2, math.nan, math.inf, -math.inf])
 def test_a_one_variable_c_must_be_positive_and_finite(c):
-    # constant fields read neither sigma nor xi, so they pass every probe
-    # pair at any c: only the check of c itself rejects these
-    flat = DuhemModel(name="flat", f1=lambda s, x: 2.0 + 0.0 * s, f2=lambda s, x: 2.0 + 0.0 * s)
-    assert dataclasses.replace(flat, one_variable_c=0.5).one_variable_c == 0.5
-    with pytest.raises(ValueError, match="one_variable_c must be positive and finite"):
-        dataclasses.replace(flat, one_variable_c=c)
+    # the b of (1, b), the c of w = xi - c sigma
+    assert dataclasses.replace(FLAT, reduced_form=(1, 0.5)).reduced_form == (1.0, 0.5)
+    with pytest.raises(ValueError, match="reduced_form's b must be positive and finite"):
+        dataclasses.replace(FLAT, reduced_form=(1, c))
+
+
+@pytest.mark.parametrize(
+    "form", [(0, 2), (0, 0.5), (0.5, 1), (2, 1), (-1, 1), (math.nan, 1), (1,), (0, 1, 1), 1.2, (), (1, None), ("a", 1)]
+)
+def test_a_reduced_form_is_0_1_or_1_b(form):
+    # one spelling per reduced coordinate: z = -sigma is (0, 1) alone, and
+    # a scales z, so it is 0 or 1
+    assert dataclasses.replace(FLAT, reduced_form=[0, 1]).reduced_form == (0.0, 1.0)
+    with pytest.raises(ValueError, match=r"reduced_form must be \(0, 1\) or \(1, b\), got "):
+        dataclasses.replace(FLAT, reduced_form=form)
 
 
 def test_a_one_variable_declaration_is_checked_under_the_wraps_layers():
     e = exp_example()
     calls = []
-
-    def counted(f):
-        @functools.wraps(f)
-        def wrapper(*args):
-            calls.append(len(args))
-            return f(*args)
-        return wrapper
-
+    counted = _counted(calls)
     m = dataclasses.replace(e, f1=counted(e.f1), f2=counted(e.f2), f_an=counted(e.f_an))
-    assert m.one_variable_c == 1.2 and m.odd and not calls
+    assert m.reduced_form == (1.0, 1.2) and m.odd and not calls
 
 
 def test_F_is_half_branch_difference(dahl_r1):

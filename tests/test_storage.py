@@ -39,6 +39,7 @@ from oracles import (
     ride_two_marches,
     storage_exact,
 )
+from test_models import reduced_form_samples
 
 STORAGE_ORACLE = 0.03545058445943833  # closed form at y = 0.375
 
@@ -391,8 +392,8 @@ def test_output_only_storage_of_a_lane_does_not_depend_on_its_batch(model_name, 
 
 
 def test_output_only_storage_names_the_first_failing_sample(dahl_r1, exp_model):
-    with pytest.raises(ValueError, match="declares neither xi_free nor one_variable_c"):
-        storage_output_only(dataclasses.replace(exp_model, one_variable_c=None), [0.1], [0.0])
+    with pytest.raises(ValueError, match="declares no reduced_form"):
+        storage_output_only(dataclasses.replace(exp_model, reduced_form=None), [0.1], [0.0])
     with pytest.raises(ValueError, match=r"2 sample\(s\) outside the model domain \(first at sigma=0\.8\)"):
         storage_output_only(dahl_r1, [0.1, 0.8, math.nan], 0.0)
     # a branch slope that reaches 0 inside [0, sigma] (f2 = 1 - 2 s on
@@ -400,12 +401,12 @@ def test_output_only_storage_names_the_first_failing_sample(dahl_r1, exp_model):
     # the curve
     flat = DuhemModel(
         name="flat", f1=lambda s, x: 1.0 + 0.0 * s, f2=lambda s, x: 1.0 - 2.0 * s,
-        f_an=lambda x: 0.0 * x, xi_free=True,
+        f_an=lambda x: 0.0 * x, reduced_form=(0, 1),
     )
     # the integrals of s and of s / (1 - 2 s) = -1/2 + 1 / (2 (1 - 2 s))
     exact = [4.5, -0.15 - 0.25 * math.log(0.4)]
     assert storage_output_only(flat, [-3.0, 0.3], 0.0) == pytest.approx(exact, rel=1e-14)
-    with pytest.raises(CrossingSearchError, match=r"2 sample\(s\) with a branch slope .*\(first at sigma=0\.5\)"):
+    with pytest.raises(CrossingSearchError, match=r"2 sample\(s\) with a rate a - b g .*\(first at sigma=0\.5\)"):
         storage_output_only(flat, [-3.0, 0.5, 0.2, 0.9], 0.0)
     with pytest.raises(CrossingSearchError, match=r"1 sample\(s\) .*\(first at sigma=-2\)"):
         storage_output_only(dataclasses.replace(flat, f1=lambda s, x: np.where(s < -1.5, np.inf, 1.0)), [-2.0, 0.1], 0.0)
@@ -451,6 +452,28 @@ def test_one_variable_storage_is_the_exact_exp_storage(exp_model):
     assert origin.any() and (H[origin] == 0.0).all()
 
 
+def test_the_reduced_form_storage_is_both_exact_storages_on_random_points(dahl_r1, exp_model):
+    # the one formula (a xi^2 / 2 + integral of s / (b g(-s) - a)) / b at
+    # the 100,000 points of the declaration test: (0, 1) gives the Dahl
+    # r = 1 closed form, (1, 1.2) the exact exponential storage, each
+    # within the bound of its own test above
+    sigma, xi = reduced_form_samples(0.75)
+    H = storage_output_only(dahl_r1, sigma, xi)
+    assert np.abs(H - storage_exact(sigma)).max() <= 1e-15
+    sigma, xi = reduced_form_samples(5.0)
+    exact = exp_storage_exact(sigma, xi)
+    assert (np.abs(storage_output_only(exp_model, sigma, xi) - exact) <= EXP_QUADRATURE_REL * exact).all()
+
+
+def test_a_sigma_only_storage_does_not_read_xi(dahl_r1):
+    # a = 0: xi is neither converted nor broadcast, so a NaN, a wrong shape
+    # or no number at all gives the bits of xi = 0
+    sigma = np.linspace(-0.7, 0.7, 15)
+    H = storage_output_only(dahl_r1, sigma, 0.0)
+    for xi in (math.nan, np.full(3, math.nan), object()):
+        assert storage_output_only(dahl_r1, sigma, xi).tobytes() == H.tobytes()
+
+
 def test_readme_exp_ride_is_within_its_step_halving_error_of_the_exact_storage(exp_model):
     # storage_cw_batch at the README battery step h = 5e-3 and at h / 2:
     # RK4 makes the ride's error about C h^4, so |H_h - H_h/2| is 15/16 of
@@ -488,12 +511,12 @@ def test_one_variable_storage_is_its_closed_form_and_names_the_first_failing_sam
     # where the ride would stop short of the curve.
     m = DuhemModel(
         name="linear", f1=lambda s, x: 2.0 - (x - s), f2=lambda s, x: 2.0 + (x - s),
-        f_an=lambda x: x / 1.0, one_variable_c=1.0,
+        f_an=lambda x: x / 1.0, reduced_form=(1, 1.0),
     )
     sigma, xi = np.array([0.1, -0.2, 0.3]), np.array([0.6, -0.7, 0.3])
     exact = [0.18 - 0.5 - math.log(0.5), 0.245 - 0.5 - math.log(0.5), 0.045]
     assert storage_output_only(m, sigma, xi) == pytest.approx(exact, rel=1e-14)
-    with pytest.raises(CrossingSearchError, match=r"2 sample\(s\) with c g\(w\) - 1 that is not finite and positive \(first at sigma=-1, xi=0\)"):
+    with pytest.raises(CrossingSearchError, match=r"2 sample\(s\) with a rate a - b g that is not finite and negative \(first at sigma=-1, xi=0\)"):
         storage_output_only(m, [0.1, -1.0, 0.2, 1.5], [0.6, 0.0, 0.3, 0.0])
     with pytest.raises(ValueError, match=r"1 sample\(s\) whose xi is not finite \(first at sigma=0\.2, xi=nan\)"):
         storage_output_only(m, [0.1, 0.2], [0.6, math.nan])
@@ -773,13 +796,14 @@ def test_odd_supply_march_is_the_two_branch_march_bit_for_bit(model_name, reques
 @pytest.mark.parametrize("odd", [True, False])
 @pytest.mark.parametrize("model_name", ["dahl_r1", "dahl_r3", "bw"])
 def test_xi_free_supply_march_is_the_march_with_the_input_bit_for_bit(model_name, odd, request, rng):
-    # A xi-free model's lanes carry no input, and its field calls and stage
-    # inputs take 0.0; the same model declared not xi-free marches with the
-    # input track.  The lanes turn (random inputs), hold (the last input),
-    # start on both sides of 0 and finish in different blocks.
+    # The lanes of the reduced form (0, 1) carry no input, and their field
+    # calls and stage inputs take 0.0; the same model without the
+    # declaration marches with the input track.  The lanes turn (random
+    # inputs), hold (the last input), start on both sides of 0 and finish
+    # in different blocks.
     model = dataclasses.replace(request.getfixturevalue(model_name), odd=odd)
-    with_input = dataclasses.replace(model, xi_free=False)
-    assert model.xi_free and not with_input.xi_free
+    with_input = dataclasses.replace(model, reduced_form=None)
+    assert model.reduced_form == (0.0, 1.0)
     sigs = _march_signals(rng)
     ends = [np.count_nonzero(_simulate_substeps(sig, MARCH_STEP)) for sig in sigs]
     assert len({k // storage_module._SUPPLY_BLOCK for k in ends}) > 1
@@ -954,7 +978,7 @@ def test_supply_march_evaluates_a_lane_only_to_the_end_of_its_last_block(dahl_r1
         assert y_end[i] == simulate(dahl_r1, sig, y0[i], step).y[-1], i
 
 
-def _unit_slope_band(odd: bool, xi_free: bool) -> DuhemModel:
+def _unit_slope_band(odd: bool, no_input: bool) -> DuhemModel:
     return DuhemModel(
         name="unit-slope band",
         f1=lambda s, x: 1.0 + 0.0 * s,
@@ -962,7 +986,7 @@ def _unit_slope_band(odd: bool, xi_free: bool) -> DuhemModel:
         domain=Domain(-1.0, 1.0),
         f_an=lambda xi: 0.0 * xi,
         odd=odd,
-        xi_free=xi_free,
+        reduced_form=(0, 1) if no_input else None,
     )
 
 
@@ -974,7 +998,7 @@ def _exit_at(k: int, direction: float) -> InputSignal:
     return _segments(0.0, *direction * np.array([0.375, -0.375] * ((k - 2) // 2) + [1.5]))
 
 
-@pytest.mark.parametrize("xi_free", [False, True])
+@pytest.mark.parametrize("no_input", [False, True])
 @pytest.mark.parametrize("odd", [True, False])
 @pytest.mark.parametrize("direction", [1.0, -1.0])
 @pytest.mark.parametrize(
@@ -984,13 +1008,14 @@ def _exit_at(k: int, direction: float) -> InputSignal:
         202,  # row 10 of the final partial block (iterations 192-211)
     ],
 )
-def test_supply_march_exit_in_a_later_block_is_simulates_exit(k_exit, direction, odd, xi_free, monkeypatch):
+def test_supply_march_exit_in_a_later_block_is_simulates_exit(k_exit, direction, odd, no_input, monkeypatch):
     # Lane 2 leaves the band on iteration k_exit.  Lane 0 leaves it four
     # iterations later in the same block: the march reports the first exit
     # in time, not the first lane, and discards the substeps after it.
-    # Lane 1 zigzags inside the band for 212 iterations.  Declared
-    # xi-free, the band marches with no input track, to the same exit.
-    model = _unit_slope_band(odd, xi_free)
+    # Lane 1 zigzags inside the band for 212 iterations.  Declared of the
+    # reduced form (0, 1), the band marches with no input track, to the
+    # same exit.
+    model = _unit_slope_band(odd, no_input)
     step = 0.375
     sigs = [
         _exit_at(k_exit + 4, direction),
