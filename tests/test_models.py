@@ -156,16 +156,22 @@ def _counted(calls):
     return wrap
 
 
-def test_the_catalog_declares_one_reduced_form_per_model():
-    # Dahl and Bouc-Wen read sigma alone, exp_example xi - 1.2 sigma
+def test_the_catalog_declares_xi_free_where_the_fields_ignore_the_input():
+    # Dahl and Bouc-Wen read sigma alone: the reduced form (0, 1)
     assert dahl().reduced_form == dahl(r=3.0).reduced_form == boucwen().reduced_form == (0.0, 1.0)
-    assert exp_example().reduced_form == (1.0, 1.2)
     # Bouc-Wen with zeta = 0 has f1 == f2 and no anhysteresis curve
     assert boucwen(zeta=0.0).reduced_form is None
     # a model without f_an keeps the declaration: the solver finds its
     # curve, which lies at z = 0 since g1(0) == g2(0)
-    assert dataclasses.replace(exp_example(), f_an=None).reduced_form == (1.0, 1.2)
     assert dataclasses.replace(boucwen(), f_an=None).reduced_form == (0.0, 1.0)
+
+
+def test_the_catalog_declares_one_variable_c_where_the_fields_read_xi_minus_c_sigma():
+    # exp_example reads xi - 1.2 sigma: the reduced form (1, 1.2)
+    assert exp_example().reduced_form == (1.0, 1.2)
+    assert dahl().reduced_form != (1.0, 1.2) and boucwen().reduced_form != (1.0, 1.2)
+    # a model without f_an keeps the declaration: the solver finds its curve
+    assert dataclasses.replace(exp_example(), f_an=None).reduced_form == (1.0, 1.2)
 
 
 # the catalog models, each on its sigma half-width: Dahl's band, and
