@@ -1,11 +1,12 @@
 """Hand-made mutants of the checks, the crossing refinement, the domain
 exits of the marches, the supply march, the Dahl r = 1 array fields, the
 interval slopes of a trajectory, the output-only storage in the reduced
-coordinate (with the declaration it reads), the f_an term of
-both storage routes, the friction and model parameters, the recipe of
-`duhem verify` (an open loop input included), the one CSV writer of the
-artifacts, the config checks of the CLI, the counts of the signal
-constructors and the anhysteresis search on a band in `src/`.
+coordinate (with the declaration it reads), the f_an term of the storage,
+the single-point ride's branch integral, the friction and model
+parameters, the recipe of `duhem verify` (an open loop input included),
+the one CSV writer of the artifacts, the config checks of the CLI, the
+counts of the signal constructors and the anhysteresis search on a band in
+`src/`.
 
 Each entry names a file under `src/duhem`, an exact snippet of it, the text
 that replaces the snippet, and the tests expected to kill the mutant (pytest
@@ -433,7 +434,7 @@ MUTANTS = [
     },
     {
         "name": "config-number-may-be-infinite",
-        "why": "the CLI's number check accepts inf for --step, --y0, --quad-tol and --tol",
+        "why": "the CLI's number check accepts inf for --step, --y0 and --tol",
         "file": "cli.py",
         "snippet": "not isinstance(value, bool)\n        and math.isfinite(value)",
         "replacement": "not isinstance(value, bool)\n        and value == value",
@@ -449,22 +450,6 @@ MUTANTS = [
         "snippet": "and not isinstance(value, bool)",
         "replacement": "",
         "tests": ["tests/test_cli.py::test_a_config_number_given_as_a_json_boolean_is_a_config_error"],
-    },
-    {
-        "name": "storage-cw-ignores-a-truncated-left-branch",
-        "why": "storage_cw integrates a resampled left branch that stopped at the domain boundary",
-        "file": "storage.py",
-        "snippet": "    if curve.left_truncated or curve.right_truncated:\n        raise CrossingSearchError(",
-        "replacement": "    if curve.right_truncated:\n        raise CrossingSearchError(",
-        "tests": ["tests/test_storage.py::test_storage_cw_raises_when_its_resampled_branch_is_truncated"],
-    },
-    {
-        "name": "storage-cw-quad-tol-unchecked",
-        "why": "storage_cw checks quad_tol only in the quadrature, after the ride, and not at all on the curve",
-        "file": "storage.py",
-        "snippet": '    _check_positive("quad_tol", quad_tol)\n',
-        "replacement": "",
-        "tests": ["tests/test_storage.py::test_storage_cw_rejects_a_quad_tol_that_is_not_positive_and_finite"],
     },
     {
         "name": "bruteforce-nothing-extracted-is-minus-zero",
@@ -598,7 +583,7 @@ MUTANTS = [
             "tests/test_models.py::test_a_one_variable_declaration_whose_fields_read_more_is_rejected",
         ],
     },
-    # -- the f_an term of both storage routes
+    # -- the f_an term of the storage, and the float ride's branch integral
     {
         "name": "anhysteresis-rule-without-its-length",
         "why": "the Gauss-Legendre sums of f_an are not scaled by the length lam of [0, lam]",
@@ -620,12 +605,26 @@ MUTANTS = [
         "tests": ["tests/test_storage.py::test_a_zero_anhysteresis_curve_integrates_to_plus_zero_in_both_routes"],
     },
     {
-        "name": "storage-cw-zero-f-an-minus-zero",
-        "why": "storage_cw's integral of a zero f_an reads -0.0 at lam < 0, and so does its value on the curve at xi < 0",
-        "file": "storage.py",
-        "snippet": "fan_int = 0.0 + adaptive_simpson(",
-        "replacement": "fan_int = adaptive_simpson(",
-        "tests": ["tests/test_storage.py::test_a_zero_anhysteresis_curve_integrates_to_plus_zero_in_both_routes"],
+        "name": "float-ride-drops-the-crossing-partial-integral",
+        "why": "the single-point ride's branch integral stops at the last step before the crossing",
+        "file": "curves.py",
+        "snippet": "        acc + hermite_partial_integral(lam, tA, tB, yA, yB, fA, fB),\n",
+        "replacement": "        acc,\n",
+        "tests": [
+            "tests/test_curves.py::test_float_refinement_is_the_vector_refinement_bit_for_bit",
+            "tests/test_curves.py::test_single_point_ride_is_the_batch_lane_bit_for_bit",
+        ],
+    },
+    {
+        "name": "single-point-crossing-residual-unchecked",
+        "why": "intersect_lambda and storage_cw return a crossing whose branch value lies off the anhysteresis curve",
+        "file": "curves.py",
+        "snippet": "    if not mismatch <= 1e-9:\n        raise CrossingSearchError(\n            f\"crossing refinement stalled: |omega",
+        "replacement": "    if False:\n        raise CrossingSearchError(\n            f\"crossing refinement stalled: |omega",
+        "tests": [
+            "tests/test_curves.py::test_storage_cw_fails_the_crossing_residual_check_as_intersect_lambda_does",
+            "tests/test_curves.py::test_intersect_lambda_rejects_a_nan_residual",
+        ],
     },
     # -- the friction parameters and the tolerance of a check
     {

@@ -36,7 +36,7 @@ import numpy as np
 from .core import DomainExitError, DuhemModel, simulate
 from .curves import CrossingSearchError, PhasePoint, intersect_lambda, traversing_curve
 from .dissipativity import loop_areas, loop_orientation, verify_model
-from .integrate import BracketError, QuadratureError
+from .integrate import BracketError
 from .mechsim import (
     MAX_MECH_STEPS,
     MechParams,
@@ -75,7 +75,6 @@ class RunConfig:
     input: dict | None = None
     y0: float = 0.0
     step: float | None = None
-    quad_tol: float = 1e-8
     tol: float | None = None
     seed: int = 0
     out: str | None = None
@@ -192,7 +191,6 @@ def _base_config(args: argparse.Namespace) -> RunConfig:
     if cfg.step is not None:
         _check_number("--step", cfg.step, True, "step")
     _check_number("--y0", cfg.y0, False, "y0")
-    _check_number("--quad-tol", cfg.quad_tol, True, "quad_tol")
     if cfg.tol is not None:
         _check_number("--tol", cfg.tol, True, "tol")
     if isinstance(cfg.seed, bool) or not (isinstance(cfg.seed, int) and cfg.seed >= 0):
@@ -287,7 +285,7 @@ def cmd_storage(args: argparse.Namespace) -> int:
     model = _resolve_model(cfg)
     p = _phase_point(args)
     step = {} if cfg.step is None else {"step": cfg.step}
-    ev = storage_cw(model, p, quad_tol=cfg.quad_tol, **step)
+    ev = storage_cw(model, p, **step)
     text = json.dumps(ev.to_dict(), sort_keys=True, indent=2)
     print(text)
     if cfg.out:
@@ -497,7 +495,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_model_flags(p, with_input=False)
     p.add_argument("--sigma", type=float, required=True)
     p.add_argument("--xi", type=float, required=True)
-    p.add_argument("--quad-tol", dest="quad_tol", type=float)
     p.add_argument("--step", type=float)
     p.add_argument("--out", help="write the JSON result here as well")
     p.set_defaults(handler=cmd_storage)
@@ -552,9 +549,7 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (
-        DomainExitError, CrossingSearchError, BracketError, QuadratureError, ValueError
-    ) as exc:
+    except (DomainExitError, CrossingSearchError, BracketError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VERIFICATION
 

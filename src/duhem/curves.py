@@ -22,8 +22,8 @@ and leave no larger side residual.  `ride_to_crossing` marches a whole
 trajectory's worth of phase points in lockstep.  Single-point queries
 (`intersect_lambda`, `storage.storage_cw`) take the same steps in Python
 floats, since a batch-of-one numpy march costs many times as much, share the
-batch ride's set-up and refine their one bracket with the batch's passes in
-floats; they return the crossing alone, not the branch integral.
+batch ride's set-up, accumulate the branch integral as it does and refine
+their one bracket with the batch's passes in floats.
 """
 
 from __future__ import annotations
@@ -351,9 +351,10 @@ def _refine_crossings(side: Callable, tA, tB, yA, yB, fA, fB, acc):
     return lam, y_at, acc + hermite_partial_integral(lam, tA, tB, yA, yB, fA, fB)
 
 
-def _refine_point(side: Callable, tA, tB, yA, yB, fA, fB):
-    """The crossing abscissa and branch value of `_refine_crossings` for one
-    bracket, in Python floats, bit for bit.
+def _refine_point(side: Callable, tA, tB, yA, yB, fA, fB, acc):
+    """`_refine_crossings` for one bracket, in Python floats, bit for bit:
+    the crossing abscissa, the branch value there and acc plus the branch
+    integral from tA.
 
     It runs the `_REFINE_PASSES` passes of `bisect_on_interval_vec` with
     the same operations in the same order: r and p start at tA and tB, a
@@ -367,9 +368,8 @@ def _refine_point(side: Callable, tA, tB, yA, yB, fA, fB):
         # a step too short to move tau (|tau| far above the step): Python
         # would raise on the Hermite models' 0 / 0, numpy gives the NaNs of
         # the batch lane
-        bracket = (np.array([v]) for v in (tA, tB, yA, yB, fA, fB, 0.0))
-        lam, y_at, _ = _refine_crossings(side, *bracket)
-        return float(lam[0]), float(y_at[0])
+        bracket = (np.array([v]) for v in (tA, tB, yA, yB, fA, fB, acc))
+        return tuple(float(v[0]) for v in _refine_crossings(side, *bracket))
     r, p = tA, tB
     gr = fr = float(side(hermite_eval(r, tA, tB, yA, yB, fA, fB), r))
     gp = float(side(hermite_eval(p, tA, tB, yA, yB, fA, fB), p))
@@ -387,7 +387,11 @@ def _refine_point(side: Callable, tA, tB, yA, yB, fA, fB):
             fr = 0.5 * fr
         p, gp = x, gx
     lam = p if abs(gp) < abs(gr) else r
-    return lam, hermite_eval(lam, tA, tB, yA, yB, fA, fB)
+    return (
+        lam,
+        hermite_eval(lam, tA, tB, yA, yB, fA, fB),
+        acc + hermite_partial_integral(lam, tA, tB, yA, yB, fA, fB),
+    )
 
 
 def _march_to_crossing(
@@ -582,24 +586,25 @@ def ride_to_crossing(
 
 
 def _ride_point(
-    model: DuhemModel, p: PhasePoint, *, step: float, max_doublings: int = 60
-) -> tuple[float, float]:
-    """The crossing abscissa and branch value of p's `ride_to_crossing`
-    lane, marched in Python floats: (lam, y_at).
+    model: DuhemModel, p: PhasePoint, *, step: float, max_doublings: int
+) -> tuple[float, float, float]:
+    """The crossing abscissa, branch value and branch integral of p's
+    `ride_to_crossing` lane, marched in Python floats: (lam, y_at, integral).
 
     It takes the batch lane's steps (same set-up and frame, tau advanced by
-    tau + h, same side test, guard and errors) and refines its bracket with
-    `_refine_point`, the float twin of `_refine_crossings`, so it returns the
-    lane's bits wherever the model's fields return the same bits for floats
-    as for arrays.  Batch-of-one numpy steps cost many times the float
-    arithmetic.
+    tau + h, same side test, guard and errors), adds each step's
+    `hermite_integral` as `_march_to_crossing` does, and refines its bracket
+    with `_refine_point`, the float twin of `_refine_crossings`, so it
+    returns the lane's bits wherever the model's fields return the same
+    bits for floats as for arrays.  Batch-of-one numpy steps cost many times
+    the float arithmetic.
     """
     sigma, xi, above, below, max_steps = _ride_setup(
         model, p.sigma, p.xi, step, max_doublings
     )
     y, tau = float(sigma[0]), float(xi[0])
     if not (above[0] or below[0]):
-        return tau, y
+        return tau, y, 0.0
     s = -1.0 if above[0] and model.odd else 1.0
     f, h = (model.f2, -step) if above[0] and not model.odd else (model.f1, step)
     y, tau = s * y, s * tau
@@ -608,6 +613,7 @@ def _ride_point(
     half, sixth = 0.5 * h, h / 6.0
 
     fcur = f(y, tau)
+    acc = 0.0
     for _ in range(max_steps):
         tau_new = tau + h
         y_new = rk4_step(f, y, fcur, tau + half, tau_new, half, h, sixth)
@@ -616,10 +622,30 @@ def _ride_point(
         f_new = f(y_new, tau_new)
         c_new = side(y_new, tau_new)
         if (c_new >= 0.0) if h < 0.0 else (c_new <= 0.0):
-            lam, y_at = _refine_point(side, tau, tau_new, y, y_new, fcur, f_new)
-            return s * lam, s * y_at
+            lam, y_at, integral = _refine_point(side, tau, tau_new, y, y_new, fcur, f_new, acc)
+            return s * lam, s * y_at, integral
+        acc = acc + hermite_integral(tau, tau_new, y, y_new, fcur, f_new)
         y, tau, fcur = y_new, tau_new, f_new
     raise _budget_error(1, max_steps, h)
+
+
+def _intersect(
+    model: DuhemModel, p: PhasePoint, *, step: float, max_doublings: int = 60
+) -> tuple[float, float]:
+    """`_ride_point`'s crossing abscissa and branch integral, (lam,
+    integral), once its branch value lies within 1e-9 of f_an(lam) (scalar
+    `anhysteresis`); CrossingSearchError otherwise, a NaN residual too.
+    The one ride and check of `intersect_lambda` and `storage.storage_cw`.
+    """
+    lam, y_at, integral = _ride_point(model, p, step=step, max_doublings=max_doublings)
+    mismatch = abs(y_at - anhysteresis(model, lam))
+    # written so that a NaN residual fails too
+    if not mismatch <= 1e-9:
+        raise CrossingSearchError(
+            f"crossing refinement stalled: |omega - f_an| = {mismatch:.3e} "
+            f"> 1.0e-09 at u* = {lam:.6g}"
+        )
+    return lam, integral
 
 
 def intersect_lambda(
@@ -644,16 +670,7 @@ def intersect_lambda(
     CrossingSearchError means a NaN side residual at p, no crossing within
     the expansion budget, or a crossing residual that is larger or NaN.
     """
-    lam, y_at = _ride_point(model, p, step=step, max_doublings=max_doublings)
-    fan_at = anhysteresis(model, lam)
-    mismatch = abs(y_at - fan_at)
-    # written so that a NaN residual fails too
-    if not mismatch <= 1e-9:
-        raise CrossingSearchError(
-            f"crossing refinement stalled: |omega - f_an| = {mismatch:.3e} "
-            f"> 1.0e-09 at u* = {lam:.6g}"
-        )
-    return lam
+    return _intersect(model, p, step=step, max_doublings=max_doublings)[0]
 
 
 # grid (sigma lines, xi lines) of the two sign-structure certificates,

@@ -135,7 +135,8 @@ def adaptive_simpson(
     and flips the sign.  Raises ValueError unless tol is positive and
     finite (an infinite one accepts the first Simpson step), and
     QuadratureError when the recursion depth budget is exhausted before the
-    local error estimate falls below the local tolerance share.
+    local error estimate falls below the local tolerance share.  No storage
+    route of the library calls it: it is a general-purpose quadrature.
     """
     _check_positive("tol", tol)
     if a == b:

@@ -9,17 +9,18 @@ abscissa Lambda, then
 
 Both integrals are signed.
 
-Two evaluation routes of the construction are provided on purpose.
-`storage_cw` resamples the ride into a C^1 table and integrates it, and
-f_an, with adaptive Simpson quadrature to a requested tolerance;
-`storage_cw_batch` accumulates the exact integral of the same cubic Hermite
-table segment by segment while many points ride in lockstep, and integrates
-f_an by a fixed 20-node Gauss-Legendre rule per lane; each takes one path
-for every point.  Agreement between the routes is part of the test
-surface, so neither should be rewritten in terms of the other: each checks
-the other's ride, table and quadrature.
+The construction is built once, in arrays and in floats.
+`storage_cw_batch` rides many points in lockstep (`ride_to_crossing`),
+adds the exact integral of each RK4 step's cubic Hermite table while the
+lanes ride, and integrates f_an by a fixed 20-node Gauss-Legendre rule per
+lane; `storage_cw` is one lane of it, ridden in Python floats, with the
+same bits wherever a model's float fields return the bits of its array
+fields.  Each takes one path for every point.  The references they are
+checked against are independent of both: the closed forms and the exact
+exponential storage of the tests, and the tests' two directional marches
+(`ride_two_marches`).
 
-A third route, `storage_output_only`, skips the ride for a model whose
+A second route, `storage_output_only`, skips the ride for a model whose
 fields depend on one reduced coordinate z = a xi - b sigma alone, with
 f_an = a xi / b (`DuhemModel.reduced_form`: (0, 1), z = -sigma, for Dahl
 and Bouc-Wen, (1, 1.2) for the exponential example).  Along the curve
@@ -29,11 +30,11 @@ left is an integral in z, evaluated by the same Gauss-Legendre rule
 (Willems, "Dissipative dynamical systems, Part I", ARMA 1972, for storage
 functions of this kind); with a = 0 it is the integral of s / f(s) from 0
 to sigma, a function of the output alone.  The route is a cross-check of
-the two rides as much as they are of it; the dissipation battery uses it
+the ride as much as the ride is of it; the dissipation battery uses it
 for every catalog model, so no catalog battery rides.
 Built on the other branch (f2 below the curve, f1 above) the same integral
 is the required supply, which is also a storage function, so only the
-agreement with the rides, the closed forms and the exact exponential
+agreement with the ride, the closed forms and the exact exponential
 storage of the tests can tell the two apart.
 
 The brute-force search (`available_storage_bruteforce_batch`) marches all
@@ -67,13 +68,11 @@ from .core import DomainExitError, DuhemModel, _segment_substeps, _substep_sampl
 from .curves import (
     CrossingSearchError,
     PhasePoint,
-    anhysteresis,
+    _intersect,
     anhysteresis_values,
-    intersect_lambda,
     ride_to_crossing,
-    traversing_curve,
 )
-from .integrate import adaptive_simpson, gauss_legendre, rk4_step
+from .integrate import gauss_legendre, rk4_step
 from .report import _check_positive
 from .signals import InputSignal, _check_breakpoint_range, _readonly, random_piecewise_linear
 
@@ -119,36 +118,23 @@ class StorageBatch:
     value: np.ndarray
 
 
-def storage_cw(
-    model: DuhemModel,
-    p: PhasePoint,
-    *,
-    quad_tol: float = 1e-8,
-    step: float = 1e-3,
-) -> StorageEvaluation:
-    """Clockwise storage at one phase point via adaptive quadrature.
+def storage_cw(model: DuhemModel, p: PhasePoint, *, step: float = 1e-3) -> StorageEvaluation:
+    """Clockwise storage at one phase point: the `storage_cw_batch` lane of
+    p, in Python floats.
 
-    The intersection abscissa is `intersect_lambda`'s (the `ride_to_crossing`
-    lane of p, ridden in Python floats, with its 1e-9 crossing residual
-    check).  The traversing branch from xi to the intersection is then
-    resampled at fixed step by `traversing_curve` into a cubic Hermite
-    table and integrated with adaptive Simpson to quad_tol, as is
-    `anhysteresis` from 0 to the intersection.  Every point takes this path:
-    on the curve both integrals span no width and are 0.0, and the integral
-    of a zero f_an reads +0.0 on both sides of 0.  Raises CrossingSearchError
-    when no intersection is found and ValueError for a point outside the
-    model domain or, before any ride, for a quad_tol that is not positive
-    and finite.
+    The crossing and the branch integral are those of `intersect_lambda`'s
+    ride (the `ride_to_crossing` lane of p marched in floats, each step's
+    exact Hermite integral added as it rides, with its 1e-9 crossing
+    residual check), and f_an is integrated from 0 to the crossing by the
+    batch's Gauss-Legendre rule, so every value is the batch lane's bit for
+    bit wherever the model's float fields return the bits of its array
+    fields.  On the curve the branch integral spans no width and is +0.0,
+    and the integral of a zero f_an reads +0.0 on both sides of 0.  Raises
+    CrossingSearchError when no intersection is found and ValueError for a
+    point outside the model domain.
     """
-    _check_positive("quad_tol", quad_tol)
-    lam = intersect_lambda(model, p, step=step)
-    curve = traversing_curve(model, p, min(lam, p.xi), max(lam, p.xi), step)
-    if curve.left_truncated or curve.right_truncated:
-        raise CrossingSearchError("traversing branch left the domain while resampling")
-    traverse = adaptive_simpson(curve, p.xi, lam, tol=quad_tol)
-    fan_int = 0.0 + adaptive_simpson(
-        lambda t: anhysteresis(model, t), 0.0, lam, tol=quad_tol
-    )
+    lam, traverse = _intersect(model, p, step=step)
+    fan_int = float(_anhysteresis_integrals(model, np.array([lam]))[0])
     return StorageEvaluation(
         point=p,
         lambda_star=lam,
@@ -186,9 +172,9 @@ def storage_cw_batch(
 ) -> StorageBatch:
     """Clockwise storage at many phase points via lockstep curve rides.
 
-    Uses the exact integral of the ride's cubic Hermite table instead of
-    adaptive quadrature; the scalar and batch routes agree to quadrature
-    tolerance at matching step sizes.
+    Each lane's branch integral is the exact integral of the ride's cubic
+    Hermite table, accumulated step by step, and f_an is integrated from 0
+    by `_anhysteresis_integrals`; `storage_cw` is one lane of it in floats.
     """
     sigma = np.atleast_1d(np.asarray(sigma, dtype=float))
     xi = np.atleast_1d(np.asarray(xi, dtype=float))
@@ -199,13 +185,13 @@ def storage_cw_batch(
 
 # Gauss-Legendre rule on [0, 1]: its nodes, then 1.0 (where
 # `storage_output_only` checks the slope at sigma itself), and its weights.
-# Both per-lane integrals from 0 take it: f_an in `storage_cw_batch`, and
-# s / f(s) in `storage_output_only`.  The output integrand is smooth on
-# Dahl and reaches rounding at 10-12 nodes, but Bouc-Wen with a non-integer
-# n has |s|^n in it, and there the error falls only algebraically; 20 nodes
-# is the smallest count that is at least as accurate as the step-5e-3 ride
-# it replaces on every model measured (BENCH_21.json).  On a smooth f_an
-# the rule is at rounding.
+# Both per-lane integrals from 0 take it: f_an in `storage_cw_batch` and
+# `storage_cw`, and s / f(s) in `storage_output_only`.  The output
+# integrand is smooth on Dahl and reaches rounding at 10-12 nodes, but
+# Bouc-Wen with a non-integer n has |s|^n in it, and there the error falls
+# only algebraically; 20 nodes is the smallest count that is at least as
+# accurate as the step-5e-3 ride it replaces on every model measured
+# (BENCH_21.json).  On a smooth f_an the rule is at rounding.
 _GAUSS_NODES = 20
 _x, _w = gauss_legendre(_GAUSS_NODES)
 _GAUSS_T = np.append(0.5 * (_x + 1.0), 1.0)

@@ -446,29 +446,27 @@ def test_a_model_parameter_that_is_not_finite_is_a_config_error(tmp_path, capsys
 @pytest.mark.parametrize("value", ["nan", "inf", "-1", "0", "-0.0"])
 def test_a_quad_tol_that_is_not_positive_and_finite_is_a_config_error(tmp_path, capsys, monkeypatch, value):
     # --quad-tol nan and -1 used to run the whole ride and quadrature and
-    # then exit 1
+    # then exit 1.  storage_cw has no quadrature tolerance any more, so no
+    # --quad-tol reaches a ride: argparse rejects the flag (exit 2)
     monkeypatch.setattr(duhem.cli, "storage_cw", _no_ride)
     out = tmp_path / "storage.json"
-    code = run_cli(
-        "storage", "--model", "dahl", "--sigma", "0.3", "--xi", "1.0",
-        f"--quad-tol={value}", "--out", str(out),
-    )
-    assert code == 2
+    argv = ["storage", "--model", "dahl", "--sigma", "0.3", "--xi", "1.0"]
+    with pytest.raises(SystemExit) as exit_:
+        run_cli(*argv, f"--quad-tol={value}", "--out", str(out))
+    assert exit_.value.code == 2
     err = capsys.readouterr().err
-    assert err.startswith(
-        "config error: --quad-tol must be positive and finite (config 'quad_tol'), got "
-    ), err
+    assert err.splitlines()[-1].endswith(f"error: unrecognized arguments: --quad-tol={value}"), err
     assert not out.exists()
 
 
-def test_a_config_file_quad_tol_that_is_not_positive_is_a_config_error(tmp_path, capsys):
-    cfg = tmp_path / "run.json"
-    cfg.write_text(json.dumps({"model": "dahl", "quad_tol": -1e-8}))
-    code = run_cli("storage", "--config", str(cfg), "--sigma", "0.3", "--xi", "1.0")
-    assert code == 2
-    assert "--quad-tol must be positive and finite (config 'quad_tol'), got -1e-08" in (
-        capsys.readouterr().err
-    )
+def test_a_config_file_quad_tol_that_is_not_positive_is_a_config_error(tmp_path, capsys, monkeypatch):
+    # quad_tol is no config key any more: a config that sets it, to any
+    # value, is rejected as an unknown key of every subcommand
+    for argv in _SUBCOMMANDS:
+        for value in (-1e-8, 1e-8, True):
+            assert _run_config(tmp_path, monkeypatch, argv, {"quad_tol": value}) == 2
+            want = "config error: unknown config keys: quad_tol"
+            assert capsys.readouterr().err.startswith(want), (argv, value)
 
 
 @pytest.mark.parametrize(
@@ -503,7 +501,7 @@ def test_a_verify_tol_that_is_not_positive_and_finite_is_a_config_error(
     [
         ("step", ["simulate", "--input", TRIANGLE], "positive and finite"),
         ("y0", ["simulate", "--input", TRIANGLE], "finite"),
-        ("quad_tol", ["storage", "--sigma", "0.3", "--xi", "1.0"], "positive and finite"),
+        ("step", ["storage", "--sigma", "0.3", "--xi", "1.0"], "positive and finite"),
         ("tol", ["verify", "--n-signals", "1"], "positive and finite"),
     ],
 )
@@ -552,7 +550,6 @@ def _run_config(tmp_path, monkeypatch, argv, config):
     [
         ("step", -1.0, "positive and finite"),
         ("y0", "abc", "finite"),
-        ("quad_tol", "oops", "positive and finite"),
         ("tol", -5, "positive and finite"),
     ],
 )
@@ -560,7 +557,7 @@ def test_every_subcommand_checks_every_config_number(
     tmp_path, capsys, monkeypatch, argv, key, value, what
 ):
     # a config number was checked only by the subcommands that read it:
-    # duhem simulate with {"tol": -5, "quad_tol": "oops"} exited 0
+    # duhem simulate with {"tol": -5} exited 0
     assert _run_config(tmp_path, monkeypatch, argv, {key: value}) == 2
     flag = "--" + key.replace("_", "-")
     want = f"config error: {flag} must be {what} (config '{key}'), got {value!r}"

@@ -26,7 +26,7 @@ from duhem.curves import (
 )
 from duhem.cli import _battery_geometry
 from duhem.signals import ramp
-from duhem.storage import storage_cw, storage_cw_batch
+from duhem.storage import _anhysteresis_integrals, storage_cw, storage_cw_batch
 
 from oracles import (
     bisect_halvings,
@@ -231,9 +231,9 @@ def test_float_refinement_is_the_vector_refinement_bit_for_bit():
             return side(y, tau)
 
         with np.errstate(all="ignore"):
-            one = _refine_point(counted, *bracket[:-1])
+            one = _refine_point(counted, *bracket)
             vec = _refine_crossings(side, *(np.array([v]) for v in bracket))
-        assert np.array(one).tobytes() == np.concatenate(vec[:2]).tobytes(), bracket
+        assert np.array(one).tobytes() == np.concatenate(vec).tobytes(), bracket
         if bracket[0] != bracket[1]:
             evaluations.append(len(calls))
     # the residual at both ends, then one per pass: no early stop
@@ -248,11 +248,12 @@ def test_single_point_ride_of_a_far_point_is_the_batch_lane_bit_for_bit(dahl_r1)
         sigma, xi, above, _, max_steps = _ride_setup(dahl_r1, p.sigma, p.xi, 1e-3, 60)
         assert above[0]
         # the batch lane: f1 rightward in the frame reflected through 0
-        lam, y_at, _, _ = curves._march_to_crossing(
+        lane = curves._march_to_crossing(
             dahl_r1, dahl_r1.f1, -np.ones(1), sigma, xi, 1e-3, max_steps
         )
-        one = _ride_point(dahl_r1, p, step=1e-3)
-        assert np.array(one).tobytes() == np.array([lam[0], y_at[0]]).tobytes()
+        lam, y_at = lane[:2]
+        one = _ride_point(dahl_r1, p, step=1e-3, max_doublings=60)
+        assert np.array(one).tobytes() == np.concatenate(lane[:3]).tobytes()
         # the batch ride rejects the lane's NaN crossing residual
         with pytest.raises(CrossingSearchError, match="nan"):
             ride_to_crossing(dahl_r1, [p.sigma], [p.xi])
@@ -311,6 +312,23 @@ def test_batch_ride_rejects_crossings_in_a_zero_band_of_F():
     # and counted alone
     with pytest.raises(CrossingSearchError, match=r"stalled on 1 lane\(s\).*sigma=-0.2, xi=0.4\)"):
         ride_to_crossing(solver, [0.0, -0.2], [0.4, 0.4])
+
+
+def test_storage_cw_fails_the_crossing_residual_check_as_intersect_lambda_does():
+    # Bouc-Wen's F rounds to 0 at sigma = 1e-7, so without f_an the point
+    # (1e-7, 0.3) counts as on the curve and stays at lam = 0.3, 1e-7 off
+    # the solved curve: the one residual check of both single-point calls
+    # rejects it with one message.  With the declared curve it rides.
+    solver = dataclasses.replace(boucwen(), f_an=None)
+    p = PhasePoint(1e-7, 0.3)
+    err = _same_failure(
+        lambda: intersect_lambda(solver, p), lambda: storage_cw(solver, p)
+    )
+    assert err.type is CrossingSearchError
+    assert str(err.value) == (
+        "crossing refinement stalled: |omega - f_an| = 1.000e-07 > 1.0e-09 at u* = 0.3"
+    )
+    assert storage_cw(boucwen(), p).lambda_star < 0.3
 
 
 def test_solver_path_crossings_of_boucwen_land_on_the_curve():
@@ -582,17 +600,23 @@ EPS = np.finfo(float).eps
 )
 def test_single_point_ride_is_the_batch_lane_bit_for_bit(model, sigma_half, xi_half):
     # these fields return the same bits for floats as for arrays, so the
-    # float ride must take the batch lane's steps exactly
+    # float ride must take the batch lane's steps exactly, and storage_cw
+    # is the storage_cw_batch lane: its crossing, both integrals and value
     sigma, xi = _mixed_lanes(24, sigma_half, xi_half, seed=5)
     batch = ride_to_crossing(model, sigma, xi, step=SINGLE_STEP)
     assert (batch.lam < xi).any() and (batch.lam > xi).any()
+    storage = storage_cw_batch(model, sigma, xi, step=SINGLE_STEP)
+    fan = _anhysteresis_integrals(model, storage.lam)
     for k in range(sigma.size):
         p = PhasePoint(float(sigma[k]), float(xi[k]))
-        lane = (batch.lam[k], batch.y_at[k])
-        one = _ride_point(model, p, step=SINGLE_STEP)
+        lane = (batch.lam[k], batch.y_at[k], batch.integral[k])
+        one = _ride_point(model, p, step=SINGLE_STEP, max_doublings=60)
         assert np.array(one).tobytes() == np.array(lane).tobytes(), k
         assert intersect_lambda(model, p, step=SINGLE_STEP) == lane[0], k
-        assert storage_cw(model, p, step=SINGLE_STEP).lambda_star == lane[0], k
+        ev = storage_cw(model, p, step=SINGLE_STEP)
+        got = (ev.lambda_star, ev.traverse_integral, ev.anhysteresis_integral, ev.value)
+        want = (storage.lam[k], batch.integral[k], fan[k], storage.value[k])
+        assert np.array(got).tobytes() == np.array(want).tobytes(), k
 
 
 def test_single_point_ride_of_dahl_r3_is_the_batch_lane_within_field_rounding(dahl_r3):
@@ -610,30 +634,50 @@ def test_single_point_ride_of_dahl_r3_is_the_batch_lane_within_field_rounding(da
     # slope is rho and stays above rho/2 within one step, so its root moves
     # by at most 2 dH / rho, plus the 60-halving resolution step 2^-59 and
     # the rounding of lambda.
+    # The branch integral adds N step integrals 0.5 h (yL + yR) + h^2 (fL -
+    # fR) / 12, each moved by at most h dy + h^2 df / 6, and the crossing
+    # bracket's partial integral, moved by at most step dH by its nodes and
+    # by tol_lam max|H| <= tol_lam (Y + step F) by its end; the sums of up
+    # to N terms of size at most A = N step (Y + step F) round apart by at
+    # most 2 N eps A.  f_an is 0, so the f_an integral is +0.0 on both
+    # sides and the value 0.0 - integral moves as the integral does.
     model = dahl_r3
     rho, fc, r = (model.params[k] for k in ("rho", "fc", "r"))
     L = r * (rho / fc) * 2.0 ** (r - 1.0)
+    h = SINGLE_STEP
     sigma, xi = _mixed_lanes(60, 0.7, 3.0, seed=5)
-    batch = ride_to_crossing(model, sigma, xi, step=SINGLE_STEP)
+    batch = ride_to_crossing(model, sigma, xi, step=h)
     assert (batch.lam < xi).any() and (batch.lam > xi).any()
-    n_differ = 0
+    storage = storage_cw_batch(model, sigma, xi, step=h)
+    n_differ = n_integral_differ = 0
     for k in range(sigma.size):
         N = int(batch.steps[k])
         Y = abs(sigma[k])
         f = model.f1 if batch.lam[k] > xi[k] else model.f2
         F = max(abs(float(f(float(sigma[k]), 0.0))), rho)
-        dy = N * 4.0 * EPS * (Y + SINGLE_STEP * F)
-        dH = dy + SINGLE_STEP * (L * dy + 2.0 * EPS * F)
-        tol_lam = 2.0 * dH / rho + SINGLE_STEP * 2.0**-59 + 2.0 * EPS * (1.0 + abs(batch.lam[k]))
+        dy = N * 4.0 * EPS * (Y + h * F)
+        df = L * dy + 2.0 * EPS * F
+        dH = dy + h * df
+        tol_lam = 2.0 * dH / rho + h * 2.0**-59 + 2.0 * EPS * (1.0 + abs(batch.lam[k]))
         tol_y = dH + F * tol_lam
-        lam, y_at = _ride_point(
-            model, PhasePoint(float(sigma[k]), float(xi[k])), step=SINGLE_STEP
+        A = N * h * (Y + h * F)
+        tol_int = (
+            N * (h * dy + h * h * df / 6.0) + h * dH + tol_lam * (Y + h * F)
+            + 2.0 * N * EPS * A
         )
+        p = PhasePoint(float(sigma[k]), float(xi[k]))
+        lam, y_at, integral = _ride_point(model, p, step=h, max_doublings=60)
         assert abs(lam - batch.lam[k]) <= tol_lam, k
         assert abs(y_at - batch.y_at[k]) <= tol_y, k
+        assert abs(integral - batch.integral[k]) <= tol_int, k
         n_differ += (lam, y_at) != (float(batch.lam[k]), float(batch.y_at[k]))
-    # the bound is not vacuous here: some lanes do differ
-    assert n_differ > 0
+        ev = storage_cw(model, p, step=h)
+        assert ev.traverse_integral == integral, k
+        assert np.float64(ev.anhysteresis_integral).tobytes() == np.float64(0.0).tobytes(), k
+        assert abs(ev.value - storage.value[k]) <= tol_int, k
+        n_integral_differ += ev.value != storage.value[k]
+    # the bounds are not vacuous here: some lanes do differ
+    assert n_differ > 0 and n_integral_differ > 0
 
 
 def _same_failure(batch_call, single_call):

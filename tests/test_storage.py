@@ -11,13 +11,23 @@ from hypothesis import strategies as st
 from duhem import boucwen, curves, dahl, exp_example, simulate
 from duhem import storage as storage_module
 from duhem.core import Domain, DomainExitError, DuhemModel
-from duhem.curves import CrossingSearchError, PhasePoint, check_lemma1, ride_to_crossing
+from duhem.curves import (
+    CrossingSearchError,
+    PhasePoint,
+    anhysteresis,
+    check_lemma1,
+    intersect_lambda,
+    ride_to_crossing,
+    traversing_curve,
+)
 from duhem.dissipativity import check_assumption_A
+from duhem.integrate import adaptive_simpson
 from duhem.mechsim import MechParams, MechState, simulate_mech
 from duhem.signals import InputSignal, random_piecewise_linear
 from duhem.storage import (
     AvailableStorageResult,
     SignalFamily,
+    StorageEvaluation,
     _anhysteresis_integrals,
     _search_signals,
     _supply_running_min,
@@ -90,34 +100,6 @@ def test_storage_cw_exp_on_curve_integrates_backbone(exp_model):
         assert ev.lambda_star == xi
 
 
-@pytest.mark.parametrize("quad_tol", [math.inf, 0.0, math.nan, -1.0])
-@pytest.mark.parametrize(
-    "model_name,point",
-    [("dahl_r1", PhasePoint(0.0, 0.7)), ("exp_model", PhasePoint(0.5, -0.2))],
-    ids=["on the curve", "off it"],
-)
-def test_storage_cw_rejects_a_quad_tol_that_is_not_positive_and_finite(model_name, point, quad_tol, request):
-    # Off the curve, quad_tol = inf took one Simpson step per integral
-    # (2.3e-7 off at this exp_example point), and 0 or NaN ran out of depth
-    # into a QuadratureError.  On the curve no quadrature runs, and any
-    # quad_tol returned 0.0.  The check comes before the ride: no field is
-    # called.
-    calls = []
-
-    def counted(f):
-        def field(sigma, xi):
-            calls.append(1)
-            return f(sigma, xi)
-        return field
-
-    model = request.getfixturevalue(model_name)
-    model = dataclasses.replace(model, f1=counted(model.f1), f2=counted(model.f2))
-    calls.clear()
-    with pytest.raises(ValueError, match="tol must be positive and finite"):
-        storage_cw(model, point, quad_tol=quad_tol)
-    assert not calls
-
-
 @pytest.mark.parametrize("model", ["dahl_r1", "exp_model"])
 def test_an_empty_batch_rides_to_empty_results(model, request):
     # the step budget took the max of no |xi| and raised numpy's "zero-size
@@ -143,6 +125,25 @@ def test_storage_evaluation_dict_keys(dahl_r1):
     ]
 
 
+def _simpson_storage(model, p, *, step, tol=1e-8):
+    """The storage at p by a second route: `intersect_lambda`'s crossing,
+    the traversing branch from xi to it resampled by `traversing_curve`
+    into a C^1 table and integrated by adaptive Simpson to tol, as is the
+    scalar `anhysteresis` from 0 to the crossing."""
+    lam = intersect_lambda(model, p, step=step)
+    curve = traversing_curve(model, p, min(lam, p.xi), max(lam, p.xi), step)
+    assert not (curve.left_truncated or curve.right_truncated)
+    traverse = adaptive_simpson(curve, p.xi, lam, tol=tol)
+    fan_int = 0.0 + adaptive_simpson(lambda t: anhysteresis(model, t), 0.0, lam, tol=tol)
+    return StorageEvaluation(
+        point=p,
+        lambda_star=lam,
+        anhysteresis_integral=fan_int,
+        traverse_integral=traverse,
+        value=fan_int - traverse,
+    )
+
+
 def test_batch_route_agrees_with_quadrature_route(dahl_r1, exp_model):
     # two independent evaluators: adaptive Simpson on the resampled curve vs
     # cumulative Hermite areas accumulated during the ride
@@ -152,7 +153,7 @@ def test_batch_route_agrees_with_quadrature_route(dahl_r1, exp_model):
         xi = np.array([p[1] for p in pts])
         batch = storage_cw_batch(model, sig, xi, step=1e-3)
         for k, (s, x) in enumerate(pts):
-            scalar = storage_cw(model, PhasePoint(s, x), step=1e-3)
+            scalar = _simpson_storage(model, PhasePoint(s, x), step=1e-3)
             assert batch.value[k] == pytest.approx(scalar.value, abs=1e-9)
             assert batch.lam[k] == pytest.approx(scalar.lambda_star, abs=1e-9)
 
@@ -168,9 +169,10 @@ def test_batch_route_agrees_with_quadrature_route(dahl_r1, exp_model):
     ],
 )
 def test_storage_cw_makes_no_anhysteresis_values_call(model_name, point, request, monkeypatch):
-    # storage_cw integrates f_an by `anhysteresis` at the Simpson nodes
-    # alone: no 33-point probe decides first whether f_an is zero, on the
-    # curve or off it
+    # no anhysteresis_values call but the f_an rule's (the adaptive-Simpson
+    # route this name dates from made none): storage_cw makes one, at the
+    # rule's 20 nodes, on the curve or off it, and no 33-point probe
+    # decides first whether f_an is zero
     calls = []
     for module in (storage_module, curves):
         real = module.anhysteresis_values
@@ -179,7 +181,7 @@ def test_storage_cw_makes_no_anhysteresis_values_call(model_name, point, request
             lambda m, x, real=real: calls.append(np.size(x)) or real(m, x),
         )
     ev = storage_cw(request.getfixturevalue(model_name), point)
-    assert calls == []
+    assert calls == [storage_module._GAUSS_NODES]
     assert math.isfinite(ev.value)
 
 
@@ -262,7 +264,7 @@ def test_batch_route_agrees_with_quadrature_route_on_a_nonlinear_curve():
     xi = rng.uniform(-2.5, 2.5, 20)
     batch = storage_cw_batch(model, sig, xi, step=1e-3)
     for k in range(sig.size):
-        scalar = storage_cw(model, PhasePoint(sig[k], xi[k]), step=1e-3)
+        scalar = _simpson_storage(model, PhasePoint(sig[k], xi[k]), step=1e-3)
         assert abs(scalar.anhysteresis_integral) > 1e-3
         assert batch.value[k] == pytest.approx(scalar.value, abs=1e-9)
         assert batch.lam[k] == pytest.approx(scalar.lambda_star, abs=1e-9)
@@ -490,17 +492,16 @@ def test_readme_exp_ride_is_within_its_step_halving_error_of_the_exact_storage(e
 
 def test_storage_cw_is_within_its_step_halving_error_of_the_exact_exp_storage(exp_model):
     # one README battery sample in 500 (all 25,520 would take minutes):
-    # the single-point ride at h = 5e-3 and h / 2, each integral to
-    # quad_tol 1e-12, bounded as the batch ride is, plus the two Simpson
-    # tolerances
+    # the single-point ride at h = 5e-3 and h / 2, bounded as the batch
+    # ride is
     sigma, xi = _readme_exp_samples()
     points = [PhasePoint(float(s), float(x)) for s, x in zip(sigma[::500], xi[::500])]
     ride, half = (
-        np.array([storage_cw(exp_model, p, quad_tol=1e-12, step=h).value for p in points])
+        np.array([storage_cw(exp_model, p, step=h).value for p in points])
         for h in (5e-3, 2.5e-3)
     )
     exact = exp_storage_exact(sigma[::500], xi[::500])
-    bound = 2.0 * np.abs(ride - half).max() + 2e-12 + EXP_QUADRATURE_REL * exact.max()
+    bound = 2.0 * np.abs(ride - half).max() + EXP_QUADRATURE_REL * exact.max()
     assert np.abs(ride - exact).max() <= bound
 
 
@@ -559,25 +560,6 @@ def test_signal_family_rejects_a_span_that_is_not_positive_and_finite(span):
     # and inf with a wrong reason, after a NaN anhysteresis probe
     with pytest.raises(ValueError, match=f"^span must be positive and finite, got {span}$"):
         SignalFamily(span=span)
-
-
-@pytest.mark.parametrize(
-    "sigma, xi, flag", [(0.3, 1.0, "left_truncated"), (-0.3, 1.0, "right_truncated")]
-)
-def test_storage_cw_raises_when_its_resampled_branch_is_truncated(
-    dahl_r1, monkeypatch, sigma, xi, flag
-):
-    # the resampling march and the crossing ride step differently, so the
-    # truncation flag of the branch that storage_cw integrates is checked
-    # on its own
-    real = storage_module.traversing_curve
-
-    def truncated(*args, **kwargs):
-        return dataclasses.replace(real(*args, **kwargs), **{flag: True})
-
-    monkeypatch.setattr(storage_module, "traversing_curve", truncated)
-    with pytest.raises(CrossingSearchError, match="left the domain while resampling"):
-        storage_cw(dahl_r1, PhasePoint(sigma, xi))
 
 
 def test_available_storage_bruteforce_brackets_closed_form(dahl_r1):
