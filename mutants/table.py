@@ -342,11 +342,19 @@ MUTANTS = [
     },
     {
         "name": "simulate-checks-the-step-per-segment-only",
-        "why": "simulate reads the step only where a segment moves",
+        "why": "simulate with no check of its step up front: a held input marches no segment, and nothing else checks it",
         "file": "core.py",
-        "snippet": '    if step is not None:\n        _check_positive("step", step)\n',
-        "replacement": "",
+        "snippet": '    _check_positive("step", step)\n    u_first = ',
+        "replacement": "    u_first = ",
         "tests": ["tests/test_core.py::test_simulate_checks_the_step_before_the_first_segment"],
+    },
+    {
+        "name": "simulate-default-step-changes",
+        "why": "simulate's default step is not 1e-3, the largest u-substep of every other march",
+        "file": "core.py",
+        "snippet": "    step: float = 1e-3,\n) -> Trajectory:",
+        "replacement": "    step: float = 5e-4,\n) -> Trajectory:",
+        "tests": ["tests/test_core.py::test_simulate_defaults_to_a_step_of_1e_3_bit_for_bit"],
     },
     {
         "name": "traversing-curve-checks-the-step-per-branch-only",
@@ -360,7 +368,7 @@ MUTANTS = [
         "name": "ride-xi-may-be-non-finite",
         "why": "the ride set-up takes an infinite xi to the step budget (OverflowError) and a NaN one to the side residual",
         "file": "curves.py",
-        "snippet": '    unbounded = ~np.isfinite(xi)\n    if unbounded.any():\n        raise ValueError(points(unbounded, "whose xi is not finite"))\n',
+        "snippet": '    _raise_at(ValueError, ~np.isfinite(xi), "phase point(s) whose xi is not finite", at)\n',
         "replacement": "",
         "tests": ["tests/test_curves.py::test_a_ride_from_an_input_that_is_not_finite_fails_before_any_march"],
     },
@@ -496,8 +504,8 @@ MUTANTS = [
         "why": "a storage with a = 1 at a NaN xi reads NaN, at no branch",
         "file": "storage.py",
         "snippet": (
-            "    if a and not np.isfinite(xi).all():\n"
-            '        raise ValueError(samples(~np.isfinite(xi), "whose xi is not finite"))\n'
+            "    if a:\n"
+            '        _raise_at(ValueError, ~np.isfinite(xi), "sample(s) whose xi is not finite", at)\n'
         ),
         "replacement": "",
         "tests": ["tests/test_storage.py::test_one_variable_storage_is_its_closed_form_and_names_the_first_failing_sample"],
@@ -687,6 +695,17 @@ MUTANTS = [
         "snippet": '        raise ValueError(f"horizon must be positive, got {horizon}")\n    _check_positive("step", step)\n',
         "replacement": '        raise ValueError(f"horizon must be positive, got {horizon}")\n',
         "tests": ["tests/test_storage.py::test_bruteforce_rejects_a_bad_horizon_or_step_before_any_ride"],
+    },
+    {
+        "name": "bruteforce-guard-skips-the-probe",
+        "why": "the brute-force search takes every search range's anhysteresis curve for zero, unprobed",
+        "file": "storage.py",
+        "snippet": "~(np.max(np.abs(probe), axis=1) <= 1e-12)",
+        "replacement": "np.zeros(len(points), dtype=bool)",
+        "tests": [
+            "tests/test_storage.py::test_available_storage_requires_flat_backbone",
+            "tests/test_storage.py::test_the_bruteforce_guard_probes_every_point_at_once_and_names_the_first_that_fails",
+        ],
     },
     {
         "name": "positive-check-takes-infinity",

@@ -231,6 +231,11 @@ def _out_path(cfg: RunConfig, default_name: str) -> str:
     return os.path.join(cfg.out_dir, default_name)
 
 
+def _step(cfg: RunConfig) -> dict:
+    """--step as a library call's keyword where given; else the library's default."""
+    return {"step": cfg.step} if cfg.step is not None else {}
+
+
 def _print_report(report: VerificationReport) -> None:
     """One line per check, ending in ratio=worst/tol when tol > 0: how
     close the check came to failing (it failed above 1)."""
@@ -251,7 +256,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     cfg = _base_config(args)
     model = _resolve_model(cfg)
     signal = _resolve_input(cfg)
-    traj = simulate(model, signal, cfg.y0, step=cfg.step)
+    traj = simulate(model, signal, cfg.y0, **_step(cfg))
     path = _out_path(cfg, f"traj_{model.name}.csv")
     traj.to_csv(path)
     log.info("wrote %s", path)
@@ -268,9 +273,8 @@ def cmd_curves(args: argparse.Namespace) -> int:
             "need --tau-min <= --xi <= --tau-max, got "
             f"--tau-min={args.tau_min!r} --xi={p.xi!r} --tau-max={args.tau_max!r}"
         )
-    step = {} if cfg.step is None else {"step": cfg.step}
-    curve = traversing_curve(model, p, args.tau_min, args.tau_max, **step)
-    lam = intersect_lambda(model, p, **step)
+    curve = traversing_curve(model, p, args.tau_min, args.tau_max, **_step(cfg))
+    lam = intersect_lambda(model, p, **_step(cfg))
     path = _out_path(cfg, f"curve_{model.name}.csv")
     _write_csv(path, "tau,omega,dydtau", curve.tau, curve.y, curve.dydtau)
     log.info("wrote %s", path)
@@ -284,8 +288,7 @@ def cmd_storage(args: argparse.Namespace) -> int:
     cfg = _base_config(args)
     model = _resolve_model(cfg)
     p = _phase_point(args)
-    step = {} if cfg.step is None else {"step": cfg.step}
-    ev = storage_cw(model, p, **step)
+    ev = storage_cw(model, p, **_step(cfg))
     text = json.dumps(ev.to_dict(), sort_keys=True, indent=2)
     print(text)
     if cfg.out:
@@ -445,7 +448,7 @@ def cmd_loops(args: argparse.Namespace) -> int:
     cfg = _base_config(args)
     model = _resolve_model(cfg)
     signal = _resolve_input(cfg)
-    traj = simulate(model, signal, cfg.y0, step=cfg.step)
+    traj = simulate(model, signal, cfg.y0, **_step(cfg))
     cls = loop_orientation(traj)
     times, areas = loop_areas(traj)
     path = _out_path(cfg, f"loops_{model.name}.csv")

@@ -23,7 +23,7 @@ from typing import Callable, Mapping
 import numpy as np
 
 from .integrate import rk4_step
-from .report import VerificationReport, _check_positive, _write_csv, worst_point
+from .report import VerificationReport, _check_positive, _raise_at, _write_csv, worst_point
 from .signals import InputSignal, _readonly
 
 __all__ = [
@@ -298,14 +298,12 @@ class Trajectory:
         _write_csv(path, "t,u,y", self.t, self.u, self.y)
 
 
-def _segment_substeps(du: float, step: float | None) -> int:
-    # default step: segment u-length / 1000, capped at 1e-3
-    if step is None:
-        step = min(abs(du) / 1000.0, 1e-3)
-    return max(1, int(math.ceil(abs(du) / _check_positive("step", step))))
+def _segment_substeps(du: float, step: float) -> int:
+    """The fewest substeps of at most `step` (checked by the caller) over du, at least one."""
+    return max(1, int(math.ceil(abs(du) / step)))
 
 
-def _substep_sample(sig: InputSignal, j: int, k: int, step: float | None):
+def _substep_sample(sig: InputSignal, j: int, k: int, step: float):
     """Time and input after substep k of segment j, as `simulate` samples
     them."""
     t0, t1 = float(sig.times[j]), float(sig.times[j + 1])
@@ -348,16 +346,16 @@ def simulate(
     model: DuhemModel,
     signal: InputSignal,
     y0: float,
-    step: float | None = None,
+    step: float = 1e-3,
 ) -> Trajectory:
     """Drive the operator along a piecewise-linear input.
 
-    Each monotone segment is integrated in u by `_march_segment` (RK4,
-    substep at most `step`; default: segment u-length / 1000, capped at
-    1e-3).  A segment that repeats an earlier one of the same call from the
-    same output, bit for bit (a periodic input on its periodic orbit),
-    reuses its outputs.  Samples are emitted at every breakpoint and uniform
-    substep, with sample times linearly interpolated inside segments.
+    Each monotone segment is integrated in u by `_march_segment` in
+    ceil(|du| / step) RK4 substeps, at least one.  A segment that repeats
+    an earlier one of the same call from the same output, bit for bit (a
+    periodic input on its periodic orbit), reuses its outputs.  Samples are
+    emitted at every breakpoint and uniform substep, with sample times
+    linearly interpolated inside segments.
     Segments with zero u-change hold y exactly.  The trajectory keeps the
     branch slope f(y_k, u_k) the march computed at both ends of every
     substep (its first RK4 stage, and the next one's or the segment's end
@@ -373,8 +371,9 @@ def simulate(
     signal : InputSignal
     y0 : float
         Initial output; (y0, u(0)) must lie inside the model domain.
-    step : float, optional
-        Maximum u-substep; ValueError unless it is positive and finite.
+    step : float
+        The largest u-substep, default 1e-3, as in every march of the
+        library; ValueError unless it is positive and finite.
 
     Returns
     -------
@@ -385,8 +384,7 @@ def simulate(
     if not np.isfinite(y0):
         raise ValueError(f"y0 must be finite, got {y0}")
     # checked before the first segment: an input that never moves marches none
-    if step is not None:
-        _check_positive("step", step)
+    _check_positive("step", step)
     u_first = float(signal.values[0])
     if not bool(model.domain.contains(y0)):
         raise DomainExitError(0.0, u_first, y0, "initial state outside model domain")
@@ -467,7 +465,7 @@ def check_existence_conditions(
     ----------
     grid : (sigma_values, xi_values)
         Rectangular evaluation grid; every sigma must lie inside the model
-        domain.
+        domain (ValueError names the count and the first that does not).
     lambda_bound : float
         Common bound for both inequalities; ValueError unless it is
         nonnegative and finite (an infinite bound passes every model).
@@ -480,8 +478,10 @@ def check_existence_conditions(
     xiv = np.asarray(grid[1], dtype=float)
     if sig.size < 2 or xiv.size < 1:
         raise ValueError("grid needs at least two sigma values and one xi value")
-    if not model.domain.contains(sig).all():
-        raise ValueError("sigma grid extends outside the model domain")
+    _raise_at(
+        ValueError, ~model.domain.contains(sig),
+        "sigma grid value(s) outside the model domain", lambda i: f"sigma={sig[i]:.6g}",
+    )
 
     # fields on the whole (xi, sigma) grid, and the excesses q1 - lambda and
     # -lambda - q2 as one (xi, branch, sigma1, sigma2) array, made in place

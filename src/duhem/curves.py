@@ -45,7 +45,7 @@ from .integrate import (
     hermite_partial_integral,
     rk4_step,
 )
-from .report import VerificationReport, _check_positive, worst_point
+from .report import VerificationReport, _check_positive, _raise_at, worst_point
 from .signals import _readonly
 
 __all__ = [
@@ -497,22 +497,12 @@ def _ride_setup(model: DuhemModel, sigma, xi, step: float, max_doublings: int):
     if sigma.shape != xi.shape or sigma.ndim != 1:
         raise ValueError("sigma and xi must be 1-d arrays of equal length")
 
-    def points(mask, what):
-        k = int(np.argmax(mask))
-        return (
-            f"{int(mask.sum())} phase point(s) {what} "
-            f"(first at sigma={sigma[k]:.6g}, xi={xi[k]:.6g})"
-        )
-
+    at = lambda k: f"sigma={sigma[k]:.6g}, xi={xi[k]:.6g}"
     outside = ~model.domain.contains(sigma)
-    if outside.any():
-        raise ValueError(points(outside, "outside the model domain"))
-    unbounded = ~np.isfinite(xi)
-    if unbounded.any():
-        raise ValueError(points(unbounded, "whose xi is not finite"))
+    _raise_at(ValueError, outside, "phase point(s) outside the model domain", at)
+    _raise_at(ValueError, ~np.isfinite(xi), "phase point(s) whose xi is not finite", at)
     c0 = np.asarray(_side_residual(model)(sigma, xi), dtype=float)
-    if np.isnan(c0).any():
-        raise CrossingSearchError(points(np.isnan(c0), "have a NaN side residual"))
+    _raise_at(CrossingSearchError, np.isnan(c0), "phase point(s) have a NaN side residual", at)
 
     span_limit = (1.0 + float(np.abs(xi).max(initial=0.0))) * 2.0 ** min(max_doublings, 21)
     max_steps = int(min(math.ceil(span_limit / step), 2**21))
@@ -683,15 +673,17 @@ def _certificate_grid(model: DuhemModel, region):
     sigma_hi), (xi_lo, xi_hi)) and f_an on the xi lines.
 
     Raises ValueError on a degenerate region or a sigma range that leaves
-    the model domain.
+    the model domain, naming the count and the first grid line outside it.
     """
     (s_lo, s_hi), (x_lo, x_hi) = region
     if not (s_lo < s_hi and x_lo < x_hi):
         raise ValueError("degenerate region")
     n_sig, n_xi = _CERTIFICATE_GRID
     sig = np.linspace(s_lo, s_hi, n_sig)
-    if not model.domain.contains(sig).all():
-        raise ValueError("sigma range extends outside the model domain")
+    _raise_at(
+        ValueError, ~model.domain.contains(sig),
+        "sigma grid line(s) outside the model domain", lambda i: f"sigma={sig[i]:.6g}",
+    )
     xiv = np.linspace(x_lo, x_hi, n_xi)
     return sig, xiv, anhysteresis_values(model, xiv)
 

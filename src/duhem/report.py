@@ -1,6 +1,7 @@
 """Uniform result record for grid checks and trajectory verifications, and
-the two rules the modules share: the positive-and-finite check of a step,
-tolerance or margin, and the CSV format of every artifact."""
+the rules the modules share: the worst point of a check, the error of a
+batch check that names its failing points, the positive-and-finite check of
+a step, tolerance or margin, and the CSV format of every artifact."""
 
 from __future__ import annotations
 
@@ -21,6 +22,15 @@ def worst_point(violation) -> tuple[tuple[int, ...], float]:
     # argmax returns the first maximum, and the first NaN if there is one
     index = np.unravel_index(int(np.argmax(v)), v.shape)
     return tuple(int(i) for i in index), float(v[index])
+
+
+def _raise_at(error, mask, what: str, at) -> None:
+    """If a batch check fails at any entry set in a boolean mask, raise error
+    naming their count, what they are and, by at(*index), the first of them
+    in the order of `worst_point`."""
+    if np.any(mask):
+        index, _ = worst_point(mask)
+        raise error(f"{int(np.count_nonzero(mask))} {what} (first at {at(*index)})")
 
 
 def _check_positive(name: str, value):

@@ -73,7 +73,7 @@ from .curves import (
     ride_to_crossing,
 )
 from .integrate import gauss_legendre, rk4_step
-from .report import _check_positive
+from .report import _check_positive, _raise_at
 from .signals import InputSignal, _check_breakpoint_range, _readonly, random_piecewise_linear
 
 __all__ = [
@@ -242,16 +242,10 @@ def storage_output_only(model: DuhemModel, sigma, xi) -> np.ndarray:
         xi = np.broadcast_to(np.asarray(xi, dtype=float), sigma.shape)
     z, g = model._reduced(sigma, xi)
 
-    def samples(mask, what):
-        k = int(np.argmax(mask))
-        at = f"sigma={sigma[k]:.6g}" + (f", xi={xi[k]:.6g}" if a else "")
-        return f"{int(mask.sum())} sample(s) {what} (first at {at})"
-
-    outside = ~model.domain.contains(sigma)
-    if outside.any():
-        raise ValueError(samples(outside, "outside the model domain"))
-    if a and not np.isfinite(xi).all():
-        raise ValueError(samples(~np.isfinite(xi), "whose xi is not finite"))
+    at = lambda k: f"sigma={sigma[k]:.6g}" + (f", xi={xi[k]:.6g}" if a else "")
+    _raise_at(ValueError, ~model.domain.contains(sigma), "sample(s) outside the model domain", at)
+    if a:
+        _raise_at(ValueError, ~np.isfinite(xi), "sample(s) whose xi is not finite", at)
     value = np.zeros(sigma.size)
     bad = np.zeros(sigma.size, dtype=bool)
     for k in range(0, sigma.size, _GAUSS_BLOCK_ROWS):
@@ -267,10 +261,8 @@ def storage_output_only(model: DuhemModel, sigma, xi) -> np.ndarray:
             with np.errstate(divide="ignore", invalid="ignore"):
                 terms = nodes[:, :-1] / rate[:, :-1]
             value[lanes] = -t * (terms * _GAUSS_W).sum(axis=1)
-    if bad.any():
-        raise CrossingSearchError(
-            samples(bad, "with a rate a - b g that is not finite and negative")
-        )
+    what = "sample(s) with a rate a - b g that is not finite and negative"
+    _raise_at(CrossingSearchError, bad, what, at)
     if not a:
         return value
     return (0.5 * xi * xi + value) / b
@@ -579,7 +571,8 @@ def available_storage_bruteforce_batch(
     result equals its separate `available_storage_bruteforce` call bit for
     bit.  A domain exit names the point and the index of its signal (0 is
     the designed ramp).  Raises ValueError for a horizon that is not
-    positive and a step that is not positive and finite.
+    positive, a step that is not positive and finite, and points whose
+    search range sees f_an off zero (by over 1e-12 at one of 33 nodes).
     """
     if not horizon > 0.0:
         raise ValueError(f"horizon must be positive, got {horizon}")
@@ -589,20 +582,20 @@ def available_storage_bruteforce_batch(
         raise ValueError("need one signal family per phase point")
     if not points:
         return []
-    for p, family in zip(points, families):
-        if not bool(model.domain.contains(p.sigma)):
-            raise ValueError(f"phase point {p} outside model domain")
-        lo = min(0.0, p.xi - family.span)
-        hi = max(0.0, p.xi + family.span)
-        probe = anhysteresis_values(model, np.linspace(lo, hi, 33))
-        if not np.max(np.abs(probe)) <= 1e-12:
-            raise ValueError(
-                "brute-force available storage requires an identically zero "
-                "anhysteresis curve on the search range"
-            )
-
     sigma = np.array([p.sigma for p in points])
-    ride = ride_to_crossing(model, sigma, np.array([p.xi for p in points]), step=step)
+    xi = np.array([p.xi for p in points])
+    span = np.array([family.span for family in families])
+    # f_an at 33 nodes of each point's search range, in one call
+    nodes = np.linspace(np.minimum(0.0, xi - span), np.maximum(0.0, xi + span), 33, axis=1)
+    probe = anhysteresis_values(model, nodes.ravel()).reshape(nodes.shape)
+    _raise_at(
+        ValueError, ~(np.max(np.abs(probe), axis=1) <= 1e-12),
+        "phase point(s) whose search range sees a nonzero anhysteresis curve, where "
+        "the brute-force search needs an identically zero one",
+        lambda k: f"sigma={sigma[k]:.6g}, xi={xi[k]:.6g}",
+    )
+
+    ride = ride_to_crossing(model, sigma, xi, step=step)
     signals: list[InputSignal] = []
     starts = [0]
     for p, family, lam in zip(points, families, ride.lam):

@@ -408,8 +408,6 @@ def march_per_step(f, y, ua, ub, n, lo, hi):
 
 def substeps(du, step):
     """Substep count of a segment of input change du: the simulate rule."""
-    if step is None:
-        step = min(abs(du) / 1000.0, 1e-3)
     return max(1, int(math.ceil(abs(du) / step)))
 
 
@@ -585,7 +583,8 @@ def existence_per_xi_scan(model, sig, xiv, lambda_bound):
     """core.check_existence_conditions as it scanned before one array held
     every xi and branch: for each xi in turn, the increasing then the
     decreasing branch, the first largest excess of the (sigma1, sigma2)
-    matrix, kept only if it beats the worst so far.
+    matrix, kept only if it beats the worst so far; the first NaN in this
+    order is the worst, as in `report.worst_point`.
 
     Returns the worst excess, its (sigma1, sigma2, xi) and the branch name.
     """
@@ -605,7 +604,7 @@ def existence_per_xi_scan(model, sig, xiv, lambda_bound):
         e2 = np.where(off, -lambda_bound - q2, -math.inf)
         for kind, e in (("increasing-branch", e1), ("decreasing-branch", e2)):
             i, j = np.unravel_index(np.argmax(e), e.shape)
-            if e[i, j] > worst:
+            if not math.isnan(worst) and not e[i, j] <= worst:
                 worst = float(e[i, j])
                 worst_loc = (float(sig[i]), float(sig[j]), float(xi))
                 worst_kind = kind

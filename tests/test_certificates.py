@@ -201,6 +201,29 @@ def test_existence_bound_broken_by_the_decreasing_branch_only_fails():
     assert check_existence_conditions(FALLING_F2, grid, 5.5).passed
 
 
+# -- a grid that leaves the domain names its count and its first point --------
+
+
+def test_an_existence_grid_outside_the_domain_names_the_first_sigma():
+    # Dahl's band is |sigma| < 0.75; the message named no sigma
+    grid = (np.array([0.1, 0.8, -0.2, -0.9, 0.9]), np.array([0.0]))
+    with pytest.raises(
+        ValueError,
+        match=r"^3 sigma grid value\(s\) outside the model domain \(first at sigma=0.8\)$",
+    ):
+        check_existence_conditions(dahl(), grid, 1.0)
+
+
+def test_a_certificate_region_outside_the_domain_names_the_first_grid_line():
+    # lines 166 to 199 of the 200 on [-0.5, 1] lie at or above 0.75
+    region = ((-0.5, 1.0), (-1.0, 1.0))
+    want = r"^34 sigma grid line\(s\) outside the model domain \(first at sigma=0.751256\)$"
+    with pytest.raises(ValueError, match=want):
+        check_lemma1(dahl(), region, 0.01)
+    with pytest.raises(ValueError, match=want):
+        check_assumption_A(dahl(), region)
+
+
 # -- a NaN on the grid fails the certificate ----------------------------------
 
 
@@ -235,7 +258,25 @@ def test_nan_fields_on_part_of_the_grid_fail_the_existence_bounds():
     rep = check_existence_conditions(NAN_FIELDS, grid, 100.0)
     assert not rep.passed
     assert math.isnan(rep.worst_violation)
-    assert existence_per_xi_scan(NAN_FIELDS, *grid, 100.0)[0] == -math.inf
+    worst, location, branch = existence_per_xi_scan(NAN_FIELDS, *grid, 100.0)
+    assert math.isnan(worst)
+    assert (location, branch) == (rep.worst_location, rep.details["worst_branch"])
+
+
+def test_the_existence_oracle_takes_the_first_nan_as_the_worst():
+    # the oracle's `NaN > worst` was False: it kept -2.0 at (0.6, 0.9, 0.0)
+    # on the decreasing branch, where the library reports NaN
+    model = DuhemModel(
+        "nan above 0.4",
+        lambda s, x: np.where(np.asarray(s) > 0.4, np.nan, 1.0 + 0.0 * s),
+        lambda s, x: 1.0 + s,
+    )
+    grid = (np.linspace(-0.9, 0.9, 7), np.array([0.0]))
+    rep = check_existence_conditions(model, grid, 1.0)
+    worst, location, branch = existence_per_xi_scan(model, *grid, 1.0)
+    assert math.isnan(rep.worst_violation) and math.isnan(worst)
+    assert location == rep.worst_location == (-0.9, 0.6, 0.0)
+    assert branch == rep.details["worst_branch"] == "increasing-branch"
 
 
 def test_a_nan_anhysteresis_value_fails_both_sign_certificates():

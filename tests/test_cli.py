@@ -70,6 +70,22 @@ def test_simulate_reruns_byte_identical(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
+@pytest.mark.parametrize("command", ["simulate", "loops"])
+def test_an_omitted_step_takes_simulates_default_of_1e_3(tmp_path, capsys, command):
+    # simulate's default step was |du| / 1000 capped at 1e-3 per segment:
+    # at least 1000 substeps on each of this sine's 1,280 chords, each
+    # shorter than 0.05 in u, and 1,280,162 lines
+    spec = '{"kind": "sine", "amplitude": 2.0, "periods": 5}'
+    runs = []
+    for name, step in (("default.csv", []), ("step.csv", ["--step", "1e-3"])):
+        out = tmp_path / name
+        assert run_cli(command, "--model", "boucwen", "--input", spec, "--out", str(out), *step) == 0
+        runs.append((out.read_bytes(), capsys.readouterr().out))
+    assert runs[0] == runs[1]
+    if command == "simulate":
+        assert runs[0][0].count(b"\n") == 40642
+
+
 def test_simulate_from_config_file_with_flag_override(tmp_path, capsys):
     cfg = tmp_path / "run.json"
     cfg.write_text(json.dumps({

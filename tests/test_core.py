@@ -287,6 +287,8 @@ _ORACLE_MODELS = {
 
 
 def _oracle_signals():
+    """(signal, step) pairs; a step of None stands for simulate's default,
+    which the tests take by omitting the step."""
     rng = np.random.default_rng(41)
     return [
         (triangle(2.0, 2), 1e-3),
@@ -304,12 +306,28 @@ def _bits(values):
     return np.array(values, dtype=float).tobytes()
 
 
+def _simulate(model, signal, y0, step):
+    """simulate at step, or at its default where step is None."""
+    return simulate(model, signal, y0, **({} if step is None else {"step": step}))
+
+
+@pytest.mark.parametrize("name", sorted(_ORACLE_MODELS))
+def test_simulate_defaults_to_a_step_of_1e_3_bit_for_bit(name):
+    # the default was |du| / 1000 capped at 1e-3 per segment: at least 1000
+    # substeps on a segment however short
+    model = _ORACLE_MODELS[name]()
+    for signal, _ in _oracle_signals():
+        want, got = simulate(model, signal, 0.1, step=1e-3), simulate(model, signal, 0.1)
+        for field in ("t", "u", "y", "slope_left", "slope_right"):
+            assert getattr(got, field).tobytes() == getattr(want, field).tobytes(), field
+
+
 @pytest.mark.parametrize("name", sorted(_ORACLE_MODELS))
 def test_simulate_is_the_per_step_march_bit_for_bit(name):
     model = _ORACLE_MODELS[name]()
     for signal, step in _oracle_signals():
-        traj = simulate(model, signal, 0.1, step=step)
-        t, u, y, exit_ = simulate_per_step(model, signal, 0.1, step)
+        traj = _simulate(model, signal, 0.1, step)
+        t, u, y, exit_ = simulate_per_step(model, signal, 0.1, 1e-3 if step is None else step)
         assert exit_ is None
         assert (traj.t.tobytes(), traj.u.tobytes(), traj.y.tobytes()) == (
             _bits(t), _bits(u), _bits(y)
@@ -375,7 +393,7 @@ def test_simulated_interval_slopes_are_the_branch_fields_at_both_ends_bit_for_bi
     # reused segments; a held interval has 0.0 at both ends
     model = _ORACLE_MODELS[name]()
     for signal, step in _oracle_signals() + [(triangle(1.0, 3), 5e-3)]:
-        traj = simulate(model, signal, 0.1, step=step)
+        traj = _simulate(model, signal, 0.1, step)
         left, right = traj.slope_left, traj.slope_right
         u, y = traj.u.tolist(), traj.y.tolist()
         want_left, want_right = [], []

@@ -1049,6 +1049,40 @@ def test_readme_ride_storage_stays_within_4_ulps_of_the_60_halving_storage(model
 
 
 def test_the_bruteforce_search_rejects_a_point_outside_the_band():
-    # Dahl's band is |sigma| < fc = 0.75
-    with pytest.raises(ValueError, match="outside model domain"):
+    # Dahl's band is |sigma| < fc = 0.75; the ride's set-up names the point
+    with pytest.raises(
+        ValueError, match=r"^1 phase point\(s\) outside the model domain \(first at sigma=0.8, xi=0\)$"
+    ):
         available_storage_bruteforce(dahl(), PhasePoint(0.8, 0.0))
+
+
+def test_the_bruteforce_guard_probes_every_point_at_once_and_names_the_first_that_fails(monkeypatch):
+    # f_an is zero up to xi = 5: the search range [-3, 3] of point 0 sees
+    # none of it, that of point 1, [0, 7], does; the guard probed point by
+    # point and named no point
+    fan = lambda x: np.maximum(0.0, np.asarray(x) - 5.0)
+    model = DuhemModel(
+        "flat up to 5",
+        lambda s, x: 1.0 - (s - fan(x)),
+        lambda s, x: 1.0 + (s - fan(x)),
+        f_an=fan,
+    )
+    calls = []
+    values = storage_module.anhysteresis_values
+    monkeypatch.setattr(
+        storage_module, "anhysteresis_values",
+        lambda m, x: calls.append(np.shape(x)) or values(m, x),
+    )
+    points = [PhasePoint(0.1, 0.0), PhasePoint(0.2, 4.0)]
+    families = [SignalFamily(n_random=2, span=3.0)] * 2
+    with pytest.raises(
+        ValueError,
+        match=r"^1 phase point\(s\) whose search range sees a nonzero anhysteresis curve, where "
+        r"the brute-force search needs an identically zero one \(first at sigma=0.2, xi=4\)$",
+    ):
+        available_storage_bruteforce_batch(model, points, families)
+    assert calls == [(66,)]
+    # a point that also lies outside the band gets the probe's error first
+    band = dataclasses.replace(model, domain=Domain(-1.0, 1.0))
+    with pytest.raises(ValueError, match=r"zero one \(first at sigma=2, xi=4\)$"):
+        available_storage_bruteforce_batch(band, [PhasePoint(2.0, 4.0)], families[:1])
