@@ -1,5 +1,6 @@
 """Hand-made mutants of the checks, the crossing refinement, the domain
-exits of the marches, the supply march, the Dahl r = 1 array fields, the
+exits of the marches, the supply march, the exact-map search of the
+reduced form (0, 1), the Dahl r = 1 array fields, the
 interval slopes of a trajectory, the output-only storage in the reduced
 coordinate (with the declaration it reads), the f_an term of the storage,
 the single-point ride's branch integral, the friction and model
@@ -186,16 +187,87 @@ MUTANTS = [
         "replacement": "pass",
         "tests": ["tests/test_storage.py::test_supply_march_does_not_depend_on_the_block_size"],
     },
-    # -- the supply march: the lanes of the reduced form (0, 1) carry no input
+    # -- the exact-map search of the reduced form (0, 1): no march, no ride
     {
-        "name": "supply-no-input-for-any-model",
-        "why": "every model marches with the input 0.0, also one whose fields read the input",
+        "name": "chunk-search-skips-the-zero-minimum",
+        "why": "the exact-map search takes W's minimum at the chunk ends only, not where y crosses 0 inside a chunk",
         "file": "storage.py",
-        "snippet": "odd, no_input = model.odd, model.reduced_form == (0.0, 1.0)",
-        "replacement": "odd, no_input = model.odd, True",
+        "snippet": "minW[i] = np.minimum(minW[i], W[i])",
+        "replacement": "pass",
         "tests": [
-            "tests/test_storage.py::test_odd_supply_march_is_the_two_branch_march_bit_for_bit[exp_model]",
-            "tests/test_storage.py::test_supply_march_lanes_are_simulate[exp_model]",
+            "tests/test_storage.py::test_chunk_map_search_takes_w_where_the_output_crosses_zero_inside_a_chunk",
+            "tests/test_storage.py::test_chunk_map_search_lanes_are_the_exact_dahl_extraction",
+        ],
+    },
+    {
+        "name": "chunk-search-unguarded",
+        "why": "the exact-map search lets a lane's output leave the domain band",
+        "file": "storage.py",
+        "snippet": "if not (lo < y1.min() and y1.max() < hi):",
+        "replacement": "if False:",
+        "tests": [
+            "tests/test_storage.py::test_the_chunk_map_search_names_the_point_and_signal_that_leave_the_band",
+        ],
+    },
+    {
+        "name": "chunk-search-takes-unsettled-maps",
+        "why": "the exact-map search keeps a chunk whose Newton passes did not settle, so a stiff lane gives any value",
+        "file": "storage.py",
+        "snippet": "if not (settled | rest).all():",
+        "replacement": "if False:",
+        "tests": [
+            "tests/test_storage.py::test_a_stiff_whole_plane_chunk_map_search_raises_and_never_returns_nan",
+        ],
+    },
+    {
+        "name": "chunk-search-rests-on-any-short-chunk",
+        "why": "the exact-map search takes every chunk that moves z by less than |z0| for one at rest, unsettled or not",
+        "file": "storage.py",
+        "snippet": "_REST = 64 * _EPS",
+        "replacement": "_REST = 1.0",
+        "tests": [
+            "tests/test_storage.py::test_a_stiff_whole_plane_chunk_map_search_raises_and_never_returns_nan",
+            "tests/test_storage.py::test_chunk_map_search_lanes_are_the_exact_dahl_extraction",
+        ],
+    },
+    {
+        "name": "chunk-search-never-rests",
+        "why": "the exact-map search takes no chunk for one at rest, so a lane that reaches a zero of its rate to rounding raises",
+        "file": "storage.py",
+        "snippet": "rest = np.abs(width) <= _REST * np.abs(z0)",
+        "replacement": "rest = np.zeros(n, dtype=bool)",
+        "tests": [
+            "tests/test_storage.py::test_a_lane_that_reaches_a_zero_of_its_rate_rests_there",
+        ],
+    },
+    {
+        "name": "chunk-search-trusts-every-newton-step",
+        "why": "the exact-map search takes the Newton step from any end, also one far beyond the root or past a zero of the rate",
+        "file": "storage.py",
+        "snippet": "if not trust.all():",
+        "replacement": "if False:",
+        "tests": [
+            "tests/test_storage.py::test_chunk_map_search_at_half_the_chunk_and_twice_the_passes_moves_no_value",
+        ],
+    },
+    {
+        "name": "chunk-search-falling-branch-unreflected",
+        "why": "a model that is not odd takes f2 at z instead of -z on its falling lanes",
+        "file": "storage.py",
+        "snippet": "out[~up] = f2(-z[~up], 0.0)",
+        "replacement": "out[~up] = f2(z[~up], 0.0)",
+        "tests": [
+            "tests/test_storage.py::test_odd_chunk_map_search_is_the_two_branch_search_bit_for_bit",
+        ],
+    },
+    {
+        "name": "output-lambda-unchecked",
+        "why": "the designed ramp's crossing is taken from a branch whose slope is not positive on the way to the curve",
+        "file": "storage.py",
+        "snippet": "~(inv > 0.0).all(axis=1),",
+        "replacement": "np.zeros(sigma.size, dtype=bool),",
+        "tests": [
+            "tests/test_storage.py::test_the_chunk_map_search_rejects_a_point_whose_branch_never_reaches_the_curve",
         ],
     },
     {

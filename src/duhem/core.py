@@ -104,9 +104,10 @@ class DuhemModel:
     f1(-sigma, -xi) bit for bit on arrays, f_an(-xi) == -f_an(xi) if f_an
     is declared, and the domain is symmetric about 0.  A falling stretch,
     or a ride from above the anhysteresis curve, is then a rising one
-    reflected through the origin, and the supply march
-    (`storage._supply_running_min`) and the crossing ride
-    (`curves.ride_to_crossing`) march every lane on f1 alone.  The
+    reflected through the origin, and the brute-force search (its exact
+    chunk maps, `storage._chunk_map_search`, and its supply march,
+    `storage._supply_running_min`) and the crossing ride
+    (`curves.ride_to_crossing`) take every lane on f1 alone.  The
     declaration is checked on a small grid of points when the model is
     built; a mismatch there, or an asymmetric domain, raises ValueError.
     Dahl, Bouc-Wen and the exponential example are odd.
@@ -121,8 +122,9 @@ class DuhemModel:
     the storage is an integral in one variable, which
     `verify_dissipation_battery` evaluates by quadrature
     (`storage.storage_output_only`) instead of riding every sample; with
-    a = 0 the supply march (`storage._supply_running_min`) calls the fields
-    at the input 0.0 and carries no input.  The declaration is checked on
+    a = 0 the brute-force search takes every input by exact chunk maps
+    (`storage._chunk_map_search`), calling the fields at the input 0.0,
+    with no ride and no march.  The declaration is checked on
     the same probe grid: f1 and f2 must return at every probe point the
     bits of g_i(z), their value at the point of z on the axis ((-z, 0) when
     a = 0, (0, z) when a = 1), and f_an, if declared, those of a xi / b.  A

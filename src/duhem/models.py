@@ -10,8 +10,8 @@ fields return inf as numpy does, so a blow-up still surfaces as a non-finite
 output and not as an exception.  Dahl's r = 1 fields take their array
 branch on float64 0-d copies of their constants: under NumPy 2's promotion
 rules (NEP 50) a ufunc call with a Python-float operand costs about 35%
-more than one with a float64 0-d array, and the brute-force supply march
-calls these fields four times per substep (see `dahl`).  Each factory
+more than one with a float64 0-d array, and the brute-force search calls
+these fields on a few hundred lanes at a time (see `dahl`).  Each factory
 validates its parameters and declares the model's validity domain, its
 odd symmetry (all three are odd: f2(sigma, xi) is f1(-sigma, -xi) bit for
 bit, as `DuhemModel.odd` requires), the one reduced coordinate
@@ -112,8 +112,10 @@ def dahl(rho: float = 1.5, fc: float = 0.75, r: float = 1.0) -> DuhemModel:
     scalar under NEP 50, and its call costs about 35% more than one with
     a float64 0-d array: at 201 lanes (numpy 2.4.6, 2-core Xeon VM)
     `1.5 * a` took 632 ns against 464 ns and `a / 0.75` 721 ns against
-    521 ns.  The lockstep supply march of `available_storage_bruteforce`
-    evaluates these fields four times per substep at such widths, where
+    521 ns.  The exact-map search of `available_storage_bruteforce`
+    evaluates these fields at such widths in its RK4 predictor (four calls
+    per chunk on 201 lanes), and its supply march, which a Dahl model
+    declared without its reduced form takes, four times per substep; there
     per-call overhead dominates.  One consequence: a float32 array, which
     Python-float operands kept in float32, now computes in float64.
     Every library path passes float64.  Each parameter must be finite.

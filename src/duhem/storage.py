@@ -37,27 +37,32 @@ is the required supply, which is also a storage function, so only the
 agreement with the ride, the closed forms and the exact exponential
 storage of the tests can tell the two apart.
 
-The brute-force search (`available_storage_bruteforce_batch`) marches all
-its inputs in lockstep and tracks each one's supply integral.  For odd
-models (`DuhemModel.odd`) every lane marches in its frame reflected
-through the origin on falling stretches, where it rises on f1, so each RK4
-stage evaluates one slope field instead of both.  Negation is exact in
-floating point, and rounding to nearest commutes with it, so the
-reflected march gives the outputs and supplies of the unreflected one bit
-for bit (`_supply_running_min` says where a zero's sign may differ).  The
-march runs in blocks of substeps: only the RK4 recurrence runs substep by
-substep, and each block's inputs and stage factors, its domain guard and
-its supply bookkeeping are array operations over the whole block, with
-the bits of a march of one substep at a time.  A lane whose input has
-ended leaves the march at the next block boundary.  The lanes of a model
-of the reduced form (0, 1) carry no input track: its fields ignore the
-input, so each field call and RK4 stage takes the input 0.0, where the
-declaration is checked.
+The brute-force search (`available_storage_bruteforce_batch`) takes two
+routes.  A model of the reduced form (0, 1), whose fields read the output
+alone, takes exact chunk maps (`_chunk_map_search`): on a monotone input
+stretch of change D its output moves to the y1 that solves
+int_{y0}^{y1} ds / f(s) = D, and its supply is int_{y0}^{y1} s / f(s) ds,
+both by the Gauss-Legendre rule above, solved by one RK4 predictor and a
+fixed count of safeguarded Newton passes per chunk, with W's minimum
+taken where y crosses 0; the designed ramp's crossing comes from the same
+rule, so this route neither rides nor marches.  Every other model rides
+to the crossing and marches all its inputs in lockstep
+(`_supply_running_min`), tracking each one's supply integral.  For odd
+models (`DuhemModel.odd`) both routes take every lane in its frame
+reflected through the origin on falling stretches, where it rises on f1,
+so each field call evaluates one slope field instead of both.  Negation
+is exact in floating point, and rounding to nearest commutes with it, so
+the reflected march gives the outputs and supplies of the unreflected one
+bit for bit (`_supply_running_min` says where a zero's sign may differ).
+The march runs in blocks of substeps: only the RK4 recurrence runs
+substep by substep, and each block's inputs and stage factors, its domain
+guard and its supply bookkeeping are array operations over the whole
+block, with the bits of a march of one substep at a time.  A lane whose
+input has ended leaves the march at the next block boundary.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -361,14 +366,6 @@ def _supply_running_min(
     domain exit is reported at its first substep and the substeps computed
     after it are discarded.
 
-    A model of the reduced form a = 0 (`DuhemModel.reduced_form` (0, 1),
-    fields of the output alone) has no input track: its blocks
-    gather no event start iteration or start value and compute no v,
-    v + h/2 or v + h, and every field call and RK4 stage takes the input
-    0.0, the input against which the declaration check compares every
-    probe input bit for bit.  Its outputs are those of the same model
-    marched with its input; the per-substep cost is what falls.
-
     At each block boundary the lanes whose end event lies before the block
     leave the march: their running minimum and output are stored by lane,
     and the next block runs on the live lanes alone, in lane order, through
@@ -400,17 +397,12 @@ def _supply_running_min(
     ev_k = ev[:, 0].astype(int)
     ev_lane = ev[:, 1].astype(int)
     n_iter = int(ev_k[-1])
-    # a = 0 has the one spelling (0, 1)
-    odd, no_input = model.odd, model.reduced_form == (0.0, 1.0)
-    # each event's frame sign, substep and its stage factors, then (where
-    # the fields read the input) its start iteration and start value
+    odd = model.odd
+    # each event's frame sign, substep, stage factors, start iteration and
+    # start value
     ev_sign = np.where(odd & (ev[:, 4] < 0.0), -1.0, 1.0)
     ev_h = ev_sign * ev[:, 4]
-    ev_half = 0.5 * ev_h
-    ev_sixth = ev_h / 6.0
-    tables = [ev_h, ev_half, ev_sixth, ev_sign]
-    if not no_input:
-        tables += [ev[:, 0], ev_sign * ev[:, 3]]
+    tables = [ev_h, 0.5 * ev_h, ev_h / 6.0, ev_sign, ev[:, 0], ev_sign * ev[:, 3]]
 
     minW_out = np.zeros(m)
     y_out = np.empty(m)
@@ -429,8 +421,8 @@ def _supply_running_min(
     # heap trim and refault them block after block.
     n_rows = min(_SUPPLY_BLOCK, n_iter)
     ids_buf = np.empty(n_rows * m, dtype=int)
-    # H, half, sixth, turn and, where the fields read the input, V, XM, XH
-    bufs = [np.empty(n_rows * m) for _ in range(4 if no_input else 7)]
+    # H, half, sixth, turn, V, XM, XH
+    bufs = [np.empty(n_rows * m) for _ in range(7)]
     Z_buf = np.empty((n_rows + 1) * m)
 
     if odd:
@@ -459,7 +451,7 @@ def _supply_running_min(
         size = nb * live.size
         ids = ids_buf[:size].reshape(nb, -1)
         blocks = [b[:size].reshape(nb, -1) for b in bufs]
-        H, half, sixth, turn = blocks[:4]
+        H, half, sixth, turn, V, XM, XH = blocks
         ids.fill(-1)
         ids[0] = current
         ids[rows, column[ev_lane[e0:e1]]] = np.arange(e0, e1)
@@ -468,18 +460,12 @@ def _supply_running_min(
         # "raise" lets take write to out without a temporary)
         for table, dest in zip(tables, blocks):
             np.take(table, ids, out=dest, mode="wrap")
-        if no_input:
-            # the fields read no input: every stage takes 0.0
-            inputs = itertools.repeat((0.0, 0.0, 0.0), nb)
-        else:
-            V, XM, XH = blocks[4:]
-            # u = va + (k - k_event) h, the substep count exact in floats
-            np.subtract(np.arange(k0, k0 + nb, dtype=float)[:, None], V, out=V)
-            V *= H
-            V += XM
-            np.add(V, half, out=XM)
-            np.add(V, H, out=XH)
-            inputs = zip(V, XM, XH)
+        # u = va + (k - k_event) h, the substep count exact in floats
+        np.subtract(np.arange(k0, k0 + nb, dtype=float)[:, None], V, out=V)
+        V *= H
+        V += XM
+        np.add(V, half, out=XM)
+        np.add(V, H, out=XH)
         # z is negated at a switch that turns the lane's sign: factor
         # s_k s_(k-1), which is 1 on every other lane and substep (numpy
         # reads the overlapping rows as they were before the product)
@@ -493,7 +479,7 @@ def _supply_running_min(
 
         Z = Z_buf[: size + live.size].reshape(nb + 1, -1)
         Z[0] = z
-        for r, (at_switch, (v, xm, xh)) in enumerate(zip(switch.tolist(), inputs)):
+        for r, (at_switch, v, xm, xh) in enumerate(zip(switch.tolist(), V, XM, XH)):
             if at_switch:
                 z = z * turn[r]
                 up = H[r] >= 0.0
@@ -533,6 +519,267 @@ def _supply_running_min(
     return minW_out, y_out
 
 
+# The exact-map search (`_chunk_map_search`): the input change per chunk,
+# the passes on each chunk after its RK4 predictor, and the largest last
+# Newton step of a settled chunk as a fraction of its width, after which
+# the quadratic convergence leaves the chunk's end at rounding.  A
+# convergence test chose the chunk and the passes, the result at (D, n)
+# against the one at (D/2, 2n): at (0.5, 7) every per-signal value is the
+# one at (0.25, 14) to rounding on Dahl r = 1 and 3 and Bouc-Wen
+# (`tests/test_storage.py`).  On 8 points of 101 signals each, every lane
+# settled in at most 3 passes on Dahl r = 1, 4 on r = 3 and r = 5, 6 on
+# r = 9, 5 on Bouc-Wen from |sigma| <= 1.2 and 6 from |sigma| <= 2.  A
+# chunk that moves z by at most _REST |z0| rests (see `_chunk_map_search`).
+_CHUNK = 0.5
+_CHUNK_PASSES = 7
+_SETTLED = 2.0**-26
+_EPS = np.finfo(float).eps
+_REST = 64 * _EPS
+# the ends of the rule's cells on [0, 1]: the sum of its first j + 1 terms
+# approximates the integral up to _GAUSS_CELLS[j + 1]
+_GAUSS_CELLS = np.append(0.0, np.cumsum(_GAUSS_W))
+# the rule's nodes on [z0, 0], as fractions of z0
+_TO_ZERO = 1.0 - _GAUSS_T[:-1]
+
+
+def _rising_field(model: DuhemModel, up: np.ndarray) -> Callable:
+    """The slope of a model of the reduced form (0, 1) in each lane's
+    rising frame z = s y, v = s u (s = +1 on the lanes set in up, -1 on
+    the others), as a function of z alone: f1 at z on the rising lanes and
+    f2 at -z on the others, one call per branch on its own lanes (the rows
+    of z), each at the input 0.0.  An odd model's f2 at -z is f1 at z bit
+    for bit, so it takes f1 on every lane."""
+    f1, f2 = model.f1, model.f2
+    if model.odd:
+        return lambda z: f1(z, 0.0)
+
+    def field(z):
+        out = np.empty(np.shape(z))
+        out[up] = f1(z[up], 0.0)
+        out[~up] = f2(-z[~up], 0.0)
+        return out
+
+    return field
+
+
+def _output_lambda(model: DuhemModel, sigma: np.ndarray, xi: np.ndarray) -> np.ndarray:
+    """Where the traversing curves of a model of the reduced form (0, 1)
+    meet its anhysteresis curve sigma = 0: lam = xi - int_0^sigma ds / f2
+    for sigma > 0 and xi + int_sigma^0 ds / f1 for sigma < 0, by the rule
+    of `_GAUSS_T` and `_GAUSS_W` in the rising frame from z = -|sigma|.
+    Raises ValueError for points outside the model domain, with the
+    crossing ride's message, and CrossingSearchError where the branch slope
+    is not finite and positive at a node or at sigma, so that the branch
+    would not reach the curve."""
+    at = lambda k: f"sigma={sigma[k]:.6g}, xi={xi[k]:.6g}"
+    _raise_at(ValueError, ~model.domain.contains(sigma), "phase point(s) outside the model domain", at)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        inv = 1.0 / _rising_field(model, sigma <= 0.0)(-np.abs(sigma)[:, None] * _GAUSS_T)
+    _raise_at(
+        CrossingSearchError, ~(inv > 0.0).all(axis=1),
+        "phase point(s) whose branch slope is not finite and positive on the way to the "
+        "anhysteresis curve", at,
+    )
+    return xi - sigma * (inv[:, :-1] * _GAUSS_W).sum(axis=1)
+
+
+def _chunk_rounds(signals: Sequence[InputSignal]):
+    """The chunks of every signal, in the rounds of `_chunk_map_search`.
+
+    Each moving segment of input change du is cut into
+    n = max(1, ceil(|du| / _CHUNK)) chunks of du / n, `simulate`'s substep
+    rule at step _CHUNK; a held segment has none.  Returns the lanes in
+    the order of their chunk counts, largest first (stable), so that the
+    lanes that move in round k are the first live[k]; live; and the
+    chunks, rounds x lanes in that order, 0.0 past a lane's last chunk.
+    """
+    m = len(signals)
+    values = np.concatenate([s.values for s in signals])
+    lane = np.repeat(np.arange(m), [s.values.size for s in signals])
+    du = np.diff(values)
+    moving = (lane[1:] == lane[:-1]) & (du != 0.0)
+    du, lane = du[moving], lane[1:][moving]
+    n = np.maximum(1.0, np.ceil(np.abs(du) / _CHUNK)).astype(int)
+    count = np.bincount(lane, weights=n, minlength=m).astype(int)
+    order = np.argsort(-count, kind="stable")
+    rank = np.empty(m, dtype=int)
+    rank[order] = np.arange(m)
+    chunk_lane = np.repeat(lane, n)
+    first = np.cumsum(count) - count
+    chunks = np.zeros((int(count.max(initial=0)), m))
+    chunks[np.arange(chunk_lane.size) - first[chunk_lane], rank[chunk_lane]] = np.repeat(du / n, n)
+    live = np.searchsorted(-count[order], -np.arange(chunks.shape[0]), side="left")
+    return order, live, chunks
+
+
+def _chunk_end(sig: InputSignal, k: int) -> tuple[float, float]:
+    """Time and input at the end of chunk k of sig (`_chunk_rounds`), as
+    `simulate` samples them at step _CHUNK."""
+    for j in np.flatnonzero(np.diff(sig.values)):
+        n = _segment_substeps(float(sig.values[j + 1] - sig.values[j]), _CHUNK)
+        if k < n:
+            return _substep_sample(sig, int(j), k + 1, _CHUNK)
+        k -= n
+
+
+def _inside_guess(nodes, iw, f_end, k1, z0, width, h, newton) -> np.ndarray:
+    """The next end of the chunks whose Newton step is not trusted, from
+    their own table: iw = `_GAUSS_W` / f at the nodes, f_end = f at the
+    end.  Up to the first node whose rate is not finite and of the sign of
+    k1, beyond which the flow cannot go, the partial sums of the rule
+    approximate the integral of dz / f from z0; where they reach h, the
+    end is the inverse linear interpolation of h in them, and otherwise
+    the midpoint of that node (the end, if it is the one) and the node
+    before it (or z0).  A table that is valid to its end and does not
+    reach h keeps the Newton step."""
+    valid = np.concatenate([iw, f_end[:, None]], axis=1) * k1[:, None] > 0.0
+    first_bad = np.where(valid.all(axis=1), _GAUSS_T.size, valid.argmin(axis=1))
+    part = np.cumsum(iw, axis=1) * width[:, None]
+    reach = (part >= h[:, None]) & (np.arange(_GAUSS_W.size) < first_bad[:, None])
+    j = reach.argmax(axis=1)
+    rows = np.arange(j.size)
+    before = np.where(j > 0, part[rows, j - 1], 0.0)
+    last = np.where(first_bad > 0, nodes[rows, first_bad - 1], z0)
+    mid = 0.5 * (last + nodes[rows, np.minimum(first_bad, _GAUSS_W.size)])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        frac = _GAUSS_CELLS[j] + (_GAUSS_CELLS[j + 1] - _GAUSS_CELLS[j]) * (h - before) / (part[rows, j] - before)
+        return np.where(reach.any(axis=1), z0 + width * frac, np.where(first_bad < _GAUSS_T.size, mid, newton))
+
+
+def _chunk_map_search(
+    model: DuhemModel,
+    signals: Sequence[InputSignal],
+    y0: float | np.ndarray,
+    lane_name: Callable[[int], str],
+) -> tuple[np.ndarray, np.ndarray]:
+    """The running minimum of the supply W(t) = int y du and the final
+    output of each signal, lane i from output y0 (a float, or one output
+    per signal), for a model of the reduced form (0, 1), by exact chunk
+    maps: `_supply_running_min`'s result with no march.
+
+    Fields of the output alone move it, on a monotone input stretch of
+    change D, from y0 to the y1 that solves int_{y0}^{y1} ds / f(s) = D,
+    with the supply int_{y0}^{y1} s / f(s) ds.  Each signal is taken chunk
+    by chunk (`_chunk_rounds`), all lanes in lockstep, one chunk per round,
+    each lane in its rising frame (`_rising_field`, where an odd model
+    takes f1 alone), in which y du = z dv.  A chunk of input change h > 0
+    from z0, k1 the rate at z0:
+    - if z heads for 0 and reaches it (the rule on [z0, 0] gives its input
+      h0 < h, at a rate of k1's sign), it is split there: W takes the
+      supply on the way, its value at 0 enters the running minimum (W
+      falls while z < 0), and the rest of the chunk starts at 0, so that
+      no rule spans z = 0, where fields such as Bouc-Wen's have a kink;
+    - one RK4 step (`integrate.rk4_step`) predicts the end z1, or the
+      Euler step z0 + h k1 where the prediction is not finite or not ahead
+      of z0;
+    - each of `_CHUNK_PASSES` passes evaluates f on the nodes of the rule
+      of `_GAUSS_T` and `_GAUSS_W` between z0 and z1 and at z1, and takes
+      the Newton step on r = int_{z0}^{z1} dz / f - h, whose derivative is
+      1 / f(z1); where z1 is not ahead of z0, its rate not finite and of
+      k1's sign, or z1 beyond the root by over h / 10, the step is
+      `_inside_guess` instead;
+    - the supply is taken on the last pass's nodes, less r z1, its change
+      over the last Newton step, and W's running minimum at the end.
+    The designed ramp's crossing comes from the same rule
+    (`_output_lambda`).
+
+    A chunk whose last pass spans at most `_REST` |z0| rests on a zero of
+    its rate, where f is rounding noise of either sign: it keeps that end
+    and takes the supply h z0, within 64 eps |z0| h.  Any other chunk whose
+    last pass finds a rate that is not finite and of k1's sign at some
+    node, or takes a Newton step above `_SETTLED` of the chunk's width and
+    the rounding of z1, has no settled map (a stiff or vanishing rate).  It
+    raises DomainExitError at the chunk's end, naming the lane by
+    lane_name, as does a chunk whose output is not strictly inside the
+    domain band, NaN included.  The lane named is the first (lowest index)
+    that fails in the first round with a failure, and an unsettled chunk
+    comes before an exit.
+
+    Every operation on a lane is elementwise or a per-row reduction, with
+    a fixed count of passes, so a lane's bits do not depend on the lanes
+    beside it.  The lanes that move in a round are the first of the lanes
+    sorted by chunk count, and the round buffers are allocated once.
+    """
+    order, live, chunks = _chunk_rounds(signals)
+    m = len(signals)
+    y = np.empty(m)
+    y[:] = y0
+    y = y[order]
+    W = np.zeros(m)
+    minW = np.zeros(m)
+    lo, hi = model.domain.sigma_min, model.domain.sigma_max
+    sign = np.where(chunks < 0.0, -1.0, 1.0)
+    rise = sign * chunks
+    nodes_buf = np.empty((m, _GAUSS_T.size))
+    iw_buf = np.empty((m, _GAUSS_W.size))
+
+    def fail(rows, k, y_at, what):
+        lane = int(order[rows].min())
+        row = int(np.flatnonzero(order == lane)[0])
+        t, u = _chunk_end(signals[lane], k)
+        raise DomainExitError(t=t, u=u, y=float(y_at[row]), message=f"{lane_name(lane)} {what}")
+
+    for k, n in enumerate(live.tolist()):
+        s, h = sign[k, :n], rise[k, :n].copy()
+        up = s > 0.0
+        field = _rising_field(model, up)
+        nodes, iw = nodes_buf[:n], iw_buf[:n]
+        z0 = s * y[:n]
+        k1 = field(z0)
+        i = np.flatnonzero(z0 * k1 < 0.0)
+        if i.size:
+            zc = z0[i, None] * _TO_ZERO
+            iw0 = _GAUSS_W / _rising_field(model, up[i])(zc)
+            h0 = -z0[i] * iw0.sum(axis=1)
+            cross = (iw0 * k1[i, None] > 0.0).all(axis=1) & (h0 < h[i])
+            i, zc, iw0 = i[cross], zc[cross], iw0[cross]
+            W[i] -= z0[i] * (zc * iw0).sum(axis=1)
+            minW[i] = np.minimum(minW[i], W[i])
+            h[i] -= h0[cross]
+            z0[i] = 0.0
+            k1[i] = _rising_field(model, up[i])(z0[i])
+        z1 = rk4_step(lambda z, x: field(z), z0, k1, 0.0, 0.0, 0.5 * h, h, h / 6.0)
+        ahead = k1 * (z1 - z0) > 0.0
+        if not ahead.all():
+            z1 = np.where(ahead, z1, z0 + h * k1)
+        z_new = z1
+        for _ in range(_CHUNK_PASSES):
+            z1 = z_new
+            width = z1 - z0
+            np.multiply(width[:, None], _GAUSS_T, out=nodes)
+            nodes += z0[:, None]
+            nodes[:, -1] = z1
+            f = field(nodes)
+            np.divide(_GAUSS_W, f[:, :-1], out=iw)
+            r = width * iw.sum(axis=1) - h
+            newton = r * f[:, -1]
+            z_new = z1 - newton
+            # beyond the root by over h / 10, the Newton step crawls down a
+            # rate that falls toward a zero
+            trust = (k1 * f[:, -1] > 0.0) & (k1 * width > 0.0) & (r <= 0.1 * h) & np.isfinite(newton)
+            if not trust.all():
+                i = np.flatnonzero(~trust)
+                z_new[i] = _inside_guess(nodes[i], iw[i], f[i, -1], k1[i], z0[i], width[i], h[i], z_new[i])
+        settled = (iw * k1[:, None] > 0.0).all(axis=1) & (k1 * f[:, -1] > 0.0) & (k1 * width > 0.0)
+        settled &= np.abs(newton) <= _SETTLED * np.abs(width) + _EPS * np.abs(z1)
+        rest = np.abs(width) <= _REST * np.abs(z0)
+        if not (settled | rest).all():
+            fail(np.flatnonzero(~(settled | rest)), k, s * z_new, "has no settled chunk map (a stiff or vanishing rate)")
+        supply = width * (nodes[:, :-1] * iw).sum(axis=1) - r * z1
+        if rest.any():
+            z_new = np.where(rest, z1, z_new)
+            supply = np.where(rest, h * z0, supply)
+        y1 = s * z_new
+        if not (lo < y1.min() and y1.max() < hi):
+            fail(np.flatnonzero(~((y1 > lo) & (y1 < hi))), k, y1, "drove the output out of the domain")
+        W[:n] += supply
+        np.minimum(minW[:n], W[:n], out=minW[:n])
+        y[:n] = y1
+    minW_out, y_out = np.empty(m), np.empty(m)
+    minW_out[order], y_out[order] = minW, y
+    return minW_out, y_out
+
+
 def _search_signals(
     p: PhasePoint, family: SignalFamily, lam: float, horizon: float
 ) -> list[InputSignal]:
@@ -565,14 +812,19 @@ def available_storage_bruteforce_batch(
     step: float = 2e-3,
 ) -> list[AvailableStorageResult]:
     """`available_storage_bruteforce` at many phase points, point k searched
-    with families[k], in one crossing ride and one supply march.
+    with families[k].
 
-    Every lane of both marches is computed elementwise, so each point's
-    result equals its separate `available_storage_bruteforce` call bit for
-    bit.  A domain exit names the point and the index of its signal (0 is
-    the designed ramp).  Raises ValueError for a horizon that is not
-    positive, a step that is not positive and finite, and points whose
-    search range sees f_an off zero (by over 1e-12 at one of 33 nodes).
+    A model of the reduced form (0, 1) takes exact chunk maps
+    (`_chunk_map_search`, with the designed ramp's crossing from
+    `_output_lambda`); `step` is then checked but not used.  Every other
+    model takes one crossing ride and one supply march at `step`.  Every
+    lane of both routes is computed elementwise, so each point's result
+    equals its separate `available_storage_bruteforce` call bit for bit.  A
+    domain exit, or a chunk map that does not settle, names the point and
+    the index of its signal (0 is the designed ramp).  Raises ValueError
+    for a horizon that is not positive, a step that is not positive and
+    finite, and points whose search range sees f_an off zero (by over 1e-12
+    at one of 33 nodes).
     """
     if not horizon > 0.0:
         raise ValueError(f"horizon must be positive, got {horizon}")
@@ -595,10 +847,14 @@ def available_storage_bruteforce_batch(
         lambda k: f"sigma={sigma[k]:.6g}, xi={xi[k]:.6g}",
     )
 
-    ride = ride_to_crossing(model, sigma, xi, step=step)
+    exact = model.reduced_form == (0.0, 1.0)
+    if exact:
+        lams = _output_lambda(model, sigma, xi)
+    else:
+        lams = ride_to_crossing(model, sigma, xi, step=step).lam
     signals: list[InputSignal] = []
     starts = [0]
-    for p, family, lam in zip(points, families, ride.lam):
+    for p, family, lam in zip(points, families, lams):
         signals += _search_signals(p, family, float(lam), horizon)
         starts.append(len(signals))
 
@@ -608,7 +864,10 @@ def available_storage_bruteforce_batch(
         return f"point {k} (sigma={p.sigma:.6g}, xi={p.xi:.6g}) signal {i - starts[k]}"
 
     y0 = np.repeat(sigma, np.diff(starts))
-    minW, _ = _supply_running_min(model, signals, y0, step, lane_name)
+    if exact:
+        minW, _ = _chunk_map_search(model, signals, y0, lane_name)
+    else:
+        minW, _ = _supply_running_min(model, signals, y0, step, lane_name)
     out = []
     for a, b in zip(starts[:-1], starts[1:]):
         # 0.0 - minW, not -minW: a signal that extracts nothing reads +0.0
@@ -641,9 +900,14 @@ def available_storage_bruteforce(
     stop) and family.n_random random piecewise-linear inputs starting at
     p.xi, all clipped to the horizon.  Each run tracks the running supply
     integral W(t) = int y du; the extractable energy of a run is
-    max(0, -min_t W(t)) and the result is the best over the family.  Every
-    run marches its own segments with `simulate`'s substep rule, so `step`
-    is a per-run maximum u-substep, as in `simulate`.
+    max(0, -min_t W(t)) and the result is the best over the family.
+
+    A model of the reduced form (0, 1) takes each input chunk by chunk on
+    its exact map, with W's minimum where the output crosses 0, so its
+    values are exact up to rounding and `step` goes unused (it is still
+    checked).  Every other model marches each run on its own segments with
+    `simulate`'s substep rule, so `step` is a per-run maximum u-substep, as
+    in `simulate`, and the crossing ride takes it too.
 
     Only models with an identically zero anhysteresis curve are accepted:
     for those the supply bookkeeping of the search matches the storage construction

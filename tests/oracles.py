@@ -108,6 +108,37 @@ def supply_exact(signal, y0, rho=1.5, fc=0.75):
     return np.array(out)
 
 
+def extraction_exact(signal, y0, rho=1.5, fc=0.75):
+    """Exact max(0, -min W) of Dahl (r = 1) along a piecewise-linear input
+    from y0, W = int y du: as dW/du = y, W is smallest at a breakpoint or
+    where y crosses 0 inside a ramp, at u0 + du0 with
+    (fc - y0) exp(-k du0) = fc rising and (fc + y0) exp(k du0) = fc
+    falling."""
+    k = rho / fc
+    y, w, low = float(y0), 0.0, 0.0
+    vals = signal.values
+    for u0, u1 in zip(vals[:-1], vals[1:]):
+        y1 = ramp_response_exact(u0, u1, y, rho, fc)
+        if y * y1 < 0.0:
+            du0 = math.log((fc - y) / fc) / k if u1 > u0 else -math.log((fc + y) / fc) / k
+            low = min(low, w + branch_integral_exact(u0, u0 + du0, y, rho, fc))
+        w += branch_integral_exact(u0, u1, y, rho, fc)
+        low = min(low, w)
+        y = y1
+    return max(0.0, -low)
+
+
+def dahl_storage_exact(sigma, rho=1.5, fc=0.75, r=1.0):
+    """H(sigma) = int_0^|sigma| s / (rho (1 + s / fc)^r) ds of Dahl, for
+    r = 1 (`storage_exact`) and r = 3, (fc^2 / 2 rho) (1 - 1 / w)^2 at
+    w = 1 + |sigma| / fc."""
+    if r == 1.0:
+        return storage_exact(sigma, rho, fc)
+    assert r == 3.0
+    w = 1.0 + np.abs(np.asarray(sigma, dtype=float)) / fc
+    return fc * fc / (2.0 * rho) * (1.0 - 1.0 / w) ** 2
+
+
 def simulate_exact(signal, y0, rho=1.5, fc=0.75):
     """Exact Dahl output at every breakpoint of a piecewise-linear input."""
     y = float(y0)

@@ -119,16 +119,24 @@ def test_criterion_3_available_storage_bruteforce():
         H = float(storage_exact(p.sigma))
         worst_short = max(worst_short, (H - res.value) / H if H > 0.0 else 0.0)
         worst_over = max(worst_over, res.value - H)
-    # approaches from below up to quadrature noise on the random inputs
-    ok = worst_short <= 0.02 and worst_over <= 1e-4
+    # approaches from below up to quadrature noise on the random inputs.
+    # Dahl declares the reduced form (0, 1), so the search takes exact
+    # chunk maps, and its overshoot is rounding: a signal of total
+    # variation TV (<= the horizon 10, at input rates <= 1) gathers under
+    # 256 eps fc TV in W (tests/test_storage.py,
+    # test_chunk_map_search_lanes_are_the_exact_dahl_extraction).
+    rounding = 256 * np.finfo(float).eps * 0.75 * 10.0
+    ok = worst_short <= 0.02 and worst_over <= 1e-4 and worst_over <= rounding
     _line(
         3,
         ok,
         f"worst shortfall {worst_short:.2%} (tol 2%), "
-        f"worst overshoot {worst_over:.2e} (noise allowance 1e-04), 20 points",
+        f"worst overshoot {worst_over:.2e} (rounding bound {rounding:.2e}, "
+        f"noise allowance 1e-04), 20 points",
     )
     assert worst_short <= 0.02
     assert worst_over <= 1e-4
+    assert worst_over <= rounding
 
 
 def test_criterion_4_preset_loops_clockwise_and_stable():

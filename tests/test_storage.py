@@ -29,6 +29,8 @@ from duhem.storage import (
     SignalFamily,
     StorageEvaluation,
     _anhysteresis_integrals,
+    _chunk_map_search,
+    _chunk_rounds,
     _search_signals,
     _supply_running_min,
     available_storage_bruteforce,
@@ -44,7 +46,9 @@ from oracles import (
     boucwen_lambda_exact,
     boucwen_storage_exact,
     cw_supply_integral,
+    dahl_storage_exact,
     exp_storage_exact,
+    extraction_exact,
     lambda_exact,
     ride_two_marches,
     storage_exact,
@@ -684,6 +688,7 @@ def test_available_storage_result_array_is_readonly():
 
 EPS = np.finfo(float).eps
 MARCH_STEP = 5e-3
+LANE = "signal {}".format  # the lane names of `_chunk_map_search`
 
 
 def _march_signals(rng, n=40):
@@ -778,23 +783,189 @@ def test_odd_supply_march_is_the_two_branch_march_bit_for_bit(model_name, reques
 @pytest.mark.parametrize("odd", [True, False])
 @pytest.mark.parametrize("model_name", ["dahl_r1", "dahl_r3", "bw"])
 def test_xi_free_supply_march_is_the_march_with_the_input_bit_for_bit(model_name, odd, request, rng):
-    # The lanes of the reduced form (0, 1) carry no input, and their field
-    # calls and stage inputs take 0.0; the same model without the
-    # declaration marches with the input track.  The lanes turn (random
-    # inputs), hold (the last input), start on both sides of 0 and finish
-    # in different blocks.
+    # (The id is kept; the march no longer has a path of its own for the
+    # reduced form (0, 1), so this compares the search's two routes.)  The
+    # lanes of the reduced form (0, 1) take exact chunk maps
+    # (`_chunk_map_search`); the same model without the declaration is
+    # marched with its input track.  Per signal the two agree within the
+    # march's error.  Its output is fourth order in the step, so the march
+    # at MARCH_STEP lies within 16/15 |march(h) - march(h/2)| of the limit;
+    # its supply is a trapezoid sum, second order, within 4/3 of that
+    # difference (both taken twice here), and its minimum is sampled at the
+    # substep nodes, where W = int y du lies at most F h^2 / 8 above its
+    # minimum between them, F the largest |slope| (3 for Dahl r = 1, 12
+    # for r = 3, 1 for Bouc-Wen on these outputs).  The lanes turn (random
+    # inputs), hold (the last input), start on both sides of 0 and have
+    # different chunk counts.
     model = dataclasses.replace(request.getfixturevalue(model_name), odd=odd)
     with_input = dataclasses.replace(model, reduced_form=None)
     assert model.reduced_form == (0.0, 1.0)
     sigs = _march_signals(rng)
-    ends = [np.count_nonzero(_simulate_substeps(sig, MARCH_STEP)) for sig in sigs]
-    assert len({k // storage_module._SUPPLY_BLOCK for k in ends}) > 1
     y0 = np.linspace(-0.6, 0.6, len(sigs))
-    minW, y_end = _supply_running_min(model, sigs, y0, MARCH_STEP)
-    ref_minW, ref_y = _supply_running_min(with_input, sigs, y0, MARCH_STEP)
-    assert minW.tobytes() == ref_minW.tobytes()
-    assert y_end.tobytes() == ref_y.tobytes()
+    minW, y_end = _chunk_map_search(model, sigs, y0, LANE)
+    march = [_supply_running_min(with_input, sigs, y0, h) for h in (MARCH_STEP, 0.5 * MARCH_STEP)]
+    (ref_minW, ref_y), (half_minW, half_y) = march
+    F = {"dahl_r1": 3.0, "dahl_r3": 12.0, "bw": 1.0}[model_name]
+    tol_W = 8.0 / 3.0 * np.abs(ref_minW - half_minW) + F * MARCH_STEP**2 / 8.0 + 64 * EPS
+    tol_y = 32.0 / 15.0 * np.abs(ref_y - half_y) + 64 * EPS
+    assert (np.abs(minW - ref_minW) <= tol_W).all()
+    assert (np.abs(y_end - ref_y) <= tol_y).all()
     assert (minW < 0.0).sum() >= 10  # lanes that extract energy
+    assert np.abs(minW - ref_minW).max() > 0.0  # two routes, not one
+
+
+@pytest.mark.parametrize("model_name", ["dahl_r1", "dahl_r3", "bw"])
+def test_odd_chunk_map_search_is_the_two_branch_search_bit_for_bit(model_name, request, rng):
+    # An odd model takes f1 on every lane in its rising frame; declared not
+    # odd, the falling lanes take f2 at -z, which the declaration makes
+    # the bits of f1 at z
+    model = request.getfixturevalue(model_name)
+    sigs = _march_signals(rng)
+    y0 = np.linspace(-0.6, 0.6, len(sigs))
+    odd = _chunk_map_search(model, sigs, y0, LANE)
+    two = _chunk_map_search(dataclasses.replace(model, odd=False), sigs, y0, LANE)
+    assert [a.tobytes() for a in odd] == [b.tobytes() for b in two]
+
+
+def test_chunk_rounds_cut_every_moving_segment_by_the_substep_rule():
+    # chunks of at most _CHUNK = 0.5, one per round, lanes ordered by their
+    # chunk count (largest first, stable), a held segment taking none
+    sigs = [
+        _segments(0.0, 0.25, 0.0, -1.5),       # 1 + 3 chunks of 0.25 and -0.5
+        InputSignal(np.array([0.0, 1.0]), np.array([0.4, 0.4])),  # held: none
+        _segments(1.0, 1.0, -0.5, 0.25),       # 2 + 1 + 1
+        _segments(0.0, -0.75),                 # 2 chunks of -0.375
+    ]
+    order, live, chunks = _chunk_rounds(sigs)
+    assert order.tolist() == [0, 2, 3, 1]
+    assert live.tolist() == [3, 3, 2, 2]
+    assert chunks.tolist() == [
+        [0.25, 0.5, -0.375, 0.0],
+        [-0.5, 0.5, -0.375, 0.0],
+        [-0.5, -0.5, 0.0, 0.0],
+        [-0.5, 0.25, 0.0, 0.0],
+    ]
+    assert storage_module._CHUNK == 0.5
+
+
+def test_chunk_map_search_lanes_are_the_exact_dahl_extraction(dahl_r1, rng):
+    # Dahl r = 1 in closed form (`extraction_exact`, W's minimum at the
+    # breakpoints and where y crosses 0), on the search's inputs: clipped
+    # to the horizon 10, at input rates <= 1, so of total variation
+    # TV <= 10 and in N <= 10 / 0.5 + 9 = 29 chunks.  Each chunk's supply
+    # sums 20 terms of at most Y |h| together (Y = fc), rounding by under
+    # 23 eps Y |h|; each of the N additions to W rounds by at most
+    # eps Y TV; and each chunk leaves its output within 4 eps Y, which the
+    # non-expanding branches carry into W as at most 4 eps Y TV.  So a lane
+    # is within (23 + 5 N) eps Y TV < 256 eps Y TV (measured: under 1).
+    sigs = [
+        storage_module._clip_to_horizon(random_piecewise_linear(rng, u_start=0.2, span=3.0), 10.0)
+        for _ in range(200)
+    ]
+    y0 = np.linspace(-0.7, 0.7, len(sigs))
+    minW, _ = _chunk_map_search(dahl_r1, sigs, y0, LANE)
+    exact = np.array([extraction_exact(sig, y) for sig, y in zip(sigs, y0)])
+    tv = np.array([np.abs(np.diff(sig.values)).sum() for sig in sigs])
+    assert tv.max() <= 10.0 and _chunk_rounds(sigs)[2].shape[0] <= 29
+    assert (np.abs(np.maximum(0.0, 0.0 - minW) - exact) <= 256 * EPS * 0.75 * tv).all()
+    assert (exact > 0.0).sum() >= 80
+
+
+def test_chunk_map_search_takes_w_where_the_output_crosses_zero_inside_a_chunk(dahl_r1):
+    # From (0.375, 1) a ramp falls past lam, where y crosses 0 and W is
+    # smallest, to lam - 0.3: one segment of two chunks, the crossing
+    # inside the first.  The extraction is H itself; W at the chunk ends
+    # lies about rho d^2 / 2 = 2e-3 above its minimum, d = 0.049 past lam.
+    p = PhasePoint(0.375, 1.0)
+    lam = float(lambda_exact(p.sigma, p.xi))
+    sig = InputSignal(np.array([0.0, p.xi - lam + 0.3]), np.array([p.xi, lam - 0.3]))
+    (chunk,) = set(_chunk_rounds([sig])[2][:, 0].tolist())
+    assert p.xi + chunk < lam < p.xi
+    minW, y_end = _chunk_map_search(dahl_r1, [sig], p.sigma, LANE)
+    H = float(storage_exact(p.sigma))
+    assert y_end[0] < 0.0
+    assert -minW[0] == pytest.approx(H, abs=256 * EPS * 0.75 * abs(sig.values[1] - sig.values[0]))
+
+
+def _convergence_points(model_name):
+    band = {"dahl_r1": 0.7, "dahl_r3": 0.7, "bw": 1.2}[model_name]
+    rng = np.random.default_rng(34)
+    points = [PhasePoint(band * (2 * rng.random() - 1), 2 * (2 * rng.random() - 1)) for _ in range(4)]
+    return points, [SignalFamily(n_random=100, seed=k) for k in range(4)]
+
+
+@pytest.mark.parametrize("model_name", ["dahl_r1", "dahl_r3", "bw"])
+def test_chunk_map_search_at_half_the_chunk_and_twice_the_passes_moves_no_value(model_name, request, monkeypatch):
+    # The convergence test behind _CHUNK and _CHUNK_PASSES: the result at
+    # (D, n) against the one at (D/2, 2n), per signal, within the sum of
+    # both runs' rounding bounds (23 + 5 N) eps Y TV of
+    # `test_chunk_map_search_lanes_are_the_exact_dahl_extraction`, N <= 29
+    # and 49 chunks at horizon 10, under 512 eps Y TV; Y bounds |y|
+    model = request.getfixturevalue(model_name)
+    points, families = _convergence_points(model_name)
+    runs = []
+    for chunk, passes in ((storage_module._CHUNK, storage_module._CHUNK_PASSES),
+                          (0.5 * storage_module._CHUNK, 2 * storage_module._CHUNK_PASSES)):
+        monkeypatch.setattr(storage_module, "_CHUNK", chunk)
+        monkeypatch.setattr(storage_module, "_CHUNK_PASSES", passes)
+        res = available_storage_bruteforce_batch(model, points, families)
+        runs.append(np.concatenate([r.per_signal for r in res]))
+    Y = 0.75 if model_name != "bw" else 1.3
+    assert np.abs(runs[0] - runs[1]).max() <= 512 * EPS * Y * 10.0
+    assert (runs[0] > 0.0).sum() >= 200
+
+
+@pytest.mark.parametrize("model_name", ["dahl_r1", "dahl_r3", "bw"])
+def test_chunk_map_search_and_its_designed_ramp_are_h_to_rounding(model_name, request):
+    # H in closed form; the search value cannot pass H (H is the available
+    # storage of these models) and the designed ramp takes all of it, each
+    # within the rounding bound of the exact Dahl test (horizon 10); the
+    # ramp's end misses y = 0 by the quadrature's rounding, where W is
+    # stationary, so it moves W by its square
+    model = request.getfixturevalue(model_name)
+    points, families = _convergence_points(model_name)
+    Y = 0.75 if model_name != "bw" else 1.3
+    for p, res in zip(points, available_storage_bruteforce_batch(model, points, families)):
+        H = float(boucwen_storage_exact(p.sigma) if model_name == "bw"
+                  else dahl_storage_exact(p.sigma, r=model.params["r"]))
+        bound = 256 * EPS * Y * 10.0
+        assert res.value <= H + bound
+        assert abs(res.designed_value - H) <= bound
+
+
+def test_the_declared_search_neither_rides_nor_marches(dahl_r1, monkeypatch):
+    def no(*args, **kw):
+        raise AssertionError("a declared model rode or marched")
+
+    res = available_storage_bruteforce(dahl_r1, PhasePoint(0.375, 1.0), SignalFamily(n_random=30, seed=3))
+    monkeypatch.setattr(storage_module, "ride_to_crossing", no)
+    monkeypatch.setattr(storage_module, "_supply_running_min", no)
+    again = available_storage_bruteforce(dahl_r1, PhasePoint(0.375, 1.0), SignalFamily(n_random=30, seed=3))
+    assert _search_bits(again) == _search_bits(res)
+    with pytest.raises(AssertionError, match="rode or marched"):
+        available_storage_bruteforce(
+            dataclasses.replace(dahl_r1, reduced_form=None), PhasePoint(0.375, 1.0), SignalFamily(n_random=3)
+        )
+
+
+def test_the_chunk_map_search_rejects_a_point_whose_branch_never_reaches_the_curve():
+    # f2 = 1 - sigma turns negative at sigma = 1: from sigma = 2 the
+    # falling branch moves away from the curve sigma = 0
+    model = DuhemModel(
+        "runs away above 1",
+        lambda s, x: 1.0 + s + 0.0 * x,
+        lambda s, x: 1.0 - s + 0.0 * x,
+        f_an=lambda xi: 0.0 * xi,
+        reduced_form=(0, 1),
+    )
+    with pytest.raises(
+        CrossingSearchError,
+        match=r"^1 phase point\(s\) whose branch slope is not finite and positive on the way to the "
+        r"anhysteresis curve \(first at sigma=2, xi=0.5\)$",
+    ):
+        available_storage_bruteforce_batch(
+            model, [PhasePoint(0.5, 0.0), PhasePoint(2.0, 0.5)], [SignalFamily(n_random=2)] * 2
+        )
 
 
 def test_supply_march_domain_exit_names_the_lane_and_its_sample():
@@ -846,9 +1017,11 @@ def test_supply_march_domain_exit_names_the_lane_and_its_sample():
 
 
 def test_a_whole_plane_search_that_turns_nan_exits_where_simulate_does(bw):
-    # Bouc-Wen from (50, 0) blows up on 5 of the 21 search signals, where
-    # simulate raises; the search raises at simulate's sample of the first
-    # exit in time instead of returning NaN.
+    # Bouc-Wen from (50, 0), undeclared so that the search marches, blows
+    # up on 5 of the 21 search signals, where simulate raises; the search
+    # raises at simulate's sample of the first exit in time instead of
+    # returning NaN.
+    bw = dataclasses.replace(bw, reduced_form=None)
     p, family = PhasePoint(50.0, 0.0), SignalFamily(n_random=20, seed=1)
     with pytest.raises(DomainExitError, match=r"^point 0 \(sigma=50, xi=0\) signal 2 drove") as err:
         with np.errstate(over="ignore", invalid="ignore"):
@@ -860,6 +1033,76 @@ def test_a_whole_plane_search_that_turns_nan_exits_where_simulate_does(bw):
     exc = err.value
     assert (exc.t, exc.u) == (lone.value.t, lone.value.u)
     assert math.isnan(exc.y) and math.isnan(lone.value.y)
+
+
+def test_a_stiff_whole_plane_chunk_map_search_raises_and_never_returns_nan(bw):
+    # Declared Bouc-Wen from (50, 0): on a rising chunk f1 = 1 - 2 y^3
+    # pulls y from 50 toward 2^(-1/3), |h f1'| = 7,500 at the start, where
+    # the RK4 predictor is of no use; the first such lane in the first
+    # round has no settled chunk map after its passes, and the search
+    # raises at that chunk's end, naming the point and the signal.  The
+    # falling designed ramp (f2 = 1 above 0) settles.
+    p, family = PhasePoint(50.0, 0.0), SignalFamily(n_random=20, seed=1)
+    sigs = _search_signals(p, family, -50.0, 10.0)
+    first = min(j for j, sig in enumerate(sigs) if sig.values[1] > sig.values[0])
+    with pytest.raises(
+        DomainExitError,
+        match=rf"^point 0 \(sigma=50, xi=0\) signal {first} has no settled chunk map",
+    ) as err:
+        with np.errstate(all="ignore"):
+            available_storage_bruteforce(bw, p, family)
+    exc = err.value
+    assert (exc.t, exc.u) == storage_module._chunk_end(sigs[first], 0)
+    assert 0.5 ** (1.0 / 3.0) < exc.y < 50.0
+    designed = available_storage_bruteforce(bw, p, SignalFamily(n_random=0))
+    # the ramp is clipped at the horizon 10, from y = 50 to 40 on
+    # f2 = 1 - y^3 + y y^2, which is 1 up to the rounding of y^3 < 1.3e5
+    # (2^-36), so W moves by at most 2^-36 of itself
+    assert designed.value == pytest.approx(0.5 * (50.0**2 - 40.0**2), rel=2.0**-36)
+
+
+def test_a_lane_that_reaches_a_zero_of_its_rate_rests_there(bw):
+    # Bouc-Wen (f1 = 1 below 0 and 1 - 2 y^3 above, f2 its mirror) moving
+    # 12 input units one way reaches +-2^(-1/3), where its rate vanishes,
+    # to the last rounding unit (the distance falls as exp(-3.78 u)); there
+    # f is rounding noise of either sign and no chunk map settles, so the
+    # chunks rest.  Closed forms: y ends on the fixed points; W never falls
+    # below 0 on the first two inputs, and on the third it falls by
+    # 0.3^2 / 2 = H(0.3) while y runs down to 0 on f2 = 1, then rises.
+    # The rounding bound is that of the exact Dahl test, Y = 0.8, TV = 24.
+    y_star = 0.5 ** (1.0 / 3.0)
+    sigs = [_segments(0.0, 12.0), _segments(0.0, 12.0, -12.0), _segments(0.0, -12.0, 12.0)]
+    minW, y_end = _chunk_map_search(bw, sigs, 0.3, LANE)
+    assert y_end == pytest.approx([y_star, -y_star, y_star], abs=64 * EPS)
+    assert minW == pytest.approx([0.0, 0.0, -0.045], abs=256 * EPS * 0.8 * 24.0)
+    # a family of span 10 over a horizon of 40, whose rising and falling
+    # stretches reach the fixed points too, extracts H(0.3) and no more
+    res = available_storage_bruteforce(bw, PhasePoint(0.3, 0.0), SignalFamily(n_random=50, span=10.0), horizon=40.0)
+    assert res.value == pytest.approx(0.045, abs=256 * EPS * 1.0 * 40.0)
+    assert res.designed_value == pytest.approx(0.045, abs=256 * EPS * 1.0 * 40.0)
+
+
+@pytest.mark.parametrize("odd", [True, False])
+def test_the_chunk_map_search_names_the_point_and_signal_that_leave_the_band(odd):
+    # The unit-slope band declared of the reduced form (0, 1): y follows u
+    # one to one, the maps are exact, and a lane that rises or falls by
+    # more than 1 - |y0| leaves |y| < 1.  Point 0 (span 0.2 around y = 0)
+    # stays inside; at point 1 (y = 0.5, span 3) a random input leaves,
+    # and the search raises at the end of the chunk that crosses the edge.
+    model = _unit_slope_band(odd, no_input=True)
+    points = [PhasePoint(0.0, 0.3), PhasePoint(0.5, -0.2)]
+    families = [SignalFamily(n_random=4, span=0.2, seed=1), SignalFamily(n_random=4, span=3.0, seed=2)]
+    with pytest.raises(DomainExitError, match=r"^point 1 \(sigma=0.5, xi=-0.2\) signal \d+ drove") as err:
+        available_storage_bruteforce_batch(model, points, families, horizon=6.0)
+    exc = err.value
+    j = int(str(exc).split(" signal ")[1].split()[0])
+    assert j >= 1  # the designed ramp to the curve stays inside
+    sig = _search_signals(points[1], families[1], -0.7, 6.0)[j]
+    chunks = _chunk_rounds([sig])[2][:, 0]
+    k = int(np.argmax(np.abs(0.5 + np.cumsum(chunks)) >= 1.0))
+    assert (exc.t, exc.u) == storage_module._chunk_end(sig, k)
+    assert abs(exc.y) >= 1.0 and exc.y == pytest.approx(0.5 + chunks[: k + 1].sum(), abs=1e-15)
+    available_storage_bruteforce_batch(model, points[:1], families[:1], horizon=6.0)
 
 
 def _supply_march_at_block_sizes(monkeypatch, model, sigs, y0, step, blocks):
